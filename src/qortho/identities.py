@@ -450,6 +450,7 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
     with ctx.workprec():
         s_val = mpmath.mpf(1) if s is None else mpmath.mpf(s)
         a_val = (1 + q) / 2 if a is None else mpmath.mpf(a)
+        q_inv = 1 / q
     dual = FamilyKind.DUAL_DISCRETE_ULTRA
 
     def base_entry(parity: str):
@@ -473,7 +474,7 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
             hermite_extremal(a_val, q, ctx), N, ctx, workers),
         "qinv-extremal-orthogonality": lambda: _gram_entry(
             "qinv-extremal-orthogonality",
-            FamilySpec(dual, q, 1 / q), dual_qinv_extremal(a_val, q, ctx),
+            FamilySpec(dual, q, q_inv), dual_qinv_extremal(a_val, q, ctx),
             N, ctx, workers),
         "q-extremal-orthogonality": lambda: _gram_entry(
             "q-extremal-orthogonality",

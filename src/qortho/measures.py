@@ -40,7 +40,8 @@ A(t) is the largest absolute-coefficient majorant of the polynomial family
 up to degree N.  Because log w_m is dominated by a -2m^2 log(1/q) term while
 log A(|node_m|) grows only linearly in |m|, B is eventually log-concave, so
 once the first omitted term satisfies B(next)/B(last) <= 1/2 the geometric
-tail bound 2*B(next) per side is valid.
+tail bound 2*B(next) per side is valid.  The checks divide by the closed-form
+diagonals d_n, so each side is driven below tol/8 * min(1, min_n d_n).
 """
 from __future__ import annotations
 
@@ -118,6 +119,16 @@ class DiscreteMeasure:
         if self.kind in _A_KINDS:
             return lattice_normalization(self.a, self.q, ctx)
         return mpmath.mpf(1)
+
+    def diagonal_prefactor(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
+        """(s q^3;q^2)_inf / (q;q^2)_inf for the base kinds, 1 for the others."""
+        if self.kind not in _BASE_KINDS:
+            return mpmath.mpf(1)
+        q = self.q
+        with ctx.workprec():
+            q2 = q * q
+            return (qpochhammer_inf(self.s * q ** 3, q2, ctx)
+                    / qpochhammer_inf(q, q2, ctx))
 
     def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
               norm: QReal | None = None) -> tuple[QReal, QReal]:
@@ -207,8 +218,13 @@ def dual_q_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMe
 
 
 def expected_diagonal(measure: DiscreteMeasure, n: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """Closed form of the (n, n) Gram entry for the measure's own family."""
+                      ctx: PrecisionContext = DEFAULT_CONTEXT,
+                      prefactor: QReal | None = None) -> QReal:
+    """Closed form of the (n, n) Gram entry for the measure's own family.
+
+    prefactor, when given, must be measure.diagonal_prefactor(ctx); passing
+    it avoids recomputing the base measures' infinite products per n.
+    """
     q = measure.q
     with ctx.workprec():
         if measure.kind is MeasureKind.HERMITE_EXTREMAL:
@@ -216,8 +232,9 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
         if measure.kind in _BASE_KINDS:
             s = measure.s
             q2 = q * q
-            return (qpochhammer_inf(s * q ** 3, q2, ctx)
-                    / qpochhammer_inf(q, q2, ctx)
+            if prefactor is None:
+                prefactor = measure.diagonal_prefactor(ctx)
+            return (prefactor
                     * qpochhammer(q2, q2, n, ctx) * q ** (-n)
                     / qpochhammer(s * q2, q2, n, ctx))
         if measure.kind is MeasureKind.DUAL_QINV_EXTREMAL:
@@ -342,9 +359,13 @@ def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
 
 
 def _certified_window(measure: DiscreteMeasure, amax, ctx: PrecisionContext,
-                      norm: QReal) -> tuple[int, int, QReal]:
-    """Pick [m_lo, m_hi] so both omitted tails are certified below tol/4."""
-    target = ctx.tol / 8
+                      norm: QReal, diag: list[QReal]) -> tuple[int, int, QReal]:
+    """Pick [m_lo, m_hi] so each omitted tail is below tol/8 * min(1, min_n d_n).
+
+    The checks divide entry (n, n') by sqrt(d_n d_n'), so this keeps the
+    truncation error of every relative residual below tol/4.
+    """
+    target = ctx.tol / 8 * min(mpmath.mpf(1), min(abs(d) for d in diag))
 
     def bound(m: int) -> QReal:
         node, w = measure.point(m, ctx, norm=norm)
@@ -384,10 +405,17 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")
     family = _check_compatible(family, measure, ctx)
+    # The closed forms need no more accuracy than this Gram's own arithmetic
+    # carries: below the rounding floor the residuals show the shortfall as
+    # a failed check rather than an uncertifiable product.
+    closed = dataclasses.replace(ctx, tol=max(ctx.tol, ctx.rounding_floor))
     with ctx.workprec():
-        norm = measure.normalization(ctx)
+        norm = measure.normalization(closed)
+        prefactor = measure.diagonal_prefactor(closed)
+        diag = [expected_diagonal(measure, n, ctx, prefactor=prefactor)
+                for n in range(N + 1)]
         amax = _abs_coeff_majorant(family, N, ctx)
-        m_lo, m_hi, tail = _certified_window(measure, amax, ctx, norm)
+        m_lo, m_hi, tail = _certified_window(measure, amax, ctx, norm, diag)
 
         nodes: list[QReal] = []
         weights: list[QReal] = []
@@ -420,7 +448,6 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
             for pair in pairs:
                 fill(pair)
 
-        diag = [expected_diagonal(measure, n, ctx) for n in range(N + 1)]
         off_max = mpmath.mpf(0)
         diag_err = mpmath.mpf(0)
         for n in range(N + 1):
@@ -497,10 +524,13 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
         measure = dual_q_extremal(a, q, ctx)
     q = measure.q
     with ctx.workprec():
-        z_quad = lattice_normalization(measure.a, q, ctx)
-        z_lin = (qpochhammer_inf(-measure.a ** 2, q, ctx)
-                 * qpochhammer_inf(-q / measure.a, q, ctx)
-                 * qpochhammer_inf(q, q, ctx))
+        a = measure.a
+        # Same factors and order as lattice_normalization, so z_quad is the
+        # value point() divided by.
+        neg_a2 = qpochhammer_inf(-a * a, q, ctx)
+        euler = qpochhammer_inf(q, q, ctx)
+        z_quad = neg_a2 * qpochhammer_inf(-q / (a * a), q, ctx) * euler
+        z_lin = neg_a2 * qpochhammer_inf(-q / a, q, ctx) * euler
         d0 = expected_diagonal(measure, 0, ctx)
         # Degree-0 Gram entry; point() divides by z_quad, so undo it.
         one = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q,

@@ -95,6 +95,16 @@ def test_gram_every_measure(capsys):
         json.loads(out)
 
 
+@pytest.mark.parametrize("q", ["0.9", "0.95"])
+def test_gram_passes_with_small_diagonals(capsys, q):
+    # Diagonals fall to about 1e-3 (q = 0.9) and 1e-6 (q = 0.95); the window
+    # certificate must be relative to them.
+    code, out, _ = run(capsys, "gram", "--q", q)
+    assert code == 0
+    obj = json.loads(out)
+    assert mpmath.mpf(obj["diag_rel_err_max"]) < CTX.tol
+
+
 def test_gram_fails_below_rounding_floor(capsys):
     # 2^-300 is under the 256-bit arithmetic floor: residuals cannot reach it.
     code, out, _ = run(capsys, "gram", "--N", "2", "--tol-exp", "300")

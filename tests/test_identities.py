@@ -110,8 +110,9 @@ def test_suite_is_deterministic():
 
 
 def test_suite_reports_uncertifiable_checks_as_errors():
+    # Euler's sum for Z(a) at q = 0.5 needs about 20 terms to reach 2^-200.
     starved = PrecisionContext(bits=256, tol=mpmath.mpf(2) ** -200,
-                               max_terms=50)
+                               max_terms=8)
     (report,) = run_suite("0.5", starved,
                           only=["hermite-extremal-orthogonality"])
     assert not report.passed
@@ -119,6 +120,15 @@ def test_suite_reports_uncertifiable_checks_as_errors():
     assert "TruncationFailure" in report.details["error"]
     assert report.max_residual == mpmath.inf
     assert report.to_dict(starved.digits)["max_residual"] == "inf"
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.7", "0.9"])
+def test_suite_qinv_extremal_family_s_at_inexact_inverse(q):
+    # 1/q is inexact in binary here; it must be formed at the working
+    # precision to match the measure's own s = 1/q.
+    (report,) = run_suite(q, CTX, only=["qinv-extremal-orthogonality"])
+    assert "error" not in report.details
+    assert report.passed
 
 
 def test_suite_rejects_unknown_ids():

@@ -104,6 +104,8 @@ def test_qpochhammer_matches_mpmath(a, q, n):
 
 def test_qpochhammer_inf_trivial_and_frozen():
     assert qpochhammer_inf(0, 0.5, CTX) == 1
+    # The factor 1 - 2 * 0.5 vanishes exactly.
+    assert qpochhammer_inf(2, 0.5, CTX) == 0
     deep = PrecisionContext.create(bits=320, tol_exp=280)
     v = qpochhammer_inf("0.5", "0.5", deep)
     with deep.workprec():
@@ -134,11 +136,46 @@ def test_qpochhammer_inf_splits_off_finite_part(a, q, n):
 
 
 def test_qpochhammer_inf_matches_mpmath():
-    with CTX.workprec():
-        for a, q in ((0.3, 0.5), (-1.7, 0.8), (0.99, 0.3)):
-            mine = qpochhammer_inf(a, q, CTX)
+    # Cases with w = a q^J > 0 make Euler's sum alternate and cancel.
+    cases = ((0.3, 0.5), (-1.7, 0.8), (0.99, 0.3), (3.7, 0.6), (0.5, 0.9),
+             (0.9, 0.9), (-0.5, 0.95), (0.95, 0.95))
+    for a, q in cases:
+        mine = qpochhammer_inf(a, q, CTX)
+        with mpmath.workprec(2 * CTX.bits):
             other = mpmath.qp(mpmath.mpf(a), mpmath.mpf(q))
-            assert rel(mine, other) < 4 * CTX.tol
+            assert abs(mine - other) / abs(other) < CTX.tol / 16, (a, q)
+
+
+@pytest.mark.parametrize("q, bits, tol_exp", [("0.9", 1024, 800),
+                                               ("0.99", 1024, 800),
+                                               ("0.99", 256, 200)])
+def test_qpochhammer_inf_matches_pentagonal_series(q, bits, tol_exp):
+    # (q;q)_inf = sum_{n in Z} (-1)^n q^{n(3n-1)/2}.  At q = 0.99 the value
+    # is about 2e-70, far below the largest terms of Euler's sum; at 256 bits
+    # that cancellation forces the guard-bit re-sum.
+    deep = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
+    mine = qpochhammer_inf(q, q, deep)
+    with mpmath.workprec(2 * deep.bits):
+        qv = deep.to_real(q)
+        total = mpmath.mpf(1)
+        n = 1
+        while True:
+            pair = qv ** (n * (3 * n - 1) // 2) + qv ** (n * (3 * n + 1) // 2)
+            total += (-1) ** n * pair
+            if pair < total * mpmath.mpf(2) ** -(2 * deep.bits):
+                break
+            n += 1
+        assert abs(mine - total) / total < deep.tol / 16
+
+
+def test_qpochhammer_inf_rounding_floor():
+    # A 128-bit result cannot carry a relative error of 2^-200.
+    shallow = PrecisionContext.create(bits=128, tol_exp=200)
+    with pytest.raises(TruncationFailure, match="rounding floor"):
+        qpochhammer_inf("0.5", "0.5", shallow)
+    assert shallow.rounding_floor == mpmath.mpf(2) ** -122
+    edge = PrecisionContext(bits=128, tol=shallow.rounding_floor)
+    assert qpochhammer_inf("0.5", "0.5", edge) > 0
 
 
 def test_qpochhammer_inf_truncation_failure():
