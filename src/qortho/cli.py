@@ -147,25 +147,22 @@ def _family_s(config: RunConfig, q, required: bool = True):
 
 def _measure_for(name: str, config: RunConfig, q, ctx: PrecisionContext,
                  a_value=None):
-    """(FamilySpec, DiscreteMeasure) for a measure name; a_value overrides --a."""
-    dual = FamilyKind.DUAL_DISCRETE_ULTRA
+    """The DiscreteMeasure for a measure name; a_value overrides --a."""
     if name == "dual-base":
         s = _family_s(config, q, required=False)
         if s is None:
             s = mpmath.mpf(1)
-        parity = config.parity or "even"
-        return FamilySpec(dual, q, s), dual_base(s, q, parity, ctx)
+        return dual_base(s, q, config.parity or "even", ctx)
     a = a_value
     if a is None:
         a = (_decimal_or_q(config.a, q, "a") if config.a is not None
              else (1 + q) / 2)
     if name == "hermite-extremal":
-        return (FamilySpec(FamilyKind.QINV_HERMITE, q),
-                hermite_extremal(a, q, ctx))
+        return hermite_extremal(a, q, ctx)
     if name == "dual-qinv-extremal":
-        return FamilySpec(dual, q, 1 / q), dual_qinv_extremal(a, q, ctx)
+        return dual_qinv_extremal(a, q, ctx)
     if name == "dual-q-extremal":
-        return FamilySpec(dual, q, q), dual_q_extremal(a, q, ctx)
+        return dual_q_extremal(a, q, ctx)
     raise ValueError("unknown measure %r" % (name,))
 
 
@@ -207,9 +204,10 @@ def cmd_gram(config: RunConfig) -> int:
     q = as_qparam(config.q, ctx)
     N = config.N if config.N is not None else 8
     with ctx.workprec():
-        family, measure = _measure_for(config.measure or "hermite-extremal",
-                                       config, q, ctx)
-    report = gram_matrix(family, measure, N, ctx, workers=config.workers)
+        measure = _measure_for(config.measure or "hermite-extremal",
+                               config, q, ctx)
+    report = gram_matrix(measure.family(ctx), measure, N, ctx,
+                         workers=config.workers)
     if (config.output or "json") == "json":
         text = report.to_json(ctx.digits)
     else:
@@ -277,8 +275,9 @@ def cmd_sweep(config: RunConfig) -> int:
     rows = ["a,off_diag_max,diag_rel_err_max,node_hash"]
     for a in values:
         with ctx.workprec():
-            family, measure = _measure_for(name, config, q, ctx, a_value=a)
-        report = gram_matrix(family, measure, N, ctx, workers=config.workers)
+            measure = _measure_for(name, config, q, ctx, a_value=a)
+        report = gram_matrix(measure.family(ctx), measure, N, ctx,
+                             workers=config.workers)
         rows.append("%s,%s,%s,%s" % (
             to_decimal(a, ctx.digits),
             to_decimal(report.off_diag_max, ctx.digits),

@@ -33,7 +33,7 @@ import enum
 import mpmath
 
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
-                     basic_hypergeometric, qpochhammer)
+                     basic_hypergeometric)
 
 
 class DegenerateCoefficient(Exception):
@@ -64,14 +64,20 @@ class FamilySpec:
             s = ctx.to_real(self.s)
             if not s > 0:
                 raise ValueError("s must satisfy s > 0 (got s=%s)" % mpmath.nstr(s, 8))
-            if self.kind is FamilyKind.DUAL_DISCRETE_ULTRA and not s < q ** -2:
-                raise ValueError(
-                    "s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
-                    % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8))
-                )
+            if self.kind is FamilyKind.DUAL_DISCRETE_ULTRA:
+                check_dual_s(s, q)
         elif self.s is not None:
             s = ctx.to_real(self.s)
         return FamilySpec(self.kind, q, s)
+
+
+def check_dual_s(s: QReal, q: QReal) -> None:
+    """Raise ValueError unless 0 < s < q^-2, the dual family's range of s."""
+    if not 0 < s < q ** -2:
+        raise ValueError(
+            "s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
+            % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8))
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,18 +102,26 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:
-    """One summation pass at the ambient precision: (sum, largest |term|)."""
-    e = mpmath.exp(phi)
+def _hermite_sum(n: int, q, factor) -> tuple[QReal, QReal]:
+    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factor(k) and its largest |term|.
+
+    Runs at the ambient precision.
+    """
     total = mpmath.mpf(0)
     tmax = mpmath.mpf(0)
     binom = mpmath.mpf(1)
     for k in range(n + 1):
-        term = (-1) ** k * q ** (k * (k - n)) * binom * e ** (n - 2 * k)
+        term = (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
         total += term
         tmax = max(tmax, abs(term))
         binom *= (1 - q ** (n - k)) / (1 - q ** (k + 1))
     return total, tmax
+
+
+def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:
+    """One summation pass at the ambient precision: (sum, largest |term|)."""
+    e = mpmath.exp(phi)
+    return _hermite_sum(n, q, lambda k: e ** (n - 2 * k))
 
 
 def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -192,12 +206,7 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-        total = mpmath.mpf(0)
-        binom = mpmath.mpf(1)
-        for j in range(n + 1):
-            total += (-1) ** j * q ** (j * (j - n)) * binom * (n - 2 * j)
-            binom *= (1 - q ** (n - j)) / (1 - q ** (j + 1))
-        return total
+        return _hermite_sum(n, q, lambda j: n - 2 * j)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +247,7 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     q = as_qparam(q, ctx)
     with ctx.workprec():
         s = mpmath.mpf(s)
-        if not 0 < s < q ** -2:
-            raise ValueError(
-                "s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
-                % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8))
-            )
+        check_dual_s(s, q)
         x = mpmath.mpf(x)
         cutoff = n
         if mpmath.isint(x) and 0 <= x < n:

@@ -25,14 +25,13 @@ import dataclasses
 
 import mpmath
 
-from .families import (FamilyKind, FamilySpec, dual_ultra_table,
-                       qinv_hermite_coeffs, qinv_hermite_series,
-                       qinv_hermite_table)
+from .families import (dual_ultra_table, qinv_hermite_coeffs,
+                       qinv_hermite_series, qinv_hermite_table)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, adjudicate_normalization, dual_base,
-                       dual_q_extremal, dual_qinv_extremal, expected_diagonal,
-                       gram_matrix, hermite_extremal)
+                       dual_q_extremal, dual_qinv_extremal, gram_matrix,
+                       hermite_extremal)
 
 DEFAULT_PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
 
@@ -243,6 +242,10 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     three ways: the coefficient identity itself, the transformed recurrence
     on series-evaluated values, and the even/odd coefficient structure that
     makes the map real-valued.
+
+    The series values carry an error of up to tol/4 relative to max(1, |h|),
+    and the recurrence multiplies them by 2x and by up to q^-n_max, so they
+    are requested at tol divided by that amplification.
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
@@ -254,10 +257,13 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
 
         grid = DEFAULT_PHI_GRID if x_grid is None else x_grid
         xs = [mpmath.mpf(v) for v in grid]
+        amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
+        series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
         value_worst = mpmath.mpf(0)
         for x in xs:
             phi = mpmath.asinh(x)
-            hs = [qinv_hermite_series(n, phi, q, ctx) for n in range(n_max + 2)]
+            hs = [qinv_hermite_series(n, phi, q, series_ctx)
+                  for n in range(n_max + 2)]
             for n in range(1, n_max + 1):
                 lhs = hs[n + 1]
                 rhs = 2 * x * hs[n] + (1 - q ** (-n)) * hs[n - 1]
@@ -296,9 +302,8 @@ def check_half_to_full_lattice(N: int, q,
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        fam_h = FamilySpec(FamilyKind.QINV_HERMITE, q)
         meas = hermite_extremal(q, q, ctx)
-        ref = gram_matrix(fam_h, meas, N, ctx)
+        ref = gram_matrix(meas.family(ctx), meas, N, ctx)
         phi_const = meas.normalization(ctx)
         scale_const = q * phi_const
 
@@ -351,8 +356,8 @@ def check_half_to_full_lattice(N: int, q,
                     for j in range(1, J + 1):
                         total += 2 * lattice_w[j] * values[j][i] * values[j][ip]
                 ref_entry = scale_const * ref.gram[i][ip]
-                d_i = scale_const * expected_diagonal(meas, i, ctx)
-                d_ip = scale_const * expected_diagonal(meas, ip, ctx)
+                d_i = scale_const * ref.expected_diag[i]
+                d_ip = scale_const * ref.expected_diag[ip]
                 scale = max(mpmath.mpf(1), mpmath.sqrt(abs(d_i * d_ip)))
                 entry_worst = max(entry_worst, abs(total - ref_entry) / scale)
                 if (i + ip) % 2 == 1:
@@ -384,9 +389,9 @@ def check_half_to_full_lattice(N: int, q,
             worst, ctx, details)
 
 
-def _gram_entry(identity_id: str, family: FamilySpec, measure, N: int,
+def _gram_entry(identity_id: str, measure, N: int,
                 ctx: PrecisionContext, workers: int) -> IdentityReport:
-    rep = gram_matrix(family, measure, N, ctx, workers=workers)
+    rep = gram_matrix(measure.family(ctx), measure, N, ctx, workers=workers)
     digits = ctx.digits
     details = {
         "off_diag_max": to_decimal(rep.off_diag_max, digits),
@@ -450,14 +455,9 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
     with ctx.workprec():
         s_val = mpmath.mpf(1) if s is None else mpmath.mpf(s)
         a_val = (1 + q) / 2 if a is None else mpmath.mpf(a)
-        q_inv = 1 / q
-    dual = FamilyKind.DUAL_DISCRETE_ULTRA
 
-    def base_entry(parity: str):
-        return _gram_entry(
-            "base-%s-orthogonality" % parity,
-            FamilySpec(dual, q, s_val), dual_base(s_val, q, parity, ctx),
-            N, ctx, workers)
+    def gram_entry(identity_id: str, measure):
+        return _gram_entry(identity_id, measure, N, ctx, workers)
 
     thunks = {
         "even-connection": lambda: check_even_connection(k_max, phi_grid, q, ctx),
@@ -466,20 +466,16 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
         "product-chain": lambda: check_product_chain(q, ctx),
         "inverted-parameter-recurrence":
             lambda: check_inverted_parameter_recurrence(10, phi_grid, q, ctx),
-        "base-even-orthogonality": lambda: base_entry("even"),
-        "base-odd-orthogonality": lambda: base_entry("odd"),
-        "hermite-extremal-orthogonality": lambda: _gram_entry(
-            "hermite-extremal-orthogonality",
-            FamilySpec(FamilyKind.QINV_HERMITE, q),
-            hermite_extremal(a_val, q, ctx), N, ctx, workers),
-        "qinv-extremal-orthogonality": lambda: _gram_entry(
-            "qinv-extremal-orthogonality",
-            FamilySpec(dual, q, q_inv), dual_qinv_extremal(a_val, q, ctx),
-            N, ctx, workers),
-        "q-extremal-orthogonality": lambda: _gram_entry(
-            "q-extremal-orthogonality",
-            FamilySpec(dual, q, q), dual_q_extremal(a_val, q, ctx),
-            N, ctx, workers),
+        "base-even-orthogonality": lambda: gram_entry(
+            "base-even-orthogonality", dual_base(s_val, q, "even", ctx)),
+        "base-odd-orthogonality": lambda: gram_entry(
+            "base-odd-orthogonality", dual_base(s_val, q, "odd", ctx)),
+        "hermite-extremal-orthogonality": lambda: gram_entry(
+            "hermite-extremal-orthogonality", hermite_extremal(a_val, q, ctx)),
+        "qinv-extremal-orthogonality": lambda: gram_entry(
+            "qinv-extremal-orthogonality", dual_qinv_extremal(a_val, q, ctx)),
+        "q-extremal-orthogonality": lambda: gram_entry(
+            "q-extremal-orthogonality", dual_q_extremal(a_val, q, ctx)),
         "qinv-extremal-normalization": lambda: _normalization_entry(
             "qinv-extremal-normalization", MeasureKind.DUAL_QINV_EXTREMAL,
             a_val, q, ctx),

@@ -1,38 +1,30 @@
 """Discrete orthogonality measures and certified Gram-matrix assembly.
 
-Five measure kinds, every one a countable set of (node, weight) pairs:
+A measure is a countable set of (node, weight) pairs.  Its five kinds follow
+one pattern, so each kind is one record of the table _KINDS: the node and
+weight at support index m, the closed-form diagonal d_n of the paired family
+and the n-free prefactor of d_n, the normalization, whether the support is
+all of Z or m >= 0, and the paired family with its s.
 
-* hermite_extremal(a), q <= a < 1, support m in Z:
-  node (a^-1 q^-m - a q^m)/2, weight a^{4m} q^{m(2m-1)} (1 + a^2 q^{2m}) / Z(a)
-  with Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf.  Orthogonalizes the
-  q-inverse Hermite family with diagonal q^{-n(n+1)/2} (q;q)_n.
+  kind                support  node at m                  family  normalization
+  hermite_extremal    m in Z   (a^-1 q^-m - a q^m)/2      h       Z(a)
+  dual_qinv_extremal  m in Z   a^-2 q^-2m + a^2 q^2m      D(1/q)  Z(a)
+  dual_q_extremal     m in Z   q (a^-2 q^-2m + a^2 q^2m)  D(q)    Z(a)
+  dual_base_even      m >= 0   mu(2m; s)                  D(s)    1
+  dual_base_odd       m >= 0   mu(2m+1; s)                D(s)    1
 
-* dual_base(s, even|odd), 0 < s < q^-2, support k >= 0: nodes mu(2k; s) resp.
-  mu(2k+1; s).  The weights are stated here with the common factor
-  (1 - s q) already cancelled, which keeps them finite at s = q^-1:
+Here h is the q-inverse Hermite family, D(s) the dual discrete
+q-ultraspherical family, q <= a < 1, 0 < s < q^-2 and
+Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf.  The base weights are stated
+with the common factor (1 - s q) cancelled, which keeps them finite at
+s = q^-1; their diagonals share the prefactor (s q^3;q^2)_inf / (q;q^2)_inf,
+which a Gram computes once.  The other kinds have prefactor 1.  The q-extremal
+weight vanishes at a single site exactly when a^2 q^{2m} = 1 (e.g. a = q,
+m = -1), which is allowed.
 
-      even, k = 0:  1
-      even, k >= 1: (1 - s q^{4k+1}) (s q^2; q)_{2k-1} / (q; q)_{2k} * q^{k(2k-1)}
-      odd,  k >= 0: (1 - s q^{4k+3}) (s q^2; q)_{2k}   / (q; q)_{2k+1} * q^{k(2k+1)}
-
-  Both orthogonalize the dual family with diagonal
-  (s q^3; q^2)_inf / (q; q^2)_inf * (q^2; q^2)_n q^{-n} / (s q^2; q^2)_n.
-
-* dual_qinv_extremal(a), support m in Z: node a^-2 q^{-2m} + a^2 q^{2m},
-  weight a^{4m+1} q^{2m^2} (a^-1 q^-m + a q^m) / Z(a); orthogonalizes the
-  dual family at s = q^-1 with diagonal q^{-n} (q;q)_{2n} / (q;q^2)_n^2.
-
-* dual_q_extremal(a), support m in Z: node q (a^-2 q^{-2m} + a^2 q^{2m}),
-  weight a^{4m} q^{m(2m-1)} (1 + a^2 q^{2m}) (a^-1 q^-m - a q^m)^2 / Z(a);
-  orthogonalizes the dual family at s = q with diagonal
-  q^{-(n+1)} (q;q)_{2n+1} / (q^3;q^2)_n^2.  This weight is manifestly
-  nonnegative on all of Z; it vanishes at a single site exactly when
-  a^2 q^{2m} = 1 (e.g. a = q, m = -1), which is allowed.
-
-The three a-parametrized kinds share the normalization constant Z(a).  Its
-closed form is settled by adjudicate_normalization, which compares the two
-candidate third factors (-q/a^2;q)_inf and (-q/a;q)_inf against the lattice
-mass; the (-q/a^2;q)_inf form wins and is the one used throughout.
+The closed form of Z(a) is settled by adjudicate_normalization, which compares
+the two candidate third factors (-q/a^2;q)_inf and (-q/a;q)_inf against the
+lattice mass; the (-q/a^2;q)_inf form wins and is the one used throughout.
 
 Gram assembly truncates the lattice with an a-priori certificate: the
 summand for degrees up to N is bounded by B(m) = w_m * A(|node_m|)^2, where
@@ -41,7 +33,9 @@ up to degree N.  Because log w_m is dominated by a -2m^2 log(1/q) term while
 log A(|node_m|) grows only linearly in |m|, B is eventually log-concave, so
 once the first omitted term satisfies B(next)/B(last) <= 1/2 the geometric
 tail bound 2*B(next) per side is valid.  The checks divide by the closed-form
-diagonals d_n, so each side is driven below tol/8 * min(1, min_n d_n).
+diagonals d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The
+window scan and the assembly share their (node, weight) values, so each
+lattice point is evaluated once.
 """
 from __future__ import annotations
 
@@ -51,12 +45,13 @@ import enum
 import hashlib
 import json
 import math
+from typing import Callable, NamedTuple
 
 import mpmath
 
-from .families import (FamilyKind, FamilySpec, dual_ultra_coeffs,
-                       dual_ultra_table, qinv_hermite_coeffs,
-                       qinv_hermite_table)
+from .families import (FamilyKind, FamilySpec, check_dual_s,
+                       dual_ultra_coeffs, dual_ultra_table,
+                       qinv_hermite_coeffs, qinv_hermite_table)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, as_qparam, qpochhammer,
                      qpochhammer_inf, to_decimal)
@@ -78,11 +73,6 @@ class MeasureKind(enum.Enum):
     DUAL_Q_EXTREMAL = "dual_q_extremal"
 
 
-_A_KINDS = (MeasureKind.HERMITE_EXTREMAL, MeasureKind.DUAL_QINV_EXTREMAL,
-            MeasureKind.DUAL_Q_EXTREMAL)
-_BASE_KINDS = (MeasureKind.DUAL_BASE_EVEN, MeasureKind.DUAL_BASE_ODD)
-
-
 def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf."""
     q = as_qparam(q, ctx)
@@ -91,6 +81,105 @@ def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRea
         return (qpochhammer_inf(-a * a, q, ctx)
                 * qpochhammer_inf(-q / (a * a), q, ctx)
                 * qpochhammer_inf(q, q, ctx))
+
+
+def _one(measure, ctx):
+    return mpmath.mpf(1)
+
+
+def _z_of_a(measure, ctx):
+    return lattice_normalization(measure.a, measure.q, ctx)
+
+
+def _hermite_point(measure, m, q, ctx):
+    a = measure.a
+    up, down = a ** (-1) * q ** (-m), a * q ** m
+    return (up - down) / 2, a ** (4 * m) * q ** (m * (2 * m - 1)) * (1 + down * down)
+
+
+def _qinv_point(measure, m, q, ctx):
+    a = measure.a
+    up, down = a ** (-1) * q ** (-m), a * q ** m
+    return up * up + down * down, a ** (4 * m + 1) * q ** (2 * m * m) * (up + down)
+
+
+def _q_point(measure, m, q, ctx):
+    a = measure.a
+    up, down = a ** (-1) * q ** (-m), a * q ** m
+    return ((up * up + down * down) * q, a ** (4 * m) * q ** (m * (2 * m - 1))
+            * (1 + down * down) * (up - down) ** 2)
+
+
+def _base_point(parity: int):
+    """Node mu(j; s) and weight at j = 2m + parity, for the base kind of that parity."""
+    def point(measure, m, q, ctx):
+        s, j = measure.s, 2 * m + parity
+        node = q ** (-j) + s * q ** (j + 1)
+        if j == 0:
+            return node, mpmath.mpf(1)
+        return node, ((1 - s * q ** (2 * j + 1))
+                      * qpochhammer(s * q ** 2, q, j - 1, ctx)
+                      / qpochhammer(q, q, j, ctx)
+                      * q ** (m * (j - 1 + parity)))
+    return point
+
+
+def _hermite_diagonal(measure, n, q, pre, ctx):
+    return pre * q ** (mpmath.mpf(-n * (n + 1)) / 2) * qpochhammer(q, q, n, ctx)
+
+
+def _qinv_diagonal(measure, n, q, pre, ctx):
+    return (pre * q ** (-n) * qpochhammer(q, q, 2 * n, ctx)
+            / qpochhammer(q, q * q, n, ctx) ** 2)
+
+
+def _q_diagonal(measure, n, q, pre, ctx):
+    return (pre * q ** (-(n + 1)) * qpochhammer(q, q, 2 * n + 1, ctx)
+            / qpochhammer(q ** 3, q * q, n, ctx) ** 2)
+
+
+def _base_diagonal(measure, n, q, pre, ctx):
+    q2 = q * q
+    return (pre * qpochhammer(q2, q2, n, ctx) * q ** (-n)
+            / qpochhammer(measure.s * q2, q2, n, ctx))
+
+
+def _base_prefactor(measure, ctx):
+    q = measure.q
+    q2 = q * q
+    return (qpochhammer_inf(measure.s * q ** 3, q2, ctx)
+            / qpochhammer_inf(q, q2, ctx))
+
+
+class _Kind(NamedTuple):
+    """Everything that tells one measure kind from another.
+
+    Its functions run at the caller's working precision.
+    """
+
+    point: Callable          # (measure, m, q, ctx) -> (node, weight * normalization)
+    diagonal: Callable       # (measure, n, q, prefactor, ctx) -> d_n
+    prefactor: Callable      # (measure, ctx) -> the n-free factor of d_n
+    normalization: Callable  # (measure, ctx) -> Z(a) or 1
+    full_lattice: bool       # support m in Z, else m >= 0
+    family: FamilyKind       # the paired family ...
+    family_s: Callable       # (measure) -> ... and its s, or None
+
+
+_DUAL = FamilyKind.DUAL_DISCRETE_ULTRA
+
+_KINDS = {
+    MeasureKind.HERMITE_EXTREMAL: _Kind(_hermite_point, _hermite_diagonal, _one, _z_of_a,
+                                        True, FamilyKind.QINV_HERMITE, lambda measure: None),
+    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(_qinv_point, _qinv_diagonal, _one, _z_of_a,
+                                          True, _DUAL, lambda measure: 1 / measure.q),
+    MeasureKind.DUAL_Q_EXTREMAL: _Kind(_q_point, _q_diagonal, _one, _z_of_a,
+                                       True, _DUAL, lambda measure: measure.q),
+    MeasureKind.DUAL_BASE_EVEN: _Kind(_base_point(0), _base_diagonal, _base_prefactor,
+                                      _one, False, _DUAL, lambda measure: measure.s),
+    MeasureKind.DUAL_BASE_ODD: _Kind(_base_point(1), _base_diagonal, _base_prefactor,
+                                     _one, False, _DUAL, lambda measure: measure.s),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,33 +191,25 @@ class DiscreteMeasure:
 
     @property
     def is_full_lattice(self) -> bool:
-        return self.kind in _A_KINDS
+        return _KINDS[self.kind].full_lattice
 
     def family_s(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal | None:
         """The s value of the dual family this measure orthogonalizes."""
-        if self.kind is MeasureKind.HERMITE_EXTREMAL:
-            return None
-        if self.kind is MeasureKind.DUAL_QINV_EXTREMAL:
-            with ctx.workprec():
-                return 1 / self.q
-        if self.kind is MeasureKind.DUAL_Q_EXTREMAL:
-            return self.q
-        return self.s
+        with ctx.workprec():
+            return _KINDS[self.kind].family_s(self)
+
+    def family(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilySpec:
+        """The polynomial family this measure orthogonalizes."""
+        return FamilySpec(_KINDS[self.kind].family, self.q, self.family_s(ctx))
 
     def normalization(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-        if self.kind in _A_KINDS:
-            return lattice_normalization(self.a, self.q, ctx)
-        return mpmath.mpf(1)
+        """Z(a) for the a-parametrized kinds, 1 for the base kinds."""
+        return _KINDS[self.kind].normalization(self, ctx)
 
     def diagonal_prefactor(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
         """(s q^3;q^2)_inf / (q;q^2)_inf for the base kinds, 1 for the others."""
-        if self.kind not in _BASE_KINDS:
-            return mpmath.mpf(1)
-        q = self.q
         with ctx.workprec():
-            q2 = q * q
-            return (qpochhammer_inf(self.s * q ** 3, q2, ctx)
-                    / qpochhammer_inf(q, q2, ctx))
+            return _KINDS[self.kind].prefactor(self, ctx)
 
     def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
               norm: QReal | None = None) -> tuple[QReal, QReal]:
@@ -137,49 +218,27 @@ class DiscreteMeasure:
         norm, when given, must be self.normalization(ctx); passing it avoids
         recomputing the infinite products per point.
         """
-        q = self.q
+        kind = _KINDS[self.kind]
+        if m < 0 and not kind.full_lattice:
+            raise ValueError("support index must satisfy m >= 0")
         with ctx.workprec():
-            if self.kind in _BASE_KINDS:
-                if m < 0:
-                    raise ValueError("support index must satisfy m >= 0")
-                s = self.s
-                if self.kind is MeasureKind.DUAL_BASE_EVEN:
-                    node = q ** (-2 * m) + s * q ** (2 * m + 1)
-                    if m == 0:
-                        return node, mpmath.mpf(1)
-                    w = ((1 - s * q ** (4 * m + 1))
-                         * qpochhammer(s * q ** 2, q, 2 * m - 1, ctx)
-                         / qpochhammer(q, q, 2 * m, ctx)
-                         * q ** (m * (2 * m - 1)))
-                else:
-                    node = q ** (-2 * m - 1) + s * q ** (2 * m + 2)
-                    w = ((1 - s * q ** (4 * m + 3))
-                         * qpochhammer(s * q ** 2, q, 2 * m, ctx)
-                         / qpochhammer(q, q, 2 * m + 1, ctx)
-                         * q ** (m * (2 * m + 1)))
-            else:
-                a = self.a
-                z = norm if norm is not None else self.normalization(ctx)
-                up = a ** (-1) * q ** (-m)
-                down = a * q ** m
-                if self.kind is MeasureKind.HERMITE_EXTREMAL:
-                    node = (up - down) / 2
-                    w = a ** (4 * m) * q ** (m * (2 * m - 1)) * (1 + down * down) / z
-                elif self.kind is MeasureKind.DUAL_QINV_EXTREMAL:
-                    node = up * up + down * down
-                    w = a ** (4 * m + 1) * q ** (2 * m * m) * (up + down) / z
-                else:
-                    node = (up * up + down * down) * q
-                    w = (a ** (4 * m) * q ** (m * (2 * m - 1))
-                         * (1 + down * down) * (up - down) ** 2 / z)
+            node, w = kind.point(self, m, self.q, ctx)
+            w = w / (norm if norm is not None else self.normalization(ctx))
             if w < 0:
                 raise SignViolation(
                     "negative weight %s at m=%d for %s"
                     % (mpmath.nstr(w, 8), m, self.kind.value))
             return node, w
 
-    def describe(self) -> str:
-        return self.kind.value
+
+@dataclasses.dataclass(frozen=True)
+class _HeldNormalization(DiscreteMeasure):
+    """A measure whose normalization the caller has already computed."""
+
+    z: QReal | None = None
+
+    def normalization(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
+        return self.z
 
 
 def hermite_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
@@ -197,24 +256,24 @@ def dual_base(s, q, parity: str, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Dis
     q = as_qparam(q, ctx)
     with ctx.workprec():
         s = mpmath.mpf(s)
-        if not 0 < s < q ** -2:
-            raise ValueError(
-                "s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
-                % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8)))
+        check_dual_s(s, q)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     kind = MeasureKind.DUAL_BASE_EVEN if parity == "even" else MeasureKind.DUAL_BASE_ODD
     return DiscreteMeasure(kind, q, s=s)
 
 
-def dual_qinv_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
+def _extremal(kind: MeasureKind, a, q, ctx: PrecisionContext) -> DiscreteMeasure:
     m = hermite_extremal(a, q, ctx)
-    return DiscreteMeasure(MeasureKind.DUAL_QINV_EXTREMAL, m.q, a=m.a)
+    return DiscreteMeasure(kind, m.q, a=m.a)
+
+
+def dual_qinv_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
+    return _extremal(MeasureKind.DUAL_QINV_EXTREMAL, a, q, ctx)
 
 
 def dual_q_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
-    m = hermite_extremal(a, q, ctx)
-    return DiscreteMeasure(MeasureKind.DUAL_Q_EXTREMAL, m.q, a=m.a)
+    return _extremal(MeasureKind.DUAL_Q_EXTREMAL, a, q, ctx)
 
 
 def expected_diagonal(measure: DiscreteMeasure, n: int,
@@ -225,24 +284,10 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
     prefactor, when given, must be measure.diagonal_prefactor(ctx); passing
     it avoids recomputing the base measures' infinite products per n.
     """
-    q = measure.q
     with ctx.workprec():
-        if measure.kind is MeasureKind.HERMITE_EXTREMAL:
-            return q ** (mpmath.mpf(-n * (n + 1)) / 2) * qpochhammer(q, q, n, ctx)
-        if measure.kind in _BASE_KINDS:
-            s = measure.s
-            q2 = q * q
-            if prefactor is None:
-                prefactor = measure.diagonal_prefactor(ctx)
-            return (prefactor
-                    * qpochhammer(q2, q2, n, ctx) * q ** (-n)
-                    / qpochhammer(s * q2, q2, n, ctx))
-        if measure.kind is MeasureKind.DUAL_QINV_EXTREMAL:
-            return (q ** (-n) * qpochhammer(q, q, 2 * n, ctx)
-                    / qpochhammer(q, q * q, n, ctx) ** 2)
-        # DUAL_Q_EXTREMAL
-        return (q ** (-(n + 1)) * qpochhammer(q, q, 2 * n + 1, ctx)
-                / qpochhammer(q ** 3, q * q, n, ctx) ** 2)
+        if prefactor is None:
+            prefactor = measure.diagonal_prefactor(ctx)
+        return _KINDS[measure.kind].diagonal(measure, n, measure.q, prefactor, ctx)
 
 
 @dataclasses.dataclass
@@ -312,28 +357,28 @@ class GramReport:
         return "\n".join(lines) + "\n"
 
 
+_FAMILY_NAMES = {
+    FamilyKind.QINV_HERMITE: "the q-inverse Hermite family",
+    FamilyKind.DUAL_DISCRETE_ULTRA: "the dual discrete q-ultraspherical family",
+}
+
+
 def _check_compatible(family: FamilySpec, measure: DiscreteMeasure,
                       ctx: PrecisionContext) -> FamilySpec:
     family = family.validated(ctx)
+    want = measure.family(ctx)
     with ctx.workprec():
         eps = mpmath.mpf(2) ** (8 - ctx.bits)
         if abs(family.q - measure.q) > eps * abs(measure.q):
             raise IncompatiblePair("family and measure disagree on q")
-        if measure.kind is MeasureKind.HERMITE_EXTREMAL:
-            if family.kind is not FamilyKind.QINV_HERMITE:
-                raise IncompatiblePair(
-                    "%s pairs with the q-inverse Hermite family, got %s"
-                    % (measure.kind.value, family.kind.value))
-            return family
-        if family.kind is not FamilyKind.DUAL_DISCRETE_ULTRA:
+        if family.kind is not want.kind:
             raise IncompatiblePair(
-                "%s pairs with the dual discrete q-ultraspherical family, got %s"
-                % (measure.kind.value, family.kind.value))
-        want = measure.family_s(ctx)
-        if abs(family.s - want) > eps * abs(want):
+                "%s pairs with %s, got %s"
+                % (measure.kind.value, _FAMILY_NAMES[want.kind], family.kind.value))
+        if want.s is not None and abs(family.s - want.s) > eps * abs(want.s):
             raise IncompatiblePair(
                 "measure %s requires family s=%s, got s=%s"
-                % (measure.kind.value, mpmath.nstr(want, 8),
+                % (measure.kind.value, mpmath.nstr(want.s, 8),
                    mpmath.nstr(family.s, 8)))
     return family
 
@@ -358,17 +403,19 @@ def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
     return amax
 
 
-def _certified_window(measure: DiscreteMeasure, amax, ctx: PrecisionContext,
-                      norm: QReal, diag: list[QReal]) -> tuple[int, int, QReal]:
+def _certified_window(measure: DiscreteMeasure, point, amax,
+                      ctx: PrecisionContext,
+                      diag: list[QReal]) -> tuple[int, int, QReal]:
     """Pick [m_lo, m_hi] so each omitted tail is below tol/8 * min(1, min_n d_n).
 
-    The checks divide entry (n, n') by sqrt(d_n d_n'), so this keeps the
-    truncation error of every relative residual below tol/4.
+    point(m) gives the measure's (node, weight) at m.  The checks divide
+    entry (n, n') by sqrt(d_n d_n'), so this keeps the truncation error of
+    every relative residual below tol/4.
     """
     target = ctx.tol / 8 * min(mpmath.mpf(1), min(abs(d) for d in diag))
 
     def bound(m: int) -> QReal:
-        node, w = measure.point(m, ctx, norm=norm)
+        node, w = point(m)
         return w * amax(abs(node)) ** 2
 
     def extend(edge: int, step: int) -> tuple[int, QReal]:
@@ -415,14 +462,15 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
         diag = [expected_diagonal(measure, n, ctx, prefactor=prefactor)
                 for n in range(N + 1)]
         amax = _abs_coeff_majorant(family, N, ctx)
-        m_lo, m_hi, tail = _certified_window(measure, amax, ctx, norm, diag)
+        points: dict[int, tuple[QReal, QReal]] = {}
 
-        nodes: list[QReal] = []
-        weights: list[QReal] = []
-        for m in range(m_lo, m_hi + 1):
-            node, w = measure.point(m, ctx, norm=norm)
-            nodes.append(node)
-            weights.append(w)
+        def point(m: int) -> tuple[QReal, QReal]:
+            if m not in points:
+                points[m] = measure.point(m, ctx, norm=norm)
+            return points[m]
+
+        m_lo, m_hi, tail = _certified_window(measure, point, amax, ctx, diag)
+        nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
 
         if family.kind is FamilyKind.QINV_HERMITE:
             tables = [qinv_hermite_table(N, x, family.q, ctx) for x in nodes]
@@ -516,26 +564,23 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
     closed forms; the winner is the candidate whose relative residual falls
     below ctx.tol.
     """
-    if kind not in (MeasureKind.DUAL_QINV_EXTREMAL, MeasureKind.DUAL_Q_EXTREMAL):
+    record = _KINDS.get(kind)
+    if record is None or not (record.full_lattice and record.family is _DUAL):
         raise ValueError("adjudication applies to the extremal dual measures")
-    if kind is MeasureKind.DUAL_QINV_EXTREMAL:
-        measure = dual_qinv_extremal(a, q, ctx)
-    else:
-        measure = dual_q_extremal(a, q, ctx)
+    measure = _extremal(kind, a, q, ctx)
     q = measure.q
     with ctx.workprec():
         a = measure.a
         # Same factors and order as lattice_normalization, so z_quad is the
-        # value point() divided by.
+        # value point() divides by and the Gram below can reuse it.
         neg_a2 = qpochhammer_inf(-a * a, q, ctx)
         euler = qpochhammer_inf(q, q, ctx)
         z_quad = neg_a2 * qpochhammer_inf(-q / (a * a), q, ctx) * euler
         z_lin = neg_a2 * qpochhammer_inf(-q / a, q, ctx) * euler
         d0 = expected_diagonal(measure, 0, ctx)
         # Degree-0 Gram entry; point() divides by z_quad, so undo it.
-        one = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q,
-                         measure.family_s(ctx))
-        report = gram_matrix(one, measure, 0, ctx)
+        held = _HeldNormalization(kind, q, a=a, z=z_quad)
+        report = gram_matrix(held.family(ctx), held, 0, ctx)
         mass = report.gram[0][0] * z_quad
         r_quad = abs(mass / (z_quad * d0) - 1)
         r_lin = abs(mass / (z_lin * d0) - 1)

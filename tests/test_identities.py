@@ -145,3 +145,12 @@ def test_suite_honors_parameter_overrides():
                         a="0.9", N=2)
     assert reports[0].passed
     assert "a=0.9" in reports[0].grid
+
+
+@pytest.mark.parametrize("q", ["0.2", "0.25"])
+def test_suite_passes_at_small_q(q):
+    # The inverted-parameter recurrence multiplies series values by up to
+    # q^-10; the series must be certified below tol by that much.
+    reports = run_suite(q, CTX)
+    failed = [r.identity_id for r in reports if not r.passed]
+    assert failed == []

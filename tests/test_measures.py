@@ -314,3 +314,60 @@ def test_lattice_normalization_matches_factors():
         herm = hermite_extremal(a, Q, CTX)
         assert rel(herm.normalization(CTX), z) < TIGHT
         assert dual_base(1, Q, "even", CTX).normalization(CTX) == 1
+
+
+@pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
+def test_gram_evaluates_each_lattice_point_once(monkeypatch, kind):
+    # The window scan looks one point past each edge; every other point it
+    # sees is reused by the assembly instead of being evaluated again.
+    q = mpmath.mpf("0.9")
+    if kind == "hermite_extremal":
+        measure = hermite_extremal("0.95", q, CTX)
+        family = FamilySpec(FamilyKind.QINV_HERMITE, q)
+    else:
+        measure = dual_base(1, q, "even", CTX)
+        family = dual_family(measure)
+    calls = []
+    point = DiscreteMeasure.point
+
+    def counted(self, m, *args, **kwargs):
+        calls.append(m)
+        return point(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteMeasure, "point", counted)
+    report = gram_matrix(family, measure, 8, CTX)
+    assert report.passed(CTX.tol)
+    assert len(calls) <= report.m_hi - report.m_lo + 3
+
+
+def test_adjudication_reuses_its_normalization_factors(monkeypatch):
+    # (-a^2;q)_inf, (q;q)_inf and the two candidate third factors; the
+    # degree-0 Gram divides by the candidate already formed from them.
+    import qortho.measures
+    calls = []
+    product = qortho.measures.qpochhammer_inf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(qortho.measures, "qpochhammer_inf", counted)
+    verdict = adjudicate_normalization(MeasureKind.DUAL_Q_EXTREMAL, "0.75", Q, CTX)
+    assert verdict.winner == "(-q/a^2;q)_inf"
+    assert len(calls) == 4
+
+
+def test_measure_family_pairs_each_kind():
+    with CTX.workprec():
+        q = mpmath.mpf("0.7")
+        cases = [
+            (hermite_extremal("0.8", q, CTX), FamilyKind.QINV_HERMITE, None),
+            (dual_qinv_extremal("0.8", q, CTX), FamilyKind.DUAL_DISCRETE_ULTRA, 1 / q),
+            (dual_q_extremal("0.8", q, CTX), FamilyKind.DUAL_DISCRETE_ULTRA, q),
+            (dual_base("0.3", q, "even", CTX), FamilyKind.DUAL_DISCRETE_ULTRA,
+             mpmath.mpf("0.3")),
+            (dual_base("0.3", q, "odd", CTX), FamilyKind.DUAL_DISCRETE_ULTRA,
+             mpmath.mpf("0.3")),
+        ]
+    for measure, kind, s in cases:
+        assert measure.family(CTX) == FamilySpec(kind, q, s)
