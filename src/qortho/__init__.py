@@ -9,11 +9,12 @@ identity suite covering the connection formulas, recurrence chains, product
 identities and measure-equivalence relations the families satisfy.
 """
 from .families import (DegenerateCoefficient, FamilyKind, FamilySpec,
-                       MuPoint, discrete_ultra, dual_ultra, dual_ultra_coeffs,
-                       dual_ultra_series, dual_ultra_table,
-                       even_hermite_factor, evaluate, mu_point,
-                       qinv_hermite, qinv_hermite_coeffs,
-                       qinv_hermite_series, qinv_hermite_table)
+                       MuPoint, discrete_ultra, dual_ultra, dual_ultra_coeff_rows,
+                       dual_ultra_coeffs, dual_ultra_series, dual_ultra_table,
+                       dual_ultra_tables, even_hermite_factor, evaluate,
+                       mu_point, qinv_hermite, qinv_hermite_coeff_rows,
+                       qinv_hermite_coeffs, qinv_hermite_series,
+                       qinv_hermite_table, qinv_hermite_tables)
 from .identities import (SUITE_IDS, IdentityReport, check_even_connection,
                          check_half_to_full_lattice,
                          check_inverted_parameter_recurrence,
@@ -64,9 +65,11 @@ __all__ = [
     "dual_q_extremal",
     "dual_qinv_extremal",
     "dual_ultra",
+    "dual_ultra_coeff_rows",
     "dual_ultra_coeffs",
     "dual_ultra_series",
     "dual_ultra_table",
+    "dual_ultra_tables",
     "even_hermite_factor",
     "evaluate",
     "expected_diagonal",
@@ -75,9 +78,11 @@ __all__ = [
     "lattice_normalization",
     "mu_point",
     "qinv_hermite",
+    "qinv_hermite_coeff_rows",
     "qinv_hermite_coeffs",
     "qinv_hermite_series",
     "qinv_hermite_table",
+    "qinv_hermite_tables",
     "qpochhammer",
     "qpochhammer_inf",
     "run_suite",

@@ -302,7 +302,8 @@ def _add_common(parser: argparse.ArgumentParser,
         parser.add_argument("--output", choices=list(output_choices),
                             help="output format (default: %s)" % output_choices[0])
     parser.add_argument("--workers", type=int,
-                        help="threads for Gram accumulation (default: 1)")
+                        help="accepted for compatibility; Gram assembly runs "
+                             "serially whatever the value (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

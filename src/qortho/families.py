@@ -24,6 +24,14 @@ Three families, all real-valued for 0 < q < 1:
 
 Series and recurrence evaluators are deliberately independent code paths so
 each can serve as the other's cross-check.
+
+The recurrence evaluators are batched: qinv_hermite_tables and
+dual_ultra_tables form the node-independent recurrence coefficients once and
+then run the recurrence at every point of a list, and qinv_hermite_coeff_rows
+and dual_ultra_coeff_rows return the coefficient rows of every degree up to
+n_max from one recurrence pass.  The single-point and single-degree
+functions (*_table, *_coeffs, qinv_hermite, dual_ultra) are these with one
+point or one row taken, so every route gives the same value bit for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +39,7 @@ import dataclasses
 import enum
 
 import mpmath
+from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      basic_hypergeometric)
@@ -146,24 +155,68 @@ def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT)
         return +total
 
 
-def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
-    """[h_0(x|q), ..., h_{n_max}(x|q)] by the three-term recurrence."""
+def qinv_hermite_tables(n_max: int, xs, q,
+                        ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
+    """[h_0(x|q), ..., h_{n_max}(x|q)] for each x in xs, by the three-term recurrence.
+
+    The coefficients q^-j (1 - q^j) do not depend on x, so they are formed
+    once for all of xs.
+    """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        x = mpmath.mpf(x)
-        vals = [mpmath.mpf(1)]
-        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
-        for j in range(n_max):
-            prev, cur = cur, 2 * x * cur - q ** (-j) * (1 - q ** j) * prev
-            vals.append(cur)
-        return vals
+        low = [(q ** (-j) * (1 - q ** j))._mpf_ for j in range(n_max)]
+        prec, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
+        tables = []
+        for x in xs:
+            two_x = (2 * mpmath.mpf(x))._mpf_
+            vals = [mpmath.mpf(1)]
+            prev, cur = fzero, fone
+            for c_low in low:
+                # cur <- two_x * cur - c_low * prev, rounded as mpf's operators round it
+                prev, cur = cur, mpf_sub(mpf_mul(two_x, cur, prec, rnd),
+                                         mpf_mul(c_low, prev, prec, rnd), prec, rnd)
+                vals.append(make(cur))
+            tables.append(vals)
+        return tables
+
+
+def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
+    """[h_0(x|q), ..., h_{n_max}(x|q)] by the three-term recurrence."""
+    return qinv_hermite_tables(n_max, [x], q, ctx)[0]
 
 
 def qinv_hermite(n: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """h_n(x|q) by the three-term recurrence."""
     return qinv_hermite_table(n, x, q, ctx)[n]
+
+
+def qinv_hermite_coeff_rows(n_max: int, q,
+                            ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
+    """[coefficients of h_0, ..., coefficients of h_{n_max}], one recurrence pass.
+
+    Row n is [c_0, ..., c_n] with h_n(x|q) = sum c_j x^j.
+    """
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer")
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        zero = mpmath.mpf(0)
+        rows = [[mpmath.mpf(1)]]
+        if n_max == 0:
+            return rows
+        rows.append([zero, mpmath.mpf(2)])
+        for j in range(1, n_max):
+            prev, cur = rows[j - 1], rows[j]
+            coef = q ** (-j) * (1 - q ** j)
+            nxt = [zero] * (j + 2)
+            for i, c in enumerate(cur):
+                nxt[i + 1] += 2 * c
+            for i, c in enumerate(prev):
+                nxt[i] -= coef * c
+            rows.append(nxt)
+        return rows
 
 
 def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -174,22 +227,7 @@ def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> l
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        zero = mpmath.mpf(0)
-        prev = [mpmath.mpf(1)]
-        if n == 0:
-            return prev
-        cur = [zero, mpmath.mpf(2)]
-        for j in range(1, n):
-            coef = q ** (-j) * (1 - q ** j)
-            nxt = [zero] * (j + 2)
-            for i, c in enumerate(cur):
-                nxt[i + 1] += 2 * c
-            for i, c in enumerate(prev):
-                nxt[i] -= coef * c
-            prev, cur = cur, nxt
-        return cur
+    return qinv_hermite_coeff_rows(n, q, ctx)[n]
 
 
 def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -260,28 +298,51 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         )
 
 
-def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
-    """[D_0(mu), ..., D_{n_max}(mu)] by the three-term recurrence in n."""
+def _degenerate(j: int) -> DegenerateCoefficient:
+    return DegenerateCoefficient(
+        "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
+
+
+def dual_ultra_tables(n_max: int, mus, s, q,
+                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
+    """[D_0(mu), ..., D_{n_max}(mu)] for each mu in mus, by the recurrence in n.
+
+    The recurrence coefficients do not depend on mu, so they are formed once
+    for all of mus.
+    """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        mu = mpmath.mpf(mu)
         s = mpmath.mpf(s)
-        vals = [mpmath.mpf(1)]
-        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+        steps = []
         for j in range(n_max):
             lead = 1 - s * q ** (2 * j + 2)
             if lead == 0:
-                raise DegenerateCoefficient(
-                    "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j
-                )
-            prev, cur = cur, (
-                (q ** (-2 * j - 1) * (1 + q) - mu) * cur
-                - q ** (-2 * j) * (1 - q ** (2 * j)) * prev
-            ) / (q ** (-2 * j - 1) * lead)
-            vals.append(cur)
-        return vals
+                raise _degenerate(j)
+            steps.append(((q ** (-2 * j - 1) * (1 + q))._mpf_,
+                          (q ** (-2 * j) * (1 - q ** (2 * j)))._mpf_,
+                          (q ** (-2 * j - 1) * lead)._mpf_))
+        prec, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
+        tables = []
+        for mu in mus:
+            mu = mpmath.mpf(mu)._mpf_
+            vals = [mpmath.mpf(1)]
+            prev, cur = fzero, fone
+            for c_mid, c_low, c_lead in steps:
+                # cur <- ((c_mid - mu) * cur - c_low * prev) / c_lead, rounded
+                # as mpf's operators round it
+                up = mpf_mul(mpf_sub(c_mid, mu, prec, rnd), cur, prec, rnd)
+                down = mpf_mul(c_low, prev, prec, rnd)
+                prev, cur = cur, mpf_div(mpf_sub(up, down, prec, rnd), c_lead, prec, rnd)
+                vals.append(make(cur))
+            tables.append(vals)
+        return tables
+
+
+def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
+    """[D_0(mu), ..., D_{n_max}(mu)] by the three-term recurrence in n."""
+    return dual_ultra_tables(n_max, [mu], s, q, ctx)[0]
 
 
 def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -289,28 +350,28 @@ def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRe
     return dual_ultra_table(n, mu, s, q, ctx)[n]
 
 
-def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
-    """Coefficients of D_n as a polynomial in mu, via the recurrence."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+def dual_ultra_coeff_rows(n_max: int, s, q,
+                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
+    """[coefficients of D_0, ..., coefficients of D_{n_max}] in mu, one recurrence pass."""
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
         s = mpmath.mpf(s)
         zero = mpmath.mpf(0)
-        prev = [mpmath.mpf(1)]
-        if n == 0:
-            return prev
+        rows = [[mpmath.mpf(1)]]
+        if n_max == 0:
+            return rows
         # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
         lead = 1 - s * q ** 2
         if lead == 0:
             raise DegenerateCoefficient("leading coefficient 1 - s q^2 vanishes")
-        cur = [q ** -1 * (1 + q) * q / lead, -q / lead]
-        for j in range(1, n):
+        rows.append([q ** -1 * (1 + q) * q / lead, -q / lead])
+        for j in range(1, n_max):
+            prev, cur = rows[j - 1], rows[j]
             lead = 1 - s * q ** (2 * j + 2)
             if lead == 0:
-                raise DegenerateCoefficient(
-                    "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j
-                )
+                raise _degenerate(j)
             scale = q ** (2 * j + 1) / lead
             c_mid = q ** (-2 * j - 1) * (1 + q)
             c_low = q ** (-2 * j) * (1 - q ** (2 * j))
@@ -320,8 +381,15 @@ def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
                 nxt[i + 1] -= scale * c
             for i, c in enumerate(prev):
                 nxt[i] -= scale * c_low * c
-            prev, cur = cur, nxt
-        return cur
+            rows.append(nxt)
+        return rows
+
+
+def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
+    """Coefficients of D_n as a polynomial in mu, via the recurrence."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    return dual_ultra_coeff_rows(n, s, q, ctx)[n]
 
 
 def evaluate(spec: FamilySpec, n: int, *, x=None, phi=None, mu=None,

@@ -25,13 +25,13 @@ import dataclasses
 
 import mpmath
 
-from .families import (dual_ultra_table, qinv_hermite_coeffs,
+from .families import (dual_ultra_table, dual_ultra_tables, qinv_hermite_coeffs,
                        qinv_hermite_series, qinv_hermite_table)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      qpochhammer, qpochhammer_inf, to_decimal)
-from .measures import (MeasureKind, adjudicate_normalization, dual_base,
-                       dual_q_extremal, dual_qinv_extremal, gram_matrix,
-                       hermite_extremal)
+from .measures import (MeasureKind, _HeldNormalization, adjudicate_normalization,
+                       dual_base, dual_q_extremal, dual_qinv_extremal,
+                       gram_matrix, hermite_extremal)
 
 DEFAULT_PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
 
@@ -303,12 +303,13 @@ def check_half_to_full_lattice(N: int, q,
     q = as_qparam(q, ctx)
     with ctx.workprec():
         meas = hermite_extremal(q, q, ctx)
-        ref = gram_matrix(meas.family(ctx), meas, N, ctx)
         phi_const = meas.normalization(ctx)
+        held = _HeldNormalization(meas.kind, meas.q, a=meas.a, z=phi_const)
+        ref = gram_matrix(held.family(ctx), held, N, ctx)
         scale_const = q * phi_const
 
         n_even = N // 2
-        n_odd = (N - 1) // 2 if N >= 1 else -1
+        n_odd = (N - 1) // 2
         base_even = dual_base(1 / q, q, "even", ctx)
         base_odd = dual_base(q, q, "odd", ctx)
 
@@ -318,27 +319,31 @@ def check_half_to_full_lattice(N: int, q,
         sign_odd = [(-1) ** n * q ** (-n * (n + 1)) * qpochhammer(q ** 3, q * q, n, ctx)
                     for n in range(n_odd + 1)]
 
+        # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
+        even_pts = [base_even.point(j, ctx) for j in range(J + 1)]
+        odd_pts = [base_odd.point(j, ctx) for j in range(J)]
+        even_tabs = dual_ultra_tables(n_even, [x for x, _ in even_pts], 1 / q, q, ctx)
+        odd_tabs = (dual_ultra_tables(n_odd, [x for x, _ in odd_pts], q, q, ctx)
+                    if n_odd >= 0 else [])
+
         values: list[list[QReal]] = []
         lattice_w: list[QReal] = []
         node_resid = mpmath.mpf(0)
         weight_resid = mpmath.mpf(0)
         for j in range(J + 1):
             xhat = (q ** (-j) - q ** j) / 2
-            node_e, w_e = base_even.point(j, ctx)
+            node_e, w_e = even_pts[j]
             node_resid = max(node_resid,
                              _relative(node_e, 4 * xhat * xhat + 2))
-            dvals = dual_ultra_table(n_even, node_e, 1 / q, q, ctx)
             row = [mpmath.mpf(0)] * (N + 1)
             for n in range(n_even + 1):
-                row[2 * n] = sign_even[n] * dvals[n]
-            if j >= 1 and n_odd >= 0:
-                node_o, w_o = base_odd.point(j - 1, ctx)
-                node_resid = max(node_resid, _relative(node_o, q * node_e))
-                dvals = dual_ultra_table(n_odd, node_o, q, q, ctx)
-                for n in range(n_odd + 1):
-                    row[2 * n + 1] = sign_odd[n] * 2 * xhat * dvals[n]
+                row[2 * n] = sign_even[n] * even_tabs[j][n]
             u = w_e * (2 if j == 0 else 1)
             if j >= 1:
+                node_o, w_o = odd_pts[j - 1]
+                node_resid = max(node_resid, _relative(node_o, q * node_e))
+                for n in range(n_odd + 1):
+                    row[2 * n + 1] = sign_odd[n] * 2 * xhat * odd_tabs[j - 1][n]
                 w_folded = w_o * (1 - q) * (1 - q * q) / (q * 4 * xhat * xhat)
                 weight_resid = max(weight_resid, _relative(u, w_folded))
             values.append(row)

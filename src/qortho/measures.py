@@ -36,10 +36,18 @@ tail bound 2*B(next) per side is valid.  The checks divide by the closed-form
 diagonals d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The
 window scan and the assembly share their (node, weight) values, so each
 lattice point is evaluated once.
+
+Assembly does each multiply-add once, in the order of the plain mpf
+expression sum_m (w_m P_n(x_m)) P_n'(x_m): the family's values at all window
+nodes come from one batched recurrence, the weighted table w_m P_n(x_m) is
+formed once per (m, n) and reused by every pair (n, n'), and the majorant's
+coefficient rows come from one recurrence pass.  The pair sums and the
+majorant run on mpmath's raw mpf tuples with the same mpf_mul / mpf_add calls
+at the working precision that mpf's operators make, so the bytes are those
+of the mpf expression.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import enum
 import hashlib
@@ -48,10 +56,11 @@ import math
 from typing import Callable, NamedTuple
 
 import mpmath
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, round_nearest
 
 from .families import (FamilyKind, FamilySpec, check_dual_s,
-                       dual_ultra_coeffs, dual_ultra_table,
-                       qinv_hermite_coeffs, qinv_hermite_table)
+                       dual_ultra_coeff_rows, dual_ultra_tables,
+                       qinv_hermite_coeff_rows, qinv_hermite_tables)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, as_qparam, qpochhammer,
                      qpochhammer_inf, to_decimal)
@@ -384,23 +393,55 @@ def _check_compatible(family: FamilySpec, measure: DiscreteMeasure,
 
 
 def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
-    """A(t) >= |P_n(x)| for every n <= N and |x| <= t, via |coefficient| sums."""
+    """A(t) >= |P_n(x)| for every n <= N and |x| <= t, via |coefficient| sums.
+
+    Runs at the caller's working precision, on raw mpf values: each step is
+    the mpf_mul / mpf_add that mpf's * and + perform, in the same order, so
+    A(t) is the same value the mpf expression gives.
+    """
     if family.kind is FamilyKind.QINV_HERMITE:
-        rows = [qinv_hermite_coeffs(n, family.q, ctx) for n in range(N + 1)]
+        rows = qinv_hermite_coeff_rows(N, family.q, ctx)
     else:
-        rows = [dual_ultra_coeffs(n, family.s, family.q, ctx) for n in range(N + 1)]
+        rows = dual_ultra_coeff_rows(N, family.s, family.q, ctx)
+    prec, rnd = mpmath.mp.prec, round_nearest
+    horner = [[mpf_abs(c._mpf_, prec, rnd) for c in reversed(cs)] for cs in rows]
 
     def amax(t: QReal) -> QReal:
-        best = mpmath.mpf(0)
-        for cs in rows:
-            acc = mpmath.mpf(0)
-            for c in reversed(cs):
-                acc = acc * t + abs(c)
-            if acc > best:
+        t = t._mpf_
+        best = fzero
+        for cs in horner:
+            acc = fzero
+            for c in cs:
+                acc = mpf_add(mpf_mul(acc, t, prec, rnd), c, prec, rnd)
+            if mpf_gt(acc, best):
                 best = acc
-        return best
+        return mpmath.mp.make_mpf(best)
 
     return amax
+
+
+def _pair_sums(weights: list[QReal], tables: list[list[QReal]],
+               N: int) -> list[list[QReal]]:
+    """gram[n][n'] = sum_i weights[i] * tables[i][n] * tables[i][n'], ascending i.
+
+    Runs at the caller's working precision, on raw mpf values, with the
+    products (w_i t_n) t_n' and the running sum in the order the mpf
+    expression evaluates them.  w_i t_n is formed once per (i, n).
+    """
+    prec, rnd = mpmath.mp.prec, round_nearest
+    cols = [[row[n]._mpf_ for row in tables] for n in range(N + 1)]
+    weighted = [[mpf_mul(w._mpf_, t, prec, rnd) for w, t in zip(weights, col)]
+                for col in cols]
+    make = mpmath.mp.make_mpf
+    gram = [[None] * (N + 1) for _ in range(N + 1)]
+    for n in range(N + 1):
+        wcol = weighted[n]
+        for np_ in range(n, N + 1):
+            total = fzero
+            for wt, t in zip(wcol, cols[np_]):
+                total = mpf_add(total, mpf_mul(wt, t, prec, rnd), prec, rnd)
+            gram[n][np_] = gram[np_][n] = make(total)
+    return gram
 
 
 def _certified_window(measure: DiscreteMeasure, point, amax,
@@ -447,7 +488,9 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
 
     The lattice window carries a certified bound on the omitted tail; the
     summation order within each (n, n') pair is fixed ascending m, so the
-    result is reproducible bit for bit regardless of workers.
+    result is reproducible bit for bit.  Assembly is serial: workers is
+    accepted and ignored, because a thread pool over this GIL-bound loop
+    was measured slower than one thread.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")
@@ -473,28 +516,10 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
         nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
 
         if family.kind is FamilyKind.QINV_HERMITE:
-            tables = [qinv_hermite_table(N, x, family.q, ctx) for x in nodes]
+            tables = qinv_hermite_tables(N, nodes, family.q, ctx)
         else:
-            tables = [dual_ultra_table(N, x, family.s, family.q, ctx)
-                      for x in nodes]
-
-        gram = [[mpmath.mpf(0)] * (N + 1) for _ in range(N + 1)]
-
-        def fill(pair: tuple[int, int]) -> None:
-            n, np_ = pair
-            total = mpmath.mpf(0)
-            for i in range(len(nodes)):
-                total += weights[i] * tables[i][n] * tables[i][np_]
-            gram[n][np_] = total
-            gram[np_][n] = total
-
-        pairs = [(n, np_) for n in range(N + 1) for np_ in range(n, N + 1)]
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, pairs))
-        else:
-            for pair in pairs:
-                fill(pair)
+            tables = dual_ultra_tables(N, nodes, family.s, family.q, ctx)
+        gram = _pair_sums(weights, tables, N)
 
         off_max = mpmath.mpf(0)
         diag_err = mpmath.mpf(0)

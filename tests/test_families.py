@@ -3,11 +3,13 @@ import mpmath
 import pytest
 
 from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
-                    PrecisionContext, discrete_ultra, dual_ultra,
-                    dual_ultra_coeffs, dual_ultra_series, dual_ultra_table,
-                    evaluate, even_hermite_factor, mu_point, qinv_hermite,
-                    qinv_hermite_coeffs, qinv_hermite_series,
-                    qinv_hermite_table, to_decimal)
+                    PrecisionContext, as_qparam, discrete_ultra, dual_ultra,
+                    dual_ultra_coeff_rows, dual_ultra_coeffs, dual_ultra_series,
+                    dual_ultra_table, dual_ultra_tables, evaluate,
+                    even_hermite_factor, mu_point, qinv_hermite,
+                    qinv_hermite_coeff_rows, qinv_hermite_coeffs,
+                    qinv_hermite_series, qinv_hermite_table,
+                    qinv_hermite_tables, to_decimal)
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -283,3 +285,153 @@ def test_evaluate_dispatch_errors():
     d = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, "0.5", "0.5")
     with pytest.raises(ValueError, match="takes mu or x"):
         evaluate(d, 1, phi=0, ctx=CTX)
+
+
+# -- batched recurrences against the per-node formulas ------------------------
+#
+# The oracles below are the per-node and per-degree recurrences the batched
+# evaluators replaced, kept verbatim: every expression, operand order and
+# precision is the same, so the batched values must equal them bit for bit.
+
+
+def _oracle_hermite_table(n_max, x, q, ctx):
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        x = mpmath.mpf(x)
+        vals = [mpmath.mpf(1)]
+        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+        for j in range(n_max):
+            prev, cur = cur, 2 * x * cur - q ** (-j) * (1 - q ** j) * prev
+            vals.append(cur)
+        return vals
+
+
+def _oracle_hermite_coeffs(n, q, ctx):
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        zero = mpmath.mpf(0)
+        prev = [mpmath.mpf(1)]
+        if n == 0:
+            return prev
+        cur = [zero, mpmath.mpf(2)]
+        for j in range(1, n):
+            coef = q ** (-j) * (1 - q ** j)
+            nxt = [zero] * (j + 2)
+            for i, c in enumerate(cur):
+                nxt[i + 1] += 2 * c
+            for i, c in enumerate(prev):
+                nxt[i] -= coef * c
+            prev, cur = cur, nxt
+        return cur
+
+
+def _oracle_dual_table(n_max, mu, s, q, ctx):
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        mu = mpmath.mpf(mu)
+        s = mpmath.mpf(s)
+        vals = [mpmath.mpf(1)]
+        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+        for j in range(n_max):
+            lead = 1 - s * q ** (2 * j + 2)
+            prev, cur = cur, (
+                (q ** (-2 * j - 1) * (1 + q) - mu) * cur
+                - q ** (-2 * j) * (1 - q ** (2 * j)) * prev
+            ) / (q ** (-2 * j - 1) * lead)
+            vals.append(cur)
+        return vals
+
+
+def _oracle_dual_coeffs(n, s, q, ctx):
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        s = mpmath.mpf(s)
+        zero = mpmath.mpf(0)
+        prev = [mpmath.mpf(1)]
+        if n == 0:
+            return prev
+        lead = 1 - s * q ** 2
+        cur = [q ** -1 * (1 + q) * q / lead, -q / lead]
+        for j in range(1, n):
+            lead = 1 - s * q ** (2 * j + 2)
+            scale = q ** (2 * j + 1) / lead
+            c_mid = q ** (-2 * j - 1) * (1 + q)
+            c_low = q ** (-2 * j) * (1 - q ** (2 * j))
+            nxt = [zero] * (j + 2)
+            for i, c in enumerate(cur):
+                nxt[i] += scale * c_mid * c
+                nxt[i + 1] -= scale * c
+            for i, c in enumerate(prev):
+                nxt[i] -= scale * c_low * c
+            prev, cur = cur, nxt
+        return cur
+
+
+def raw(values):
+    return [v._mpf_ for v in values]
+
+
+ORACLE_N = 12
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.9"])
+def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    with ctx.workprec():
+        q = mpmath.mpf(q_s)
+        xs = [mpmath.mpf(v) for v in ("-3.25", "-1", "-0.3", "0", "0.7", "2")]
+        xs.append((q ** -5 - q ** 5) / 2)
+    tables = qinv_hermite_tables(ORACLE_N, xs, q, ctx)
+    assert len(tables) == len(xs)
+    for x, table in zip(xs, tables):
+        want = raw(_oracle_hermite_table(ORACLE_N, x, q, ctx))
+        assert raw(table) == want
+        assert raw(qinv_hermite_table(ORACLE_N, x, q, ctx)) == want
+    rows = qinv_hermite_coeff_rows(ORACLE_N, q, ctx)
+    assert len(rows) == ORACLE_N + 1
+    for n, row in enumerate(rows):
+        want = raw(_oracle_hermite_coeffs(n, q, ctx))
+        assert raw(row) == want
+        assert raw(qinv_hermite_coeffs(n, q, ctx)) == want
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.9"])
+def test_batched_dual_recurrences_match_per_node_formulas(q_s, bits):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    with ctx.workprec():
+        q = mpmath.mpf(q_s)
+        s_values = [1 / q, q, mpmath.mpf("0.45")]
+    for s in s_values:
+        with ctx.workprec():
+            mus = [mu_point(x, s, q, ctx).mu for x in (0, 1, 2, 5, "2.5")]
+            mus += [mpmath.mpf(v) for v in ("-4", "0", "1.375")]
+        tables = dual_ultra_tables(ORACLE_N, mus, s, q, ctx)
+        assert len(tables) == len(mus)
+        for mu, table in zip(mus, tables):
+            want = raw(_oracle_dual_table(ORACLE_N, mu, s, q, ctx))
+            assert raw(table) == want
+            assert raw(dual_ultra_table(ORACLE_N, mu, s, q, ctx)) == want
+        rows = dual_ultra_coeff_rows(ORACLE_N, s, q, ctx)
+        assert len(rows) == ORACLE_N + 1
+        for n, row in enumerate(rows):
+            want = raw(_oracle_dual_coeffs(n, s, q, ctx))
+            assert raw(row) == want
+            assert raw(dual_ultra_coeffs(n, s, q, ctx)) == want
+
+
+def test_batched_recurrences_edge_cases():
+    assert qinv_hermite_tables(4, [], Q, CTX) == []
+    assert dual_ultra_tables(4, [], 1, Q, CTX) == []
+    assert qinv_hermite_coeff_rows(0, Q, CTX) == [[1]]
+    assert dual_ultra_coeff_rows(0, 16, Q, CTX) == [[1]]
+    with pytest.raises(ValueError, match="n_max"):
+        dual_ultra_tables(-1, [1], 1, Q, CTX)
+    with pytest.raises(ValueError, match="n_max"):
+        qinv_hermite_coeff_rows(-1, Q, CTX)
+    # The degenerate step is found in the coefficient pass, before any node.
+    with pytest.raises(DegenerateCoefficient, match="at n=1"):
+        dual_ultra_tables(2, [], 16, Q, CTX)
+    with pytest.raises(DegenerateCoefficient, match="at n=1"):
+        dual_ultra_coeff_rows(2, 16, Q, CTX)

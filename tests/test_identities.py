@@ -5,9 +5,10 @@ import mpmath
 import pytest
 
 from qortho import (SUITE_IDS, FamilyKind, FamilySpec, PrecisionContext,
-                    check_even_connection, check_odd_connection,
-                    check_product_chain, dual_qinv_extremal, gram_matrix,
-                    hermite_extremal, qpochhammer, run_suite)
+                    check_even_connection, check_half_to_full_lattice,
+                    check_odd_connection, check_product_chain,
+                    dual_qinv_extremal, gram_matrix, hermite_extremal,
+                    qpochhammer, run_suite)
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -154,3 +155,26 @@ def test_suite_passes_at_small_q(q):
     reports = run_suite(q, CTX)
     failed = [r.identity_id for r in reports if not r.passed]
     assert failed == []
+
+
+def test_half_to_full_lattice_forms_z_once(monkeypatch):
+    # Z(q) = (-q^2;q)_inf (-1/q;q)_inf (q;q)_inf once, shared by the
+    # reference Gram and the lattice constant, plus the two products of the
+    # closed-form mass (q^2;q^2)_inf / (q;q^2)_inf.
+    import qortho.identities
+    import qortho.measures
+    calls = []
+    for module in (qortho.identities, qortho.measures):
+        def counted(*args, _fn=module.qpochhammer_inf, **kwargs):
+            calls.append(args[0])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "qpochhammer_inf", counted)
+    report = check_half_to_full_lattice(8, "0.7", CTX)
+    assert report.passed
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_half_to_full_lattice_small_degrees(N):
+    report = check_half_to_full_lattice(N, "0.7", CTX)
+    assert report.passed, report.details

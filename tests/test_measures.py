@@ -357,6 +357,28 @@ def test_adjudication_reuses_its_normalization_factors(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
+def test_gram_runs_each_recurrence_once(monkeypatch, kind):
+    # One pass for the majorant's coefficient rows of degrees 0..N and one
+    # batched table over all window nodes, whatever N and the window size.
+    import qortho.measures
+    if kind == "hermite_extremal":
+        measure = hermite_extremal("0.8", Q, CTX)
+        names = ("qinv_hermite_coeff_rows", "qinv_hermite_tables")
+    else:
+        measure = dual_base(1, Q, "even", CTX)
+        names = ("dual_ultra_coeff_rows", "dual_ultra_tables")
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(qortho.measures, name), **kwargs):
+            calls[_name].append(args[0])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(qortho.measures, name, counted)
+    report = gram_matrix(measure.family(CTX), measure, 10, CTX)
+    assert report.passed(CTX.tol)
+    assert calls == {name: [10] for name in names}
+
+
 def test_measure_family_pairs_each_kind():
     with CTX.workprec():
         q = mpmath.mpf("0.7")
