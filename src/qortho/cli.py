@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 
 import mpmath
 
-from .families import (DegenerateCoefficient, FamilyKind, FamilySpec,
-                       discrete_ultra, evaluate)
+from .families import DegenerateCoefficient, FamilyKind, FamilySpec, evaluate
 from .identities import SUITE_IDS, run_suite
 from .kernel import (KernelError, PrecisionContext, TruncationFailure,
                      as_qparam, to_decimal)
@@ -30,8 +30,10 @@ from .measures import (IncompatiblePair, SignViolation, dual_base,
 
 _MEASURES = ("hermite-extremal", "dual-base", "dual-qinv-extremal",
              "dual-q-extremal")
+_FAMILIES = {"h": FamilyKind.QINV_HERMITE, "C": FamilyKind.DISCRETE_ULTRA,
+             "D": FamilyKind.DUAL_DISCRETE_ULTRA}
 _ENV_KEYS = {"bits": "QORTHO_BITS", "tol_exp": "QORTHO_TOL_EXP"}
-_INT_KEYS = ("bits", "tol_exp", "N", "k_max", "n", "steps", "workers")
+_INT_KEYS = ("bits", "tol_exp", "N", "k_max", "n", "steps")
 _DECIMAL_KEYS = ("q", "s", "a", "x", "phi", "mu", "a_from", "a_to")
 
 
@@ -43,15 +45,15 @@ class RunConfig:
     s: str | None = None
     s_mode: str | None = None
     a: str | None = None
-    N: int | None = None
+    N: int = 8
     k_max: int = 6
     n: int | None = None
     x: str | None = None
     phi: str | None = None
     mu: str | None = None
     family: str | None = None
-    measure: str | None = None
-    parity: str | None = None
+    measure: str = "hermite-extremal"
+    parity: str = "even"
     a_from: str | None = None
     a_to: str | None = None
     steps: int = 10
@@ -59,7 +61,6 @@ class RunConfig:
     list_ids: bool = False
     bits: int = 256
     tol_exp: int = 200
-    workers: int = 1
     output: str | None = None
     out_path: str | None = None
 
@@ -152,7 +153,7 @@ def _measure_for(name: str, config: RunConfig, q, ctx: PrecisionContext,
         s = _family_s(config, q, required=False)
         if s is None:
             s = mpmath.mpf(1)
-        return dual_base(s, q, config.parity or "even", ctx)
+        return dual_base(s, q, config.parity, ctx)
     a = a_value
     if a is None:
         a = (_decimal_or_q(config.a, q, "a") if config.a is not None
@@ -169,8 +170,10 @@ def _measure_for(name: str, config: RunConfig, q, ctx: PrecisionContext,
 def cmd_eval(config: RunConfig) -> int:
     ctx = config.context()
     q = as_qparam(config.q, ctx)
-    if config.family is None:
-        raise ValueError("--family is required for eval")
+    kind = _FAMILIES.get(config.family)
+    if kind is None:
+        raise ValueError("eval needs --family, one of %s (got %r)"
+                         % (", ".join(_FAMILIES), config.family))
     if config.n is None or config.n < 0:
         raise ValueError("--n must be a nonnegative integer")
     with ctx.workprec():
@@ -183,18 +186,8 @@ def cmd_eval(config: RunConfig) -> int:
                 except ValueError:
                     raise ValueError("%s must be a decimal string (got %r)"
                                      % (name, raw)) from None
-        if config.family == "h":
-            spec = FamilySpec(FamilyKind.QINV_HERMITE, q)
-            value = evaluate(spec, config.n, ctx=ctx, **point)
-        elif config.family == "C":
-            s = _family_s(config, q)
-            if list(point) != ["x"]:
-                raise ValueError("family C takes --x")
-            value = discrete_ultra(config.n, point["x"], s, q, ctx)
-        else:
-            s = _family_s(config, q)
-            spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s)
-            value = evaluate(spec, config.n, ctx=ctx, **point)
+        s = None if kind is FamilyKind.QINV_HERMITE else _family_s(config, q)
+        value = evaluate(FamilySpec(kind, q, s), config.n, ctx=ctx, **point)
         _emit(to_decimal(value, ctx.digits) + "\n", config.out_path)
     return 0
 
@@ -202,12 +195,9 @@ def cmd_eval(config: RunConfig) -> int:
 def cmd_gram(config: RunConfig) -> int:
     ctx = config.context()
     q = as_qparam(config.q, ctx)
-    N = config.N if config.N is not None else 8
     with ctx.workprec():
-        measure = _measure_for(config.measure or "hermite-extremal",
-                               config, q, ctx)
-    report = gram_matrix(measure.family(ctx), measure, N, ctx,
-                         workers=config.workers)
+        measure = _measure_for(config.measure, config, q, ctx)
+    report = gram_matrix(measure.family(ctx), measure, config.N, ctx)
     if (config.output or "json") == "json":
         text = report.to_json(ctx.digits)
     else:
@@ -225,9 +215,8 @@ def cmd_verify(config: RunConfig) -> int:
     if config.only:
         only = [token.strip() for token in config.only.split(",") if token.strip()]
     reports = run_suite(
-        config.q, ctx, only=only, k_max=config.k_max,
-        N=config.N if config.N is not None else 8,
-        s=config.s, a=config.a, workers=config.workers)
+        config.q, ctx, only=only, k_max=config.k_max, N=config.N,
+        s=config.s, a=config.a)
     if (config.output or "pretty") == "json":
         text = json.dumps([r.to_dict(ctx.digits) for r in reports],
                           indent=2) + "\n"
@@ -252,8 +241,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig) -> int:
     ctx = config.context()
     q = as_qparam(config.q, ctx)
-    N = config.N if config.N is not None else 8
-    name = config.measure or "hermite-extremal"
+    name = config.measure
     if name == "dual-base":
         raise ValueError("sweep varies a; --measure dual-base has no a parameter")
     if config.a_from is None:
@@ -276,8 +264,7 @@ def cmd_sweep(config: RunConfig) -> int:
     for a in values:
         with ctx.workprec():
             measure = _measure_for(name, config, q, ctx, a_value=a)
-        report = gram_matrix(measure.family(ctx), measure, N, ctx,
-                             workers=config.workers)
+        report = gram_matrix(measure.family(ctx), measure, config.N, ctx)
         rows.append("%s,%s,%s,%s" % (
             to_decimal(a, ctx.digits),
             to_decimal(report.off_diag_max, ctx.digits),
@@ -301,11 +288,9 @@ def _add_common(parser: argparse.ArgumentParser,
     if output_choices:
         parser.add_argument("--output", choices=list(output_choices),
                             help="output format (default: %s)" % output_choices[0])
-    parser.add_argument("--workers", type=int,
-                        help="accepted for compatibility; Gram assembly runs "
-                             "serially whatever the value (default: 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qortho",
@@ -315,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate one polynomial value")
-    p.add_argument("--family", choices=["h", "C", "D"],
+    p.add_argument("--family", choices=list(_FAMILIES),
                    help="h: q-inverse Hermite; C: discrete q-ultraspherical; "
                         "D: dual discrete q-ultraspherical")
     p.add_argument("--n", type=int, help="polynomial degree / index")

@@ -25,8 +25,8 @@ import dataclasses
 
 import mpmath
 
-from .families import (dual_ultra_table, dual_ultra_tables, qinv_hermite_coeffs,
-                       qinv_hermite_series, qinv_hermite_table)
+from .families import (dual_ultra_tables, qinv_hermite_coeffs, qinv_hermite_series,
+                       qinv_hermite_tables)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _HeldNormalization, adjudicate_normalization,
@@ -69,9 +69,42 @@ def _relative(lhs: QReal, rhs: QReal) -> QReal:
     return abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
 
 
-def _phi_values(phi_grid, ctx: PrecisionContext) -> list[QReal]:
-    grid = DEFAULT_PHI_GRID if phi_grid is None else phi_grid
-    return [mpmath.mpf(p) for p in grid]
+def _grid(phi_grid) -> list:
+    return list(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
+
+
+def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
+    """The connection h_{2n+p}(sinh phi) = c_n (2 sinh phi)^p D_n(mu; s, q).
+
+    Returns s, [c_0, ..., c_{n_max}] and the mu of each y = e^{2phi} + e^{-2phi}
+    in ys, where c_n = (-1)^n q^{-n(n+p)} (q^{1+2p};q^2)_n, and s = q^-1 with
+    mu = y for p = 0, s = q with mu = q y for p = 1.  Runs at the ambient
+    precision.
+    """
+    s = 1 / q if parity == 0 else q
+    base = q if parity == 0 else q ** 3
+    c = [(-1) ** n * q ** (-n * (n + parity)) * qpochhammer(base, q * q, n, ctx)
+         for n in range(n_max + 1)]
+    return s, c, list(ys) if parity == 0 else [q * y for y in ys]
+
+
+def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
+                      ctx: PrecisionContext) -> IdentityReport:
+    """h_{2k+p} by the explicit series against c_k (2 sinh phi)^p D_k by the recurrence."""
+    q = as_qparam(q, ctx)
+    grid = _grid(phi_grid)
+    with ctx.workprec():
+        phis = [mpmath.mpf(p) for p in grid]
+        ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
+        s, c, mus = _connection(parity, k_max, ys, q, ctx)
+        worst = mpmath.mpf(0)
+        for phi, dvals in zip(phis, dual_ultra_tables(k_max, mus, s, q, ctx)):
+            two_sinh = mpmath.exp(phi) - mpmath.exp(-phi)
+            for k in range(k_max + 1):
+                lhs = qinv_hermite_series(2 * k + parity, phi, q, ctx)
+                rhs = c[k] * dvals[k] if parity == 0 else c[k] * two_sinh * dvals[k]
+                worst = max(worst, _relative(lhs, rhs))
+        return _report(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
 
 
 def check_even_connection(k_max: int, phi_grid, q,
@@ -81,46 +114,27 @@ def check_even_connection(k_max: int, phi_grid, q,
     The left side uses the explicit series, the right side the three-term
     recurrence of the dual family, so the two sides share no code path.
     """
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        worst = mpmath.mpf(0)
-        for phi in _phi_values(phi_grid, ctx):
-            y = mpmath.exp(2 * phi) + mpmath.exp(-2 * phi)
-            dvals = dual_ultra_table(k_max, y, 1 / q, q, ctx)
-            sign = 1
-            for k in range(k_max + 1):
-                lhs = qinv_hermite_series(2 * k, phi, q, ctx)
-                rhs = (sign * q ** (-k * k)
-                       * qpochhammer(q, q * q, k, ctx) * dvals[k])
-                worst = max(worst, _relative(lhs, rhs))
-                sign = -sign
-        return _report(
-            "even-connection",
-            "k <= %d, phi in %s" % (k_max, list(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)),
-            worst, ctx)
+    return _check_connection("even-connection", 0, k_max, phi_grid, q, ctx)
 
 
 def check_odd_connection(k_max: int, phi_grid, q,
                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
     """h_{2k+1}(sinh phi|q) = (-1)^k q^{-k(k+1)} (q^3;q^2)_k (2 sinh phi) D_k(q e^{2phi}+q e^{-2phi}; q, q)."""
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        worst = mpmath.mpf(0)
-        for phi in _phi_values(phi_grid, ctx):
-            y = q * (mpmath.exp(2 * phi) + mpmath.exp(-2 * phi))
-            two_sinh = mpmath.exp(phi) - mpmath.exp(-phi)
-            dvals = dual_ultra_table(k_max, y, q, q, ctx)
-            sign = 1
-            for k in range(k_max + 1):
-                lhs = qinv_hermite_series(2 * k + 1, phi, q, ctx)
-                rhs = (sign * q ** (-k * (k + 1))
-                       * qpochhammer(q ** 3, q * q, k, ctx) * two_sinh * dvals[k])
-                worst = max(worst, _relative(lhs, rhs))
-                sign = -sign
-        return _report(
-            "odd-connection",
-            "k <= %d, phi in %s" % (k_max, list(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)),
-            worst, ctx)
+    return _check_connection("odd-connection", 1, k_max, phi_grid, q, ctx)
+
+
+def _chain_residual(parity: int, mu, v, k_max: int, q, mid) -> QReal:
+    """Worst residual of mu v_n = q^p v_{n+1} + mid(n) v_n
+    + q^{-4n+1-p} (1-q^{2n}) (1-q^{2n-1+2p}) v_{n-1} over n <= k_max."""
+    worst = mpmath.mpf(0)
+    for n in range(k_max + 1):
+        lhs = mu * v[n]
+        rhs = (v[n + 1] if parity == 0 else q * v[n + 1]) + mid(n) * v[n]
+        if n >= 1:
+            rhs += (q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
+                    * (1 - q ** (2 * n - 1 + 2 * parity)) * v[n - 1])
+        worst = max(worst, _relative(lhs, rhs))
+    return worst
 
 
 def check_recurrence_chains(k_max: int, phi_grid, q,
@@ -136,55 +150,29 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     whose leading term carries the extra factor q.
     """
     q = as_qparam(q, ctx)
+    grid = _grid(phi_grid)
     with ctx.workprec():
+        phis = [mpmath.mpf(p) for p in grid]
+        ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
+        h_tables = qinv_hermite_tables(2 * k_max + 3, [mpmath.sinh(phi) for phi in phis],
+                                       q, ctx)
         worst = {"even-hermite": mpmath.mpf(0), "even-dual": mpmath.mpf(0),
                  "odd-hermite": mpmath.mpf(0), "odd-dual": mpmath.mpf(0)}
-        for phi in _phi_values(phi_grid, ctx):
-            x = mpmath.sinh(phi)
-            y = mpmath.exp(2 * phi) + mpmath.exp(-2 * phi)
-            hs = qinv_hermite_table(2 * k_max + 3, x, q, ctx)
-            for k in range(k_max + 1):
-                lhs = y * hs[2 * k]
-                rhs = hs[2 * k + 2] + q ** (-2 * k) * (1 + 1 / q) * hs[2 * k]
-                if k >= 1:
-                    rhs += (q ** (-4 * k + 1) * (1 - q ** (2 * k))
-                            * (1 - q ** (2 * k - 1)) * hs[2 * k - 2])
-                worst["even-hermite"] = max(worst["even-hermite"], _relative(lhs, rhs))
-
-                lhs = q * y * hs[2 * k + 1]
-                rhs = q * hs[2 * k + 3] + q ** (-2 * k) * (1 + 1 / q) * hs[2 * k + 1]
-                if k >= 1:
-                    rhs += (q ** (-4 * k) * (1 - q ** (2 * k))
-                            * (1 - q ** (2 * k + 1)) * hs[2 * k - 1])
-                worst["odd-hermite"] = max(worst["odd-hermite"], _relative(lhs, rhs))
-
-            dvals = dual_ultra_table(k_max + 1, y, 1 / q, q, ctx)
-            t = [(-1) ** n * q ** (-n * n) * qpochhammer(q, q * q, n, ctx) * dvals[n]
-                 for n in range(k_max + 2)]
-            for n in range(k_max + 1):
-                lhs = y * t[n]
-                rhs = t[n + 1] + q ** (-2 * n - 1) * (1 + q) * t[n]
-                if n >= 1:
-                    rhs += (q ** (-4 * n + 1) * (1 - q ** (2 * n))
-                            * (1 - q ** (2 * n - 1)) * t[n - 1])
-                worst["even-dual"] = max(worst["even-dual"], _relative(lhs, rhs))
-
-            yq = q * y
-            dvals = dual_ultra_table(k_max + 1, yq, q, q, ctx)
-            t = [(-1) ** n * q ** (-n * (n + 1)) * qpochhammer(q ** 3, q * q, n, ctx) * dvals[n]
-                 for n in range(k_max + 2)]
-            for n in range(k_max + 1):
-                lhs = yq * t[n]
-                rhs = q * t[n + 1] + q ** (-2 * n - 1) * (1 + q) * t[n]
-                if n >= 1:
-                    rhs += (q ** (-4 * n) * (1 - q ** (2 * n))
-                            * (1 - q ** (2 * n + 1)) * t[n - 1])
-                worst["odd-dual"] = max(worst["odd-dual"], _relative(lhs, rhs))
+        for parity, side in enumerate(("even", "odd")):
+            s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
+            d_tables = dual_ultra_tables(k_max + 1, mus, s, q, ctx)
+            for mu, hs, dvals in zip(mus, h_tables, d_tables):
+                res = _chain_residual(parity, mu, hs[parity::2], k_max, q,
+                                      lambda k: q ** (-2 * k) * (1 + 1 / q))
+                worst[side + "-hermite"] = max(worst[side + "-hermite"], res)
+                t = [c_n * d for c_n, d in zip(c, dvals)]
+                res = _chain_residual(parity, mu, t, k_max, q,
+                                      lambda n: q ** (-2 * n - 1) * (1 + q))
+                worst[side + "-dual"] = max(worst[side + "-dual"], res)
 
         digits = ctx.digits
         return _report(
-            "recurrence-chains",
-            "k <= %d, phi in %s" % (k_max, list(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)),
+            "recurrence-chains", "k <= %d, phi in %s" % (k_max, grid),
             max(worst.values()), ctx,
             {name: to_decimal(value, digits) for name, value in worst.items()})
 
@@ -255,7 +243,7 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
             coeff_worst = max(coeff_worst,
                               _relative(1 - r, -r * (1 - q ** n)))
 
-        grid = DEFAULT_PHI_GRID if x_grid is None else x_grid
+        grid = _grid(x_grid)
         xs = [mpmath.mpf(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
         series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
@@ -284,7 +272,7 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
         }
         return _report(
             "inverted-parameter-recurrence",
-            "n <= %d, x in %s" % (n_max, list(grid)),
+            "n <= %d, x in %s" % (n_max, grid),
             max(coeff_worst, value_worst, parity_worst), ctx, details)
 
 
@@ -310,20 +298,17 @@ def check_half_to_full_lattice(N: int, q,
 
         n_even = N // 2
         n_odd = (N - 1) // 2
-        base_even = dual_base(1 / q, q, "even", ctx)
-        base_odd = dual_base(q, q, "odd", ctx)
+        s_even, sign_even, _ = _connection(0, n_even, (), q, ctx)
+        s_odd, sign_odd, _ = _connection(1, n_odd, (), q, ctx)
+        base_even = dual_base(s_even, q, "even", ctx)
+        base_odd = dual_base(s_odd, q, "odd", ctx)
 
         J = max(ref.m_hi + 1, -ref.m_lo + 1) + 3
-        sign_even = [(-1) ** n * q ** (-n * n) * qpochhammer(q, q * q, n, ctx)
-                     for n in range(n_even + 1)]
-        sign_odd = [(-1) ** n * q ** (-n * (n + 1)) * qpochhammer(q ** 3, q * q, n, ctx)
-                    for n in range(n_odd + 1)]
-
         # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
         even_pts = [base_even.point(j, ctx) for j in range(J + 1)]
         odd_pts = [base_odd.point(j, ctx) for j in range(J)]
-        even_tabs = dual_ultra_tables(n_even, [x for x, _ in even_pts], 1 / q, q, ctx)
-        odd_tabs = (dual_ultra_tables(n_odd, [x for x, _ in odd_pts], q, q, ctx)
+        even_tabs = dual_ultra_tables(n_even, [x for x, _ in even_pts], s_even, q, ctx)
+        odd_tabs = (dual_ultra_tables(n_odd, [x for x, _ in odd_pts], s_odd, q, ctx)
                     if n_odd >= 0 else [])
 
         values: list[list[QReal]] = []
@@ -395,8 +380,8 @@ def check_half_to_full_lattice(N: int, q,
 
 
 def _gram_entry(identity_id: str, measure, N: int,
-                ctx: PrecisionContext, workers: int) -> IdentityReport:
-    rep = gram_matrix(measure.family(ctx), measure, N, ctx, workers=workers)
+                ctx: PrecisionContext) -> IdentityReport:
+    rep = gram_matrix(measure.family(ctx), measure, N, ctx)
     digits = ctx.digits
     details = {
         "off_diag_max": to_decimal(rep.off_diag_max, digits),
@@ -448,8 +433,7 @@ SUITE_IDS = (
 
 def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
               only: list[str] | None = None, k_max: int = 6,
-              phi_grid=None, N: int = 8, s=None, a=None,
-              workers: int = 1) -> list[IdentityReport]:
+              N: int = 8, s=None, a=None) -> list[IdentityReport]:
     """Run the named checks (all of SUITE_IDS by default) and collect reports.
 
     s defaults to 1 for the base-measure entries; a defaults to (1+q)/2 for
@@ -462,15 +446,15 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
         a_val = (1 + q) / 2 if a is None else mpmath.mpf(a)
 
     def gram_entry(identity_id: str, measure):
-        return _gram_entry(identity_id, measure, N, ctx, workers)
+        return _gram_entry(identity_id, measure, N, ctx)
 
     thunks = {
-        "even-connection": lambda: check_even_connection(k_max, phi_grid, q, ctx),
-        "odd-connection": lambda: check_odd_connection(k_max, phi_grid, q, ctx),
-        "recurrence-chains": lambda: check_recurrence_chains(k_max, phi_grid, q, ctx),
+        "even-connection": lambda: check_even_connection(k_max, None, q, ctx),
+        "odd-connection": lambda: check_odd_connection(k_max, None, q, ctx),
+        "recurrence-chains": lambda: check_recurrence_chains(k_max, None, q, ctx),
         "product-chain": lambda: check_product_chain(q, ctx),
         "inverted-parameter-recurrence":
-            lambda: check_inverted_parameter_recurrence(10, phi_grid, q, ctx),
+            lambda: check_inverted_parameter_recurrence(10, None, q, ctx),
         "base-even-orthogonality": lambda: gram_entry(
             "base-even-orthogonality", dual_base(s_val, q, "even", ctx)),
         "base-odd-orthogonality": lambda: gram_entry(

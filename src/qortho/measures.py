@@ -286,17 +286,11 @@ def dual_q_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMe
 
 
 def expected_diagonal(measure: DiscreteMeasure, n: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT,
-                      prefactor: QReal | None = None) -> QReal:
-    """Closed form of the (n, n) Gram entry for the measure's own family.
-
-    prefactor, when given, must be measure.diagonal_prefactor(ctx); passing
-    it avoids recomputing the base measures' infinite products per n.
-    """
+                      ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
+    """Closed form of the (n, n) Gram entry for the measure's own family."""
     with ctx.workprec():
-        if prefactor is None:
-            prefactor = measure.diagonal_prefactor(ctx)
-        return _KINDS[measure.kind].diagonal(measure, n, measure.q, prefactor, ctx)
+        return _KINDS[measure.kind].diagonal(
+            measure, n, measure.q, measure.diagonal_prefactor(ctx), ctx)
 
 
 @dataclasses.dataclass
@@ -324,45 +318,39 @@ class GramReport:
         # Rendering is pinned to the report's own precision so output bytes
         # do not depend on the caller's ambient mpmath state.
         with mpmath.mp.workprec(self.bits):
-            return self._to_json(digits)
-
-    def _to_json(self, digits: int) -> str:
-        obj = {
-            "family": self.family_kind,
-            "measure": self.measure_kind,
-            "q": to_decimal(self.q, digits),
-            "s": to_decimal(self.s, digits) if self.s is not None else None,
-            "a": to_decimal(self.a, digits) if self.a is not None else None,
-            "N": self.N,
-            "bits": self.bits,
-            "gram": [[to_decimal(v, digits) for v in row] for row in self.gram],
-            "off_diag_max": to_decimal(self.off_diag_max, digits),
-            "diag_rel_err_max": to_decimal(self.diag_rel_err_max, digits),
-            "m_window": [self.m_lo, self.m_hi],
-            "tail_bound": to_decimal(self.tail_bound, digits),
-        }
+            obj = {
+                "family": self.family_kind,
+                "measure": self.measure_kind,
+                "q": to_decimal(self.q, digits),
+                "s": to_decimal(self.s, digits) if self.s is not None else None,
+                "a": to_decimal(self.a, digits) if self.a is not None else None,
+                "N": self.N,
+                "bits": self.bits,
+                "gram": [[to_decimal(v, digits) for v in row] for row in self.gram],
+                "off_diag_max": to_decimal(self.off_diag_max, digits),
+                "diag_rel_err_max": to_decimal(self.diag_rel_err_max, digits),
+                "m_window": [self.m_lo, self.m_hi],
+                "tail_bound": to_decimal(self.tail_bound, digits),
+            }
         return json.dumps(obj, indent=2) + "\n"
 
     def to_csv(self, digits: int) -> str:
-        with mpmath.mp.workprec(self.bits):
-            return self._to_csv(digits)
-
-    def _to_csv(self, digits: int) -> str:
         lines = ["n,nprime,value,expected,residual"]
-        for n in range(self.N + 1):
-            for np_ in range(self.N + 1):
-                v = self.gram[n][np_]
-                if n == np_:
-                    exp = self.expected_diag[n]
-                    res = abs(v - exp) / abs(exp)
-                else:
-                    exp = mpmath.mpf(0)
-                    scale = mpmath.sqrt(abs(self.expected_diag[n]
-                                            * self.expected_diag[np_]))
-                    res = abs(v) / scale
-                lines.append("%d,%d,%s,%s,%s" % (
-                    n, np_, to_decimal(v, digits), to_decimal(exp, digits),
-                    to_decimal(res, digits)))
+        with mpmath.mp.workprec(self.bits):
+            for n in range(self.N + 1):
+                for np_ in range(self.N + 1):
+                    v = self.gram[n][np_]
+                    if n == np_:
+                        exp = self.expected_diag[n]
+                        res = abs(v - exp) / abs(exp)
+                    else:
+                        exp = mpmath.mpf(0)
+                        scale = mpmath.sqrt(abs(self.expected_diag[n]
+                                                * self.expected_diag[np_]))
+                        res = abs(v) / scale
+                    lines.append("%d,%d,%s,%s,%s" % (
+                        n, np_, to_decimal(v, digits), to_decimal(exp, digits),
+                        to_decimal(res, digits)))
         return "\n".join(lines) + "\n"
 
 
@@ -482,15 +470,13 @@ def _certified_window(measure: DiscreteMeasure, point, amax,
 
 
 def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
-                ctx: PrecisionContext = DEFAULT_CONTEXT,
-                workers: int = 1) -> GramReport:
+                ctx: PrecisionContext = DEFAULT_CONTEXT) -> GramReport:
     """Gram matrix of the family under the measure, degrees 0..N.
 
     The lattice window carries a certified bound on the omitted tail; the
     summation order within each (n, n') pair is fixed ascending m, so the
-    result is reproducible bit for bit.  Assembly is serial: workers is
-    accepted and ignored, because a thread pool over this GIL-bound loop
-    was measured slower than one thread.
+    result is reproducible bit for bit.  Assembly runs on one thread: a
+    thread pool over this GIL-bound loop was measured slower.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")
@@ -502,8 +488,8 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
     with ctx.workprec():
         norm = measure.normalization(closed)
         prefactor = measure.diagonal_prefactor(closed)
-        diag = [expected_diagonal(measure, n, ctx, prefactor=prefactor)
-                for n in range(N + 1)]
+        diagonal = _KINDS[measure.kind].diagonal
+        diag = [diagonal(measure, n, measure.q, prefactor, ctx) for n in range(N + 1)]
         amax = _abs_coeff_majorant(family, N, ctx)
         points: dict[int, tuple[QReal, QReal]] = {}
 

@@ -6,7 +6,7 @@ import pytest
 
 from qortho import (SUITE_IDS, FamilyKind, FamilySpec, PrecisionContext,
                     discrete_ultra, gram_matrix, hermite_extremal, to_decimal)
-from qortho.cli import main
+from qortho.cli import build_parser, main
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -60,6 +60,15 @@ def test_eval_input_errors(capsys):
     code, _, err = run(capsys, "eval", "--family", "h", "--n", "2",
                        "--x", "0", "--phi", "1")
     assert code == 2 and "exactly one" in err
+
+
+def test_eval_family_from_config_is_checked(capsys, tmp_path):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"family": "X", "s": "1"}))
+    code, _, err = run(capsys, "eval", "--n", "1", "--x", "0", "--config", str(cfg))
+    assert code == 2 and "one of h, C, D" in err
+    code, _, err = run(capsys, "eval", "--n", "1", "--x", "0")
+    assert code == 2 and "--family" in err
 
 
 # -- gram ----------------------------------------------------------------------
@@ -116,9 +125,6 @@ def test_gram_determinism(capsys):
     first = run(capsys, "gram", "--N", "2", "--a", "0.7")
     second = run(capsys, "gram", "--N", "2", "--a", "0.7")
     assert first == second
-    solo = run(capsys, "gram", "--N", "2", "--a", "0.7", "--workers", "1")
-    pooled = run(capsys, "gram", "--N", "2", "--a", "0.7", "--workers", "4")
-    assert solo == pooled
 
 
 # -- verify ---------------------------------------------------------------------
@@ -242,6 +248,21 @@ def test_config_file_unknown_key(capsys, tmp_path):
     cfg.write_text(json.dumps({"bitz": 128}))
     code, _, err = run(capsys, "gram", "--N", "0", "--config", str(cfg))
     assert code == 2 and "unknown config key" in err
+
+
+def test_workers_flag_and_config_key_are_gone(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--N", "0", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    code, _, err = run(capsys, "gram", "--N", "0", "--config", str(cfg))
+    assert code == 2 and "unknown config key 'workers'" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_env_override_without_config(capsys, monkeypatch):

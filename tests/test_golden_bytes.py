@@ -39,6 +39,17 @@ _WIDE = {
                            "--s", "1", "--N", "16"),
 }
 
+# One value per eval route: h by recurrence and by series, C, D by recurrence
+# and by grid series.
+_EVAL = {
+    "eval-h-x": ("eval", "--family", "h", "--n", "5", "--x", "0.3"),
+    "eval-h-phi": ("eval", "--family", "h", "--n", "5", "--phi", "0.4"),
+    "eval-C": ("eval", "--family", "C", "--s", "0.8", "--n", "3", "--x", "0.6"),
+    "eval-D-mu": ("eval", "--family", "D", "--s-mode", "qinv", "--n", "4",
+                  "--mu", "2.5"),
+    "eval-D-x": ("eval", "--family", "D", "--s", "0.9", "--n", "4", "--x", "2"),
+}
+
 
 def _runs(argvs, q, digests):
     assert len(argvs) == len(digests)
@@ -72,6 +83,12 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "263f1afb7d1597f3d3e2029761f5c00f28185b4732a0a040d6060da746a22224",
     "1785e55803805439ce7904deb1eb1926d1762ae4a76f7a38c177b678ecd10a12",
     "9d047d1d9ba1c73acd665632684d040d92c12d328f7b8b641a503813163d692f",
+)) + _runs(_EVAL, "0.7", (
+    "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
+    "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
+    "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
+    "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
+    "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 ))
 
 

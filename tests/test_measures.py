@@ -226,15 +226,6 @@ def test_truncation_certificate_honesty():
                     assert abs(added[n][np_]) < report.tail_bound
 
 
-def test_gram_worker_count_does_not_change_bytes():
-    family = FamilySpec(FamilyKind.QINV_HERMITE, Q)
-    measure = hermite_extremal("0.7", Q, CTX)
-    solo = gram_matrix(family, measure, 4, CTX, workers=1)
-    pooled = gram_matrix(family, measure, 4, CTX, workers=4)
-    assert solo.to_json(CTX.digits) == pooled.to_json(CTX.digits)
-    assert solo.to_csv(CTX.digits) == pooled.to_csv(CTX.digits)
-
-
 def test_gram_report_json_schema_and_precision():
     report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, "0.7"),
                          hermite_extremal("0.8", "0.7", CTX), 2, CTX)
