@@ -2,9 +2,11 @@
 
 All numeric input is decimal strings (reproducible at any precision); all
 numeric output goes through the same deterministic decimal rendering, so
-identical flags produce identical bytes.  Settings resolve as
-flags > environment (QORTHO_BITS, QORTHO_TOL_EXP) > --config JSON > defaults
-(q=0.5, bits=256, tol_exp=200, N=8).
+identical flags produce identical bytes.  Every setting is declared once, in
+_SETTINGS: the parser is generated from it, and a value from the environment
+or the --config JSON file is checked against the same entry as its flag.
+Each setting resolves as flag > environment (where the entry names a
+variable) > --config file > default; `qortho COMMAND --help` shows them.
 
 Exit codes: 0 success / all checks passed, 1 a residual check failed,
 2 invalid input or a computation could not be certified.
@@ -12,11 +14,11 @@ Exit codes: 0 success / all checks passed, 1 a residual check failed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import mpmath
 
@@ -28,86 +30,145 @@ from .measures import (IncompatiblePair, SignViolation, dual_base,
                        dual_q_extremal, dual_qinv_extremal, gram_matrix,
                        hermite_extremal)
 
-_MEASURES = ("hermite-extremal", "dual-base", "dual-qinv-extremal",
-             "dual-q-extremal")
+_MEASURES = {"hermite-extremal": hermite_extremal, "dual-base": dual_base,
+             "dual-qinv-extremal": dual_qinv_extremal,
+             "dual-q-extremal": dual_q_extremal}
 _FAMILIES = {"h": FamilyKind.QINV_HERMITE, "C": FamilyKind.DISCRETE_ULTRA,
              "D": FamilyKind.DUAL_DISCRETE_ULTRA}
-_ENV_KEYS = {"bits": "QORTHO_BITS", "tol_exp": "QORTHO_TOL_EXP"}
-_INT_KEYS = ("bits", "tol_exp", "N", "k_max", "n", "steps")
-_DECIMAL_KEYS = ("q", "s", "a", "x", "phi", "mu", "a_from", "a_to")
+_FIRST_CHOICE = object()  # default: the first of the command's choices
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved settings for one invocation; decimals stay strings here."""
-    command: str
-    q: str = "0.5"
-    s: str | None = None
-    s_mode: str | None = None
-    a: str | None = None
-    N: int = 8
-    k_max: int = 6
-    n: int | None = None
-    x: str | None = None
-    phi: str | None = None
-    mu: str | None = None
-    family: str | None = None
-    measure: str = "hermite-extremal"
-    parity: str = "even"
-    a_from: str | None = None
-    a_to: str | None = None
-    steps: int = 10
-    only: str | None = None
-    list_ids: bool = False
-    bits: int = 256
-    tol_exp: int = 200
-    output: str | None = None
-    out_path: str | None = None
-
-    def context(self) -> PrecisionContext:
-        return PrecisionContext.create(bits=self.bits, tol_exp=self.tol_exp)
+class _Setting(NamedTuple):
+    """One setting.  Its flag is --NAME with dashes for underscores unless
+    `flag` names another; a config file may use either spelling."""
+    type: type  # a bool is a flag only
+    default: object
+    commands: dict  # command -> the choices it accepts, or None for any
+    help: str
+    flag: str | None = None
+    env: str | None = None  # the environment variable that sets it
 
 
-def _load_config_file(path: str) -> dict:
+def _on(commands: str = "eval gram verify sweep",
+        choices: tuple[str, ...] | None = None) -> dict:
+    return dict.fromkeys(commands.split(), choices)
+
+
+_SETTINGS = {
+    "family": _Setting(str, None, _on("eval", tuple(_FAMILIES)),
+                       "h: q-inverse Hermite; C: discrete q-ultraspherical; "
+                       "D: dual discrete q-ultraspherical"),
+    "n": _Setting(int, None, _on("eval"), "polynomial degree / index"),
+    "x": _Setting(str, None, _on("eval"),
+                  "argument x (h recurrence, C, or D grid index)"),
+    "phi": _Setting(str, None, _on("eval"),
+                    "argument phi with x = sinh(phi) (h series)"),
+    "mu": _Setting(str, None, _on("eval"),
+                   "argument mu = q^-x + s q^{x+1} (D recurrence)"),
+    "measure": _Setting(str, "hermite-extremal", _on("gram sweep", tuple(_MEASURES)),
+                        "orthogonality measure; sweep needs one with a parameter a"),
+    "s": _Setting(str, None, _on("eval gram verify"),
+                  "parameter s of family C or D (eval) or of the base measure "
+                  "(1 when unset), decimal string"),
+    "s_mode": _Setting(str, None, _on("eval gram", ("qinv", "q")),
+                       "set s to exactly q^-1 or q"),
+    "a": _Setting(str, None, _on("gram verify"),
+                  "extremal-measure parameter a in [q,1), decimal string, or 'q' "
+                  "in gram; (1+q)/2 when unset"),
+    "parity": _Setting(str, "even", _on("gram", ("even", "odd")),
+                       "base-measure lattice parity"),
+    "list_ids": _Setting(bool, False, _on("verify"),
+                         "print identity ids without running", flag="--list"),
+    "only": _Setting(str, None, _on("verify"), "comma-separated identity ids to run"),
+    "k_max": _Setting(int, 6, _on("verify"),
+                      "max degree index for the connection checks"),
+    "N": _Setting(int, 8, _on("gram verify sweep"),
+                  "maximum degree of each Gram matrix"),
+    "a_from": _Setting(str, None, _on("sweep"), "first a value, decimal or 'q'"),
+    "a_to": _Setting(str, None, _on("sweep"), "last a value, decimal or 'q'"),
+    "steps": _Setting(int, 10, _on("sweep"), "number of a values"),
+    "q": _Setting(str, "0.5", _on(), "base parameter in (0,1), decimal string"),
+    "bits": _Setting(int, 256, _on(), "working precision in bits",
+                     env="QORTHO_BITS"),
+    "tol_exp": _Setting(int, 200, _on(), "tolerance exponent, tol = 2^-tol_exp",
+                        env="QORTHO_TOL_EXP"),
+    "out_path": _Setting(str, None, _on(),
+                         "write output to this path instead of stdout", flag="--out"),
+    "output": _Setting(str, _FIRST_CHOICE, {"gram": ("json", "csv"),
+                                            "verify": ("pretty", "json"),
+                                            "sweep": ("csv",)}, "output format"),
+}
+
+
+def _flag(name: str) -> str:
+    return _SETTINGS[name].flag or "--" + name.replace("_", "-")
+
+
+def _default(setting: _Setting, command: str):
+    if setting.default is _FIRST_CHOICE:
+        return setting.commands.get(command, (None,))[0]
+    return setting.default
+
+
+def _checked(name: str, value, where: str, command: str):
+    """A value from the environment or a config file, held to its flag's type
+    and choices (any command's, if this command does not take it)."""
+    setting = _SETTINGS[name]
+    try:
+        if isinstance(value, (bool, list, dict)):
+            raise ValueError
+        value = setting.type(value)
+    except ValueError:
+        raise ValueError("%s must be %s (got %s)" % (
+            where, "an integer" if setting.type is int else "a string or number",
+            json.dumps(value))) from None
+    choices = setting.commands.get(command, [
+        c for cs in setting.commands.values() for c in cs or ()])
+    if choices and value not in choices:
+        raise ValueError("%s must be one of %s (got %r)" % (
+            where, ", ".join(dict.fromkeys(choices)), value))
+    return value
+
+
+def _load_config_file(path: str, command: str) -> dict:
     with open(path) as fh:
         # parse_float=str keeps decimal values exact for re-rounding at
         # working precision instead of through a binary double.
         data = json.load(fh, parse_float=str)
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
+    keys = {key: name for name, setting in _SETTINGS.items()
+            if setting.type is not bool
+            for key in (name, _flag(name)[2:].replace("-", "_"))}
     out = {}
-    known = {f.name for f in dataclasses.fields(RunConfig)} - {"command", "list_ids"}
     for key, value in data.items():
-        name = key.replace("-", "_")
-        if name == "out":
-            name = "out_path"
-        if name not in known:
+        name = keys.get(key.replace("-", "_"))
+        if name is None:
             raise ValueError("unknown config key %r (known: %s)"
-                             % (key, ", ".join(sorted(known))))
-        out[name] = value
+                             % (key, ", ".join(sorted(keys))))
+        if value is not None:
+            out[name] = _checked(name, value, "config key %r" % key, command)
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, environment and config file into a RunConfig."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    kwargs = {}
-    for field in dataclasses.fields(RunConfig):
-        if field.name == "command":
-            continue
-        value = getattr(args, field.name, None)
-        if value is None and field.name in _ENV_KEYS:
-            value = os.environ.get(_ENV_KEYS[field.name])
-        if value is None and field.name in file_cfg:
-            value = file_cfg[field.name]
-        if value is None or value is False:
-            continue
-        if field.name in _INT_KEYS:
-            value = int(value)
-        elif field.name in _DECIMAL_KEYS and not isinstance(value, str):
-            value = str(value)
-        kwargs[field.name] = value
-    return RunConfig(command=args.command, **kwargs)
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge flags, environment and config file into one value per setting."""
+    command = args.command
+    file_cfg = _load_config_file(args.config, command) if args.config else {}
+    config = argparse.Namespace(command=command)
+    for name, setting in _SETTINGS.items():
+        value = getattr(args, name, None)
+        if value is None and setting.env and setting.env in os.environ:
+            value = _checked(name, os.environ[setting.env],
+                             "environment variable " + setting.env, command)
+        if value is None:
+            value = file_cfg.get(name, _default(setting, command))
+        setattr(config, name, value)
+    return config
+
+
+def _context(config: argparse.Namespace) -> PrecisionContext:
+    return PrecisionContext.create(bits=config.bits, tol_exp=config.tol_exp)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -118,57 +179,42 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _decimal_or_q(token: str, q, what: str):
-    if token.strip() == "q":
+def _decimal(token: str, what: str, q=None):
+    """token as an mpf; where q is given, the token 'q' stands for it."""
+    if q is not None and token.strip() == "q":
         return q
     try:
         return mpmath.mpf(token)
     except ValueError:
-        raise ValueError("%s must be a decimal string or 'q' (got %r)"
-                         % (what, token)) from None
+        raise ValueError("%s must be a decimal string%s (got %r)" % (
+            what, "" if q is None else " or 'q'", token)) from None
 
 
-def _family_s(config: RunConfig, q, required: bool = True):
+def _family_s(config: argparse.Namespace, q, default=None):
+    """s from --s or --s-mode, else default; with no default, one is required."""
     if config.s is not None and config.s_mode is not None:
         raise ValueError("give either --s or --s-mode, not both")
-    if config.s_mode == "qinv":
-        return 1 / q
-    if config.s_mode == "q":
-        return q
+    if config.s_mode is not None:
+        return 1 / q if config.s_mode == "qinv" else q
     if config.s is not None:
-        try:
-            return mpmath.mpf(config.s)
-        except ValueError:
-            raise ValueError("s must be a decimal string (got %r)"
-                             % (config.s,)) from None
-    if required:
+        return _decimal(config.s, "s")
+    if default is None:
         raise ValueError("--s or --s-mode is required here")
-    return None
+    return default
 
 
-def _measure_for(name: str, config: RunConfig, q, ctx: PrecisionContext,
-                 a_value=None):
-    """The DiscreteMeasure for a measure name; a_value overrides --a."""
-    if name == "dual-base":
-        s = _family_s(config, q, required=False)
-        if s is None:
-            s = mpmath.mpf(1)
-        return dual_base(s, q, config.parity, ctx)
+def _measure_for(config: argparse.Namespace, q, ctx: PrecisionContext, a_value=None):
+    """The DiscreteMeasure that --measure names; a_value overrides --a."""
+    if config.measure == "dual-base":
+        return dual_base(_family_s(config, q, mpmath.mpf(1)), q, config.parity, ctx)
     a = a_value
     if a is None:
-        a = (_decimal_or_q(config.a, q, "a") if config.a is not None
-             else (1 + q) / 2)
-    if name == "hermite-extremal":
-        return hermite_extremal(a, q, ctx)
-    if name == "dual-qinv-extremal":
-        return dual_qinv_extremal(a, q, ctx)
-    if name == "dual-q-extremal":
-        return dual_q_extremal(a, q, ctx)
-    raise ValueError("unknown measure %r" % (name,))
+        a = _decimal(config.a, "a", q) if config.a is not None else (1 + q) / 2
+    return _MEASURES[config.measure](a, q, ctx)
 
 
-def cmd_eval(config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_eval(config: argparse.Namespace) -> int:
+    ctx = _context(config)
     q = as_qparam(config.q, ctx)
     kind = _FAMILIES.get(config.family)
     if kind is None:
@@ -177,58 +223,48 @@ def cmd_eval(config: RunConfig) -> int:
     if config.n is None or config.n < 0:
         raise ValueError("--n must be a nonnegative integer")
     with ctx.workprec():
-        point = {}
-        for name in ("x", "phi", "mu"):
-            raw = getattr(config, name)
-            if raw is not None:
-                try:
-                    point[name] = mpmath.mpf(raw)
-                except ValueError:
-                    raise ValueError("%s must be a decimal string (got %r)"
-                                     % (name, raw)) from None
+        point = {name: _decimal(getattr(config, name), name)
+                 for name in ("x", "phi", "mu") if getattr(config, name) is not None}
         s = None if kind is FamilyKind.QINV_HERMITE else _family_s(config, q)
         value = evaluate(FamilySpec(kind, q, s), config.n, ctx=ctx, **point)
         _emit(to_decimal(value, ctx.digits) + "\n", config.out_path)
     return 0
 
 
-def cmd_gram(config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_gram(config: argparse.Namespace) -> int:
+    ctx = _context(config)
     q = as_qparam(config.q, ctx)
     with ctx.workprec():
-        measure = _measure_for(config.measure, config, q, ctx)
+        measure = _measure_for(config, q, ctx)
     report = gram_matrix(measure.family(ctx), measure, config.N, ctx)
-    if (config.output or "json") == "json":
-        text = report.to_json(ctx.digits)
-    else:
-        text = report.to_csv(ctx.digits)
+    text = (report.to_json if config.output == "json" else report.to_csv)(ctx.digits)
     _emit(text, config.out_path)
     return 0 if report.passed(ctx.tol) else 1
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     if config.list_ids:
         _emit("\n".join(SUITE_IDS) + "\n", config.out_path)
         return 0
-    ctx = config.context()
+    ctx = _context(config)
     only = None
-    if config.only:
+    if config.only is not None:
         only = [token.strip() for token in config.only.split(",") if token.strip()]
+        if not only:
+            raise ValueError("--only names no identity id (got %r)" % config.only)
     reports = run_suite(
         config.q, ctx, only=only, k_max=config.k_max, N=config.N,
         s=config.s, a=config.a)
-    if (config.output or "pretty") == "json":
+    if config.output == "json":
         text = json.dumps([r.to_dict(ctx.digits) for r in reports],
                           indent=2) + "\n"
     else:
         lines = []
         for r in reports:
-            verdict = "PASS" if r.passed else "FAIL"
-            if "error" in r.details:
-                tail = "error: %s" % r.details["error"]
-            else:
-                tail = "max_residual=%s" % to_decimal(r.max_residual, 8)
-            lines.append("%s  %-32s %s" % (verdict, r.identity_id, tail))
+            tail = ("error: %s" % r.details["error"] if "error" in r.details
+                    else "max_residual=%s" % to_decimal(r.max_residual, 8))
+            lines.append("%s  %-32s %s" % ("PASS" if r.passed else "FAIL",
+                                           r.identity_id, tail))
         npass = sum(1 for r in reports if r.passed)
         lines.append("%d/%d identities passed" % (npass, len(reports)))
         text = "\n".join(lines) + "\n"
@@ -238,24 +274,23 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    ctx = config.context()
+def cmd_sweep(config: argparse.Namespace) -> int:
+    ctx = _context(config)
     q = as_qparam(config.q, ctx)
-    name = config.measure
-    if name == "dual-base":
+    if config.measure == "dual-base":
         raise ValueError("sweep varies a; --measure dual-base has no a parameter")
     if config.a_from is None:
         raise ValueError("--a-from is required for sweep")
     if config.steps < 1:
         raise ValueError("--steps must be >= 1")
     with ctx.workprec():
-        a_lo = _decimal_or_q(config.a_from, q, "a-from")
+        a_lo = _decimal(config.a_from, "a-from", q)
         if config.steps == 1:
             values = [a_lo]
         else:
             if config.a_to is None:
                 raise ValueError("--a-to is required when steps > 1")
-            a_hi = _decimal_or_q(config.a_to, q, "a-to")
+            a_hi = _decimal(config.a_to, "a-to", q)
             span = a_hi - a_lo
             values = [a_lo + span * i / (config.steps - 1)
                       for i in range(config.steps)]
@@ -263,7 +298,7 @@ def cmd_sweep(config: RunConfig) -> int:
     rows = ["a,off_diag_max,diag_rel_err_max,node_hash"]
     for a in values:
         with ctx.workprec():
-            measure = _measure_for(name, config, q, ctx, a_value=a)
+            measure = _measure_for(config, q, ctx, a_value=a)
         report = gram_matrix(measure.family(ctx), measure, config.N, ctx)
         rows.append("%s,%s,%s,%s" % (
             to_decimal(a, ctx.digits),
@@ -275,19 +310,21 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _add_common(parser: argparse.ArgumentParser,
-                output_choices: tuple[str, ...] | None) -> None:
-    parser.add_argument("--q", help="base parameter in (0,1), decimal string (default: 0.5)")
-    parser.add_argument("--bits", type=int,
-                        help="working precision in bits (default: 256; env QORTHO_BITS)")
-    parser.add_argument("--tol-exp", type=int, dest="tol_exp",
-                        help="tolerance exponent, tol = 2^-tol_exp (default: 200; env QORTHO_TOL_EXP)")
-    parser.add_argument("--config", help="JSON file of flag defaults (flags and env win)")
-    parser.add_argument("--out", dest="out_path",
-                        help="write output to this path instead of stdout")
-    if output_choices:
-        parser.add_argument("--output", choices=list(output_choices),
-                            help="output format (default: %s)" % output_choices[0])
+_COMMANDS = {
+    "eval": ("evaluate one polynomial value", cmd_eval),
+    "gram": ("compute and check a Gram matrix", cmd_gram),
+    "verify": ("run the identity suite", cmd_verify),
+    "sweep": ("Gram residuals over a range of a values", cmd_sweep),
+}
+
+
+def _help(name: str, command: str) -> str:
+    setting = _SETTINGS[name]
+    default = _default(setting, command)
+    notes = [] if default is None or setting.type is bool else ["default: %s" % default]
+    if setting.env:
+        notes.append("env " + setting.env)
+    return setting.help + (" (%s)" % "; ".join(notes) if notes else "")
 
 
 @functools.cache
@@ -298,53 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "their discrete orthogonality relations at certified "
                     "precision.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate one polynomial value")
-    p.add_argument("--family", choices=list(_FAMILIES),
-                   help="h: q-inverse Hermite; C: discrete q-ultraspherical; "
-                        "D: dual discrete q-ultraspherical")
-    p.add_argument("--n", type=int, help="polynomial degree / index")
-    p.add_argument("--s", help="family parameter s, decimal string")
-    p.add_argument("--s-mode", dest="s_mode", choices=["qinv", "q"],
-                   help="set s to exactly q^-1 or q")
-    p.add_argument("--x", help="argument x (h recurrence, C, or D grid index)")
-    p.add_argument("--phi", help="argument phi with x = sinh(phi) (h series)")
-    p.add_argument("--mu", help="argument mu = q^-x + s q^{x+1} (D recurrence)")
-    _add_common(p, None)
-
-    p = sub.add_parser("gram", help="compute and check a Gram matrix")
-    p.add_argument("--measure", choices=list(_MEASURES),
-                   help="orthogonality measure (default: hermite-extremal)")
-    p.add_argument("--a", help="measure parameter a in [q,1), decimal or 'q'")
-    p.add_argument("--s", help="base-measure parameter s, decimal string")
-    p.add_argument("--s-mode", dest="s_mode", choices=["qinv", "q"],
-                   help="set s to exactly q^-1 or q")
-    p.add_argument("--parity", choices=["even", "odd"],
-                   help="base-measure lattice parity (default: even)")
-    p.add_argument("--N", type=int, help="maximum degree (default: 8)")
-    _add_common(p, ("json", "csv"))
-
-    p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--list", dest="list_ids", action="store_true",
-                   help="print identity ids without running")
-    p.add_argument("--only", help="comma-separated identity ids to run")
-    p.add_argument("--k-max", type=int, dest="k_max",
-                   help="max degree index for the connection checks (default: 6)")
-    p.add_argument("--N", type=int,
-                   help="max degree for the Gram-based checks (default: 8)")
-    p.add_argument("--s", help="base-measure parameter s (default: 1)")
-    p.add_argument("--a", help="extremal parameter a (default: (1+q)/2)")
-    _add_common(p, ("pretty", "json"))
-
-    p = sub.add_parser("sweep", help="Gram residuals over a range of a values")
-    p.add_argument("--measure",
-                   choices=[m for m in _MEASURES if m != "dual-base"],
-                   help="one-parameter measure family (default: hermite-extremal)")
-    p.add_argument("--a-from", dest="a_from", help="first a value, decimal or 'q'")
-    p.add_argument("--a-to", dest="a_to", help="last a value, decimal or 'q'")
-    p.add_argument("--steps", type=int, help="number of a values (default: 10)")
-    p.add_argument("--N", type=int, help="maximum degree (default: 8)")
-    _add_common(p, ("csv",))
+    for command, (text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, setting in _SETTINGS.items():
+            if command not in setting.commands:
+                continue
+            kind = ({"action": "store_true"} if setting.type is bool else
+                    {"type": setting.type, "choices": setting.commands[command]})
+            p.add_argument(_flag(name), dest=name, default=None,
+                           help=_help(name, command), **kind)
+        p.add_argument("--config",
+                       help="JSON file of settings (flags and environment win)")
     return parser
 
 
@@ -352,9 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        handler = {"eval": cmd_eval, "gram": cmd_gram,
-                   "verify": cmd_verify, "sweep": cmd_sweep}[config.command]
-        return handler(config)
+        return _COMMANDS[config.command][1](config)
     except TruncationFailure as exc:
         print("error: certified truncation unattainable: %s" % exc,
               file=sys.stderr)

@@ -22,6 +22,7 @@ quantities involved span many orders of magnitude.  The suite covers:
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import mpmath
 
@@ -414,21 +415,33 @@ def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
     return report
 
 
-SUITE_IDS = (
-    "even-connection",
-    "odd-connection",
-    "recurrence-chains",
-    "product-chain",
-    "inverted-parameter-recurrence",
-    "base-even-orthogonality",
-    "base-odd-orthogonality",
-    "hermite-extremal-orthogonality",
-    "qinv-extremal-orthogonality",
-    "q-extremal-orthogonality",
-    "qinv-extremal-normalization",
-    "q-extremal-normalization",
-    "half-to-full-lattice",
-)
+# The suite, one entry per check in run order: each takes its id and the
+# run's settings (q, ctx, k_max, N, s, a) and returns the check's report.
+_SUITE = {
+    "even-connection": lambda i, r: check_even_connection(r.k_max, None, r.q, r.ctx),
+    "odd-connection": lambda i, r: check_odd_connection(r.k_max, None, r.q, r.ctx),
+    "recurrence-chains":
+        lambda i, r: check_recurrence_chains(r.k_max, None, r.q, r.ctx),
+    "product-chain": lambda i, r: check_product_chain(r.q, r.ctx),
+    "inverted-parameter-recurrence":
+        lambda i, r: check_inverted_parameter_recurrence(10, None, r.q, r.ctx),
+    "base-even-orthogonality":
+        lambda i, r: _gram_entry(i, dual_base(r.s, r.q, "even", r.ctx), r.N, r.ctx),
+    "base-odd-orthogonality":
+        lambda i, r: _gram_entry(i, dual_base(r.s, r.q, "odd", r.ctx), r.N, r.ctx),
+    "hermite-extremal-orthogonality":
+        lambda i, r: _gram_entry(i, hermite_extremal(r.a, r.q, r.ctx), r.N, r.ctx),
+    "qinv-extremal-orthogonality":
+        lambda i, r: _gram_entry(i, dual_qinv_extremal(r.a, r.q, r.ctx), r.N, r.ctx),
+    "q-extremal-orthogonality":
+        lambda i, r: _gram_entry(i, dual_q_extremal(r.a, r.q, r.ctx), r.N, r.ctx),
+    "qinv-extremal-normalization": lambda i, r: _normalization_entry(
+        i, MeasureKind.DUAL_QINV_EXTREMAL, r.a, r.q, r.ctx),
+    "q-extremal-normalization": lambda i, r: _normalization_entry(
+        i, MeasureKind.DUAL_Q_EXTREMAL, r.a, r.q, r.ctx),
+    "half-to-full-lattice": lambda i, r: check_half_to_full_lattice(r.N, r.q, r.ctx),
+}
+SUITE_IDS = tuple(_SUITE)
 
 
 def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
@@ -442,47 +455,20 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        s_val = mpmath.mpf(1) if s is None else mpmath.mpf(s)
-        a_val = (1 + q) / 2 if a is None else mpmath.mpf(a)
-
-    def gram_entry(identity_id: str, measure):
-        return _gram_entry(identity_id, measure, N, ctx)
-
-    thunks = {
-        "even-connection": lambda: check_even_connection(k_max, None, q, ctx),
-        "odd-connection": lambda: check_odd_connection(k_max, None, q, ctx),
-        "recurrence-chains": lambda: check_recurrence_chains(k_max, None, q, ctx),
-        "product-chain": lambda: check_product_chain(q, ctx),
-        "inverted-parameter-recurrence":
-            lambda: check_inverted_parameter_recurrence(10, None, q, ctx),
-        "base-even-orthogonality": lambda: gram_entry(
-            "base-even-orthogonality", dual_base(s_val, q, "even", ctx)),
-        "base-odd-orthogonality": lambda: gram_entry(
-            "base-odd-orthogonality", dual_base(s_val, q, "odd", ctx)),
-        "hermite-extremal-orthogonality": lambda: gram_entry(
-            "hermite-extremal-orthogonality", hermite_extremal(a_val, q, ctx)),
-        "qinv-extremal-orthogonality": lambda: gram_entry(
-            "qinv-extremal-orthogonality", dual_qinv_extremal(a_val, q, ctx)),
-        "q-extremal-orthogonality": lambda: gram_entry(
-            "q-extremal-orthogonality", dual_q_extremal(a_val, q, ctx)),
-        "qinv-extremal-normalization": lambda: _normalization_entry(
-            "qinv-extremal-normalization", MeasureKind.DUAL_QINV_EXTREMAL,
-            a_val, q, ctx),
-        "q-extremal-normalization": lambda: _normalization_entry(
-            "q-extremal-normalization", MeasureKind.DUAL_Q_EXTREMAL,
-            a_val, q, ctx),
-        "half-to-full-lattice": lambda: check_half_to_full_lattice(N, q, ctx),
-    }
+        run = types.SimpleNamespace(
+            q=q, ctx=ctx, k_max=k_max, N=N,
+            s=mpmath.mpf(1) if s is None else mpmath.mpf(s),
+            a=(1 + q) / 2 if a is None else mpmath.mpf(a))
 
     selected = list(SUITE_IDS) if only is None else list(only)
-    unknown = [name for name in selected if name not in thunks]
+    unknown = [name for name in selected if name not in _SUITE]
     if unknown:
         raise ValueError("unknown identity ids: %s (known: %s)"
                          % (", ".join(unknown), ", ".join(SUITE_IDS)))
     reports = []
     for name in selected:
         try:
-            reports.append(thunks[name]())
+            reports.append(_SUITE[name](name, run))
         except Exception as exc:
             reports.append(IdentityReport(
                 identity_id=name,

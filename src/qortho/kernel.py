@@ -2,9 +2,12 @@
 
 All values are mpmath ``mpf`` reals ("QReal" below) computed at a working
 precision carried by a :class:`PrecisionContext`. Infinite objects are
-truncated only under a-priori tail bounds, never by watching terms shrink:
-a result is returned together with the guarantee that the discarded tail is
-below the context tolerance, or a :class:`TruncationFailure` is raised.
+truncated under a-priori tail bounds: a result is returned together with the
+guarantee that the discarded tail is below the context tolerance, or a
+:class:`TruncationFailure` is raised.  The one exception is
+:func:`basic_hypergeometric` without ``terminating_at``, which stops by
+watching the terms shrink (a decaying term below tol * max(1, |sum|)) and
+certifies nothing about the tail it drops.
 
 An infinite product (a;q)_inf splits off the finite head (a;q)_J with
 |a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like

@@ -26,16 +26,17 @@ The closed form of Z(a) is settled by adjudicate_normalization, which compares
 the two candidate third factors (-q/a^2;q)_inf and (-q/a;q)_inf against the
 lattice mass; the (-q/a^2;q)_inf form wins and is the one used throughout.
 
-Gram assembly truncates the lattice with an a-priori certificate: the
+Gram assembly truncates the lattice with a geometric tail bound: the
 summand for degrees up to N is bounded by B(m) = w_m * A(|node_m|)^2, where
 A(t) is the largest absolute-coefficient majorant of the polynomial family
-up to degree N.  Because log w_m is dominated by a -2m^2 log(1/q) term while
-log A(|node_m|) grows only linearly in |m|, B is eventually log-concave, so
-once the first omitted term satisfies B(next)/B(last) <= 1/2 the geometric
-tail bound 2*B(next) per side is valid.  The checks divide by the closed-form
-diagonals d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The
-window scan and the assembly share their (node, weight) values, so each
-lattice point is evaluated once.
+up to degree N.  Once the first omitted term satisfies B(next)/B(last) <= 1/2,
+each side's tail is taken to be at most 2*B(next).  That bound assumes B is
+log-concave beyond the stop, and nothing checks it: log w_m is dominated by
+a -2m^2 log(1/q) term, but log A(|node_m|) is convex in m, so B need not be
+log-concave step by step.  The checks divide by the closed-form diagonals
+d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The window
+scan and the assembly share their (node, weight) values, so each lattice
+point is evaluated once.
 
 Assembly does each multiply-add once, in the order of the plain mpf
 expression sum_m (w_m P_n(x_m)) P_n'(x_m): the family's values at all window

@@ -286,3 +286,43 @@ def test_out_flag_bad_path(capsys, tmp_path):
     code, _, err = run(capsys, "gram", "--N", "0", "--out",
                        str(tmp_path / "missing" / "report.json"))
     assert code == 2 and "error" in err
+
+
+# -- environment and config-file values get the flags' checks -------------------
+
+
+@pytest.mark.parametrize("argv, settings, key", [
+    (("gram", "--N", "1"), {"output": "xml"}, "'output'"),
+    (("gram", "--N", "1", "--measure", "dual-base"), {"s_mode": "bogus"},
+     "'s_mode'"),
+    (("verify", "--only", "product-chain"), {"output": "csv"}, "'output'"),
+    (("gram",), {"N": True}, "'N'"),
+], ids=["gram-output-xml", "gram-dual-base-s-mode-bogus", "verify-output-csv",
+        "gram-N-true"])
+def test_bad_config_value_exits_two_naming_the_key(capsys, tmp_path, argv,
+                                                   settings, key):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_bad_env_value_exits_two_naming_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("QORTHO_BITS", "abc")
+    code, out, err = run(capsys, "gram", "--N", "0")
+    assert code == 2 and out == ""
+    assert "QORTHO_BITS" in err
+
+
+def test_non_integer_config_value_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"k_max": "abc"}))
+    code, _, _ = run(capsys, "gram", "--N", "0", "--config", str(cfg))
+    assert code == 2
+
+
+def test_verify_only_naming_no_id_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--only", ",")
+    assert code == 2 and out == ""
+    assert "--only" in err
