@@ -73,8 +73,8 @@ _SETTINGS = {
     "s_mode": _Setting(str, None, _on("eval gram", ("qinv", "q")),
                        "set s to exactly q^-1 or q"),
     "a": _Setting(str, None, _on("gram verify"),
-                  "extremal-measure parameter a in [q,1), decimal string, or 'q' "
-                  "in gram; (1+q)/2 when unset"),
+                  "extremal-measure parameter a in [q,1), decimal string or 'q'; "
+                  "(1+q)/2 when unset"),
     "parity": _Setting(str, "even", _on("gram", ("even", "odd")),
                        "base-measure lattice parity"),
     "list_ids": _Setting(bool, False, _on("verify"),
@@ -252,9 +252,12 @@ def cmd_verify(config: argparse.Namespace) -> int:
         only = [token.strip() for token in config.only.split(",") if token.strip()]
         if not only:
             raise ValueError("--only names no identity id (got %r)" % config.only)
-    reports = run_suite(
-        config.q, ctx, only=only, k_max=config.k_max, N=config.N,
-        s=config.s, a=config.a)
+    q = as_qparam(config.q, ctx)
+    with ctx.workprec():
+        s = None if config.s is None else _decimal(config.s, "s")
+        a = None if config.a is None else _decimal(config.a, "a", q)
+    reports = run_suite(q, ctx, only=only, k_max=config.k_max, N=config.N,
+                        s=s, a=a)
     if config.output == "json":
         text = json.dumps([r.to_dict(ctx.digits) for r in reports],
                           indent=2) + "\n"

@@ -30,9 +30,9 @@ from .families import (dual_ultra_tables, qinv_hermite_coeffs, qinv_hermite_seri
                        qinv_hermite_tables)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      qpochhammer, qpochhammer_inf, to_decimal)
-from .measures import (MeasureKind, _HeldNormalization, adjudicate_normalization,
-                       dual_base, dual_q_extremal, dual_qinv_extremal,
-                       gram_matrix, hermite_extremal)
+from .measures import (MeasureKind, adjudicate_normalization, dual_base,
+                       dual_q_extremal, dual_qinv_extremal, gram_matrix,
+                       hermite_extremal)
 
 DEFAULT_PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
 
@@ -292,10 +292,8 @@ def check_half_to_full_lattice(N: int, q,
     q = as_qparam(q, ctx)
     with ctx.workprec():
         meas = hermite_extremal(q, q, ctx)
-        phi_const = meas.normalization(ctx)
-        held = _HeldNormalization(meas.kind, meas.q, a=meas.a, z=phi_const)
-        ref = gram_matrix(held.family(ctx), held, N, ctx)
-        scale_const = q * phi_const
+        scale_const = q * meas.normalization(ctx)
+        ref = gram_matrix(meas.family(ctx), meas, N, ctx)
 
         n_even = N // 2
         n_odd = (N - 1) // 2

@@ -13,7 +13,12 @@ An infinite product (a;q)_inf splits off the finite head (a;q)_J with
 |a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like
 q^{k^2/2}.  Its certificate is relative and covers rounding as well as the
 tail: the result is within relative tol/16 of the exact product, with guard
-bits added when the alternating series cancels.
+bits added when the alternating series cancels.  Each product is evaluated
+once per (a, q, context), with a and q rounded to the context's bits: later
+calls return the memoised value, so no caller needs to hand a computed
+product to another.  The memo is bounded (the 256 most recently used
+products) and keeps no failure, so an uncertifiable product raises on
+every call.
 
 Notation used throughout the package:
 
@@ -26,6 +31,7 @@ The kernel is real-valued: complex arguments are out of scope.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import mpmath
 from mpmath import mp
@@ -246,7 +252,14 @@ def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        a = mpmath.mpf(a)
+        return _qpochhammer_inf_memo(mpmath.mpf(a), q, ctx)
+
+
+# Keyed on (a, q) as rounded to ctx.bits and on ctx, which fix the value.
+# lru_cache keeps no raised exception, so a failure is raised on every call.
+@functools.lru_cache(maxsize=256)
+def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
+    with ctx.workprec():
         head_len = _head_length(a, q)
         if head_len > ctx.max_terms:
             raise TruncationFailure(

@@ -2,9 +2,9 @@
 
 A measure is a countable set of (node, weight) pairs.  Its five kinds follow
 one pattern, so each kind is one record of the table _KINDS: the node and
-weight at support index m, the closed-form diagonal d_n of the paired family
-and the n-free prefactor of d_n, the normalization, whether the support is
-all of Z or m >= 0, and the paired family with its s.
+weight at support index m, the closed-form diagonal d_n of the paired family,
+the normalization, whether the support is all of Z or m >= 0, and the paired
+family with its s.
 
   kind                support  node at m                  family  normalization
   hermite_extremal    m in Z   (a^-1 q^-m - a q^m)/2      h       Z(a)
@@ -17,10 +17,9 @@ Here h is the q-inverse Hermite family, D(s) the dual discrete
 q-ultraspherical family, q <= a < 1, 0 < s < q^-2 and
 Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf.  The base weights are stated
 with the common factor (1 - s q) cancelled, which keeps them finite at
-s = q^-1; their diagonals share the prefactor (s q^3;q^2)_inf / (q;q^2)_inf,
-which a Gram computes once.  The other kinds have prefactor 1.  The q-extremal
-weight vanishes at a single site exactly when a^2 q^{2m} = 1 (e.g. a = q,
-m = -1), which is allowed.
+s = q^-1; their diagonals share the factor (s q^3;q^2)_inf / (q;q^2)_inf.
+The q-extremal weight vanishes at a single site exactly when a^2 q^{2m} = 1
+(e.g. a = q, m = -1), which is allowed.
 
 The closed form of Z(a) is settled by adjudicate_normalization, which compares
 the two candidate third factors (-q/a^2;q)_inf and (-q/a;q)_inf against the
@@ -134,31 +133,25 @@ def _base_point(parity: int):
     return point
 
 
-def _hermite_diagonal(measure, n, q, pre, ctx):
-    return pre * q ** (mpmath.mpf(-n * (n + 1)) / 2) * qpochhammer(q, q, n, ctx)
+def _hermite_diagonal(measure, n, q, ctx):
+    return q ** (mpmath.mpf(-n * (n + 1)) / 2) * qpochhammer(q, q, n, ctx)
 
 
-def _qinv_diagonal(measure, n, q, pre, ctx):
-    return (pre * q ** (-n) * qpochhammer(q, q, 2 * n, ctx)
+def _qinv_diagonal(measure, n, q, ctx):
+    return (q ** (-n) * qpochhammer(q, q, 2 * n, ctx)
             / qpochhammer(q, q * q, n, ctx) ** 2)
 
 
-def _q_diagonal(measure, n, q, pre, ctx):
-    return (pre * q ** (-(n + 1)) * qpochhammer(q, q, 2 * n + 1, ctx)
+def _q_diagonal(measure, n, q, ctx):
+    return (q ** (-(n + 1)) * qpochhammer(q, q, 2 * n + 1, ctx)
             / qpochhammer(q ** 3, q * q, n, ctx) ** 2)
 
 
-def _base_diagonal(measure, n, q, pre, ctx):
+def _base_diagonal(measure, n, q, ctx):
     q2 = q * q
+    pre = qpochhammer_inf(measure.s * q ** 3, q2, ctx) / qpochhammer_inf(q, q2, ctx)
     return (pre * qpochhammer(q2, q2, n, ctx) * q ** (-n)
             / qpochhammer(measure.s * q2, q2, n, ctx))
-
-
-def _base_prefactor(measure, ctx):
-    q = measure.q
-    q2 = q * q
-    return (qpochhammer_inf(measure.s * q ** 3, q2, ctx)
-            / qpochhammer_inf(q, q2, ctx))
 
 
 class _Kind(NamedTuple):
@@ -168,8 +161,7 @@ class _Kind(NamedTuple):
     """
 
     point: Callable          # (measure, m, q, ctx) -> (node, weight * normalization)
-    diagonal: Callable       # (measure, n, q, prefactor, ctx) -> d_n
-    prefactor: Callable      # (measure, ctx) -> the n-free factor of d_n
+    diagonal: Callable       # (measure, n, q, ctx) -> d_n
     normalization: Callable  # (measure, ctx) -> Z(a) or 1
     full_lattice: bool       # support m in Z, else m >= 0
     family: FamilyKind       # the paired family ...
@@ -179,16 +171,16 @@ class _Kind(NamedTuple):
 _DUAL = FamilyKind.DUAL_DISCRETE_ULTRA
 
 _KINDS = {
-    MeasureKind.HERMITE_EXTREMAL: _Kind(_hermite_point, _hermite_diagonal, _one, _z_of_a,
+    MeasureKind.HERMITE_EXTREMAL: _Kind(_hermite_point, _hermite_diagonal, _z_of_a,
                                         True, FamilyKind.QINV_HERMITE, lambda measure: None),
-    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(_qinv_point, _qinv_diagonal, _one, _z_of_a,
+    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(_qinv_point, _qinv_diagonal, _z_of_a,
                                           True, _DUAL, lambda measure: 1 / measure.q),
-    MeasureKind.DUAL_Q_EXTREMAL: _Kind(_q_point, _q_diagonal, _one, _z_of_a,
+    MeasureKind.DUAL_Q_EXTREMAL: _Kind(_q_point, _q_diagonal, _z_of_a,
                                        True, _DUAL, lambda measure: measure.q),
-    MeasureKind.DUAL_BASE_EVEN: _Kind(_base_point(0), _base_diagonal, _base_prefactor,
-                                      _one, False, _DUAL, lambda measure: measure.s),
-    MeasureKind.DUAL_BASE_ODD: _Kind(_base_point(1), _base_diagonal, _base_prefactor,
-                                     _one, False, _DUAL, lambda measure: measure.s),
+    MeasureKind.DUAL_BASE_EVEN: _Kind(_base_point(0), _base_diagonal, _one,
+                                      False, _DUAL, lambda measure: measure.s),
+    MeasureKind.DUAL_BASE_ODD: _Kind(_base_point(1), _base_diagonal, _one,
+                                     False, _DUAL, lambda measure: measure.s),
 }
 
 
@@ -216,17 +208,14 @@ class DiscreteMeasure:
         """Z(a) for the a-parametrized kinds, 1 for the base kinds."""
         return _KINDS[self.kind].normalization(self, ctx)
 
-    def diagonal_prefactor(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-        """(s q^3;q^2)_inf / (q;q^2)_inf for the base kinds, 1 for the others."""
-        with ctx.workprec():
-            return _KINDS[self.kind].prefactor(self, ctx)
-
     def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
               norm: QReal | None = None) -> tuple[QReal, QReal]:
         """(node, weight) at support index m.
 
-        norm, when given, must be self.normalization(ctx); passing it avoids
-        recomputing the infinite products per point.
+        norm, when given, must be self.normalization(ctx).  Its products are
+        memoised, but forming Z(a) again still converts a and q and makes
+        three lookups, which about doubles the cost of a point; a Gram
+        passes norm so that Z(a) is formed once, not once per window node.
         """
         kind = _KINDS[self.kind]
         if m < 0 and not kind.full_lattice:
@@ -239,16 +228,6 @@ class DiscreteMeasure:
                     "negative weight %s at m=%d for %s"
                     % (mpmath.nstr(w, 8), m, self.kind.value))
             return node, w
-
-
-@dataclasses.dataclass(frozen=True)
-class _HeldNormalization(DiscreteMeasure):
-    """A measure whose normalization the caller has already computed."""
-
-    z: QReal | None = None
-
-    def normalization(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-        return self.z
 
 
 def hermite_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
@@ -290,8 +269,7 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Closed form of the (n, n) Gram entry for the measure's own family."""
     with ctx.workprec():
-        return _KINDS[measure.kind].diagonal(
-            measure, n, measure.q, measure.diagonal_prefactor(ctx), ctx)
+        return _KINDS[measure.kind].diagonal(measure, n, measure.q, ctx)
 
 
 @dataclasses.dataclass
@@ -488,9 +466,8 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
     closed = dataclasses.replace(ctx, tol=max(ctx.tol, ctx.rounding_floor))
     with ctx.workprec():
         norm = measure.normalization(closed)
-        prefactor = measure.diagonal_prefactor(closed)
         diagonal = _KINDS[measure.kind].diagonal
-        diag = [diagonal(measure, n, measure.q, prefactor, ctx) for n in range(N + 1)]
+        diag = [diagonal(measure, n, measure.q, closed) for n in range(N + 1)]
         amax = _abs_coeff_majorant(family, N, ctx)
         points: dict[int, tuple[QReal, QReal]] = {}
 
@@ -583,16 +560,12 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
     q = measure.q
     with ctx.workprec():
         a = measure.a
-        # Same factors and order as lattice_normalization, so z_quad is the
-        # value point() divides by and the Gram below can reuse it.
-        neg_a2 = qpochhammer_inf(-a * a, q, ctx)
-        euler = qpochhammer_inf(q, q, ctx)
-        z_quad = neg_a2 * qpochhammer_inf(-q / (a * a), q, ctx) * euler
-        z_lin = neg_a2 * qpochhammer_inf(-q / a, q, ctx) * euler
+        z_quad = lattice_normalization(a, q, ctx)
+        z_lin = (qpochhammer_inf(-a * a, q, ctx) * qpochhammer_inf(-q / a, q, ctx)
+                 * qpochhammer_inf(q, q, ctx))
         d0 = expected_diagonal(measure, 0, ctx)
         # Degree-0 Gram entry; point() divides by z_quad, so undo it.
-        held = _HeldNormalization(kind, q, a=a, z=z_quad)
-        report = gram_matrix(held.family(ctx), held, 0, ctx)
+        report = gram_matrix(measure.family(ctx), measure, 0, ctx)
         mass = report.gram[0][0] * z_quad
         r_quad = abs(mass / (z_quad * d0) - 1)
         r_lin = abs(mass / (z_lin * d0) - 1)

@@ -173,6 +173,26 @@ def test_verify_uncertifiable_is_exit_two(capsys):
     assert "error: TruncationFailure" in out
 
 
+def test_verify_accepts_q_token_for_a(capsys):
+    argv = ["verify", "--q", "0.7", "--only", "hermite-extremal-orthogonality",
+            "--output", "json"]
+    code, out, _ = run(capsys, *argv, "--a", "q")
+    assert code == 0
+    assert json.loads(out)[0]["grid"].endswith("a=0.7")
+    assert (code, out) == run(capsys, *argv, "--a", "0.7")[:2]
+
+
+@pytest.mark.parametrize("flag, token, message", [
+    ("--a", "0.7x", "a must be a decimal string or 'q' (got '0.7x')"),
+    ("--s", "abc", "s must be a decimal string (got 'abc')"),
+])
+def test_verify_bad_decimal_names_the_flag(capsys, flag, token, message):
+    code, out, err = run(capsys, "verify", "--only", "product-chain", flag, token)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 # -- sweep ----------------------------------------------------------------------
 
 

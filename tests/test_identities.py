@@ -157,21 +157,45 @@ def test_suite_passes_at_small_q(q):
     assert failed == []
 
 
-def test_half_to_full_lattice_forms_z_once(monkeypatch):
-    # Z(q) = (-q^2;q)_inf (-1/q;q)_inf (q;q)_inf once, shared by the
+def test_half_to_full_lattice_forms_z_once():
+    # Z(q) = (-q^2;q)_inf (-1/q;q)_inf (q;q)_inf, evaluated once for the
     # reference Gram and the lattice constant, plus the two products of the
     # closed-form mass (q^2;q^2)_inf / (q;q^2)_inf.
-    import qortho.identities
-    import qortho.measures
-    calls = []
-    for module in (qortho.identities, qortho.measures):
-        def counted(*args, _fn=module.qpochhammer_inf, **kwargs):
-            calls.append(args[0])
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, "qpochhammer_inf", counted)
+    from qortho.kernel import _qpochhammer_inf_memo
+    _qpochhammer_inf_memo.cache_clear()
     report = check_half_to_full_lattice(8, "0.7", CTX)
     assert report.passed
-    assert len(calls) == 5
+    assert _qpochhammer_inf_memo.cache_info().misses == 5
+
+
+@pytest.mark.parametrize("q, products", [("0.5", 11), ("0.7", 12), ("0.9", 11)])
+def test_suite_evaluates_each_product_once(q, products):
+    # Eleven distinct products: seven in the product chain, (s q^3;q^2)_inf
+    # of the base diagonals, and (-a^2;q)_inf, (-q/a^2;q)_inf, (-q/a;q)_inf
+    # for the extremal measures.  At q = 0.7 the lattice's -q/q^2 and the
+    # chain's -1/q round to different 256-bit values, so (-1/q;q)_inf is
+    # evaluated at both.
+    from qortho.kernel import _qpochhammer_inf_memo
+    _qpochhammer_inf_memo.cache_clear()
+    reports = run_suite(q, CTX)
+    assert all(r.passed for r in reports)
+    assert _qpochhammer_inf_memo.cache_info().misses == products
+
+
+def test_verify_json_is_the_same_with_a_warm_memo(capsys):
+    from qortho.cli import main
+    from qortho.kernel import _qpochhammer_inf_memo
+    argv = ["verify", "--q", "0.7", "--output", "json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    misses = _qpochhammer_inf_memo.cache_info().misses
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert _qpochhammer_inf_memo.cache_info().misses == misses
+    _qpochhammer_inf_memo.cache_clear()
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert warm == cold
 
 
 @pytest.mark.parametrize("N", [0, 1])

@@ -184,6 +184,37 @@ def test_qpochhammer_inf_truncation_failure():
         qpochhammer_inf("0.999", "0.999", tight)
 
 
+def test_qpochhammer_inf_memo_keeps_each_context_apart():
+    from qortho.kernel import _qpochhammer_inf_memo
+    contexts = [CTX, PrecisionContext.create(bits=512),
+                PrecisionContext.create(tol_exp=100)]
+    cold = []
+    for ctx in contexts:
+        _qpochhammer_inf_memo.cache_clear()
+        cold.append(qpochhammer_inf("0.3", "0.7", ctx))
+    _qpochhammer_inf_memo.cache_clear()
+    warm = [qpochhammer_inf("0.3", "0.7", ctx) for ctx in contexts]
+    warm += [qpochhammer_inf("0.3", "0.7", ctx) for ctx in contexts]
+    assert _qpochhammer_inf_memo.cache_info().misses == 3
+    assert warm == cold + cold
+    # The 512-bit value is its own, not the 256-bit one.
+    assert cold[1] != cold[0]
+    assert cold[1]._mpf_[3] > 256 >= cold[0]._mpf_[3]
+    with mpmath.workprec(512):
+        assert abs(cold[1] - cold[0]) < mpmath.mpf(2) ** -250
+
+
+def test_qpochhammer_inf_memo_keeps_no_failure():
+    from qortho.kernel import _qpochhammer_inf_memo
+    _qpochhammer_inf_memo.cache_clear()
+    tight = PrecisionContext.create(bits=128, tol_exp=200, max_terms=100)
+    for _ in range(2):
+        with pytest.raises(TruncationFailure, match="max_terms"):
+            qpochhammer_inf("0.999", "0.999", tight)
+    assert _qpochhammer_inf_memo.cache_info().misses == 2
+    assert _qpochhammer_inf_memo.cache_info().currsize == 0
+
+
 def test_hypergeometric_trivial_cases():
     assert basic_hypergeometric([0.5], [0.25], 0.5, 0, CTX) == 1
     assert basic_hypergeometric([1.0], [0.25], 0.5, 0.5, CTX,

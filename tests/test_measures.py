@@ -331,21 +331,14 @@ def test_gram_evaluates_each_lattice_point_once(monkeypatch, kind):
     assert len(calls) <= report.m_hi - report.m_lo + 3
 
 
-def test_adjudication_reuses_its_normalization_factors(monkeypatch):
+def test_adjudication_reuses_its_normalization_factors():
     # (-a^2;q)_inf, (q;q)_inf and the two candidate third factors; the
     # degree-0 Gram divides by the candidate already formed from them.
-    import qortho.measures
-    calls = []
-    product = qortho.measures.qpochhammer_inf
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return product(*args, **kwargs)
-
-    monkeypatch.setattr(qortho.measures, "qpochhammer_inf", counted)
+    from qortho.kernel import _qpochhammer_inf_memo
+    _qpochhammer_inf_memo.cache_clear()
     verdict = adjudicate_normalization(MeasureKind.DUAL_Q_EXTREMAL, "0.75", Q, CTX)
     assert verdict.winner == "(-q/a^2;q)_inf"
-    assert len(calls) == 4
+    assert _qpochhammer_inf_memo.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
