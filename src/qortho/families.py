@@ -23,7 +23,10 @@ Three families, all real-valued for 0 < q < 1:
                + q^{-2n-1}(1+q) D_n - q^{-2n}(1 - q^{2n}) D_{n-1}.
 
 Series and recurrence evaluators are deliberately independent code paths so
-each can serve as the other's cross-check.
+each can serve as the other's cross-check.  The h_n series reuses its
+phi-free row (-1)^k q^{k(k-n)} [n,k]_q, formed once per (n, q, precision) and
+memoised for the 32 most recently used rows, so a grid of phi values costs
+one row and one multiplication per term and phi.
 
 The recurrence evaluators are batched: qinv_hermite_tables and
 dual_ultra_tables form the node-independent recurrence coefficients once and
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 import mpmath
 from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
@@ -118,13 +122,26 @@ def _hermite_sum(n: int, q, factor) -> tuple[QReal, QReal]:
     """
     total = mpmath.mpf(0)
     tmax = mpmath.mpf(0)
-    binom = mpmath.mpf(1)
-    for k in range(n + 1):
-        term = (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
+    for k, c in enumerate(_hermite_coefficients(n, q, mpmath.mp.prec)):
+        term = c * factor(k)
         total += term
         tmax = max(tmax, abs(term))
-        binom *= (1 - q ** (n - k)) / (1 - q ** (k + 1))
     return total, tmax
+
+
+@functools.lru_cache(maxsize=32)
+def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[QReal, ...]:
+    """The phi-free factors (-1)^k q^{k(k-n)} [n,k]_q of _hermite_sum.
+
+    Runs at the ambient precision, which must be prec: prec is in the memo
+    key because the rounding of every factor depends on it.
+    """
+    coeffs = []
+    binom = mpmath.mpf(1)
+    for k in range(n + 1):
+        coeffs.append((-1) ** k * q ** (k * (k - n)) * binom)
+        binom *= (1 - q ** (n - k)) / (1 - q ** (k + 1))
+    return tuple(coeffs)
 
 
 def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:

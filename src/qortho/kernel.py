@@ -20,6 +20,14 @@ product to another.  The memo is bounded (the 256 most recently used
 products) and keeps no failure, so an uncertifiable product raises on
 every call.
 
+A finite product (a;q)_n is read from the prefix list (a;q)_0, ..., (a;q)_k
+of (a, q) at the context's bits, which is kept with the running a q^k and
+extended by the plain product loop's own steps, so every value is that
+loop's bit for bit and a run over nodes j = 1..M forms M factors, not M^2/2.
+The memo holds the 32 most recently used lists, each of at most 4096
+factors; an extension works on a list taken out of the memo, so a failure or
+interrupt part-way leaves no entry behind.
+
 Notation used throughout the package:
 
     (a;q)_n   = prod_{k=0}^{n-1} (1 - a q^k)          finite q-shifted factorial
@@ -30,6 +38,7 @@ The kernel is real-valued: complex arguments are out of scope.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 
@@ -135,18 +144,43 @@ def to_decimal(value, digits: int) -> str:
 
 
 def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), n >= 0."""
+    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), n >= 0.
+
+    Served from the prefix list of (a, q) at ctx.bits, which is extended
+    factor by factor in the order of the plain product loop, so the value is
+    that loop's to the last bit.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
     with ctx.workprec():
         a = mpmath.mpf(a)
         q = mpmath.mpf(q)
-        prod = mpmath.mpf(1)
-        aqk = a
-        for _ in range(n):
+        key = (a, q, ctx.bits)
+        # Taken out while it is extended, so an interrupted extension
+        # leaves no entry behind.
+        prods, aqk = _qpochhammer_prefixes.pop(key, None) or ([mpmath.mpf(1)], a)
+        prod = prods[-1]
+        for _ in range(len(prods) - 1, min(n, _PREFIX_MAX_FACTORS)):
+            prod *= 1 - aqk
+            aqk *= q
+            prods.append(prod)
+        _qpochhammer_prefixes[key] = prods, aqk
+        if len(_qpochhammer_prefixes) > _PREFIX_MEMO_SIZE:
+            _qpochhammer_prefixes.popitem(last=False)
+        if n < len(prods):
+            return prods[n]
+        for _ in range(len(prods) - 1, n):
             prod *= 1 - aqk
             aqk *= q
         return prod
+
+
+# (a, q, bits) -> ([(a;q)_0, ..., (a;q)_k], a q^k), least recently used
+# first.  A list stops growing at _PREFIX_MAX_FACTORS factors; longer
+# products continue from its end without being stored.
+_qpochhammer_prefixes: collections.OrderedDict = collections.OrderedDict()
+_PREFIX_MEMO_SIZE = 32
+_PREFIX_MAX_FACTORS = 4096
 
 
 def _head_length(a: QReal, q: QReal) -> int:

@@ -435,3 +435,62 @@ def test_batched_recurrences_edge_cases():
         dual_ultra_tables(2, [], 16, Q, CTX)
     with pytest.raises(DegenerateCoefficient, match="at n=1"):
         dual_ultra_coeff_rows(2, 16, Q, CTX)
+
+
+# -- the h series' coefficient row against the per-phi sum --------------------
+#
+# The oracle is the series sum that formed its q-binomial row anew for every
+# phi, kept verbatim, with the two public callers built on it as they were.
+
+
+def _oracle_hermite_sum(n, q, factor):
+    total = mpmath.mpf(0)
+    tmax = mpmath.mpf(0)
+    binom = mpmath.mpf(1)
+    for k in range(n + 1):
+        term = (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
+        total += term
+        tmax = max(tmax, abs(term))
+        binom *= (1 - q ** (n - k)) / (1 - q ** (k + 1))
+    return total, tmax
+
+
+def _oracle_hermite_series(n, phi, q, ctx, repasses):
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        phi = mpmath.mpf(phi)
+        e = mpmath.exp(phi)
+        total, tmax = _oracle_hermite_sum(n, q, lambda k: e ** (n - 2 * k))
+        noise = (n + 1) * tmax * mpmath.mpf(2) ** -ctx.bits
+        if noise > ctx.tol / 4 * max(mpmath.mpf(1), abs(total)):
+            repasses.append((n, phi))
+            need = int(mpmath.ceil(mpmath.log(4 * (n + 1) * tmax / ctx.tol, 2)))
+            with mpmath.mp.workprec(max(need, ctx.bits + 16)):
+                e = mpmath.exp(phi)
+                total, _ = _oracle_hermite_sum(n, q, lambda k: e ** (n - 2 * k))
+        return +total
+
+
+def _oracle_even_factor_at_zero(k, q, ctx):
+    q = as_qparam(q, ctx)
+    n = 2 * k + 1
+    with ctx.workprec():
+        return _oracle_hermite_sum(n, q, lambda j: n - 2 * j)[0]
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.2", "0.5", "0.9"])
+def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
+    from qortho.identities import DEFAULT_PHI_GRID
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    repasses = []
+    for n in range(31):
+        for phi in DEFAULT_PHI_GRID:
+            want = _oracle_hermite_series(n, phi, q_s, ctx, repasses)
+            assert qinv_hermite_series(n, phi, q_s, ctx)._mpf_ == want._mpf_
+    for k in range(15):
+        want = _oracle_even_factor_at_zero(k, q_s, ctx)
+        assert even_hermite_factor(k, 0, q_s, ctx)._mpf_ == want._mpf_
+    # The guard-bit re-pass is covered: odd degrees sum to 0 at phi = 0,
+    # from terms up to q^(-n^2/4), which stay small enough at q = 0.9.
+    assert ((29, 0) in repasses) == (q_s != "0.9")

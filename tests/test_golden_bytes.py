@@ -39,6 +39,17 @@ _WIDE = {
                            "--s", "1", "--N", "16"),
 }
 
+# Long finite-product prefixes: at q = 0.9 a base Gram at N = 24 asks for
+# products of up to 105 factors and verify for up to 72; the runs above ask
+# for at most 62.
+_LONG = {
+    "gram-base-even-N24": ("gram", "--measure", "dual-base", "--parity", "even",
+                           "--s", "1", "--N", "24"),
+    "gram-base-odd-N24": ("gram", "--measure", "dual-base", "--parity", "odd",
+                          "--s", "1", "--N", "24"),
+    "verify": _BASIC["verify"],
+}
+
 # One value per eval route: h by recurrence and by series, C, D by recurrence
 # and by grid series.
 _EVAL = {
@@ -89,6 +100,10 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
     "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
+)) + _runs(_LONG, "0.9", (
+    "d7999bde81ad9d2675b0608d744dce448c85a98b68c22f1c65ecbec8ade3868a",
+    "a96b5bc1f4a7051b3818bf650862d1aed7e36e06be534464b1f7d7160f226e1d",
+    "198dabb11b986683d6709814e4c4aa047f119febb633a9b2ec483266da6ae5a6",
 ))
 
 

@@ -102,6 +102,98 @@ def test_qpochhammer_matches_mpmath(a, q, n):
         assert rel(mine, other) < mpmath.mpf(2) ** -240
 
 
+# -- the finite-product memo against the plain loop --------------------------
+#
+# The oracle is the factor loop qpochhammer ran before its prefixes were
+# memoised, kept verbatim: every value must equal it bit for bit.
+
+
+def _oracle_qpochhammer(a, q, n, ctx):
+    with ctx.workprec():
+        a = mpmath.mpf(a)
+        q = mpmath.mpf(q)
+        prod = mpmath.mpf(1)
+        aqk = a
+        for _ in range(n):
+            prod *= 1 - aqk
+            aqk *= q
+        return prod
+
+
+# a = 8 = q^-3 at q = 1/2 makes factor 3 exactly zero.
+PREFIX_CASES = [("0.3", "0.7"), ("0", "0.5"), ("-0.9", "0.9"), ("8", "0.5"),
+                ("1.7", "0.95")]
+ORDERS = {
+    "increasing": list(range(41)),
+    "decreasing": list(range(40, -1, -1)),
+    "interleaved": [17, 3, 29, 0, 40, 11, 1, 38, 17, 5, 24, 2, 33, 9],
+}
+
+
+@pytest.fixture
+def prefixes():
+    from qortho.kernel import _qpochhammer_prefixes
+    _qpochhammer_prefixes.clear()
+    yield _qpochhammer_prefixes
+    _qpochhammer_prefixes.clear()
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("a_s,q_s", PREFIX_CASES)
+def test_qpochhammer_memo_matches_plain_loop(prefixes, a_s, q_s, order):
+    contexts = [CTX, PrecisionContext.create(bits=1024, tol_exp=800)]
+    for n in ORDERS[order]:
+        for ctx in contexts:
+            want = _oracle_qpochhammer(a_s, q_s, n, ctx)
+            assert qpochhammer(a_s, q_s, n, ctx)._mpf_ == want._mpf_
+    # One prefix list per precision, each as long as the longest request.
+    assert len(prefixes) == 2
+    assert sorted(key[2] for key in prefixes) == [256, 1024]
+    assert all(len(prods) == 41 for prods, _ in prefixes.values())
+
+
+def test_qpochhammer_memo_is_bounded(prefixes):
+    from qortho.kernel import _PREFIX_MEMO_SIZE
+    with CTX.workprec():
+        a_values = [mpmath.mpf(i) / 64 for i in range(2 * _PREFIX_MEMO_SIZE)]
+    for i, a in enumerate(a_values):
+        assert qpochhammer(a, "0.5", 10, CTX)._mpf_ == _oracle_qpochhammer(a, "0.5", 10, CTX)._mpf_
+        assert len(prefixes) == min(i + 1, _PREFIX_MEMO_SIZE)
+    # The least recently used lists were dropped.
+    assert [key[0] for key in prefixes] == a_values[_PREFIX_MEMO_SIZE:]
+    qpochhammer(a_values[_PREFIX_MEMO_SIZE], "0.5", 3, CTX)
+    assert next(reversed(prefixes))[0] == a_values[_PREFIX_MEMO_SIZE]
+
+
+def test_qpochhammer_memo_stores_no_long_list(prefixes, monkeypatch):
+    from qortho import kernel
+    monkeypatch.setattr(kernel, "_PREFIX_MAX_FACTORS", 8)
+    for n in (20, 5, 8, 9, 30):
+        assert qpochhammer("0.3", "0.7", n, CTX)._mpf_ == _oracle_qpochhammer("0.3", "0.7", n, CTX)._mpf_
+    (prods, _), = prefixes.values()
+    assert len(prods) == 9
+
+
+def test_qpochhammer_memo_keeps_no_partial_list(prefixes, monkeypatch):
+    qpochhammer("0.3", "0.7", 5, CTX)
+    rsub = mpmath.mpf.__rsub__
+    calls = []
+
+    def interrupted(self, other):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return rsub(self, other)
+
+    monkeypatch.setattr(mpmath.mpf, "__rsub__", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        qpochhammer("0.3", "0.7", 20, CTX)
+    monkeypatch.undo()
+    assert len(prefixes) == 0
+    for n in (20, 4, 7):
+        assert qpochhammer("0.3", "0.7", n, CTX)._mpf_ == _oracle_qpochhammer("0.3", "0.7", n, CTX)._mpf_
+
+
 def test_qpochhammer_inf_trivial_and_frozen():
     assert qpochhammer_inf(0, 0.5, CTX) == 1
     # The factor 1 - 2 * 0.5 vanishes exactly.

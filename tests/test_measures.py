@@ -1,4 +1,5 @@
 """Discrete measures, Gram matrices, and the normalization adjudication."""
+import collections
 import json
 
 import mpmath
@@ -178,6 +179,49 @@ def test_gram_window_and_node_distinctness():
     base_report = gram_matrix(dual_family(dual_base(1, Q, "even", CTX)),
                               dual_base(1, Q, "even", CTX), 3, CTX)
     assert base_report.m_lo == 0
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
+    """Each (1 - a q^k) factor is multiplied once per (a, q, bits), not once
+    per node or degree that asks for a product."""
+    from qortho import kernel, measures
+    kernel._qpochhammer_prefixes.clear()
+    measure = dual_base(1, "0.9", parity, CTX)
+    factors = collections.Counter()  # (a, q, bits) -> factors multiplied
+    longest = collections.Counter()  # (a, q, bits) -> longest product asked
+    asked = []                       # every n asked: the plain loop's cost
+    current = []
+    rsub = mpmath.mpf.__rsub__
+
+    def counting_rsub(self, other):
+        if current:
+            factors[current[-1]] += 1
+        return rsub(self, other)
+
+    def recording(a, q, n, ctx):
+        with ctx.workprec():
+            key = (mpmath.mpf(a), mpmath.mpf(q), ctx.bits)
+        longest[key] = max(longest[key], n)
+        asked.append(n)
+        current.append(key)
+        try:
+            return kernel.qpochhammer(a, q, n, ctx)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(mpmath.mpf, "__rsub__", counting_rsub)
+    monkeypatch.setattr(measures, "qpochhammer", recording)
+    gram_matrix(dual_family(measure), measure, 8, CTX)
+    monkeypatch.undo()
+    # (s q^2; q) and (q; q) for the weights; (q^2; q^2) serves both
+    # diagonal products at s = 1.
+    assert len(longest) == 3
+    assert {key: factors[key] for key in longest} == dict(longest)
+    assert max(longest.values()) >= 40
+    assert sum(asked) > 10 * sum(longest.values())
+    for key, (prods, _) in kernel._qpochhammer_prefixes.items():
+        assert len(prods) == longest[key] + 1
 
 
 def test_node_hash_separates_a_values():
