@@ -30,9 +30,9 @@ from .families import (dual_ultra_tables, qinv_hermite_coeffs, qinv_hermite_seri
                        qinv_hermite_tables)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      qpochhammer, qpochhammer_inf, to_decimal)
-from .measures import (MeasureKind, adjudicate_normalization, dual_base,
-                       dual_q_extremal, dual_qinv_extremal, gram_matrix,
-                       hermite_extremal)
+from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
+                       dual_base, dual_q_extremal, dual_qinv_extremal,
+                       gram_matrix, hermite_extremal)
 
 DEFAULT_PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
 
@@ -124,16 +124,15 @@ def check_odd_connection(k_max: int, phi_grid, q,
     return _check_connection("odd-connection", 1, k_max, phi_grid, q, ctx)
 
 
-def _chain_residual(parity: int, mu, v, k_max: int, q, mid) -> QReal:
-    """Worst residual of mu v_n = q^p v_{n+1} + mid(n) v_n
-    + q^{-4n+1-p} (1-q^{2n}) (1-q^{2n-1+2p}) v_{n-1} over n <= k_max."""
+def _chain_residual(parity: int, mu, v, k_max: int, q, mid, low) -> QReal:
+    """Worst residual of mu v_n = q^p v_{n+1} + mid[n] v_n + low[n] v_{n-1}
+    over n <= k_max, where low[n] = q^{-4n+1-p} (1-q^{2n}) (1-q^{2n-1+2p})."""
     worst = mpmath.mpf(0)
     for n in range(k_max + 1):
         lhs = mu * v[n]
-        rhs = (v[n + 1] if parity == 0 else q * v[n + 1]) + mid(n) * v[n]
+        rhs = (v[n + 1] if parity == 0 else q * v[n + 1]) + mid[n] * v[n]
         if n >= 1:
-            rhs += (q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
-                    * (1 - q ** (2 * n - 1 + 2 * parity)) * v[n - 1])
+            rhs += low[n] * v[n - 1]
         worst = max(worst, _relative(lhs, rhs))
     return worst
 
@@ -159,16 +158,22 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
                                        q, ctx)
         worst = {"even-hermite": mpmath.mpf(0), "even-dual": mpmath.mpf(0),
                  "odd-hermite": mpmath.mpf(0), "odd-dual": mpmath.mpf(0)}
+        # The phi-free coefficients, formed once: mid[n] of each side, and
+        # low[n] of each parity (low[0] is never read).
+        mid_hermite = [q ** (-2 * k) * (1 + 1 / q) for k in range(k_max + 1)]
+        mid_dual = [q ** (-2 * n - 1) * (1 + q) for n in range(k_max + 1)]
         for parity, side in enumerate(("even", "odd")):
+            low = [None] + [q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
+                            * (1 - q ** (2 * n - 1 + 2 * parity))
+                            for n in range(1, k_max + 1)]
             s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
             d_tables = dual_ultra_tables(k_max + 1, mus, s, q, ctx)
             for mu, hs, dvals in zip(mus, h_tables, d_tables):
                 res = _chain_residual(parity, mu, hs[parity::2], k_max, q,
-                                      lambda k: q ** (-2 * k) * (1 + 1 / q))
+                                      mid_hermite, low)
                 worst[side + "-hermite"] = max(worst[side + "-hermite"], res)
                 t = [c_n * d for c_n, d in zip(c, dvals)]
-                res = _chain_residual(parity, mu, t, k_max, q,
-                                      lambda n: q ** (-2 * n - 1) * (1 + q))
+                res = _chain_residual(parity, mu, t, k_max, q, mid_dual, low)
                 worst[side + "-dual"] = max(worst[side + "-dual"], res)
 
         digits = ctx.digits
@@ -197,7 +202,9 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
         neg_q = qpochhammer_inf(-q, q, ctx)
         neg_one = qpochhammer_inf(mpmath.mpf(-1), q, ctx)
         neg_q2 = qpochhammer_inf(-q2, q, ctx)
-        neg_qinv = qpochhammer_inf(-1 / q, q, ctx)
+        # -q/q^2, not -1/q: it is the argument lattice_normalization forms
+        # at a = q, so the two share one memoised product.
+        neg_qinv = qpochhammer_inf(-q / q2, q, ctx)
 
         squared_form = neg_q ** 2 * euler
         halved_form = neg_one * neg_q * euler / 2
@@ -308,10 +315,14 @@ def check_half_to_full_lattice(N: int, q,
         odd_pts = [base_odd.point(j, ctx) for j in range(J)]
         even_tabs = dual_ultra_tables(n_even, [x for x, _ in even_pts], s_even, q, ctx)
         odd_tabs = (dual_ultra_tables(n_odd, [x for x, _ in odd_pts], s_odd, q, ctx)
-                    if n_odd >= 0 else [])
+                    if n_odd >= 0 else [[]] * J)
 
-        values: list[list[QReal]] = []
-        lattice_w: list[QReal] = []
+        # The lattice sums run over j >= 0 with weights u_0, 2 u_1, ..., 2 u_J,
+        # which is 2 w_j for base_even's weight w_j, one pair-sum call per
+        # parity.  The odd h vanish at xhat_0 = 0.
+        lattice_w = [2 * w for _, w in even_pts]
+        even_rows = [[c * t for c, t in zip(sign_even, tab)] for tab in even_tabs]
+        odd_rows = [[mpmath.mpf(0)] * (n_odd + 1)]
         node_resid = mpmath.mpf(0)
         weight_resid = mpmath.mpf(0)
         for j in range(J + 1):
@@ -319,19 +330,15 @@ def check_half_to_full_lattice(N: int, q,
             node_e, w_e = even_pts[j]
             node_resid = max(node_resid,
                              _relative(node_e, 4 * xhat * xhat + 2))
-            row = [mpmath.mpf(0)] * (N + 1)
-            for n in range(n_even + 1):
-                row[2 * n] = sign_even[n] * even_tabs[j][n]
-            u = w_e * (2 if j == 0 else 1)
             if j >= 1:
                 node_o, w_o = odd_pts[j - 1]
                 node_resid = max(node_resid, _relative(node_o, q * node_e))
-                for n in range(n_odd + 1):
-                    row[2 * n + 1] = sign_odd[n] * 2 * xhat * odd_tabs[j - 1][n]
+                odd_rows.append([c * 2 * xhat * t
+                                 for c, t in zip(sign_odd, odd_tabs[j - 1])])
                 w_folded = w_o * (1 - q) * (1 - q * q) / (q * 4 * xhat * xhat)
-                weight_resid = max(weight_resid, _relative(u, w_folded))
-            values.append(row)
-            lattice_w.append(u)
+                weight_resid = max(weight_resid, _relative(w_e, w_folded))
+        sums = (_pair_sums(lattice_w, even_rows, n_even),
+                _pair_sums(lattice_w, odd_rows, n_odd))
 
         entry_worst = mpmath.mpf(0)
         cross_worst = mpmath.mpf(0)
@@ -340,10 +347,9 @@ def check_half_to_full_lattice(N: int, q,
                 / qpochhammer_inf(q, q * q, ctx))
         for i in range(N + 1):
             for ip in range(i, N + 1):
-                total = lattice_w[0] * values[0][i] * values[0][ip]
-                if (i + ip) % 2 == 0:
-                    for j in range(1, J + 1):
-                        total += 2 * lattice_w[j] * values[j][i] * values[j][ip]
+                # The lattice sum of a cross-parity pair is exactly 0.
+                total = (mpmath.mpf(0) if (i + ip) % 2 == 1
+                         else sums[i % 2][i // 2][ip // 2])
                 ref_entry = scale_const * ref.gram[i][ip]
                 d_i = scale_const * ref.expected_diag[i]
                 d_ip = scale_const * ref.expected_diag[ip]

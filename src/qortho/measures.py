@@ -37,14 +37,17 @@ d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The window
 scan and the assembly share their (node, weight) values, so each lattice
 point is evaluated once.
 
-Assembly does each multiply-add once, in the order of the plain mpf
-expression sum_m (w_m P_n(x_m)) P_n'(x_m): the family's values at all window
-nodes come from one batched recurrence, the weighted table w_m P_n(x_m) is
-formed once per (m, n) and reused by every pair (n, n'), and the majorant's
-coefficient rows come from one recurrence pass.  The pair sums and the
-majorant run on mpmath's raw mpf tuples with the same mpf_mul / mpf_add calls
-at the working precision that mpf's operators make, so the bytes are those
-of the mpf expression.
+Assembly forms each quantity once: the family's values at all window nodes
+come from one batched recurrence, and the majorant's coefficient rows from
+one recurrence pass.  Each entry G_nn' = sum_m w_m P_n(x_m) P_n'(x_m) over
+the M window nodes is an exact integer dot product of fixed-point columns,
+rounded once to the working precision prec (_pair_sums).  Every diagonal
+term w_m P_n(x_m)^2 is >= 0, so by Cauchy-Schwarz the rounding of an entry
+is within (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))) sqrt(G_nn G_n'n'), on
+the scale the checks divide by, and it does not depend on the order of the
+nodes.  The majorant runs on mpmath's raw mpf tuples with the same
+mpf_mul / mpf_add calls at the working precision that mpf's operators make,
+so its value is that of the mpf expression.
 """
 from __future__ import annotations
 
@@ -53,10 +56,12 @@ import enum
 import hashlib
 import json
 import math
+import operator
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_gt, mpf_mul, round_nearest)
 
 from .families import (FamilyKind, FamilySpec, check_dual_s,
                        dual_ultra_coeff_rows, dual_ultra_tables,
@@ -387,27 +392,73 @@ def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
     return amax
 
 
+# Bits kept below the working precision in each fixed-point column, on top
+# of bitlen(M) for the M terms of a sum.
+_PAIR_GUARD = 16
+
+
+def _fixed_point(column: list[tuple[int, int, int]], bits: int) -> tuple[list[int], int]:
+    """Integers F and e with F[i] * 2^e = (-1)^sign man 2^exp of column[i],
+    each rounded to nearest once (ties away from zero), with e set so the
+    largest |F[i]| has `bits` bits.  An all-zero column gives zeros, e = 0."""
+    top = max((exp + man.bit_length() for _, man, exp in column if man), default=None)
+    if top is None:
+        return [0] * len(column), 0
+    low = top - bits
+    ints = []
+    for sign, man, exp in column:
+        v = man << (exp - low) if exp >= low else ((man >> (low - exp - 1)) + 1) >> 1
+        ints.append(-v if sign else v)
+    return ints, low
+
+
 def _pair_sums(weights: list[QReal], tables: list[list[QReal]],
                N: int) -> list[list[QReal]]:
-    """gram[n][n'] = sum_i weights[i] * tables[i][n] * tables[i][n'], ascending i.
+    """gram[n][n'] = sum_i weights[i] * tables[i][n] * tables[i][n'], each
+    entry an exact integer dot product rounded once to the working precision.
 
-    Runs at the caller's working precision, on raw mpf values, with the
-    products (w_i t_n) t_n' and the running sum in the order the mpf
-    expression evaluates them.  w_i t_n is formed once per (i, n).
+    Weights and values must be finite and the weights nonnegative, else
+    ValueError; zero weights are skipped.  Node i's weight is split by the
+    exact power 2^k_i, k_i half of w_i's binary exponent:
+    a_n[i] = w_i t_n 2^-k_i (the exact product of the two mantissas) and
+    b_n[i] = t_n 2^k_i, so a_n b_n' = w_i t_n t_n' exactly and
+    |a_n|, |b_n| <= sqrt(2 G_nn).  Each column of a (and of b) gets one
+    fixed-point scale that keeps prec + guard bits in its largest value,
+    guard = 16 + bitlen(M) for the M nonzero weights, and each value is
+    rounded to an integer once.  The integer sums are exact, so the result
+    does not depend on the order of the nodes.  By Cauchy-Schwarz the integer sum is within
+    4 (M+1) 2^-(prec+guard) sqrt(G_nn G_n'n') of the exact sum G_nn' of the
+    given values, and with the final rounding each entry is within
+    (2^-prec + 5 (M+1) 2^-(prec+guard)) sqrt(G_nn G_n'n').  Entry (n', n)
+    is the mirror of (n, n') for n < n'.
     """
-    prec, rnd = mpmath.mp.prec, round_nearest
-    cols = [[row[n]._mpf_ for row in tables] for n in range(N + 1)]
-    weighted = [[mpf_mul(w._mpf_, t, prec, rnd) for w, t in zip(weights, col)]
-                for col in cols]
+    prec = mpmath.mp.prec
+    rows = [(w._mpf_, row) for w, row in zip(weights, tables) if w]
+    nonfinite = {finf, fninf, fnan}
+    if any(w[0] or w in nonfinite for w, _ in rows):
+        raise ValueError("pair sums need finite nonnegative weights")
+    bits = prec + _PAIR_GUARD + len(rows).bit_length()
+    splits = [(wman, wexp, (wexp + wbc) >> 1) for (_, wman, wexp, wbc), _ in rows]
+    a_cols, b_cols = [], []
+    for n in range(N + 1):
+        col = [row[n]._mpf_ for _, row in rows]
+        if not nonfinite.isdisjoint(col):
+            raise ValueError("pair sums need finite values")
+        a_cols.append(_fixed_point(
+            [(sign, wman * man, wexp + exp - k)
+             for (wman, wexp, k), (sign, man, exp, _) in zip(splits, col)], bits))
+        b_cols.append(_fixed_point(
+            [(sign, man, exp + k)
+             for (_, _, k), (sign, man, exp, _) in zip(splits, col)], bits))
     make = mpmath.mp.make_mpf
     gram = [[None] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
-        wcol = weighted[n]
+        a, a_exp = a_cols[n]
         for np_ in range(n, N + 1):
-            total = fzero
-            for wt, t in zip(wcol, cols[np_]):
-                total = mpf_add(total, mpf_mul(wt, t, prec, rnd), prec, rnd)
-            gram[n][np_] = gram[np_][n] = make(total)
+            b, b_exp = b_cols[np_]
+            total = sum(map(operator.mul, a, b))
+            gram[n][np_] = gram[np_][n] = make(
+                from_man_exp(total, a_exp + b_exp, prec, round_nearest))
     return gram
 
 
@@ -452,10 +503,11 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> GramReport:
     """Gram matrix of the family under the measure, degrees 0..N.
 
-    The lattice window carries a certified bound on the omitted tail; the
-    summation order within each (n, n') pair is fixed ascending m, so the
-    result is reproducible bit for bit.  Assembly runs on one thread: a
-    thread pool over this GIL-bound loop was measured slower.
+    The lattice window carries a certified bound on the omitted tail.  Each
+    entry is an exact integer sum over the window rounded once (see
+    _pair_sums), so the result is reproducible bit for bit whatever the
+    order of the nodes.  Assembly runs on one thread: a thread pool over
+    the GIL-bound Gram loops was measured slower.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")

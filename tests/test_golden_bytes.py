@@ -69,31 +69,31 @@ def _runs(argvs, q, digests):
 
 
 GOLDEN = _runs(_BASIC, "0.5", (
-    "b21375a2e7ebac5f1fca668aecf3b224f9750ba37c677a90e1be771430e88904",
-    "c0033b3c17c74e6ae3d306ede8e9cd55dc47cfe03ae4a5912bc754b9897f0fa3",
-    "7b253064b5d9e53f597cb78573d85eff4d683950793c65a2da0c347a860d6f5c",
-    "736a18835cb84e37992c139e3a49a16d182240b8e64dd7565a9780b9405655b7",
-    "5840d754574209f4861bcf2d715d21c429bd07000411125cdfeeefb20b3e03e1",
-    "7efdee2110dcbe8ee239d2e378d067112192631d5539e0977a381ce9c5a1b266",
-    "c47e8575b3a35aa829ac586da8a0a1045512f5e93773649dec29d66ab64bdd80",
+    "0d1fde92351e9104fabe2d0258c692c5afc243d4016e748f8d83b2a3713b4e83",
+    "c0fd1b63cbda1baa04f196524aafb678b3394de4de962611dbfd33a848ccdb73",
+    "44d40e5d6e5f7f9fb5600a4ea9013b10817df4ebeb5379ee37ae6f94dc9fad23",
+    "cbad1af90bd74a64f83f018d13d887a92f96726470c87b36f9707032038722ac",
+    "d37cca6adce608be519e28cfe8307998248d941da54f03fde7395e703d19ee78",
+    "f8ad261412f5c959686eda58353136581bd7ed97212ca18f6cdd4ebd8d7e6af5",
+    "d6a026e95c19c2bbe466a782659e8ffc2056748e57c1862a3734b1a5b874a871",
 )) + _runs(_BASIC, "0.7", (
-    "507dc9bb9e8ae5adc7a998826a8585456de5fae2a96cb9fe12d1b182da5c6111",
-    "7488c9a3f9ed6b3dda85f80c3cdba3ca15b6b941d7c6cacce0644eba23d4d116",
-    "2018aa4d8ff15118f7808227ee5971ab32f56f384271a60b1f86f104d4218fb2",
-    "bec85feb5558013da15eddd94eac96e49a5f2d880f3b28e9786e107d3c9620ef",
-    "387b876f50d48dca4c96749a4dd11347f86e3e82e00ac74961c9877ea0148b5f",
-    "0c83db4571196b500439286633541451f96a8ff85ce4b1f592342ebf43702636",
-    "e84dbd44503ded7f788ec839efb9a8251da297b457ef932025ab04e7e551ade4",
+    "d3cea245db4bfe7a84281b14e5b0057872159d62f5ea050369a440bc508c6c3f",
+    "d12010185fac71c0dad5bc5f7871735c30f5beead2ea3b3bb688fe63a99f99d5",
+    "c67a56c1746e8dbf7b6f1f838a488131ab770317b380bf0fe055f8450a26ff9e",
+    "edda47eac9444e1d28e42fab62d00f41af43225ac32e7450d3e4fbae41e91c1f",
+    "63e3707ec0d82392464bff4cfc055b2735c550e7bf58cfaac9317c0725616b8d",
+    "d6a6eb1aba19a481a5405a4f7bd40095dce752254594ec0569c7ce35c3e25e73",
+    "5e27d0c3e0fe18e9e51825f6ce12372d4f68fc5a8e7cbaf0bdbfbbdb2a2dcae2",
 )) + _runs(_WIDE, "0.5", (
-    "0d6f86346f1d91a5f645a861cd530e408f7d2f8412cd373fc8a17c0a13f0a0e5",
-    "74e88cb772e51aa8d44b5b7530f4a12b7354d9d4c31c15b4e93a1230b8507bca",
-    "cd1e22ada92fd7e43d75c70dc1e31dd801ad14b399269cf77b45e7de744dd40b",
-    "6d95395d8c69463a3574add9154175e8cfe4c89d86b53d0a839c74c702b7d4a9",
+    "29f78f8cd35da4624f0b1826a10156ee277ba607457ce5502c7b390d3e720da6",
+    "410f7a06b8d98974e121e43908edc3c8ae47b307fdc533d7b82474ba86bbdace",
+    "fae43c8bf8377e7c892b11d308a015cf534a026dbe717827430789361d7b8658",
+    "067d5ea7937a4422abd219802d3b61f04894cedb86f182acca330a0035a36331",
 )) + _runs(_WIDE, "0.7", (
-    "41473295a58cf4a77026a6f61c156074abfed4a8264dfa99e1ad719b1b8b42ff",
-    "263f1afb7d1597f3d3e2029761f5c00f28185b4732a0a040d6060da746a22224",
-    "1785e55803805439ce7904deb1eb1926d1762ae4a76f7a38c177b678ecd10a12",
-    "9d047d1d9ba1c73acd665632684d040d92c12d328f7b8b641a503813163d692f",
+    "e9093cc16977d582861cee5dbee3ed4caed27d89496b4112079c4c31f812ed6e",
+    "fddbf682f388aaa547883fad3e018d47e43057f9dcf064c051fded3369954f68",
+    "4ac2778b64083dfc83152c63e03ac80e77715cf9ac58670cbd4991089a1ee9d6",
+    "b10d8e5312485fb69636811a9626fcdcbbf597d02d884ab42b8dccd6cf7ca275",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -101,9 +101,9 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "d7999bde81ad9d2675b0608d744dce448c85a98b68c22f1c65ecbec8ade3868a",
-    "a96b5bc1f4a7051b3818bf650862d1aed7e36e06be534464b1f7d7160f226e1d",
-    "198dabb11b986683d6709814e4c4aa047f119febb633a9b2ec483266da6ae5a6",
+    "bc62860f67b54cb71e705ae313b416db4c42a00c56442323f0cdffb6e17023c6",
+    "1a7cf84ee445e315c0db1f770d95936d75970d2b3444a8ea8dd383e1e2642094",
+    "f80877b27dc52e4f68403d945678ae69c632603250e668b4cc4fb26a3b9302ff",
 ))
 
 

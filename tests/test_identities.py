@@ -7,8 +7,8 @@ import pytest
 from qortho import (SUITE_IDS, FamilyKind, FamilySpec, PrecisionContext,
                     check_even_connection, check_half_to_full_lattice,
                     check_odd_connection, check_product_chain,
-                    dual_qinv_extremal, gram_matrix, hermite_extremal,
-                    qpochhammer, run_suite)
+                    check_recurrence_chains, dual_qinv_extremal, gram_matrix,
+                    hermite_extremal, qpochhammer, run_suite, to_decimal)
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -168,13 +168,13 @@ def test_half_to_full_lattice_forms_z_once():
     assert _qpochhammer_inf_memo.cache_info().misses == 5
 
 
-@pytest.mark.parametrize("q, products", [("0.5", 11), ("0.7", 12), ("0.9", 11)])
+@pytest.mark.parametrize("q, products", [("0.5", 11), ("0.7", 11), ("0.9", 11)])
 def test_suite_evaluates_each_product_once(q, products):
     # Eleven distinct products: seven in the product chain, (s q^3;q^2)_inf
     # of the base diagonals, and (-a^2;q)_inf, (-q/a^2;q)_inf, (-q/a;q)_inf
-    # for the extremal measures.  At q = 0.7 the lattice's -q/q^2 and the
-    # chain's -1/q round to different 256-bit values, so (-1/q;q)_inf is
-    # evaluated at both.
+    # for the extremal measures.  The chain forms (-1/q;q)_inf from -q/q^2,
+    # as the lattice normalization does at a = q; at q = 0.7, -1/q rounds
+    # to another 256-bit value and would be a twelfth product.
     from qortho.kernel import _qpochhammer_inf_memo
     _qpochhammer_inf_memo.cache_clear()
     reports = run_suite(q, CTX)
@@ -202,3 +202,49 @@ def test_verify_json_is_the_same_with_a_warm_memo(capsys):
 def test_half_to_full_lattice_small_degrees(N):
     report = check_half_to_full_lattice(N, "0.7", CTX)
     assert report.passed, report.details
+
+
+def _per_phi_chain_worst(k_max, q, ctx):
+    """check_recurrence_chains's residuals with every phi-free coefficient
+    formed afresh at each phi, as the check once did."""
+    from qortho.families import dual_ultra_tables, qinv_hermite_tables
+    from qortho.identities import DEFAULT_PHI_GRID, _connection, _relative
+
+    def chain(parity, mu, v, mid):
+        worst = mpmath.mpf(0)
+        for n in range(k_max + 1):
+            lhs = mu * v[n]
+            rhs = (v[n + 1] if parity == 0 else q * v[n + 1]) + mid(n) * v[n]
+            if n >= 1:
+                rhs += (q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
+                        * (1 - q ** (2 * n - 1 + 2 * parity)) * v[n - 1])
+            worst = max(worst, _relative(lhs, rhs))
+        return worst
+
+    with ctx.workprec():
+        q = mpmath.mpf(q)
+        phis = [mpmath.mpf(p) for p in DEFAULT_PHI_GRID]
+        ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
+        h_tables = qinv_hermite_tables(2 * k_max + 3, [mpmath.sinh(phi) for phi in phis],
+                                       q, ctx)
+        worst = {}
+        for parity, side in enumerate(("even", "odd")):
+            s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
+            d_tables = dual_ultra_tables(k_max + 1, mus, s, q, ctx)
+            worst[side + "-hermite"] = worst[side + "-dual"] = mpmath.mpf(0)
+            for mu, hs, dvals in zip(mus, h_tables, d_tables):
+                worst[side + "-hermite"] = max(worst[side + "-hermite"], chain(
+                    parity, mu, hs[parity::2], lambda k: q ** (-2 * k) * (1 + 1 / q)))
+                t = [c_n * d for c_n, d in zip(c, dvals)]
+                worst[side + "-dual"] = max(worst[side + "-dual"], chain(
+                    parity, mu, t, lambda n: q ** (-2 * n - 1) * (1 + q)))
+        return worst
+
+
+@pytest.mark.parametrize("q", ["0.3", "0.5", "0.7", "0.9"])
+def test_recurrence_chains_match_the_per_phi_coefficients_bit_for_bit(q):
+    report = check_recurrence_chains(6, None, q, CTX)
+    worst = _per_phi_chain_worst(6, q, CTX)
+    assert report.max_residual == max(worst.values())
+    assert report.details == {name: to_decimal(value, CTX.digits)
+                              for name, value in worst.items()}

@@ -1,6 +1,7 @@
 """Discrete measures, Gram matrices, and the normalization adjudication."""
 import collections
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -222,6 +223,91 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
     assert sum(asked) > 10 * sum(longest.values())
     for key, (prods, _) in kernel._qpochhammer_prefixes.items():
         assert len(prods) == longest[key] + 1
+
+
+def _exact(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -value if sign else value
+
+
+def _pair_inputs(monkeypatch, measure, N, ctx):
+    """The (weights, tables, N) a Gram of the measure hands to _pair_sums."""
+    from qortho import measures
+    seen = []
+    pair_sums = measures._pair_sums
+
+    def recording(weights, tables, n):
+        seen.append((weights, tables, n))
+        return pair_sums(weights, tables, n)
+
+    monkeypatch.setattr(measures, "_pair_sums", recording)
+    gram_matrix(measure.family(ctx), measure, N, ctx)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+_PAIR_MEASURES = {
+    "hermite_extremal": lambda ctx: hermite_extremal("0.8", "0.7", ctx),
+    "dual_qinv_extremal": lambda ctx: dual_qinv_extremal("0.8", "0.7", ctx),
+    # At a = q the weight at m = -1 is exactly 0.
+    "dual_q_extremal": lambda ctx: dual_q_extremal("0.7", "0.7", ctx),
+    "dual_base_even": lambda ctx: dual_base(1, "0.7", "even", ctx),
+    "dual_base_odd": lambda ctx: dual_base(1, "0.7", "odd", ctx),
+}
+
+
+@pytest.mark.parametrize("bits, tol_exp", [(256, 200), (1024, 800)])
+@pytest.mark.parametrize("kind", sorted(_PAIR_MEASURES))
+def test_pair_sums_are_within_their_bound_of_the_exact_sum(monkeypatch, kind,
+                                                           bits, tol_exp):
+    # Every entry against the exact rational sum of the same inputs, on the
+    # sqrt(G_nn G_n'n') scale: (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))).
+    from qortho.measures import _pair_sums
+    ctx = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
+    weights, tables, N = _pair_inputs(monkeypatch, _PAIR_MEASURES[kind](ctx), 6, ctx)
+    # An identically zero column and a negated one ride along.
+    tables = [list(row[:N + 1]) + [mpmath.mpf(0), -row[1]] for row in tables]
+    with ctx.workprec():
+        gram = _pair_sums(weights, tables, N + 2)
+    w = [_exact(v) for v in weights]
+    t = [[_exact(v) for v in row] for row in tables]
+    if kind == "dual_q_extremal":
+        assert w.count(0) == 1
+    assert all(v >= 0 for v in w)
+    assert any(row[N + 2] < 0 for row in t)
+    M = sum(1 for v in w if v)
+    bound = (Fraction(1, 1 << bits)
+             + Fraction(5 * (M + 1), 1 << (bits + 16 + M.bit_length())))
+    size = N + 3
+    exact = [[sum(wi * row[n] * row[k] for wi, row in zip(w, t)) for k in range(size)]
+             for n in range(size)]
+    for n in range(size):
+        for k in range(size):
+            err = _exact(gram[n][k]) - exact[n][k]
+            assert err * err <= bound * bound * exact[n][n] * exact[k][k], (n, k)
+    assert all(v == 0 for v in gram[N + 1]) and exact[N + 1][N + 1] == 0
+
+
+def test_pair_sums_do_not_depend_on_node_order(monkeypatch):
+    from qortho.measures import _pair_sums
+    weights, tables, N = _pair_inputs(monkeypatch, hermite_extremal("0.8", Q, CTX), 8, CTX)
+    with CTX.workprec():
+        forward = _pair_sums(weights, tables, N)
+        backward = _pair_sums(weights[::-1], tables[::-1], N)
+    assert forward == backward
+
+
+def test_pair_sums_refuse_what_their_bound_does_not_cover():
+    from qortho.measures import _pair_sums
+    one = mpmath.mpf(1)
+    with CTX.workprec():
+        assert _pair_sums([one, one], [[one], [-one]], 0) == [[2]]
+        for weights, tables in (([mpmath.inf], [[one]]), ([-one], [[one]]),
+                                ([one], [[mpmath.nan]]), ([one], [[-mpmath.inf]])):
+            with pytest.raises(ValueError, match="finite"):
+                _pair_sums(weights, tables, 0)
 
 
 def test_node_hash_separates_a_values():
