@@ -43,7 +43,8 @@ import enum
 import functools
 
 import mpmath
-from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_mul_int, mpf_sub, round_nearest)
 
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      basic_hypergeometric)
@@ -219,21 +220,23 @@ def qinv_hermite_coeff_rows(n_max: int, q,
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        zero = mpmath.mpf(0)
-        rows = [[mpmath.mpf(1)]]
-        if n_max == 0:
-            return rows
-        rows.append([zero, mpmath.mpf(2)])
+        prec, rnd = mpmath.mp.prec, round_nearest
+        rows = [[fone]]
+        if n_max > 0:
+            rows.append([fzero, from_int(2)])
         for j in range(1, n_max):
             prev, cur = rows[j - 1], rows[j]
-            coef = q ** (-j) * (1 - q ** j)
-            nxt = [zero] * (j + 2)
+            coef = (q ** (-j) * (1 - q ** j))._mpf_
+            nxt = [fzero] * (j + 2)
+            # nxt[i + 1] += 2 * c and nxt[i] -= coef * c, rounded as mpf's
+            # operators round them
             for i, c in enumerate(cur):
-                nxt[i + 1] += 2 * c
+                nxt[i + 1] = mpf_add(nxt[i + 1], mpf_mul_int(c, 2, prec, rnd), prec, rnd)
             for i, c in enumerate(prev):
-                nxt[i] -= coef * c
+                nxt[i] = mpf_sub(nxt[i], mpf_mul(coef, c, prec, rnd), prec, rnd)
             rows.append(nxt)
-        return rows
+        make = mpmath.mp.make_mpf
+        return [[make(c) for c in row] for row in rows]
 
 
 def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -375,31 +378,36 @@ def dual_ultra_coeff_rows(n_max: int, s, q,
     q = as_qparam(q, ctx)
     with ctx.workprec():
         s = mpmath.mpf(s)
-        zero = mpmath.mpf(0)
-        rows = [[mpmath.mpf(1)]]
-        if n_max == 0:
-            return rows
-        # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
-        lead = 1 - s * q ** 2
-        if lead == 0:
-            raise DegenerateCoefficient("leading coefficient 1 - s q^2 vanishes")
-        rows.append([q ** -1 * (1 + q) * q / lead, -q / lead])
+        prec, rnd = mpmath.mp.prec, round_nearest
+        rows = [[fone]]
+        if n_max > 0:
+            # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
+            lead = 1 - s * q ** 2
+            if lead == 0:
+                raise DegenerateCoefficient("leading coefficient 1 - s q^2 vanishes")
+            rows.append([(q ** -1 * (1 + q) * q / lead)._mpf_, (-q / lead)._mpf_])
         for j in range(1, n_max):
             prev, cur = rows[j - 1], rows[j]
             lead = 1 - s * q ** (2 * j + 2)
             if lead == 0:
                 raise _degenerate(j)
             scale = q ** (2 * j + 1) / lead
-            c_mid = q ** (-2 * j - 1) * (1 + q)
-            c_low = q ** (-2 * j) * (1 - q ** (2 * j))
-            nxt = [zero] * (j + 2)
+            # nxt[i] += scale * c_mid * c, nxt[i + 1] -= scale * c and
+            # nxt[i] -= scale * c_low * c, rounded as mpf's operators round
+            # them; scale * c_mid * c is (scale * c_mid) * c, so the two
+            # products with scale are formed once per step
+            mid = (scale * (q ** (-2 * j - 1) * (1 + q)))._mpf_
+            low = (scale * (q ** (-2 * j) * (1 - q ** (2 * j))))._mpf_
+            scale = scale._mpf_
+            nxt = [fzero] * (j + 2)
             for i, c in enumerate(cur):
-                nxt[i] += scale * c_mid * c
-                nxt[i + 1] -= scale * c
+                nxt[i] = mpf_add(nxt[i], mpf_mul(mid, c, prec, rnd), prec, rnd)
+                nxt[i + 1] = mpf_sub(nxt[i + 1], mpf_mul(scale, c, prec, rnd), prec, rnd)
             for i, c in enumerate(prev):
-                nxt[i] -= scale * c_low * c
+                nxt[i] = mpf_sub(nxt[i], mpf_mul(low, c, prec, rnd), prec, rnd)
             rows.append(nxt)
-        return rows
+        make = mpmath.mp.make_mpf
+        return [[make(c) for c in row] for row in rows]
 
 
 def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:

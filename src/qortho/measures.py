@@ -45,14 +45,26 @@ rounded once to the working precision prec (_pair_sums).  Every diagonal
 term w_m P_n(x_m)^2 is >= 0, so by Cauchy-Schwarz the rounding of an entry
 is within (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))) sqrt(G_nn G_n'n'), on
 the scale the checks divide by, and it does not depend on the order of the
-nodes.  The majorant runs on mpmath's raw mpf tuples with the same
-mpf_mul / mpf_add calls at the working precision that mpf's operators make,
-so its value is that of the mpf expression.
+nodes.
+
+The majorant A(t) = max_n sum_j |c_nj| t^j evaluates each row by Horner on
+mpmath's raw mpf tuples, with the mpf_mul / mpf_add calls at the working
+precision that mpf's operators make, so its value is that of the mpf
+expression.  At a given t > 0 most rows cannot attain the max, and only the
+rows that can are evaluated: log|c_nj| is formed once per coefficient as a
+float, each row's largest term is estimated from it, and a row is skipped
+only when, even with its count of nonzero terms and a margin that covers
+the float error and the Horner rounding, it stays below the best row's
+largest term.  The rows left, one to three at most nodes, take the exact
+Horner pass, so A(t), and with it every window and tail bound, is the value
+the pass over all rows gives, bit for bit (_abs_coeff_majorant has the
+proof).
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -293,7 +305,14 @@ class GramReport:
     m_lo: int
     m_hi: int
     tail_bound: QReal
-    node_hash: str
+    nodes: list[QReal]
+
+    @functools.cached_property
+    def node_hash(self) -> str:
+        """The first 16 hex digits of the SHA-256 of the window nodes at 30 digits."""
+        with mpmath.mp.workprec(self.bits):
+            text = "|".join(to_decimal(x, 30) for x in self.nodes)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def passed(self, tol) -> bool:
         return bool(self.off_diag_max < tol and self.diag_rel_err_max < tol)
@@ -364,30 +383,77 @@ def _check_compatible(family: FamilySpec, measure: DiscreteMeasure,
     return family
 
 
+# Natural-log slack of the majorant's row filter: a row is skipped only when
+# its estimate falls this far below the best row's (see _abs_coeff_majorant).
+_ROW_MARGIN = 2.0 ** -10
+# The filter runs only while coefficient bits + N * (bits of t) stay below
+# this, which keeps its float logs within 2^-14 of the true ones.
+_FLOAT_REACH = 2 ** 32
+_LN2 = math.log(2)
+
+
+def _horner(cs: list, t: tuple, prec: int) -> tuple:
+    """sum_j cs[-1-j] t^j by Horner, on raw mpf values at precision prec."""
+    acc = fzero
+    for c in cs:
+        acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), c, prec, round_nearest)
+    return acc
+
+
 def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
     """A(t) >= |P_n(x)| for every n <= N and |x| <= t, via |coefficient| sums.
 
-    Runs at the caller's working precision, on raw mpf values: each step is
-    the mpf_mul / mpf_add that mpf's * and + perform, in the same order, so
-    A(t) is the same value the mpf expression gives.
+    A(t) = max_n A_n(t), where A_n(t) = sum_j |c_nj| t^j is evaluated by
+    Horner at the caller's working precision prec on raw mpf values: each
+    step is the mpf_mul / mpf_add that mpf's * and + perform, in the same
+    order, so A_n(t) is the value the mpf expression gives.
+
+    At t > 0 only the rows that can attain the max are evaluated.  With
+    M_n = max_j |c_nj| t^j and k_n the number of nonzero c_nj, the exact sum
+    lies in [M_n, k_n M_n].  The data are nonnegative and round-to-nearest
+    is monotone, so the computed Horner value lies within the factors
+    (1 -+ 2^-prec)^(2n+2) of it.  The filter forms L_n, a float estimate of
+    log M_n, from log|c_nj| (one float per coefficient, formed once) and
+    log t, and skips row n when L_n + log k_n < max_m L_m - margin.  Each
+    L_n is within 2^-14 of log M_n: every float step errs by a few units of
+    2^-53 of the sizes it combines, those sizes add up to at most
+    ln 2 * (coefficient bits + N * (bits of t)), and the filter runs only
+    while that bit count is below 2^32.  As prec >= 64 and N < 2^32,
+    (2N+2) log((1+2^-prec)/(1-2^-prec)) is below 2^-28, so
+    margin = 2^-10 exceeds twice 2^-14 plus that.  Hence a
+    skipped row's computed value is strictly below that of the row with
+    the largest L_m, which is kept, and the max over the kept rows is the
+    max over all rows bit for bit.  At t = 0 every row is evaluated.
     """
     if family.kind is FamilyKind.QINV_HERMITE:
         rows = qinv_hermite_coeff_rows(N, family.q, ctx)
     else:
         rows = dual_ultra_coeff_rows(N, family.s, family.q, ctx)
-    prec, rnd = mpmath.mp.prec, round_nearest
-    horner = [[mpf_abs(c._mpf_, prec, rnd) for c in reversed(cs)] for cs in rows]
+    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+    coeffs = [[c._mpf_ for c in cs] for cs in rows]
+    horner = [[mpf_abs(c, prec, round_nearest) for c in reversed(cs)] for cs in coeffs]
+    # log|c_nj| by j, -inf where c_nj = 0, and log k_n by row
+    logs = [[math.log(man) + exp * _LN2 if man else -math.inf
+             for _, man, exp, _ in cs] for cs in coeffs]
+    log_counts = [math.log(sum(1 for c in cs if c[1])) for cs in coeffs]
+    reach = max(abs(exp) + bc for cs in coeffs for _, man, exp, bc in cs if man)
 
     def amax(t: QReal) -> QReal:
         t = t._mpf_
+        sign, man, exp, bc = t
+        kept = horner
+        if man and not sign and reach + N * (abs(exp) + bc) < _FLOAT_REACH:
+            log_t = math.log(man) + exp * _LN2
+            powers = [j * log_t for j in range(N + 1)]
+            est = [max(map(operator.add, ls, powers)) for ls in logs]
+            cut = max(est) - _ROW_MARGIN
+            kept = [cs for cs, e, k in zip(horner, est, log_counts) if e + k >= cut]
         best = fzero
-        for cs in horner:
-            acc = fzero
-            for c in cs:
-                acc = mpf_add(mpf_mul(acc, t, prec, rnd), c, prec, rnd)
+        for cs in kept:
+            acc = _horner(cs, t, prec)
             if mpf_gt(acc, best):
                 best = acc
-        return mpmath.mp.make_mpf(best)
+        return make(best)
 
     return amax
 
@@ -548,9 +614,6 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
                 if rel > off_max:
                     off_max = rel
 
-        digest = hashlib.sha256(
-            "|".join(to_decimal(x, 30) for x in nodes).encode()).hexdigest()[:16]
-
         return GramReport(
             family_kind=family.kind.value,
             measure_kind=measure.kind.value,
@@ -566,7 +629,7 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
             m_lo=m_lo,
             m_hi=m_hi,
             tail_bound=tail,
-            node_hash=digest,
+            nodes=list(nodes),
         )
 
 

@@ -375,7 +375,7 @@ ORACLE_N = 12
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
-@pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.9"])
+@pytest.mark.parametrize("q_s", ["0.3", "0.5", "0.7", "0.9", "0.99"])
 def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
     with ctx.workprec():
@@ -397,7 +397,7 @@ def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
-@pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.9"])
+@pytest.mark.parametrize("q_s", ["0.3", "0.5", "0.7", "0.9", "0.99"])
 def test_batched_dual_recurrences_match_per_node_formulas(q_s, bits):
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
     with ctx.workprec():

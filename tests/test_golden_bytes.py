@@ -50,6 +50,17 @@ _LONG = {
     "verify": _BASIC["verify"],
 }
 
+# Extremal Grams past the default a and N, where the window scan's majorant
+# evaluates only the coefficient rows that can attain its max.
+_FILTER = {
+    "gram-hermite-N24": ("gram", "--measure", "hermite-extremal", "--a", "0.9",
+                         "--N", "24"),
+    "gram-qinv-N24": ("gram", "--measure", "dual-qinv-extremal", "--a", "0.9",
+                      "--N", "24"),
+    "gram-q-N24": ("gram", "--measure", "dual-q-extremal", "--a", "0.9",
+                   "--N", "24"),
+}
+
 # One value per eval route: h by recurrence and by series, C, D by recurrence
 # and by grid series.
 _EVAL = {
@@ -104,6 +115,10 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "bc62860f67b54cb71e705ae313b416db4c42a00c56442323f0cdffb6e17023c6",
     "1a7cf84ee445e315c0db1f770d95936d75970d2b3444a8ea8dd383e1e2642094",
     "f80877b27dc52e4f68403d945678ae69c632603250e668b4cc4fb26a3b9302ff",
+)) + _runs(_FILTER, "0.3", (
+    "d58ea45470d99d9d1a3d80b082546e53793922de8c56ecec924ee48058c06291",
+    "4ea62a8e70a7e03e78ca49116df90a15260ae30e3ac5b07c1e32ca38d367a80c",
+    "f024b524ae4ccf53e1e7201b78efcd2d989ffb37c246c59bba4a512caeabd78a",
 ))
 
 

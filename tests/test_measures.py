@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
                     MeasureKind, PrecisionContext, SignViolation,
                     adjudicate_normalization, dual_base, dual_q_extremal,
                     dual_qinv_extremal, dual_ultra_table, expected_diagonal,
-                    gram_matrix, hermite_extremal, lattice_normalization,
+                    dual_ultra_coeff_rows, gram_matrix, hermite_extremal,
+                    lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
+from qortho.measures import _abs_coeff_majorant
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -319,6 +323,26 @@ def test_node_hash_separates_a_values():
     assert len(hashes) == 3
 
 
+def test_node_hash_is_formed_only_when_read(monkeypatch):
+    # gram and verify never print the hash, so a Gram renders no node; the
+    # first read renders the window once and later reads reuse it.
+    import qortho.measures
+    rendered = []
+    render = qortho.measures.to_decimal
+
+    def counted(value, digits):
+        rendered.append(digits)
+        return render(value, digits)
+
+    monkeypatch.setattr(qortho.measures, "to_decimal", counted)
+    measure = hermite_extremal("0.8", Q, CTX)
+    report = gram_matrix(measure.family(CTX), measure, 4, CTX)
+    assert rendered == []
+    digest = report.node_hash
+    assert digest == report.node_hash and len(digest) == 16
+    assert rendered == [30] * (report.m_hi - report.m_lo + 1)
+
+
 def window_extension_entries(family, measure, N, report, pad):
     """What a window widened by pad per side would add to each Gram entry."""
     extra = list(range(report.m_hi + 1, report.m_hi + pad + 1))
@@ -507,3 +531,180 @@ def test_measure_family_pairs_each_kind():
         ]
     for measure, kind, s in cases:
         assert measure.family(CTX) == FamilySpec(kind, q, s)
+
+
+# -- the majorant's row filter against the pass over every row ---------------
+#
+# The oracle is Horner over every coefficient row in mpf's operators, the
+# majorant as it was before rows could be skipped.
+
+_EXTREMAL = {"hermite": hermite_extremal, "dual-qinv": dual_qinv_extremal,
+             "dual-q": dual_q_extremal}
+
+
+def _rows(family, N, ctx):
+    if family.kind is FamilyKind.QINV_HERMITE:
+        return qinv_hermite_coeff_rows(N, family.q, ctx)
+    return dual_ultra_coeff_rows(N, family.s, family.q, ctx)
+
+
+def _row_values(rows, t, ctx):
+    """[sum_j |c_nj| t^j for each row], each by Horner over the whole row."""
+    values = []
+    with ctx.workprec():
+        for cs in rows:
+            acc = mpmath.mpf(0)
+            for c in reversed(cs):
+                acc = acc * t + abs(c)
+            values.append(acc)
+    return values
+
+
+def _full_amax(family, N, t, ctx):
+    return max(_row_values(_rows(family, N, ctx), t, ctx))._mpf_
+
+
+def _majorant(kind, q, N, ctx):
+    family = _EXTREMAL[kind](q, q, ctx).family(ctx)  # the family does not depend on a
+    with ctx.workprec():
+        return family, _abs_coeff_majorant(family, N, ctx)
+
+
+def _ctx(bits):
+    return PrecisionContext.create(bits=bits, tol_exp=200 if bits == 256 else 800)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.05", "0.3", "0.7"])
+@pytest.mark.parametrize("kind", list(_EXTREMAL))
+def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
+        monkeypatch, kind, q_s, bits):
+    # Every node the window scan visits, the edges and the one past each
+    # edge included.
+    import qortho.measures
+    ctx = _ctx(bits)
+    build = qortho.measures._abs_coeff_majorant
+    seen = []
+
+    def checked(family, N, ctx_):
+        amax = build(family, N, ctx_)
+
+        def compare(t):
+            value = amax(t)
+            assert value._mpf_ == _full_amax(family, N, t, ctx)
+            seen.append(t)
+            return value
+        return compare
+
+    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", checked)
+    measure = _EXTREMAL[kind]("0.9", q_s, ctx)
+    report = gram_matrix(measure.family(ctx), measure, 20, ctx)
+    assert report.passed(ctx.tol)
+    seen = {t._mpf_ for t in seen}
+    for m in (report.m_lo - 1, report.m_lo, report.m_hi, report.m_hi + 1):
+        with ctx.workprec():
+            assert abs(measure.point(m, ctx)[0])._mpf_ in seen
+
+
+def _largest_terms(rows, t, ctx):
+    """[(max_j |c_nj| t^j, k_n) for each row n], k_n its nonzero c_nj."""
+    with ctx.workprec():
+        powers = [t ** j for j in range(len(rows))]
+        return [(max(abs(c) * p for c, p in zip(cs, powers)), sum(1 for c in cs if c))
+                for cs in rows]
+
+
+def _changes(key, grid, ctx, steps=24):
+    """Points within 2^-steps of the grid step on both sides of each of the
+    first two places where key(t) changes along grid."""
+    keys = [key(t) for t in grid]
+    points = []
+    for i in [i for i in range(len(grid) - 1) if keys[i] != keys[i + 1]][:2]:
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(steps):
+            with ctx.workprec():
+                mid = (lo + hi) / 2
+            if key(mid) == keys[i]:
+                lo = mid
+            else:
+                hi = mid
+        points += [lo, hi]
+    return points
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.05", "0.5", "0.999"])
+@pytest.mark.parametrize("kind", list(_EXTREMAL))
+def test_filtered_majorant_is_the_full_max_at_chosen_points(kind, q_s, bits):
+    # t = 0, t < 1, t = 1 and large t; both sides of each place where the
+    # largest row changes (only the h rows near q = 1 have one), where two
+    # rows tie; and both sides of each place where a row's largest term
+    # times its term count crosses the filter's margin below the best
+    # row's, where the filter's decision for that row flips.
+    ctx = _ctx(bits)
+    N = 30
+    family, amax = _majorant(kind, q_s, N, ctx)
+    rows = _rows(family, N, ctx)
+    with ctx.workprec():
+        ts = [mpmath.mpf(0), mpmath.mpf(1) / 3, mpmath.mpf("0.999"), mpmath.mpf(1),
+              mpmath.mpf(2), mpmath.mpf(10) ** 40]
+        grid = [mpmath.mpf(2) ** k for k in range(-10, 60, 3)]
+        margin = mpmath.exp(-mpmath.ldexp(1, -10))
+
+    def top_row(t):
+        values = _row_values(rows, t, ctx)
+        return max(range(N + 1), key=values.__getitem__)
+
+    def filter_keeps(t):
+        terms = _largest_terms(rows, t, ctx)
+        with ctx.workprec():
+            cut = max(term for term, _ in terms) * margin
+            return frozenset(n for n, (term, k) in enumerate(terms) if term * k >= cut)
+
+    ties = _changes(top_row, grid, ctx)
+    flips = _changes(filter_keeps, grid, ctx)
+    # Over this grid the largest row changes only for h near q = 1, and the
+    # filter keeps one row throughout for h at small q and for D near q = 1.
+    assert bool(ties) == ((kind, q_s) == ("hermite", "0.999"))
+    assert bool(flips) == ((kind == "hermite") == (q_s == "0.999"))
+    for t in ts + ties + flips:
+        with ctx.workprec():
+            assert amax(t)._mpf_ == _full_amax(family, N, t, ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_EXTREMAL)),
+       q=st.floats(min_value=0.05, max_value=0.999),
+       N=st.integers(min_value=0, max_value=30),
+       bits=st.sampled_from([256, 1024]),
+       log2_t=st.floats(min_value=-30, max_value=300))
+def test_filtered_majorant_is_the_full_max(kind, q, N, bits, log2_t):
+    ctx = _ctx(bits)
+    family, amax = _majorant(kind, q, N, ctx)
+    with ctx.workprec():
+        t = mpmath.mpf(2) ** log2_t
+        assert amax(t)._mpf_ == _full_amax(family, N, t, ctx)
+
+
+@pytest.mark.parametrize("kind", list(_EXTREMAL))
+def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
+    # N + 1 = 25 rows each call without the filter; with it one row at
+    # most hermite nodes and about three at most dual nodes.
+    import qortho.measures
+    calls, evaluated = [], []
+    build, horner = qortho.measures._abs_coeff_majorant, qortho.measures._horner
+
+    def counted_build(*args):
+        amax = build(*args)
+        return lambda t: calls.append(t) or amax(t)
+
+    def counted_horner(*args):
+        evaluated.append(args[0])
+        return horner(*args)
+
+    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", counted_build)
+    monkeypatch.setattr(qortho.measures, "_horner", counted_horner)
+    measure = _EXTREMAL[kind]("0.9", "0.3", CTX)
+    report = gram_matrix(measure.family(CTX), measure, 24, CTX)
+    assert report.passed(CTX.tol)
+    assert calls and len(evaluated) <= 4 * len(calls)
