@@ -35,6 +35,12 @@ and dual_ultra_coeff_rows return the coefficient rows of every degree up to
 n_max from one recurrence pass.  The single-point and single-degree
 functions (*_table, *_coeffs, qinv_hermite, dual_ultra) are these with one
 point or one row taken, so every route gives the same value bit for bit.
+
+Every power of q with a loop-indexed exponent in those four passes, and in
+the h series' row and its factors e^(n-2k), is read from one
+kernel.power_run per call, stepped at 32 guard bits and rounded once, in
+place of a ``**`` per power.  The parameter lists of the C and grid D
+series still form their few powers with ``**``.
 """
 from __future__ import annotations
 
@@ -43,11 +49,12 @@ import enum
 import functools
 
 import mpmath
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_mul,
-                          mpf_mul_int, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
+                          mpf_sub, round_nearest)
 
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
-                     basic_hypergeometric)
+                     basic_hypergeometric, power_run)
 
 
 class DegenerateCoefficient(Exception):
@@ -116,39 +123,64 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_sum(n: int, q, factor) -> tuple[QReal, QReal]:
-    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factor(k) and its largest |term|.
+def _hermite_sum(n: int, q, factors, mul=mpf_mul) -> tuple[QReal, QReal]:
+    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factors[k] and its largest |term|.
 
-    Runs at the ambient precision.
+    factors holds raw mpf tuples, or ints when mul is mpf_mul_int.  Runs at
+    the ambient precision, on raw tuples, with the calls mpf's operators
+    would make for c * factor, total += term and max(tmax, abs(term)).
     """
-    total = mpmath.mpf(0)
-    tmax = mpmath.mpf(0)
-    for k, c in enumerate(_hermite_coefficients(n, q, mpmath.mp.prec)):
-        term = c * factor(k)
-        total += term
-        tmax = max(tmax, abs(term))
-    return total, tmax
+    prec, rnd = mpmath.mp.prec, round_nearest
+    total = tmax = fzero
+    for c, factor in zip(_hermite_coefficients(n, q, prec), factors):
+        term = mul(c, factor, prec, rnd)
+        total = mpf_add(total, term, prec, rnd)
+        mag = mpf_abs(term, prec, rnd)
+        if mpf_gt(mag, tmax):
+            tmax = mag
+    make = mpmath.mp.make_mpf
+    return make(total), make(tmax)
 
 
 @functools.lru_cache(maxsize=32)
-def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[QReal, ...]:
-    """The phi-free factors (-1)^k q^{k(k-n)} [n,k]_q of _hermite_sum.
+def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple, ...]:
+    """The phi-free factors (-1)^k q^{k(k-n)} [n,k]_q of _hermite_sum, as raw tuples.
 
     Runs at the ambient precision, which must be prec: prec is in the memo
-    key because the rounding of every factor depends on it.
+    key because the rounding of every factor depends on it.  The powers come
+    from one power_run of q over [1-n, n] at prec + 32:
+    - [n,k]_q steps from [n,k-1]_q by (1 - q^(n-k+1)) / (1 - q^k), with both
+      powers rounded from the run to prec, so within 2^-prec + 2^-(prec+31);
+    - q^(k(k-n)) steps from q^((k-1)(k-1-n)) by its ratio q^(2k-1-n) at
+      prec + 32 and is rounded once to prec.  It is a product of k run
+      values, each within 1.01 2^-(prec+32), with k - 1 roundings at
+      prec + 32, so power_run's product bound over 2k - 1 factors puts it
+      within 2^-prec + 3k 2^-(prec+32) of the exact power.
     """
-    coeffs = []
-    binom = mpmath.mpf(1)
-    for k in range(n + 1):
-        coeffs.append((-1) ** k * q ** (k * (k - n)) * binom)
-        binom *= (1 - q ** (n - k)) / (1 - q ** (k + 1))
+    wp, rnd = prec + 32, round_nearest
+    pw = [v._mpf_ for v in power_run(q, 1 - n, n, wp)]   # pw[k + n - 1] = q^k
+    qk = [mpf_pos(v, prec, rnd) for v in pw[n - 1:]]     # qk[k] = q^k at prec
+    coeffs = [fone]
+    binom = fone
+    power = fone
+    for k in range(1, n + 1):
+        # the calls of binom *= (1 - q^(n-k+1)) / (1 - q^k) and of
+        # (-1)^k * power * binom with mpf operators
+        binom = mpf_mul(binom, mpf_div(mpf_sub(fone, qk[n - k + 1], prec, rnd),
+                                       mpf_sub(fone, qk[k], prec, rnd),
+                                       prec, rnd), prec, rnd)
+        power = mpf_mul(power, pw[2 * k - 2], wp, rnd)
+        c = mpf_mul(mpf_pos(power, prec, rnd), binom, prec, rnd)
+        coeffs.append(mpf_neg(c) if k & 1 else c)
     return tuple(coeffs)
 
 
 def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:
     """One summation pass at the ambient precision: (sum, largest |term|)."""
     e = mpmath.exp(phi)
-    return _hermite_sum(n, q, lambda k: e ** (n - 2 * k))
+    # e^(n-2k) for k = 0..n, read downwards from the run e^-n, ..., e^n
+    factors = [v._mpf_ for v in power_run(e, -n, n, mpmath.mp.prec)[::-2]]
+    return _hermite_sum(n, q, factors)
 
 
 def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -184,7 +216,7 @@ def qinv_hermite_tables(n_max: int, xs, q,
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        low = [(q ** (-j) * (1 - q ** j))._mpf_ for j in range(n_max)]
+        low = [c._mpf_ for c in _hermite_low(n_max, q, ctx.bits)]
         prec, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
         tables = []
         for x in xs:
@@ -198,6 +230,13 @@ def qinv_hermite_tables(n_max: int, xs, q,
                 vals.append(make(cur))
             tables.append(vals)
         return tables
+
+
+def _hermite_low(n_max: int, q: QReal, bits: int) -> list[QReal]:
+    """[q^-j (1 - q^j) for j < n_max], the low coefficients of the h recurrence."""
+    pw = power_run(q, 1 - n_max, n_max - 1, bits)   # pw[k + n_max - 1] = q^k
+    top = n_max - 1
+    return [pw[top - j] * (1 - pw[top + j]) for j in range(n_max)]
 
 
 def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -221,12 +260,13 @@ def qinv_hermite_coeff_rows(n_max: int, q,
     q = as_qparam(q, ctx)
     with ctx.workprec():
         prec, rnd = mpmath.mp.prec, round_nearest
+        low = _hermite_low(n_max, q, ctx.bits)
         rows = [[fone]]
         if n_max > 0:
             rows.append([fzero, from_int(2)])
         for j in range(1, n_max):
             prev, cur = rows[j - 1], rows[j]
-            coef = (q ** (-j) * (1 - q ** j))._mpf_
+            coef = low[j]._mpf_
             nxt = [fzero] * (j + 2)
             # nxt[i + 1] += 2 * c and nxt[i] -= coef * c, rounded as mpf's
             # operators round them
@@ -264,7 +304,7 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-        return _hermite_sum(n, q, lambda j: n - 2 * j)[0]
+        return _hermite_sum(n, q, range(n, -n - 1, -2), mpf_mul_int)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +358,23 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         )
 
 
-def _degenerate(j: int) -> DegenerateCoefficient:
-    return DegenerateCoefficient(
-        "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
+def _dual_steps(n_max: int, s: QReal, q: QReal, bits: int) -> list[tuple[QReal, ...]]:
+    """The mu-free factors of each step j < n_max of the D recurrence:
+    (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1), q^(2j+1), 1 - s q^(2j+2)).
+
+    Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
+    """
+    pw = power_run(q, 1 - 2 * n_max, 2 * n_max, bits)   # pw[k + o] = q^k
+    o = 2 * n_max - 1
+    steps = []
+    for j in range(n_max):
+        lead = 1 - s * pw[o + 2 * j + 2]
+        if lead == 0:
+            raise DegenerateCoefficient(
+                "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
+        steps.append((pw[o - 2 * j - 1] * (1 + q), pw[o - 2 * j] * (1 - pw[o + 2 * j]),
+                      pw[o - 2 * j - 1], pw[o + 2 * j + 1], lead))
+    return steps
 
 
 def dual_ultra_tables(n_max: int, mus, s, q,
@@ -334,15 +388,9 @@ def dual_ultra_tables(n_max: int, mus, s, q,
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        s = mpmath.mpf(s)
-        steps = []
-        for j in range(n_max):
-            lead = 1 - s * q ** (2 * j + 2)
-            if lead == 0:
-                raise _degenerate(j)
-            steps.append(((q ** (-2 * j - 1) * (1 + q))._mpf_,
-                          (q ** (-2 * j) * (1 - q ** (2 * j)))._mpf_,
-                          (q ** (-2 * j - 1) * lead)._mpf_))
+        steps = [(c_mid._mpf_, c_low._mpf_, (q_down * lead)._mpf_)
+                 for c_mid, c_low, q_down, _, lead
+                 in _dual_steps(n_max, mpmath.mpf(s), q, ctx.bits)]
         prec, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
         tables = []
         for mu in mus:
@@ -377,27 +425,23 @@ def dual_ultra_coeff_rows(n_max: int, s, q,
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
     with ctx.workprec():
-        s = mpmath.mpf(s)
         prec, rnd = mpmath.mp.prec, round_nearest
+        steps = _dual_steps(n_max, mpmath.mpf(s), q, ctx.bits)
         rows = [[fone]]
         if n_max > 0:
             # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
-            lead = 1 - s * q ** 2
-            if lead == 0:
-                raise DegenerateCoefficient("leading coefficient 1 - s q^2 vanishes")
-            rows.append([(q ** -1 * (1 + q) * q / lead)._mpf_, (-q / lead)._mpf_])
+            c_mid, _, _, _, lead = steps[0]
+            rows.append([(c_mid * q / lead)._mpf_, (-q / lead)._mpf_])
         for j in range(1, n_max):
             prev, cur = rows[j - 1], rows[j]
-            lead = 1 - s * q ** (2 * j + 2)
-            if lead == 0:
-                raise _degenerate(j)
-            scale = q ** (2 * j + 1) / lead
+            c_mid, c_low, _, q_up, lead = steps[j]
+            scale = q_up / lead
             # nxt[i] += scale * c_mid * c, nxt[i + 1] -= scale * c and
             # nxt[i] -= scale * c_low * c, rounded as mpf's operators round
             # them; scale * c_mid * c is (scale * c_mid) * c, so the two
             # products with scale are formed once per step
-            mid = (scale * (q ** (-2 * j - 1) * (1 + q)))._mpf_
-            low = (scale * (q ** (-2 * j) * (1 - q ** (2 * j))))._mpf_
+            mid = (scale * c_mid)._mpf_
+            low = (scale * c_low)._mpf_
             scale = scale._mpf_
             nxt = [fzero] * (j + 2)
             for i, c in enumerate(cur):

@@ -26,7 +26,7 @@ import types
 
 import mpmath
 
-from .families import (dual_ultra_tables, qinv_hermite_coeffs, qinv_hermite_series,
+from .families import (dual_ultra_tables, qinv_hermite_coeff_rows, qinv_hermite_series,
                        qinv_hermite_tables)
 from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
                      qpochhammer, qpochhammer_inf, to_decimal)
@@ -266,8 +266,7 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
                 value_worst = max(value_worst, _relative(lhs, rhs))
 
         parity_worst = mpmath.mpf(0)
-        for n in range(n_max + 1):
-            coeffs = qinv_hermite_coeffs(n, q, ctx)
+        for n, coeffs in enumerate(qinv_hermite_coeff_rows(n_max, q, ctx)):
             for j, c in enumerate(coeffs):
                 if (n - j) % 2 == 1:
                     parity_worst = max(parity_worst, abs(c))

@@ -28,6 +28,12 @@ The memo holds the 32 most recently used lists, each of at most 4096
 factors; an extension works on a list taken out of the memo, so a failure or
 interrupt part-way leaves no entry behind.
 
+Integer powers that a loop needs in a run, x^lo, ..., x^hi, come from
+power_run: one multiplication per power at 32 guard bits, each value
+rounded once, under the product bound proved in its docstring.  The term
+loop of basic_hypergeometric runs on raw mpf tuples, with the calls and
+the order of mpf's operators, so it is the operator loop bit for bit.
+
 Notation used throughout the package:
 
     (a;q)_n   = prod_{k=0}^{n-1} (1 - a q^k)          finite q-shifted factorial
@@ -44,6 +50,8 @@ import functools
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest)
 
 QReal = mpmath.mpf
 
@@ -141,6 +149,51 @@ def to_decimal(value, digits: int) -> str:
     if mpmath.isint(v):
         return str(int(v))
     return mpmath.nstr(v, digits)
+
+
+def power_run(x: QReal, lo: int, hi: int, prec: int) -> list[QReal]:
+    """[x^lo, x^(lo+1), ..., x^hi] for an mpf x, each rounded once to prec bits.
+
+    The run is formed by repeated multiplication at prec + 32 bits: x^k for
+    k > 0 steps up from x, and x^-k for k > 0 steps up from 1/x.  The value
+    of x^k is thus reached through r(k) roundings at prec + 32, with
+    r(k) = max(k - 1, 0) for k >= 0 (x^0 = 1 and x^1 = x are exact) and
+    r(k) = |k| for k < 0 (one division and |k| - 1 products).  Forming
+    x^lo, ..., x^hi costs about max(hi, 0) + max(-lo, 0) operations, where
+    each ``x ** k`` would cost about log2|k| of its own.  lo > hi gives [].
+
+    Rounding bound (the product bound of Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.1): let u = 2^-(prec+32).  Each
+    rounding at prec + 32 multiplies the exact value by some (1 + d) with
+    |d| <= u, so before its last rounding x^k carries a factor (1 + t) with
+    |t| <= r u / (1 - r u).  Rounding to prec multiplies by (1 + e) with
+    |e| <= 2^-prec, so the relative error of the value returned is at most
+
+        |e| + (1 + |e|) |t| <= 2^-prec + 1.01 r 2^-(prec+32)
+
+    whenever r u <= 1/200, since (1 + 2^-prec) / (1 - 1/200) <= 1.01 for
+    prec >= 10.  That holds for r <= 2^(prec+24): for every run a list can
+    hold once prec >= 40.
+    """
+    if lo > hi:
+        return []
+    wp, rnd = prec + 32, round_nearest   # the guard bits the bound above assumes
+    base = x._mpf_
+    start = min(lo, 0)
+    down = _stepped(mpf_div(fone, base, wp, rnd), -start, wp) if start else []
+    up = _stepped(base, hi, wp)
+    # run[k - start] is x^k for start <= k <= max(hi, 0)
+    run = down[::-1] + [fone] + up
+    make = mp.make_mpf
+    return [make(mpf_pos(v, prec, rnd)) for v in run[lo - start:hi - start + 1]]
+
+
+def _stepped(base, count: int, wp: int) -> list:
+    """[base^1, ..., base^count] of a raw mpf, each product rounded at wp."""
+    out = [base] if count > 0 else []
+    for _ in range(count - 1):
+        out.append(mpf_mul(out[-1], base, wp, round_nearest))
+    return out
 
 
 def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -337,7 +390,7 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
         nums = [mpmath.mpf(v) for v in num]
         dens = [mpmath.mpf(v) for v in den]
         z = mpmath.mpf(z)
-        one = mpmath.mpf(1)
+        make = mp.make_mpf
 
         if terminating_at is not None:
             n_stop = terminating_at
@@ -351,32 +404,46 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
                     % (n_stop, n_stop)
                 )
 
-        total = mpmath.mpf(0)
-        term = one
-        qk = one
+        # The loop runs on raw mpf tuples and makes the calls mpf's
+        # operators would make, in the same order, so every value is the
+        # operator loop's bit for bit.
+        prec, rnd = mp.prec, round_nearest
+        q_r, z_r, tol_r = q._mpf_, z._mpf_, ctx.tol._mpf_
+        num_r = [a._mpf_ for a in nums]
+        den_r = [b._mpf_ for b in dens]
+        total = fzero
+        term = fone
+        qk = fone
         prev_mag = None
         for k in range(ctx.max_terms):
-            total += term
+            total = mpf_add(total, term, prec, rnd)
             if terminating_at is not None and k >= terminating_at:
-                return total
-            ratio = z / (one - q * qk)
-            for b in dens:
-                f = one - b * qk
-                if f == 0:
+                return make(total)
+            # ratio = z / (1 - q qk) / prod_j (1 - b_j qk) * prod_i (1 - a_i qk)
+            ratio = mpf_div(z_r, mpf_sub(fone, mpf_mul(q_r, qk, prec, rnd), prec, rnd),
+                            prec, rnd)
+            for b, b_r in zip(dens, den_r):
+                f = mpf_sub(fone, mpf_mul(b_r, qk, prec, rnd), prec, rnd)
+                if f == fzero:
                     raise PoleError(
                         "denominator parameter %s vanishes at index %d" % (mpmath.nstr(b, 8), k)
                     )
-                ratio /= f
-            for a in nums:
-                ratio *= one - a * qk
-            term = term * ratio
-            qk *= q
-            if term == 0:
-                return total
+                ratio = mpf_div(ratio, f, prec, rnd)
+            for a in num_r:
+                ratio = mpf_mul(ratio, mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd),
+                                prec, rnd)
+            term = mpf_mul(term, ratio, prec, rnd)
+            qk = mpf_mul(qk, q_r, prec, rnd)
+            if term == fzero:
+                return make(total)
             if terminating_at is None:
-                mag = abs(term)
-                if prev_mag is not None and mag < prev_mag and mag < ctx.tol * max(one, abs(total)):
-                    return total + term
+                mag = mpf_abs(term, prec, rnd)
+                if prev_mag is not None and mpf_lt(mag, prev_mag):
+                    # tol * max(1, |total|)
+                    size = mpf_abs(total, prec, rnd)
+                    floor = mpf_mul(tol_r, size if mpf_gt(size, fone) else fone, prec, rnd)
+                    if mpf_lt(mag, floor):
+                        return make(mpf_add(total, term, prec, rnd))
                 prev_mag = mag
         raise TruncationFailure(
             "series not resolved within max_terms=%d (q=%s, z=%s)"

@@ -291,6 +291,12 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
 
 @dataclasses.dataclass
 class GramReport:
+    """A Gram matrix with its closed-form diagonal and certified window.
+
+    gram is symmetric, entry for entry, as gram_matrix builds it, so each
+    rendering formats one entry per pair n <= n' and mirrors it.
+    """
+
     family_kind: str
     measure_kind: str
     q: QReal
@@ -329,7 +335,8 @@ class GramReport:
                 "a": to_decimal(self.a, digits) if self.a is not None else None,
                 "N": self.N,
                 "bits": self.bits,
-                "gram": [[to_decimal(v, digits) for v in row] for row in self.gram],
+                "gram": _symmetric(self.N + 1,
+                                   lambda n, np_: to_decimal(self.gram[n][np_], digits)),
                 "off_diag_max": to_decimal(self.off_diag_max, digits),
                 "diag_rel_err_max": to_decimal(self.diag_rel_err_max, digits),
                 "m_window": [self.m_lo, self.m_hi],
@@ -340,21 +347,32 @@ class GramReport:
     def to_csv(self, digits: int) -> str:
         lines = ["n,nprime,value,expected,residual"]
         with mpmath.mp.workprec(self.bits):
-            for n in range(self.N + 1):
-                for np_ in range(self.N + 1):
-                    v = self.gram[n][np_]
-                    if n == np_:
-                        exp = self.expected_diag[n]
-                        res = abs(v - exp) / abs(exp)
-                    else:
-                        exp = mpmath.mpf(0)
-                        scale = mpmath.sqrt(abs(self.expected_diag[n]
-                                                * self.expected_diag[np_]))
-                        res = abs(v) / scale
-                    lines.append("%d,%d,%s,%s,%s" % (
-                        n, np_, to_decimal(v, digits), to_decimal(exp, digits),
-                        to_decimal(res, digits)))
+            cells = _symmetric(self.N + 1, lambda n, np_: self._csv_cells(n, np_, digits))
+        lines += ["%d,%d,%s" % (n, np_, cell)
+                  for n, row in enumerate(cells) for np_, cell in enumerate(row)]
         return "\n".join(lines) + "\n"
+
+    def _csv_cells(self, n: int, np_: int, digits: int) -> str:
+        """value,expected,residual of entry (n, n')."""
+        v = self.gram[n][np_]
+        if n == np_:
+            exp = self.expected_diag[n]
+            res = abs(v - exp) / abs(exp)
+        else:
+            exp = mpmath.mpf(0)
+            scale = mpmath.sqrt(abs(self.expected_diag[n] * self.expected_diag[np_]))
+            res = abs(v) / scale
+        return ",".join(to_decimal(x, digits) for x in (v, exp, res))
+
+
+def _symmetric(size: int, entry) -> list[list]:
+    """[[entry(n, n') for n' < size] for n < size] of a symmetric entry,
+    called once for each n <= n' and mirrored."""
+    rows = [[None] * size for _ in range(size)]
+    for n in range(size):
+        for np_ in range(n, size):
+            rows[n][np_] = rows[np_][n] = entry(n, np_)
+    return rows
 
 
 _FAMILY_NAMES = {

@@ -1,6 +1,7 @@
 """Polynomial families: series vs recurrence routes, structure, edge cases."""
 import mpmath
 import pytest
+from mpmath.libmp import mpf_mul_int
 
 from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     PrecisionContext, as_qparam, discrete_ultra, dual_ultra,
@@ -10,6 +11,8 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     qinv_hermite_coeff_rows, qinv_hermite_coeffs,
                     qinv_hermite_series, qinv_hermite_table,
                     qinv_hermite_tables, to_decimal)
+from qortho.families import _hermite_coefficients, _hermite_sum
+from qortho.kernel import power_run
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -290,18 +293,26 @@ def test_evaluate_dispatch_errors():
 # -- batched recurrences against the per-node formulas ------------------------
 #
 # The oracles below are the per-node and per-degree recurrences the batched
-# evaluators replaced, kept verbatim: every expression, operand order and
-# precision is the same, so the batched values must equal them bit for bit.
+# evaluators replaced: every expression, operand order and precision is the
+# same, so the batched values must equal them bit for bit.  Each integer
+# power q^k is read from the map P(q, bits), whose values are those of
+# power_run at bits; the value of q^k does not depend on the run's ends.
+
+
+def P(x, bits, reach=64):
+    """{k: x^k} for |k| <= reach, from one power_run at bits."""
+    return dict(zip(range(-reach, reach + 1), power_run(x, -reach, reach, bits)))
 
 
 def _oracle_hermite_table(n_max, x, q, ctx):
     q = as_qparam(q, ctx)
     with ctx.workprec():
         x = mpmath.mpf(x)
+        qp = P(q, ctx.bits)
         vals = [mpmath.mpf(1)]
         prev, cur = mpmath.mpf(0), mpmath.mpf(1)
         for j in range(n_max):
-            prev, cur = cur, 2 * x * cur - q ** (-j) * (1 - q ** j) * prev
+            prev, cur = cur, 2 * x * cur - qp[-j] * (1 - qp[j]) * prev
             vals.append(cur)
         return vals
 
@@ -309,13 +320,14 @@ def _oracle_hermite_table(n_max, x, q, ctx):
 def _oracle_hermite_coeffs(n, q, ctx):
     q = as_qparam(q, ctx)
     with ctx.workprec():
+        qp = P(q, ctx.bits)
         zero = mpmath.mpf(0)
         prev = [mpmath.mpf(1)]
         if n == 0:
             return prev
         cur = [zero, mpmath.mpf(2)]
         for j in range(1, n):
-            coef = q ** (-j) * (1 - q ** j)
+            coef = qp[-j] * (1 - qp[j])
             nxt = [zero] * (j + 2)
             for i, c in enumerate(cur):
                 nxt[i + 1] += 2 * c
@@ -330,14 +342,15 @@ def _oracle_dual_table(n_max, mu, s, q, ctx):
     with ctx.workprec():
         mu = mpmath.mpf(mu)
         s = mpmath.mpf(s)
+        qp = P(q, ctx.bits)
         vals = [mpmath.mpf(1)]
         prev, cur = mpmath.mpf(0), mpmath.mpf(1)
         for j in range(n_max):
-            lead = 1 - s * q ** (2 * j + 2)
+            lead = 1 - s * qp[2 * j + 2]
             prev, cur = cur, (
-                (q ** (-2 * j - 1) * (1 + q) - mu) * cur
-                - q ** (-2 * j) * (1 - q ** (2 * j)) * prev
-            ) / (q ** (-2 * j - 1) * lead)
+                (qp[-2 * j - 1] * (1 + q) - mu) * cur
+                - qp[-2 * j] * (1 - qp[2 * j]) * prev
+            ) / (qp[-2 * j - 1] * lead)
             vals.append(cur)
         return vals
 
@@ -346,17 +359,18 @@ def _oracle_dual_coeffs(n, s, q, ctx):
     q = as_qparam(q, ctx)
     with ctx.workprec():
         s = mpmath.mpf(s)
+        qp = P(q, ctx.bits)
         zero = mpmath.mpf(0)
         prev = [mpmath.mpf(1)]
         if n == 0:
             return prev
-        lead = 1 - s * q ** 2
-        cur = [q ** -1 * (1 + q) * q / lead, -q / lead]
+        lead = 1 - s * qp[2]
+        cur = [qp[-1] * (1 + q) * q / lead, -q / lead]
         for j in range(1, n):
-            lead = 1 - s * q ** (2 * j + 2)
-            scale = q ** (2 * j + 1) / lead
-            c_mid = q ** (-2 * j - 1) * (1 + q)
-            c_low = q ** (-2 * j) * (1 - q ** (2 * j))
+            lead = 1 - s * qp[2 * j + 2]
+            scale = qp[2 * j + 1] / lead
+            c_mid = qp[-2 * j - 1] * (1 + q)
+            c_low = qp[-2 * j] * (1 - qp[2 * j])
             nxt = [zero] * (j + 2)
             for i, c in enumerate(cur):
                 nxt[i] += scale * c_mid * c
@@ -440,18 +454,27 @@ def test_batched_recurrences_edge_cases():
 # -- the h series' coefficient row against the per-phi sum --------------------
 #
 # The oracle is the series sum that formed its q-binomial row anew for every
-# phi, kept verbatim, with the two public callers built on it as they were.
+# phi, with the two public callers built on it as they were.  Its powers
+# of q come from P at the ambient precision plus 32 bits, rounded to the
+# ambient precision except in q^(k(k-n)), which is stepped by its ratio
+# q^(2k+1-n) at the wider precision and rounded once; e^(n-2k) comes from
+# P at the ambient precision.
 
 
 def _oracle_hermite_sum(n, q, factor):
+    prec = mpmath.mp.prec
+    qp = P(q, prec + 32)
+    power = mpmath.mpf(1)
     total = mpmath.mpf(0)
     tmax = mpmath.mpf(0)
     binom = mpmath.mpf(1)
     for k in range(n + 1):
-        term = (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
+        term = (-1) ** k * +power * binom * factor(k)
         total += term
         tmax = max(tmax, abs(term))
-        binom *= (1 - q ** (n - k)) / (1 - q ** (k + 1))
+        binom *= (1 - +qp[n - k]) / (1 - +qp[k + 1])
+        with mpmath.mp.workprec(prec + 32):
+            power *= qp[2 * k + 1 - n]
     return total, tmax
 
 
@@ -460,14 +483,16 @@ def _oracle_hermite_series(n, phi, q, ctx, repasses):
     with ctx.workprec():
         phi = mpmath.mpf(phi)
         e = mpmath.exp(phi)
-        total, tmax = _oracle_hermite_sum(n, q, lambda k: e ** (n - 2 * k))
+        ep = P(e, ctx.bits)
+        total, tmax = _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])
         noise = (n + 1) * tmax * mpmath.mpf(2) ** -ctx.bits
         if noise > ctx.tol / 4 * max(mpmath.mpf(1), abs(total)):
             repasses.append((n, phi))
             need = int(mpmath.ceil(mpmath.log(4 * (n + 1) * tmax / ctx.tol, 2)))
             with mpmath.mp.workprec(max(need, ctx.bits + 16)):
                 e = mpmath.exp(phi)
-                total, _ = _oracle_hermite_sum(n, q, lambda k: e ** (n - 2 * k))
+                ep = P(e, mpmath.mp.prec)
+                total, _ = _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])
         return +total
 
 
@@ -494,3 +519,90 @@ def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
     # The guard-bit re-pass is covered: odd degrees sum to 0 at phi = 0,
     # from terms up to q^(-n^2/4), which stay small enough at q = 0.9.
     assert ((29, 0) in repasses) == (q_s != "0.9")
+
+
+# -- raw-tuple h-series sum against the operator loop -------------------------
+
+
+def _operator_hermite_sum(n, q, factor):
+    """_hermite_sum as it was written with mpf operators, kept as the
+    reference its raw-tuple loop must equal bit for bit; the row is now
+    stored as raw tuples, so each c is wrapped first."""
+    total = mpmath.mpf(0)
+    tmax = mpmath.mpf(0)
+    for k, c in enumerate(_hermite_coefficients(n, q, mpmath.mp.prec)):
+        c = mpmath.mp.make_mpf(c)
+        term = c * factor(k)
+        total += term
+        tmax = max(tmax, abs(term))
+    return total, tmax
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.2", "0.5", "0.9", "0.99"])
+def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
+    with mpmath.mp.workprec(bits):
+        q = mpmath.mpf(q_s)
+        for n in range(31):
+            # the integer factors of the linear coefficient at x = 0
+            got = _hermite_sum(n, q, range(n, -n - 1, -2), mpf_mul_int)
+            want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+            for phi in ("-2", "-0.5", "0", "1.25"):
+                e = mpmath.exp(mpmath.mpf(phi))
+                powers = power_run(e, -n, n, bits)
+                got = _hermite_sum(n, q, [v._mpf_ for v in powers[::-2]])
+                want = _operator_hermite_sum(n, q, lambda k: powers[2 * n - 2 * k])
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+# -- independent routes agree over the benchmark's point domain ---------------
+#
+# Each value is compared with the package's other route for it, as the
+# points workload compares them, to tol * max(1, |ref|): h by recurrence and
+# by series, ht against the series over x, and D by recurrence and by grid
+# series.  A loss of accuracy in the powers of any route fails here.  The
+# largest miss measured on this grid is 0.03 tol, for D at 256 bits and
+# q = 0.2.  The grid stops above q = 0.05, where D misses at n = 30 for
+# both routes (a rounding defect, not one of the powers).
+
+ROUTE_N = (0, 1, 15, 30)
+
+
+@pytest.mark.parametrize("bits,tol_exp", [(256, 200), (1024, 800)])
+@pytest.mark.parametrize("q_s", ["0.2", "0.35", "0.7", "0.95", "0.99"])
+def test_independent_routes_agree_over_point_domain(q_s, bits, tol_exp):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
+    q = as_qparam(q_s, ctx)
+    misses = []
+
+    def agree(what, value, ref):
+        with ctx.workprec():
+            if not abs(value - ref) <= ctx.tol * max(1, abs(ref)):
+                misses.append((what, mpmath.nstr(value, 12), mpmath.nstr(ref, 12)))
+
+    with ctx.workprec():
+        phis = [mpmath.mpf(v) for v in ("-1.9", "-0.4", "0.3", "1.7")]
+        xs = [mpmath.mpf(v) for v in ("-3.4", "-0.6", "0.25", "2.9")]
+    for n in ROUTE_N:
+        for phi in phis:
+            with ctx.workprec():
+                x = mpmath.sinh(phi)
+            agree(("h series", n, phi), qinv_hermite_series(n, phi, q, ctx),
+                  qinv_hermite(n, x, q, ctx))
+        for x in xs:
+            with ctx.workprec():
+                phi = mpmath.asinh(x)
+            agree(("h recurrence", n, x), qinv_hermite(n, x, q, ctx),
+                  qinv_hermite_series(n, phi, q, ctx))
+            with ctx.workprec():
+                ref = qinv_hermite_series(2 * (n // 2) + 1, phi, q, ctx) / x
+            agree(("ht", n // 2, x), even_hermite_factor(n // 2, x, q, ctx), ref)
+        agree(("ht at 0", n // 2), even_hermite_factor(n // 2, 0, q, ctx),
+              qinv_hermite_coeffs(2 * (n // 2) + 1, q, ctx)[1])
+        for s_s in ("0.1", "0.6", "1"):
+            for x_s in ("0", "3", "17", "30", "0.5", "12.25", "29.75"):
+                mu = mu_point(x_s, s_s, q, ctx).mu
+                agree(("D", n, s_s, x_s), dual_ultra(n, mu, s_s, q, ctx),
+                      dual_ultra_series(n, x_s, s_s, q, ctx))
+    assert misses == []

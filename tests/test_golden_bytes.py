@@ -89,12 +89,12 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "d6a026e95c19c2bbe466a782659e8ffc2056748e57c1862a3734b1a5b874a871",
 )) + _runs(_BASIC, "0.7", (
     "d3cea245db4bfe7a84281b14e5b0057872159d62f5ea050369a440bc508c6c3f",
-    "d12010185fac71c0dad5bc5f7871735c30f5beead2ea3b3bb688fe63a99f99d5",
-    "c67a56c1746e8dbf7b6f1f838a488131ab770317b380bf0fe055f8450a26ff9e",
-    "edda47eac9444e1d28e42fab62d00f41af43225ac32e7450d3e4fbae41e91c1f",
-    "63e3707ec0d82392464bff4cfc055b2735c550e7bf58cfaac9317c0725616b8d",
+    "3dcf361da00bca8427b23c962a759c0070a76f9d79b5d998592572a1cb5dce74",
+    "2ad504033f8974c3c85a7ef1d81deacd852a0e6bc54c11a09e516b8bdc4ad5bf",
+    "50cde737c055c1b304056bbea0f7c5fbe4e2fd5ff9bc97fdeeb14a3d5f1d0208",
+    "aaa0f511947da73cb1e67f36b1727c66842a07b97d6628a8a233fdd358c083e3",
     "d6a6eb1aba19a481a5405a4f7bd40095dce752254594ec0569c7ce35c3e25e73",
-    "5e27d0c3e0fe18e9e51825f6ce12372d4f68fc5a8e7cbaf0bdbfbbdb2a2dcae2",
+    "e05a57f6e25cd4bdfc1971f75f5b3a01bc2030c3c9e3e8d3e8f02fe5199aaa11",
 )) + _runs(_WIDE, "0.5", (
     "29f78f8cd35da4624f0b1826a10156ee277ba607457ce5502c7b390d3e720da6",
     "410f7a06b8d98974e121e43908edc3c8ae47b307fdc533d7b82474ba86bbdace",
@@ -104,7 +104,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "e9093cc16977d582861cee5dbee3ed4caed27d89496b4112079c4c31f812ed6e",
     "fddbf682f388aaa547883fad3e018d47e43057f9dcf064c051fded3369954f68",
     "4ac2778b64083dfc83152c63e03ac80e77715cf9ac58670cbd4991089a1ee9d6",
-    "b10d8e5312485fb69636811a9626fcdcbbf597d02d884ab42b8dccd6cf7ca275",
+    "2f7362a2231c396c5dc5305776a8f4a78007e2258d7700aa79104c512e19d0c6",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -116,9 +116,9 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "1a7cf84ee445e315c0db1f770d95936d75970d2b3444a8ea8dd383e1e2642094",
     "f80877b27dc52e4f68403d945678ae69c632603250e668b4cc4fb26a3b9302ff",
 )) + _runs(_FILTER, "0.3", (
-    "d58ea45470d99d9d1a3d80b082546e53793922de8c56ecec924ee48058c06291",
-    "4ea62a8e70a7e03e78ca49116df90a15260ae30e3ac5b07c1e32ca38d367a80c",
-    "f024b524ae4ccf53e1e7201b78efcd2d989ffb37c246c59bba4a512caeabd78a",
+    "9c86c82696acaf6300e028c98074b75ea21e0c4b1baa8339e0e9caecc067ed6a",
+    "fdf309f06134d8e315eb82dec30c82ddd473099f46b64ff8a81a422bd713596f",
+    "13666a1e018931786e82e01cdea8d6f73d40d90045eff4f1e10440b884d315a1",
 ))
 
 

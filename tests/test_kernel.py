@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qortho import (DEFAULT_CONTEXT, PoleError, PrecisionContext,
                     TruncationFailure, as_qparam, basic_hypergeometric,
                     qpochhammer, qpochhammer_inf, to_decimal)
+from qortho.kernel import power_run
 
 CTX = PrecisionContext.create()
 
@@ -412,3 +413,161 @@ def test_precision_doubling_stability():
             v1 = case(CTX)
             v2 = case(doubled)
             assert rel(v2, v1) < 4 * CTX.tol
+
+
+# -- stepped integer powers ---------------------------------------------------
+
+
+def _within_power_bound(got, x, k, mk, bits):
+    """|got - x^k| <= (2^-bits + 1.01 r 2^-(bits+32)) x^k, r the roundings of x^k.
+
+    Decided exactly, in rational arithmetic on integers: with x = m 2^e and
+    mk = m^|k|, both sides are scaled by 100 2^(bits+32) and by the exact
+    denominator.  (fractions.Fraction would normalise every product by a gcd
+    of numbers of up to 4096 * bits bits, which is far slower.)
+    """
+    r = -k if k < 0 else max(k - 1, 0)
+    sign, big, exp, _ = got._mpf_
+    assert not sign
+    _, _, e, _ = x._mpf_
+    if k < 0:
+        # got / x^k = big * m^|k| * 2^(exp - e k)
+        num, den, shift = big * mk, 1, exp - e * k
+    else:
+        # got / x^k = big * 2^(exp - e k) / m^k
+        num, den, shift = big, mk, exp - e * k
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    return (abs(num - den) * 100) << (bits + 32) <= den * (100 * 2 ** 32 + 101 * r)
+
+
+POWER_BASES = ["0.05", "0.3", "0.5", "0.7", "0.99", "0.9999", "e^-2", "e^0.5", "e^1"]
+
+
+def _power_base(name, bits):
+    with mpmath.mp.workprec(bits):
+        if name.startswith("e^"):
+            return mpmath.exp(mpmath.mpf(name[2:]))
+        return mpmath.mpf(name)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("name", POWER_BASES)
+def test_power_run_within_its_bound_of_exact_powers(name, bits):
+    x = _power_base(name, bits)
+    m = x._mpf_[1]
+    run = power_run(x, -200, 200, bits)
+    assert len(run) == 401
+    assert run[200] == 1 and run[201] == x
+    mk = 1
+    for k in range(201):
+        assert _within_power_bound(run[200 + k], x, k, mk, bits), k
+        assert _within_power_bound(run[200 - k], x, -k, mk, bits), -k
+        mk *= m
+    # x^k does not depend on where the run starts or ends.
+    assert power_run(x, 5, 9, bits) == run[205:210]
+    assert power_run(x, -9, -5, bits) == run[191:196]
+    assert power_run(x, 3, 2, bits) == []
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_power_run_of_4096_steps_within_its_bound(bits):
+    # Small q, where the negative powers grow fastest.
+    x = _power_base("0.05", bits)
+    m = x._mpf_[1]
+    run = power_run(x, -4096, 4096, bits)
+    assert len(run) == 8193
+    top = m ** 4096
+    for k, mk in ((4096, top), (4095, top // m), (2048, m ** 2048), (1000, m ** 1000), (3, m ** 3)):
+        assert _within_power_bound(run[4096 + k], x, k, mk, bits), k
+        assert _within_power_bound(run[4096 - k], x, -k, mk, bits), -k
+
+
+# -- raw-tuple term loop against the operator loop ----------------------------
+
+
+def _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=None):
+    """basic_hypergeometric as it was written with mpf operators, kept as the
+    reference its raw-tuple loop must equal bit for bit."""
+    q = as_qparam(q, ctx)
+    with ctx.workprec():
+        nums = [mpmath.mpf(v) for v in num]
+        dens = [mpmath.mpf(v) for v in den]
+        z = mpmath.mpf(z)
+        one = mpmath.mpf(1)
+
+        total = mpmath.mpf(0)
+        term = one
+        qk = one
+        prev_mag = None
+        for k in range(ctx.max_terms):
+            total += term
+            if terminating_at is not None and k >= terminating_at:
+                return total
+            ratio = z / (one - q * qk)
+            for b in dens:
+                f = one - b * qk
+                if f == 0:
+                    raise PoleError(
+                        "denominator parameter %s vanishes at index %d" % (mpmath.nstr(b, 8), k)
+                    )
+                ratio /= f
+            for a in nums:
+                ratio *= one - a * qk
+            term = term * ratio
+            qk *= q
+            if term == 0:
+                return total
+            if terminating_at is None:
+                mag = abs(term)
+                if prev_mag is not None and mag < prev_mag and mag < ctx.tol * max(one, abs(total)):
+                    return total + term
+                prev_mag = mag
+        raise TruncationFailure("series not resolved within max_terms=%d" % ctx.max_terms)
+
+
+def _hypergeometric_cases(bits):
+    """(num, den, q, z, terminating_at) of terminating, early-zero and
+    non-terminating series, as the families and the tests above call it."""
+    cases = []
+    with mpmath.mp.workprec(bits):
+        for q_s in ("0.2", "0.277857", "0.5", "0.7", "0.9", "0.99"):
+            q = mpmath.mpf(q_s)
+            for n in (0, 1, 7, 22, 30):
+                for s_s, x_s in (("1", "0.5"), ("1.079991", "0.734134"), ("0.4", "-0.9")):
+                    s, x = mpmath.mpf(s_s), mpmath.mpf(x_s)
+                    rs = mpmath.sqrt(s)
+                    # C_n(x; s, q)
+                    cases.append(([q ** (-n), -s * q ** (n + 1), x], [rs * q, -rs * q],
+                                  q, q, n))
+                # D_n on the grid at x = 3: the x slot ends the sum after 4 terms
+                s = mpmath.mpf("0.6")
+                rs = mpmath.sqrt(s)
+                cutoff = min(n, 3)
+                cases.append(([q ** -3, s * q ** 4, q ** (-n)], [rs * q, -rs * q],
+                              q, -q ** (n + 1), cutoff))
+            # a numerator slot 1 - x q^k that vanishes exactly ends the sum early
+            if q_s == "0.5":
+                for x in (mpmath.mpf(1), q ** -2):
+                    cases.append(([q ** -7, -q ** 8, x], [q, -q], q, q, 7))
+            # non-terminating sums, stopped by the shrinking terms
+            cases.append(([mpmath.mpf("0.3"), mpmath.mpf("0.2")], [mpmath.mpf("0.7")],
+                          q, mpmath.mpf("0.4"), None))
+            cases.append(([mpmath.mpf("-1.2")], [], q, mpmath.mpf("0.25"), None))
+    return cases
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_hypergeometric_raw_loop_equals_operator_loop(bits):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    for num, den, q, z, stop in _hypergeometric_cases(bits):
+        got = basic_hypergeometric(num, den, q, z, ctx, terminating_at=stop)
+        want = _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=stop)
+        assert got._mpf_ == want._mpf_
+    # A vanishing denominator raises from both loops at the same index.
+    q = mpmath.mpf("0.5")
+    for loop in (basic_hypergeometric, _operator_basic_hypergeometric):
+        with pytest.raises(PoleError, match="at index 2"):
+            loop([0.3], [q ** -2], q, 0.5, ctx)
