@@ -180,14 +180,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _decimal(token: str, what: str, q=None):
-    """token as an mpf; where q is given, the token 'q' stands for it."""
+    """token as a finite mpf; where q is given, the token 'q' stands for it."""
     if q is not None and token.strip() == "q":
         return q
     try:
-        return mpmath.mpf(token)
+        value = mpmath.mpf(token)
     except ValueError:
-        raise ValueError("%s must be a decimal string%s (got %r)" % (
-            what, "" if q is None else " or 'q'", token)) from None
+        value = None
+    if value is None or not mpmath.isfinite(value):
+        raise ValueError("%s must be a %sdecimal string%s (got %r)" % (
+            what, "" if value is None else "finite ", "" if q is None else " or 'q'", token))
+    return value
 
 
 def _family_s(config: argparse.Namespace, q, default=None):

@@ -36,11 +36,14 @@ n_max from one recurrence pass.  The single-point and single-degree
 functions (*_table, *_coeffs, qinv_hermite, dual_ultra) are these with one
 point or one row taken, so every route gives the same value bit for bit.
 
-Every power of q with a loop-indexed exponent in those four passes, and in
-the h series' row and its factors e^(n-2k), is read from one
-kernel.power_run per call, stepped at 32 guard bits and rounded once, in
-place of a ``**`` per power.  The parameter lists of the C and grid D
-series still form their few powers with ``**``.
+Those four passes, the h series' row and its sum run on the kernel's pair
+arithmetic (README, "Precision model"; the kernel docstring has the
+argument), so each value is that of the mpf operator expression, and the
+public functions convert to mpf at the end.  Every power of q with a
+loop-indexed exponent in them, and the h series' factors e^(n-2k), is read
+from one kernel.power_run per call in place of a ``**`` per power.  The
+parameter lists of the C and grid D series still form their few powers
+with ``**``.
 """
 from __future__ import annotations
 
@@ -49,12 +52,10 @@ import enum
 import functools
 
 import mpmath
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
-                          mpf_sub, round_nearest)
 
-from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
-                     basic_hypergeometric, power_run)
+from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
+                     _abs_lt, _add, _div, _mpf, _mul, _mul_int, _pair, _round,
+                     _sub, as_qparam, basic_hypergeometric, power_run)
 
 
 class DegenerateCoefficient(Exception):
@@ -115,6 +116,7 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
     with ctx.workprec():
         x = mpmath.mpf(x)
         s = mpmath.mpf(s)
+        _pair(x, "x"), _pair(s, "s")   # ValueError unless both are finite
         mu = q ** (-x) + s * q ** (x + 1)
     return MuPoint(x=x, s=s, mu=mu)
 
@@ -123,32 +125,29 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_sum(n: int, q, factors, mul=mpf_mul) -> tuple[QReal, QReal]:
+def _hermite_sum(n: int, q, factors, mul=_mul) -> tuple[QReal, QReal]:
     """sum_k (-1)^k q^{k(k-n)} [n,k]_q factors[k] and its largest |term|.
 
-    factors holds raw mpf tuples, or ints when mul is mpf_mul_int.  Runs at
-    the ambient precision, on raw tuples, with the calls mpf's operators
-    would make for c * factor, total += term and max(tmax, abs(term)).
+    factors holds pairs, or ints when mul is _mul_int.  Runs at the ambient
+    precision: term = c * factor, total += term, tmax = max(tmax, |term|).
     """
-    prec, rnd = mpmath.mp.prec, round_nearest
-    total = tmax = fzero
+    prec = mpmath.mp.prec
+    total = tmax = _ZERO
     for c, factor in zip(_hermite_coefficients(n, q, prec), factors):
-        term = mul(c, factor, prec, rnd)
-        total = mpf_add(total, term, prec, rnd)
-        mag = mpf_abs(term, prec, rnd)
-        if mpf_gt(mag, tmax):
-            tmax = mag
-    make = mpmath.mp.make_mpf
-    return make(total), make(tmax)
+        term = mul(c, factor, prec)
+        total = _add(total, term, prec)
+        if _abs_lt(tmax, term):
+            tmax = abs(term[0]), term[1]
+    return _mpf(total), _mpf(tmax)
 
 
 @functools.lru_cache(maxsize=32)
-def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple, ...]:
-    """The phi-free factors (-1)^k q^{k(k-n)} [n,k]_q of _hermite_sum, as raw tuples.
+def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple[int, int], ...]:
+    """The phi-free factors (-1)^k q^{k(k-n)} [n,k]_q of _hermite_sum, as pairs.
 
-    Runs at the ambient precision, which must be prec: prec is in the memo
-    key because the rounding of every factor depends on it.  The powers come
-    from one power_run of q over [1-n, n] at prec + 32:
+    prec is the precision of the factors, and part of the memo key because
+    the rounding of every factor depends on it.  The powers come from one
+    power_run of q over [1-n, n] at prec + 32:
     - [n,k]_q steps from [n,k-1]_q by (1 - q^(n-k+1)) / (1 - q^k), with both
       powers rounded from the run to prec, so within 2^-prec + 2^-(prec+31);
     - q^(k(k-n)) steps from q^((k-1)(k-1-n)) by its ratio q^(2k-1-n) at
@@ -157,30 +156,27 @@ def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple, ...]:
       prec + 32, so power_run's product bound over 2k - 1 factors puts it
       within 2^-prec + 3k 2^-(prec+32) of the exact power.
     """
-    wp, rnd = prec + 32, round_nearest
-    pw = [v._mpf_ for v in power_run(q, 1 - n, n, wp)]   # pw[k + n - 1] = q^k
-    qk = [mpf_pos(v, prec, rnd) for v in pw[n - 1:]]     # qk[k] = q^k at prec
-    coeffs = [fone]
-    binom = fone
-    power = fone
+    wp = prec + 32
+    pw = power_run(_pair(q), 1 - n, n, wp)        # pw[k + n - 1] = q^k
+    qk = [_round(v, prec) for v in pw[n - 1:]]    # qk[k] = q^k at prec
+    coeffs = [_ONE]
+    binom = _ONE
+    power = _ONE
     for k in range(1, n + 1):
-        # the calls of binom *= (1 - q^(n-k+1)) / (1 - q^k) and of
-        # (-1)^k * power * binom with mpf operators
-        binom = mpf_mul(binom, mpf_div(mpf_sub(fone, qk[n - k + 1], prec, rnd),
-                                       mpf_sub(fone, qk[k], prec, rnd),
-                                       prec, rnd), prec, rnd)
-        power = mpf_mul(power, pw[2 * k - 2], wp, rnd)
-        c = mpf_mul(mpf_pos(power, prec, rnd), binom, prec, rnd)
-        coeffs.append(mpf_neg(c) if k & 1 else c)
+        # binom *= (1 - q^(n-k+1)) / (1 - q^k); c = (-1)^k * power * binom
+        binom = _mul(binom, _div(_sub(_ONE, qk[n - k + 1], prec),
+                                 _sub(_ONE, qk[k], prec), prec), prec)
+        power = _mul(power, pw[2 * k - 2], wp)
+        m, e = _mul(_round(power, prec), binom, prec)
+        coeffs.append((-m if k & 1 else m, e))
     return tuple(coeffs)
 
 
 def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:
     """One summation pass at the ambient precision: (sum, largest |term|)."""
-    e = mpmath.exp(phi)
+    e = _pair(mpmath.exp(phi))
     # e^(n-2k) for k = 0..n, read downwards from the run e^-n, ..., e^n
-    factors = [v._mpf_ for v in power_run(e, -n, n, mpmath.mp.prec)[::-2]]
-    return _hermite_sum(n, q, factors)
+    return _hermite_sum(n, q, power_run(e, -n, n, mpmath.mp.prec)[::-2])
 
 
 def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -196,6 +192,7 @@ def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT)
     q = as_qparam(q, ctx)
     with ctx.workprec():
         phi = mpmath.mpf(phi)
+        _pair(phi, "phi")   # ValueError unless phi is finite
         total, tmax = _hermite_series_pass(n, phi, q)
         noise = (n + 1) * tmax * mpmath.mpf(2) ** -ctx.bits
         if noise > ctx.tol / 4 * max(mpmath.mpf(1), abs(total)):
@@ -210,33 +207,37 @@ def qinv_hermite_tables(n_max: int, xs, q,
     """[h_0(x|q), ..., h_{n_max}(x|q)] for each x in xs, by the three-term recurrence.
 
     The coefficients q^-j (1 - q^j) do not depend on x, so they are formed
-    once for all of xs.
+    once for all of xs.  ValueError when an x is inf or nan.
     """
+    return [[_mpf(v) for v in vals] for vals in _hermite_tables(n_max, xs, q, ctx)]
+
+
+def _hermite_tables(n_max: int, xs, q, ctx: PrecisionContext) -> list[list[tuple[int, int]]]:
+    """qinv_hermite_tables as pairs."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
+    prec = ctx.bits
     with ctx.workprec():
-        low = [c._mpf_ for c in _hermite_low(n_max, q, ctx.bits)]
-        prec, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
+        low = _hermite_low(n_max, q, prec)
         tables = []
         for x in xs:
-            two_x = (2 * mpmath.mpf(x))._mpf_
-            vals = [mpmath.mpf(1)]
-            prev, cur = fzero, fone
+            two_x = _pair(2 * mpmath.mpf(x), "x")
+            vals = [_ONE]
+            prev, cur = _ZERO, _ONE
             for c_low in low:
-                # cur <- two_x * cur - c_low * prev, rounded as mpf's operators round it
-                prev, cur = cur, mpf_sub(mpf_mul(two_x, cur, prec, rnd),
-                                         mpf_mul(c_low, prev, prec, rnd), prec, rnd)
-                vals.append(make(cur))
+                # cur <- two_x * cur - c_low * prev
+                prev, cur = cur, _sub(_mul(two_x, cur, prec), _mul(c_low, prev, prec), prec)
+                vals.append(cur)
             tables.append(vals)
         return tables
 
 
-def _hermite_low(n_max: int, q: QReal, bits: int) -> list[QReal]:
+def _hermite_low(n_max: int, q: QReal, prec: int) -> list[tuple[int, int]]:
     """[q^-j (1 - q^j) for j < n_max], the low coefficients of the h recurrence."""
-    pw = power_run(q, 1 - n_max, n_max - 1, bits)   # pw[k + n_max - 1] = q^k
+    pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)   # pw[k + n_max - 1] = q^k
     top = n_max - 1
-    return [pw[top - j] * (1 - pw[top + j]) for j in range(n_max)]
+    return [_mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec) for j in range(n_max)]
 
 
 def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -255,28 +256,26 @@ def qinv_hermite_coeff_rows(n_max: int, q,
 
     Row n is [c_0, ..., c_n] with h_n(x|q) = sum c_j x^j.
     """
+    return [[_mpf(c) for c in row] for row in _hermite_coeff_rows(n_max, q, ctx)]
+
+
+def _hermite_coeff_rows(n_max: int, q, ctx: PrecisionContext) -> list[list[tuple[int, int]]]:
+    """qinv_hermite_coeff_rows as pairs."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
-    with ctx.workprec():
-        prec, rnd = mpmath.mp.prec, round_nearest
-        low = _hermite_low(n_max, q, ctx.bits)
-        rows = [[fone]]
-        if n_max > 0:
-            rows.append([fzero, from_int(2)])
-        for j in range(1, n_max):
-            prev, cur = rows[j - 1], rows[j]
-            coef = low[j]._mpf_
-            nxt = [fzero] * (j + 2)
-            # nxt[i + 1] += 2 * c and nxt[i] -= coef * c, rounded as mpf's
-            # operators round them
-            for i, c in enumerate(cur):
-                nxt[i + 1] = mpf_add(nxt[i + 1], mpf_mul_int(c, 2, prec, rnd), prec, rnd)
-            for i, c in enumerate(prev):
-                nxt[i] = mpf_sub(nxt[i], mpf_mul(coef, c, prec, rnd), prec, rnd)
-            rows.append(nxt)
-        make = mpmath.mp.make_mpf
-        return [[make(c) for c in row] for row in rows]
+    prec = ctx.bits
+    low = _hermite_low(n_max, q, prec)
+    rows = [[_ONE]]
+    for j in range(n_max):
+        # nxt[i + 1] = 2 * cur[i], then nxt[i] -= coef * prev[i]
+        nxt = [_ZERO] + [_mul_int(c, 2, prec) for c in rows[j]]
+        if j:
+            coef = low[j]
+            for i, c in enumerate(rows[j - 1]):
+                nxt[i] = _sub(nxt[i], _mul(coef, c, prec), prec)
+        rows.append(nxt)
+    return rows
 
 
 def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -304,7 +303,7 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-        return _hermite_sum(n, q, range(n, -n - 1, -2), mpf_mul_int)[0]
+        return _hermite_sum(n, q, range(n, -n - 1, -2), _mul_int)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +320,7 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
         if not s > 0:
             raise ValueError("s must satisfy s > 0")
         x = mpmath.mpf(x)
+        _pair(s, "s"), _pair(x, "x")   # ValueError unless both are finite
         rs = mpmath.sqrt(s)
         return basic_hypergeometric(
             [q ** (-n), -s * q ** (n + 1), x],
@@ -347,6 +347,7 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         s = mpmath.mpf(s)
         check_dual_s(s, q)
         x = mpmath.mpf(x)
+        _pair(x, "x")   # ValueError unless x is finite
         cutoff = n
         if mpmath.isint(x) and 0 <= x < n:
             cutoff = int(x)
@@ -358,21 +359,24 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         )
 
 
-def _dual_steps(n_max: int, s: QReal, q: QReal, bits: int) -> list[tuple[QReal, ...]]:
-    """The mu-free factors of each step j < n_max of the D recurrence:
+def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
+    """The mu-free factors of each step j < n_max of the D recurrence, as pairs:
     (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1), q^(2j+1), 1 - s q^(2j+2)).
 
     Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
     """
-    pw = power_run(q, 1 - 2 * n_max, 2 * n_max, bits)   # pw[k + o] = q^k
+    q_p, s_p = _pair(q), _pair(s)
+    pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
     o = 2 * n_max - 1
+    one_plus_q = _add(_ONE, q_p, prec)
     steps = []
     for j in range(n_max):
-        lead = 1 - s * pw[o + 2 * j + 2]
-        if lead == 0:
+        lead = _sub(_ONE, _mul(s_p, pw[o + 2 * j + 2], prec), prec)
+        if not lead[0]:
             raise DegenerateCoefficient(
                 "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
-        steps.append((pw[o - 2 * j - 1] * (1 + q), pw[o - 2 * j] * (1 - pw[o + 2 * j]),
+        steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
+                      _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
                       pw[o - 2 * j - 1], pw[o + 2 * j + 1], lead))
     return steps
 
@@ -382,28 +386,32 @@ def dual_ultra_tables(n_max: int, mus, s, q,
     """[D_0(mu), ..., D_{n_max}(mu)] for each mu in mus, by the recurrence in n.
 
     The recurrence coefficients do not depend on mu, so they are formed once
-    for all of mus.
+    for all of mus.  ValueError when a mu is inf or nan.
     """
+    return [[_mpf(v) for v in vals] for vals in _dual_tables(n_max, mus, s, q, ctx)]
+
+
+def _dual_tables(n_max: int, mus, s, q, ctx: PrecisionContext) -> list[list[tuple[int, int]]]:
+    """dual_ultra_tables as pairs."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
+    prec = ctx.bits
     with ctx.workprec():
-        steps = [(c_mid._mpf_, c_low._mpf_, (q_down * lead)._mpf_)
+        steps = [(c_mid, c_low, _mul(q_down, lead, prec))
                  for c_mid, c_low, q_down, _, lead
-                 in _dual_steps(n_max, mpmath.mpf(s), q, ctx.bits)]
-        prec, rnd, make = mpmath.mp.prec, round_nearest, mpmath.mp.make_mpf
+                 in _dual_steps(n_max, mpmath.mpf(s), q, prec)]
         tables = []
         for mu in mus:
-            mu = mpmath.mpf(mu)._mpf_
-            vals = [mpmath.mpf(1)]
-            prev, cur = fzero, fone
+            mu = _pair(mpmath.mpf(mu), "mu")
+            vals = [_ONE]
+            prev, cur = _ZERO, _ONE
             for c_mid, c_low, c_lead in steps:
-                # cur <- ((c_mid - mu) * cur - c_low * prev) / c_lead, rounded
-                # as mpf's operators round it
-                up = mpf_mul(mpf_sub(c_mid, mu, prec, rnd), cur, prec, rnd)
-                down = mpf_mul(c_low, prev, prec, rnd)
-                prev, cur = cur, mpf_div(mpf_sub(up, down, prec, rnd), c_lead, prec, rnd)
-                vals.append(make(cur))
+                # cur <- ((c_mid - mu) * cur - c_low * prev) / c_lead
+                up = _mul(_sub(c_mid, mu, prec), cur, prec)
+                down = _mul(c_low, prev, prec)
+                prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
+                vals.append(cur)
             tables.append(vals)
         return tables
 
@@ -421,37 +429,42 @@ def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRe
 def dual_ultra_coeff_rows(n_max: int, s, q,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
     """[coefficients of D_0, ..., coefficients of D_{n_max}] in mu, one recurrence pass."""
+    return [[_mpf(c) for c in row] for row in _dual_coeff_rows(n_max, s, q, ctx)]
+
+
+def _dual_coeff_rows(n_max: int, s, q, ctx: PrecisionContext) -> list[list[tuple[int, int]]]:
+    """dual_ultra_coeff_rows as pairs."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
+    prec = ctx.bits
     with ctx.workprec():
-        prec, rnd = mpmath.mp.prec, round_nearest
-        steps = _dual_steps(n_max, mpmath.mpf(s), q, ctx.bits)
-        rows = [[fone]]
-        if n_max > 0:
-            # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
-            c_mid, _, _, _, lead = steps[0]
-            rows.append([(c_mid * q / lead)._mpf_, (-q / lead)._mpf_])
-        for j in range(1, n_max):
-            prev, cur = rows[j - 1], rows[j]
-            c_mid, c_low, _, q_up, lead = steps[j]
-            scale = q_up / lead
-            # nxt[i] += scale * c_mid * c, nxt[i + 1] -= scale * c and
-            # nxt[i] -= scale * c_low * c, rounded as mpf's operators round
-            # them; scale * c_mid * c is (scale * c_mid) * c, so the two
-            # products with scale are formed once per step
-            mid = (scale * c_mid)._mpf_
-            low = (scale * c_low)._mpf_
-            scale = scale._mpf_
-            nxt = [fzero] * (j + 2)
-            for i, c in enumerate(cur):
-                nxt[i] = mpf_add(nxt[i], mpf_mul(mid, c, prec, rnd), prec, rnd)
-                nxt[i + 1] = mpf_sub(nxt[i + 1], mpf_mul(scale, c, prec, rnd), prec, rnd)
-            for i, c in enumerate(prev):
-                nxt[i] = mpf_sub(nxt[i], mpf_mul(low, c, prec, rnd), prec, rnd)
-            rows.append(nxt)
-        make = mpmath.mp.make_mpf
-        return [[make(c) for c in row] for row in rows]
+        steps = _dual_steps(n_max, mpmath.mpf(s), q, prec)
+    q_p = _pair(q)
+    rows = [[_ONE]]
+    if n_max > 0:
+        # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
+        c_mid, _, _, _, lead = steps[0]
+        rows.append([_div(_mul(c_mid, q_p, prec), lead, prec),
+                     _div((-q_p[0], q_p[1]), lead, prec)])
+    for j in range(1, n_max):
+        prev, cur = rows[j - 1], rows[j]
+        c_mid, c_low, _, q_up, lead = steps[j]
+        # nxt[i] += scale * c_mid * c, nxt[i + 1] -= scale * c and
+        # nxt[i] -= scale * c_low * c, with scale = q^(2j+1) / lead;
+        # scale * c_mid * c is (scale * c_mid) * c, so the two products with
+        # scale are formed once per step
+        scale = _div(q_up, lead, prec)
+        mid = _mul(scale, c_mid, prec)
+        low = _mul(scale, c_low, prec)
+        nxt = [_ZERO] * (j + 2)
+        for i, c in enumerate(cur):
+            nxt[i] = _add(nxt[i], _mul(mid, c, prec), prec)
+            nxt[i + 1] = _sub(nxt[i + 1], _mul(scale, c, prec), prec)
+        for i, c in enumerate(prev):
+            nxt[i] = _sub(nxt[i], _mul(low, c, prec), prec)
+        rows.append(nxt)
+    return rows
 
 
 def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:

@@ -28,8 +28,8 @@ import mpmath
 
 from .families import (dual_ultra_tables, qinv_hermite_coeff_rows, qinv_hermite_series,
                        qinv_hermite_tables)
-from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal, as_qparam,
-                     qpochhammer, qpochhammer_inf, to_decimal)
+from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _pair,
+                     as_qparam, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -318,10 +318,10 @@ def check_half_to_full_lattice(N: int, q,
 
         # The lattice sums run over j >= 0 with weights u_0, 2 u_1, ..., 2 u_J,
         # which is 2 w_j for base_even's weight w_j, one pair-sum call per
-        # parity.  The odd h vanish at xhat_0 = 0.
+        # parity, on pairs.  The odd h vanish at xhat_0 = 0.
         lattice_w = [2 * w for _, w in even_pts]
-        even_rows = [[c * t for c, t in zip(sign_even, tab)] for tab in even_tabs]
-        odd_rows = [[mpmath.mpf(0)] * (n_odd + 1)]
+        even_rows = [[_pair(c * t) for c, t in zip(sign_even, tab)] for tab in even_tabs]
+        odd_rows = [[_ZERO] * (n_odd + 1)]
         node_resid = mpmath.mpf(0)
         weight_resid = mpmath.mpf(0)
         for j in range(J + 1):
@@ -332,7 +332,7 @@ def check_half_to_full_lattice(N: int, q,
             if j >= 1:
                 node_o, w_o = odd_pts[j - 1]
                 node_resid = max(node_resid, _relative(node_o, q * node_e))
-                odd_rows.append([c * 2 * xhat * t
+                odd_rows.append([_pair(c * 2 * xhat * t)
                                  for c, t in zip(sign_odd, odd_tabs[j - 1])])
                 w_folded = w_o * (1 - q) * (1 - q * q) / (q * 4 * xhat * xhat)
                 weight_resid = max(weight_resid, _relative(w_e, w_folded))
@@ -452,6 +452,8 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
               N: int = 8, s=None, a=None) -> list[IdentityReport]:
     """Run the named checks (all of SUITE_IDS by default) and collect reports.
 
+    A check named more than once in `only` runs once, where first named.
+
     s defaults to 1 for the base-measure entries; a defaults to (1+q)/2 for
     the extremal entries.  A check that raises is reported as failed with
     the error text in its details rather than aborting the suite.
@@ -463,7 +465,7 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
             s=mpmath.mpf(1) if s is None else mpmath.mpf(s),
             a=(1 + q) / 2 if a is None else mpmath.mpf(a))
 
-    selected = list(SUITE_IDS) if only is None else list(only)
+    selected = list(SUITE_IDS) if only is None else list(dict.fromkeys(only))
     unknown = [name for name in selected if name not in _SUITE]
     if unknown:
         raise ValueError("unknown identity ids: %s (known: %s)"

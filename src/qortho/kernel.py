@@ -28,11 +28,27 @@ The memo holds the 32 most recently used lists, each of at most 4096
 factors; an extension works on a list taken out of the memo, so a failure or
 interrupt part-way leaves no entry behind.
 
-Integer powers that a loop needs in a run, x^lo, ..., x^hi, come from
-power_run: one multiplication per power at 32 guard bits, each value
-rounded once, under the product bound proved in its docstring.  The term
-loop of basic_hypergeometric runs on raw mpf tuples, with the calls and
-the order of mpf's operators, so it is the operator loop bit for bit.
+The hot loops of the package (here, in families and in measures) run on
+pairs: a finite real m 2^e held as two Python ints (m, e), with this
+module's private arithmetic _add, _sub, _mul, _mul_int, _div, _round and
+_abs_lt.  Each operation forms its result exactly (an integer sum or
+product, or a quotient of at least prec + 2 bits plus a sticky bit) and
+rounds it once to the precision prec its caller names, to nearest with ties
+to even.  A correctly rounded result is unique (Muller et al., Handbook of
+Floating-Point Arithmetic, 2nd ed., 2.2; IEEE 754-2019, 4.3).  mpmath 1.3.0
+rounds correctly at round_nearest in mpf_mul, mpf_mul_int, mpf_div and
+mpf_pos, and in mpf_add and mpf_sub whenever each operand has at most prec +
+4 bits; past that, for operands more than 100 binary places apart, mpf_add
+replaces the smaller one by a perturbation that can round differently.
+Every operand a loop of the package adds is rounded to the precision of the
+addition or to less.  So a loop on pairs that makes the operations an mpf
+operator expression would make, in the same order and at the same
+precisions, gives that expression's values bit for bit, without mpmath's
+normalisation of every intermediate value.  A pair holds no inf or nan:
+_pair raises ValueError on them, so every evaluator rejects non-finite
+arguments.  Integer powers that a loop needs in a run, x^lo, ..., x^hi, come
+from power_run: one multiplication per power at 32 guard bits, each value
+rounded once, under the product bound proved in its docstring.
 
 Notation used throughout the package:
 
@@ -50,8 +66,7 @@ import functools
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                          mpf_lt, mpf_mul, mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import fzero, numeral
 
 QReal = mpmath.mpf
 
@@ -147,12 +162,149 @@ def to_decimal(value, digits: int) -> str:
     if not mpmath.isfinite(v):
         return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
     if mpmath.isint(v):
-        return str(int(v))
+        n = int(v)
+        # numeral converts chunks of fewer than 250 digits, so Python's limit
+        # on the digits str() gives an int does not apply; size, an estimate
+        # of the digit count, sets the chunks.
+        return numeral(n, size=n.bit_length() * 3 // 10 + 1)
     return mpmath.nstr(v, digits)
 
 
-def power_run(x: QReal, lo: int, hi: int, prec: int) -> list[QReal]:
-    """[x^lo, x^(lo+1), ..., x^hi] for an mpf x, each rounded once to prec bits.
+# ---------------------------------------------------------------------------
+# Pair arithmetic
+#
+# A pair (m, e) of Python ints is the finite real m 2^e; m need not be odd,
+# and _pair gives zero as (0, 0).  The module docstring says why these
+# operations give the values of mpf's operators.
+
+
+_ZERO = (0, 0)
+_ONE = (1, 0)
+_make = mp.make_mpf
+
+
+def _pair(value: QReal, what: str = "value") -> tuple[int, int]:
+    """The pair of a finite mpf; ValueError naming `what` on inf or nan."""
+    sign, man, exp, _ = value._mpf_
+    if not man and exp:   # mpmath's inf, -inf and nan: no mantissa, exp != 0
+        raise ValueError("%s must be finite (got %s)" % (what, value))
+    return (-man if sign else man), exp
+
+
+def _mpf(a: tuple[int, int]) -> QReal:
+    """The mpf of a pair, in mpmath's normal form (odd mantissa, bit count)."""
+    m, e = a
+    if not m:
+        return _make(fzero)
+    sign, m = int(m < 0), abs(m)
+    z = (m & -m).bit_length() - 1   # trailing zero bits
+    m >>= z
+    return _make((sign, m, e + z, m.bit_length()))
+
+
+def _rounded(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m 2^e rounded to prec bits, to nearest with ties to even."""
+    s = m.bit_length() - prec
+    if s <= 0:
+        return m, e
+    # t keeps the rounding bit; floor shifts make this hold for m < 0 too
+    t = m >> (s - 1)
+    if t & 1 and (t & 2 or t << (s - 1) != m):
+        return (t >> 1) + 1, e + s
+    return t >> 1, e + s
+
+
+def _round(a: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a rounded to prec bits (mpf_pos)."""
+    return _rounded(a[0], a[1], prec)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a * b rounded to prec bits (mpf_mul)."""
+    return _rounded(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _mul_int(a: tuple[int, int], k: int, prec: int) -> tuple[int, int]:
+    """a * k for an int k, rounded to prec bits (mpf_mul_int)."""
+    return _rounded(a[0] * k, a[1], prec)
+
+
+def _add(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a + b rounded to prec bits (mpf_add).
+
+    Exponents more than 2 prec apart take a sticky path, so no shift grows
+    without bound.  Say a = ma 2^ea has the higher exponent and top = ea
+    plus the bit length of ma.  When b lies below 2^p, where
+    p = min(ea, top - prec - 3), b is replaced by a sticky half step
+    sign(b) 2^(p-1): the sum lies above 2^(top-2), so its rounding step is
+    at least 2^(p+1), and a is a multiple of 2^p.  a + b and
+    a + sign(b) 2^(p-1) thus lie strictly between the same two multiples of
+    2^p, where no representable value, no midpoint and no power of two
+    falls, so they round alike.  Otherwise b reaches above 2^p, and the
+    exact sum shifts ma by less than prec + 4 plus b's bit length.
+    """
+    ma, ea = a
+    mb, eb = b
+    if ea < eb:
+        ma, ea, mb, eb = mb, eb, ma, ea
+    if ea - eb > 2 * prec:
+        if not (ma and mb):
+            return _rounded(ma, ea, prec) if ma else _rounded(mb, eb, prec)
+        p = min(ea, ea + ma.bit_length() - prec - 3)
+        if eb + mb.bit_length() <= p:
+            return _rounded((ma << (ea - p + 1)) + (1 if mb > 0 else -1), p - 1, prec)
+    return _rounded((ma << (ea - eb)) + mb, eb, prec)
+
+
+def _sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a - b rounded to prec bits (mpf_sub)."""
+    return _add(a, (-b[0], b[1]), prec)
+
+
+def _div(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a / b rounded to prec bits (mpf_div); ZeroDivisionError when b = 0.
+
+    The integer quotient carries at least prec + 2 bits, and one more bit,
+    set when the division leaves a remainder, keeps an inexact quotient off
+    the midpoints.
+    """
+    ma, ea = a
+    mb, eb = b
+    if not mb:
+        raise ZeroDivisionError("pair division by zero")
+    if not ma:
+        return _ZERO
+    neg = (ma < 0) != (mb < 0)
+    ma, mb = abs(ma), abs(mb)
+    extra = prec + 2 - ma.bit_length() + mb.bit_length()
+    if extra >= 0:
+        quot, rem = divmod(ma << extra, mb)
+    else:
+        quot, rem = divmod(ma, mb << -extra)
+    m, e = _rounded((quot << 1) | (1 if rem else 0), ea - eb - extra - 1, prec)
+    return (-m if neg else m), e
+
+
+def _abs_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """|a| < |b|, decided exactly."""
+    ma, ea = a
+    mb, eb = b
+    if not mb:
+        return False
+    if not ma:
+        return True
+    ma, mb = abs(ma), abs(mb)
+    top_a, top_b = ea + ma.bit_length(), eb + mb.bit_length()
+    if top_a != top_b:
+        return top_a < top_b
+    # equal tops: the shift is at most the longer bit length
+    if ea > eb:
+        return ma << (ea - eb) < mb
+    return ma < mb << (eb - ea)
+
+
+def power_run(x: tuple[int, int], lo: int, hi: int, prec: int) -> list[tuple[int, int]]:
+    """[x^lo, x^(lo+1), ..., x^hi] for a pair x, each rounded once to prec bits.
 
     The run is formed by repeated multiplication at prec + 32 bits: x^k for
     k > 0 steps up from x, and x^-k for k > 0 steps up from 1/x.  The value
@@ -177,22 +329,20 @@ def power_run(x: QReal, lo: int, hi: int, prec: int) -> list[QReal]:
     """
     if lo > hi:
         return []
-    wp, rnd = prec + 32, round_nearest   # the guard bits the bound above assumes
-    base = x._mpf_
+    wp = prec + 32   # the guard bits the bound above assumes
     start = min(lo, 0)
-    down = _stepped(mpf_div(fone, base, wp, rnd), -start, wp) if start else []
-    up = _stepped(base, hi, wp)
+    down = _stepped(_div(_ONE, x, wp), -start, wp) if start else []
+    up = _stepped(x, hi, wp)
     # run[k - start] is x^k for start <= k <= max(hi, 0)
-    run = down[::-1] + [fone] + up
-    make = mp.make_mpf
-    return [make(mpf_pos(v, prec, rnd)) for v in run[lo - start:hi - start + 1]]
+    run = down[::-1] + [_ONE] + up
+    return [_round(v, prec) for v in run[lo - start:hi - start + 1]]
 
 
-def _stepped(base, count: int, wp: int) -> list:
-    """[base^1, ..., base^count] of a raw mpf, each product rounded at wp."""
+def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]]:
+    """[base^1, ..., base^count] of a pair, each product rounded at wp."""
     out = [base] if count > 0 else []
     for _ in range(count - 1):
-        out.append(mpf_mul(out[-1], base, wp, round_nearest))
+        out.append(_mul(out[-1], base, wp))
     return out
 
 
@@ -201,7 +351,7 @@ def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
 
     Served from the prefix list of (a, q) at ctx.bits, which is extended
     factor by factor in the order of the plain product loop, so the value is
-    that loop's to the last bit.
+    that loop's to the last bit.  ValueError when a is inf or nan.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
@@ -211,26 +361,29 @@ def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
         key = (a, q, ctx.bits)
         # Taken out while it is extended, so an interrupted extension
         # leaves no entry behind.
-        prods, aqk = _qpochhammer_prefixes.pop(key, None) or ([mpmath.mpf(1)], a)
-        prod = prods[-1]
-        for _ in range(len(prods) - 1, min(n, _PREFIX_MAX_FACTORS)):
-            prod *= 1 - aqk
-            aqk *= q
-            prods.append(prod)
+        prods, aqk = _qpochhammer_prefixes.pop(key, None) or ([mpmath.mpf(1)], _pair(a, "a"))
+        if n >= len(prods):
+            prec, qp = ctx.bits, _pair(q, "q")
+            prod = _pair(prods[-1])
+            for _ in range(len(prods) - 1, min(n, _PREFIX_MAX_FACTORS)):
+                # prod *= 1 - aqk; aqk *= q
+                prod = _mul(prod, _sub(_ONE, aqk, prec), prec)
+                aqk = _mul(aqk, qp, prec)
+                prods.append(_mpf(prod))
         _qpochhammer_prefixes[key] = prods, aqk
         if len(_qpochhammer_prefixes) > _PREFIX_MEMO_SIZE:
             _qpochhammer_prefixes.popitem(last=False)
         if n < len(prods):
             return prods[n]
         for _ in range(len(prods) - 1, n):
-            prod *= 1 - aqk
-            aqk *= q
-        return prod
+            prod = _mul(prod, _sub(_ONE, aqk, prec), prec)
+            aqk = _mul(aqk, qp, prec)
+        return _mpf(prod)
 
 
-# (a, q, bits) -> ([(a;q)_0, ..., (a;q)_k], a q^k), least recently used
-# first.  A list stops growing at _PREFIX_MAX_FACTORS factors; longer
-# products continue from its end without being stored.
+# (a, q, bits) -> ([(a;q)_0, ..., (a;q)_k], the pair of a q^k), least
+# recently used first.  A list stops growing at _PREFIX_MAX_FACTORS
+# factors; longer products continue from its end without being stored.
 _qpochhammer_prefixes: collections.OrderedDict = collections.OrderedDict()
 _PREFIX_MEMO_SIZE = 32
 _PREFIX_MAX_FACTORS = 4096
@@ -390,7 +543,6 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
         nums = [mpmath.mpf(v) for v in num]
         dens = [mpmath.mpf(v) for v in den]
         z = mpmath.mpf(z)
-        make = mp.make_mpf
 
         if terminating_at is not None:
             n_stop = terminating_at
@@ -404,47 +556,42 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
                     % (n_stop, n_stop)
                 )
 
-        # The loop runs on raw mpf tuples and makes the calls mpf's
-        # operators would make, in the same order, so every value is the
-        # operator loop's bit for bit.
-        prec, rnd = mp.prec, round_nearest
-        q_r, z_r, tol_r = q._mpf_, z._mpf_, ctx.tol._mpf_
-        num_r = [a._mpf_ for a in nums]
-        den_r = [b._mpf_ for b in dens]
-        total = fzero
-        term = fone
-        qk = fone
-        prev_mag = None
+        prec = mp.prec
+        q_p, z_p, tol_p = _pair(q), _pair(z, "z"), _pair(ctx.tol)
+        num_p = [_pair(a, "numerator parameter") for a in nums]
+        den_p = [_pair(b, "denominator parameter") for b in dens]
+        total = _ZERO
+        term = _ONE
+        qk = _ONE
+        prev_term = None
         for k in range(ctx.max_terms):
-            total = mpf_add(total, term, prec, rnd)
+            total = _add(total, term, prec)
             if terminating_at is not None and k >= terminating_at:
-                return make(total)
-            # ratio = z / (1 - q qk) / prod_j (1 - b_j qk) * prod_i (1 - a_i qk)
-            ratio = mpf_div(z_r, mpf_sub(fone, mpf_mul(q_r, qk, prec, rnd), prec, rnd),
-                            prec, rnd)
-            for b, b_r in zip(dens, den_r):
-                f = mpf_sub(fone, mpf_mul(b_r, qk, prec, rnd), prec, rnd)
-                if f == fzero:
+                return _mpf(total)
+            # ratio = z / (1 - q qk) / prod_j (1 - b_j qk) * prod_i (1 - a_i qk);
+            # q qk is also the next qk
+            q_qk = _mul(q_p, qk, prec)
+            ratio = _div(z_p, _sub(_ONE, q_qk, prec), prec)
+            for b, b_p in zip(dens, den_p):
+                f = _sub(_ONE, _mul(b_p, qk, prec), prec)
+                if not f[0]:
                     raise PoleError(
                         "denominator parameter %s vanishes at index %d" % (mpmath.nstr(b, 8), k)
                     )
-                ratio = mpf_div(ratio, f, prec, rnd)
-            for a in num_r:
-                ratio = mpf_mul(ratio, mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd),
-                                prec, rnd)
-            term = mpf_mul(term, ratio, prec, rnd)
-            qk = mpf_mul(qk, q_r, prec, rnd)
-            if term == fzero:
-                return make(total)
+                ratio = _div(ratio, f, prec)
+            for a in num_p:
+                ratio = _mul(ratio, _sub(_ONE, _mul(a, qk, prec), prec), prec)
+            term = _mul(term, ratio, prec)
+            qk = q_qk
+            if not term[0]:
+                return _mpf(total)
             if terminating_at is None:
-                mag = mpf_abs(term, prec, rnd)
-                if prev_mag is not None and mpf_lt(mag, prev_mag):
-                    # tol * max(1, |total|)
-                    size = mpf_abs(total, prec, rnd)
-                    floor = mpf_mul(tol_r, size if mpf_gt(size, fone) else fone, prec, rnd)
-                    if mpf_lt(mag, floor):
-                        return make(mpf_add(total, term, prec, rnd))
-                prev_mag = mag
+                if prev_term is not None and _abs_lt(term, prev_term):
+                    # |term| < tol * max(1, |total|)
+                    floor = _mul(tol_p, total if _abs_lt(_ONE, total) else _ONE, prec)
+                    if _abs_lt(term, floor):
+                        return _mpf(_add(total, term, prec))
+                prev_term = term
         raise TruncationFailure(
             "series not resolved within max_terms=%d (q=%s, z=%s)"
             % (ctx.max_terms, mpmath.nstr(q, 8), mpmath.nstr(z, 8))

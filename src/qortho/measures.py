@@ -48,16 +48,16 @@ the scale the checks divide by, and it does not depend on the order of the
 nodes.
 
 The majorant A(t) = max_n sum_j |c_nj| t^j evaluates each row by Horner on
-mpmath's raw mpf tuples, with the mpf_mul / mpf_add calls at the working
-precision that mpf's operators make, so its value is that of the mpf
-expression.  At a given t > 0 most rows cannot attain the max, and only the
-rows that can are evaluated: log|c_nj| is formed once per coefficient as a
-float, each row's largest term is estimated from it, and a row is skipped
-only when, even with its count of nonzero terms and a margin that covers
-the float error and the Horner rounding, it stays below the best row's
-largest term.  The rows left, one to three at most nodes, take the exact
-Horner pass, so A(t), and with it every window and tail bound, is the value
-the pass over all rows gives, bit for bit (_abs_coeff_majorant has the
+the kernel's pair arithmetic (README, "Precision model"), so its value is
+that of the mpf expression; the recurrence tables hand the pair sums their
+values as pairs too.  At a given t > 0 most rows cannot attain the max, and
+only the rows that can are evaluated: log|c_nj| is formed once per
+coefficient as a float, each row's largest term is estimated from it, and a
+row is skipped only when, even with its count of nonzero terms and a margin
+that covers the float error and the Horner rounding, it stays below the best
+row's largest term.  The rows left, one to three at most nodes, take the
+exact Horner pass, so A(t), and with it every window and tail bound, is the
+value the pass over all rows gives, bit for bit (_abs_coeff_majorant has the
 proof).
 """
 from __future__ import annotations
@@ -72,15 +72,13 @@ import operator
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_gt, mpf_mul, round_nearest)
 
-from .families import (FamilyKind, FamilySpec, check_dual_s,
-                       dual_ultra_coeff_rows, dual_ultra_tables,
-                       qinv_hermite_coeff_rows, qinv_hermite_tables)
-from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, as_qparam, qpochhammer,
-                     qpochhammer_inf, to_decimal)
+from .families import (FamilyKind, FamilySpec, _dual_coeff_rows, _dual_tables,
+                       _hermite_coeff_rows, _hermite_tables, check_dual_s)
+from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
+                     TruncationFailure, _abs_lt, _add, _mpf, _mul, _pair,
+                     _rounded, as_qparam, qpochhammer, qpochhammer_inf,
+                     to_decimal)
 
 
 class IncompatiblePair(Exception):
@@ -410,11 +408,11 @@ _FLOAT_REACH = 2 ** 32
 _LN2 = math.log(2)
 
 
-def _horner(cs: list, t: tuple, prec: int) -> tuple:
-    """sum_j cs[-1-j] t^j by Horner, on raw mpf values at precision prec."""
-    acc = fzero
+def _horner(cs: list, t: tuple[int, int], prec: int) -> tuple[int, int]:
+    """sum_j cs[-1-j] t^j by Horner, on pairs at precision prec."""
+    acc = _ZERO
     for c in cs:
-        acc = mpf_add(mpf_mul(acc, t, prec, round_nearest), c, prec, round_nearest)
+        acc = _add(_mul(acc, t, prec), c, prec)
     return acc
 
 
@@ -422,9 +420,8 @@ def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
     """A(t) >= |P_n(x)| for every n <= N and |x| <= t, via |coefficient| sums.
 
     A(t) = max_n A_n(t), where A_n(t) = sum_j |c_nj| t^j is evaluated by
-    Horner at the caller's working precision prec on raw mpf values: each
-    step is the mpf_mul / mpf_add that mpf's * and + perform, in the same
-    order, so A_n(t) is the value the mpf expression gives.
+    Horner on pairs at the caller's working precision prec, so A_n(t) is
+    the value the mpf expression gives.
 
     At t > 0 only the rows that can attain the max are evaluated.  With
     M_n = max_j |c_nj| t^j and k_n the number of nonzero c_nj, the exact sum
@@ -444,34 +441,33 @@ def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
     max over all rows bit for bit.  At t = 0 every row is evaluated.
     """
     if family.kind is FamilyKind.QINV_HERMITE:
-        rows = qinv_hermite_coeff_rows(N, family.q, ctx)
+        rows = _hermite_coeff_rows(N, family.q, ctx)
     else:
-        rows = dual_ultra_coeff_rows(N, family.s, family.q, ctx)
-    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
-    coeffs = [[c._mpf_ for c in cs] for cs in rows]
-    horner = [[mpf_abs(c, prec, round_nearest) for c in reversed(cs)] for cs in coeffs]
+        rows = _dual_coeff_rows(N, family.s, family.q, ctx)
+    prec = mpmath.mp.prec
+    horner = [[(abs(man), exp) for man, exp in reversed(cs)] for cs in rows]
     # log|c_nj| by j, -inf where c_nj = 0, and log k_n by row
-    logs = [[math.log(man) + exp * _LN2 if man else -math.inf
-             for _, man, exp, _ in cs] for cs in coeffs]
-    log_counts = [math.log(sum(1 for c in cs if c[1])) for cs in coeffs]
-    reach = max(abs(exp) + bc for cs in coeffs for _, man, exp, bc in cs if man)
+    logs = [[math.log(abs(man)) + exp * _LN2 if man else -math.inf
+             for man, exp in cs] for cs in rows]
+    log_counts = [math.log(sum(1 for man, _ in cs if man)) for cs in rows]
+    reach = max(abs(exp) + man.bit_length() for cs in rows for man, exp in cs if man)
 
     def amax(t: QReal) -> QReal:
-        t = t._mpf_
-        sign, man, exp, bc = t
+        t = _pair(t, "t")
+        man, exp = t
         kept = horner
-        if man and not sign and reach + N * (abs(exp) + bc) < _FLOAT_REACH:
+        if man > 0 and reach + N * (abs(exp) + man.bit_length()) < _FLOAT_REACH:
             log_t = math.log(man) + exp * _LN2
             powers = [j * log_t for j in range(N + 1)]
             est = [max(map(operator.add, ls, powers)) for ls in logs]
             cut = max(est) - _ROW_MARGIN
             kept = [cs for cs, e, k in zip(horner, est, log_counts) if e + k >= cut]
-        best = fzero
+        best = _ZERO
         for cs in kept:
             acc = _horner(cs, t, prec)
-            if mpf_gt(acc, best):
+            if _abs_lt(best, acc):
                 best = acc
-        return make(best)
+        return _mpf(best)
 
     return amax
 
@@ -481,29 +477,34 @@ def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
 _PAIR_GUARD = 16
 
 
-def _fixed_point(column: list[tuple[int, int, int]], bits: int) -> tuple[list[int], int]:
-    """Integers F and e with F[i] * 2^e = (-1)^sign man 2^exp of column[i],
-    each rounded to nearest once (ties away from zero), with e set so the
-    largest |F[i]| has `bits` bits.  An all-zero column gives zeros, e = 0."""
-    top = max((exp + man.bit_length() for _, man, exp in column if man), default=None)
+def _fixed_point(column: list[tuple[int, int]], bits: int) -> tuple[list[int], int]:
+    """Integers F and e with F[i] * 2^e = m 2^x for the pair (m, x) of
+    column[i], each rounded to nearest once (ties away from zero), with e
+    set so the largest |F[i]| has `bits` bits.  An all-zero column gives
+    zeros, e = 0."""
+    top = max((exp + man.bit_length() for man, exp in column if man), default=None)
     if top is None:
         return [0] * len(column), 0
     low = top - bits
     ints = []
-    for sign, man, exp in column:
-        v = man << (exp - low) if exp >= low else ((man >> (low - exp - 1)) + 1) >> 1
-        ints.append(-v if sign else v)
+    for man, exp in column:
+        if exp >= low:
+            ints.append(man << (exp - low))
+        else:
+            v = ((abs(man) >> (low - exp - 1)) + 1) >> 1
+            ints.append(-v if man < 0 else v)
     return ints, low
 
 
-def _pair_sums(weights: list[QReal], tables: list[list[QReal]],
+def _pair_sums(weights: list[QReal], tables: list[list[tuple[int, int]]],
                N: int) -> list[list[QReal]]:
     """gram[n][n'] = sum_i weights[i] * tables[i][n] * tables[i][n'], each
     entry an exact integer dot product rounded once to the working precision.
 
-    Weights and values must be finite and the weights nonnegative, else
-    ValueError; zero weights are skipped.  Node i's weight is split by the
-    exact power 2^k_i, k_i half of w_i's binary exponent:
+    tables holds pairs, as the family's recurrence tables give them.
+    Weights must be finite and nonnegative, else ValueError; zero weights
+    are skipped.  Node i's weight is split by the exact power 2^k_i, k_i
+    half of w_i's binary exponent:
     a_n[i] = w_i t_n 2^-k_i (the exact product of the two mantissas) and
     b_n[i] = t_n 2^k_i, so a_n b_n' = w_i t_n t_n' exactly and
     |a_n|, |b_n| <= sqrt(2 G_nn).  Each column of a (and of b) gets one
@@ -517,32 +518,26 @@ def _pair_sums(weights: list[QReal], tables: list[list[QReal]],
     is the mirror of (n, n') for n < n'.
     """
     prec = mpmath.mp.prec
-    rows = [(w._mpf_, row) for w, row in zip(weights, tables) if w]
-    nonfinite = {finf, fninf, fnan}
-    if any(w[0] or w in nonfinite for w, _ in rows):
+    rows = [(_pair(w, "pair-sum weight"), row) for w, row in zip(weights, tables) if w]
+    if any(wman < 0 for (wman, _), _ in rows):
         raise ValueError("pair sums need finite nonnegative weights")
     bits = prec + _PAIR_GUARD + len(rows).bit_length()
-    splits = [(wman, wexp, (wexp + wbc) >> 1) for (_, wman, wexp, wbc), _ in rows]
+    splits = [(wman, wexp, (wexp + wman.bit_length()) >> 1) for (wman, wexp), _ in rows]
     a_cols, b_cols = [], []
     for n in range(N + 1):
-        col = [row[n]._mpf_ for _, row in rows]
-        if not nonfinite.isdisjoint(col):
-            raise ValueError("pair sums need finite values")
+        col = [row[n] for _, row in rows]
         a_cols.append(_fixed_point(
-            [(sign, wman * man, wexp + exp - k)
-             for (wman, wexp, k), (sign, man, exp, _) in zip(splits, col)], bits))
+            [(wman * man, wexp + exp - k) for (wman, wexp, k), (man, exp) in zip(splits, col)],
+            bits))
         b_cols.append(_fixed_point(
-            [(sign, man, exp + k)
-             for (_, _, k), (sign, man, exp, _) in zip(splits, col)], bits))
-    make = mpmath.mp.make_mpf
+            [(man, exp + k) for (_, _, k), (man, exp) in zip(splits, col)], bits))
     gram = [[None] * (N + 1) for _ in range(N + 1)]
     for n in range(N + 1):
         a, a_exp = a_cols[n]
         for np_ in range(n, N + 1):
             b, b_exp = b_cols[np_]
             total = sum(map(operator.mul, a, b))
-            gram[n][np_] = gram[np_][n] = make(
-                from_man_exp(total, a_exp + b_exp, prec, round_nearest))
+            gram[n][np_] = gram[np_][n] = _mpf(_rounded(total, a_exp + b_exp, prec))
     return gram
 
 
@@ -616,9 +611,9 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
         nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
 
         if family.kind is FamilyKind.QINV_HERMITE:
-            tables = qinv_hermite_tables(N, nodes, family.q, ctx)
+            tables = _hermite_tables(N, nodes, family.q, ctx)
         else:
-            tables = dual_ultra_tables(N, nodes, family.s, family.q, ctx)
+            tables = _dual_tables(N, nodes, family.s, family.q, ctx)
         gram = _pair_sums(weights, tables, N)
 
         off_max = mpmath.mpf(0)

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: output bytes, exit codes, precedence."""
 import json
+from decimal import Decimal
 
 import mpmath
 import pytest
 
 from qortho import (SUITE_IDS, FamilyKind, FamilySpec, PrecisionContext,
-                    discrete_ultra, gram_matrix, hermite_extremal, to_decimal)
+                    discrete_ultra, gram_matrix, hermite_extremal,
+                    qinv_hermite_series, to_decimal)
 from qortho.cli import build_parser, main
 
 CTX = PrecisionContext.create()
@@ -49,6 +51,34 @@ def test_eval_ultra_matches_library(capsys):
                        "--n", "1", "--x", "0")
     assert code == 0
     assert out == to_decimal(discrete_ultra(1, 0, 1, Q, CTX), CTX.digits) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "h", "--x", "inf"), "x must be a finite decimal string (got 'inf')"),
+    (("--family", "h", "--x", "nan"), "x must be a finite decimal string (got 'nan')"),
+    (("--family", "D", "--mu", "inf", "--s", "1"),
+     "mu must be a finite decimal string (got 'inf')"),
+    (("--family", "C", "--x", "inf", "--s", "1"),
+     "x must be a finite decimal string (got 'inf')"),
+    (("--family", "h", "--phi", "inf"), "phi must be a finite decimal string (got 'inf')"),
+])
+def test_eval_non_finite_token_exits_two_naming_it(capsys, argv, message):
+    code, out, err = run(capsys, "eval", "--n", "3", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_eval_prints_an_integer_past_the_int_to_str_digit_limit(capsys):
+    # h_5(sinh(3000)) is an integer-valued mpf of about 6,500 digits, more
+    # than Python's default limit of 4,300 for str(int).
+    code, out, _ = run(capsys, "eval", "--family", "h", "--n", "5", "--phi", "3e3")
+    assert code == 0
+    digits = out.strip()
+    assert digits.isdigit() and len(digits) > 6000
+    value = qinv_hermite_series(5, 3000, Q, CTX)
+    with CTX.workprec():
+        assert Decimal(digits) == Decimal(int(value))
+        assert digits[:10] == mpmath.nstr(value, 15).replace(".", "")[:10]
 
 
 def test_eval_input_errors(capsys):
@@ -182,9 +212,20 @@ def test_verify_accepts_q_token_for_a(capsys):
     assert (code, out) == run(capsys, *argv, "--a", "0.7")[:2]
 
 
+def test_verify_runs_a_repeated_id_once(capsys):
+    code, out, _ = run(capsys, "verify", "--only",
+                       "product-chain,even-connection,product-chain", "--k-max", "4")
+    assert code == 0
+    assert (code, out) == run(capsys, "verify", "--only",
+                              "product-chain,even-connection", "--k-max", "4")[:2]
+    assert out.splitlines()[-1] == "2/2 identities passed"
+
+
 @pytest.mark.parametrize("flag, token, message", [
     ("--a", "0.7x", "a must be a decimal string or 'q' (got '0.7x')"),
     ("--s", "abc", "s must be a decimal string (got 'abc')"),
+    ("--a", "inf", "a must be a finite decimal string or 'q' (got 'inf')"),
+    ("--s", "nan", "s must be a finite decimal string (got 'nan')"),
 ])
 def test_verify_bad_decimal_names_the_flag(capsys, flag, token, message):
     code, out, err = run(capsys, "verify", "--only", "product-chain", flag, token)

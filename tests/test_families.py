@@ -1,7 +1,6 @@
 """Polynomial families: series vs recurrence routes, structure, edge cases."""
 import mpmath
 import pytest
-from mpmath.libmp import mpf_mul_int
 
 from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     PrecisionContext, as_qparam, discrete_ultra, dual_ultra,
@@ -12,7 +11,7 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     qinv_hermite_series, qinv_hermite_table,
                     qinv_hermite_tables, to_decimal)
 from qortho.families import _hermite_coefficients, _hermite_sum
-from qortho.kernel import power_run
+from qortho.kernel import _mpf, _mul_int, _pair, power_run
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -263,12 +262,39 @@ def test_evaluate_dispatch():
     assert to_decimal(evaluate(h, 2, phi=0, ctx=CTX), 20) == "-1"
     ht = FamilySpec(FamilyKind.EVEN_HERMITE_FACTOR, "0.5")
     assert evaluate(ht, 0, x="0.3", ctx=CTX) == 2
+    for x in ("0.3", 0):   # the recurrence route and the removable point
+        want = even_hermite_factor(3, x, Q, CTX)
+        assert evaluate(ht, 3, x=x, ctx=CTX)._mpf_ == want._mpf_
+    assert to_decimal(evaluate(ht, 2, x=0, ctx=CTX), 20) == "134"
     c = FamilySpec(FamilyKind.DISCRETE_ULTRA, "0.5", "1")
     assert evaluate(c, 1, x=1, ctx=CTX) == 1
     d = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, "0.5", "0.5")
     pt = mu_point(1, "0.5", Q, CTX)
     assert to_decimal(evaluate(d, 1, mu=pt.mu, ctx=CTX), 20) == "0.5"
     assert to_decimal(evaluate(d, 1, x=1, ctx=CTX), 20) == "0.5"
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_evaluators_reject_non_finite_arguments(bad):
+    v = mpmath.mpf(bad)
+    calls = {
+        "h recurrence": lambda: qinv_hermite(3, v, Q, CTX),
+        "h series": lambda: qinv_hermite_series(3, v, Q, CTX),
+        "h tables": lambda: qinv_hermite_tables(3, [1, v], Q, CTX),
+        "ht": lambda: even_hermite_factor(1, v, Q, CTX),
+        "C at x": lambda: discrete_ultra(3, v, 1, Q, CTX),
+        "C at s": lambda: discrete_ultra(3, "0.5", v, Q, CTX),
+        "D recurrence": lambda: dual_ultra(3, v, 1, Q, CTX),
+        "D tables": lambda: dual_ultra_tables(3, [2, v], 1, Q, CTX),
+        "D grid series": lambda: dual_ultra_series(3, v, 1, Q, CTX),
+        "grid point at x": lambda: mu_point(v, 1, Q, CTX),
+        "grid point at s": lambda: mu_point(2, v, Q, CTX),
+        "dispatch": lambda: evaluate(FamilySpec(FamilyKind.QINV_HERMITE, Q), 3, x=v, ctx=CTX),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail("%s accepted %s" % (name, bad))
 
 
 def test_evaluate_dispatch_errors():
@@ -301,7 +327,8 @@ def test_evaluate_dispatch_errors():
 
 def P(x, bits, reach=64):
     """{k: x^k} for |k| <= reach, from one power_run at bits."""
-    return dict(zip(range(-reach, reach + 1), power_run(x, -reach, reach, bits)))
+    run = power_run(_pair(x), -reach, reach, bits)
+    return dict(zip(range(-reach, reach + 1), map(_mpf, run)))
 
 
 def _oracle_hermite_table(n_max, x, q, ctx):
@@ -521,17 +548,17 @@ def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
     assert ((29, 0) in repasses) == (q_s != "0.9")
 
 
-# -- raw-tuple h-series sum against the operator loop -------------------------
+# -- the h-series sum on pairs against the operator loop ----------------------
 
 
 def _operator_hermite_sum(n, q, factor):
     """_hermite_sum as it was written with mpf operators, kept as the
-    reference its raw-tuple loop must equal bit for bit; the row is now
-    stored as raw tuples, so each c is wrapped first."""
+    reference its pair loop must equal bit for bit; the row is stored as
+    pairs, so each c is wrapped first."""
     total = mpmath.mpf(0)
     tmax = mpmath.mpf(0)
     for k, c in enumerate(_hermite_coefficients(n, q, mpmath.mp.prec)):
-        c = mpmath.mp.make_mpf(c)
+        c = _mpf(c)
         term = c * factor(k)
         total += term
         tmax = max(tmax, abs(term))
@@ -545,13 +572,14 @@ def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
         q = mpmath.mpf(q_s)
         for n in range(31):
             # the integer factors of the linear coefficient at x = 0
-            got = _hermite_sum(n, q, range(n, -n - 1, -2), mpf_mul_int)
+            got = _hermite_sum(n, q, range(n, -n - 1, -2), _mul_int)
             want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
             assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
             for phi in ("-2", "-0.5", "0", "1.25"):
                 e = mpmath.exp(mpmath.mpf(phi))
-                powers = power_run(e, -n, n, bits)
-                got = _hermite_sum(n, q, [v._mpf_ for v in powers[::-2]])
+                run = power_run(_pair(e), -n, n, bits)
+                powers = [_mpf(v) for v in run]
+                got = _hermite_sum(n, q, run[::-2])
                 want = _operator_hermite_sum(n, q, lambda k: powers[2 * n - 2 * k])
                 assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qortho import (DEFAULT_CONTEXT, PoleError, PrecisionContext,
                     TruncationFailure, as_qparam, basic_hypergeometric,
                     qpochhammer, qpochhammer_inf, to_decimal)
-from qortho.kernel import power_run
+from qortho.kernel import _mpf, _pair, power_run
 
 CTX = PrecisionContext.create()
 
@@ -176,17 +176,19 @@ def test_qpochhammer_memo_stores_no_long_list(prefixes, monkeypatch):
 
 
 def test_qpochhammer_memo_keeps_no_partial_list(prefixes, monkeypatch):
+    from qortho import kernel
     qpochhammer("0.3", "0.7", 5, CTX)
-    rsub = mpmath.mpf.__rsub__
+    sub = kernel._sub
     calls = []
 
-    def interrupted(self, other):
+    def interrupted(a, b, prec):
         calls.append(None)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return rsub(self, other)
+        return sub(a, b, prec)
 
-    monkeypatch.setattr(mpmath.mpf, "__rsub__", interrupted)
+    # the factor 1 - a q^k of the third extension step is interrupted
+    monkeypatch.setattr(kernel, "_sub", interrupted)
     with pytest.raises(KeyboardInterrupt):
         qpochhammer("0.3", "0.7", 20, CTX)
     monkeypatch.undo()
@@ -453,12 +455,17 @@ def _power_base(name, bits):
         return mpmath.mpf(name)
 
 
+def _power_run(x, lo, hi, bits):
+    """power_run of an mpf, as mpfs."""
+    return [_mpf(v) for v in power_run(_pair(x), lo, hi, bits)]
+
+
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 @pytest.mark.parametrize("name", POWER_BASES)
 def test_power_run_within_its_bound_of_exact_powers(name, bits):
     x = _power_base(name, bits)
     m = x._mpf_[1]
-    run = power_run(x, -200, 200, bits)
+    run = _power_run(x, -200, 200, bits)
     assert len(run) == 401
     assert run[200] == 1 and run[201] == x
     mk = 1
@@ -467,9 +474,9 @@ def test_power_run_within_its_bound_of_exact_powers(name, bits):
         assert _within_power_bound(run[200 - k], x, -k, mk, bits), -k
         mk *= m
     # x^k does not depend on where the run starts or ends.
-    assert power_run(x, 5, 9, bits) == run[205:210]
-    assert power_run(x, -9, -5, bits) == run[191:196]
-    assert power_run(x, 3, 2, bits) == []
+    assert _power_run(x, 5, 9, bits) == run[205:210]
+    assert _power_run(x, -9, -5, bits) == run[191:196]
+    assert _power_run(x, 3, 2, bits) == []
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
@@ -477,7 +484,7 @@ def test_power_run_of_4096_steps_within_its_bound(bits):
     # Small q, where the negative powers grow fastest.
     x = _power_base("0.05", bits)
     m = x._mpf_[1]
-    run = power_run(x, -4096, 4096, bits)
+    run = _power_run(x, -4096, 4096, bits)
     assert len(run) == 8193
     top = m ** 4096
     for k, mk in ((4096, top), (4095, top // m), (2048, m ** 2048), (1000, m ** 1000), (3, m ** 3)):
@@ -485,12 +492,12 @@ def test_power_run_of_4096_steps_within_its_bound(bits):
         assert _within_power_bound(run[4096 - k], x, -k, mk, bits), -k
 
 
-# -- raw-tuple term loop against the operator loop ----------------------------
+# -- the term loop on pairs against the operator loop -------------------------
 
 
 def _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=None):
     """basic_hypergeometric as it was written with mpf operators, kept as the
-    reference its raw-tuple loop must equal bit for bit."""
+    reference its pair loop must equal bit for bit."""
     q = as_qparam(q, ctx)
     with ctx.workprec():
         nums = [mpmath.mpf(v) for v in num]

@@ -15,6 +15,7 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
                     dual_ultra_coeff_rows, gram_matrix, hermite_extremal,
                     lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
+from qortho.kernel import _pair
 from qortho.measures import _abs_coeff_majorant
 
 CTX = PrecisionContext.create()
@@ -197,12 +198,12 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
     longest = collections.Counter()  # (a, q, bits) -> longest product asked
     asked = []                       # every n asked: the plain loop's cost
     current = []
-    rsub = mpmath.mpf.__rsub__
+    sub = kernel._sub
 
-    def counting_rsub(self, other):
+    def counting_sub(a, b, prec):   # the 1 - a q^k of each factor
         if current:
             factors[current[-1]] += 1
-        return rsub(self, other)
+        return sub(a, b, prec)
 
     def recording(a, q, n, ctx):
         with ctx.workprec():
@@ -215,7 +216,7 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
         finally:
             current.pop()
 
-    monkeypatch.setattr(mpmath.mpf, "__rsub__", counting_rsub)
+    monkeypatch.setattr(kernel, "_sub", counting_sub)
     monkeypatch.setattr(measures, "qpochhammer", recording)
     gram_matrix(dual_family(measure), measure, 8, CTX)
     monkeypatch.undo()
@@ -230,9 +231,9 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
 
 
 def _exact(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -value if sign else value
+    """The exact value of an mpf or of a pair."""
+    man, exp = x if isinstance(x, tuple) else _pair(x)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def _pair_inputs(monkeypatch, measure, N, ctx):
@@ -272,7 +273,7 @@ def test_pair_sums_are_within_their_bound_of_the_exact_sum(monkeypatch, kind,
     ctx = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
     weights, tables, N = _pair_inputs(monkeypatch, _PAIR_MEASURES[kind](ctx), 6, ctx)
     # An identically zero column and a negated one ride along.
-    tables = [list(row[:N + 1]) + [mpmath.mpf(0), -row[1]] for row in tables]
+    tables = [list(row[:N + 1]) + [(0, 0), (-row[1][0], row[1][1])] for row in tables]
     with ctx.workprec():
         gram = _pair_sums(weights, tables, N + 2)
     w = [_exact(v) for v in weights]
@@ -307,11 +308,14 @@ def test_pair_sums_refuse_what_their_bound_does_not_cover():
     from qortho.measures import _pair_sums
     one = mpmath.mpf(1)
     with CTX.workprec():
-        assert _pair_sums([one, one], [[one], [-one]], 0) == [[2]]
-        for weights, tables in (([mpmath.inf], [[one]]), ([-one], [[one]]),
-                                ([one], [[mpmath.nan]]), ([one], [[-mpmath.inf]])):
+        assert _pair_sums([one, one], [[(1, 0)], [(-1, 0)]], 0) == [[2]]
+        for weight in (mpmath.inf, -one, mpmath.nan):
             with pytest.raises(ValueError, match="finite"):
-                _pair_sums(weights, tables, 0)
+                _pair_sums([weight], [[(1, 0)]], 0)
+        # The values come as pairs, and no pair holds inf or nan.
+        for value in (mpmath.nan, -mpmath.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _pair(value)
 
 
 def test_node_hash_separates_a_values():
@@ -502,10 +506,10 @@ def test_gram_runs_each_recurrence_once(monkeypatch, kind):
     import qortho.measures
     if kind == "hermite_extremal":
         measure = hermite_extremal("0.8", Q, CTX)
-        names = ("qinv_hermite_coeff_rows", "qinv_hermite_tables")
+        names = ("_hermite_coeff_rows", "_hermite_tables")
     else:
         measure = dual_base(1, Q, "even", CTX)
-        names = ("dual_ultra_coeff_rows", "dual_ultra_tables")
+        names = ("_dual_coeff_rows", "_dual_tables")
     calls = {name: [] for name in names}
     for name in names:
         def counted(*args, _name=name, _fn=getattr(qortho.measures, name), **kwargs):

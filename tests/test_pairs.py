@@ -1,0 +1,168 @@
+"""The kernel's pair arithmetic against mpmath's own rounded operations.
+
+Every pair operation rounds its exact result once to nearest-even, so it
+must return, raw tuple for raw tuple, what mpmath 1.3.0 returns at
+round_nearest.  mpf_add and mpf_sub are compared on operands of at most
+prec + 4 bits, the sizes for which mpmath rounds them correctly (the loops
+of the package add nothing longer); mul, div and rounding take longer
+operands as well.  Example counts come from the hypothesis profile, so CI
+can search more of them (tests/conftest.py).
+"""
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
+                          mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
+                          round_nearest)
+
+from qortho.kernel import (_abs_lt, _add, _div, _mpf, _mul, _mul_int, _pair,
+                           _round, _sub)
+
+PRECS = [64, 256, 288, 1024, 1056]
+R = round_nearest
+
+
+def raw(a):
+    """The exact mpf tuple of a pair."""
+    return from_man_exp(a[0], a[1])
+
+
+def same(a, want):
+    """The pair a has the value of the raw mpf want, in mpmath's normal form."""
+    return _mpf(a)._mpf_ == want
+
+
+def check_sums(a, b, prec):
+    assert same(_add(a, b, prec), mpf_add(raw(a), raw(b), prec, R)), (a, b, prec)
+    assert same(_sub(a, b, prec), mpf_sub(raw(a), raw(b), prec, R)), (a, b, prec)
+
+
+def check_products(a, b, prec):
+    assert same(_mul(a, b, prec), mpf_mul(raw(a), raw(b), prec, R)), (a, b, prec)
+    if b[0]:
+        assert same(_div(a, b, prec), mpf_div(raw(a), raw(b), prec, R)), (a, b, prec)
+
+
+@st.composite
+def pairs(draw, max_bits):
+    """A pair with a mantissa of 1..max_bits bits, or zero; exponents near
+    0 or spread over several precisions, so sums take both paths."""
+    if draw(st.integers(0, 15)) == 0:
+        return (0, 0)
+    bits = draw(st.integers(1, max_bits))
+    man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    exp = draw(st.one_of(st.integers(-8, 8), st.integers(-3 * max_bits, 3 * max_bits)))
+    return (-man if draw(st.booleans()) else man), exp
+
+
+@st.composite
+def operands(draw, extra_bits):
+    prec = draw(st.sampled_from(PRECS))
+    pair = pairs(prec + extra_bits)
+    return prec, draw(pair), draw(pair)
+
+
+@settings(deadline=None)
+@given(operands(4))
+def test_pair_ops_match_mpmath(args):
+    prec, a, b = args
+    check_sums(a, b, prec)
+    check_products(a, b, prec)
+    assert _abs_lt(a, b) == (mpf_cmp(mpf_abs(raw(a)), mpf_abs(raw(b))) < 0)
+
+
+@settings(deadline=None)
+@given(operands(2000), st.integers(-(1 << 80), 1 << 80))
+def test_long_operands_round_as_mpmath(args, k):
+    prec, a, b = args
+    check_products(a, b, prec)
+    assert same(_mul_int(a, k, prec), mpf_mul_int(raw(a), k, prec, R))
+    assert same(_round(a, prec), mpf_pos(raw(a), prec, R))
+    assert _abs_lt(a, b) == (mpf_cmp(mpf_abs(raw(a)), mpf_abs(raw(b))) < 0)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_exact_ties_round_to_even(prec):
+    # A 2^1 + 1 has prec + 1 bits and ends in 1: a tie between A and A + 1
+    # at prec bits, for A of either parity; the even one wins.
+    low = 1 << (prec - 1)
+    for big in (low, low + 1, (1 << prec) - 2, (1 << prec) - 1):
+        for sign in (1, -1):
+            a = (sign * big, 1)
+            for step in (1, -1):
+                one = (sign * step, 0)
+                check_sums(a, one, prec)
+                exact = 2 * big + step   # |a + one|
+                if exact.bit_length() > prec:   # a tie: the even neighbour
+                    exact = 2 * (big if big % 2 == 0 else big + step)
+                assert same(_add(a, one, prec), raw((sign * exact, 0)))
+            # 3 M has prec + 1 bits for M odd below 2^(prec+1) / 3: a tie
+            m = sign * (low + 1 + 2 * (big % 2))
+            check_products((m, 0), (3, 0), prec)
+            assert same(_mul_int((m, 0), 3, prec), mpf_mul_int(raw((m, 0)), 3, prec, R))
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_far_apart_operands_take_the_sticky_path(prec):
+    # b lies far below the last place of a: only its sign can matter, in
+    # each operand order and sign combination, for a a power of two (a
+    # negative b drops the sum to the binade below), a run of ones (a
+    # positive b can carry), a short mantissa, mantissas of up to prec + 4
+    # bits, and a that is itself a tie at prec bits, which b's sign breaks.
+    heads = [1, (1 << prec) - 1, 5, (1 << (prec + 3)) + 1, (1 << (prec + 4)) - 1,
+             (1 << prec) + 1, (1 << prec) + 3, (1 << (prec + 3)) + 8, (1 << (prec + 3)) + 24]
+    tails = [1, 3, (1 << prec) - 1]
+    for head in heads:
+        for tail in tails:
+            for gap in (prec + 4, prec + 9, 3 * prec, 100000):
+                for sa in (1, -1):
+                    for sb in (1, -1):
+                        a = (sa * head, 0)
+                        b = (sb * tail, -gap - tail.bit_length())
+                        check_sums(a, b, prec)
+                        check_sums(b, a, prec)
+    # exponents far apart with b not small: the tops are close
+    a = (1, 5 * prec)
+    b = ((1 << (6 * prec)) - 1, -prec)
+    check_sums(a, b, prec)
+    check_sums(b, a, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_zeros_cancellation_and_one_bit_mantissas(prec):
+    zero = (0, 0)
+    for a in ((1, 0), (-1, 7), (1, -3000), ((1 << prec) - 1, -prec), (3, 10 ** 6)):
+        neg = (-a[0], a[1])
+        assert _add(a, neg, prec)[0] == 0 and _sub(a, a, prec)[0] == 0
+        assert _mpf(_add(a, neg, prec))._mpf_ == fzero
+        for b in (zero, (1, 0), (-1, -1), (1, 12345), (-1, -12345)):
+            check_sums(a, b, prec)
+            check_sums(b, a, prec)
+            check_products(a, b, prec)
+            check_products(b, a, prec)
+        assert _mul(a, zero, prec)[0] == 0 and _div(zero, a, prec)[0] == 0
+        with pytest.raises(ZeroDivisionError):
+            _div(a, zero, prec)
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_exact_and_inexact_quotients(prec):
+    for num, den in ((1, 3), (2, 3), (-1, 7), (10, -3), ((1 << prec) - 1, (1 << prec) - 3),
+                     (1, (1 << prec) - 1)):
+        check_products((num, 0), (den, 5), prec)
+    # (c d) / d is exactly c when c fits in prec bits
+    for c, d in ((3, 7), ((1 << prec) - 1, (1 << 40) + 1), (-((1 << prec) - 3), 3)):
+        quot = _div((c * d, 9), (d, 4), prec)
+        assert same(quot, raw((c, 5)))
+        check_products((c * d, 9), (d, 4), prec)
+
+
+def test_pair_conversion_rejects_inf_and_nan():
+    for value in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(ValueError, match="x must be finite"):
+            _pair(value, "x")
+    assert _pair(mpmath.mpf(0)) == (0, 0)
+    assert _pair(mpmath.mpf(-0.375)) == (-3, -3)
+    for a in ((12, -2), (-(1 << 300), -5), (7, 0), (0, 9)):
+        assert raw(_pair(_mpf(a))) == raw(a)
