@@ -35,8 +35,11 @@ and dual_ultra_coeff_rows return the coefficient rows of every degree up to
 n_max from one recurrence pass.  The single-point and single-degree
 functions (*_table, *_coeffs, qinv_hermite, dual_ultra) are these with one
 point or one row taken, so every route gives the same value bit for bit.
+Each family's recurrence at one point is written once (_hermite_values,
+_dual_values); it serves both the tables and the Gram window's majorant in
+measures, which runs it for |h_n(it)| and D_n(-t).
 
-Those four passes, the h series' row and its sum run on the kernel's pair
+Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
 argument), so each value is that of the mpf operator expression, and the
 public functions convert to mpf at the end.  Every power of q with a
@@ -220,17 +223,19 @@ def _hermite_tables(n_max: int, xs, q, ctx: PrecisionContext) -> list[list[tuple
     prec = ctx.bits
     with ctx.workprec():
         low = _hermite_low(n_max, q, prec)
-        tables = []
-        for x in xs:
-            two_x = _pair(2 * mpmath.mpf(x), "x")
-            vals = [_ONE]
-            prev, cur = _ZERO, _ONE
-            for c_low in low:
-                # cur <- two_x * cur - c_low * prev
-                prev, cur = cur, _sub(_mul(two_x, cur, prec), _mul(c_low, prev, prec), prec)
-                vals.append(cur)
-            tables.append(vals)
-        return tables
+        return [_hermite_values(_pair(2 * mpmath.mpf(x), "x"), low, prec) for x in xs]
+
+
+def _hermite_values(two_x: tuple[int, int], low: list[tuple[int, int]],
+                    prec: int) -> list[tuple[int, int]]:
+    """[h_0, ..., h_n] at one point, n = len(low), from the pair 2x and the
+    low coefficients: h_{j+1} = 2x h_j - low[j] h_{j-1}."""
+    vals = [_ONE]
+    prev, cur = _ZERO, _ONE
+    for c_low in low:
+        prev, cur = cur, _sub(_mul(two_x, cur, prec), _mul(c_low, prev, prec), prec)
+        vals.append(cur)
+    return vals
 
 
 def _hermite_low(n_max: int, q: QReal, prec: int) -> list[tuple[int, int]]:
@@ -256,11 +261,6 @@ def qinv_hermite_coeff_rows(n_max: int, q,
 
     Row n is [c_0, ..., c_n] with h_n(x|q) = sum c_j x^j.
     """
-    return [[_mpf(c) for c in row] for row in _hermite_coeff_rows(n_max, q, ctx)]
-
-
-def _hermite_coeff_rows(n_max: int, q, ctx: PrecisionContext) -> list[list[tuple[int, int]]]:
-    """qinv_hermite_coeff_rows as pairs."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
@@ -275,7 +275,7 @@ def _hermite_coeff_rows(n_max: int, q, ctx: PrecisionContext) -> list[list[tuple
             for i, c in enumerate(rows[j - 1]):
                 nxt[i] = _sub(nxt[i], _mul(coef, c, prec), prec)
         rows.append(nxt)
-    return rows
+    return [[_mpf(c) for c in row] for row in rows]
 
 
 def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -361,9 +361,10 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
     """The mu-free factors of each step j < n_max of the D recurrence, as pairs:
-    (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1), q^(2j+1), 1 - s q^(2j+2)).
+    (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1) lead, q^(2j+1), lead)
+    with lead = 1 - s q^(2j+2).
 
-    Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
+    Raises DegenerateCoefficient at the first j whose lead is 0.
     """
     q_p, s_p = _pair(q), _pair(s)
     pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
@@ -377,7 +378,7 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
                 "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
         steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
                       _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
-                      pw[o - 2 * j - 1], pw[o + 2 * j + 1], lead))
+                      _mul(pw[o - 2 * j - 1], lead, prec), pw[o + 2 * j + 1], lead))
     return steps
 
 
@@ -398,22 +399,22 @@ def _dual_tables(n_max: int, mus, s, q, ctx: PrecisionContext) -> list[list[tupl
     q = as_qparam(q, ctx)
     prec = ctx.bits
     with ctx.workprec():
-        steps = [(c_mid, c_low, _mul(q_down, lead, prec))
-                 for c_mid, c_low, q_down, _, lead
-                 in _dual_steps(n_max, mpmath.mpf(s), q, prec)]
-        tables = []
-        for mu in mus:
-            mu = _pair(mpmath.mpf(mu), "mu")
-            vals = [_ONE]
-            prev, cur = _ZERO, _ONE
-            for c_mid, c_low, c_lead in steps:
-                # cur <- ((c_mid - mu) * cur - c_low * prev) / c_lead
-                up = _mul(_sub(c_mid, mu, prec), cur, prec)
-                down = _mul(c_low, prev, prec)
-                prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
-                vals.append(cur)
-            tables.append(vals)
-        return tables
+        steps = _dual_steps(n_max, mpmath.mpf(s), q, prec)
+        return [_dual_values(_pair(mpmath.mpf(mu), "mu"), steps, prec) for mu in mus]
+
+
+def _dual_values(mu: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
+                 prec: int) -> list[tuple[int, int]]:
+    """[D_0, ..., D_n] at one point, n = len(steps), from the pair mu and
+    _dual_steps: D_{j+1} = ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead."""
+    vals = [_ONE]
+    prev, cur = _ZERO, _ONE
+    for c_mid, c_low, c_lead, _, _ in steps:
+        up = _mul(_sub(c_mid, mu, prec), cur, prec)
+        down = _mul(c_low, prev, prec)
+        prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
+        vals.append(cur)
+    return vals
 
 
 def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -429,11 +430,6 @@ def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRe
 def dual_ultra_coeff_rows(n_max: int, s, q,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
     """[coefficients of D_0, ..., coefficients of D_{n_max}] in mu, one recurrence pass."""
-    return [[_mpf(c) for c in row] for row in _dual_coeff_rows(n_max, s, q, ctx)]
-
-
-def _dual_coeff_rows(n_max: int, s, q, ctx: PrecisionContext) -> list[list[tuple[int, int]]]:
-    """dual_ultra_coeff_rows as pairs."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(q, ctx)
@@ -464,7 +460,7 @@ def _dual_coeff_rows(n_max: int, s, q, ctx: PrecisionContext) -> list[list[tuple
         for i, c in enumerate(prev):
             nxt[i] = _sub(nxt[i], _mul(low, c, prec), prec)
         rows.append(nxt)
-    return rows
+    return [[_mpf(c) for c in row] for row in rows]
 
 
 def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:

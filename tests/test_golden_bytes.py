@@ -50,9 +50,9 @@ _LONG = {
     "verify": _BASIC["verify"],
 }
 
-# Extremal Grams past the default a and N, where the window scan's majorant
-# evaluates only the coefficient rows that can attain its max.
-_FILTER = {
+# Extremal Grams past the default a and N: longer windows, each node bounded
+# by the majorant at degree 24.
+_EXTREMAL_N24 = {
     "gram-hermite-N24": ("gram", "--measure", "hermite-extremal", "--a", "0.9",
                          "--N", "24"),
     "gram-qinv-N24": ("gram", "--measure", "dual-qinv-extremal", "--a", "0.9",
@@ -80,31 +80,31 @@ def _runs(argvs, q, digests):
 
 
 GOLDEN = _runs(_BASIC, "0.5", (
-    "0d1fde92351e9104fabe2d0258c692c5afc243d4016e748f8d83b2a3713b4e83",
-    "c0fd1b63cbda1baa04f196524aafb678b3394de4de962611dbfd33a848ccdb73",
-    "44d40e5d6e5f7f9fb5600a4ea9013b10817df4ebeb5379ee37ae6f94dc9fad23",
-    "cbad1af90bd74a64f83f018d13d887a92f96726470c87b36f9707032038722ac",
-    "d37cca6adce608be519e28cfe8307998248d941da54f03fde7395e703d19ee78",
+    "c2d50db426ddc1f5843d8b9b1d6ff909bee9bbdb699a98dc68b99b13955c2683",
+    "0d9430cef6fef38e5a11e8c9572f7f3de4b1d9c9956d9a147fa4d23f05a6f849",
+    "f60f64e5c11b7bbb36fbda8a1668ca0e6ad6be3a28cc03ffab7ad3cff5f5f82c",
+    "12daccbe5aef029ba8d5e61cf440d302975499484a11a60461283603e33f8b15",
+    "6da47bfe57239ad98a910d3233922269d925ec043efdab09bcc459561187b8e5",
     "f8ad261412f5c959686eda58353136581bd7ed97212ca18f6cdd4ebd8d7e6af5",
-    "d6a026e95c19c2bbe466a782659e8ffc2056748e57c1862a3734b1a5b874a871",
+    "3a8f376a2a2ce9f19fad8ff78b3105afed214636a219925130c3acdc30c73663",
 )) + _runs(_BASIC, "0.7", (
     "d3cea245db4bfe7a84281b14e5b0057872159d62f5ea050369a440bc508c6c3f",
-    "3dcf361da00bca8427b23c962a759c0070a76f9d79b5d998592572a1cb5dce74",
-    "2ad504033f8974c3c85a7ef1d81deacd852a0e6bc54c11a09e516b8bdc4ad5bf",
+    "956c09fa065405a11c9d4436f8dd94cba24e182882e082e59e36eea46cbe6341",
+    "69984224ad05dde398463eec04ffc4cce33a490cf8d07bbd04f3ab8c189d39bd",
     "50cde737c055c1b304056bbea0f7c5fbe4e2fd5ff9bc97fdeeb14a3d5f1d0208",
-    "aaa0f511947da73cb1e67f36b1727c66842a07b97d6628a8a233fdd358c083e3",
+    "5ce590bf56a39da8e716539eb8bdf48ace92844bf59d7426dae208d67ec959a0",
     "d6a6eb1aba19a481a5405a4f7bd40095dce752254594ec0569c7ce35c3e25e73",
-    "e05a57f6e25cd4bdfc1971f75f5b3a01bc2030c3c9e3e8d3e8f02fe5199aaa11",
+    "3706a605220bdad0c949ff20dba3aff204e35f1cfa0b6b9dfbed1434b3730c09",
 )) + _runs(_WIDE, "0.5", (
     "29f78f8cd35da4624f0b1826a10156ee277ba607457ce5502c7b390d3e720da6",
-    "410f7a06b8d98974e121e43908edc3c8ae47b307fdc533d7b82474ba86bbdace",
-    "fae43c8bf8377e7c892b11d308a015cf534a026dbe717827430789361d7b8658",
-    "067d5ea7937a4422abd219802d3b61f04894cedb86f182acca330a0035a36331",
+    "be608316edb9e4173b65257933a101138dca68d524d5dc0e5d7a0f7a9ce027cc",
+    "71646170b2648347d0e6441c0524b26bb8236df341bf7fdf2d5ed7180b1e8462",
+    "e6cf15b38d370ec51a8682bd24cde5666923477b69949160e0e24fadb18e8bb5",
 )) + _runs(_WIDE, "0.7", (
     "e9093cc16977d582861cee5dbee3ed4caed27d89496b4112079c4c31f812ed6e",
-    "fddbf682f388aaa547883fad3e018d47e43057f9dcf064c051fded3369954f68",
-    "4ac2778b64083dfc83152c63e03ac80e77715cf9ac58670cbd4991089a1ee9d6",
-    "2f7362a2231c396c5dc5305776a8f4a78007e2258d7700aa79104c512e19d0c6",
+    "bb267b32bb60237b254ebe41c44f768f251cd8abd662eded9c528e7765345524",
+    "baee6b0e73b9b62126cde5e2f03e7c08853bd086e0d98de52f83bb94af6e1823",
+    "2fa9301c438bbd1bc92c801026bc9a329ecb1aff0075a59825bfbc993d6d8abb",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -112,13 +112,13 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "bc62860f67b54cb71e705ae313b416db4c42a00c56442323f0cdffb6e17023c6",
-    "1a7cf84ee445e315c0db1f770d95936d75970d2b3444a8ea8dd383e1e2642094",
-    "f80877b27dc52e4f68403d945678ae69c632603250e668b4cc4fb26a3b9302ff",
-)) + _runs(_FILTER, "0.3", (
+    "b8da8603046bf1d6c370040094ac8bfd0b6cb408cf8d40c5ed1c32a1e9a72b6e",
+    "b7ae100cbbbd84e0a9b3e1b18bd9b9b9653551dbe77151b1b8bdd65e8a5056d3",
+    "690fdebbf208e7b20849248932c7e2b76e331fff3312ef00e62ab71bc2765470",
+)) + _runs(_EXTREMAL_N24, "0.3", (
     "9c86c82696acaf6300e028c98074b75ea21e0c4b1baa8339e0e9caecc067ed6a",
     "fdf309f06134d8e315eb82dec30c82ddd473099f46b64ff8a81a422bd713596f",
-    "13666a1e018931786e82e01cdea8d6f73d40d90045eff4f1e10440b884d315a1",
+    "88b8b763f56795aa3393cd9cea0e185bdf294b512e591f63d6c86de93f97b6f3",
 ))
 
 

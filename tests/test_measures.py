@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
                     MeasureKind, PrecisionContext, SignViolation,
                     adjudicate_normalization, dual_base, dual_q_extremal,
-                    dual_qinv_extremal, dual_ultra_table, expected_diagonal,
-                    dual_ultra_coeff_rows, gram_matrix, hermite_extremal,
-                    lattice_normalization, qinv_hermite_coeff_rows,
+                    dual_qinv_extremal, dual_ultra_coeff_rows, dual_ultra_table,
+                    dual_ultra_tables, expected_diagonal, gram_matrix,
+                    hermite_extremal, lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.kernel import _pair
 from qortho.measures import _abs_coeff_majorant
@@ -501,24 +501,24 @@ def test_adjudication_reuses_its_normalization_factors():
 
 @pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
 def test_gram_runs_each_recurrence_once(monkeypatch, kind):
-    # One pass for the majorant's coefficient rows of degrees 0..N and one
-    # batched table over all window nodes, whatever N and the window size.
+    # No coefficient-row pass, since the majorant runs the recurrence at each
+    # node it is asked about, and one batched table over all window nodes,
+    # whatever N and the window size.
+    import qortho.families
     import qortho.measures
+    rows, tables = [], []
+    for name in ("qinv_hermite_coeff_rows", "dual_ultra_coeff_rows"):
+        monkeypatch.setattr(qortho.families, name, lambda n_max, *args: rows.append(n_max))
     if kind == "hermite_extremal":
-        measure = hermite_extremal("0.8", Q, CTX)
-        names = ("_hermite_coeff_rows", "_hermite_tables")
+        measure, name = hermite_extremal("0.8", Q, CTX), "_hermite_tables"
     else:
-        measure = dual_base(1, Q, "even", CTX)
-        names = ("_dual_coeff_rows", "_dual_tables")
-    calls = {name: [] for name in names}
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(qortho.measures, name), **kwargs):
-            calls[_name].append(args[0])
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(qortho.measures, name, counted)
+        measure, name = dual_base(1, Q, "even", CTX), "_dual_tables"
+    table = getattr(qortho.measures, name)
+    monkeypatch.setattr(qortho.measures, name,
+                        lambda n_max, *args: tables.append(n_max) or table(n_max, *args))
     report = gram_matrix(measure.family(CTX), measure, 10, CTX)
     assert report.passed(CTX.tol)
-    assert calls == {name: [10] for name in names}
+    assert rows == [] and tables == [10]
 
 
 def test_measure_family_pairs_each_kind():
@@ -537,178 +537,148 @@ def test_measure_family_pairs_each_kind():
         assert measure.family(CTX) == FamilySpec(kind, q, s)
 
 
-# -- the majorant's row filter against the pass over every row ---------------
+# -- the majorant is each family's own recurrence at one point ----------------
 #
-# The oracle is Horner over every coefficient row in mpf's operators, the
-# majorant as it was before rows could be skipped.
+# A(t) = max_n sum_j |c_nj| t^j.  The oracle forms the sums from the public
+# coefficient rows at four times the precision.
 
 _EXTREMAL = {"hermite": hermite_extremal, "dual-qinv": dual_qinv_extremal,
              "dual-q": dual_q_extremal}
 
-
-def _rows(family, N, ctx):
-    if family.kind is FamilyKind.QINV_HERMITE:
-        return qinv_hermite_coeff_rows(N, family.q, ctx)
-    return dual_ultra_coeff_rows(N, family.s, family.q, ctx)
-
-
-def _row_values(rows, t, ctx):
-    """[sum_j |c_nj| t^j for each row], each by Horner over the whole row."""
-    values = []
-    with ctx.workprec():
-        for cs in rows:
-            acc = mpmath.mpf(0)
-            for c in reversed(cs):
-                acc = acc * t + abs(c)
-            values.append(acc)
-    return values
-
-
-def _full_amax(family, N, t, ctx):
-    return max(_row_values(_rows(family, N, ctx), t, ctx))._mpf_
-
-
-def _majorant(kind, q, N, ctx):
-    family = _EXTREMAL[kind](q, q, ctx).family(ctx)  # the family does not depend on a
-    with ctx.workprec():
-        return family, _abs_coeff_majorant(family, N, ctx)
+# The s of each dual family as a function of q.
+_DUAL_S = {
+    "D(s=q)": lambda q: q,
+    "D(s=1/q)": lambda q: 1 / q,
+    "D(s=1)": lambda q: mpmath.mpf(1),
+    "D(s=0.999/q^2)": lambda q: mpmath.mpf("0.999") / (q * q),
+}
 
 
 def _ctx(bits):
     return PrecisionContext.create(bits=bits, tol_exp=200 if bits == 256 else 800)
 
 
+def _wide_rows(family, N, ctx):
+    """The coefficient rows of degrees 0..N at 4 ctx.bits, with the context."""
+    wide = PrecisionContext(bits=4 * ctx.bits)
+    if family.kind is FamilyKind.QINV_HERMITE:
+        return qinv_hermite_coeff_rows(N, family.q, wide), wide
+    return dual_ultra_coeff_rows(N, family.s, family.q, wide), wide
+
+
+def _assert_is_coefficient_sum(amax, family, N, ts, ctx):
+    """amax(t) is within relative 2^(12-bits) of max_n sum_j |c_nj| t^j."""
+    rows, wide = _wide_rows(family, N, ctx)
+    for t in ts:
+        with ctx.workprec():
+            value = amax(t)
+        with wide.workprec():
+            want = max(mpmath.fsum(abs(c) * t ** j for j, c in enumerate(cs))
+                       for cs in rows)
+            assert abs(value - want) <= mpmath.ldexp(want, 12 - ctx.bits), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["h"] + sorted(_DUAL_S)),
+       q=st.floats(min_value=0.05, max_value=0.999),
+       N=st.integers(min_value=0, max_value=30),
+       bits=st.sampled_from([256, 1024]),
+       log2_t=st.floats(min_value=-30, max_value=300))
+def test_majorant_is_the_largest_absolute_coefficient_sum(name, q, N, bits, log2_t):
+    ctx = _ctx(bits)
+    with ctx.workprec():
+        q = mpmath.mpf(q)
+        t = mpmath.mpf(2) ** log2_t
+        if name == "h":
+            family = FamilySpec(FamilyKind.QINV_HERMITE, q)
+        else:
+            s = _DUAL_S[name](q)
+            family = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s)
+    if name != "h":
+        # D_n(-t) = sum_j |c_nj| t^j, so no value of the loop at -t is <= 0
+        assert all(v > 0 for v in dual_ultra_tables(N, [-t], s, q, ctx)[0])
+    with ctx.workprec():
+        amax = _abs_coeff_majorant(family, N, ctx)
+    _assert_is_coefficient_sum(amax, family, N, [t], ctx)
+
+
+def _exact_rows(name, N, q):
+    """Exact coefficient rows of h, or of D with s = 1, at a rational q."""
+    rows = [[Fraction(1)]]
+    for j in range(N):
+        prev, cur = rows[j - 1] if j else [], rows[j]
+        if name == "h":
+            # x^i: h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}
+            nxt = [Fraction(0)] + [2 * c for c in cur]
+            low, lead = q ** -j * (1 - q ** j), 1
+        else:
+            # mu^i: q^(-2j-1) (1 - q^(2j+2)) D_{j+1}
+            #     = (q^(-2j-1) (1+q) - mu) D_j - q^(-2j) (1 - q^(2j)) D_{j-1}
+            nxt = [q ** (-2 * j - 1) * (1 + q) * c for c in cur] + [Fraction(0)]
+            for i, c in enumerate(cur):
+                nxt[i + 1] -= c
+            low = q ** (-2 * j) * (1 - q ** (2 * j))
+            lead = q ** (-2 * j - 1) * (1 - q ** (2 * j + 2))
+        for i, c in enumerate(prev):
+            nxt[i] -= low * c
+        rows.append([c / lead for c in nxt])
+    return rows
+
+
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 4)], ids=["q0.5", "q0.75"])
+@pytest.mark.parametrize("name", ["h", "D(s=1)"])
+def test_majorant_matches_exact_rational_rows(name, q, N):
+    # Every term of h_n(it) / i^n and of D_n(-t) has one sign, which is the
+    # identity the majorant rests on; and its value at exact dyadic t is
+    # within relative 2^(12-bits) of the exact max.  At odd N and small t
+    # the max is not in the last row, since h_N(0) = 0.
+    ctx = _ctx(256)
+    rows = _exact_rows(name, N, q)
+    for n, cs in enumerate(rows):
+        if name == "h":
+            assert all(c == 0 if (n - j) % 2 else c * (-1) ** ((n - j) // 2) > 0
+                       for j, c in enumerate(cs))
+        else:
+            assert all(c * (-1) ** j > 0 for j, c in enumerate(cs))
+    with ctx.workprec():
+        q_mpf = mpmath.mpf(q.numerator) / q.denominator
+        if name == "h":
+            family = FamilySpec(FamilyKind.QINV_HERMITE, q_mpf)
+        else:
+            family = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q_mpf, mpmath.mpf(1))
+        amax = _abs_coeff_majorant(family, N, ctx)
+        for t in [Fraction(0), Fraction(1, 1 << 20), Fraction(3, 8), Fraction(1),
+                  Fraction(5, 2), Fraction(1 << 40)]:
+            want = max(sum(abs(c) * t ** j for j, c in enumerate(cs)) for cs in rows)
+            value = _exact(amax(mpmath.mpf(t.numerator) / t.denominator))
+            assert abs(value - want) <= want / (1 << (ctx.bits - 12)), t
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.05", "0.3", "0.7"])
 @pytest.mark.parametrize("kind", list(_EXTREMAL))
-def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
-        monkeypatch, kind, q_s, bits):
+def test_majorant_sees_every_scanned_node(monkeypatch, kind, q_s, bits):
     # Every node the window scan visits, the edges and the one past each
-    # edge included.
+    # edge included, is fed to the majorant, which is the coefficient sum
+    # there.
     import qortho.measures
     ctx = _ctx(bits)
     build = qortho.measures._abs_coeff_majorant
     seen = []
 
-    def checked(family, N, ctx_):
+    def recorded(family, N, ctx_):
         amax = build(family, N, ctx_)
+        seen.append((family, amax, []))
+        return lambda t: seen[-1][2].append(t) or amax(t)
 
-        def compare(t):
-            value = amax(t)
-            assert value._mpf_ == _full_amax(family, N, t, ctx)
-            seen.append(t)
-            return value
-        return compare
-
-    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", checked)
+    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", recorded)
     measure = _EXTREMAL[kind]("0.9", q_s, ctx)
     report = gram_matrix(measure.family(ctx), measure, 20, ctx)
     assert report.passed(ctx.tol)
-    seen = {t._mpf_ for t in seen}
+    (family, amax, ts), = seen
+    _assert_is_coefficient_sum(amax, family, 20, ts, ctx)
+    scanned = {t._mpf_ for t in ts}
     for m in (report.m_lo - 1, report.m_lo, report.m_hi, report.m_hi + 1):
         with ctx.workprec():
-            assert abs(measure.point(m, ctx)[0])._mpf_ in seen
-
-
-def _largest_terms(rows, t, ctx):
-    """[(max_j |c_nj| t^j, k_n) for each row n], k_n its nonzero c_nj."""
-    with ctx.workprec():
-        powers = [t ** j for j in range(len(rows))]
-        return [(max(abs(c) * p for c, p in zip(cs, powers)), sum(1 for c in cs if c))
-                for cs in rows]
-
-
-def _changes(key, grid, ctx, steps=24):
-    """Points within 2^-steps of the grid step on both sides of each of the
-    first two places where key(t) changes along grid."""
-    keys = [key(t) for t in grid]
-    points = []
-    for i in [i for i in range(len(grid) - 1) if keys[i] != keys[i + 1]][:2]:
-        lo, hi = grid[i], grid[i + 1]
-        for _ in range(steps):
-            with ctx.workprec():
-                mid = (lo + hi) / 2
-            if key(mid) == keys[i]:
-                lo = mid
-            else:
-                hi = mid
-        points += [lo, hi]
-    return points
-
-
-@pytest.mark.parametrize("bits", [256, 1024])
-@pytest.mark.parametrize("q_s", ["0.05", "0.5", "0.999"])
-@pytest.mark.parametrize("kind", list(_EXTREMAL))
-def test_filtered_majorant_is_the_full_max_at_chosen_points(kind, q_s, bits):
-    # t = 0, t < 1, t = 1 and large t; both sides of each place where the
-    # largest row changes (only the h rows near q = 1 have one), where two
-    # rows tie; and both sides of each place where a row's largest term
-    # times its term count crosses the filter's margin below the best
-    # row's, where the filter's decision for that row flips.
-    ctx = _ctx(bits)
-    N = 30
-    family, amax = _majorant(kind, q_s, N, ctx)
-    rows = _rows(family, N, ctx)
-    with ctx.workprec():
-        ts = [mpmath.mpf(0), mpmath.mpf(1) / 3, mpmath.mpf("0.999"), mpmath.mpf(1),
-              mpmath.mpf(2), mpmath.mpf(10) ** 40]
-        grid = [mpmath.mpf(2) ** k for k in range(-10, 60, 3)]
-        margin = mpmath.exp(-mpmath.ldexp(1, -10))
-
-    def top_row(t):
-        values = _row_values(rows, t, ctx)
-        return max(range(N + 1), key=values.__getitem__)
-
-    def filter_keeps(t):
-        terms = _largest_terms(rows, t, ctx)
-        with ctx.workprec():
-            cut = max(term for term, _ in terms) * margin
-            return frozenset(n for n, (term, k) in enumerate(terms) if term * k >= cut)
-
-    ties = _changes(top_row, grid, ctx)
-    flips = _changes(filter_keeps, grid, ctx)
-    # Over this grid the largest row changes only for h near q = 1, and the
-    # filter keeps one row throughout for h at small q and for D near q = 1.
-    assert bool(ties) == ((kind, q_s) == ("hermite", "0.999"))
-    assert bool(flips) == ((kind == "hermite") == (q_s == "0.999"))
-    for t in ts + ties + flips:
-        with ctx.workprec():
-            assert amax(t)._mpf_ == _full_amax(family, N, t, ctx)
-
-
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(sorted(_EXTREMAL)),
-       q=st.floats(min_value=0.05, max_value=0.999),
-       N=st.integers(min_value=0, max_value=30),
-       bits=st.sampled_from([256, 1024]),
-       log2_t=st.floats(min_value=-30, max_value=300))
-def test_filtered_majorant_is_the_full_max(kind, q, N, bits, log2_t):
-    ctx = _ctx(bits)
-    family, amax = _majorant(kind, q, N, ctx)
-    with ctx.workprec():
-        t = mpmath.mpf(2) ** log2_t
-        assert amax(t)._mpf_ == _full_amax(family, N, t, ctx)
-
-
-@pytest.mark.parametrize("kind", list(_EXTREMAL))
-def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
-    # N + 1 = 25 rows each call without the filter; with it one row at
-    # most hermite nodes and about three at most dual nodes.
-    import qortho.measures
-    calls, evaluated = [], []
-    build, horner = qortho.measures._abs_coeff_majorant, qortho.measures._horner
-
-    def counted_build(*args):
-        amax = build(*args)
-        return lambda t: calls.append(t) or amax(t)
-
-    def counted_horner(*args):
-        evaluated.append(args[0])
-        return horner(*args)
-
-    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", counted_build)
-    monkeypatch.setattr(qortho.measures, "_horner", counted_horner)
-    measure = _EXTREMAL[kind]("0.9", "0.3", CTX)
-    report = gram_matrix(measure.family(CTX), measure, 24, CTX)
-    assert report.passed(CTX.tol)
-    assert calls and len(evaluated) <= 4 * len(calls)
+            assert abs(measure.point(m, ctx)[0])._mpf_ in scanned
