@@ -658,10 +658,11 @@ def test_majorant_matches_exact_rational_rows(name, q, N):
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.05", "0.3", "0.7"])
 @pytest.mark.parametrize("kind", list(_EXTREMAL))
-def test_majorant_sees_every_scanned_node(monkeypatch, kind, q_s, bits):
+def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
+        monkeypatch, kind, q_s, bits):
     # Every node the window scan visits, the edges and the one past each
-    # edge included, is fed to the majorant, which is the coefficient sum
-    # there.
+    # edge included, is fed to the majorant, which is the max over every
+    # coefficient row there.
     import qortho.measures
     ctx = _ctx(bits)
     build = qortho.measures._abs_coeff_majorant
@@ -682,3 +683,70 @@ def test_majorant_sees_every_scanned_node(monkeypatch, kind, q_s, bits):
     for m in (report.m_lo - 1, report.m_lo, report.m_hi, report.m_hi + 1):
         with ctx.workprec():
             assert abs(measure.point(m, ctx)[0])._mpf_ in scanned
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.05", "0.5", "0.999"])
+@pytest.mark.parametrize("kind", list(_EXTREMAL))
+def test_filtered_majorant_is_the_full_max_at_chosen_points(kind, q_s, bits):
+    # t = 0, t < 1, t = 1 and large t; and both sides of each place where
+    # the largest row changes (only the h rows near q = 1 have one), where
+    # two rows tie.
+    ctx = _ctx(bits)
+    N = 30
+    family = _EXTREMAL[kind](q_s, q_s, ctx).family(ctx)  # the family does not depend on a
+    with ctx.workprec():
+        amax = _abs_coeff_majorant(family, N, ctx)
+    rows, wide = _wide_rows(family, N, ctx)
+    with ctx.workprec():
+        ts = [mpmath.mpf(0), mpmath.mpf(1) / 3, mpmath.mpf("0.999"), mpmath.mpf(1),
+              mpmath.mpf(2), mpmath.mpf(10) ** 40]
+        grid = [mpmath.mpf(2) ** k for k in range(-10, 60, 3)]
+
+    def top_row(t):
+        with wide.workprec():
+            values = [mpmath.fsum(abs(c) * t ** j for j, c in enumerate(cs)) for cs in rows]
+        return max(range(N + 1), key=values.__getitem__)
+
+    keys = [top_row(t) for t in grid]
+    ties = []
+    for i in [i for i in range(len(grid) - 1) if keys[i] != keys[i + 1]][:2]:
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(24):
+            with ctx.workprec():
+                mid = (lo + hi) / 2
+            if top_row(mid) == keys[i]:
+                lo = mid
+            else:
+                hi = mid
+        ties += [lo, hi]
+    assert bool(ties) == ((kind, q_s) == ("hermite", "0.999"))
+    _assert_is_coefficient_sum(amax, family, N, ts + ties, ctx)
+
+
+@pytest.mark.parametrize("kind", list(_EXTREMAL))
+def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
+    # No coefficient row at all: each call runs the family's recurrence
+    # once, N steps at one point, where the sum over N + 1 = 25 rows would
+    # take N + 1 Horner passes.
+    import qortho.families
+    import qortho.measures
+    calls, runs, rows = [], [], []
+    build = qortho.measures._abs_coeff_majorant
+
+    def counted_build(*args):
+        amax = build(*args)
+        return lambda t: calls.append(t) or amax(t)
+
+    for name in ("_hermite_values", "_dual_values"):
+        def counted(*args, _fn=getattr(qortho.measures, name)):
+            runs.append(args[0])
+            return _fn(*args)
+        monkeypatch.setattr(qortho.measures, name, counted)
+    for name in ("qinv_hermite_coeff_rows", "dual_ultra_coeff_rows"):
+        monkeypatch.setattr(qortho.families, name, lambda n_max, *args: rows.append(n_max))
+    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", counted_build)
+    measure = _EXTREMAL[kind]("0.9", "0.3", CTX)
+    report = gram_matrix(measure.family(CTX), measure, 24, CTX)
+    assert report.passed(CTX.tol)
+    assert calls and len(runs) == len(calls) and rows == []
