@@ -74,6 +74,13 @@ def _grid(phi_grid) -> list:
     return list(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
 
 
+def _check_k_max(k_max) -> None:
+    """ValueError unless k_max >= 0: below 0 a check would compare nothing
+    and pass."""
+    if not isinstance(k_max, int) or k_max < 0:
+        raise ValueError("k_max must be a nonnegative integer (got %r)" % (k_max,))
+
+
 def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
     """The connection h_{2n+p}(sinh phi) = c_n (2 sinh phi)^p D_n(mu; s, q).
 
@@ -92,6 +99,7 @@ def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
 def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
                       ctx: PrecisionContext) -> IdentityReport:
     """h_{2k+p} by the explicit series against c_k (2 sinh phi)^p D_k by the recurrence."""
+    _check_k_max(k_max)
     q = as_qparam(q, ctx)
     grid = _grid(phi_grid)
     with ctx.workprec():
@@ -149,6 +157,7 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     and its mirror for Tt_n = (-1)^n q^{-n(n+1)} (q^3;q^2)_n D_n(qy; q, q),
     whose leading term carries the extra factor q.
     """
+    _check_k_max(k_max)
     q = as_qparam(q, ctx)
     grid = _grid(phi_grid)
     with ctx.workprec():

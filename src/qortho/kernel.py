@@ -20,26 +20,28 @@ product to another.  The memo is bounded (the 256 most recently used
 products) and keeps no failure, so an uncertifiable product raises on
 every call.
 
-A finite product (a;q)_n is read from the prefix list (a;q)_0, ..., (a;q)_k
-of (a, q) at the context's bits, which is kept with the running a q^k and
-extended by the plain product loop's own steps, so every value is that
-loop's bit for bit and a run over nodes j = 1..M forms M factors, not M^2/2.
-The memo holds the 32 most recently used lists, each of at most 4096
-factors; an extension works on a list taken out of the memo, so a failure or
-interrupt part-way leaves no entry behind.
+A finite product (a;q)_n is read from the steps ((a;q)_0, a), ...,
+((a;q)_k, a q^k) of (a, q) at the context's bits, a list that lru_cache keeps
+for the 32 most recently used (a, q, bits) and that is extended in place by
+the plain product loop's own steps, so every value is that loop's bit for
+bit and a run over nodes j = 1..M forms M factors, not M^2/2.  A list stores
+at most 4096 factors.  Each append is one whole step, so an extension that
+fails or is interrupted part-way leaves only whole steps, from which the
+next call continues.
 
 The hot loops of the package (here, in families and in measures) run on
 pairs: a finite real m 2^e held as two Python ints (m, e), with this
-module's private arithmetic _add, _sub, _mul, _mul_int, _div, _round and
-_abs_lt.  Each operation forms its result exactly (an integer sum or
-product, or a quotient of at least prec + 2 bits plus a sticky bit) and
-rounds it once to the precision prec its caller names, to nearest with ties
-to even.  A correctly rounded result is unique (Muller et al., Handbook of
-Floating-Point Arithmetic, 2nd ed., 2.2; IEEE 754-2019, 4.3).  mpmath 1.3.0
-rounds correctly at round_nearest in mpf_mul, mpf_mul_int, mpf_div and
-mpf_pos, and in mpf_add and mpf_sub whenever each operand has at most prec +
-4 bits; past that, for operands more than 100 binary places apart, mpf_add
-replaces the smaller one by a perturbation that can round differently.
+module's private arithmetic _add, _sub, _mul, _div, _round and _abs_lt
+(_mul by (k, 0) is mpf_mul_int by the int k).  Each operation forms its
+result exactly (an integer sum or product, or a quotient of at least
+prec + 2 bits plus a sticky bit) and rounds it once to the precision prec
+its caller names, to nearest with ties to even.  A correctly rounded result
+is unique (Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed.,
+2.2; IEEE 754-2019, 4.3).  mpmath 1.3.0 rounds correctly at round_nearest
+in mpf_mul, mpf_mul_int, mpf_div and mpf_pos, and in mpf_add and mpf_sub
+whenever each operand has at most prec + 4 bits; past that, for operands
+more than 100 binary places apart, mpf_add replaces the smaller one by a
+perturbation that can round differently.
 Every operand a loop of the package adds is rounded to the precision of the
 addition or to less.  So a loop on pairs that makes the operations an mpf
 operator expression would make, in the same order and at the same
@@ -60,7 +62,6 @@ The kernel is real-valued: complex arguments are out of scope.
 """
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 
@@ -224,11 +225,6 @@ def _mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     return _rounded(a[0] * b[0], a[1] + b[1], prec)
 
 
-def _mul_int(a: tuple[int, int], k: int, prec: int) -> tuple[int, int]:
-    """a * k for an int k, rounded to prec bits (mpf_mul_int)."""
-    return _rounded(a[0] * k, a[1], prec)
-
-
 def _add(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     """a + b rounded to prec bits (mpf_add).
 
@@ -349,44 +345,39 @@ def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]
 def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), n >= 0.
 
-    Served from the prefix list of (a, q) at ctx.bits, which is extended
-    factor by factor in the order of the plain product loop, so the value is
-    that loop's to the last bit.  ValueError when a is inf or nan.
+    Served from the steps of (a, q) at ctx.bits, which are extended factor
+    by factor in the order of the plain product loop, so the value is that
+    loop's to the last bit.  ValueError when a is inf or nan.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
     with ctx.workprec():
         a = mpmath.mpf(a)
         q = mpmath.mpf(q)
-        key = (a, q, ctx.bits)
-        # Taken out while it is extended, so an interrupted extension
-        # leaves no entry behind.
-        prods, aqk = _qpochhammer_prefixes.pop(key, None) or ([mpmath.mpf(1)], _pair(a, "a"))
-        if n >= len(prods):
-            prec, qp = ctx.bits, _pair(q, "q")
-            prod = _pair(prods[-1])
-            for _ in range(len(prods) - 1, min(n, _PREFIX_MAX_FACTORS)):
-                # prod *= 1 - aqk; aqk *= q
-                prod = _mul(prod, _sub(_ONE, aqk, prec), prec)
-                aqk = _mul(aqk, qp, prec)
-                prods.append(_mpf(prod))
-        _qpochhammer_prefixes[key] = prods, aqk
-        if len(_qpochhammer_prefixes) > _PREFIX_MEMO_SIZE:
-            _qpochhammer_prefixes.popitem(last=False)
-        if n < len(prods):
-            return prods[n]
-        for _ in range(len(prods) - 1, n):
+        steps = _prefix_steps(a, q, ctx.bits)
+        if n < len(steps):
+            return steps[n][0]
+        prec, qp = ctx.bits, _pair(q, "q")
+        prod, aqk = _pair(steps[-1][0]), steps[-1][1]
+        for _ in range(len(steps) - 1, n):
+            # prod *= 1 - aqk; aqk *= q
             prod = _mul(prod, _sub(_ONE, aqk, prec), prec)
             aqk = _mul(aqk, qp, prec)
+            if len(steps) <= _PREFIX_MAX_FACTORS:
+                steps.append((_mpf(prod), aqk))
         return _mpf(prod)
 
 
-# (a, q, bits) -> ([(a;q)_0, ..., (a;q)_k], the pair of a q^k), least
-# recently used first.  A list stops growing at _PREFIX_MAX_FACTORS
-# factors; longer products continue from its end without being stored.
-_qpochhammer_prefixes: collections.OrderedDict = collections.OrderedDict()
-_PREFIX_MEMO_SIZE = 32
+# The steps of (a;q)_n stop being stored past this many factors; longer
+# products continue from the last stored step.
 _PREFIX_MAX_FACTORS = 4096
+
+
+@functools.lru_cache(maxsize=32)
+def _prefix_steps(a: QReal, q: QReal, bits: int) -> list[tuple[QReal, tuple[int, int]]]:
+    """[((a;q)_0, pair of a), ..., ((a;q)_k, pair of a q^k)], which qpochhammer
+    extends in place, one whole step per append."""
+    return [(mpmath.mpf(1), _pair(a, "a"))]
 
 
 def _head_length(a: QReal, q: QReal) -> int:

@@ -3,8 +3,8 @@
 A measure is a countable set of (node, weight) pairs.  Its five kinds follow
 one pattern, so each kind is one record of the table _KINDS: the node and
 weight at support index m, the closed-form diagonal d_n of the paired family,
-the normalization, whether the support is all of Z or m >= 0, and the paired
-family with its s.
+whether the support is all of Z or m >= 0, and the paired family with its s.
+The normalization follows the support: Z(a) on all of Z, 1 on m >= 0.
 
   kind                support  node at m                  family  normalization
   hermite_extremal    m in Z   (a^-1 q^-m - a q^m)/2      h       Z(a)
@@ -28,7 +28,8 @@ lattice mass; the (-q/a^2;q)_inf form wins and is the one used throughout.
 Gram assembly truncates the lattice with a geometric tail bound: the
 summand for degrees up to N is bounded by B(m) = w_m * A(|node_m|)^2, where
 A(t) is the largest absolute-coefficient majorant of the polynomial family
-up to degree N.  Once the first omitted term satisfies B(next)/B(last) <= 1/2,
+up to degree N (families._recurrence gives it and says why it bounds the
+family).  Once the first omitted term satisfies B(next)/B(last) <= 1/2,
 each side's tail is taken to be at most 2*B(next).  That bound assumes B is
 log-concave beyond the stop, and nothing checks it: log w_m is dominated by
 a -2m^2 log(1/q) term, but log A(|node_m|) is convex in m, so B need not be
@@ -37,35 +38,15 @@ d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The window
 scan and the assembly share their (node, weight) values, so each lattice
 point is evaluated once.
 
-Assembly forms each quantity once: the family's values at all window nodes
-come from one batched recurrence, which hands them to the pair sums as
-pairs.  Each entry G_nn' = sum_m w_m P_n(x_m) P_n'(x_m) over the M window
-nodes is an exact integer dot product of fixed-point columns, rounded once
-to the working precision prec (_pair_sums).  Every diagonal
+Assembly forms each quantity once: the family's recurrence coefficients
+serve both the majorant and the values at the window nodes, which reach the
+pair sums as pairs.  Each entry G_nn' = sum_m w_m P_n(x_m) P_n'(x_m) over
+the M window nodes is an exact integer dot product of fixed-point columns,
+rounded once to the working precision prec (_pair_sums).  Every diagonal
 term w_m P_n(x_m)^2 is >= 0, so by Cauchy-Schwarz the rounding of an entry
 is within (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))) sqrt(G_nn G_n'n'), on
 the scale the checks divide by, and it does not depend on the order of the
 nodes.
-
-The majorant A(t) = max_n A_n(t), A_n(t) = sum_j |c_nj| t^j, is the family's
-own recurrence at one point.  h_n and D_n are orthogonal under positive
-measures, so their zeros are real and simple (Szego, Orthogonal Polynomials,
-Thm 3.3.1).  The zeros of h_n are symmetric about 0 and its leading
-coefficient is 2^n, so h_n(x) = 2^n x^e prod_k (x^2 - z_k^2) with e = n mod 2,
-and at x = it every factor -(t^2 + z_k^2) has one sign: A_n(t) = |h_n(it|q)|.
-With h_n(it) = i^n H_n(t) the h recurrence becomes
-H_{n+1} = 2t H_n + q^-n (1 - q^n) H_{n-1}, the h loop at x = t with its low
-coefficients negated, which adds only nonnegative terms.  The zeros mu_k of
-D_n lie in the hull of its measure's support, where mu > 0, and each step
-of the D recurrence multiplies the leading coefficient by -1/c_lead with
-c_lead = q^(-2j-1) (1 - s q^(2j+2)) > 0 for s < q^-2, so that coefficient
-has the sign (-1)^n, D_n(mu) = |lead| prod_k (mu_k - mu) and
-A_n(t) = D_n(-t; s, q) > 0, the D loop at mu = -t.  One pass of the loop
-gives A_0(t), ..., A_N(t), so a node costs N steps and no coefficient row is
-formed.  Measured against sums of |c_nj| t^j formed at four times the
-precision, over q in [0.05, 0.999], N <= 30, t in [2^-30, 2^300] and bits in
-{256, 1024}, A(t) is within relative 8 u for h and 600 u for D, u = 2^-bits;
-this rounding is not yet added to the tail certificate.
 """
 from __future__ import annotations
 
@@ -80,12 +61,10 @@ from typing import Callable, NamedTuple
 
 import mpmath
 
-from .families import (FamilyKind, FamilySpec, _dual_steps, _dual_tables,
-                       _dual_values, _hermite_low, _hermite_tables,
-                       _hermite_values, check_dual_s)
-from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _mpf, _pair, _rounded,
-                     as_qparam, qpochhammer, qpochhammer_inf, to_decimal)
+from .families import FamilyKind, FamilySpec, _recurrence, check_dual_s
+from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal,
+                     TruncationFailure, _mpf, _pair, _rounded, as_qparam,
+                     qpochhammer, qpochhammer_inf, to_decimal)
 
 
 class IncompatiblePair(Exception):
@@ -112,14 +91,6 @@ def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRea
         return (qpochhammer_inf(-a * a, q, ctx)
                 * qpochhammer_inf(-q / (a * a), q, ctx)
                 * qpochhammer_inf(q, q, ctx))
-
-
-def _one(measure, ctx):
-    return mpmath.mpf(1)
-
-
-def _z_of_a(measure, ctx):
-    return lattice_normalization(measure.a, measure.q, ctx)
 
 
 def _hermite_point(measure, m, q, ctx):
@@ -184,7 +155,6 @@ class _Kind(NamedTuple):
 
     point: Callable          # (measure, m, q, ctx) -> (node, weight * normalization)
     diagonal: Callable       # (measure, n, q, ctx) -> d_n
-    normalization: Callable  # (measure, ctx) -> Z(a) or 1
     full_lattice: bool       # support m in Z, else m >= 0
     family: FamilyKind       # the paired family ...
     family_s: Callable       # (measure) -> ... and its s, or None
@@ -193,16 +163,16 @@ class _Kind(NamedTuple):
 _DUAL = FamilyKind.DUAL_DISCRETE_ULTRA
 
 _KINDS = {
-    MeasureKind.HERMITE_EXTREMAL: _Kind(_hermite_point, _hermite_diagonal, _z_of_a,
-                                        True, FamilyKind.QINV_HERMITE, lambda measure: None),
-    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(_qinv_point, _qinv_diagonal, _z_of_a,
-                                          True, _DUAL, lambda measure: 1 / measure.q),
-    MeasureKind.DUAL_Q_EXTREMAL: _Kind(_q_point, _q_diagonal, _z_of_a,
-                                       True, _DUAL, lambda measure: measure.q),
-    MeasureKind.DUAL_BASE_EVEN: _Kind(_base_point(0), _base_diagonal, _one,
-                                      False, _DUAL, lambda measure: measure.s),
-    MeasureKind.DUAL_BASE_ODD: _Kind(_base_point(1), _base_diagonal, _one,
-                                     False, _DUAL, lambda measure: measure.s),
+    MeasureKind.HERMITE_EXTREMAL: _Kind(_hermite_point, _hermite_diagonal, True,
+                                        FamilyKind.QINV_HERMITE, lambda measure: None),
+    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(_qinv_point, _qinv_diagonal, True,
+                                          _DUAL, lambda measure: 1 / measure.q),
+    MeasureKind.DUAL_Q_EXTREMAL: _Kind(_q_point, _q_diagonal, True,
+                                       _DUAL, lambda measure: measure.q),
+    MeasureKind.DUAL_BASE_EVEN: _Kind(_base_point(0), _base_diagonal, False,
+                                      _DUAL, lambda measure: measure.s),
+    MeasureKind.DUAL_BASE_ODD: _Kind(_base_point(1), _base_diagonal, False,
+                                     _DUAL, lambda measure: measure.s),
 }
 
 
@@ -227,8 +197,10 @@ class DiscreteMeasure:
         return FamilySpec(_KINDS[self.kind].family, self.q, self.family_s(ctx))
 
     def normalization(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-        """Z(a) for the a-parametrized kinds, 1 for the base kinds."""
-        return _KINDS[self.kind].normalization(self, ctx)
+        """Z(a) for the full-lattice kinds, 1 for the base kinds."""
+        if self.is_full_lattice:
+            return lattice_normalization(self.a, self.q, ctx)
+        return mpmath.mpf(1)
 
     def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
               norm: QReal | None = None) -> tuple[QReal, QReal]:
@@ -359,15 +331,17 @@ class GramReport:
 
     def _csv_cells(self, n: int, np_: int, digits: int) -> str:
         """value,expected,residual of entry (n, n')."""
-        v = self.gram[n][np_]
-        if n == np_:
-            exp = self.expected_diag[n]
-            res = abs(v - exp) / abs(exp)
-        else:
-            exp = mpmath.mpf(0)
-            scale = mpmath.sqrt(abs(self.expected_diag[n] * self.expected_diag[np_]))
-            res = abs(v) / scale
-        return ",".join(to_decimal(x, digits) for x in (v, exp, res))
+        exp = self.expected_diag[n] if n == np_ else mpmath.mpf(0)
+        res = _residual(self.gram, self.expected_diag, n, np_)
+        return ",".join(to_decimal(x, digits) for x in (self.gram[n][np_], exp, res))
+
+
+def _residual(gram: list[list[QReal]], diag: list[QReal], n: int, np_: int) -> QReal:
+    """The residual a check compares with tol: |G_nn - d_n| / |d_n| on the
+    diagonal and |G_nn'| / sqrt(|d_n d_n'|) off it."""
+    if n == np_:
+        return abs(gram[n][n] - diag[n]) / abs(diag[n])
+    return abs(gram[n][np_]) / mpmath.sqrt(abs(diag[n] * diag[np_]))
 
 
 def _symmetric(size: int, entry) -> list[list]:
@@ -404,38 +378,6 @@ def _check_compatible(family: FamilySpec, measure: DiscreteMeasure,
                 % (measure.kind.value, mpmath.nstr(want.s, 8),
                    mpmath.nstr(family.s, 8)))
     return family
-
-
-def _abs_coeff_majorant(family: FamilySpec, N: int, ctx: PrecisionContext):
-    """A(t) >= |P_n(x)| for every n <= N and |x| <= t, via |coefficient| sums.
-
-    A(t) = max_n A_n(t) with A_n(t) = sum_j |c_nj| t^j, and A_n(t) is the
-    family's own recurrence at one point (the module docstring has the
-    identity): H_n(t) = |h_n(it|q)|, the h loop at x = t with its low
-    coefficients negated, or D_n(-t; s, q), the D loop at mu = -t.  Both
-    run on pairs at ctx.bits from coefficients formed once.
-    """
-    prec = ctx.bits
-    if family.kind is FamilyKind.QINV_HERMITE:
-        # H_{j+1} = 2t H_j + q^-j (1 - q^j) H_{j-1}: negating a pair is exact
-        low = [(-man, exp) for man, exp in _hermite_low(N, family.q, prec)]
-
-        def values(t):
-            return _hermite_values((t[0], t[1] + 1), low, prec)
-    else:
-        steps = _dual_steps(N, family.s, family.q, prec)
-
-        def values(t):
-            return _dual_values((-t[0], t[1]), steps, prec)
-
-    def amax(t: QReal) -> QReal:
-        best = _ZERO
-        for v in values(_pair(t, "t")):
-            if _abs_lt(best, v):
-                best = v
-        return _mpf(best)
-
-    return amax
 
 
 # Bits kept below the working precision in each fixed-point column, on top
@@ -507,12 +449,13 @@ def _pair_sums(weights: list[QReal], tables: list[list[tuple[int, int]]],
     return gram
 
 
-def _certified_window(measure: DiscreteMeasure, point, amax,
+def _certified_window(measure: DiscreteMeasure, point, majorant,
                       ctx: PrecisionContext,
                       diag: list[QReal]) -> tuple[int, int, QReal]:
     """Pick [m_lo, m_hi] so each omitted tail is below tol/8 * min(1, min_n d_n).
 
-    point(m) gives the measure's (node, weight) at m.  The checks divide
+    point(m) gives the measure's (node, weight) at m, and majorant(t) the
+    family's A(t).  The checks divide
     entry (n, n') by sqrt(d_n d_n'), so this keeps the truncation error of
     every relative residual below tol/4.
     """
@@ -520,7 +463,7 @@ def _certified_window(measure: DiscreteMeasure, point, amax,
 
     def bound(m: int) -> QReal:
         node, w = point(m)
-        return w * amax(abs(node)) ** 2
+        return w * majorant(abs(node)) ** 2
 
     def extend(edge: int, step: int) -> tuple[int, QReal]:
         b_edge = bound(edge)
@@ -565,7 +508,7 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
         norm = measure.normalization(closed)
         diagonal = _KINDS[measure.kind].diagonal
         diag = [diagonal(measure, n, measure.q, closed) for n in range(N + 1)]
-        amax = _abs_coeff_majorant(family, N, ctx)
+        values, majorant = _recurrence(family, N, ctx)
         points: dict[int, tuple[QReal, QReal]] = {}
 
         def point(m: int) -> tuple[QReal, QReal]:
@@ -573,25 +516,13 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
                 points[m] = measure.point(m, ctx, norm=norm)
             return points[m]
 
-        m_lo, m_hi, tail = _certified_window(measure, point, amax, ctx, diag)
+        m_lo, m_hi, tail = _certified_window(measure, point, majorant, ctx, diag)
         nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
-
-        if family.kind is FamilyKind.QINV_HERMITE:
-            tables = _hermite_tables(N, nodes, family.q, ctx)
-        else:
-            tables = _dual_tables(N, nodes, family.s, family.q, ctx)
-        gram = _pair_sums(weights, tables, N)
-
-        off_max = mpmath.mpf(0)
-        diag_err = mpmath.mpf(0)
-        for n in range(N + 1):
-            err = abs(gram[n][n] - diag[n]) / abs(diag[n])
-            if err > diag_err:
-                diag_err = err
-            for np_ in range(n + 1, N + 1):
-                rel = abs(gram[n][np_]) / mpmath.sqrt(abs(diag[n] * diag[np_]))
-                if rel > off_max:
-                    off_max = rel
+        gram = _pair_sums(weights, [values(x) for x in nodes], N)
+        diag_err = max(_residual(gram, diag, n, n) for n in range(N + 1))
+        off_max = max((_residual(gram, diag, n, np_)
+                       for n in range(N + 1) for np_ in range(n + 1, N + 1)),
+                      default=mpmath.mpf(0))
 
         return GramReport(
             family_kind=family.kind.value,

@@ -203,6 +203,15 @@ def test_verify_uncertifiable_is_exit_two(capsys):
     assert "error: TruncationFailure" in out
 
 
+@pytest.mark.parametrize("check", ["recurrence-chains", "even-connection", "odd-connection"])
+def test_verify_negative_k_max_is_exit_two(capsys, check):
+    # Below 0 the check would compare nothing and pass.
+    code, out, _ = run(capsys, "verify", "--k-max", "-1", "--only", check)
+    assert code == 2
+    assert "k_max must be a nonnegative integer (got -1)" in out
+    assert out.splitlines()[-1] == "0/1 identities passed"
+
+
 def test_verify_accepts_q_token_for_a(capsys):
     argv = ["verify", "--q", "0.7", "--only", "hermite-extremal-orthogonality",
             "--output", "json"]

@@ -11,7 +11,7 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     qinv_hermite_series, qinv_hermite_table,
                     qinv_hermite_tables, to_decimal)
 from qortho.families import _hermite_coefficients, _hermite_sum
-from qortho.kernel import _mpf, _mul_int, _pair, power_run
+from qortho.kernel import _mpf, _pair, power_run
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -572,7 +572,7 @@ def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
         q = mpmath.mpf(q_s)
         for n in range(31):
             # the integer factors of the linear coefficient at x = 0
-            got = _hermite_sum(n, q, range(n, -n - 1, -2), _mul_int)
+            got = _hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])
             want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
             assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
             for phi in ("-2", "-0.5", "0", "1.25"):

@@ -33,6 +33,13 @@ def test_suite_runs_green_at_default_q():
                 assert mpmath.mpf(value) < CTX.tol, (r.identity_id, key)
 
 
+@pytest.mark.parametrize("check", [check_recurrence_chains, check_even_connection,
+                                   check_odd_connection])
+def test_negative_k_max_is_rejected(check):
+    with pytest.raises(ValueError, match="k_max must be a nonnegative integer"):
+        check(-1, None, Q, CTX)
+
+
 def test_pass_flag_tracks_tolerance():
     reports = run_suite("0.5", CTX, only=["product-chain", "even-connection"])
     with CTX.workprec():

@@ -133,10 +133,16 @@ ORDERS = {
 
 @pytest.fixture
 def prefixes():
-    from qortho.kernel import _qpochhammer_prefixes
-    _qpochhammer_prefixes.clear()
-    yield _qpochhammer_prefixes
-    _qpochhammer_prefixes.clear()
+    from qortho.kernel import _prefix_steps
+    _prefix_steps.cache_clear()
+    yield _prefix_steps
+    _prefix_steps.cache_clear()
+
+
+def _steps(prefixes, a, q, ctx):
+    """The memoised steps of (a, q) at ctx.bits, read as qpochhammer reads them."""
+    with ctx.workprec():
+        return prefixes(mpmath.mpf(a), mpmath.mpf(q), ctx.bits)
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
@@ -147,23 +153,31 @@ def test_qpochhammer_memo_matches_plain_loop(prefixes, a_s, q_s, order):
         for ctx in contexts:
             want = _oracle_qpochhammer(a_s, q_s, n, ctx)
             assert qpochhammer(a_s, q_s, n, ctx)._mpf_ == want._mpf_
-    # One prefix list per precision, each as long as the longest request.
-    assert len(prefixes) == 2
-    assert sorted(key[2] for key in prefixes) == [256, 1024]
-    assert all(len(prods) == 41 for prods, _ in prefixes.values())
+    # One list of steps per precision, each as long as the longest request.
+    assert prefixes.cache_info().currsize == 2
+    assert all(len(_steps(prefixes, a_s, q_s, ctx)) == 41 for ctx in contexts)
+    assert prefixes.cache_info().currsize == 2
 
 
 def test_qpochhammer_memo_is_bounded(prefixes):
-    from qortho.kernel import _PREFIX_MEMO_SIZE
+    size = prefixes.cache_info().maxsize
     with CTX.workprec():
-        a_values = [mpmath.mpf(i) / 64 for i in range(2 * _PREFIX_MEMO_SIZE)]
+        a_values = [mpmath.mpf(i) / 64 for i in range(2 * size)]
     for i, a in enumerate(a_values):
         assert qpochhammer(a, "0.5", 10, CTX)._mpf_ == _oracle_qpochhammer(a, "0.5", 10, CTX)._mpf_
-        assert len(prefixes) == min(i + 1, _PREFIX_MEMO_SIZE)
-    # The least recently used lists were dropped.
-    assert [key[0] for key in prefixes] == a_values[_PREFIX_MEMO_SIZE:]
-    qpochhammer(a_values[_PREFIX_MEMO_SIZE], "0.5", 3, CTX)
-    assert next(reversed(prefixes))[0] == a_values[_PREFIX_MEMO_SIZE]
+        assert prefixes.cache_info().currsize == min(i + 1, size)
+
+    def kept(a):
+        misses = prefixes.cache_info().misses
+        qpochhammer(a, "0.5", 3, CTX)
+        return prefixes.cache_info().misses == misses
+
+    # The least recently used lists were dropped; reading a list makes it
+    # the most recently used, so the next new list drops the one after it.
+    assert all(kept(a) for a in a_values[size:])
+    assert kept(a_values[size])
+    assert not kept(a_values[0])
+    assert kept(a_values[size]) and not kept(a_values[size + 1])
 
 
 def test_qpochhammer_memo_stores_no_long_list(prefixes, monkeypatch):
@@ -171,11 +185,13 @@ def test_qpochhammer_memo_stores_no_long_list(prefixes, monkeypatch):
     monkeypatch.setattr(kernel, "_PREFIX_MAX_FACTORS", 8)
     for n in (20, 5, 8, 9, 30):
         assert qpochhammer("0.3", "0.7", n, CTX)._mpf_ == _oracle_qpochhammer("0.3", "0.7", n, CTX)._mpf_
-    (prods, _), = prefixes.values()
-    assert len(prods) == 9
+    assert prefixes.cache_info().currsize == 1
+    assert len(_steps(prefixes, "0.3", "0.7", CTX)) == 9
 
 
 def test_qpochhammer_memo_keeps_no_partial_list(prefixes, monkeypatch):
+    # An interrupted extension leaves only whole steps, and later values
+    # equal the plain loop's.
     from qortho import kernel
     qpochhammer("0.3", "0.7", 5, CTX)
     sub = kernel._sub
@@ -192,7 +208,14 @@ def test_qpochhammer_memo_keeps_no_partial_list(prefixes, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         qpochhammer("0.3", "0.7", 20, CTX)
     monkeypatch.undo()
-    assert len(prefixes) == 0
+    steps = _steps(prefixes, "0.3", "0.7", CTX)
+    assert len(steps) == 8
+    with CTX.workprec():
+        aqk, q = mpmath.mpf("0.3"), mpmath.mpf("0.7")
+        for k, (prod, aqk_pair) in enumerate(steps):
+            assert prod._mpf_ == _oracle_qpochhammer("0.3", "0.7", k, CTX)._mpf_
+            assert kernel._mpf(aqk_pair)._mpf_ == aqk._mpf_
+            aqk *= q
     for n in (20, 4, 7):
         assert qpochhammer("0.3", "0.7", n, CTX)._mpf_ == _oracle_qpochhammer("0.3", "0.7", n, CTX)._mpf_
 

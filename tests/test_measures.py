@@ -15,8 +15,8 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
                     dual_ultra_tables, expected_diagonal, gram_matrix,
                     hermite_extremal, lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
+from qortho.families import _recurrence
 from qortho.kernel import _pair
-from qortho.measures import _abs_coeff_majorant
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -192,7 +192,7 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
     """Each (1 - a q^k) factor is multiplied once per (a, q, bits), not once
     per node or degree that asks for a product."""
     from qortho import kernel, measures
-    kernel._qpochhammer_prefixes.clear()
+    kernel._prefix_steps.cache_clear()
     measure = dual_base(1, "0.9", parity, CTX)
     factors = collections.Counter()  # (a, q, bits) -> factors multiplied
     longest = collections.Counter()  # (a, q, bits) -> longest product asked
@@ -226,8 +226,9 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
     assert {key: factors[key] for key in longest} == dict(longest)
     assert max(longest.values()) >= 40
     assert sum(asked) > 10 * sum(longest.values())
-    for key, (prods, _) in kernel._qpochhammer_prefixes.items():
-        assert len(prods) == longest[key] + 1
+    assert kernel._prefix_steps.cache_info().currsize == len(longest)
+    for key, n in longest.items():
+        assert len(kernel._prefix_steps(*key)) == n + 1
 
 
 def _exact(x) -> Fraction:
@@ -502,23 +503,54 @@ def test_adjudication_reuses_its_normalization_factors():
 @pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
 def test_gram_runs_each_recurrence_once(monkeypatch, kind):
     # No coefficient-row pass, since the majorant runs the recurrence at each
-    # node it is asked about, and one batched table over all window nodes,
-    # whatever N and the window size.
+    # node it is asked about, and one recurrence handle whose values are
+    # taken once at each window node, whatever N and the window size.
     import qortho.families
     import qortho.measures
-    rows, tables = [], []
+    rows, handles, points = [], [], []
     for name in ("qinv_hermite_coeff_rows", "dual_ultra_coeff_rows"):
         monkeypatch.setattr(qortho.families, name, lambda n_max, *args: rows.append(n_max))
     if kind == "hermite_extremal":
-        measure, name = hermite_extremal("0.8", Q, CTX), "_hermite_tables"
+        measure = hermite_extremal("0.8", Q, CTX)
     else:
-        measure, name = dual_base(1, Q, "even", CTX), "_dual_tables"
-    table = getattr(qortho.measures, name)
-    monkeypatch.setattr(qortho.measures, name,
-                        lambda n_max, *args: tables.append(n_max) or table(n_max, *args))
+        measure = dual_base(1, Q, "even", CTX)
+
+    def recorded(family, n_max, ctx):
+        values, majorant = _recurrence(family, n_max, ctx)
+        handles.append(n_max)
+        return lambda p: points.append(p) or values(p), majorant
+
+    monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
     report = gram_matrix(measure.family(CTX), measure, 10, CTX)
     assert report.passed(CTX.tol)
-    assert rows == [] and tables == [10]
+    assert rows == [] and handles == [10]
+    assert points == report.nodes
+
+
+@pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
+def test_gram_forms_recurrence_coefficients_once(monkeypatch, kind):
+    # The window's majorant and the values at its nodes share one set of
+    # recurrence coefficients, wherever a module holds the function that
+    # forms them.
+    import qortho.families
+    import qortho.measures
+    name = "_hermite_low" if kind == "hermite_extremal" else "_dual_steps"
+    build = getattr(qortho.families, name)
+    formed = []
+
+    def counted(*args):
+        formed.append(args[0])
+        return build(*args)
+
+    for module in (qortho.families, qortho.measures):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    if kind == "hermite_extremal":
+        measure = hermite_extremal("0.8", Q, CTX)
+    else:
+        measure = dual_base(1, Q, "even", CTX)
+    assert gram_matrix(measure.family(CTX), measure, 10, CTX).passed(CTX.tol)
+    assert formed == [10]
 
 
 def test_measure_family_pairs_each_kind():
@@ -598,7 +630,7 @@ def test_majorant_is_the_largest_absolute_coefficient_sum(name, q, N, bits, log2
         # D_n(-t) = sum_j |c_nj| t^j, so no value of the loop at -t is <= 0
         assert all(v > 0 for v in dual_ultra_tables(N, [-t], s, q, ctx)[0])
     with ctx.workprec():
-        amax = _abs_coeff_majorant(family, N, ctx)
+        amax = _recurrence(family, N, ctx)[1]
     _assert_is_coefficient_sum(amax, family, N, [t], ctx)
 
 
@@ -647,7 +679,7 @@ def test_majorant_matches_exact_rational_rows(name, q, N):
             family = FamilySpec(FamilyKind.QINV_HERMITE, q_mpf)
         else:
             family = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q_mpf, mpmath.mpf(1))
-        amax = _abs_coeff_majorant(family, N, ctx)
+        amax = _recurrence(family, N, ctx)[1]
         for t in [Fraction(0), Fraction(1, 1 << 20), Fraction(3, 8), Fraction(1),
                   Fraction(5, 2), Fraction(1 << 40)]:
             want = max(sum(abs(c) * t ** j for j, c in enumerate(cs)) for cs in rows)
@@ -665,15 +697,14 @@ def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
     # coefficient row there.
     import qortho.measures
     ctx = _ctx(bits)
-    build = qortho.measures._abs_coeff_majorant
     seen = []
 
     def recorded(family, N, ctx_):
-        amax = build(family, N, ctx_)
+        values, amax = _recurrence(family, N, ctx_)
         seen.append((family, amax, []))
-        return lambda t: seen[-1][2].append(t) or amax(t)
+        return values, lambda t: seen[-1][2].append(t) or amax(t)
 
-    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", recorded)
+    monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
     measure = _EXTREMAL[kind]("0.9", q_s, ctx)
     report = gram_matrix(measure.family(ctx), measure, 20, ctx)
     assert report.passed(ctx.tol)
@@ -696,7 +727,7 @@ def test_filtered_majorant_is_the_full_max_at_chosen_points(kind, q_s, bits):
     N = 30
     family = _EXTREMAL[kind](q_s, q_s, ctx).family(ctx)  # the family does not depend on a
     with ctx.workprec():
-        amax = _abs_coeff_majorant(family, N, ctx)
+        amax = _recurrence(family, N, ctx)[1]
     rows, wide = _wide_rows(family, N, ctx)
     with ctx.workprec():
         ts = [mpmath.mpf(0), mpmath.mpf(1) / 3, mpmath.mpf("0.999"), mpmath.mpf(1),
@@ -728,25 +759,26 @@ def test_filtered_majorant_is_the_full_max_at_chosen_points(kind, q_s, bits):
 def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
     # No coefficient row at all: each call runs the family's recurrence
     # once, N steps at one point, where the sum over N + 1 = 25 rows would
-    # take N + 1 Horner passes.
+    # take N + 1 Horner passes.  The rest of the runs are the values at the
+    # window nodes, one run per node.
     import qortho.families
     import qortho.measures
     calls, runs, rows = [], [], []
-    build = qortho.measures._abs_coeff_majorant
 
     def counted_build(*args):
-        amax = build(*args)
-        return lambda t: calls.append(t) or amax(t)
+        values, amax = _recurrence(*args)
+        return values, lambda t: calls.append(t) or amax(t)
 
     for name in ("_hermite_values", "_dual_values"):
-        def counted(*args, _fn=getattr(qortho.measures, name)):
+        def counted(*args, _fn=getattr(qortho.families, name)):
             runs.append(args[0])
             return _fn(*args)
-        monkeypatch.setattr(qortho.measures, name, counted)
+        monkeypatch.setattr(qortho.families, name, counted)
     for name in ("qinv_hermite_coeff_rows", "dual_ultra_coeff_rows"):
         monkeypatch.setattr(qortho.families, name, lambda n_max, *args: rows.append(n_max))
-    monkeypatch.setattr(qortho.measures, "_abs_coeff_majorant", counted_build)
+    monkeypatch.setattr(qortho.measures, "_recurrence", counted_build)
     measure = _EXTREMAL[kind]("0.9", "0.3", CTX)
     report = gram_matrix(measure.family(CTX), measure, 24, CTX)
     assert report.passed(CTX.tol)
-    assert calls and len(runs) == len(calls) and rows == []
+    window = report.m_hi - report.m_lo + 1
+    assert calls and len(runs) == len(calls) + window and rows == []

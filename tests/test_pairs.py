@@ -16,8 +16,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
                           mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
                           round_nearest)
 
-from qortho.kernel import (_abs_lt, _add, _div, _mpf, _mul, _mul_int, _pair,
-                           _round, _sub)
+from qortho.kernel import _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub
 
 PRECS = [64, 256, 288, 1024, 1056]
 R = round_nearest
@@ -77,7 +76,7 @@ def test_pair_ops_match_mpmath(args):
 def test_long_operands_round_as_mpmath(args, k):
     prec, a, b = args
     check_products(a, b, prec)
-    assert same(_mul_int(a, k, prec), mpf_mul_int(raw(a), k, prec, R))
+    assert same(_mul(a, (k, 0), prec), mpf_mul_int(raw(a), k, prec, R))
     assert same(_round(a, prec), mpf_pos(raw(a), prec, R))
     assert _abs_lt(a, b) == (mpf_cmp(mpf_abs(raw(a)), mpf_abs(raw(b))) < 0)
 
@@ -100,7 +99,7 @@ def test_exact_ties_round_to_even(prec):
             # 3 M has prec + 1 bits for M odd below 2^(prec+1) / 3: a tie
             m = sign * (low + 1 + 2 * (big % 2))
             check_products((m, 0), (3, 0), prec)
-            assert same(_mul_int((m, 0), 3, prec), mpf_mul_int(raw((m, 0)), 3, prec, R))
+            assert same(_mul((m, 0), (3, 0), prec), mpf_mul_int(raw((m, 0)), 3, prec, R))
 
 
 @pytest.mark.parametrize("prec", PRECS)
