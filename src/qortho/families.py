@@ -37,9 +37,11 @@ functions (*_table, *_coeffs, qinv_hermite, dual_ultra) are these with one
 point or one row taken, so every route gives the same value bit for bit.
 Each family's recurrence at one point is written once (_hermite_values,
 _dual_values).  _recurrence is the one handle on it that the rest of the
-package reads: it forms the coefficients once and gives the values at any
-point, for the tables and a Gram's pair sums, and the majorant A(t) that
-certifies a Gram's window, which is the same loop at |h_n(it)| and D_n(-t).
+package reads: it forms the coefficients once (_hermite_low, or the
+3-tuples of _dual_steps) and gives the values at any point, for the tables
+and a Gram's pair sums; the majorant A(t) that certifies a Gram's window,
+which is the same loop at |h_n(it)| and D_n(-t); and the coefficient rows,
+the same step run on lists of coefficients.
 
 Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
@@ -214,7 +216,7 @@ def qinv_hermite_tables(n_max: int, xs, q,
     The coefficients q^-j (1 - q^j) do not depend on x, so they are formed
     once for all of xs.  ValueError when an x is inf or nan.
     """
-    values, _ = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)
+    values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[0]
     with ctx.workprec():
         return [[_mpf(v) for v in values(mpmath.mpf(x))] for x in xs]
 
@@ -254,21 +256,8 @@ def qinv_hermite_coeff_rows(n_max: int, q,
 
     Row n is [c_0, ..., c_n] with h_n(x|q) = sum c_j x^j.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
-    q = as_qparam(q, ctx)
-    prec = ctx.bits
-    low = _hermite_low(n_max, q, prec)
-    rows = [[_ONE]]
-    for j in range(n_max):
-        # nxt[i + 1] = 2 * cur[i], which is exact, then nxt[i] -= coef * prev[i]
-        nxt = [_ZERO] + [(m, e + 1) for m, e in rows[j]]
-        if j:
-            coef = low[j]
-            for i, c in enumerate(rows[j - 1]):
-                nxt[i] = _sub(nxt[i], _mul(coef, c, prec), prec)
-        rows.append(nxt)
-    return [[_mpf(c) for c in row] for row in rows]
+    rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
+    return [[_mpf(c) for c in row] for row in rows()]
 
 
 def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -354,10 +343,9 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
     """The mu-free factors of each step j < n_max of the D recurrence, as pairs:
-    (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1) lead, q^(2j+1), lead)
-    with lead = 1 - s q^(2j+2).
+    (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1) (1 - s q^(2j+2))).
 
-    Raises DegenerateCoefficient at the first j whose lead is 0.
+    Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
     """
     q_p, s_p = _pair(q), _pair(s)
     pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
@@ -371,7 +359,7 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
                 "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
         steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
                       _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
-                      _mul(pw[o - 2 * j - 1], lead, prec), pw[o + 2 * j + 1], lead))
+                      _mul(pw[o - 2 * j - 1], lead, prec)))
     return steps
 
 
@@ -382,7 +370,7 @@ def dual_ultra_tables(n_max: int, mus, s, q,
     The recurrence coefficients do not depend on mu, so they are formed once
     for all of mus.  ValueError when a mu is inf or nan.
     """
-    values, _ = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s), n_max, ctx)
+    values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s), n_max, ctx)[0]
     with ctx.workprec():
         return [[_mpf(v) for v in values(mpmath.mpf(mu))] for mu in mus]
 
@@ -393,7 +381,7 @@ def _dual_values(mu: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
     _dual_steps: D_{j+1} = ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead."""
     vals = [_ONE]
     prev, cur = _ZERO, _ONE
-    for c_mid, c_low, c_lead, _, _ in steps:
+    for c_mid, c_low, c_lead in steps:
         up = _mul(_sub(c_mid, mu, prec), cur, prec)
         down = _mul(c_low, prev, prec)
         prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
@@ -414,37 +402,8 @@ def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRe
 def dual_ultra_coeff_rows(n_max: int, s, q,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
     """[coefficients of D_0, ..., coefficients of D_{n_max}] in mu, one recurrence pass."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
-    q = as_qparam(q, ctx)
-    prec = ctx.bits
-    with ctx.workprec():
-        steps = _dual_steps(n_max, mpmath.mpf(s), q, prec)
-    q_p = _pair(q)
-    rows = [[_ONE]]
-    if n_max > 0:
-        # D_1 = ((q^-1 (1+q) - mu) * 1) * q / (1 - s q^2)
-        c_mid, _, _, _, lead = steps[0]
-        rows.append([_div(_mul(c_mid, q_p, prec), lead, prec),
-                     _div((-q_p[0], q_p[1]), lead, prec)])
-    for j in range(1, n_max):
-        prev, cur = rows[j - 1], rows[j]
-        c_mid, c_low, _, q_up, lead = steps[j]
-        # nxt[i] += scale * c_mid * c, nxt[i + 1] -= scale * c and
-        # nxt[i] -= scale * c_low * c, with scale = q^(2j+1) / lead;
-        # scale * c_mid * c is (scale * c_mid) * c, so the two products with
-        # scale are formed once per step
-        scale = _div(q_up, lead, prec)
-        mid = _mul(scale, c_mid, prec)
-        low = _mul(scale, c_low, prec)
-        nxt = [_ZERO] * (j + 2)
-        for i, c in enumerate(cur):
-            nxt[i] = _add(nxt[i], _mul(mid, c, prec), prec)
-            nxt[i + 1] = _sub(nxt[i + 1], _mul(scale, c, prec), prec)
-        for i, c in enumerate(prev):
-            nxt[i] = _sub(nxt[i], _mul(low, c, prec), prec)
-        rows.append(nxt)
-    return [[_mpf(c) for c in row] for row in rows]
+    rows = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s), n_max, ctx)[2]
+    return [[_mpf(c) for c in row] for row in rows()]
 
 
 def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -459,16 +418,19 @@ def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
 
 
 def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
-    """(values, majorant) of h or D up to degree n_max, on pairs at ctx.bits.
+    """(values, majorant, rows) of h or D up to degree n_max, on pairs at ctx.bits.
 
     The node-independent coefficients (_hermite_low or _dual_steps) are
-    formed once and serve both closures:
+    formed once and serve all three closures:
     - values(p) is [P_0(p), ..., P_{n_max}(p)] as pairs at an mpf p of at
       most ctx.bits bits, x for h and mu for D; ValueError naming it when p
       is inf or nan;
     - majorant(t) is A(t) = max_n A_n(t) as an mpf, for t >= 0, where
       A_n(t) = sum_j |c_nj| t^j for P_n = sum_j c_nj p^j, so that
-      |P_n(p)| <= A(t) whenever |p| <= t.
+      |P_n(p)| <= A(t) whenever |p| <= t;
+    - rows() is [[c_00], ..., [c_{n_max}0, ..., c_{n_max}n_max]] as pairs,
+      the step of values run on coefficient lists: multiplying by p moves a
+      coefficient up one degree.
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -496,7 +458,7 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     q = as_qparam(family.q, ctx)
     prec = ctx.bits
     if family.kind is FamilyKind.QINV_HERMITE:
-        low = _hermite_low(n_max, q, prec)
+        steps = low = _hermite_low(n_max, q, prec)   # one coefficient per step
         # H_{j+1} = 2t H_j + q^-j (1 - q^j) H_{j-1}: negating a pair is exact
         negated = [(-m, e) for m, e in low]
 
@@ -506,6 +468,10 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
 
         def sums(t: tuple[int, int]) -> list[tuple[int, int]]:
             return _hermite_values((t[0], t[1] + 1), negated, prec)
+
+        def term(c_low, a, b, c) -> tuple[int, int]:
+            # [x^i] of 2x h_j - c_low h_{j-1}; doubling a pair is exact
+            return _sub((b[0], b[1] + 1), _mul(c_low, c, prec), prec)
     else:
         with ctx.workprec():
             steps = _dual_steps(n_max, mpmath.mpf(family.s), q, prec)
@@ -516,6 +482,12 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
         def sums(t: tuple[int, int]) -> list[tuple[int, int]]:
             return _dual_values((-t[0], t[1]), steps, prec)
 
+        def term(step, a, b, c) -> tuple[int, int]:
+            # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
+            c_mid, c_low, c_lead = step
+            return _div(_sub(_sub(_mul(c_mid, a, prec), b, prec), _mul(c_low, c, prec), prec),
+                        c_lead, prec)
+
     def majorant(t: QReal) -> QReal:
         best = _ZERO
         for v in sums(_pair(t, "t")):
@@ -523,7 +495,18 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
                 best = v
         return _mpf(best)
 
-    return values, majorant
+    def rows() -> list[list[tuple[int, int]]]:
+        out, prev = [[_ONE]], []
+        for step in steps:
+            cur = out[-1]
+            # a, b, c: the coefficients of p^i in P_j, of p^(i-1) in P_j and
+            # of p^i in P_{j-1}, 0 past the ends of the rows
+            out.append([term(step, a, b, c) for a, b, c in
+                        zip(cur + [_ZERO], [_ZERO] + cur, prev + [_ZERO, _ZERO])])
+            prev = cur
+        return out
+
+    return values, majorant, rows
 
 
 def evaluate(spec: FamilySpec, n: int, *, x=None, phi=None, mu=None,

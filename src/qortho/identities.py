@@ -366,12 +366,7 @@ def check_half_to_full_lattice(N: int, q,
                 if (i + ip) % 2 == 1:
                     cross_worst = max(cross_worst, abs(ref_entry) / scale)
                 elif i == ip:
-                    if i % 2 == 0:
-                        n = i // 2
-                        closed = 2 * mass * q ** (-n * (2 * n + 1)) * qpochhammer(q, q, 2 * n, ctx)
-                    else:
-                        n = (i - 1) // 2
-                        closed = 2 * mass * q ** (-(n + 1) * (2 * n + 1)) * qpochhammer(q, q, 2 * n + 1, ctx)
+                    closed = 2 * mass * q ** (-(i * (i + 1) // 2)) * qpochhammer(q, q, i, ctx)
                     diag_worst = max(diag_worst, _relative(total, closed))
 
         const_resid = _relative(2 * mass, scale_const)

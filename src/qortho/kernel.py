@@ -150,7 +150,8 @@ def as_qparam(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
 
 
 def to_decimal(value, digits: int) -> str:
-    """Deterministic decimal rendering; exact integers print without a fraction.
+    """Deterministic decimal rendering to `digits` significant digits; an
+    integer below 10^digits in magnitude prints as all its digits.
 
     An mpf passes through unrounded whatever the ambient precision; other
     inputs are converted with enough bits to honor the digit count.
@@ -162,7 +163,7 @@ def to_decimal(value, digits: int) -> str:
             v = mpmath.mpf(value)
     if not mpmath.isfinite(v):
         return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
-    if mpmath.isint(v):
+    if mpmath.isint(v) and abs(v) < 10 ** digits:
         n = int(v)
         # numeral converts chunks of fewer than 250 digits, so Python's limit
         # on the digits str() gives an int does not apply; size, an estimate

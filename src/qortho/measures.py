@@ -508,7 +508,7 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
         norm = measure.normalization(closed)
         diagonal = _KINDS[measure.kind].diagonal
         diag = [diagonal(measure, n, measure.q, closed) for n in range(N + 1)]
-        values, majorant = _recurrence(family, N, ctx)
+        values, majorant, _ = _recurrence(family, N, ctx)
         points: dict[int, tuple[QReal, QReal]] = {}
 
         def point(m: int) -> tuple[QReal, QReal]:

@@ -388,23 +388,14 @@ def _oracle_dual_coeffs(n, s, q, ctx):
         s = mpmath.mpf(s)
         qp = P(q, ctx.bits)
         zero = mpmath.mpf(0)
-        prev = [mpmath.mpf(1)]
-        if n == 0:
-            return prev
-        lead = 1 - s * qp[2]
-        cur = [qp[-1] * (1 + q) * q / lead, -q / lead]
-        for j in range(1, n):
-            lead = 1 - s * qp[2 * j + 2]
-            scale = qp[2 * j + 1] / lead
+        prev, cur = [], [mpmath.mpf(1)]
+        for j in range(n):
             c_mid = qp[-2 * j - 1] * (1 + q)
             c_low = qp[-2 * j] * (1 - qp[2 * j])
-            nxt = [zero] * (j + 2)
-            for i, c in enumerate(cur):
-                nxt[i] += scale * c_mid * c
-                nxt[i + 1] -= scale * c
-            for i, c in enumerate(prev):
-                nxt[i] -= scale * c_low * c
-            prev, cur = cur, nxt
+            c_lead = qp[-2 * j - 1] * (1 - s * qp[2 * j + 2])
+            # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
+            prev, cur = cur, [(c_mid * a - b - c_low * c) / c_lead for a, b, c in
+                              zip(cur + [zero], [zero] + cur, prev + [zero, zero])]
         return cur
 
 

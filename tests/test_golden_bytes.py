@@ -116,7 +116,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "b7ae100cbbbd84e0a9b3e1b18bd9b9b9653551dbe77151b1b8bdd65e8a5056d3",
     "690fdebbf208e7b20849248932c7e2b76e331fff3312ef00e62ab71bc2765470",
 )) + _runs(_EXTREMAL_N24, "0.3", (
-    "9c86c82696acaf6300e028c98074b75ea21e0c4b1baa8339e0e9caecc067ed6a",
+    "75b1ffbdd899c8202de0e207f353f9529896f7413649ef345f605134eb1946dc",
     "fdf309f06134d8e315eb82dec30c82ddd473099f46b64ff8a81a422bd713596f",
     "88b8b763f56795aa3393cd9cea0e185bdf294b512e591f63d6c86de93f97b6f3",
 ))

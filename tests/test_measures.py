@@ -516,9 +516,10 @@ def test_gram_runs_each_recurrence_once(monkeypatch, kind):
         measure = dual_base(1, Q, "even", CTX)
 
     def recorded(family, n_max, ctx):
-        values, majorant = _recurrence(family, n_max, ctx)
+        values, majorant, all_rows = _recurrence(family, n_max, ctx)
         handles.append(n_max)
-        return lambda p: points.append(p) or values(p), majorant
+        return (lambda p: points.append(p) or values(p), majorant,
+                lambda: rows.append(n_max) or all_rows())
 
     monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
     report = gram_matrix(measure.family(CTX), measure, 10, CTX)
@@ -634,8 +635,8 @@ def test_majorant_is_the_largest_absolute_coefficient_sum(name, q, N, bits, log2
     _assert_is_coefficient_sum(amax, family, N, [t], ctx)
 
 
-def _exact_rows(name, N, q):
-    """Exact coefficient rows of h, or of D with s = 1, at a rational q."""
+def _exact_rows(name, N, q, s=1):
+    """Exact coefficient rows of h, or of D, at a rational q (and s)."""
     rows = [[Fraction(1)]]
     for j in range(N):
         prev, cur = rows[j - 1] if j else [], rows[j]
@@ -644,13 +645,13 @@ def _exact_rows(name, N, q):
             nxt = [Fraction(0)] + [2 * c for c in cur]
             low, lead = q ** -j * (1 - q ** j), 1
         else:
-            # mu^i: q^(-2j-1) (1 - q^(2j+2)) D_{j+1}
+            # mu^i: q^(-2j-1) (1 - s q^(2j+2)) D_{j+1}
             #     = (q^(-2j-1) (1+q) - mu) D_j - q^(-2j) (1 - q^(2j)) D_{j-1}
             nxt = [q ** (-2 * j - 1) * (1 + q) * c for c in cur] + [Fraction(0)]
             for i, c in enumerate(cur):
                 nxt[i + 1] -= c
             low = q ** (-2 * j) * (1 - q ** (2 * j))
-            lead = q ** (-2 * j - 1) * (1 - q ** (2 * j + 2))
+            lead = q ** (-2 * j - 1) * (1 - s * q ** (2 * j + 2))
         for i, c in enumerate(prev):
             nxt[i] -= low * c
         rows.append([c / lead for c in nxt])
@@ -688,6 +689,24 @@ def test_majorant_matches_exact_rational_rows(name, q, N):
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("s", [Fraction(1), Fraction(1, 2)], ids=["s1", "s0.5"])
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(3, 4)], ids=["q0.5", "q0.75"])
+def test_dual_rows_match_exact_rational_rows(q, s, N, bits):
+    # The coefficient rows the majorant's oracle reads: every coefficient of
+    # D_0, ..., D_N is within relative 2^(6-bits) of the exact one.
+    ctx = _ctx(bits)
+    with ctx.workprec():
+        rows = dual_ultra_coeff_rows(N, mpmath.mpf(s.numerator) / s.denominator,
+                                     mpmath.mpf(q.numerator) / q.denominator, ctx)
+    exact = _exact_rows("D", N, q, s)
+    assert [len(cs) for cs in rows] == [len(cs) for cs in exact]
+    for cs, want_cs in zip(rows, exact):
+        for c, want in zip(cs, want_cs):
+            assert abs(_exact(c) - want) <= abs(want) / (1 << (bits - 6))
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.05", "0.3", "0.7"])
 @pytest.mark.parametrize("kind", list(_EXTREMAL))
 def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
@@ -700,9 +719,9 @@ def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
     seen = []
 
     def recorded(family, N, ctx_):
-        values, amax = _recurrence(family, N, ctx_)
+        values, amax, rows = _recurrence(family, N, ctx_)
         seen.append((family, amax, []))
-        return values, lambda t: seen[-1][2].append(t) or amax(t)
+        return values, lambda t: seen[-1][2].append(t) or amax(t), rows
 
     monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
     measure = _EXTREMAL[kind]("0.9", q_s, ctx)
@@ -766,8 +785,9 @@ def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
     calls, runs, rows = [], [], []
 
     def counted_build(*args):
-        values, amax = _recurrence(*args)
-        return values, lambda t: calls.append(t) or amax(t)
+        values, amax, all_rows = _recurrence(*args)
+        return (values, lambda t: calls.append(t) or amax(t),
+                lambda: rows.append(args[1]) or all_rows())
 
     for name in ("_hermite_values", "_dual_values"):
         def counted(*args, _fn=getattr(qortho.families, name)):
