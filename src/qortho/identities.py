@@ -28,8 +28,8 @@ import mpmath
 
 from .families import (dual_ultra_tables, qinv_hermite_coeff_rows, qinv_hermite_series,
                        qinv_hermite_tables)
-from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _pair,
-                     as_qparam, qpochhammer, qpochhammer_inf, to_decimal)
+from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _mpf, _pair,
+                     as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -319,8 +319,8 @@ def check_half_to_full_lattice(N: int, q,
 
         J = max(ref.m_hi + 1, -ref.m_lo + 1) + 3
         # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
-        even_pts = [base_even.point(j, ctx) for j in range(J + 1)]
-        odd_pts = [base_odd.point(j, ctx) for j in range(J)]
+        even_pts = base_even.points(0, J, ctx)
+        odd_pts = base_odd.points(0, J - 1, ctx)
         even_tabs = dual_ultra_tables(n_even, [x for x, _ in even_pts], s_even, q, ctx)
         odd_tabs = (dual_ultra_tables(n_odd, [x for x, _ in odd_pts], s_odd, q, ctx)
                     if n_odd >= 0 else [[]] * J)
@@ -333,8 +333,9 @@ def check_half_to_full_lattice(N: int, q,
         odd_rows = [[_ZERO] * (n_odd + 1)]
         node_resid = mpmath.mpf(0)
         weight_resid = mpmath.mpf(0)
+        powers = power_run(_pair(q), -J, J, ctx.bits)   # powers[k + J] = q^k
         for j in range(J + 1):
-            xhat = (q ** (-j) - q ** j) / 2
+            xhat = (_mpf(powers[J - j]) - _mpf(powers[J + j])) / 2
             node_e, w_e = even_pts[j]
             node_resid = max(node_resid,
                              _relative(node_e, 4 * xhat * xhat + 2))

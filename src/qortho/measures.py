@@ -1,10 +1,11 @@
 """Discrete orthogonality measures and certified Gram-matrix assembly.
 
 A measure is a countable set of (node, weight) pairs.  Its five kinds follow
-one pattern, so each kind is one record of the table _KINDS: the node and
-weight at support index m, the closed-form diagonal d_n of the paired family,
-whether the support is all of Z or m >= 0, and the paired family with its s.
-The normalization follows the support: Z(a) on all of Z, 1 on m >= 0.
+one pattern, so each kind is one record of the table _KINDS: the lanes its
+node and weight at support index m are stepped from (see "Stepped runs"
+below), the closed-form diagonal d_n of the paired family, whether the
+support is all of Z or m >= 0, and the paired family with its s.  The
+normalization follows the support: Z(a) on all of Z, 1 on m >= 0.
 
   kind                support  node at m                  family  normalization
   hermite_extremal    m in Z   (a^-1 q^-m - a q^m)/2      h       Z(a)
@@ -35,8 +36,8 @@ log-concave beyond the stop, and nothing checks it: log w_m is dominated by
 a -2m^2 log(1/q) term, but log A(|node_m|) is convex in m, so B need not be
 log-concave step by step.  The checks divide by the closed-form diagonals
 d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The window
-scan and the assembly share their (node, weight) values, so each lattice
-point is evaluated once.
+scan extends the two runs below, and the assembly reads the same lists, so
+each lattice point is evaluated once.
 
 Assembly forms each quantity once: the family's recurrence coefficients
 serve both the majorant and the values at the window nodes, which reach the
@@ -47,6 +48,79 @@ term w_m P_n(x_m)^2 is >= 0, so by Cauchy-Schwarz the rounding of an entry
 is within (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))) sqrt(G_nn G_n'n'), on
 the scale the checks divide by, and it does not depend on the order of the
 nodes.
+
+Stepped runs.  With up = a^-1 q^-m and down = a q^m, the weights before
+normalization are
+
+  hermite_extremal    a^(4m) q^(m(2m-1)) (1 + down^2)
+  dual_qinv_extremal  a^(4m+1) q^(2m^2) (up + down)
+  dual_q_extremal     a^(4m) q^(m(2m-1)) (1 + down^2) (up - down)^2
+  dual_base           (1 - s q^(2j+1)) P_j q^(m(j-1+parity)),  j = 2m + parity,
+                      P_j = (s q^2;q)_(j-1) / (q;q)_j, and 1 at j = 0.
+
+No point is formed from scratch.  A run walks m = 0, 1, 2, ... (and, on the
+full lattice, a second run m = -1, -2, ...) on pairs at wp = bits + 32, and
+each kind's record gives the lanes it steps, with their values where the
+run starts and what one step multiplies them by:
+- extremal: up and down (times q^-1 and q, or q and q^-1 going down), the
+  gap 1 - a^2 q^(2m) for m >= 0 or 1 - a^-2 q^(-2m) for m < 0 (taken to
+  q^2 gap + (1 - q^2)), and the ratio of consecutive Gaussian factors, for
+  example g_(m+1) = g_m a^4 q^(4m+1) for hermite_extremal, whose ratio is
+  multiplied by q^4 per step;
+- base: q^-j and s q^(j+1) (times q^-2 and q^2), 1 - s q^(2j+1) (taken to
+  q^4 v + (1 - q^4)), the Gaussian ratio q^(4m+1+2 parity), and the four
+  factors of P_(j+2) / P_j = (1 - s q^(j+1)) (1 - s q^(j+2))
+  / ((1 - q^(j+1)) (1 - q^(j+2))), each taken to q^2 v + (1 - q^2).  The
+  even run gives j = 0 as a head and starts its lanes at j = 2.
+The weight is multiplied by its ratio at each step.  _walk rounds each
+node and weight once to bits, divides the weight by Z(a) (at tol raised to
+the rounding floor, as a Gram takes it) before that rounding, and checks
+its sign.  The runs of one call are extended as far as it asks and then
+dropped; DiscreteMeasure.points and a Gram read them alike, so every route
+gives the same bits.
+
+Bound.  up - down = a^-1 q^-m (1 - a^2 q^(2m)) cancels: the hermite_extremal
+node and the dual_q_extremal weight carry it, and a difference of rounded
+up and down would lose a factor (up + down) / |up - down| of accuracy, 2^20
+at a = 1 - 2^-20 and m = 0, and without limit as a -> q at m = -1.  The runs
+never form that difference.  They form up * gap for m >= 0 and
+-(down * gap) for m < 0, and each gap is a sum of nonnegative terms:
+1 - a^2 q^(2m+2) = q^2 (1 - a^2 q^(2m)) + (1 - q^2), started from 1 - a^2 or
+(a^2 - q^2) / a^2, which are formed from the exact a and q and rounded
+once.  At a = q and m = -1 that start is exactly 0, and so are the node of
+hermite_extremal and the weight of dual_q_extremal there.  The base
+factors 1 - x q^k are stepped the same way and lie in (0, 1] for
+0 < s < q^-2; the gaps lie in [0, 1] for q <= a < 1.
+
+Every value is thus formed from the exact a, q and s by products, quotients
+and sums of nonnegative terms, each rounded once at wp.  Let u = 2^-wp.  A
+rounding multiplies by (1 + d) with |ln(1 + d)| <= -ln(1 - u); a product or
+quotient adds the |ln| errors of its operands, and a sum of nonnegative
+terms keeps the larger.  So give each value a count r: its operands' counts
+added (product, quotient) or their larger (sum), plus 1 if it is rounded.
+A value of count r is the exact value times e^t, |t| <= -r ln(1 - u).
+Counted on the code, at k = |m| (the base runs count k from their first
+lane, so k <= m), r is at most
+
+  kind                node     weight, the division by Z(a) included
+  hermite_extremal    5k + 3   k^2 + 3k + 4
+  dual_qinv_extremal  4k + 4   k^2 + 3k + 4
+  dual_q_extremal     4k + 5   k^2 + 13k + 12
+  dual_base           2k + 2   7k^2 + 6k + 7
+
+and the run to m < 0 counts no more at the same k.  The k^2 comes from the
+ratio lanes: the weight takes in a new ratio, with its own O(k) roundings,
+at every step.  Every entry is at most R(k) = 8 (k + 2)^2.  When
+R u <= 1/200, |e^t - 1| <= 1.0051 R u, and the last rounding to bits
+multiplies by (1 + e) with |e| <= 2^-bits, so every node and weight of a
+run is within relative
+
+    2^-bits + 1.01 R(|m|) 2^-(bits+32),   R(k) = 8 (k + 2)^2,
+
+of the exact node, and of the exact weight before normalization divided by
+the Z(a) the kernel returns.  R u <= 1/200 holds for |m| < 2^(bits/2 + 10),
+past any run a list can hold; at |m| = 600 the second term is below
+2^-(bits+10).
 """
 from __future__ import annotations
 
@@ -62,9 +136,10 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence, check_dual_s
-from .kernel import (DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _mpf, _pair, _rounded, as_qparam,
-                     qpochhammer, qpochhammer_inf, to_decimal)
+from .kernel import (_ONE, DEFAULT_CONTEXT, PrecisionContext, QReal,
+                     TruncationFailure, _add, _div, _mpf, _mul, _pair, _round,
+                     _rounded, _sub, as_qparam, qpochhammer, qpochhammer_inf,
+                     to_decimal)
 
 
 class IncompatiblePair(Exception):
@@ -93,37 +168,118 @@ def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRea
                 * qpochhammer_inf(q, q, ctx))
 
 
-def _hermite_point(measure, m, q, ctx):
-    a = measure.a
-    up, down = a ** (-1) * q ** (-m), a * q ** m
-    return (up - down) / 2, a ** (4 * m) * q ** (m * (2 * m - 1)) * (1 + down * down)
+def _closed(ctx: PrecisionContext) -> PrecisionContext:
+    """ctx with tol raised to its rounding floor, for Z(a) and the diagonals.
+
+    The closed forms need no more accuracy than a Gram's own arithmetic
+    carries: below the rounding floor the residuals show the shortfall as a
+    failed check rather than an uncertifiable product.
+    """
+    return dataclasses.replace(ctx, tol=max(ctx.tol, ctx.rounding_floor))
 
 
-def _qinv_point(measure, m, q, ctx):
-    a = measure.a
-    up, down = a ** (-1) * q ** (-m), a * q ** m
-    return up * up + down * down, a ** (4 * m + 1) * q ** (2 * m * m) * (up + down)
+# Bits a run steps at beyond ctx.bits; the bound in the module docstring
+# assumes them.
+_RUN_GUARD = 32
 
 
-def _q_point(measure, m, q, ctx):
-    a = measure.a
-    up, down = a ** (-1) * q ** (-m), a * q ** m
-    return ((up * up + down * down) * q, a ** (4 * m) * q ** (m * (2 * m - 1))
-            * (1 + down * down) * (up - down) ** 2)
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x * y of two pairs, exactly."""
+    return x[0] * y[0], x[1] + y[1]
 
 
-def _base_point(parity: int):
-    """Node mu(j; s) and weight at j = 2m + parity, for the base kind of that parity."""
-    def point(measure, m, q, ctx):
-        s, j = measure.s, 2 * m + parity
-        node = q ** (-j) + s * q ** (j + 1)
-        if j == 0:
-            return node, mpmath.mpf(1)
-        return node, ((1 - s * q ** (2 * j + 1))
-                      * qpochhammer(s * q ** 2, q, j - 1, ctx)
-                      / qpochhammer(q, q, j, ctx)
-                      * q ** (m * (j - 1 + parity)))
-    return point
+def _power(x: tuple[int, int], k: int) -> tuple[int, int]:
+    """x^k of a pair for k >= 0, exactly."""
+    return x[0] ** k, x[1] * k
+
+
+def _extremal_lanes(alpha: int, beta: int):
+    """Lanes [up, down, gap, ratio] and weight of an extremal kind whose
+    Gaussian factor is a^(4m+alpha) q^(2m^2+beta m), at m = 0 or m = -1."""
+    def lanes(measure, backward: bool, wp: int):
+        a, q = _pair(measure.a), _pair(measure.q)
+        a2, q2 = _power(a, 2), _power(q, 2)
+        qi = _div(_ONE, q, wp)
+        if backward:
+            # m = -1: a^-1 q, a q^-1, 1 - a^-2 q^2 = (a^2 - q^2) / a^2,
+            # ratio a^-4 q^(6-beta), weight a^(alpha-4) q^(2-beta)
+            start = [_div(q, a, wp), _div(a, q, wp), _div(_sub(a2, q2, wp), a2, wp),
+                     _div(_power(q, 6 - beta), _power(a, 4), wp)]
+            weight = _div(_power(q, 2 - beta), _power(a, 4 - alpha), wp)
+            muls = [q, qi]
+        else:
+            # m = 0: a^-1, a, 1 - a^2, ratio a^4 q^(2+beta), weight a^alpha
+            start = [_div(_ONE, a, wp), a, _sub(_ONE, a2, wp),
+                     _round(_times(_power(a, 4), _power(q, 2 + beta)), wp)]
+            weight = _power(a, alpha)
+            muls = [qi, q]
+        muls += [_round(q2, wp), _round(_power(q, 4), wp)]
+        adds = [None, None, _sub(_ONE, q2, wp), None]
+        return [], weight, start, muls, adds
+    return lanes
+
+
+def _up_minus_down(v, backward: bool, wp: int) -> tuple[int, int]:
+    """a^-1 q^-m - a q^m: up * gap for m >= 0, -(down * gap) for m < 0."""
+    if backward:
+        man, exp = _mul(v[1], v[2], wp)
+        return -man, exp
+    return _mul(v[0], v[2], wp)
+
+
+def _hermite_values(v, w, q, backward, wp):
+    up_down = _up_minus_down(v, backward, wp)
+    return ((up_down[0], up_down[1] - 1),
+            _mul(w, _add(_ONE, _mul(v[1], v[1], wp), wp), wp))
+
+
+def _qinv_values(v, w, q, backward, wp):
+    up, down = v[0], v[1]
+    return (_add(_mul(up, up, wp), _mul(down, down, wp), wp),
+            _mul(w, _add(up, down, wp), wp))
+
+
+def _q_values(v, w, q, backward, wp):
+    up, down = v[0], v[1]
+    up_down = _up_minus_down(v, backward, wp)
+    return (_mul(q, _add(_mul(up, up, wp), _mul(down, down, wp), wp), wp),
+            _mul(_mul(w, _add(_ONE, _mul(down, down, wp), wp), wp),
+                 _mul(up_down, up_down, wp), wp))
+
+
+def _base_lanes(parity: int):
+    """Lanes [up, down, t, a1, a2, b1, b2, ratio] and weight of the base kind
+    of that parity at its first j = 2m + parity >= 1, after a head at j = 0."""
+    def lanes(measure, backward: bool, wp: int):
+        s, q = _pair(measure.s), _pair(measure.q)
+        q2, q4 = _power(q, 2), _power(q, 4)
+        j = 2 - parity
+        head = [] if parity else [(_add(_ONE, _times(s, q), wp), _ONE)]   # j = 0
+
+        def one_minus(x):
+            return _sub(_ONE, x, wp)
+
+        ratio = _power(q, 2 * j + 1)   # q^(4m + 1 + 2 parity)
+        start = [_div(_ONE, _power(q, j), wp), _round(_times(s, _power(q, j + 1)), wp),
+                 one_minus(_times(s, ratio)),
+                 one_minus(_times(s, _power(q, j + 1))), one_minus(_times(s, _power(q, j + 2))),
+                 one_minus(_power(q, j + 1)), one_minus(_power(q, j + 2)),
+                 _round(ratio, wp)]
+        # (s q^2; q)_(j-1) q^(m(j-1+parity)) / (q; q)_j
+        if parity:
+            weight = _div(_ONE, one_minus(q), wp)
+        else:
+            weight = _div(_times(q, one_minus(_times(s, q2))),
+                          _mul(one_minus(q), one_minus(q2), wp), wp)
+        q2_r, q4_r, c2 = _round(q2, wp), _round(q4, wp), one_minus(q2)
+        muls = [_div(_ONE, q2, wp), q2_r, q4_r, q2_r, q2_r, q2_r, q2_r, q4_r]
+        adds = [None, None, one_minus(q4), c2, c2, c2, c2, None]
+        return head, weight, start, muls, adds
+    return lanes
+
+
+def _base_values(v, w, q, backward, wp):
+    return _add(v[0], v[1], wp), _mul(v[2], w, wp)
 
 
 def _hermite_diagonal(measure, n, q, ctx):
@@ -150,10 +306,13 @@ def _base_diagonal(measure, n, q, ctx):
 class _Kind(NamedTuple):
     """Everything that tells one measure kind from another.
 
-    Its functions run at the caller's working precision.
+    diagonal runs at the caller's working precision; lanes and values run
+    on pairs at the precision wp they are given (see _walk).
     """
 
-    point: Callable          # (measure, m, q, ctx) -> (node, weight * normalization)
+    lanes: Callable          # (measure, backward, wp) -> (head, weight, lanes, muls, adds)
+    ratio: tuple             # (lanes multiplied into, lanes dividing) the weight per step
+    values: Callable         # (lanes, weight, q, backward, wp) -> (node, weight * normalization)
     diagonal: Callable       # (measure, n, q, ctx) -> d_n
     full_lattice: bool       # support m in Z, else m >= 0
     family: FamilyKind       # the paired family ...
@@ -161,19 +320,90 @@ class _Kind(NamedTuple):
 
 
 _DUAL = FamilyKind.DUAL_DISCRETE_ULTRA
+_GAUSSIAN = ((3,), ())                   # weight *= ratio
+_BASE_RATIO = ((7, 3, 4), (5, 6))        # weight *= ratio a1 a2 / (b1 b2)
 
 _KINDS = {
-    MeasureKind.HERMITE_EXTREMAL: _Kind(_hermite_point, _hermite_diagonal, True,
-                                        FamilyKind.QINV_HERMITE, lambda measure: None),
-    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(_qinv_point, _qinv_diagonal, True,
-                                          _DUAL, lambda measure: 1 / measure.q),
-    MeasureKind.DUAL_Q_EXTREMAL: _Kind(_q_point, _q_diagonal, True,
-                                       _DUAL, lambda measure: measure.q),
-    MeasureKind.DUAL_BASE_EVEN: _Kind(_base_point(0), _base_diagonal, False,
-                                      _DUAL, lambda measure: measure.s),
-    MeasureKind.DUAL_BASE_ODD: _Kind(_base_point(1), _base_diagonal, False,
-                                     _DUAL, lambda measure: measure.s),
+    MeasureKind.HERMITE_EXTREMAL: _Kind(
+        _extremal_lanes(0, -1), _GAUSSIAN, _hermite_values, _hermite_diagonal, True,
+        FamilyKind.QINV_HERMITE, lambda measure: None),
+    MeasureKind.DUAL_QINV_EXTREMAL: _Kind(
+        _extremal_lanes(1, 0), _GAUSSIAN, _qinv_values, _qinv_diagonal, True,
+        _DUAL, lambda measure: 1 / measure.q),
+    MeasureKind.DUAL_Q_EXTREMAL: _Kind(
+        _extremal_lanes(0, -1), _GAUSSIAN, _q_values, _q_diagonal, True,
+        _DUAL, lambda measure: measure.q),
+    MeasureKind.DUAL_BASE_EVEN: _Kind(
+        _base_lanes(0), _BASE_RATIO, _base_values, _base_diagonal, False,
+        _DUAL, lambda measure: measure.s),
+    MeasureKind.DUAL_BASE_ODD: _Kind(
+        _base_lanes(1), _BASE_RATIO, _base_values, _base_diagonal, False,
+        _DUAL, lambda measure: measure.s),
 }
+
+
+def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
+          z: tuple[int, int] | None):
+    """Yield (node, weight) at m = 0, 1, 2, ..., or at m = -1, -2, ... when
+    backward, each rounded once to ctx.bits, the weight divided by the pair
+    z = Z(a) (None for 1).
+
+    The kind's lanes step at wp = ctx.bits + 32: each lane v becomes
+    v * mul, or v * mul + add where it has an add, after the weight is
+    multiplied by the product of its ratio lanes over the product of its
+    dividing lanes.  SignViolation on a negative weight.
+    """
+    kind = _KINDS[measure.kind]
+    prec, wp = ctx.bits, ctx.bits + _RUN_GUARD
+    head, weight, lanes, muls, adds = kind.lanes(measure, backward, wp)
+    (first, *num), den = kind.ratio
+    q = _pair(measure.q)
+    m, step = (-1, -1) if backward else (0, 1)
+
+    def rounded(node, numer):
+        w = _round(numer if z is None else _div(numer, z, wp), prec)
+        if w[0] < 0:
+            raise SignViolation("negative weight %s at m=%d for %s"
+                                % (mpmath.nstr(_mpf(w), 8), m, measure.kind.value))
+        return _mpf(_round(node, prec)), _mpf(w)
+
+    for node, numer in head:
+        yield rounded(node, numer)
+        m += step
+    while True:
+        yield rounded(*kind.values(lanes, weight, q, backward, wp))
+        m += step
+        factor = lanes[first]
+        for i in num:
+            factor = _mul(factor, lanes[i], wp)
+        if den:
+            below = lanes[den[0]]
+            for i in den[1:]:
+                below = _mul(below, lanes[i], wp)
+            factor = _div(factor, below, wp)
+        weight = _mul(weight, factor, wp)
+        lanes = [_mul(v, k, wp) if c is None else _add(_mul(v, k, wp), c, wp)
+                 for v, k, c in zip(lanes, muls, adds)]
+
+
+def _runs(measure: "DiscreteMeasure", ctx: PrecisionContext):
+    """point(m), the measure's (node, weight) at m read from its two runs,
+    which are stepped out from m = 0 and m = -1 as far as asked and kept
+    for the life of point only."""
+    z = None
+    if measure.is_full_lattice:
+        z = _pair(lattice_normalization(measure.a, measure.q, _closed(ctx)))
+    runs = {backward: ([], _walk(measure, backward, ctx, z))
+            for backward in ((False, True) if measure.is_full_lattice else (False,))}
+
+    def point(m: int) -> tuple[QReal, QReal]:
+        values, walk = runs[m < 0]
+        k = ~m if m < 0 else m    # ~m = -1 - m
+        while len(values) <= k:
+            values.append(next(walk))
+        return values[k]
+
+    return point
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,26 +432,22 @@ class DiscreteMeasure:
             return lattice_normalization(self.a, self.q, ctx)
         return mpmath.mpf(1)
 
-    def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT,
-              norm: QReal | None = None) -> tuple[QReal, QReal]:
-        """(node, weight) at support index m.
+    def points(self, lo: int, hi: int,
+               ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[tuple[QReal, QReal]]:
+        """[(node, weight) at m for m = lo, ..., hi], [] when lo > hi.
 
-        norm, when given, must be self.normalization(ctx).  Its products are
-        memoised, but forming Z(a) again still converts a and q and makes
-        three lookups, which about doubles the cost of a point; a Gram
-        passes norm so that Z(a) is formed once, not once per window node.
+        The values come from the stepped runs of the module docstring, the
+        same a Gram reads, so they are a Gram's to the last bit.  Z(a) is
+        taken at tol raised to the rounding floor, as a Gram takes it.
         """
-        kind = _KINDS[self.kind]
-        if m < 0 and not kind.full_lattice:
+        if lo < 0 and not self.is_full_lattice:
             raise ValueError("support index must satisfy m >= 0")
-        with ctx.workprec():
-            node, w = kind.point(self, m, self.q, ctx)
-            w = w / (norm if norm is not None else self.normalization(ctx))
-            if w < 0:
-                raise SignViolation(
-                    "negative weight %s at m=%d for %s"
-                    % (mpmath.nstr(w, 8), m, self.kind.value))
-            return node, w
+        point = _runs(self, ctx)
+        return [point(m) for m in range(lo, hi + 1)]
+
+    def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[QReal, QReal]:
+        """(node, weight) at support index m: points(m, m, ctx)[0]."""
+        return self.points(m, m, ctx)[0]
 
 
 def hermite_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
@@ -323,25 +549,30 @@ class GramReport:
 
     def to_csv(self, digits: int) -> str:
         lines = ["n,nprime,value,expected,residual"]
+        zero = mpmath.mpf(0)
         with mpmath.mp.workprec(self.bits):
-            cells = _symmetric(self.N + 1, lambda n, np_: self._csv_cells(n, np_, digits))
+            res = _residuals(self.gram, self.expected_diag)
+            cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
+                to_decimal(x, digits) for x in (
+                    self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
+                    res[n][np_])))
         lines += ["%d,%d,%s" % (n, np_, cell)
                   for n, row in enumerate(cells) for np_, cell in enumerate(row)]
         return "\n".join(lines) + "\n"
 
-    def _csv_cells(self, n: int, np_: int, digits: int) -> str:
-        """value,expected,residual of entry (n, n')."""
-        exp = self.expected_diag[n] if n == np_ else mpmath.mpf(0)
-        res = _residual(self.gram, self.expected_diag, n, np_)
-        return ",".join(to_decimal(x, digits) for x in (self.gram[n][np_], exp, res))
 
+def _residuals(gram: list[list[QReal]], diag: list[QReal]) -> list[list[QReal]]:
+    """The residuals the checks compare with tol: |G_nn - d_n| / |d_n| on the
+    diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|) off it, each root formed
+    once per degree."""
+    roots = [mpmath.sqrt(abs(d)) for d in diag]
 
-def _residual(gram: list[list[QReal]], diag: list[QReal], n: int, np_: int) -> QReal:
-    """The residual a check compares with tol: |G_nn - d_n| / |d_n| on the
-    diagonal and |G_nn'| / sqrt(|d_n d_n'|) off it."""
-    if n == np_:
-        return abs(gram[n][n] - diag[n]) / abs(diag[n])
-    return abs(gram[n][np_]) / mpmath.sqrt(abs(diag[n] * diag[np_]))
+    def residual(n: int, np_: int) -> QReal:
+        if n == np_:
+            return abs(gram[n][n] - diag[n]) / abs(diag[n])
+        return abs(gram[n][np_]) / (roots[n] * roots[np_])
+
+    return _symmetric(len(diag), residual)
 
 
 def _symmetric(size: int, entry) -> list[list]:
@@ -500,28 +731,17 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")
     family = _check_compatible(family, measure, ctx)
-    # The closed forms need no more accuracy than this Gram's own arithmetic
-    # carries: below the rounding floor the residuals show the shortfall as
-    # a failed check rather than an uncertifiable product.
-    closed = dataclasses.replace(ctx, tol=max(ctx.tol, ctx.rounding_floor))
     with ctx.workprec():
-        norm = measure.normalization(closed)
-        diagonal = _KINDS[measure.kind].diagonal
+        diagonal, closed = _KINDS[measure.kind].diagonal, _closed(ctx)
         diag = [diagonal(measure, n, measure.q, closed) for n in range(N + 1)]
         values, majorant, _ = _recurrence(family, N, ctx)
-        points: dict[int, tuple[QReal, QReal]] = {}
-
-        def point(m: int) -> tuple[QReal, QReal]:
-            if m not in points:
-                points[m] = measure.point(m, ctx, norm=norm)
-            return points[m]
-
+        point = _runs(measure, ctx)
         m_lo, m_hi, tail = _certified_window(measure, point, majorant, ctx, diag)
         nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
         gram = _pair_sums(weights, [values(x) for x in nodes], N)
-        diag_err = max(_residual(gram, diag, n, n) for n in range(N + 1))
-        off_max = max((_residual(gram, diag, n, np_)
-                       for n in range(N + 1) for np_ in range(n + 1, N + 1)),
+        res = _residuals(gram, diag)
+        diag_err = max(res[n][n] for n in range(N + 1))
+        off_max = max((res[n][np_] for n in range(N + 1) for np_ in range(n + 1, N + 1)),
                       default=mpmath.mpf(0))
 
         return GramReport(

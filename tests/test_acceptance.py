@@ -203,8 +203,7 @@ def test_criterion_8_measure_distinctness_and_certificates(tmp_path):
         ok = ok and rep.tail_bound > 0
         extra = (list(range(rep.m_hi + 1, rep.m_hi + 6))
                  + list(range(rep.m_lo - 5, rep.m_lo)))
-        norm = measure.normalization(CTX)
-        points = [measure.point(m, CTX, norm=norm) for m in extra]
+        points = [measure.point(m, CTX) for m in extra]
         tables = [qinv_hermite_table(8, x, q, CTX) for x, _ in points]
         for n in range(9):
             for np_ in range(9):

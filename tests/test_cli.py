@@ -140,6 +140,29 @@ def test_gram_passes_with_small_diagonals(capsys, q):
     assert mpmath.mpf(obj["diag_rel_err_max"]) < CTX.tol
 
 
+_MEASURE_ARGS = {
+    "hermite-extremal": ["--measure", "hermite-extremal"],
+    "dual-qinv-extremal": ["--measure", "dual-qinv-extremal"],
+    "dual-q-extremal": ["--measure", "dual-q-extremal"],
+    "dual-base-even": ["--measure", "dual-base", "--parity", "even"],
+    "dual-base-odd": ["--measure", "dual-base", "--parity", "odd"],
+}
+
+
+@pytest.mark.parametrize("q", ["1e-4", "0.01", "0.5", "0.99"])
+@pytest.mark.parametrize("measure", sorted(_MEASURE_ARGS))
+def test_gram_passes_over_the_domain(capsys, measure, q):
+    # Each measure with its default parameter and with a = q (s = 1/q for
+    # the base measures, where the cancelled factor 1 - s q vanishes), at
+    # both ends of 0 < q < 1.
+    edge = ["--s-mode", "qinv"] if measure.startswith("dual-base") else ["--a", "q"]
+    for extra in ([], edge):
+        code, out, _ = run(capsys, "gram", "--N", "8", "--q", q,
+                           *_MEASURE_ARGS[measure], *extra)
+        assert code == 0, extra
+        json.loads(out)
+
+
 def test_gram_fails_below_rounding_floor(capsys):
     # 2^-300 is under the 256-bit arithmetic floor: residuals cannot reach it.
     code, out, _ = run(capsys, "gram", "--N", "2", "--tol-exp", "300")

@@ -80,31 +80,31 @@ def _runs(argvs, q, digests):
 
 
 GOLDEN = _runs(_BASIC, "0.5", (
-    "c2d50db426ddc1f5843d8b9b1d6ff909bee9bbdb699a98dc68b99b13955c2683",
-    "0d9430cef6fef38e5a11e8c9572f7f3de4b1d9c9956d9a147fa4d23f05a6f849",
-    "f60f64e5c11b7bbb36fbda8a1668ca0e6ad6be3a28cc03ffab7ad3cff5f5f82c",
-    "12daccbe5aef029ba8d5e61cf440d302975499484a11a60461283603e33f8b15",
-    "6da47bfe57239ad98a910d3233922269d925ec043efdab09bcc459561187b8e5",
-    "f8ad261412f5c959686eda58353136581bd7ed97212ca18f6cdd4ebd8d7e6af5",
-    "3a8f376a2a2ce9f19fad8ff78b3105afed214636a219925130c3acdc30c73663",
+    "e3f81dde5b6f4a5592538a5d182f3e89259ac99c156891ecfb2339aba2c9b817",
+    "251e4afc8cd20524070c50facb16dcae3c08acd49bb0289dc838f97fcda547b8",
+    "e79e2477e4f9b874a48f36ff912b4f9409875339c035d7c5de9c9182a647b08d",
+    "a807ae8432e9cef0ea13b1323a1f0957866be3a0396b6d29c8aa2d69231a7196",
+    "6b2000d100d45cd392240431de49eb6249073de2931462018069993f260eacfd",
+    "b290a8dfa8ff2284186bd665f79b4347d74a03477dd8e875c6815401e187134c",
+    "9d437bfa047803a6aa0221edfdd7fd6bb20cfef718c5c3e8973af77e126ff23b",
 )) + _runs(_BASIC, "0.7", (
-    "d3cea245db4bfe7a84281b14e5b0057872159d62f5ea050369a440bc508c6c3f",
-    "956c09fa065405a11c9d4436f8dd94cba24e182882e082e59e36eea46cbe6341",
-    "69984224ad05dde398463eec04ffc4cce33a490cf8d07bbd04f3ab8c189d39bd",
-    "50cde737c055c1b304056bbea0f7c5fbe4e2fd5ff9bc97fdeeb14a3d5f1d0208",
-    "5ce590bf56a39da8e716539eb8bdf48ace92844bf59d7426dae208d67ec959a0",
-    "d6a6eb1aba19a481a5405a4f7bd40095dce752254594ec0569c7ce35c3e25e73",
-    "3706a605220bdad0c949ff20dba3aff204e35f1cfa0b6b9dfbed1434b3730c09",
+    "5c439635dfb97092c8c3ffad1fb1b1c4728e41b159f0806651309b63d87d7764",
+    "0f6421d0755e08da50d2c3316d2ba268ebb13c411cd68837d5f0899d09ae4ea2",
+    "3c9bc7641cee8d436f3863f27509dfd91018f25885a1c34b2579b74a17ff9d3f",
+    "eecdbe6ce8c67cf993e1f4ce217b6a44f4ab9e2724f65f002d79daa0fed78ac3",
+    "fec8e23f1d05095679cb43efe29b4521b64f13402410828bb0f25d96d2331558",
+    "466de5f046a51b9b64eaaebbb4a0ce8c673b1c629ee82e44f997f08ec869c3db",
+    "4c3f42b62c3ec8cd376e55f64eeeafba0523555e6d038ca8033dad36deb34925",
 )) + _runs(_WIDE, "0.5", (
-    "29f78f8cd35da4624f0b1826a10156ee277ba607457ce5502c7b390d3e720da6",
-    "be608316edb9e4173b65257933a101138dca68d524d5dc0e5d7a0f7a9ce027cc",
-    "71646170b2648347d0e6441c0524b26bb8236df341bf7fdf2d5ed7180b1e8462",
-    "e6cf15b38d370ec51a8682bd24cde5666923477b69949160e0e24fadb18e8bb5",
+    "9823f7e85cafd991bd3f28d36dadac1b19a97ed9ccb926c8041bd33957c79248",
+    "5e5bbc4acf6eea1c339dc0c5f59f28c237c2d03dcefe1dc38c4a6b4a5f8ac16f",
+    "0d4da152d71acb1cf269d13bc7769dafd36f792d424f324d8e6c48cacaebfc59",
+    "dc53fc24d9edb69176155d08d6aa5b38613d8c1325f324b1c0ca39e48013e394",
 )) + _runs(_WIDE, "0.7", (
-    "e9093cc16977d582861cee5dbee3ed4caed27d89496b4112079c4c31f812ed6e",
-    "bb267b32bb60237b254ebe41c44f768f251cd8abd662eded9c528e7765345524",
-    "baee6b0e73b9b62126cde5e2f03e7c08853bd086e0d98de52f83bb94af6e1823",
-    "2fa9301c438bbd1bc92c801026bc9a329ecb1aff0075a59825bfbc993d6d8abb",
+    "6b1c638b87bab882a6c790212d506aab1cabc6b2edb6c5975dc7ffc880a5159c",
+    "471eb08ae4f94a7f459fc93fae1b5ed479b5163d19fdda7d9904cdf25e33c03f",
+    "6ac3c4116576f54980465c0ca1086a50586083b09af3652ecf411bc4fcc138e7",
+    "56812aed67b625100fb9664344b9df97f7c341d2b78752876d590e4683be4e62",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -112,13 +112,13 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "b8da8603046bf1d6c370040094ac8bfd0b6cb408cf8d40c5ed1c32a1e9a72b6e",
-    "b7ae100cbbbd84e0a9b3e1b18bd9b9b9653551dbe77151b1b8bdd65e8a5056d3",
-    "690fdebbf208e7b20849248932c7e2b76e331fff3312ef00e62ab71bc2765470",
+    "c771c553ac39264ab208443463f0197d01fa3faae9ef95b1a0c3a659859e52fd",
+    "ded0531575676a42de15be077c1b0eb2e942b668837ac620173bc0e5220094f8",
+    "05833c7e9cbb1af65e618d10f3e68dbcee277f869340e91c9d95601185ff0caa",
 )) + _runs(_EXTREMAL_N24, "0.3", (
-    "75b1ffbdd899c8202de0e207f353f9529896f7413649ef345f605134eb1946dc",
-    "fdf309f06134d8e315eb82dec30c82ddd473099f46b64ff8a81a422bd713596f",
-    "88b8b763f56795aa3393cd9cea0e185bdf294b512e591f63d6c86de93f97b6f3",
+    "2318c42a15efaa983641e496c54cc3de152273044dc4d26eb2001dfc53833981",
+    "7d78b2a55bea62baf46182a207d2c0988efe6e528b63d0dbd382122aec8fbcee",
+    "d69c4cbfd2e42c5168c89b8e06118732fc4af88af471cd4df23b18bf77cd088e",
 ))
 
 

@@ -1,5 +1,6 @@
 """Discrete measures, Gram matrices, and the normalization adjudication."""
 import collections
+import functools
 import json
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
                     hermite_extremal, lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
-from qortho.kernel import _pair
+from qortho.kernel import _pair, as_qparam, qpochhammer
+from qortho.measures import _extremal
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -128,8 +130,7 @@ def test_base_mass_matches_degree_zero_diagonal():
             for s in (Q, 1, 1 / Q):
                 measure = dual_base(s, Q, parity, CTX)
                 total = mpmath.mpf(0)
-                for m in range(200):
-                    _, w = measure.point(m, CTX)
+                for _, w in measure.points(0, 199, CTX):
                     total += w
                 assert rel(total, expected_diagonal(measure, 0, CTX)) < 4 * CTX.tol
 
@@ -188,9 +189,10 @@ def test_gram_window_and_node_distinctness():
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
-def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
-    """Each (1 - a q^k) factor is multiplied once per (a, q, bits), not once
-    per node or degree that asks for a product."""
+def test_base_gram_reads_finite_products_only_for_its_diagonals(parity, monkeypatch):
+    """The base weights step their factor ratios, so a base Gram asks for
+    finite products only for its closed-form diagonals, and each (1 - a q^k)
+    factor is multiplied once per (a, q, bits), not once per degree."""
     from qortho import kernel, measures
     kernel._prefix_steps.cache_clear()
     measure = dual_base(1, "0.9", parity, CTX)
@@ -220,12 +222,13 @@ def test_base_gram_forms_each_product_factor_once(parity, monkeypatch):
     monkeypatch.setattr(measures, "qpochhammer", recording)
     gram_matrix(dual_family(measure), measure, 8, CTX)
     monkeypatch.undo()
-    # (s q^2; q) and (q; q) for the weights; (q^2; q^2) serves both
-    # diagonal products at s = 1.
-    assert len(longest) == 3
+    # At s = 1, (q^2; q^2) serves both diagonal products, each asked for
+    # n = 0..8.
+    with CTX.workprec():
+        q2 = measure.q * measure.q
+    assert dict(longest) == {(q2, q2, CTX.bits): 8}
+    assert sorted(asked) == sorted(2 * list(range(9)))
     assert {key: factors[key] for key in longest} == dict(longest)
-    assert max(longest.values()) >= 40
-    assert sum(asked) > 10 * sum(longest.values())
     assert kernel._prefix_steps.cache_info().currsize == len(longest)
     for key, n in longest.items():
         assert len(kernel._prefix_steps(*key)) == n + 1
@@ -354,8 +357,7 @@ def window_extension_entries(family, measure, N, report, pad):
     if measure.is_full_lattice:
         extra += list(range(report.m_lo - pad, report.m_lo))
     with CTX.workprec():
-        norm = measure.normalization(CTX)
-        points = [measure.point(m, CTX, norm=norm) for m in extra]
+        points = [measure.point(m, CTX) for m in extra]
         if family.kind is FamilyKind.QINV_HERMITE:
             tables = [qinv_hermite_table(N, x, family.q, CTX) for x, _ in points]
         else:
@@ -802,3 +804,142 @@ def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
     assert report.passed(CTX.tol)
     window = report.m_hi - report.m_lo + 1
     assert calls and len(runs) == len(calls) + window and rows == []
+
+
+# -- stepped runs --------------------------------------------------------------
+
+
+# The per-point `**` formulas the stepped runs replaced, kept as their
+# oracle: (node, weight before normalization) at m, at the caller's working
+# precision.  qpow(k) is q ** k, formed once per k and shared by every a or
+# s at that m, and the extremal kinds share up, down and a^(4m) q^(m(2m-1)).
+_EXTREMAL_KINDS = (MeasureKind.HERMITE_EXTREMAL, MeasureKind.DUAL_QINV_EXTREMAL,
+                   MeasureKind.DUAL_Q_EXTREMAL)
+
+
+def _oracle_extremal(a, q, m, qpow):
+    up, down = a ** (-1) * qpow(-m), a * qpow(m)
+    gauss = a ** (4 * m) * qpow(m * (2 * m - 1))
+    return (((up - down) / 2, gauss * (1 + down * down)),
+            (up * up + down * down, a ** (4 * m + 1) * qpow(2 * m * m) * (up + down)),
+            ((up * up + down * down) * q, gauss * (1 + down * down) * (up - down) ** 2))
+
+
+def _oracle_base(parity, s, q, m, ctx, qpow):
+    j = 2 * m + parity
+    node = qpow(-j) + s * qpow(j + 1)
+    if j == 0:
+        return node, mpmath.mpf(1)
+    return node, ((1 - s * qpow(2 * j + 1))
+                  * qpochhammer(s * q ** 2, q, j - 1, ctx)
+                  / qpochhammer(q, q, j, ctx)
+                  * qpow(m * (j - 1 + parity)))
+
+
+_RUN_QS = ("1e-4", "0.05", "0.5", "0.9", "0.999")
+_RUN_STEPS = 600
+
+
+def _check_runs(q, runs, oracle, ms, bits):
+    """Each run's (node, weight) at m = ms[k], runs[i][k], is within the
+    measures docstring's relative bound 2^-bits + 1.01 R(|m|) 2^-(bits+32),
+    R(k) = 8 (k+2)^2, of oracle(m, qpow)[i] formed at 4 bits; 2^-(2 bits)
+    more covers the oracle's own rounding."""
+    for k, m in enumerate(ms):
+        with mpmath.mp.workprec(4 * bits):
+            wants = oracle(m, functools.lru_cache(maxsize=None)(lambda e: q ** e))
+        with mpmath.mp.workprec(2 * bits):
+            bound = (mpmath.ldexp(1, -bits) + mpmath.ldexp(1, -2 * bits)
+                     + mpmath.mpf(101) / 100 * 8 * (abs(m) + 2) ** 2
+                     * mpmath.ldexp(1, -(bits + 32)))
+            for run, want in zip(runs, wants):
+                for got, w in zip(run[k], want):
+                    assert abs(got - w) <= bound * abs(w), m
+
+
+def _check_extremal_runs(q, a_values, ms, ctx):
+    """_check_runs for the three extremal kinds at each a."""
+    runs = [_extremal(kind, a, q, ctx).points(ms[0], ms[-1], ctx)
+            for a in a_values for kind in _EXTREMAL_KINDS]
+    z = [lattice_normalization(a, q, ctx) for a in a_values]
+
+    def oracle(m, qpow):
+        return [(node, weight / za) for a, za in zip(a_values, z)
+                for node, weight in _oracle_extremal(a, q, m, qpow)]
+
+    _check_runs(q, runs, oracle, ms, ctx.bits)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", _RUN_QS)
+def test_extremal_runs_are_within_their_bound_of_the_power_formulas(q_s, bits):
+    # a = q, the default a = (1 + q)/2, and a = 1 - 2^-20, where up - down
+    # cancels 20 bits at m = 0.
+    ctx = _ctx(bits)
+    q = as_qparam(q_s, ctx)
+    with ctx.workprec():
+        a_values = (q, (1 + q) / 2, 1 - mpmath.ldexp(1, -20))
+    _check_extremal_runs(q, a_values, range(-_RUN_STEPS, _RUN_STEPS + 1), ctx)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_extremal_runs_keep_their_bound_where_up_minus_down_cancels(bits):
+    # Past the 32 guard bits: a 2^-100 above q cancels about 100 bits of
+    # up - down at m = -1, and a = 1 - 2^-100 as many at m = 0.
+    ctx = _ctx(bits)
+    for q_s in _RUN_QS:
+        q = as_qparam(q_s, ctx)
+        with ctx.workprec():
+            a_values = (q * (1 + mpmath.ldexp(1, -100)), 1 - mpmath.ldexp(1, -100))
+        _check_extremal_runs(q, a_values, range(-3, 4), ctx)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", _RUN_QS)
+def test_base_runs_are_within_their_bound_of_the_power_formulas(q_s, bits):
+    ctx = _ctx(bits)
+    wide = PrecisionContext(bits=4 * bits, tol=ctx.tol)
+    q = as_qparam(q_s, ctx)
+    with ctx.workprec():
+        s_values = (q, mpmath.mpf(1), 1 / q, q ** -2 / 2)
+    cases = [(s, parity) for s in s_values for parity in (0, 1)]
+    runs = [dual_base(s, q, ("even", "odd")[parity], ctx).points(0, _RUN_STEPS, ctx)
+            for s, parity in cases]
+
+    def oracle(m, qpow):
+        return [_oracle_base(parity, s, q, m, wide, qpow) for s, parity in cases]
+
+    _check_runs(q, runs, oracle, range(_RUN_STEPS + 1), bits)
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_MEASURES))
+def test_point_is_the_gram_windows_node_and_weight(monkeypatch, kind):
+    measure = _PAIR_MEASURES[kind](CTX)
+    weights, _, _ = _pair_inputs(monkeypatch, measure, 6, CTX)
+    report = gram_matrix(measure.family(CTX), measure, 6, CTX)
+    window = range(report.m_lo, report.m_hi + 1)
+    assert len(weights) == len(report.nodes) == len(window)
+    for m, node, weight in zip(window, report.nodes, weights):
+        got = measure.point(m, CTX)
+        assert (got[0]._mpf_, got[1]._mpf_) == (node._mpf_, weight._mpf_), m
+    assert measure.points(report.m_lo, report.m_hi, CTX) == list(zip(report.nodes, weights))
+
+
+@pytest.mark.parametrize("q_s", _RUN_QS)
+def test_q_extremal_weight_at_a_equals_q_is_exactly_zero(q_s):
+    # a^2 q^(2m) = 1 at m = -1 only: the weight there is 0, not a rounding
+    # residue, and so is the hermite node, while their neighbours are not.
+    for bits in (256, 1024):
+        ctx = _ctx(bits)
+        (_, w_before), (_, w), (_, w_after) = dual_q_extremal(q_s, q_s, ctx).points(-2, 0, ctx)
+        assert w == 0 and w_before > 0 and w_after > 0
+        assert hermite_extremal(q_s, q_s, ctx).point(-1, ctx)[0] == 0
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.DUAL_BASE_EVEN, MeasureKind.DUAL_BASE_ODD])
+def test_rogue_base_measure_raises_sign_violation_from_its_run(kind):
+    rogue = DiscreteMeasure(kind, Q, s=mpmath.mpf(5))
+    with pytest.raises(SignViolation, match="m=1 "):
+        rogue.points(0, 3, CTX)
+    with pytest.raises(SignViolation):
+        rogue.point(1, CTX)
