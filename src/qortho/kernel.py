@@ -20,15 +20,6 @@ product to another.  The memo is bounded (the 256 most recently used
 products) and keeps no failure, so an uncertifiable product raises on
 every call.
 
-A finite product (a;q)_n is read from the steps ((a;q)_0, a), ...,
-((a;q)_k, a q^k) of (a, q) at the context's bits, a list that lru_cache keeps
-for the 32 most recently used (a, q, bits) and that is extended in place by
-the plain product loop's own steps, so every value is that loop's bit for
-bit and a run over nodes j = 1..M forms M factors, not M^2/2.  A list stores
-at most 4096 factors.  Each append is one whole step, so an extension that
-fails or is interrupted part-way leaves only whole steps, from which the
-next call continues.
-
 The hot loops of the package (here, in families and in measures) run on
 pairs: a finite real m 2^e held as two Python ints (m, e), with this
 module's private arithmetic _add, _sub, _mul, _div, _round and _abs_lt
@@ -344,41 +335,17 @@ def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]
 
 
 def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), n >= 0.
-
-    Served from the steps of (a, q) at ctx.bits, which are extended factor
-    by factor in the order of the plain product loop, so the value is that
-    loop's to the last bit.  ValueError when a is inf or nan.
-    """
+    """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), n >= 0, by
+    the plain product loop on pairs at ctx.bits.  ValueError when a or q is
+    inf or nan."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
-    with ctx.workprec():
-        a = mpmath.mpf(a)
-        q = mpmath.mpf(q)
-        steps = _prefix_steps(a, q, ctx.bits)
-        if n < len(steps):
-            return steps[n][0]
-        prec, qp = ctx.bits, _pair(q, "q")
-        prod, aqk = _pair(steps[-1][0]), steps[-1][1]
-        for _ in range(len(steps) - 1, n):
-            # prod *= 1 - aqk; aqk *= q
-            prod = _mul(prod, _sub(_ONE, aqk, prec), prec)
-            aqk = _mul(aqk, qp, prec)
-            if len(steps) <= _PREFIX_MAX_FACTORS:
-                steps.append((_mpf(prod), aqk))
-        return _mpf(prod)
-
-
-# The steps of (a;q)_n stop being stored past this many factors; longer
-# products continue from the last stored step.
-_PREFIX_MAX_FACTORS = 4096
-
-
-@functools.lru_cache(maxsize=32)
-def _prefix_steps(a: QReal, q: QReal, bits: int) -> list[tuple[QReal, tuple[int, int]]]:
-    """[((a;q)_0, pair of a), ..., ((a;q)_k, pair of a q^k)], which qpochhammer
-    extends in place, one whole step per append."""
-    return [(mpmath.mpf(1), _pair(a, "a"))]
+    prec, prod = ctx.bits, _ONE
+    aqk, qp = _pair(ctx.to_real(a), "a"), _pair(ctx.to_real(q), "q")
+    for _ in range(n):
+        prod = _mul(prod, _sub(_ONE, aqk, prec), prec)
+        aqk = _mul(aqk, qp, prec)
+    return _mpf(prod)
 
 
 def _head_length(a: QReal, q: QReal) -> int:

@@ -3,9 +3,10 @@
 A measure is a countable set of (node, weight) pairs.  Its five kinds follow
 one pattern, so each kind is one record of the table _KINDS: the lanes its
 node and weight at support index m are stepped from (see "Stepped runs"
-below), the closed-form diagonal d_n of the paired family, whether the
-support is all of Z or m >= 0, and the paired family with its s.  The
-normalization follows the support: Z(a) on all of Z, 1 on m >= 0.
+below), the run of the closed-form diagonal d_n of the paired family (see
+"Diagonal runs"), whether the support is all of Z or m >= 0, and the paired
+family with its s.  The normalization follows the support: Z(a) on all of
+Z, 1 on m >= 0.
 
   kind                support  node at m                  family  normalization
   hermite_extremal    m in Z   (a^-1 q^-m - a q^m)/2      h       Z(a)
@@ -18,8 +19,7 @@ Here h is the q-inverse Hermite family, D(s) the dual discrete
 q-ultraspherical family, q <= a < 1, 0 < s < q^-2 and
 Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf.  The base weights are stated
 with the common factor (1 - s q) cancelled, which keeps them finite at
-s = q^-1; their diagonals share the factor (s q^3;q^2)_inf / (q;q^2)_inf.
-The q-extremal weight vanishes at a single site exactly when a^2 q^{2m} = 1
+s = q^-1.  The q-extremal weight vanishes at a single site exactly when a^2 q^{2m} = 1
 (e.g. a = q, m = -1), which is allowed.
 
 The closed form of Z(a) is settled by adjudicate_normalization, which compares
@@ -35,19 +35,13 @@ each side's tail is taken to be at most 2*B(next).  That bound assumes B is
 log-concave beyond the stop, and nothing checks it: log w_m is dominated by
 a -2m^2 log(1/q) term, but log A(|node_m|) is convex in m, so B need not be
 log-concave step by step.  The checks divide by the closed-form diagonals
-d_n, so each side is driven below tol/8 * min(1, min_n d_n).  The window
-scan extends the two runs below, and the assembly reads the same lists, so
-each lattice point is evaluated once.
+d_n, so each side is driven below tol/8 * min(1, min_n d_n).
 
 Assembly forms each quantity once: the family's recurrence coefficients
-serve both the majorant and the values at the window nodes, which reach the
-pair sums as pairs.  Each entry G_nn' = sum_m w_m P_n(x_m) P_n'(x_m) over
-the M window nodes is an exact integer dot product of fixed-point columns,
-rounded once to the working precision prec (_pair_sums).  Every diagonal
-term w_m P_n(x_m)^2 is >= 0, so by Cauchy-Schwarz the rounding of an entry
-is within (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))) sqrt(G_nn G_n'n'), on
-the scale the checks divide by, and it does not depend on the order of the
-nodes.
+serve both the majorant and the values at the window nodes, and each entry
+G_nn' over the M window nodes is an exact integer dot product rounded once,
+within (2^-prec + 5 (M+1) 2^-(prec+16+bitlen(M))) sqrt(G_nn G_n'n') in any
+node order (_pair_sums).
 
 Stepped runs.  With up = a^-1 q^-m and down = a q^m, the weights before
 normalization are
@@ -79,6 +73,21 @@ its sign.  The runs of one call are extended as far as it asks and then
 dropped; DiscreteMeasure.points and a Gram read them alike, so every route
 gives the same bits.
 
+Diagonal runs.  By (a;q)_(n+1) = (a;q)_n (1 - a q^n) (Gasper-Rahman, Basic
+Hypergeometric Series, 1.2) each closed-form diagonal steps from its d_0:
+
+  kind                d_n / d_0                           d_0
+  hermite_extremal    q^(-n(n+1)/2) (q;q)_n               1
+  dual_qinv_extremal  q^-n (q;q)_2n / (q;q^2)_n^2         1
+  dual_q_extremal     q^-n (q^2;q)_2n / (q^3;q^2)_n^2     q^-1 (1 - q)
+  dual_base           q^-n (q^2;q^2)_n / (s q^2;q^2)_n    (s q^3;q^2)_inf / (q;q^2)_inf
+
+d_(n+1) / d_n is q^-(n+1) (1 - q^(n+1)) for hermite_extremal and
+q^-1 (1 - q^(2n+2)) / (1 - x q^(2n+2)) for the dual kinds, x = q^-1, q or s.
+Its lanes are q^-(n+1) (times q^-1) or q^-1 (times 1) and each 1 - y q^k,
+taken to q^k v + (1 - q^k) like the base lanes; _run steps them as it
+steps the weights, and each d_n is rounded once to bits.
+
 Bound.  up - down = a^-1 q^-m (1 - a^2 q^(2m)) cancels: the hermite_extremal
 node and the dual_q_extremal weight carry it, and a difference of rounded
 up and down would lose a factor (up + down) / |up - down| of accuracy, 2^20
@@ -89,8 +98,8 @@ never form that difference.  They form up * gap for m >= 0 and
 (a^2 - q^2) / a^2, which are formed from the exact a and q and rounded
 once.  At a = q and m = -1 that start is exactly 0, and so are the node of
 hermite_extremal and the weight of dual_q_extremal there.  The base
-factors 1 - x q^k are stepped the same way and lie in (0, 1] for
-0 < s < q^-2; the gaps lie in [0, 1] for q <= a < 1.
+factors 1 - x q^k and the diagonals' lanes are stepped the same way and
+lie in (0, 1] for 0 < s < q^-2; the gaps lie in [0, 1] for q <= a < 1.
 
 Every value is thus formed from the exact a, q and s by products, quotients
 and sums of nonnegative terms, each rounded once at wp.  Let u = 2^-wp.  A
@@ -107,6 +116,7 @@ lane, so k <= m), r is at most
   dual_qinv_extremal  4k + 4   k^2 + 3k + 4
   dual_q_extremal     4k + 5   k^2 + 13k + 12
   dual_base           2k + 2   7k^2 + 6k + 7
+  diagonal d_k        3k^2 + 3k + 2 for every kind (2k^2 + 2k for hermite)
 
 and the run to m < 0 counts no more at the same k.  The k^2 comes from the
 ratio lanes: the weight takes in a new ratio, with its own O(k) roundings,
@@ -118,9 +128,10 @@ run is within relative
     2^-bits + 1.01 R(|m|) 2^-(bits+32),   R(k) = 8 (k + 2)^2,
 
 of the exact node, and of the exact weight before normalization divided by
-the Z(a) the kernel returns.  R u <= 1/200 holds for |m| < 2^(bits/2 + 10),
-past any run a list can hold; at |m| = 600 the second term is below
-2^-(bits+10).
+the Z(a) the kernel returns; so is every d_n, at k = n, of its closed form
+(for the base kinds, with the two infinite products the kernel returns).
+R u <= 1/200 holds for |m| < 2^(bits/2 + 10), past any run a list can
+hold; at |m| = 600 the second term is below 2^-(bits+10).
 """
 from __future__ import annotations
 
@@ -128,6 +139,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -138,8 +150,7 @@ import mpmath
 from .families import FamilyKind, FamilySpec, _recurrence, check_dual_s
 from .kernel import (_ONE, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, _add, _div, _mpf, _mul, _pair, _round,
-                     _rounded, _sub, as_qparam, qpochhammer, qpochhammer_inf,
-                     to_decimal)
+                     _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
 
 
 class IncompatiblePair(Exception):
@@ -169,12 +180,10 @@ def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRea
 
 
 def _closed(ctx: PrecisionContext) -> PrecisionContext:
-    """ctx with tol raised to its rounding floor, for Z(a) and the diagonals.
-
-    The closed forms need no more accuracy than a Gram's own arithmetic
-    carries: below the rounding floor the residuals show the shortfall as a
-    failed check rather than an uncertifiable product.
-    """
+    """ctx with tol raised to its rounding floor, for Z(a) and the diagonals,
+    which need no more accuracy than a Gram's own arithmetic carries: below
+    the floor the residuals show the shortfall as a failed check rather than
+    an uncertifiable product."""
     return dataclasses.replace(ctx, tol=max(ctx.tol, ctx.rounding_floor))
 
 
@@ -282,38 +291,42 @@ def _base_values(v, w, q, backward, wp):
     return _add(v[0], v[1], wp), _mul(v[2], w, wp)
 
 
-def _hermite_diagonal(measure, n, q, ctx):
-    return q ** (mpmath.mpf(-n * (n + 1)) / 2) * qpochhammer(q, q, n, ctx)
+def _hermite_diagonal(measure, ctx, wp):
+    """d_0 = 1, the lanes [q^-(n+1), 1 - q^(n+1)] at n = 0 and their steps."""
+    q = _pair(measure.q)
+    qi, gap = _div(_ONE, q, wp), _sub(_ONE, q, wp)
+    return _ONE, [qi, gap], [qi, q], [None, gap], ((0, 1), ())
 
 
-def _qinv_diagonal(measure, n, q, ctx):
-    return (q ** (-n) * qpochhammer(q, q, 2 * n, ctx)
-            / qpochhammer(q, q * q, n, ctx) ** 2)
+def _dual_diagonal(start):
+    """d_0 and the lanes [q^-1, 1 - q^(2n+2), 1 - x q^(2n+2)] at n = 0 of a
+    dual kind whose start(measure, q, ctx, wp) gives d_0 and the exact x q^2."""
+    def diagonal(measure, ctx, wp):
+        q = _pair(measure.q)
+        first, xq2 = start(measure, q, ctx, wp)
+        q2 = _power(q, 2)
+        q2_r, gap = _round(q2, wp), _sub(_ONE, q2, wp)
+        lanes = [_div(_ONE, q, wp), gap, _sub(_ONE, xq2, wp)]
+        return first, lanes, [_ONE, q2_r, q2_r], [None, gap, gap], ((0, 1), (2,))
+    return diagonal
 
 
-def _q_diagonal(measure, n, q, ctx):
-    return (q ** (-(n + 1)) * qpochhammer(q, q, 2 * n + 1, ctx)
-            / qpochhammer(q ** 3, q * q, n, ctx) ** 2)
-
-
-def _base_diagonal(measure, n, q, ctx):
-    q2 = q * q
-    pre = qpochhammer_inf(measure.s * q ** 3, q2, ctx) / qpochhammer_inf(q, q2, ctx)
-    return (pre * qpochhammer(q2, q2, n, ctx) * q ** (-n)
-            / qpochhammer(measure.s * q2, q2, n, ctx))
+def _base_start(measure, q, ctx, wp):
+    """d_0 = (s q^3;q^2)_inf / (q;q^2)_inf and s q^2."""
+    qv, q2 = measure.q, measure.q * measure.q
+    return (_div(_pair(qpochhammer_inf(measure.s * qv ** 3, q2, ctx)),
+                 _pair(qpochhammer_inf(qv, q2, ctx)), wp),
+            _times(_pair(measure.s), _power(q, 2)))
 
 
 class _Kind(NamedTuple):
-    """Everything that tells one measure kind from another.
-
-    diagonal runs at the caller's working precision; lanes and values run
-    on pairs at the precision wp they are given (see _walk).
-    """
+    """Everything that tells one measure kind from another; its callables
+    run on pairs at the precision wp they are given (see _run)."""
 
     lanes: Callable          # (measure, backward, wp) -> (head, weight, lanes, muls, adds)
     ratio: tuple             # (lanes multiplied into, lanes dividing) the weight per step
     values: Callable         # (lanes, weight, q, backward, wp) -> (node, weight * normalization)
-    diagonal: Callable       # (measure, n, q, ctx) -> d_n
+    diagonal: Callable       # (measure, ctx, wp) -> (d_0, lanes, muls, adds, ratio)
     full_lattice: bool       # support m in Z, else m >= 0
     family: FamilyKind       # the paired family ...
     family_s: Callable       # (measure) -> ... and its s, or None
@@ -328,18 +341,41 @@ _KINDS = {
         _extremal_lanes(0, -1), _GAUSSIAN, _hermite_values, _hermite_diagonal, True,
         FamilyKind.QINV_HERMITE, lambda measure: None),
     MeasureKind.DUAL_QINV_EXTREMAL: _Kind(
-        _extremal_lanes(1, 0), _GAUSSIAN, _qinv_values, _qinv_diagonal, True,
-        _DUAL, lambda measure: 1 / measure.q),
+        _extremal_lanes(1, 0), _GAUSSIAN, _qinv_values,
+        _dual_diagonal(lambda measure, q, ctx, wp: (_ONE, q)),
+        True, _DUAL, lambda measure: 1 / measure.q),
     MeasureKind.DUAL_Q_EXTREMAL: _Kind(
-        _extremal_lanes(0, -1), _GAUSSIAN, _q_values, _q_diagonal, True,
-        _DUAL, lambda measure: measure.q),
+        _extremal_lanes(0, -1), _GAUSSIAN, _q_values,
+        _dual_diagonal(lambda measure, q, ctx, wp: (_div(_sub(_ONE, q, wp), q, wp),
+                                                    _power(q, 3))),
+        True, _DUAL, lambda measure: measure.q),
     MeasureKind.DUAL_BASE_EVEN: _Kind(
-        _base_lanes(0), _BASE_RATIO, _base_values, _base_diagonal, False,
-        _DUAL, lambda measure: measure.s),
+        _base_lanes(0), _BASE_RATIO, _base_values, _dual_diagonal(_base_start),
+        False, _DUAL, lambda measure: measure.s),
     MeasureKind.DUAL_BASE_ODD: _Kind(
-        _base_lanes(1), _BASE_RATIO, _base_values, _base_diagonal, False,
-        _DUAL, lambda measure: measure.s),
+        _base_lanes(1), _BASE_RATIO, _base_values, _dual_diagonal(_base_start),
+        False, _DUAL, lambda measure: measure.s),
 }
+
+
+def _run(value, lanes, muls, adds, ratio, wp: int):
+    """Yield (value, lanes) at steps 0, 1, 2, ...: a step multiplies value by
+    the product of the ratio's lanes over that of its dividing lanes, then
+    takes each lane v to v * mul, or v * mul + add, each rounded at wp."""
+    (first, *num), den = ratio
+    while True:
+        yield value, lanes
+        factor = lanes[first]
+        for i in num:
+            factor = _mul(factor, lanes[i], wp)
+        if den:
+            below = lanes[den[0]]
+            for i in den[1:]:
+                below = _mul(below, lanes[i], wp)
+            factor = _div(factor, below, wp)
+        value = _mul(value, factor, wp)
+        lanes = [_mul(v, k, wp) if c is None else _add(_mul(v, k, wp), c, wp)
+                 for v, k, c in zip(lanes, muls, adds)]
 
 
 def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
@@ -348,15 +384,12 @@ def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
     backward, each rounded once to ctx.bits, the weight divided by the pair
     z = Z(a) (None for 1).
 
-    The kind's lanes step at wp = ctx.bits + 32: each lane v becomes
-    v * mul, or v * mul + add where it has an add, after the weight is
-    multiplied by the product of its ratio lanes over the product of its
-    dividing lanes.  SignViolation on a negative weight.
+    The kind's lanes and weight step by _run at wp = ctx.bits + 32.
+    SignViolation on a negative weight.
     """
     kind = _KINDS[measure.kind]
     prec, wp = ctx.bits, ctx.bits + _RUN_GUARD
     head, weight, lanes, muls, adds = kind.lanes(measure, backward, wp)
-    (first, *num), den = kind.ratio
     q = _pair(measure.q)
     m, step = (-1, -1) if backward else (0, 1)
 
@@ -370,20 +403,18 @@ def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
     for node, numer in head:
         yield rounded(node, numer)
         m += step
-    while True:
+    for weight, lanes in _run(weight, lanes, muls, adds, kind.ratio, wp):
         yield rounded(*kind.values(lanes, weight, q, backward, wp))
         m += step
-        factor = lanes[first]
-        for i in num:
-            factor = _mul(factor, lanes[i], wp)
-        if den:
-            below = lanes[den[0]]
-            for i in den[1:]:
-                below = _mul(below, lanes[i], wp)
-            factor = _div(factor, below, wp)
-        weight = _mul(weight, factor, wp)
-        lanes = [_mul(v, k, wp) if c is None else _add(_mul(v, k, wp), c, wp)
-                 for v, k, c in zip(lanes, muls, adds)]
+
+
+def _diagonals(measure: "DiscreteMeasure", N: int, ctx: PrecisionContext) -> list[QReal]:
+    """[d_0, ..., d_N] of the kind's run at wp = ctx.bits + 32, each rounded
+    once to ctx.bits; d_0 takes its products at _closed(ctx)."""
+    wp = ctx.bits + _RUN_GUARD
+    with ctx.workprec():
+        run = _run(*_KINDS[measure.kind].diagonal(measure, _closed(ctx), wp), wp)
+    return [_mpf(_round(d, ctx.bits)) for d, _ in itertools.islice(run, N + 1)]
 
 
 def _runs(measure: "DiscreteMeasure", ctx: PrecisionContext):
@@ -487,9 +518,11 @@ def dual_q_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMe
 
 def expected_diagonal(measure: DiscreteMeasure, n: int,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """Closed form of the (n, n) Gram entry for the measure's own family."""
-    with ctx.workprec():
-        return _KINDS[measure.kind].diagonal(measure, n, measure.q, ctx)
+    """Closed form of the (n, n) Gram entry for the measure's own family,
+    n >= 0: d_n of the run a Gram reads, to the last bit."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
+    return _diagonals(measure, n, ctx)[n]
 
 
 @dataclasses.dataclass
@@ -732,8 +765,7 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
         raise ValueError("N must be a nonnegative integer")
     family = _check_compatible(family, measure, ctx)
     with ctx.workprec():
-        diagonal, closed = _KINDS[measure.kind].diagonal, _closed(ctx)
-        diag = [diagonal(measure, n, measure.q, closed) for n in range(N + 1)]
+        diag = _diagonals(measure, N, ctx)
         values, majorant, _ = _recurrence(family, N, ctx)
         point = _runs(measure, ctx)
         m_lo, m_hi, tail = _certified_window(measure, point, majorant, ctx, diag)
@@ -808,10 +840,9 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
         z_quad = lattice_normalization(a, q, ctx)
         z_lin = (qpochhammer_inf(-a * a, q, ctx) * qpochhammer_inf(-q / a, q, ctx)
                  * qpochhammer_inf(q, q, ctx))
-        d0 = expected_diagonal(measure, 0, ctx)
         # Degree-0 Gram entry; point() divides by z_quad, so undo it.
         report = gram_matrix(measure.family(ctx), measure, 0, ctx)
-        mass = report.gram[0][0] * z_quad
+        d0, mass = report.expected_diag[0], report.gram[0][0] * z_quad
         r_quad = abs(mass / (z_quad * d0) - 1)
         r_lin = abs(mass / (z_lin * d0) - 1)
         if r_quad < ctx.tol and r_quad < r_lin:

@@ -39,9 +39,8 @@ _WIDE = {
                            "--s", "1", "--N", "16"),
 }
 
-# Long finite-product prefixes: at q = 0.9 a base Gram at N = 24 asks for
-# products of up to 105 factors and verify for up to 72; the runs above ask
-# for at most 62.
+# Base Grams nearer q = 1 and past the default degree: at q = 0.9 and
+# N = 24 a window of 52 nodes, and diagonal runs stepped to n = 24.
 _LONG = {
     "gram-base-even-N24": ("gram", "--measure", "dual-base", "--parity", "even",
                            "--s", "1", "--N", "24"),
@@ -59,6 +58,12 @@ _EXTREMAL_N24 = {
                       "--N", "24"),
     "gram-q-N24": ("gram", "--measure", "dual-q-extremal", "--a", "0.9",
                    "--N", "24"),
+}
+
+# The CSV rendering, whose expected column prints each diagonal d_n.
+_CSV = {
+    "gram-base-odd-csv-N16": ("gram", "--output", "csv", "--measure", "dual-base",
+                              "--parity", "odd", "--s", "1", "--N", "16"),
 }
 
 # One value per eval route: h by recurrence and by series, C, D by recurrence
@@ -88,23 +93,23 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "b290a8dfa8ff2284186bd665f79b4347d74a03477dd8e875c6815401e187134c",
     "9d437bfa047803a6aa0221edfdd7fd6bb20cfef718c5c3e8973af77e126ff23b",
 )) + _runs(_BASIC, "0.7", (
-    "5c439635dfb97092c8c3ffad1fb1b1c4728e41b159f0806651309b63d87d7764",
-    "0f6421d0755e08da50d2c3316d2ba268ebb13c411cd68837d5f0899d09ae4ea2",
-    "3c9bc7641cee8d436f3863f27509dfd91018f25885a1c34b2579b74a17ff9d3f",
+    "418849f09b11c8a7defa8975f4a2598eee544cf67cf3f91fe3a6ca4490a187f0",
+    "8834f59b55d763c6c7f81204273f1d45334a9b05381664b224d9bbd1b7c8d37b",
+    "2b59a8c6a2027445403bde59d9bf5356c3f065dc4df4c4802584f182624ce6be",
     "eecdbe6ce8c67cf993e1f4ce217b6a44f4ab9e2724f65f002d79daa0fed78ac3",
     "fec8e23f1d05095679cb43efe29b4521b64f13402410828bb0f25d96d2331558",
     "466de5f046a51b9b64eaaebbb4a0ce8c673b1c629ee82e44f997f08ec869c3db",
-    "4c3f42b62c3ec8cd376e55f64eeeafba0523555e6d038ca8033dad36deb34925",
+    "3fa7f1698135fb574eeaef0926cd924f204a769d782f1f229af901a769c111e7",
 )) + _runs(_WIDE, "0.5", (
     "9823f7e85cafd991bd3f28d36dadac1b19a97ed9ccb926c8041bd33957c79248",
     "5e5bbc4acf6eea1c339dc0c5f59f28c237c2d03dcefe1dc38c4a6b4a5f8ac16f",
     "0d4da152d71acb1cf269d13bc7769dafd36f792d424f324d8e6c48cacaebfc59",
     "dc53fc24d9edb69176155d08d6aa5b38613d8c1325f324b1c0ca39e48013e394",
 )) + _runs(_WIDE, "0.7", (
-    "6b1c638b87bab882a6c790212d506aab1cabc6b2edb6c5975dc7ffc880a5159c",
-    "471eb08ae4f94a7f459fc93fae1b5ed479b5163d19fdda7d9904cdf25e33c03f",
-    "6ac3c4116576f54980465c0ca1086a50586083b09af3652ecf411bc4fcc138e7",
-    "56812aed67b625100fb9664344b9df97f7c341d2b78752876d590e4683be4e62",
+    "3993829d6304572e158fc0fc89a268031c3aeb014ec8d980ddebb7fd82bedc56",
+    "9e9c6bf55da5ce1c2dd58e291dc1357a3ba71a2f42f3281d6c458e62fd617a72",
+    "0a85c51af30208101773716d95ffa08ca5c61c7c6172ad9d260f7716923fb8a3",
+    "705c01cb69e1eced205fe0456f26a540235c348f232a6001bfae1ec5764ec15c",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -112,13 +117,15 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "c771c553ac39264ab208443463f0197d01fa3faae9ef95b1a0c3a659859e52fd",
-    "ded0531575676a42de15be077c1b0eb2e942b668837ac620173bc0e5220094f8",
-    "05833c7e9cbb1af65e618d10f3e68dbcee277f869340e91c9d95601185ff0caa",
+    "3277bbead0b275366d214eff1a20e12ad1301ff2258fcea70333862463d67020",
+    "8a877fb5b6c2736d4aaa3b79d296ec812fbe3882a195a47946b06af754c7659e",
+    "d10b12c2699f087813475239cb2c06a38bc17babb4f3569766a0aadfb614a823",
 )) + _runs(_EXTREMAL_N24, "0.3", (
-    "2318c42a15efaa983641e496c54cc3de152273044dc4d26eb2001dfc53833981",
-    "7d78b2a55bea62baf46182a207d2c0988efe6e528b63d0dbd382122aec8fbcee",
-    "d69c4cbfd2e42c5168c89b8e06118732fc4af88af471cd4df23b18bf77cd088e",
+    "0e4d06b7ed80b40847a79ad932b316c2ec2a4f31f614a16594df7d379eb34276",
+    "eaf5d5513223eb3dbcc3b9a69fbab39b71e2311413141c061239a8935e927a04",
+    "2ea9601f9d411ff30def7a3497594f88137452bdd5f5847375cedbfd0b96c461",
+)) + _runs(_CSV, "0.7", (
+    "fbc5e5724ba65be0b5a8b856305923a7f6e02432d9e62f7d1ed0708f910b0985",
 ))
 
 

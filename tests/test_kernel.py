@@ -103,10 +103,10 @@ def test_qpochhammer_matches_mpmath(a, q, n):
         assert rel(mine, other) < mpmath.mpf(2) ** -240
 
 
-# -- the finite-product memo against the plain loop --------------------------
+# -- the finite product against the plain mpf loop ----------------------------
 #
-# The oracle is the factor loop qpochhammer ran before its prefixes were
-# memoised, kept verbatim: every value must equal it bit for bit.
+# The oracle is the mpf factor loop qpochhammer once ran, kept verbatim:
+# every value of the loop on pairs must equal it bit for bit.
 
 
 def _oracle_qpochhammer(a, q, n, ctx):
@@ -122,7 +122,7 @@ def _oracle_qpochhammer(a, q, n, ctx):
 
 
 # a = 8 = q^-3 at q = 1/2 makes factor 3 exactly zero.
-PREFIX_CASES = [("0.3", "0.7"), ("0", "0.5"), ("-0.9", "0.9"), ("8", "0.5"),
+PRODUCT_CASES = [("0.3", "0.7"), ("0", "0.5"), ("-0.9", "0.9"), ("8", "0.5"),
                 ("1.7", "0.95")]
 ORDERS = {
     "increasing": list(range(41)),
@@ -131,93 +131,14 @@ ORDERS = {
 }
 
 
-@pytest.fixture
-def prefixes():
-    from qortho.kernel import _prefix_steps
-    _prefix_steps.cache_clear()
-    yield _prefix_steps
-    _prefix_steps.cache_clear()
-
-
-def _steps(prefixes, a, q, ctx):
-    """The memoised steps of (a, q) at ctx.bits, read as qpochhammer reads them."""
-    with ctx.workprec():
-        return prefixes(mpmath.mpf(a), mpmath.mpf(q), ctx.bits)
-
-
 @pytest.mark.parametrize("order", sorted(ORDERS))
-@pytest.mark.parametrize("a_s,q_s", PREFIX_CASES)
-def test_qpochhammer_memo_matches_plain_loop(prefixes, a_s, q_s, order):
+@pytest.mark.parametrize("a_s,q_s", PRODUCT_CASES)
+def test_qpochhammer_memo_matches_plain_loop(a_s, q_s, order):
     contexts = [CTX, PrecisionContext.create(bits=1024, tol_exp=800)]
     for n in ORDERS[order]:
         for ctx in contexts:
             want = _oracle_qpochhammer(a_s, q_s, n, ctx)
             assert qpochhammer(a_s, q_s, n, ctx)._mpf_ == want._mpf_
-    # One list of steps per precision, each as long as the longest request.
-    assert prefixes.cache_info().currsize == 2
-    assert all(len(_steps(prefixes, a_s, q_s, ctx)) == 41 for ctx in contexts)
-    assert prefixes.cache_info().currsize == 2
-
-
-def test_qpochhammer_memo_is_bounded(prefixes):
-    size = prefixes.cache_info().maxsize
-    with CTX.workprec():
-        a_values = [mpmath.mpf(i) / 64 for i in range(2 * size)]
-    for i, a in enumerate(a_values):
-        assert qpochhammer(a, "0.5", 10, CTX)._mpf_ == _oracle_qpochhammer(a, "0.5", 10, CTX)._mpf_
-        assert prefixes.cache_info().currsize == min(i + 1, size)
-
-    def kept(a):
-        misses = prefixes.cache_info().misses
-        qpochhammer(a, "0.5", 3, CTX)
-        return prefixes.cache_info().misses == misses
-
-    # The least recently used lists were dropped; reading a list makes it
-    # the most recently used, so the next new list drops the one after it.
-    assert all(kept(a) for a in a_values[size:])
-    assert kept(a_values[size])
-    assert not kept(a_values[0])
-    assert kept(a_values[size]) and not kept(a_values[size + 1])
-
-
-def test_qpochhammer_memo_stores_no_long_list(prefixes, monkeypatch):
-    from qortho import kernel
-    monkeypatch.setattr(kernel, "_PREFIX_MAX_FACTORS", 8)
-    for n in (20, 5, 8, 9, 30):
-        assert qpochhammer("0.3", "0.7", n, CTX)._mpf_ == _oracle_qpochhammer("0.3", "0.7", n, CTX)._mpf_
-    assert prefixes.cache_info().currsize == 1
-    assert len(_steps(prefixes, "0.3", "0.7", CTX)) == 9
-
-
-def test_qpochhammer_memo_keeps_no_partial_list(prefixes, monkeypatch):
-    # An interrupted extension leaves only whole steps, and later values
-    # equal the plain loop's.
-    from qortho import kernel
-    qpochhammer("0.3", "0.7", 5, CTX)
-    sub = kernel._sub
-    calls = []
-
-    def interrupted(a, b, prec):
-        calls.append(None)
-        if len(calls) == 3:
-            raise KeyboardInterrupt
-        return sub(a, b, prec)
-
-    # the factor 1 - a q^k of the third extension step is interrupted
-    monkeypatch.setattr(kernel, "_sub", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        qpochhammer("0.3", "0.7", 20, CTX)
-    monkeypatch.undo()
-    steps = _steps(prefixes, "0.3", "0.7", CTX)
-    assert len(steps) == 8
-    with CTX.workprec():
-        aqk, q = mpmath.mpf("0.3"), mpmath.mpf("0.7")
-        for k, (prod, aqk_pair) in enumerate(steps):
-            assert prod._mpf_ == _oracle_qpochhammer("0.3", "0.7", k, CTX)._mpf_
-            assert kernel._mpf(aqk_pair)._mpf_ == aqk._mpf_
-            aqk *= q
-    for n in (20, 4, 7):
-        assert qpochhammer("0.3", "0.7", n, CTX)._mpf_ == _oracle_qpochhammer("0.3", "0.7", n, CTX)._mpf_
 
 
 def test_qpochhammer_inf_trivial_and_frozen():

@@ -1,5 +1,4 @@
 """Discrete measures, Gram matrices, and the normalization adjudication."""
-import collections
 import functools
 import json
 from fractions import Fraction
@@ -17,8 +16,8 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
                     hermite_extremal, lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
-from qortho.kernel import _pair, as_qparam, qpochhammer
-from qortho.measures import _extremal
+from qortho.kernel import _pair, as_qparam, qpochhammer, qpochhammer_inf
+from qortho.measures import _diagonals, _extremal
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -190,48 +189,29 @@ def test_gram_window_and_node_distinctness():
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_base_gram_reads_finite_products_only_for_its_diagonals(parity, monkeypatch):
-    """The base weights step their factor ratios, so a base Gram asks for
-    finite products only for its closed-form diagonals, and each (1 - a q^k)
-    factor is multiplied once per (a, q, bits), not once per degree."""
-    from qortho import kernel, measures
-    kernel._prefix_steps.cache_clear()
-    measure = dual_base(1, "0.9", parity, CTX)
-    factors = collections.Counter()  # (a, q, bits) -> factors multiplied
-    longest = collections.Counter()  # (a, q, bits) -> longest product asked
-    asked = []                       # every n asked: the plain loop's cost
-    current = []
-    sub = kernel._sub
+    """A Gram of any kind makes no kernel.qpochhammer call: its weights and
+    its closed-form diagonals are both stepped runs.  Each parity checks its
+    base kind and the three extremal kinds, at a = q for even and at
+    a = (1 + q)/2 for odd."""
+    import sys
+    from qortho import kernel
+    original, calls = kernel.qpochhammer, []
 
-    def counting_sub(a, b, prec):   # the 1 - a q^k of each factor
-        if current:
-            factors[current[-1]] += 1
-        return sub(a, b, prec)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    def recording(a, q, n, ctx):
-        with ctx.workprec():
-            key = (mpmath.mpf(a), mpmath.mpf(q), ctx.bits)
-        longest[key] = max(longest[key], n)
-        asked.append(n)
-        current.append(key)
-        try:
-            return kernel.qpochhammer(a, q, n, ctx)
-        finally:
-            current.pop()
-
-    monkeypatch.setattr(kernel, "_sub", counting_sub)
-    monkeypatch.setattr(measures, "qpochhammer", recording)
-    gram_matrix(dual_family(measure), measure, 8, CTX)
-    monkeypatch.undo()
-    # At s = 1, (q^2; q^2) serves both diagonal products, each asked for
-    # n = 0..8.
-    with CTX.workprec():
-        q2 = measure.q * measure.q
-    assert dict(longest) == {(q2, q2, CTX.bits): 8}
-    assert sorted(asked) == sorted(2 * list(range(9)))
-    assert {key: factors[key] for key in longest} == dict(longest)
-    assert kernel._prefix_steps.cache_info().currsize == len(longest)
-    for key, n in longest.items():
-        assert len(kernel._prefix_steps(*key)) == n + 1
+    for name, module in list(sys.modules.items()):
+        if name == "qortho" or name.startswith("qortho."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    a = "0.9" if parity == "even" else "0.95"
+    measures = [dual_base(1, "0.9", parity, CTX)] + [
+        kind(a, "0.9", CTX) for kind in (hermite_extremal, dual_qinv_extremal, dual_q_extremal)]
+    for measure in measures:
+        assert gram_matrix(measure.family(CTX), measure, 8, CTX).passed(CTX.tol)
+        assert calls == [], measure.kind.value
 
 
 def _exact(x) -> Fraction:
@@ -265,6 +245,14 @@ _PAIR_MEASURES = {
     "dual_base_even": lambda ctx: dual_base(1, "0.7", "even", ctx),
     "dual_base_odd": lambda ctx: dual_base(1, "0.7", "odd", ctx),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_MEASURES))
+def test_expected_diagonal_rejects_a_negative_degree(kind):
+    # d_n is read from a list of the run, where n = -1 would give d_N.
+    measure = _PAIR_MEASURES[kind](CTX)
+    with pytest.raises(ValueError, match="nonnegative"):
+        expected_diagonal(measure, -1, CTX)
 
 
 @pytest.mark.parametrize("bits, tol_exp", [(256, 200), (1024, 800)])
@@ -809,10 +797,11 @@ def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
 # -- stepped runs --------------------------------------------------------------
 
 
-# The per-point `**` formulas the stepped runs replaced, kept as their
-# oracle: (node, weight before normalization) at m, at the caller's working
-# precision.  qpow(k) is q ** k, formed once per k and shared by every a or
-# s at that m, and the extremal kinds share up, down and a^(4m) q^(m(2m-1)).
+# The per-point formulas the stepped runs replaced, kept as their oracle:
+# (node, weight before normalization) at m, at the caller's working
+# precision.  qpow(k) is q^k, formed once per k and shared by every a or s;
+# the extremal kinds share up, down and a^(4m) q^(m(2m-1)), and the base
+# kinds step their finite products from j to j + 1.
 _EXTREMAL_KINDS = (MeasureKind.HERMITE_EXTREMAL, MeasureKind.DUAL_QINV_EXTREMAL,
                    MeasureKind.DUAL_Q_EXTREMAL)
 
@@ -825,15 +814,24 @@ def _oracle_extremal(a, q, m, qpow):
             ((up * up + down * down) * q, gauss * (1 + down * down) * (up - down) ** 2))
 
 
-def _oracle_base(parity, s, q, m, ctx, qpow):
-    j = 2 * m + parity
-    node = qpow(-j) + s * qpow(j + 1)
-    if j == 0:
-        return node, mpmath.mpf(1)
-    return node, ((1 - s * qpow(2 * j + 1))
-                  * qpochhammer(s * q ** 2, q, j - 1, ctx)
-                  / qpochhammer(q, q, j, ctx)
-                  * qpow(m * (j - 1 + parity)))
+def _oracle_base(s, steps, qpow):
+    """([(node, weight) at m for m = 0..steps] of the even base kind, the
+    same of the odd one) at the caller's working precision, with
+    (s q^2;q)_(j-1) / (q;q)_j and q^(m(j-1+parity)) running products over
+    j = 2m + parity."""
+    values = ([(1 + s * qpow(1), mpmath.mpf(1))], [])
+    num = den = mpmath.mpf(1)   # (s q^2;q)_(j-1) and (q;q)_j
+    gauss = [mpmath.mpf(1)] * 2   # q^(m(j-1+parity)) of each parity
+    for j in range(1, 2 * steps + 2):
+        den *= 1 - qpow(j)
+        if j > 1:
+            num *= 1 - s * qpow(j)
+        parity, m = j % 2, j // 2
+        if m:
+            gauss[parity] *= qpow(4 * m - 3 + 2 * parity)
+        values[parity].append((qpow(-j) + s * qpow(j + 1),
+                               (1 - s * qpow(2 * j + 1)) * num / den * gauss[parity]))
+    return values
 
 
 _RUN_QS = ("1e-4", "0.05", "0.5", "0.9", "0.999")
@@ -898,18 +896,76 @@ def test_extremal_runs_keep_their_bound_where_up_minus_down_cancels(bits):
 @pytest.mark.parametrize("q_s", _RUN_QS)
 def test_base_runs_are_within_their_bound_of_the_power_formulas(q_s, bits):
     ctx = _ctx(bits)
-    wide = PrecisionContext(bits=4 * bits, tol=ctx.tol)
     q = as_qparam(q_s, ctx)
     with ctx.workprec():
         s_values = (q, mpmath.mpf(1), 1 / q, q ** -2 / 2)
     cases = [(s, parity) for s in s_values for parity in (0, 1)]
     runs = [dual_base(s, q, ("even", "odd")[parity], ctx).points(0, _RUN_STEPS, ctx)
             for s, parity in cases]
+    with mpmath.mp.workprec(4 * bits):
+        up, down = [mpmath.mpf(1)], [mpmath.mpf(1)]   # q^k and q^-k, k <= 4 steps + 3
+        for _ in range(4 * _RUN_STEPS + 3):
+            up.append(up[-1] * q)
+            down.append(down[-1] / q)
 
-    def oracle(m, qpow):
-        return [_oracle_base(parity, s, q, m, wide, qpow) for s, parity in cases]
+        def qpow(e):
+            return up[e] if e >= 0 else down[-e]
+
+        wants = [want for s in s_values for want in _oracle_base(s, _RUN_STEPS, qpow)]
+
+    def oracle(m, _):
+        return [want[m] for want in wants]
 
     _check_runs(q, runs, oracle, range(_RUN_STEPS + 1), bits)
+
+
+# The closed forms the diagonal runs replaced, kept as their oracle: d_n of
+# each kind from the finite products qp(a, b, n) = (a;b)_n and the infinite
+# products qinf(a, b) = (a;b)_inf.
+_ORACLE_DIAGONALS = {
+    MeasureKind.HERMITE_EXTREMAL: lambda s, q, n, qp, qinf: (
+        q ** (mpmath.mpf(-n * (n + 1)) / 2) * qp(q, q, n)),
+    MeasureKind.DUAL_QINV_EXTREMAL: lambda s, q, n, qp, qinf: (
+        q ** (-n) * qp(q, q, 2 * n) / qp(q, q * q, n) ** 2),
+    MeasureKind.DUAL_Q_EXTREMAL: lambda s, q, n, qp, qinf: (
+        q ** (-(n + 1)) * qp(q, q, 2 * n + 1) / qp(q ** 3, q * q, n) ** 2),
+    MeasureKind.DUAL_BASE_EVEN: lambda s, q, n, qp, qinf: (
+        qinf(s * q ** 3, q * q) / qinf(q, q * q)
+        * qp(q * q, q * q, n) * q ** (-n) / qp(s * q * q, q * q, n)),
+}
+_ORACLE_DIAGONALS[MeasureKind.DUAL_BASE_ODD] = _ORACLE_DIAGONALS[MeasureKind.DUAL_BASE_EVEN]
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", _RUN_QS)
+def test_diagonal_runs_are_within_their_bound_of_the_closed_forms(q_s, bits):
+    # Every d_n, n <= 30, within the measures docstring's relative bound
+    # 2^-bits + 1.01 R(n) 2^-(bits+32), R(n) = 8 (n+2)^2, of its closed form
+    # on kernel.qpochhammer at 4 bits from the same rounded q and s;
+    # 2^-(2 bits) more covers the oracle's rounding, and for the base kinds
+    # tol/16 for each infinite product, two in the run and two in the oracle
+    # (certified at ctx like the run's, as the closed form took them).
+    N = 30
+    ctx = _ctx(bits)
+    wide = PrecisionContext.create(bits=4 * bits)
+    q = as_qparam(q_s, ctx)
+    with ctx.workprec():
+        measures = [kind(q, q, ctx) for kind in _EXTREMAL.values()] + [
+            dual_base(s, q, parity, ctx)
+            for s in (q, mpmath.mpf(1), 1 / q, q ** -2 / 2) for parity in ("even", "odd")]
+    qp = functools.lru_cache(maxsize=None)(lambda a, b, n: qpochhammer(a, b, n, wide))
+    qinf = functools.lru_cache(maxsize=None)(lambda a, b: qpochhammer_inf(a, b, ctx))
+    for measure in measures:
+        diag = _diagonals(measure, N, ctx)
+        assert diag[N]._mpf_ == expected_diagonal(measure, N, ctx)._mpf_
+        products = 0 if measure.is_full_lattice else ctx.tol / 4
+        with wide.workprec():
+            for n, got in enumerate(diag):
+                want = _ORACLE_DIAGONALS[measure.kind](measure.s, q, n, qp, qinf)
+                bound = (mpmath.ldexp(1, -bits) + mpmath.ldexp(1, -2 * bits) + products
+                         + mpmath.mpf(101) / 100 * 8 * (n + 2) ** 2
+                         * mpmath.ldexp(1, -(bits + 32)))
+                assert abs(got - want) <= bound * abs(want), (measure.kind.value, n)
 
 
 @pytest.mark.parametrize("kind", sorted(_PAIR_MEASURES))
