@@ -164,7 +164,20 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if value is None:
             value = file_cfg.get(name, _default(setting, command))
         setattr(config, name, value)
+    chooser, unread = _unread(config)
+    for name in unread:
+        if getattr(args, name, None) is not None:
+            raise ValueError("%s has no effect with %s %s" % (
+                _flag(name), _flag(chooser), getattr(config, chooser)))
     return config
+
+
+def _unread(config: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
+    """The setting that picks what the command reads, and the settings its
+    value leaves unread: as flags, those are errors rather than ignored."""
+    if config.command == "gram":
+        return "measure", ("a",) if config.measure == "dual-base" else ("s", "s_mode", "parity")
+    return "family", ("s", "s_mode") if config.command == "eval" and config.family == "h" else ()
 
 
 def _context(config: argparse.Namespace) -> PrecisionContext:

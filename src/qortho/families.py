@@ -28,20 +28,19 @@ phi-free row (-1)^k q^{k(k-n)} [n,k]_q, formed once per (n, q, precision) and
 memoised for the 32 most recently used rows, so a grid of phi values costs
 one row and one multiplication per term and phi.
 
-The recurrence evaluators are batched: qinv_hermite_tables and
-dual_ultra_tables form the node-independent recurrence coefficients once and
-then run the recurrence at every point of a list, and qinv_hermite_coeff_rows
-and dual_ultra_coeff_rows return the coefficient rows of every degree up to
-n_max from one recurrence pass.  The single-point and single-degree
-functions (*_table, *_coeffs, qinv_hermite, dual_ultra) are these with one
-point or one row taken, so every route gives the same value bit for bit.
-Each family's recurrence at one point is written once (_hermite_values,
-_dual_values).  _recurrence is the one handle on it that the rest of the
-package reads: it forms the coefficients once (_hermite_low, or the
-3-tuples of _dual_steps) and gives the values at any point, for the tables
-and a Gram's pair sums; the majorant A(t) that certifies a Gram's window,
-which is the same loop at |h_n(it)| and D_n(-t); and the coefficient rows,
-the same step run on lists of coefficients.
+The recurrence evaluators are batched: the *_tables functions run the
+recurrence at every point of a list, and the *_coeff_rows functions give
+every coefficient row up to n_max, from steps formed once.  The
+single-point and single-degree functions (*_table, *_coeffs, qinv_hermite,
+dual_ultra) take one point or row of these, so every route gives the same
+value bit for bit.  Both families run in one loop, _three_term, on steps
+(c_mid, c_low, c_lead): D's from _dual_steps, and h's (0, -low_j/2, -1/2)
+from _hermite_steps, which give h's step 2x h_j - low_j h_{j-1} bit for bit
+because scaling by -1/2 is exact (_recurrence has the argument).
+_recurrence is the one handle on the loop that the rest of the package
+reads: the values at any point, for the tables and a Gram's pair sums; the
+majorant A(t) that certifies a Gram's window, the same loop at |h_n(it)|
+and D_n(-t); and the coefficient rows, the same step on coefficient lists.
 
 Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
@@ -211,33 +210,25 @@ def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT)
 
 def qinv_hermite_tables(n_max: int, xs, q,
                         ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
-    """[h_0(x|q), ..., h_{n_max}(x|q)] for each x in xs, by the three-term recurrence.
-
-    The coefficients q^-j (1 - q^j) do not depend on x, so they are formed
-    once for all of xs.  ValueError when an x is inf or nan.
-    """
+    """[h_0(x|q), ..., h_{n_max}(x|q)] for each x in xs, by the three-term
+    recurrence, its steps formed once for all of xs.  ValueError when an x
+    is inf or nan."""
     values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[0]
     with ctx.workprec():
         return [[_mpf(v) for v in values(mpmath.mpf(x))] for x in xs]
 
 
-def _hermite_values(two_x: tuple[int, int], low: list[tuple[int, int]],
-                    prec: int) -> list[tuple[int, int]]:
-    """[h_0, ..., h_n] at one point, n = len(low), from the pair 2x and the
-    low coefficients: h_{j+1} = 2x h_j - low[j] h_{j-1}."""
-    vals = [_ONE]
-    prev, cur = _ZERO, _ONE
-    for c_low in low:
-        prev, cur = cur, _sub(_mul(two_x, cur, prec), _mul(c_low, prev, prec), prec)
-        vals.append(cur)
-    return vals
-
-
-def _hermite_low(n_max: int, q: QReal, prec: int) -> list[tuple[int, int]]:
-    """[q^-j (1 - q^j) for j < n_max], the low coefficients of the h recurrence."""
+def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
+    """The steps (0, -q^-j (1 - q^j) / 2, -1/2) of _three_term for j < n_max,
+    which make its step h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}."""
     pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)   # pw[k + n_max - 1] = q^k
     top = n_max - 1
-    return [_mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec) for j in range(n_max)]
+    steps = []
+    for j in range(n_max):
+        m, e = _mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec)
+        # (-1, -1) is -1/2, and halving a pair is exact
+        steps.append((_ZERO, (-m, e - 1), (-1, -1)))
+    return steps
 
 
 def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -365,28 +356,12 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
 
 def dual_ultra_tables(n_max: int, mus, s, q,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
-    """[D_0(mu), ..., D_{n_max}(mu)] for each mu in mus, by the recurrence in n.
-
-    The recurrence coefficients do not depend on mu, so they are formed once
-    for all of mus.  ValueError when a mu is inf or nan.
-    """
+    """[D_0(mu), ..., D_{n_max}(mu)] for each mu in mus, by the recurrence in
+    n, its steps formed once for all of mus.  ValueError when a mu is inf or
+    nan."""
     values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s), n_max, ctx)[0]
     with ctx.workprec():
         return [[_mpf(v) for v in values(mpmath.mpf(mu))] for mu in mus]
-
-
-def _dual_values(mu: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
-                 prec: int) -> list[tuple[int, int]]:
-    """[D_0, ..., D_n] at one point, n = len(steps), from the pair mu and
-    _dual_steps: D_{j+1} = ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead."""
-    vals = [_ONE]
-    prev, cur = _ZERO, _ONE
-    for c_mid, c_low, c_lead in steps:
-        up = _mul(_sub(c_mid, mu, prec), cur, prec)
-        down = _mul(c_low, prev, prec)
-        prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
-        vals.append(cur)
-    return vals
 
 
 def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -417,11 +392,25 @@ def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
 # the recurrence of h or D, for the tables and the Gram window's majorant
 
 
+def _three_term(p: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
+                prec: int) -> list[tuple[int, int]]:
+    """[P_0, ..., P_n] at one point, n = len(steps), from the pair p and the
+    steps (c_mid, c_low, c_lead): P_{j+1} = ((c_mid - p) P_j - c_low P_{j-1}) / c_lead."""
+    vals = [_ONE]
+    prev, cur = _ZERO, _ONE
+    for c_mid, c_low, c_lead in steps:
+        up = _mul(_sub(c_mid, p, prec), cur, prec)
+        down = _mul(c_low, prev, prec)
+        prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
+        vals.append(cur)
+    return vals
+
+
 def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     """(values, majorant, rows) of h or D up to degree n_max, on pairs at ctx.bits.
 
-    The node-independent coefficients (_hermite_low or _dual_steps) are
-    formed once and serve all three closures:
+    The node-independent steps (_hermite_steps or _dual_steps) are formed
+    once and serve all three closures, each of which runs _three_term's step:
     - values(p) is [P_0(p), ..., P_{n_max}(p)] as pairs at an mpf p of at
       most ctx.bits bits, x for h and mu for D; ValueError naming it when p
       is inf or nan;
@@ -429,8 +418,14 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
       A_n(t) = sum_j |c_nj| t^j for P_n = sum_j c_nj p^j, so that
       |P_n(p)| <= A(t) whenever |p| <= t;
     - rows() is [[c_00], ..., [c_{n_max}0, ..., c_{n_max}n_max]] as pairs,
-      the step of values run on coefficient lists: multiplying by p moves a
+      the step run on coefficient lists: multiplying by p moves a
       coefficient up one degree.
+
+    h's step 2x h_j - low_j h_{j-1} is the D step with c_mid = 0,
+    c_low = -low_j/2 and c_lead = -1/2.  Negating and halving a pair are
+    exact and pair exponents are unbounded, so for x of at most ctx.bits
+    bits each rounding is -1/2 times the h step's, and the exact division
+    by -1/2 gives h's values and rows bit for bit.
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -439,13 +434,13 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     h_n(x) = 2^n x^e prod_k (x^2 - z_k^2) with e = n mod 2, and at x = it
     every factor -(t^2 + z_k^2) has one sign: A_n(t) = |h_n(it|q)|.  With
     h_n(it) = i^n H_n(t) the h recurrence becomes
-    H_{n+1} = 2t H_n + q^-n (1 - q^n) H_{n-1}, the h loop at x = t with its
-    low coefficients negated, which adds only nonnegative terms.  The zeros
+    H_{n+1} = 2t H_n + q^-n (1 - q^n) H_{n-1}, the h steps at p = t with
+    c_low negated, which adds only nonnegative terms.  The zeros
     mu_k of D_n lie in the hull of its measure's support, where mu > 0, and
     each step of the D recurrence multiplies the leading coefficient by
     -1/c_lead with c_lead = q^(-2j-1) (1 - s q^(2j+2)) > 0 for s < q^-2, so
     that coefficient has the sign (-1)^n, D_n(mu) = |lead| prod_k (mu_k - mu)
-    and A_n(t) = D_n(-t; s, q) > 0, the D loop at mu = -t.  One pass of the
+    and A_n(t) = D_n(-t; s, q) > 0, the D steps at p = -t.  One pass of the
     loop gives A_0(t), ..., A_N(t), so a point costs n_max steps and no
     coefficient row is formed.  Measured against sums of |c_nj| t^j formed
     at four times the precision, over q in [0.05, 0.999], n_max <= 30, t in
@@ -458,42 +453,30 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     q = as_qparam(family.q, ctx)
     prec = ctx.bits
     if family.kind is FamilyKind.QINV_HERMITE:
-        steps = low = _hermite_low(n_max, q, prec)   # one coefficient per step
-        # H_{j+1} = 2t H_j + q^-j (1 - q^j) H_{j-1}: negating a pair is exact
-        negated = [(-m, e) for m, e in low]
-
-        def values(x: QReal) -> list[tuple[int, int]]:
-            m, e = _pair(x, "x")
-            return _hermite_values((m, e + 1), low, prec)   # 2x, exactly
-
-        def sums(t: tuple[int, int]) -> list[tuple[int, int]]:
-            return _hermite_values((t[0], t[1] + 1), negated, prec)
-
-        def term(c_low, a, b, c) -> tuple[int, int]:
-            # [x^i] of 2x h_j - c_low h_{j-1}; doubling a pair is exact
-            return _sub((b[0], b[1] + 1), _mul(c_low, c, prec), prec)
+        name, sign, steps = "x", 1, _hermite_steps(n_max, q, prec)
+        # H_n(t) = |h_n(it)|: c_low negated, which is exact
+        major = [(c_mid, (-m, e), c_lead) for c_mid, (m, e), c_lead in steps]
     else:
         with ctx.workprec():
             steps = _dual_steps(n_max, mpmath.mpf(family.s), q, prec)
+        name, sign, major = "mu", -1, steps   # A_n(t) = D_n(-t)
 
-        def values(mu: QReal) -> list[tuple[int, int]]:
-            return _dual_values(_pair(mu, "mu"), steps, prec)
-
-        def sums(t: tuple[int, int]) -> list[tuple[int, int]]:
-            return _dual_values((-t[0], t[1]), steps, prec)
-
-        def term(step, a, b, c) -> tuple[int, int]:
-            # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
-            c_mid, c_low, c_lead = step
-            return _div(_sub(_sub(_mul(c_mid, a, prec), b, prec), _mul(c_low, c, prec), prec),
-                        c_lead, prec)
+    def values(p: QReal) -> list[tuple[int, int]]:
+        return _three_term(_pair(p, name), steps, prec)
 
     def majorant(t: QReal) -> QReal:
+        m, e = _pair(t, "t")
         best = _ZERO
-        for v in sums(_pair(t, "t")):
+        for v in _three_term((sign * m, e), major, prec):
             if _abs_lt(best, v):
                 best = v
         return _mpf(best)
+
+    def term(step, a, b, c) -> tuple[int, int]:
+        # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) / c_lead
+        c_mid, c_low, c_lead = step
+        return _div(_sub(_sub(_mul(c_mid, a, prec), b, prec), _mul(c_low, c, prec), prec),
+                    c_lead, prec)
 
     def rows() -> list[list[tuple[int, int]]]:
         out, prev = [[_ONE]], []

@@ -403,8 +403,9 @@ def _gram_entry(identity_id: str, measure, N: int,
         grid += ", a=%s" % mpmath.nstr(rep.a, 8)
     if rep.s is not None:
         grid += ", s=%s" % mpmath.nstr(rep.s, 8)
-    return _report(identity_id, grid,
-                   max(rep.off_diag_max, rep.diag_rel_err_max), ctx, details)
+    worst = max(rep.off_diag_max, rep.diag_rel_err_max)
+    return dataclasses.replace(_report(identity_id, grid, worst, ctx, details),
+                               passed=rep.passed(ctx.tol))
 
 
 def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,

@@ -557,7 +557,9 @@ class GramReport:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def passed(self, tol) -> bool:
-        return bool(self.off_diag_max < tol and self.diag_rel_err_max < tol)
+        """Both residuals below tol, and tol not below the floor of bits-bit entries."""
+        floor = PrecisionContext(bits=self.bits).rounding_floor
+        return bool(tol >= floor and self.off_diag_max < tol and self.diag_rel_err_max < tol)
 
     def to_json(self, digits: int) -> str:
         # Rendering is pinned to the report's own precision so output bytes

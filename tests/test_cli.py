@@ -170,6 +170,45 @@ def test_gram_fails_below_rounding_floor(capsys):
     json.loads(out)
 
 
+def test_gram_never_passes_below_rounding_floor(capsys):
+    # At 256 bits the floor is 2^-250.  Both residuals of this Gram lie
+    # below 2^-260, but its entries are rounded to 256 bits, so nothing
+    # certifies agreement to 2^-260.
+    code, out, _ = run(capsys, "gram", "--measure", "dual-base", "--tol-exp", "260")
+    obj = json.loads(out)
+    tol = mpmath.ldexp(1, -260)
+    assert mpmath.mpf(obj["off_diag_max"]) < tol and mpmath.mpf(obj["diag_rel_err_max"]) < tol
+    assert code == 1
+    assert run(capsys, "gram", "--measure", "dual-base", "--tol-exp", "250")[0] == 0
+    code, out, _ = run(capsys, "sweep", "--a-from", "0.7", "--steps", "1", "--tol-exp", "260")
+    assert code == 1 and len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--measure", "hermite-extremal", "--parity", "odd"),
+    ("gram", "--measure", "dual-qinv-extremal", "--s", "0.3"),
+    ("gram", "--measure", "dual-qinv-extremal", "--s-mode", "q"),
+    ("gram", "--measure", "dual-base", "--a", "0.7"),
+    ("eval", "--family", "h", "--n", "3", "--x", "0.5", "--s", "2"),
+])
+def test_flag_the_choice_does_not_read_is_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    flag = argv[-2]
+    assert code == 2 and out == ""
+    assert err == "error: %s has no effect with %s %s\n" % (flag, argv[1], argv[2])
+
+
+def test_unread_config_keys_stay_shared(capsys, tmp_path):
+    # A config file may hold settings for other measures and families.
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"parity": "odd", "s": "2", "a": "0.7"}))
+    assert run(capsys, "gram", "--N", "2", "--config", str(cfg))[0] == 0
+    assert run(capsys, "gram", "--N", "2", "--measure", "dual-base",
+               "--config", str(cfg))[0] == 0
+    assert run(capsys, "eval", "--family", "h", "--n", "3", "--x", "0.5",
+               "--config", str(cfg))[0] == 0
+
+
 def test_gram_determinism(capsys):
     first = run(capsys, "gram", "--N", "2", "--a", "0.7")
     second = run(capsys, "gram", "--N", "2", "--a", "0.7")
@@ -213,6 +252,15 @@ def test_verify_residual_failure_is_exit_one(capsys):
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL")
     assert "0/1 identities passed" in out
+
+
+@pytest.mark.parametrize("identity", ["base-even-orthogonality", "base-odd-orthogonality"])
+def test_verify_gram_entry_fails_below_rounding_floor(capsys, identity):
+    # The residual is below 2^-260, under the 256-bit floor 2^-250.
+    code, out, _ = run(capsys, "verify", "--only", identity, "--tol-exp", "260")
+    first = out.splitlines()[0]
+    assert mpmath.mpf(first.split("max_residual=")[1]) < mpmath.ldexp(1, -260)
+    assert code == 1 and first.startswith("FAIL")
 
 
 def test_verify_uncertifiable_is_exit_two(capsys):

@@ -10,8 +10,10 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     qinv_hermite_coeff_rows, qinv_hermite_coeffs,
                     qinv_hermite_series, qinv_hermite_table,
                     qinv_hermite_tables, to_decimal)
-from qortho.families import _hermite_coefficients, _hermite_sum
-from qortho.kernel import _mpf, _pair, power_run
+from qortho.families import (_dual_steps, _hermite_coefficients, _hermite_sum,
+                              _recurrence)
+from qortho.kernel import (_ONE, _ZERO, _abs_lt, _div, _mpf, _mul, _pair, _sub,
+                           power_run)
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -467,6 +469,122 @@ def test_batched_recurrences_edge_cases():
         dual_ultra_tables(2, [], 16, Q, CTX)
     with pytest.raises(DegenerateCoefficient, match="at n=1"):
         dual_ultra_coeff_rows(2, 16, Q, CTX)
+
+
+# -- the shared three-term loop against the two loops it replaced ------------
+#
+# The oracle is the pair of per-family loops the shared loop replaced, with
+# h's low coefficients and the two coefficient-row steps as they were: h ran
+# 2x h_j - low_j h_{j-1} with the doubling done on the exponent, and its
+# majorant ran that loop at x = t with low_j negated; D's majorant ran D's
+# loop at mu = -t.  Values are compared as mpf, since the shared loop's
+# exact division by -1/2 leaves h's pairs with prec-bit mantissas.
+
+
+def _old_hermite_low(n_max, q, prec):
+    pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)
+    top = n_max - 1
+    return [_mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec) for j in range(n_max)]
+
+
+def _old_hermite_values(two_x, low, prec):
+    vals = [_ONE]
+    prev, cur = _ZERO, _ONE
+    for c_low in low:
+        prev, cur = cur, _sub(_mul(two_x, cur, prec), _mul(c_low, prev, prec), prec)
+        vals.append(cur)
+    return vals
+
+
+def _old_dual_values(mu, steps, prec):
+    vals = [_ONE]
+    prev, cur = _ZERO, _ONE
+    for c_mid, c_low, c_lead in steps:
+        up = _mul(_sub(c_mid, mu, prec), cur, prec)
+        down = _mul(c_low, prev, prec)
+        prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
+        vals.append(cur)
+    return vals
+
+
+def _old_rows(steps, term):
+    out, prev = [[_ONE]], []
+    for step in steps:
+        cur = out[-1]
+        out.append([term(step, a, b, c) for a, b, c in
+                    zip(cur + [_ZERO], [_ZERO] + cur, prev + [_ZERO, _ZERO])])
+        prev = cur
+    return out
+
+
+def _old_recurrence(family, n_max, ctx):
+    """(values, majorant, rows) as the two per-family loops gave them."""
+    q, prec = family.q, ctx.bits
+    if family.kind is FamilyKind.QINV_HERMITE:
+        low = _old_hermite_low(n_max, q, prec)
+        negated = [(-m, e) for m, e in low]
+
+        def values(p):
+            m, e = _pair(p)
+            return _old_hermite_values((m, e + 1), low, prec)
+
+        def sums(m, e):
+            return _old_hermite_values((m, e + 1), negated, prec)
+
+        def term(c_low, a, b, c):
+            return _sub((b[0], b[1] + 1), _mul(c_low, c, prec), prec)
+        steps = low
+    else:
+        steps = _dual_steps(n_max, family.s, q, prec)
+
+        def values(p):
+            return _old_dual_values(_pair(p), steps, prec)
+
+        def sums(m, e):
+            return _old_dual_values((-m, e), steps, prec)
+
+        def term(step, a, b, c):
+            c_mid, c_low, c_lead = step
+            return _div(_sub(_sub(_mul(c_mid, a, prec), b, prec), _mul(c_low, c, prec), prec),
+                        c_lead, prec)
+
+    def majorant(t):
+        best = _ZERO
+        for v in sums(*_pair(t)):
+            if _abs_lt(best, v):
+                best = v
+        return _mpf(best)
+
+    return values, majorant, lambda: _old_rows(steps, term)
+
+
+def mpfs(pairs):
+    return [_mpf(v) for v in pairs]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 30])
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["1e-4", "0.05", "0.5", "0.9", "0.999"])
+def test_three_term_loop_matches_the_per_family_loops(q_s, bits, n_max):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    with ctx.workprec():
+        q = mpmath.mpf(q_s)
+        ts = [mpmath.mpf(0), mpmath.ldexp(1, -40), mpmath.mpf("0.7"), mpmath.mpf("3.25"),
+              (q ** -5 - q ** 5) / 2, mpmath.ldexp(3, 40)]
+        points = ts + [-t for t in ts[1:]]
+        families = [FamilySpec(FamilyKind.QINV_HERMITE, q)] + [
+            FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s) for s in (q, mpmath.mpf(1), 1 / q)]
+    for family in families:
+        grid = []
+        if family.s is not None:
+            with ctx.workprec():
+                grid = [mu_point(x, family.s, q, ctx).mu for x in (0, 3)]
+        new, old = _recurrence(family, n_max, ctx), _old_recurrence(family, n_max, ctx)
+        for p in points + grid:
+            assert mpfs(new[0](p)) == mpfs(old[0](p)), (family, p)
+        for t in ts:
+            assert new[1](t) == old[1](t), (family, t)
+        assert [mpfs(row) for row in new[2]()] == [mpfs(row) for row in old[2]()], family
 
 
 # -- the h series' coefficient row against the per-phi sum --------------------

@@ -525,7 +525,7 @@ def test_gram_forms_recurrence_coefficients_once(monkeypatch, kind):
     # forms them.
     import qortho.families
     import qortho.measures
-    name = "_hermite_low" if kind == "hermite_extremal" else "_dual_steps"
+    name = "_hermite_steps" if kind == "hermite_extremal" else "_dual_steps"
     build = getattr(qortho.families, name)
     formed = []
 
@@ -779,7 +779,7 @@ def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
         return (values, lambda t: calls.append(t) or amax(t),
                 lambda: rows.append(args[1]) or all_rows())
 
-    for name in ("_hermite_values", "_dual_values"):
+    for name in ("_three_term",):
         def counted(*args, _fn=getattr(qortho.families, name)):
             runs.append(args[0])
             return _fn(*args)
