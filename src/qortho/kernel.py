@@ -13,12 +13,13 @@ An infinite product (a;q)_inf splits off the finite head (a;q)_J with
 |a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like
 q^{k^2/2}.  Its certificate is relative and covers rounding as well as the
 tail: the result is within relative tol/16 of the exact product, with guard
-bits added when the alternating series cancels.  Each product is evaluated
-once per (a, q, context), with a and q rounded to the context's bits: later
-calls return the memoised value, so no caller needs to hand a computed
-product to another.  The memo is bounded (the 256 most recently used
-products) and keeps no failure, so an uncertifiable product raises on
-every call.
+bits added when the alternating series cancels.  The head and the sum run
+on pairs; only the rounding bound is formed in mpf, once per pass.  Each
+product is evaluated once per (a, q, context), with a and q rounded to the
+context's bits: later calls return the memoised value, so no caller needs
+to hand a computed product to another.  The memo is bounded (the 256 most
+recently used products) and keeps no failure, so an uncertifiable product
+raises on every call.
 
 The hot loops of the package (here, in families and in measures) run on
 pairs: a finite real m 2^e held as two Python ints (m, e), with this
@@ -363,66 +364,73 @@ _GUARD_BITS = 16
 
 
 def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: int):
-    """One evaluation of (a;q)_inf at the ambient precision.
+    """One evaluation of (a;q)_inf on pairs at the ambient precision.
 
     Returns (value, noise): value is the head (a;q)_J times Euler's sum for
     w = a q^J, summed until the omitted tail is at most target * |sum|;
     noise bounds the relative rounding error of value to first order.  An
-    exactly vanishing head factor gives (0, 0).
+    exactly vanishing head factor gives (0, 0).  Each pair operation is the
+    mpf operation of the same expression at the same precision, so the
+    value is that of the mpf loop bit for bit; the noise is formed once, in
+    mpf.
     """
-    one = mpmath.mpf(1)
-    head = one
-    w = a
-    f_min = mpmath.inf
+    prec = mp.prec
+    q_p = _pair(q)
+    head = _ONE
+    w = _pair(a)
+    f_min = None   # the smallest |head factor|
     for _ in range(head_len):
-        factor = one - w
-        if factor == 0:
+        factor = _sub(_ONE, w, prec)
+        if not factor[0]:
             return mpmath.mpf(0), mpmath.mpf(0)
-        head *= factor
-        f_min = min(f_min, abs(factor))
-        w *= q
+        head = _mul(head, factor, prec)
+        if f_min is None or _abs_lt(factor, f_min):
+            f_min = abs(factor[0]), factor[1]
+        w = _mul(w, q_p, prec)
 
     # sum_k t_k with t_{k+1} = t_k * (-w q^k) / (1 - q^{k+1}).  The ratio's
     # magnitude decreases in k, so once it is <= 1/2 every omitted term is
     # at most half the one before and the tail after t_k is below |t_k|.
-    total = one
-    term = one
-    t_max = one
-    step = -w
-    qk1 = q
+    total = term = t_max = _ONE
+    target_p = _pair(target)
+    step = (-w[0], w[1])
+    qk1 = q_p
     settled = False
     for n_terms in range(1, max_terms + 1):
-        den = one - qk1
+        den = _sub(_ONE, qk1, prec)
         if not settled:
-            settled = 2 * abs(step) <= den
-        term = term * step / den
-        total += term
+            # 2 |step| <= den, as den > 0
+            settled = not _abs_lt(den, (step[0], step[1] + 1))
+        term = _div(_mul(term, step, prec), den, prec)
+        total = _add(total, term, prec)
         if settled:
-            if abs(term) <= target * abs(total):
+            # |term| <= target * |total|
+            if not _abs_lt(_mul(target_p, total, prec), term):
                 break
-        elif abs(term) > t_max:
-            t_max = abs(term)
-        step *= q
-        qk1 *= q
+        elif _abs_lt(t_max, term):
+            t_max = abs(term[0]), term[1]
+        step = _mul(step, q_p, prec)
+        qk1 = _mul(qk1, q_p, prec)
     else:
         raise TruncationFailure(
             "Euler sum for (w;q)_inf not resolved within max_terms=%d (w=%s, q=%s)"
-            % (max_terms, mpmath.nstr(w, 8), mpmath.nstr(q, 8)))
-    if total == 0:
-        return total, mpmath.inf
+            % (max_terms, mpmath.nstr(_mpf(w), 8), mpmath.nstr(q, 8)))
+    if not total[0]:
+        return mpmath.mpf(0), mpmath.inf
 
     # Every operation has relative error <= u.  Head: factor j carries
     # j u |a q^j| / |1 - a q^j| + u, plus one multiplication.  The J roundings
     # in w perturb (w;q)_inf by at most 2 J u |w| / (1-q) relatively.  Sum:
     # t_k carries k (k + 3 + 1/(1-q)) u, using j q^j / (1 - q^j) <= q / (1-q),
     # and n_terms additions add n_terms u * sum |t_k|.
-    u = mpmath.ldexp(one, 1 - mp.prec)
+    one = mpmath.mpf(1)
+    u = mpmath.ldexp(one, 1 - prec)
     inv_gap = one / (one - q)
     n = n_terms + 1
-    head_noise = head_len * (2 + head_len * abs(a) / f_min) if head_len else 0
-    sum_noise = n * n * (n + 4 + inv_gap) * t_max / abs(total)
+    head_noise = head_len * (2 + head_len * abs(a) / _mpf(f_min)) if head_len else 0
+    sum_noise = n * n * (n + 4 + inv_gap) * _mpf(t_max) / abs(_mpf(total))
     noise = u * (head_noise + 2 * head_len * inv_gap + sum_noise + 1)
-    return head * total, noise
+    return _mpf(_mul(head, total, prec)), noise
 
 
 def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:

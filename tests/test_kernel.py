@@ -254,6 +254,92 @@ def test_qpochhammer_inf_memo_keeps_no_failure():
     assert _qpochhammer_inf_memo.cache_info().currsize == 0
 
 
+# -- Euler's sum on pairs against the mpf loop it replaced --------------------
+#
+# The oracle is the product pass as it was written on mpf operators.  Every
+# pair operation is the mpf operation of the same expression at the same
+# precision, so the two passes give the same values and the same noise
+# bounds, and the guard-bit reruns happen at the same precisions.
+
+
+def _oracle_product_pass(a, q, head_len, target, max_terms):
+    one = mpmath.mpf(1)
+    head = one
+    w = a
+    f_min = mpmath.inf
+    for _ in range(head_len):
+        factor = one - w
+        if factor == 0:
+            return mpmath.mpf(0), mpmath.mpf(0)
+        head *= factor
+        f_min = min(f_min, abs(factor))
+        w *= q
+    total = one
+    term = one
+    t_max = one
+    step = -w
+    qk1 = q
+    settled = False
+    for n_terms in range(1, max_terms + 1):
+        den = one - qk1
+        if not settled:
+            settled = 2 * abs(step) <= den
+        term = term * step / den
+        total += term
+        if settled:
+            if abs(term) <= target * abs(total):
+                break
+        elif abs(term) > t_max:
+            t_max = abs(term)
+        step *= q
+        qk1 *= q
+    else:
+        raise TruncationFailure("Euler sum not resolved")
+    if total == 0:
+        return total, mpmath.inf
+    u = mpmath.ldexp(one, 1 - mpmath.mp.prec)
+    inv_gap = one / (one - q)
+    n = n_terms + 1
+    head_noise = head_len * (2 + head_len * abs(a) / f_min) if head_len else 0
+    sum_noise = n * n * (n + 4 + inv_gap) * t_max / abs(total)
+    noise = u * (head_noise + 2 * head_len * inv_gap + sum_noise + 1)
+    return head * total, noise
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["1e-4", "0.05", "0.5", "0.9", "0.999"])
+def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
+    from qortho import kernel
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    with ctx.workprec():
+        q = mpmath.mpf(q_s)
+        # a = q makes w > 0 and the sum alternate; a = 1 zeroes the first
+        # head factor; a = -3000 gives the longest head
+        avals = [q, mpmath.mpf("0.5"), mpmath.mpf(1), mpmath.mpf(-1), mpmath.mpf("2.5"),
+                 mpmath.mpf(-3000), q ** 3, -1 / q]
+    runs = {}
+    for name, pass_ in (("pairs", kernel._product_pass), ("mpf", _oracle_product_pass)):
+        passes = []
+
+        def recorded(*args, pass_=pass_, passes=passes):
+            value, noise = pass_(*args)
+            passes.append((mpmath.mp.prec, value._mpf_, mpmath.mpf(noise)._mpf_))
+            return value, noise
+        monkeypatch.setattr(kernel, "_product_pass", recorded)
+        kernel._qpochhammer_inf_memo.cache_clear()
+        values = []
+        for a in avals:
+            values.append(qpochhammer_inf(a, q, ctx)._mpf_)
+            values.append(len(passes))
+        runs[name] = values, passes
+    kernel._qpochhammer_inf_memo.cache_clear()
+    assert runs["pairs"] == runs["mpf"]
+    values, passes = runs["pairs"]
+    assert values[4] == mpmath.mpf(0)._mpf_   # a = 1
+    if q_s == "0.999":
+        assert values[1] > 1   # (q;q)_inf was rerun with guard bits
+
+
 def test_hypergeometric_trivial_cases():
     assert basic_hypergeometric([0.5], [0.25], 0.5, 0, CTX) == 1
     assert basic_hypergeometric([1.0], [0.25], 0.5, 0.5, CTX,
