@@ -35,17 +35,22 @@ single-point and single-degree functions (*_table, *_coeffs, qinv_hermite,
 dual_ultra) take one point or row of these, so every route gives the same
 value bit for bit.  Both families run in one loop, _three_term, on steps
 (c_mid, c_low, c_lead): D's from _dual_steps, and h's (0, -low_j/2, -1/2)
-from _hermite_steps, which give h's step 2x h_j - low_j h_{j-1} bit for bit
-because scaling by -1/2 is exact (_recurrence has the argument).
-_recurrence is the one handle on the loop that the rest of the package
-reads: the values at any point, for the tables and a Gram's pair sums; the
-majorant A(t) that certifies a Gram's window, the same loop at |h_n(it)|
-and D_n(-t); and the coefficient rows, the same step on coefficient lists.
+from _hermite_steps, which make h's step 2x h_j - low_j h_{j-1} because
+scaling by -1/2 is exact (_recurrence has the argument).  The step is
+fused: its two products are exact and their difference is rounded once,
+so a D step rounds three times (c_mid - mu, the difference, the quotient)
+and an h step once.  _recurrence is the one handle on the loop that the
+rest of the package reads: the values at any point, for the tables and a
+Gram's pair sums; the majorant A(t) that certifies a Gram's window, the
+same loop at |h_n(it)| and D_n(-t); and the coefficient rows, the same step
+on coefficient lists.  It also checks D's s.
 
 Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
-argument), so each value is that of the mpf operator expression, and the
-public functions convert to mpf at the end.  Every power of q with a
+argument).  Each value of the h series is that of the mpf operator
+expression; each recurrence step is that of the libmp expression formed
+exactly (prec=0) and rounded once.  The public functions convert to mpf at
+the end.  Every power of q with a
 loop-indexed exponent in them, and the h series' factors e^(n-2k), is read
 from one kernel.power_run per call in place of a ``**`` per power.  The
 parameter lists of the C and grid D series still form their few powers
@@ -93,7 +98,8 @@ class FamilySpec:
             if not s > 0:
                 raise ValueError("s must satisfy s > 0 (got s=%s)" % mpmath.nstr(s, 8))
             if self.kind is FamilyKind.DUAL_DISCRETE_ULTRA:
-                check_dual_s(s, q)
+                with ctx.workprec():   # q^-2 at ctx.bits
+                    check_dual_s(s, q)
         elif self.s is not None:
             s = ctx.to_real(self.s)
         return FamilySpec(self.kind, q, s)
@@ -338,7 +344,7 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
 
     Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
     """
-    q_p, s_p = _pair(q), _pair(s)
+    q_p, s_p = _pair(q), _pair(s, "s")
     pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
     o = 2 * n_max - 1
     one_plus_q = _add(_ONE, q_p, prec)
@@ -395,15 +401,37 @@ def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
 def _three_term(p: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
                 prec: int) -> list[tuple[int, int]]:
     """[P_0, ..., P_n] at one point, n = len(steps), from the pair p and the
-    steps (c_mid, c_low, c_lead): P_{j+1} = ((c_mid - p) P_j - c_low P_{j-1}) / c_lead."""
+    steps (c_mid, c_low, c_lead): P_{j+1} = ((c_mid - p) P_j - c_low P_{j-1}) / c_lead.
+
+    c_mid - p is rounded to prec, the two products are exact, their
+    difference is rounded once and the quotient once: three roundings a
+    step, one when c_mid = 0 and c_lead is a power of two.
+    """
     vals = [_ONE]
     prev, cur = _ZERO, _ONE
+    minus_p = -p[0], p[1]
+    d_at_zero = _round(minus_p, prec)   # c_mid - p at c_mid = 0, as in every h step
     for c_mid, c_low, c_lead in steps:
-        up = _mul(_sub(c_mid, p, prec), cur, prec)
-        down = _mul(c_low, prev, prec)
-        prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
+        d = _add(c_mid, minus_p, prec) if c_mid[0] else d_at_zero
+        # the exact products (c_mid - p) P_j and -c_low P_{j-1}, summed and
+        # rounded once
+        up = d[0] * cur[0], d[1] + cur[1]
+        minus_down = -c_low[0] * prev[0], c_low[1] + prev[1]
+        prev, cur = cur, _div(_add(up, minus_down, prec), c_lead, prec)
         vals.append(cur)
     return vals
+
+
+def _exact_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b for pairs, exactly."""
+    (ma, ea), (mb, eb) = a, b
+    if not mb:
+        return a
+    if not ma:
+        return -mb, eb
+    if ea < eb:
+        return ma - (mb << (eb - ea)), ea
+    return (ma << (ea - eb)) - mb, eb
 
 
 def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
@@ -421,11 +449,15 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
       the step run on coefficient lists: multiplying by p moves a
       coefficient up one degree.
 
+    For D, s is checked once here: DegenerateCoefficient when a leading
+    coefficient up to n_max vanishes (s = q^-(2j+2), up to rounding), else
+    ValueError unless 0 < s < q^-2, at ctx.bits.  n_max = 0 reads no s.
+
     h's step 2x h_j - low_j h_{j-1} is the D step with c_mid = 0,
     c_low = -low_j/2 and c_lead = -1/2.  Negating and halving a pair are
     exact and pair exponents are unbounded, so for x of at most ctx.bits
-    bits each rounding is -1/2 times the h step's, and the exact division
-    by -1/2 gives h's values and rows bit for bit.
+    bits the fused step rounds -x h_j + (low_j/2) h_{j-1} once, and the
+    exact division by -1/2 makes that 2x h_j - low_j h_{j-1} rounded once.
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -444,8 +476,8 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     loop gives A_0(t), ..., A_N(t), so a point costs n_max steps and no
     coefficient row is formed.  Measured against sums of |c_nj| t^j formed
     at four times the precision, over q in [0.05, 0.999], n_max <= 30, t in
-    [2^-30, 2^300] and bits in {256, 1024}, A(t) is within relative 8 u for
-    h and 600 u for D, u = 2^-bits; that rounding is not yet part of the
+    [2^-30, 2^300] and bits in {256, 1024}, A(t) is within relative 7 u for
+    h and 1,100 u for D, u = 2^-bits; that rounding is not yet part of the
     Gram window's tail certificate.
     """
     if not isinstance(n_max, int) or n_max < 0:
@@ -458,7 +490,10 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
         major = [(c_mid, (-m, e), c_lead) for c_mid, (m, e), c_lead in steps]
     else:
         with ctx.workprec():
-            steps = _dual_steps(n_max, mpmath.mpf(family.s), q, prec)
+            s = mpmath.mpf(family.s)
+            steps = _dual_steps(n_max, s, q, prec)
+            if steps:   # D_0 = 1 reads no s
+                check_dual_s(s, q)
         name, sign, major = "mu", -1, steps   # A_n(t) = D_n(-t)
 
     def values(p: QReal) -> list[tuple[int, int]]:
@@ -473,10 +508,12 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
         return _mpf(best)
 
     def term(step, a, b, c) -> tuple[int, int]:
-        # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) / c_lead
-        c_mid, c_low, c_lead = step
-        return _div(_sub(_sub(_mul(c_mid, a, prec), b, prec), _mul(c_low, c, prec), prec),
-                    c_lead, prec)
+        # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) / c_lead: the two
+        # coefficients c_mid a - b and c_low c exact, their difference
+        # rounded once, as in _three_term
+        (mm, em), (ml, el), c_lead = step
+        up = _exact_sub((mm * a[0], em + a[1]), b)
+        return _div(_sub(up, (ml * c[0], el + c[1]), prec), c_lead, prec)
 
     def rows() -> list[list[tuple[int, int]]]:
         out, prev = [[_ONE]], []

@@ -33,12 +33,16 @@ is unique (Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed.,
 in mpf_mul, mpf_mul_int, mpf_div and mpf_pos, and in mpf_add and mpf_sub
 whenever each operand has at most prec + 4 bits; past that, for operands
 more than 100 binary places apart, mpf_add replaces the smaller one by a
-perturbation that can round differently.
-Every operand a loop of the package adds is rounded to the precision of the
-addition or to less.  So a loop on pairs that makes the operations an mpf
-operator expression would make, in the same order and at the same
-precisions, gives that expression's values bit for bit, without mpmath's
-normalisation of every intermediate value.  A pair holds no inf or nan:
+perturbation that can round differently.  _add and _sub round the exact
+sum of operands of any length.  Most loops of the package add only
+operands rounded to the precision of the addition or to less, so a loop on
+pairs that makes the operations an mpf operator expression would make, in
+the same order and at the same precisions, gives that expression's values
+bit for bit, without mpmath's normalisation of every intermediate value.
+The three-term recurrence step of families adds exact products of up to
+2 prec bits instead: it gives the exact expression rounded once (libmp at
+prec=0, then mpf_pos), which no mpf operator expression does.  A division
+by +-2^k is a shift and one rounding.  A pair holds no inf or nan:
 _pair raises ValueError on them, so every evaluator rejects non-finite
 arguments.  Integer powers that a loop needs in a run, x^lo, ..., x^hi, come
 from power_run: one multiplication per power at 32 guard bits, each value
@@ -219,7 +223,8 @@ def _mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
 
 
 def _add(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
-    """a + b rounded to prec bits (mpf_add).
+    """a + b rounded to prec bits: mpf_add on operands of at most prec + 4
+    bits, and the exact sum rounded once on operands of any length.
 
     Exponents more than 2 prec apart take a sticky path, so no shift grows
     without bound.  Say a = ma 2^ea has the higher exponent and top = ea
@@ -263,6 +268,8 @@ def _div(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
         raise ZeroDivisionError("pair division by zero")
     if not ma:
         return _ZERO
+    if mb == 1 or mb == -1:   # b = +-2^eb: the quotient is exact before rounding
+        return _rounded(ma * mb, ea - eb, prec)
     neg = (ma < 0) != (mb < 0)
     ma, mb = abs(ma), abs(mb)
     extra = prec + 2 - ma.bit_length() + mb.bit_length()

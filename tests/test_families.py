@@ -1,6 +1,8 @@
 """Polynomial families: series vs recurrence routes, structure, edge cases."""
 import mpmath
 import pytest
+from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_shift, mpf_sub, round_nearest)
 
 from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     PrecisionContext, as_qparam, discrete_ultra, dual_ultra,
@@ -235,6 +237,40 @@ def test_dual_validation_and_degeneracy():
         dual_ultra_coeffs(1, 4, Q, CTX)
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: dual_ultra(3, 1, s, Q, CTX),
+    lambda s: dual_ultra_table(3, 1, s, Q, CTX),
+    lambda s: dual_ultra_coeffs(3, s, Q, CTX),
+    lambda s: dual_ultra_coeff_rows(3, s, Q, CTX),
+], ids=["dual_ultra", "dual_ultra_table", "dual_ultra_coeffs", "dual_ultra_coeff_rows"])
+def test_dual_recurrence_rejects_s_out_of_range(call):
+    # At q = 0.5 the range is 0 < s < 4; neither s zeroes a leading
+    # coefficient, and dual_ultra_series rejects both.
+    for s in (100, -2):
+        with pytest.raises(ValueError, match="0 < s < q\\^-2"):
+            dual_ultra_series(3, 1, s, Q, CTX)
+        with pytest.raises(ValueError, match="0 < s < q\\^-2"):
+            call(s)
+
+
+def test_family_spec_checks_s_at_the_context_precision():
+    from qortho.measures import dual_base, gram_matrix
+    # s a relative 2^-70 past q^-2, and as far inside it: apart at 256 bits,
+    # equal to q^-2 at 53.
+    with CTX.workprec():
+        q = mpmath.mpf("0.7")
+        above = q ** -2 * (1 + mpmath.ldexp(1, -70))
+    with pytest.raises(ValueError, match="0 < s < q\\^-2"):
+        FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, above).validated(CTX)
+    with CTX.workprec():
+        q = mpmath.mpf("0.3")
+        below = q ** -2 * (1 - mpmath.ldexp(1, -70))
+    spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, below)
+    assert spec.validated(CTX).s == below
+    report = gram_matrix(spec, dual_base(below, q, "even", CTX), 4, CTX)
+    assert report.s == below and report.m_hi > report.m_lo
+
+
 def test_mu_point_recomputable():
     with CTX.workprec():
         pt = mu_point("1.5", "0.7", Q, CTX)
@@ -321,16 +357,35 @@ def test_evaluate_dispatch_errors():
 # -- batched recurrences against the per-node formulas ------------------------
 #
 # The oracles below are the per-node and per-degree recurrences the batched
-# evaluators replaced: every expression, operand order and precision is the
-# same, so the batched values must equal them bit for bit.  Each integer
-# power q^k is read from the map P(q, bits), whose values are those of
-# power_run at bits; the value of q^k does not depend on the run's ends.
+# evaluators replaced, with each step fused: the products of the step and
+# their difference are formed exactly with libmp at prec=0 and rounded once
+# with mpf_pos, then divided by c_lead.  The coefficients are formed as the
+# batched evaluators form them, so the batched values must equal the
+# oracles bit for bit.  Each integer power q^k is read from the map
+# P(q, bits), whose values are those of power_run at bits; the value of q^k
+# does not depend on the run's ends.
 
 
 def P(x, bits, reach=64):
     """{k: x^k} for |k| <= reach, from one power_run at bits."""
     run = power_run(_pair(x), -reach, reach, bits)
     return dict(zip(range(-reach, reach + 1), map(_mpf, run)))
+
+
+def once(value, prec):
+    """An exact libmp value rounded once to prec, as an mpf."""
+    return mpmath.mp.make_mpf(mpf_pos(value, prec, round_nearest))
+
+
+def fused(a, b, c, d, prec):
+    """a b - c d for mpfs, the products and difference exact, rounded once."""
+    return once(mpf_sub(mpf_mul(a._mpf_, b._mpf_), mpf_mul(c._mpf_, d._mpf_)), prec)
+
+
+def fused_row(c_mid, a, b, c_low, c, prec):
+    """c_mid a - b - c_low c for mpfs, exact, rounded once."""
+    return once(mpf_sub(mpf_sub(mpf_mul(c_mid._mpf_, a._mpf_), b._mpf_),
+                        mpf_mul(c_low._mpf_, c._mpf_)), prec)
 
 
 def _oracle_hermite_table(n_max, x, q, ctx):
@@ -341,7 +396,8 @@ def _oracle_hermite_table(n_max, x, q, ctx):
         vals = [mpmath.mpf(1)]
         prev, cur = mpmath.mpf(0), mpmath.mpf(1)
         for j in range(n_max):
-            prev, cur = cur, 2 * x * cur - qp[-j] * (1 - qp[j]) * prev
+            low = qp[-j] * (1 - qp[j])
+            prev, cur = cur, fused(2 * x, cur, low, prev, ctx.bits)
             vals.append(cur)
         return vals
 
@@ -354,15 +410,13 @@ def _oracle_hermite_coeffs(n, q, ctx):
         prev = [mpmath.mpf(1)]
         if n == 0:
             return prev
-        cur = [zero, mpmath.mpf(2)]
+        two = mpmath.mpf(2)
+        cur = [zero, two]
         for j in range(1, n):
-            coef = qp[-j] * (1 - qp[j])
-            nxt = [zero] * (j + 2)
-            for i, c in enumerate(cur):
-                nxt[i + 1] += 2 * c
-            for i, c in enumerate(prev):
-                nxt[i] -= coef * c
-            prev, cur = cur, nxt
+            low = qp[-j] * (1 - qp[j])
+            # [x^i] of 2x h_j - low h_{j-1}
+            prev, cur = cur, [fused(two, b, low, c, ctx.bits)
+                              for b, c in zip([zero] + cur, prev + [zero, zero])]
         return cur
 
 
@@ -375,11 +429,10 @@ def _oracle_dual_table(n_max, mu, s, q, ctx):
         vals = [mpmath.mpf(1)]
         prev, cur = mpmath.mpf(0), mpmath.mpf(1)
         for j in range(n_max):
-            lead = 1 - s * qp[2 * j + 2]
-            prev, cur = cur, (
-                (qp[-2 * j - 1] * (1 + q) - mu) * cur
-                - qp[-2 * j] * (1 - qp[2 * j]) * prev
-            ) / (qp[-2 * j - 1] * lead)
+            c_mid = qp[-2 * j - 1] * (1 + q)
+            c_low = qp[-2 * j] * (1 - qp[2 * j])
+            c_lead = qp[-2 * j - 1] * (1 - s * qp[2 * j + 2])
+            prev, cur = cur, fused(c_mid - mu, cur, c_low, prev, ctx.bits) / c_lead
             vals.append(cur)
         return vals
 
@@ -396,8 +449,8 @@ def _oracle_dual_coeffs(n, s, q, ctx):
             c_low = qp[-2 * j] * (1 - qp[2 * j])
             c_lead = qp[-2 * j - 1] * (1 - s * qp[2 * j + 2])
             # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
-            prev, cur = cur, [(c_mid * a - b - c_low * c) / c_lead for a, b, c in
-                              zip(cur + [zero], [zero] + cur, prev + [zero, zero])]
+            prev, cur = cur, [fused_row(c_mid, a, b, c_low, c, ctx.bits) / c_lead
+                              for a, b, c in zip(cur + [zero], [zero] + cur, prev + [zero, zero])]
         return cur
 
 
@@ -471,14 +524,18 @@ def test_batched_recurrences_edge_cases():
         dual_ultra_coeff_rows(2, 16, Q, CTX)
 
 
-# -- the shared three-term loop against the two loops it replaced ------------
+# -- the shared three-term loop against the per-family loops -----------------
 #
-# The oracle is the pair of per-family loops the shared loop replaced, with
-# h's low coefficients and the two coefficient-row steps as they were: h ran
-# 2x h_j - low_j h_{j-1} with the doubling done on the exponent, and its
-# majorant ran that loop at x = t with low_j negated; D's majorant ran D's
-# loop at mu = -t.  Values are compared as mpf, since the shared loop's
-# exact division by -1/2 leaves h's pairs with prec-bit mantissas.
+# The oracle is a loop per family, written in libmp on raw mpf tuples, with
+# h's low coefficients and D's steps formed as the package forms them.  h
+# runs 2x h_j - low_j h_{j-1} with the doubling done on the exponent, and
+# its majorant runs that loop at x = t with low_j negated; D runs
+# ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead with c_mid - mu rounded, and
+# its majorant runs D's loop at mu = -t.  Each step forms its products and
+# their difference exactly (libmp at prec=0) and rounds them once with
+# mpf_pos, and the rows do the same per coefficient.  Values are compared
+# as mpf, since the shared loop's exact division by -1/2 leaves h's pairs
+# with prec-bit mantissas.
 
 
 def _old_hermite_low(n_max, q, prec):
@@ -487,75 +544,90 @@ def _old_hermite_low(n_max, q, prec):
     return [_mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec) for j in range(n_max)]
 
 
-def _old_hermite_values(two_x, low, prec):
-    vals = [_ONE]
-    prev, cur = _ZERO, _ONE
+_ONE_RAW, _ZERO_RAW = mpmath.mpf(1)._mpf_, mpmath.mpf(0)._mpf_
+
+
+def _round_once(value, prec):
+    return mpf_pos(value, prec, round_nearest)
+
+
+def _hermite_loop(two_x, low, prec):
+    vals = [_ONE_RAW]
+    prev, cur = _ZERO_RAW, _ONE_RAW
     for c_low in low:
-        prev, cur = cur, _sub(_mul(two_x, cur, prec), _mul(c_low, prev, prec), prec)
+        prev, cur = cur, _round_once(mpf_sub(mpf_mul(two_x, cur), mpf_mul(c_low, prev)), prec)
         vals.append(cur)
     return vals
 
 
-def _old_dual_values(mu, steps, prec):
-    vals = [_ONE]
-    prev, cur = _ZERO, _ONE
+def _dual_loop(mu, steps, prec):
+    vals = [_ONE_RAW]
+    prev, cur = _ZERO_RAW, _ONE_RAW
     for c_mid, c_low, c_lead in steps:
-        up = _mul(_sub(c_mid, mu, prec), cur, prec)
-        down = _mul(c_low, prev, prec)
-        prev, cur = cur, _div(_sub(up, down, prec), c_lead, prec)
+        up = mpf_mul(mpf_sub(c_mid, mu, prec, round_nearest), cur)
+        diff = _round_once(mpf_sub(up, mpf_mul(c_low, prev)), prec)
+        prev, cur = cur, mpf_div(diff, c_lead, prec, round_nearest)
         vals.append(cur)
     return vals
 
 
 def _old_rows(steps, term):
-    out, prev = [[_ONE]], []
+    out, prev = [[_ONE_RAW]], []
     for step in steps:
         cur = out[-1]
         out.append([term(step, a, b, c) for a, b, c in
-                    zip(cur + [_ZERO], [_ZERO] + cur, prev + [_ZERO, _ZERO])])
+                    zip(cur + [_ZERO_RAW], [_ZERO_RAW] + cur, prev + [_ZERO_RAW, _ZERO_RAW])])
         prev = cur
     return out
 
 
 def _old_recurrence(family, n_max, ctx):
-    """(values, majorant, rows) as the two per-family loops gave them."""
+    """(values, majorant, rows) as per-family loops give them, on raw mpf tuples."""
     q, prec = family.q, ctx.bits
     if family.kind is FamilyKind.QINV_HERMITE:
-        low = _old_hermite_low(n_max, q, prec)
-        negated = [(-m, e) for m, e in low]
+        low = [_mpf(c)._mpf_ for c in _old_hermite_low(n_max, q, prec)]
+        negated = [mpf_neg(c) for c in low]
 
         def values(p):
-            m, e = _pair(p)
-            return _old_hermite_values((m, e + 1), low, prec)
+            return _hermite_loop(mpf_shift(p._mpf_, 1), low, prec)
 
-        def sums(m, e):
-            return _old_hermite_values((m, e + 1), negated, prec)
+        def sums(t):
+            return _hermite_loop(mpf_shift(t._mpf_, 1), negated, prec)
 
         def term(c_low, a, b, c):
-            return _sub((b[0], b[1] + 1), _mul(c_low, c, prec), prec)
+            # [x^i] of 2x h_j - low_j h_{j-1}
+            return _round_once(mpf_sub(mpf_shift(b, 1), mpf_mul(c_low, c)), prec)
         steps = low
     else:
-        steps = _dual_steps(n_max, family.s, q, prec)
+        steps = [tuple(_mpf(c)._mpf_ for c in step)
+                 for step in _dual_steps(n_max, family.s, q, prec)]
 
         def values(p):
-            return _old_dual_values(_pair(p), steps, prec)
+            return _dual_loop(p._mpf_, steps, prec)
 
-        def sums(m, e):
-            return _old_dual_values((-m, e), steps, prec)
+        def sums(t):
+            return _dual_loop(mpf_neg(t._mpf_), steps, prec)
 
         def term(step, a, b, c):
+            # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
             c_mid, c_low, c_lead = step
-            return _div(_sub(_sub(_mul(c_mid, a, prec), b, prec), _mul(c_low, c, prec), prec),
-                        c_lead, prec)
+            diff = _round_once(mpf_sub(mpf_sub(mpf_mul(c_mid, a), b), mpf_mul(c_low, c)), prec)
+            return mpf_div(diff, c_lead, prec, round_nearest)
+
+    def mpf_values(p):
+        return [mpmath.mp.make_mpf(v) for v in values(p)]
 
     def majorant(t):
-        best = _ZERO
-        for v in sums(*_pair(t)):
-            if _abs_lt(best, v):
+        best = _ZERO_RAW
+        for v in sums(t):
+            if mpf_cmp(mpf_abs(best), mpf_abs(v)) < 0:
                 best = v
-        return _mpf(best)
+        return mpmath.mp.make_mpf(best)
 
-    return values, majorant, lambda: _old_rows(steps, term)
+    def rows():
+        return [[mpmath.mp.make_mpf(c) for c in row] for row in _old_rows(steps, term)]
+
+    return mpf_values, majorant, rows
 
 
 def mpfs(pairs):
@@ -581,10 +653,10 @@ def test_three_term_loop_matches_the_per_family_loops(q_s, bits, n_max):
                 grid = [mu_point(x, family.s, q, ctx).mu for x in (0, 3)]
         new, old = _recurrence(family, n_max, ctx), _old_recurrence(family, n_max, ctx)
         for p in points + grid:
-            assert mpfs(new[0](p)) == mpfs(old[0](p)), (family, p)
+            assert mpfs(new[0](p)) == old[0](p), (family, p)
         for t in ts:
             assert new[1](t) == old[1](t), (family, t)
-        assert [mpfs(row) for row in new[2]()] == [mpfs(row) for row in old[2]()], family
+        assert [mpfs(row) for row in new[2]()] == old[2](), family
 
 
 # -- the h series' coefficient row against the per-phi sum --------------------

@@ -85,47 +85,47 @@ def _runs(argvs, q, digests):
 
 
 GOLDEN = _runs(_BASIC, "0.5", (
-    "e3f81dde5b6f4a5592538a5d182f3e89259ac99c156891ecfb2339aba2c9b817",
-    "251e4afc8cd20524070c50facb16dcae3c08acd49bb0289dc838f97fcda547b8",
-    "e79e2477e4f9b874a48f36ff912b4f9409875339c035d7c5de9c9182a647b08d",
-    "a807ae8432e9cef0ea13b1323a1f0957866be3a0396b6d29c8aa2d69231a7196",
+    "5a70f96ae4dbb8ca7d829899536b5f1d4e22db1adc941db87dc332ded60cc50f",
+    "d6000d95a089a4b4f75aebd0d85447454378e8bd554183ffae87fbf3919773fa",
+    "02ff1618a0637196d748f4b96e5c2c828b052dcbe53b8ff59000653a6cea8161",
+    "1948e3ca45abf2e33b6e6955137a9628b6fee00159bc42809d6fbfc8ab64c5c4",
     "6b2000d100d45cd392240431de49eb6249073de2931462018069993f260eacfd",
-    "b290a8dfa8ff2284186bd665f79b4347d74a03477dd8e875c6815401e187134c",
-    "9d437bfa047803a6aa0221edfdd7fd6bb20cfef718c5c3e8973af77e126ff23b",
+    "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
+    "ebd677496ef28399a858839c0e9b7a2846f8e68e1ad8578083ae7ede33ab7814",
 )) + _runs(_BASIC, "0.7", (
-    "418849f09b11c8a7defa8975f4a2598eee544cf67cf3f91fe3a6ca4490a187f0",
-    "8834f59b55d763c6c7f81204273f1d45334a9b05381664b224d9bbd1b7c8d37b",
-    "2b59a8c6a2027445403bde59d9bf5356c3f065dc4df4c4802584f182624ce6be",
-    "eecdbe6ce8c67cf993e1f4ce217b6a44f4ab9e2724f65f002d79daa0fed78ac3",
-    "fec8e23f1d05095679cb43efe29b4521b64f13402410828bb0f25d96d2331558",
-    "466de5f046a51b9b64eaaebbb4a0ce8c673b1c629ee82e44f997f08ec869c3db",
-    "3fa7f1698135fb574eeaef0926cd924f204a769d782f1f229af901a769c111e7",
+    "54f978c23af11523e265c8fb715092c01d4634ed34ff13c0aa3f2ce88e1f5b77",
+    "4d0e124fe8f912250e1d7e58678f20831c53f078842016d8d9c4c57683f83081",
+    "6593e9d06ac3d3131822fe304728223fbcdda2418a1292f602a3ad5782429eff",
+    "4da7b782fd4414869f299b13699c7bd654edd1a78dc125a85c075870710e65cf",
+    "a2004098250a05c298db44170084efe3d0fca048104bc8ecc88378eedf263169",
+    "9077fccc9ee9a7bbbaf9e836c7645fab9b9d99db190edf8548ab8ecf039d070f",
+    "be6385ef04aad32ed0d6c2731cd9bc6049a54f88989bd30e7d4408ff3bd01a2d",
 )) + _runs(_WIDE, "0.5", (
-    "9823f7e85cafd991bd3f28d36dadac1b19a97ed9ccb926c8041bd33957c79248",
-    "5e5bbc4acf6eea1c339dc0c5f59f28c237c2d03dcefe1dc38c4a6b4a5f8ac16f",
-    "0d4da152d71acb1cf269d13bc7769dafd36f792d424f324d8e6c48cacaebfc59",
-    "dc53fc24d9edb69176155d08d6aa5b38613d8c1325f324b1c0ca39e48013e394",
+    "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
+    "3c7215fcc570e2b1a18ec4deb146c5bd5a899cf277d7b7409b05a39b6c7e4ce8",
+    "1dc91899362e674f63c63bced5e2fff19b0961a2cad55fe7e3693cc3edaececa",
+    "0effded6123b1e4eb88f3e9b7302c82e6e42dfa1bb8d5dfa9f231b403175e403",
 )) + _runs(_WIDE, "0.7", (
-    "3993829d6304572e158fc0fc89a268031c3aeb014ec8d980ddebb7fd82bedc56",
-    "9e9c6bf55da5ce1c2dd58e291dc1357a3ba71a2f42f3281d6c458e62fd617a72",
-    "0a85c51af30208101773716d95ffa08ca5c61c7c6172ad9d260f7716923fb8a3",
-    "705c01cb69e1eced205fe0456f26a540235c348f232a6001bfae1ec5764ec15c",
+    "8e56b6d1046ae520255b8b75550aac0d71ac1aacb75e79fc6585f8a45655c329",
+    "1086d98e964c0d4d0eb99ddd6b52b6d26bade26a1eae883175993fad599fc20b",
+    "03986eccc5a88182d72e020ddcf481d14f2bc360fbffc35163675399b08ad3c7",
+    "881f6bfb5ac73f55ddb9f50001b7f826aa16e2d250e3cadb7e6422cc13d4c333",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
     "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
-    "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
+    "51759cb473d8cb471478826ea7cfaab47fd43759decd76029a969715d3fc0d4c",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "3277bbead0b275366d214eff1a20e12ad1301ff2258fcea70333862463d67020",
-    "8a877fb5b6c2736d4aaa3b79d296ec812fbe3882a195a47946b06af754c7659e",
-    "d10b12c2699f087813475239cb2c06a38bc17babb4f3569766a0aadfb614a823",
+    "131f088b012a640526159cedc8003d90f1f88b9651d0382a918fd73f03e3bfa0",
+    "3139d37acb937695f80f024d1215d4682847469056430d1adf7ed665d74a9e2a",
+    "66877e569d0da95fd2ce7cdd7f2969092366d1d68dd8e63b8200193cae29edd0",
 )) + _runs(_EXTREMAL_N24, "0.3", (
-    "0e4d06b7ed80b40847a79ad932b316c2ec2a4f31f614a16594df7d379eb34276",
-    "eaf5d5513223eb3dbcc3b9a69fbab39b71e2311413141c061239a8935e927a04",
-    "2ea9601f9d411ff30def7a3497594f88137452bdd5f5847375cedbfd0b96c461",
+    "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
+    "b28b661575c44509183ddd9db3f68d91bb883690e42e5dad65c58e7a21851bb7",
+    "f9ca87c58561011dec503a9989fefdda708954a6434ed06fadf01e98104a969a",
 )) + _runs(_CSV, "0.7", (
-    "fbc5e5724ba65be0b5a8b856305923a7f6e02432d9e62f7d1ed0708f910b0985",
+    "349cfb638c45109c57ea2b3ec6abbe821f13009b50b33c4a42039674210ddc0c",
 ))
 
 

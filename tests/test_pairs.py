@@ -3,10 +3,12 @@
 Every pair operation rounds its exact result once to nearest-even, so it
 must return, raw tuple for raw tuple, what mpmath 1.3.0 returns at
 round_nearest.  mpf_add and mpf_sub are compared on operands of at most
-prec + 4 bits, the sizes for which mpmath rounds them correctly (the loops
-of the package add nothing longer); mul, div and rounding take longer
-operands as well.  Example counts come from the hypothesis profile, so CI
-can search more of them (tests/conftest.py).
+prec + 4 bits, the sizes for which mpmath rounds them correctly; mul, div
+and rounding take longer operands as well.  The fused recurrence step adds
+exact products of up to 2 prec bits, so _add and _sub are also checked on
+operands of up to 2 prec + 8 bits against the exact libmp sum (prec=0)
+rounded once by mpf_pos.  Example counts come from the hypothesis profile,
+so CI can search more of them (tests/conftest.py).
 """
 import mpmath
 import pytest
@@ -81,6 +83,28 @@ def test_long_operands_round_as_mpmath(args, k):
     assert _abs_lt(a, b) == (mpf_cmp(mpf_abs(raw(a)), mpf_abs(raw(b))) < 0)
 
 
+@st.composite
+def wide_operands(draw):
+    """Operands of up to 2 prec + 8 bits, whose exponents are often more
+    than 2 prec apart, so that _add takes its sticky path."""
+    prec = draw(st.sampled_from(PRECS))
+    pair = pairs(2 * prec + 8)
+    a, b = draw(pair), draw(pair)
+    gap = draw(st.one_of(st.integers(-2 * prec, 2 * prec), st.integers(2 * prec + 1, 6 * prec)))
+    b = (b[0], a[1] - gap)
+    return (prec, a, b) if draw(st.booleans()) else (prec, b, a)
+
+
+@settings(deadline=None)
+@given(wide_operands())
+def test_sums_of_wide_operands_round_once(args):
+    prec, a, b = args
+    want = mpf_pos(mpf_add(raw(a), raw(b), 0), prec, R)
+    assert same(_add(a, b, prec), want), (a, b, prec)
+    want = mpf_pos(mpf_sub(raw(a), raw(b), 0), prec, R)
+    assert same(_sub(a, b, prec), want), (a, b, prec)
+
+
 @pytest.mark.parametrize("prec", PRECS)
 def test_exact_ties_round_to_even(prec):
     # A 2^1 + 1 has prec + 1 bits and ends in 1: a tie between A and A + 1
@@ -150,6 +174,13 @@ def test_exact_and_inexact_quotients(prec):
     for num, den in ((1, 3), (2, 3), (-1, 7), (10, -3), ((1 << prec) - 1, (1 << prec) - 3),
                      (1, (1 << prec) - 1)):
         check_products((num, 0), (den, 5), prec)
+    # +-2^k divisors, by a mantissa of +-1 or of a longer power of two, of
+    # numerators that fit, that tie at prec bits and that need rounding
+    top = 1 << prec
+    for num in (1, -3, top - 1, top + 1, -(2 * top + 3), 2 * top - 1, (top << prec) + 7):
+        for den in ((1, 0), (-1, 0), (1, -1), (-1, -1), (1, 77), (-1, -300), (4, 3), (-8, -2)):
+            check_products((num, 5), den, prec)
+            check_products((num, -prec), den, prec)
     # (c d) / d is exactly c when c fits in prec bits
     for c, d in ((3, 7), ((1 << prec) - 1, (1 << 40) + 1), (-((1 << prec) - 3), 3)):
         quot = _div((c * d, 9), (d, 4), prec)
