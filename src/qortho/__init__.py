@@ -24,8 +24,8 @@ from .kernel import (DEFAULT_CONTEXT, KernelError, PoleError,
                      PrecisionContext, QReal, TruncationFailure, as_qparam,
                      basic_hypergeometric, qpochhammer, qpochhammer_inf,
                      to_decimal)
-from .measures import (DiscreteMeasure, GramReport, IncompatiblePair,
-                       MeasureKind, NormalizationAdjudication, SignViolation,
+from .measures import (DiscreteMeasure, GramReport, MeasureKind,
+                       NormalizationAdjudication, SignViolation,
                        adjudicate_normalization, dual_base, dual_q_extremal,
                        dual_qinv_extremal, expected_diagonal, gram_matrix,
                        hermite_extremal, lattice_normalization)
@@ -40,7 +40,6 @@ __all__ = [
     "FamilySpec",
     "GramReport",
     "IdentityReport",
-    "IncompatiblePair",
     "KernelError",
     "MeasureKind",
     "MuPoint",

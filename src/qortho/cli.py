@@ -26,9 +26,8 @@ from .families import DegenerateCoefficient, FamilyKind, FamilySpec, evaluate
 from .identities import SUITE_IDS, run_suite
 from .kernel import (KernelError, PrecisionContext, TruncationFailure,
                      as_qparam, to_decimal)
-from .measures import (IncompatiblePair, SignViolation, dual_base,
-                       dual_q_extremal, dual_qinv_extremal, gram_matrix,
-                       hermite_extremal)
+from .measures import (SignViolation, dual_base, dual_q_extremal,
+                       dual_qinv_extremal, gram_matrix, hermite_extremal)
 
 _MEASURES = {"hermite-extremal": hermite_extremal, "dual-base": dual_base,
              "dual-qinv-extremal": dual_qinv_extremal,
@@ -252,7 +251,7 @@ def cmd_gram(config: argparse.Namespace) -> int:
     q = as_qparam(config.q, ctx)
     with ctx.workprec():
         measure = _measure_for(config, q, ctx)
-    report = gram_matrix(measure.family(ctx), measure, config.N, ctx)
+    report = gram_matrix(measure, config.N, ctx)
     text = (report.to_json if config.output == "json" else report.to_csv)(ctx.digits)
     _emit(text, config.out_path)
     return 0 if report.passed(ctx.tol) else 1
@@ -318,7 +317,7 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     for a in values:
         with ctx.workprec():
             measure = _measure_for(config, q, ctx, a_value=a)
-        report = gram_matrix(measure.family(ctx), measure, config.N, ctx)
+        report = gram_matrix(measure, config.N, ctx)
         rows.append("%s,%s,%s,%s" % (
             to_decimal(a, ctx.digits),
             to_decimal(report.off_diag_max, ctx.digits),
@@ -377,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: certified truncation unattainable: %s" % exc,
               file=sys.stderr)
         return 2
-    except (KernelError, DegenerateCoefficient, IncompatiblePair,
-            SignViolation, ValueError, OSError) as exc:
+    except (KernelError, DegenerateCoefficient, SignViolation, ValueError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

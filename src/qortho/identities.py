@@ -308,7 +308,7 @@ def check_half_to_full_lattice(N: int, q,
     with ctx.workprec():
         meas = hermite_extremal(q, q, ctx)
         scale_const = q * meas.normalization(ctx)
-        ref = gram_matrix(meas.family(ctx), meas, N, ctx)
+        ref = gram_matrix(meas, N, ctx)
 
         n_even = N // 2
         n_odd = (N - 1) // 2
@@ -390,7 +390,7 @@ def check_half_to_full_lattice(N: int, q,
 
 def _gram_entry(identity_id: str, measure, N: int,
                 ctx: PrecisionContext) -> IdentityReport:
-    rep = gram_matrix(measure.family(ctx), measure, N, ctx)
+    rep = gram_matrix(measure, N, ctx)
     digits = ctx.digits
     details = {
         "off_diag_max": to_decimal(rep.off_diag_max, digits),

@@ -153,10 +153,6 @@ from .kernel import (_ONE, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
 
 
-class IncompatiblePair(Exception):
-    """The polynomial family and the measure do not orthogonalize each other."""
-
-
 class SignViolation(Exception):
     """A weight came out negative inside the declared support."""
 
@@ -448,14 +444,11 @@ class DiscreteMeasure:
     def is_full_lattice(self) -> bool:
         return _KINDS[self.kind].full_lattice
 
-    def family_s(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal | None:
-        """The s value of the dual family this measure orthogonalizes."""
-        with ctx.workprec():
-            return _KINDS[self.kind].family_s(self)
-
     def family(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilySpec:
-        """The polynomial family this measure orthogonalizes."""
-        return FamilySpec(_KINDS[self.kind].family, self.q, self.family_s(ctx))
+        """The polynomial family this measure orthogonalizes, its s formed at ctx."""
+        record = _KINDS[self.kind]
+        with ctx.workprec():
+            return FamilySpec(record.family, self.q, record.family_s(self))
 
     def normalization(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
         """Z(a) for the full-lattice kinds, 1 for the base kinds."""
@@ -620,32 +613,6 @@ def _symmetric(size: int, entry) -> list[list]:
     return rows
 
 
-_FAMILY_NAMES = {
-    FamilyKind.QINV_HERMITE: "the q-inverse Hermite family",
-    FamilyKind.DUAL_DISCRETE_ULTRA: "the dual discrete q-ultraspherical family",
-}
-
-
-def _check_compatible(family: FamilySpec, measure: DiscreteMeasure,
-                      ctx: PrecisionContext) -> FamilySpec:
-    family = family.validated(ctx)
-    want = measure.family(ctx)
-    with ctx.workprec():
-        eps = mpmath.mpf(2) ** (8 - ctx.bits)
-        if abs(family.q - measure.q) > eps * abs(measure.q):
-            raise IncompatiblePair("family and measure disagree on q")
-        if family.kind is not want.kind:
-            raise IncompatiblePair(
-                "%s pairs with %s, got %s"
-                % (measure.kind.value, _FAMILY_NAMES[want.kind], family.kind.value))
-        if want.s is not None and abs(family.s - want.s) > eps * abs(want.s):
-            raise IncompatiblePair(
-                "measure %s requires family s=%s, got s=%s"
-                % (measure.kind.value, mpmath.nstr(want.s, 8),
-                   mpmath.nstr(family.s, 8)))
-    return family
-
-
 # Bits kept below the working precision in each fixed-point column, on top
 # of bitlen(M) for the M terms of a sum.
 _PAIR_GUARD = 16
@@ -753,9 +720,11 @@ def _certified_window(measure: DiscreteMeasure, point, majorant,
     return m_lo, m_hi, tail_hi + tail_lo
 
 
-def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
+def gram_matrix(measure: DiscreteMeasure, N: int,
                 ctx: PrecisionContext = DEFAULT_CONTEXT) -> GramReport:
-    """Gram matrix of the family under the measure, degrees 0..N.
+    """Gram matrix, degrees 0..N, of the family the measure orthogonalizes
+    (DiscreteMeasure.family) under the measure; ValueError unless its q and s
+    are in range.
 
     The lattice window carries a certified bound on the omitted tail.  Each
     entry is an exact integer sum over the window rounded once (see
@@ -765,7 +734,7 @@ def gram_matrix(family: FamilySpec, measure: DiscreteMeasure, N: int,
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a nonnegative integer")
-    family = _check_compatible(family, measure, ctx)
+    family = measure.family(ctx).validated(ctx)
     with ctx.workprec():
         diag = _diagonals(measure, N, ctx)
         values, majorant, _ = _recurrence(family, N, ctx)
@@ -843,7 +812,7 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
         z_lin = (qpochhammer_inf(-a * a, q, ctx) * qpochhammer_inf(-q / a, q, ctx)
                  * qpochhammer_inf(q, q, ctx))
         # Degree-0 Gram entry; point() divides by z_quad, so undo it.
-        report = gram_matrix(measure.family(ctx), measure, 0, ctx)
+        report = gram_matrix(measure, 0, ctx)
         d0, mass = report.expected_diag[0], report.gram[0][0] * z_quad
         r_quad = abs(mass / (z_quad * d0) - 1)
         r_lin = abs(mass / (z_lin * d0) - 1)

@@ -10,14 +10,13 @@ import time
 
 import mpmath
 
-from qortho import (FamilyKind, FamilySpec, PrecisionContext,
-                    adjudicate_normalization, basic_hypergeometric,
-                    check_even_connection, check_half_to_full_lattice,
-                    check_odd_connection, check_product_chain, dual_base,
-                    dual_q_extremal, dual_qinv_extremal, dual_ultra_series,
-                    dual_ultra_table, gram_matrix, hermite_extremal,
-                    qinv_hermite_series, qinv_hermite_table, qpochhammer,
-                    qpochhammer_inf)
+from qortho import (PrecisionContext, adjudicate_normalization,
+                    basic_hypergeometric, check_even_connection,
+                    check_half_to_full_lattice, check_odd_connection,
+                    check_product_chain, dual_base, dual_q_extremal,
+                    dual_qinv_extremal, dual_ultra_series, dual_ultra_table,
+                    gram_matrix, hermite_extremal, qinv_hermite_series,
+                    qinv_hermite_table, qpochhammer, qpochhammer_inf)
 from qortho.cli import main
 from qortho.measures import MeasureKind
 
@@ -25,7 +24,6 @@ CTX = PrecisionContext.create()
 TOL = mpmath.mpf(2) ** -150
 Q_GRID = ("0.3", "0.5", "0.7")
 PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
-DUAL = FamilyKind.DUAL_DISCRETE_ULTRA
 
 
 def verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -50,10 +48,9 @@ def test_criterion_1_hermite_extremal_orthogonality():
     with CTX.workprec():
         for q_s in Q_GRID:
             q = mpmath.mpf(q_s)
-            family = FamilySpec(FamilyKind.QINV_HERMITE, q)
             for a in extremal_a_grid(q):
                 started = time.perf_counter()
-                rep = gram_matrix(family, hermite_extremal(a, q, CTX), 8, CTX)
+                rep = gram_matrix(hermite_extremal(a, q, CTX), 8, CTX)
                 elapsed = time.perf_counter() - started
                 diag_ok = True
                 for n in range(9):
@@ -77,8 +74,7 @@ def test_criterion_2_base_lattice_orthogonality():
             q2 = q * q
             for s in (q, 1 / q, mpmath.mpf(1)):
                 for parity in ("even", "odd"):
-                    rep = gram_matrix(FamilySpec(DUAL, q, s),
-                                      dual_base(s, q, parity, CTX), 8, CTX)
+                    rep = gram_matrix(dual_base(s, q, parity, CTX), 8, CTX)
                     prefactor = (qpochhammer_inf(s * q ** 3, q2, CTX)
                                  / qpochhammer_inf(q, q2, CTX))
                     for n in range(9):
@@ -116,13 +112,12 @@ def test_criterion_5_extremal_dual_orthogonality_and_normalization():
         for q_s in Q_GRID:
             q = mpmath.mpf(q_s)
             builders = (
-                (MeasureKind.DUAL_QINV_EXTREMAL, dual_qinv_extremal, 1 / q),
-                (MeasureKind.DUAL_Q_EXTREMAL, dual_q_extremal, q),
+                (MeasureKind.DUAL_QINV_EXTREMAL, dual_qinv_extremal),
+                (MeasureKind.DUAL_Q_EXTREMAL, dual_q_extremal),
             )
             for a in extremal_a_grid(q):
-                for kind, build, s in builders:
-                    rep = gram_matrix(FamilySpec(DUAL, q, s),
-                                      build(a, q, CTX), 8, CTX)
+                for kind, build in builders:
+                    rep = gram_matrix(build(a, q, CTX), 8, CTX)
                     ok = ok and rep.off_diag_max < TOL
                     ok = ok and rep.diag_rel_err_max < TOL
                     adj = adjudicate_normalization(kind, a, q, CTX)
@@ -198,8 +193,7 @@ def test_criterion_8_measure_distinctness_and_certificates(tmp_path):
         # add to any Gram entry stays below the certified tail bound.
         q = mpmath.mpf("0.5")
         measure = hermite_extremal("0.7", q, CTX)
-        rep = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, q), measure,
-                          8, CTX)
+        rep = gram_matrix(measure, 8, CTX)
         ok = ok and rep.tail_bound > 0
         extra = (list(range(rep.m_hi + 1, rep.m_hi + 6))
                  + list(range(rep.m_lo - 5, rep.m_lo)))

@@ -4,9 +4,8 @@ import json
 import mpmath
 import pytest
 
-from qortho import (SUITE_IDS, FamilyKind, FamilySpec, PrecisionContext,
-                    discrete_ultra, gram_matrix, hermite_extremal,
-                    qinv_hermite_series, to_decimal)
+from qortho import (SUITE_IDS, PrecisionContext, discrete_ultra, gram_matrix,
+                    hermite_extremal, qinv_hermite_series, to_decimal)
 from qortho.cli import build_parser, main
 
 CTX = PrecisionContext.create()
@@ -329,8 +328,7 @@ def test_sweep_single_step_matches_library(capsys):
                        "--N", "3")
     assert code == 0
     row = out.splitlines()[1].split(",")
-    report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q),
-                         hermite_extremal("0.7", Q, CTX), 3, CTX)
+    report = gram_matrix(hermite_extremal("0.7", Q, CTX), 3, CTX)
     with mpmath.mp.workprec(256):
         assert row[0] == to_decimal(mpmath.mpf("0.7"), CTX.digits)
         assert row[1] == to_decimal(report.off_diag_max, CTX.digits)

@@ -267,7 +267,7 @@ def test_family_spec_checks_s_at_the_context_precision():
         below = q ** -2 * (1 - mpmath.ldexp(1, -70))
     spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, below)
     assert spec.validated(CTX).s == below
-    report = gram_matrix(spec, dual_base(below, q, "even", CTX), 4, CTX)
+    report = gram_matrix(dual_base(below, q, "even", CTX), 4, CTX)
     assert report.s == below and report.m_hi > report.m_lo
 
 

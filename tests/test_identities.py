@@ -4,11 +4,11 @@ import json
 import mpmath
 import pytest
 
-from qortho import (SUITE_IDS, FamilyKind, FamilySpec, PrecisionContext,
-                    check_even_connection, check_half_to_full_lattice,
-                    check_odd_connection, check_product_chain,
-                    check_recurrence_chains, dual_qinv_extremal, gram_matrix,
-                    hermite_extremal, qpochhammer, run_suite, to_decimal)
+from qortho import (SUITE_IDS, PrecisionContext, check_even_connection,
+                    check_half_to_full_lattice, check_odd_connection,
+                    check_product_chain, check_recurrence_chains,
+                    dual_qinv_extremal, gram_matrix, hermite_extremal,
+                    qpochhammer, run_suite, to_decimal)
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -93,11 +93,8 @@ def test_even_gram_composes_into_dual_gram():
     # up to the connection constants: the two Gram matrices must agree.
     with CTX.workprec():
         for a in (Q, mpmath.mpf("0.8")):
-            rep_h = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q),
-                                hermite_extremal(a, Q, CTX), 10, CTX)
-            rep_d = gram_matrix(
-                FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, Q, 1 / Q),
-                dual_qinv_extremal(a, Q, CTX), 5, CTX)
+            rep_h = gram_matrix(hermite_extremal(a, Q, CTX), 10, CTX)
+            rep_d = gram_matrix(dual_qinv_extremal(a, Q, CTX), 5, CTX)
             c = [(-1) ** n * Q ** (-n * n) * qpochhammer(Q, Q * Q, n, CTX)
                  for n in range(6)]
             for n in range(6):

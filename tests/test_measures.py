@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, IncompatiblePair,
-                    MeasureKind, PrecisionContext, SignViolation,
-                    adjudicate_normalization, dual_base, dual_q_extremal,
-                    dual_qinv_extremal, dual_ultra_coeff_rows, dual_ultra_table,
-                    dual_ultra_tables, expected_diagonal, gram_matrix,
-                    hermite_extremal, lattice_normalization, qinv_hermite_coeff_rows,
+from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
+                    PrecisionContext, SignViolation, adjudicate_normalization,
+                    dual_base, dual_q_extremal, dual_qinv_extremal,
+                    dual_ultra_coeff_rows, dual_ultra_table, dual_ultra_tables,
+                    expected_diagonal, gram_matrix, hermite_extremal,
+                    lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
 from qortho.kernel import _pair, as_qparam, qpochhammer, qpochhammer_inf
@@ -26,11 +26,6 @@ TIGHT = mpmath.mpf(2) ** -200
 
 def rel(lhs, rhs):
     return abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
-
-
-def dual_family(measure, ctx=CTX):
-    return FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, measure.q,
-                      measure.family_s(ctx))
 
 
 def sig_digits(s: str) -> int:
@@ -53,11 +48,11 @@ def test_base_measure_flags_and_family_s():
     even = dual_base(1, Q, "even", CTX)
     odd = dual_base(1, Q, "odd", CTX)
     assert not even.is_full_lattice and not odd.is_full_lattice
-    assert even.family_s(CTX) == 1 and odd.family_s(CTX) == 1
+    assert even.family(CTX).s == 1 and odd.family(CTX).s == 1
     herm = hermite_extremal("0.7", Q, CTX)
-    assert herm.is_full_lattice and herm.family_s(CTX) is None
-    assert dual_qinv_extremal("0.7", Q, CTX).family_s(CTX) == 2
-    assert dual_q_extremal("0.7", Q, CTX).family_s(CTX) == Q
+    assert herm.is_full_lattice and herm.family(CTX).s is None
+    assert dual_qinv_extremal("0.7", Q, CTX).family(CTX).s == 2
+    assert dual_q_extremal("0.7", Q, CTX).family(CTX).s == Q
 
 
 def test_hermite_nodes_at_a_equals_q():
@@ -136,9 +131,7 @@ def test_base_mass_matches_degree_zero_diagonal():
 
 def test_hermite_lattice_mass_is_one():
     for q_s, a_s in (("0.5", "0.5"), ("0.5", "0.7"), ("0.3", "0.9")):
-        report = gram_matrix(
-            FamilySpec(FamilyKind.QINV_HERMITE, q_s),
-            hermite_extremal(a_s, q_s, CTX), 0, CTX)
+        report = gram_matrix(hermite_extremal(a_s, q_s, CTX), 0, CTX)
         assert len(report.gram) == 1 and len(report.gram[0]) == 1
         with CTX.workprec():
             assert rel(report.gram[0][0], mpmath.mpf(1)) < CTX.tol
@@ -148,14 +141,11 @@ def test_hermite_lattice_mass_is_one():
 
 
 def test_gram_passes_for_every_measure_kind():
-    herm = hermite_extremal("0.7", Q, CTX)
-    cases = [(FamilySpec(FamilyKind.QINV_HERMITE, Q), herm)]
-    for measure in (dual_base(1, Q, "even", CTX), dual_base(1, Q, "odd", CTX),
+    for measure in (hermite_extremal("0.7", Q, CTX),
+                    dual_base(1, Q, "even", CTX), dual_base(1, Q, "odd", CTX),
                     dual_qinv_extremal("0.7", Q, CTX),
                     dual_q_extremal("0.7", Q, CTX)):
-        cases.append((dual_family(measure), measure))
-    for family, measure in cases:
-        report = gram_matrix(family, measure, 4, CTX)
+        report = gram_matrix(measure, 4, CTX)
         assert report.passed(CTX.tol), measure.kind.value
         assert report.N == 4 and len(report.gram) == 5
         for n in range(5):
@@ -170,20 +160,18 @@ def test_gram_hermite_across_a_values():
     with CTX.workprec():
         root = mpmath.sqrt(Q)
     for a in (Q, root, mpmath.mpf("0.9")):
-        report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q),
-                             hermite_extremal(a, Q, CTX), 4, CTX)
+        report = gram_matrix(hermite_extremal(a, Q, CTX), 4, CTX)
         assert report.passed(CTX.tol)
 
 
 def test_gram_window_and_node_distinctness():
     measure = hermite_extremal("0.7", Q, CTX)
-    report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q), measure, 3, CTX)
+    report = gram_matrix(measure, 3, CTX)
     assert report.m_lo < 0 < report.m_hi
     rendered = [to_decimal(measure.point(m, CTX)[0], 30)
                 for m in range(report.m_lo, report.m_hi + 1)]
     assert len(set(rendered)) == len(rendered)
-    base_report = gram_matrix(dual_family(dual_base(1, Q, "even", CTX)),
-                              dual_base(1, Q, "even", CTX), 3, CTX)
+    base_report = gram_matrix(dual_base(1, Q, "even", CTX), 3, CTX)
     assert base_report.m_lo == 0
 
 
@@ -210,7 +198,7 @@ def test_base_gram_reads_finite_products_only_for_its_diagonals(parity, monkeypa
     measures = [dual_base(1, "0.9", parity, CTX)] + [
         kind(a, "0.9", CTX) for kind in (hermite_extremal, dual_qinv_extremal, dual_q_extremal)]
     for measure in measures:
-        assert gram_matrix(measure.family(CTX), measure, 8, CTX).passed(CTX.tol)
+        assert gram_matrix(measure, 8, CTX).passed(CTX.tol)
         assert calls == [], measure.kind.value
 
 
@@ -231,7 +219,7 @@ def _pair_inputs(monkeypatch, measure, N, ctx):
         return pair_sums(weights, tables, n)
 
     monkeypatch.setattr(measures, "_pair_sums", recording)
-    gram_matrix(measure.family(ctx), measure, N, ctx)
+    gram_matrix(measure, N, ctx)
     monkeypatch.undo()
     assert len(seen) == 1
     return seen[0]
@@ -313,8 +301,7 @@ def test_pair_sums_refuse_what_their_bound_does_not_cover():
 def test_node_hash_separates_a_values():
     hashes = set()
     for a in ("0.6", "0.7", "0.8"):
-        report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q),
-                             hermite_extremal(a, Q, CTX), 2, CTX)
+        report = gram_matrix(hermite_extremal(a, Q, CTX), 2, CTX)
         hashes.add(report.node_hash)
     assert len(hashes) == 3
 
@@ -332,15 +319,16 @@ def test_node_hash_is_formed_only_when_read(monkeypatch):
 
     monkeypatch.setattr(qortho.measures, "to_decimal", counted)
     measure = hermite_extremal("0.8", Q, CTX)
-    report = gram_matrix(measure.family(CTX), measure, 4, CTX)
+    report = gram_matrix(measure, 4, CTX)
     assert rendered == []
     digest = report.node_hash
     assert digest == report.node_hash and len(digest) == 16
     assert rendered == [30] * (report.m_hi - report.m_lo + 1)
 
 
-def window_extension_entries(family, measure, N, report, pad):
+def window_extension_entries(measure, N, report, pad):
     """What a window widened by pad per side would add to each Gram entry."""
+    family = measure.family(CTX)
     extra = list(range(report.m_hi + 1, report.m_hi + pad + 1))
     if measure.is_full_lattice:
         extra += list(range(report.m_lo - pad, report.m_lo))
@@ -362,12 +350,9 @@ def window_extension_entries(family, measure, N, report, pad):
 
 def test_truncation_certificate_honesty():
     # Widening the window must move no entry by more than the certified bound.
-    for family, measure in (
-        (FamilySpec(FamilyKind.QINV_HERMITE, Q), hermite_extremal("0.7", Q, CTX)),
-        (dual_family(dual_base(1, Q, "even", CTX)), dual_base(1, Q, "even", CTX)),
-    ):
-        report = gram_matrix(family, measure, 3, CTX)
-        added = window_extension_entries(family, measure, 3, report, 5)
+    for measure in (hermite_extremal("0.7", Q, CTX), dual_base(1, Q, "even", CTX)):
+        report = gram_matrix(measure, 3, CTX)
+        added = window_extension_entries(measure, 3, report, 5)
         with CTX.workprec():
             assert report.tail_bound > 0
             for n in range(4):
@@ -376,8 +361,7 @@ def test_truncation_certificate_honesty():
 
 
 def test_gram_report_json_schema_and_precision():
-    report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, "0.7"),
-                         hermite_extremal("0.8", "0.7", CTX), 2, CTX)
+    report = gram_matrix(hermite_extremal("0.8", "0.7", CTX), 2, CTX)
     text = report.to_json(CTX.digits)
     assert text == report.to_json(CTX.digits)
     obj = json.loads(text)
@@ -395,8 +379,7 @@ def test_gram_report_json_schema_and_precision():
 
 
 def test_gram_report_csv_layout():
-    report = gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q),
-                         hermite_extremal("0.7", Q, CTX), 2, CTX)
+    report = gram_matrix(hermite_extremal("0.7", Q, CTX), 2, CTX)
     lines = report.to_csv(CTX.digits).splitlines()
     assert lines[0] == "n,nprime,value,expected,residual"
     assert len(lines) == 1 + 9
@@ -404,26 +387,14 @@ def test_gram_report_csv_layout():
 
 
 def test_gram_input_validation():
-    family = FamilySpec(FamilyKind.QINV_HERMITE, Q)
     with pytest.raises(ValueError):
-        gram_matrix(family, hermite_extremal("0.7", Q, CTX), -1, CTX)
-
-
-def test_incompatible_pairs_are_rejected():
-    herm = hermite_extremal("0.7", Q, CTX)
-    with pytest.raises(IncompatiblePair, match="q-inverse Hermite"):
-        gram_matrix(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, Q, 1), herm, 2, CTX)
-    with pytest.raises(IncompatiblePair, match="disagree on q"):
-        gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, "0.6"), herm, 2, CTX)
-    base = dual_base(1, Q, "even", CTX)
-    with pytest.raises(IncompatiblePair, match="dual discrete"):
-        gram_matrix(FamilySpec(FamilyKind.QINV_HERMITE, Q), base, 2, CTX)
-    with pytest.raises(IncompatiblePair, match="requires family s"):
-        gram_matrix(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, Q, "0.25"),
-                    base, 2, CTX)
-    qinv = dual_qinv_extremal("0.7", Q, CTX)
-    with pytest.raises(IncompatiblePair, match="requires family s"):
-        gram_matrix(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, Q, 1), qinv, 2, CTX)
+        gram_matrix(hermite_extremal("0.7", Q, CTX), -1, CTX)
+    # A measure built without its factory still has its q and s checked.
+    with pytest.raises(ValueError, match="q\\^-2"):
+        gram_matrix(DiscreteMeasure(MeasureKind.DUAL_BASE_EVEN, Q, s=5), 2, CTX)
+    with pytest.raises(ValueError):
+        gram_matrix(DiscreteMeasure(MeasureKind.HERMITE_EXTREMAL, mpmath.mpf(2),
+                                    a=mpmath.mpf("0.7")), 2, CTX)
 
 
 # -- normalization adjudication ------------------------------------------------
@@ -463,10 +434,8 @@ def test_gram_evaluates_each_lattice_point_once(monkeypatch, kind):
     q = mpmath.mpf("0.9")
     if kind == "hermite_extremal":
         measure = hermite_extremal("0.95", q, CTX)
-        family = FamilySpec(FamilyKind.QINV_HERMITE, q)
     else:
         measure = dual_base(1, q, "even", CTX)
-        family = dual_family(measure)
     calls = []
     point = DiscreteMeasure.point
 
@@ -475,7 +444,7 @@ def test_gram_evaluates_each_lattice_point_once(monkeypatch, kind):
         return point(self, m, *args, **kwargs)
 
     monkeypatch.setattr(DiscreteMeasure, "point", counted)
-    report = gram_matrix(family, measure, 8, CTX)
+    report = gram_matrix(measure, 8, CTX)
     assert report.passed(CTX.tol)
     assert len(calls) <= report.m_hi - report.m_lo + 3
 
@@ -512,7 +481,7 @@ def test_gram_runs_each_recurrence_once(monkeypatch, kind):
                 lambda: rows.append(n_max) or all_rows())
 
     monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
-    report = gram_matrix(measure.family(CTX), measure, 10, CTX)
+    report = gram_matrix(measure, 10, CTX)
     assert report.passed(CTX.tol)
     assert rows == [] and handles == [10]
     assert points == report.nodes
@@ -540,7 +509,7 @@ def test_gram_forms_recurrence_coefficients_once(monkeypatch, kind):
         measure = hermite_extremal("0.8", Q, CTX)
     else:
         measure = dual_base(1, Q, "even", CTX)
-    assert gram_matrix(measure.family(CTX), measure, 10, CTX).passed(CTX.tol)
+    assert gram_matrix(measure, 10, CTX).passed(CTX.tol)
     assert formed == [10]
 
 
@@ -715,7 +684,7 @@ def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
 
     monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
     measure = _EXTREMAL[kind]("0.9", q_s, ctx)
-    report = gram_matrix(measure.family(ctx), measure, 20, ctx)
+    report = gram_matrix(measure, 20, ctx)
     assert report.passed(ctx.tol)
     (family, amax, ts), = seen
     _assert_is_coefficient_sum(amax, family, 20, ts, ctx)
@@ -788,7 +757,7 @@ def test_majorant_evaluates_few_rows_at_the_scanned_nodes(monkeypatch, kind):
         monkeypatch.setattr(qortho.families, name, lambda n_max, *args: rows.append(n_max))
     monkeypatch.setattr(qortho.measures, "_recurrence", counted_build)
     measure = _EXTREMAL[kind]("0.9", "0.3", CTX)
-    report = gram_matrix(measure.family(CTX), measure, 24, CTX)
+    report = gram_matrix(measure, 24, CTX)
     assert report.passed(CTX.tol)
     window = report.m_hi - report.m_lo + 1
     assert calls and len(runs) == len(calls) + window and rows == []
@@ -972,7 +941,7 @@ def test_diagonal_runs_are_within_their_bound_of_the_closed_forms(q_s, bits):
 def test_point_is_the_gram_windows_node_and_weight(monkeypatch, kind):
     measure = _PAIR_MEASURES[kind](CTX)
     weights, _, _ = _pair_inputs(monkeypatch, measure, 6, CTX)
-    report = gram_matrix(measure.family(CTX), measure, 6, CTX)
+    report = gram_matrix(measure, 6, CTX)
     window = range(report.m_lo, report.m_hi + 1)
     assert len(weights) == len(report.nodes) == len(window)
     for m, node, weight in zip(window, report.nodes, weights):
