@@ -343,6 +343,11 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
     (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1) (1 - s q^(2j+2))).
 
     Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
+
+    At j = 0, s q^2 is the exact product of s, q and q, so 1 - s q^2 is
+    rounded once: it cancels without limit as s -> q^-2, and a rounded
+    s q^2 would lose as many bits.  For j >= 1, s q^(2j+2) < q^(2j) <= q^2,
+    so the rounded product's error grows by at most q^2 / (1 - q^2).
     """
     q_p, s_p = _pair(q), _pair(s, "s")
     pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
@@ -350,7 +355,11 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
     one_plus_q = _add(_ONE, q_p, prec)
     steps = []
     for j in range(n_max):
-        lead = _sub(_ONE, _mul(s_p, pw[o + 2 * j + 2], prec), prec)
+        if j:
+            s_power = _mul(s_p, pw[o + 2 * j + 2], prec)
+        else:
+            s_power = s_p[0] * q_p[0] ** 2, s_p[1] + 2 * q_p[1]
+        lead = _sub(_ONE, s_power, prec)
         if not lead[0]:
             raise DegenerateCoefficient(
                 "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)

@@ -420,6 +420,13 @@ def _oracle_hermite_coeffs(n, q, ctx):
         return cur
 
 
+def dual_lead(s, q, qp, j):
+    """1 - s q^(2j+2) at the ambient precision, s q^2 exact at j = 0."""
+    if j:
+        return 1 - s * qp[2 * j + 2]
+    return 1 - mpmath.fmul(mpmath.fmul(s, q, exact=True), q, exact=True)
+
+
 def _oracle_dual_table(n_max, mu, s, q, ctx):
     q = as_qparam(q, ctx)
     with ctx.workprec():
@@ -431,7 +438,7 @@ def _oracle_dual_table(n_max, mu, s, q, ctx):
         for j in range(n_max):
             c_mid = qp[-2 * j - 1] * (1 + q)
             c_low = qp[-2 * j] * (1 - qp[2 * j])
-            c_lead = qp[-2 * j - 1] * (1 - s * qp[2 * j + 2])
+            c_lead = qp[-2 * j - 1] * dual_lead(s, q, qp, j)
             prev, cur = cur, fused(c_mid - mu, cur, c_low, prev, ctx.bits) / c_lead
             vals.append(cur)
         return vals
@@ -447,7 +454,7 @@ def _oracle_dual_coeffs(n, s, q, ctx):
         for j in range(n):
             c_mid = qp[-2 * j - 1] * (1 + q)
             c_low = qp[-2 * j] * (1 - qp[2 * j])
-            c_lead = qp[-2 * j - 1] * (1 - s * qp[2 * j + 2])
+            c_lead = qp[-2 * j - 1] * dual_lead(s, q, qp, j)
             # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
             prev, cur = cur, [fused_row(c_mid, a, b, c_low, c, ctx.bits) / c_lead
                               for a, b, c in zip(cur + [zero], [zero] + cur, prev + [zero, zero])]

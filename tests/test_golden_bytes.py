@@ -94,12 +94,12 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "ebd677496ef28399a858839c0e9b7a2846f8e68e1ad8578083ae7ede33ab7814",
 )) + _runs(_BASIC, "0.7", (
     "54f978c23af11523e265c8fb715092c01d4634ed34ff13c0aa3f2ce88e1f5b77",
-    "4d0e124fe8f912250e1d7e58678f20831c53f078842016d8d9c4c57683f83081",
+    "6da6d4f4364678f0138fc89dee2a409e333d3105e06102338e364b5b99504ffb",
     "6593e9d06ac3d3131822fe304728223fbcdda2418a1292f602a3ad5782429eff",
     "4da7b782fd4414869f299b13699c7bd654edd1a78dc125a85c075870710e65cf",
     "a2004098250a05c298db44170084efe3d0fca048104bc8ecc88378eedf263169",
     "9077fccc9ee9a7bbbaf9e836c7645fab9b9d99db190edf8548ab8ecf039d070f",
-    "be6385ef04aad32ed0d6c2731cd9bc6049a54f88989bd30e7d4408ff3bd01a2d",
+    "b03142c084d9e24d08504a73f79cf0a11e3e36b1d034f833bd693383e30c1289",
 )) + _runs(_WIDE, "0.5", (
     "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
     "3c7215fcc570e2b1a18ec4deb146c5bd5a899cf277d7b7409b05a39b6c7e4ce8",
@@ -107,7 +107,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "0effded6123b1e4eb88f3e9b7302c82e6e42dfa1bb8d5dfa9f231b403175e403",
 )) + _runs(_WIDE, "0.7", (
     "8e56b6d1046ae520255b8b75550aac0d71ac1aacb75e79fc6585f8a45655c329",
-    "1086d98e964c0d4d0eb99ddd6b52b6d26bade26a1eae883175993fad599fc20b",
+    "f152781036c1b3001be70084c79c9c956633756565dac05f7761bb1cb40b2864",
     "03986eccc5a88182d72e020ddcf481d14f2bc360fbffc35163675399b08ad3c7",
     "881f6bfb5ac73f55ddb9f50001b7f826aa16e2d250e3cadb7e6422cc13d4c333",
 )) + _runs(_EVAL, "0.7", (
@@ -117,9 +117,9 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "51759cb473d8cb471478826ea7cfaab47fd43759decd76029a969715d3fc0d4c",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "131f088b012a640526159cedc8003d90f1f88b9651d0382a918fd73f03e3bfa0",
-    "3139d37acb937695f80f024d1215d4682847469056430d1adf7ed665d74a9e2a",
-    "66877e569d0da95fd2ce7cdd7f2969092366d1d68dd8e63b8200193cae29edd0",
+    "c4426209531ac1f54ce25f54e3293b4a96cdc04a5c0729ea26e22b6c6c4c3370",
+    "8d48a9cb16d09ca93853e74b4491436837f292eb633d6442f19fb545e5bff38b",
+    "89159e69877780b6e009268de894fd1a9647944aae9ed98a29ff932c6563dba3",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
     "b28b661575c44509183ddd9db3f68d91bb883690e42e5dad65c58e7a21851bb7",

@@ -176,6 +176,19 @@ def test_gram_window_and_node_distinctness():
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
+def test_base_gram_passes_next_to_s_at_q_to_the_minus_two(parity):
+    # At s = q^-2 (1 - 2^-70) the leading coefficient 1 - s q^2 of D's first
+    # step is about 2^-70; from a rounded s q^2 it would lose about 70 bits,
+    # and with them the diagonal.
+    with CTX.workprec():
+        q = mpmath.mpf("0.3")
+        s = q ** -2 * (1 - mpmath.ldexp(1, -70))
+    report = gram_matrix(dual_base(s, q, parity, CTX), 4, CTX)
+    assert report.passed(CTX.tol)
+    assert report.diag_rel_err_max < CTX.rounding_floor
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_base_gram_reads_finite_products_only_for_its_diagonals(parity, monkeypatch):
     """A Gram of any kind makes no kernel.qpochhammer call: its weights and
     its closed-form diagonals are both stepped runs.  Each parity checks its
