@@ -34,16 +34,17 @@ every coefficient row up to n_max, from steps formed once.  The
 single-point and single-degree functions (*_table, *_coeffs, qinv_hermite,
 dual_ultra) take one point or row of these, so every route gives the same
 value bit for bit.  Both families run in one loop, _three_term, on steps
-(c_mid, c_low, c_lead): D's from _dual_steps, and h's (0, -low_j/2, -1/2)
-from _hermite_steps, which make h's step 2x h_j - low_j h_{j-1} because
-scaling by -1/2 is exact (_recurrence has the argument).  The step is
-fused: its two products are exact and their difference is rounded once,
-so a D step rounds three times (c_mid - mu, the difference, the quotient)
-and an h step once.  _recurrence is the one handle on the loop that the
-rest of the package reads: the values at any point, for the tables and a
-Gram's pair sums; the majorant A(t) that certifies a Gram's window, the
-same loop at |h_n(it)| and D_n(-t); and the coefficient rows, the same step
-on coefficient lists.  It also checks D's s.
+(c_mid, c_low, r), r the reciprocal of the lead c_lead: D's from
+_dual_steps, and h's (0, -low_j/2, -2) from _hermite_steps, which make h's
+step 2x h_j - low_j h_{j-1} because scaling by -2 is exact (_recurrence has
+the argument).  One rounding per step, reciprocal at bits + 64: c_mid - p,
+the two products and their difference are exact, and their product with
+r is rounded once; r is the rounded c_lead inverted once per step list at
+bits + 64, exactly -2 for h.  _recurrence is the one handle on the loop
+that the rest of the package reads: the values at any point, for the
+tables and a Gram's pair sums; the majorant A(t) that certifies a Gram's
+window, the same loop at |h_n(it)| and D_n(-t); and the coefficient rows,
+the same step on coefficient lists.  It also checks D's s.
 
 Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
@@ -65,8 +66,8 @@ import functools
 import mpmath
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub,
-                     as_qparam, basic_hypergeometric, power_run)
+                     _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _rounded,
+                     _sub, as_qparam, basic_hypergeometric, power_run)
 
 
 class DegenerateCoefficient(Exception):
@@ -225,15 +226,16 @@ def qinv_hermite_tables(n_max: int, xs, q,
 
 
 def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
-    """The steps (0, -q^-j (1 - q^j) / 2, -1/2) of _three_term for j < n_max,
-    which make its step h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}."""
+    """The steps (0, -q^-j (1 - q^j) / 2, -2) of _three_term for j < n_max,
+    -2 the reciprocal of the lead -1/2, which make its step
+    h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}."""
     pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)   # pw[k + n_max - 1] = q^k
     top = n_max - 1
     steps = []
     for j in range(n_max):
         m, e = _mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec)
-        # (-1, -1) is -1/2, and halving a pair is exact
-        steps.append((_ZERO, (-m, e - 1), (-1, -1)))
+        # halving a pair is exact, and (-1, 1) is -2
+        steps.append((_ZERO, (-m, e - 1), (-1, 1)))
     return steps
 
 
@@ -340,7 +342,10 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
     """The mu-free factors of each step j < n_max of the D recurrence, as pairs:
-    (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), q^(-2j-1) (1 - s q^(2j+2))).
+    (c_mid, c_low, r) = (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), 1 / c_lead),
+    c_lead = q^(-2j-1) (1 - s q^(2j+2)) rounded to prec as each factor is,
+    and its reciprocal r rounded once to prec + 64 bits, so r adds relative
+    2^-(prec+64) to the rounded c_lead's error.
 
     Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
 
@@ -365,7 +370,7 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
                 "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
         steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
                       _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
-                      _mul(pw[o - 2 * j - 1], lead, prec)))
+                      _div(_ONE, _mul(pw[o - 2 * j - 1], lead, prec), prec + 64)))
     return steps
 
 
@@ -408,46 +413,82 @@ def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
 
 
 def _three_term(p: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
-                prec: int) -> list[tuple[int, int]]:
+                prec: int, low_sign: int = 1) -> list[tuple[int, int]]:
     """[P_0, ..., P_n] at one point, n = len(steps), from the pair p and the
-    steps (c_mid, c_low, c_lead): P_{j+1} = ((c_mid - p) P_j - c_low P_{j-1}) / c_lead.
+    steps (c_mid, c_low, r), r a reciprocal of c_lead:
+    P_{j+1} = ((c_mid - p) P_j - low_sign c_low P_{j-1}) r.
+    low_sign = -1 runs the steps with c_low negated (h's majorant).
 
-    c_mid - p is rounded to prec, the two products are exact, their
-    difference is rounded once and the quotient once: three roundings a
-    step, one when c_mid = 0 and c_lead is a power of two.
+    One rounding a step: c_mid - p, the two products and their difference
+    are exact, and their product with r is rounded once to prec.  So each
+    value is the exact step on the computed P_j and P_{j-1} and the steps'
+    coefficients, times (1 + e) with |e| <= 2^-prec.  Where the exponents
+    of c_mid and p, or of the two products, are more than 2 prec apart,
+    _exact_sub rounds that difference once to 2 prec bits (through _sub's
+    sticky path), which keeps every integer at O(prec) bits: the exact step
+    then moves by at most 2^-(2 prec) |(c_mid - p) P_j r|, or by 2^-(2 prec)
+    of itself, before its rounding.  The exact branch of _exact_sub is
+    written out in the loop, which saves two calls a step.
     """
     vals = [_ONE]
-    prev, cur = _ZERO, _ONE
-    minus_p = -p[0], p[1]
-    d_at_zero = _round(minus_p, prec)   # c_mid - p at c_mid = 0, as in every h step
-    for c_mid, c_low, c_lead in steps:
-        d = _add(c_mid, minus_p, prec) if c_mid[0] else d_at_zero
-        # the exact products (c_mid - p) P_j and -c_low P_{j-1}, summed and
-        # rounded once
-        up = d[0] * cur[0], d[1] + cur[1]
-        minus_down = -c_low[0] * prev[0], c_low[1] + prev[1]
-        prev, cur = cur, _div(_add(up, minus_down, prec), c_lead, prec)
-        vals.append(cur)
+    pm, pe = p
+    wide = 2 * prec
+    prev_m = prev_e = cur_e = 0
+    cur_m = 1
+    for (mm, em), (ml, el), (mr, er) in steps:
+        # d = c_mid - p
+        gap = em - pe
+        if not mm:
+            dm, de = -pm, pe
+        elif 0 <= gap <= wide:
+            dm, de = (mm << gap) - pm, pe
+        elif -wide <= gap < 0:
+            dm, de = mm - (pm << -gap), em
+        else:
+            dm, de = _exact_sub((mm, em), p, prec)
+        # n = d P_j - low_sign c_low P_{j-1}
+        um, ue = dm * cur_m, de + cur_e
+        wm, we = (ml * prev_m if low_sign > 0 else -ml * prev_m), el + prev_e
+        gap = ue - we
+        if not wm:
+            nm, ne = um, ue
+        elif 0 <= gap <= wide:
+            nm, ne = (um << gap) - wm, we
+        elif -wide <= gap < 0:
+            nm, ne = um - (wm << -gap), ue
+        else:
+            nm, ne = _exact_sub((um, ue), (wm, we), prec)
+        prev_m, prev_e = cur_m, cur_e
+        cur_m, cur_e = _rounded(nm * mr, ne + er, prec)
+        vals.append((cur_m, cur_e))
     return vals
 
 
-def _exact_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a - b for pairs, exactly."""
+def _exact_sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
+    """a - b for pairs, exactly when a or b is 0 or their exponents are at
+    most 2 prec apart; else _sub's a - b rounded once to 2 prec bits, whose
+    sticky path keeps the shift bounded."""
     (ma, ea), (mb, eb) = a, b
     if not mb:
         return a
     if not ma:
         return -mb, eb
     if ea < eb:
+        if eb - ea > 2 * prec:
+            return _sub(a, b, 2 * prec)
         return ma - (mb << (eb - ea)), ea
+    if ea - eb > 2 * prec:
+        return _sub(a, b, 2 * prec)
     return (ma << (ea - eb)) - mb, eb
 
 
 def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     """(values, majorant, rows) of h or D up to degree n_max, on pairs at ctx.bits.
 
-    The node-independent steps (_hermite_steps or _dual_steps) are formed
-    once and serve all three closures, each of which runs _three_term's step:
+    The node-independent steps (_hermite_steps or _dual_steps), with the
+    reciprocal of each lead, are formed once, and that one list serves all
+    three closures, each of which runs _three_term's step, one rounding a
+    step, with the reciprocal at bits + 64:
     - values(p) is [P_0(p), ..., P_{n_max}(p)] as pairs at an mpf p of at
       most ctx.bits bits, x for h and mu for D; ValueError naming it when p
       is inf or nan;
@@ -463,10 +504,13 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     ValueError unless 0 < s < q^-2, at ctx.bits.  n_max = 0 reads no s.
 
     h's step 2x h_j - low_j h_{j-1} is the D step with c_mid = 0,
-    c_low = -low_j/2 and c_lead = -1/2.  Negating and halving a pair are
-    exact and pair exponents are unbounded, so for x of at most ctx.bits
-    bits the fused step rounds -x h_j + (low_j/2) h_{j-1} once, and the
-    exact division by -1/2 makes that 2x h_j - low_j h_{j-1} rounded once.
+    c_low = -low_j/2 and c_lead = -1/2, whose reciprocal -2 is exact.
+    Negating and halving a pair are exact and pair exponents are unbounded,
+    and scaling by -2 commutes with rounding, so for x of at most ctx.bits
+    bits the step is 2x h_j - low_j h_{j-1} rounded once.  D's step rounds
+    ((c_mid - mu) D_j - c_low D_{j-1}) r once, r = 1/c_lead rounded at
+    bits + 64 from the c_lead rounded to bits, so r adds relative
+    2^-(bits+64) to the error of the rounded lead and nothing more.
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -484,26 +528,27 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     and A_n(t) = D_n(-t; s, q) > 0, the D steps at p = -t.  One pass of the
     loop gives A_0(t), ..., A_N(t), so a point costs n_max steps and no
     coefficient row is formed.  Measured against sums of |c_nj| t^j formed
-    at four times the precision, over q in [0.05, 0.999], n_max <= 30, t in
-    [2^-30, 2^300] and bits in {256, 1024}, A(t) is within relative 7 u for
-    h and 1,100 u for D, u = 2^-bits; that rounding is not yet part of the
-    Gram window's tail certificate.
+    at four times the precision, over q in {0.05, 0.1, 0.2, 0.3, 0.5, 0.7,
+    0.9, 0.99, 0.999}, s in {q, 1, 1/q, 0.45, 0.9 q^-2}, n_max <= 30, t from
+    2^-30 to 2^300 and bits in {256, 1024}, A(t) is within relative 13 u
+    for h and 390 u for D, u = 2^-bits (largest at q = 0.2 and at q = 0.999
+    with s = 1/q); that rounding is not yet part of the Gram window's tail
+    certificate.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(family.q, ctx)
     prec = ctx.bits
     if family.kind is FamilyKind.QINV_HERMITE:
+        # H_n(t) = |h_n(it)|: the steps at t with c_low negated
         name, sign, steps = "x", 1, _hermite_steps(n_max, q, prec)
-        # H_n(t) = |h_n(it)|: c_low negated, which is exact
-        major = [(c_mid, (-m, e), c_lead) for c_mid, (m, e), c_lead in steps]
     else:
         with ctx.workprec():
             s = mpmath.mpf(family.s)
             steps = _dual_steps(n_max, s, q, prec)
             if steps:   # D_0 = 1 reads no s
                 check_dual_s(s, q)
-        name, sign, major = "mu", -1, steps   # A_n(t) = D_n(-t)
+        name, sign = "mu", -1   # A_n(t) = D_n(-t)
 
     def values(p: QReal) -> list[tuple[int, int]]:
         return _three_term(_pair(p, name), steps, prec)
@@ -511,18 +556,18 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     def majorant(t: QReal) -> QReal:
         m, e = _pair(t, "t")
         best = _ZERO
-        for v in _three_term((sign * m, e), major, prec):
+        for v in _three_term((sign * m, e), steps, prec, -sign):
             if _abs_lt(best, v):
                 best = v
         return _mpf(best)
 
     def term(step, a, b, c) -> tuple[int, int]:
-        # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) / c_lead: the two
-        # coefficients c_mid a - b and c_low c exact, their difference
-        # rounded once, as in _three_term
-        (mm, em), (ml, el), c_lead = step
-        up = _exact_sub((mm * a[0], em + a[1]), b)
-        return _div(_sub(up, (ml * c[0], el + c[1]), prec), c_lead, prec)
+        # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) r: c_mid a - b - c_low c
+        # exact, its product with r rounded once, as in _three_term
+        (mm, em), (ml, el), (mr, er) = step
+        up = _exact_sub((mm * a[0], em + a[1]), b, prec)
+        nm, ne = _exact_sub(up, (ml * c[0], el + c[1]), prec)
+        return _rounded(nm * mr, ne + er, prec)
 
     def rows() -> list[list[tuple[int, int]]]:
         out, prev = [[_ONE]], []

@@ -39,12 +39,13 @@ operands rounded to the precision of the addition or to less, so a loop on
 pairs that makes the operations an mpf operator expression would make, in
 the same order and at the same precisions, gives that expression's values
 bit for bit, without mpmath's normalisation of every intermediate value.
-The three-term recurrence step of families adds exact products of up to
-2 prec bits instead: it gives the exact expression rounded once (libmp at
-prec=0, then mpf_pos), which no mpf operator expression does.  A division
-by +-2^k is a shift and one rounding.  A pair holds no inf or nan:
-_pair raises ValueError on them, so every evaluator rejects non-finite
-arguments.  Integer powers that a loop needs in a run, x^lo, ..., x^hi, come
+The three-term recurrence step of families makes one rounding per step,
+with a reciprocal lead at bits + 64: it forms c_mid - p, two products and
+their difference exactly, and rounds their product with the reciprocal
+once (libmp at prec=0, then mpf_pos), which no mpf operator expression
+does.  A division by +-2^k is a shift and one rounding.  A pair holds no
+inf or nan: _pair raises ValueError on them, so every evaluator rejects
+non-finite arguments.  Integer powers that a loop needs in a run, x^lo, ..., x^hi, come
 from power_run: one multiplication per power at 32 guard bits, each value
 rounded once, under the product bound proved in its docstring.
 

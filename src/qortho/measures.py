@@ -592,13 +592,19 @@ class GramReport:
 def _residuals(gram: list[list[QReal]], diag: list[QReal]) -> list[list[QReal]]:
     """The residuals the checks compare with tol: |G_nn - d_n| / |d_n| on the
     diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|) off it, each root formed
-    once per degree."""
-    roots = [mpmath.sqrt(abs(d)) for d in diag]
+    once per degree in mpf.  The rest runs on pairs at the working
+    precision, whose operations round as mpf's do on these operands (all of
+    at most that precision), so the values are those of the mpf expression."""
+    prec = mpmath.mp.prec
+    roots = [_pair(mpmath.sqrt(abs(d))) for d in diag]
+    diag_pairs = [_pair(d) for d in diag]
 
     def residual(n: int, np_: int) -> QReal:
         if n == np_:
-            return abs(gram[n][n] - diag[n]) / abs(diag[n])
-        return abs(gram[n][np_]) / (roots[n] * roots[np_])
+            (m, e), (dm, de) = _sub(_pair(gram[n][n]), diag_pairs[n], prec), diag_pairs[n]
+            return _mpf(_div((abs(m), e), (abs(dm), de), prec))
+        m, e = _pair(gram[n][np_])
+        return _mpf(_div((abs(m), e), _mul(roots[n], roots[np_], prec), prec))
 
     return _symmetric(len(diag), residual)
 

@@ -1,8 +1,8 @@
 """Polynomial families: series vs recurrence routes, structure, edge cases."""
 import mpmath
 import pytest
-from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_pos,
-                          mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_mul, mpf_neg, mpf_pos, mpf_shift,
+                          mpf_sub, round_nearest)
 
 from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     PrecisionContext, as_qparam, discrete_ultra, dual_ultra,
@@ -12,10 +12,8 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     qinv_hermite_coeff_rows, qinv_hermite_coeffs,
                     qinv_hermite_series, qinv_hermite_table,
                     qinv_hermite_tables, to_decimal)
-from qortho.families import (_dual_steps, _hermite_coefficients, _hermite_sum,
-                              _recurrence)
-from qortho.kernel import (_ONE, _ZERO, _abs_lt, _div, _mpf, _mul, _pair, _sub,
-                           power_run)
+from qortho.families import _hermite_coefficients, _hermite_sum, _recurrence
+from qortho.kernel import _ONE, _ZERO, _mpf, _mul, _pair, _sub, power_run
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -356,14 +354,15 @@ def test_evaluate_dispatch_errors():
 
 # -- batched recurrences against the per-node formulas ------------------------
 #
-# The oracles below are the per-node and per-degree recurrences the batched
-# evaluators replaced, with each step fused: the products of the step and
-# their difference are formed exactly with libmp at prec=0 and rounded once
-# with mpf_pos, then divided by c_lead.  The coefficients are formed as the
-# batched evaluators form them, so the batched values must equal the
-# oracles bit for bit.  Each integer power q^k is read from the map
-# P(q, bits), whose values are those of power_run at bits; the value of q^k
-# does not depend on the run's ends.
+# The h oracles below are the per-node and per-degree recurrences the
+# batched evaluators replaced, with each step fused: the products of the
+# step and their difference are formed exactly with libmp at prec=0 and
+# rounded once with mpf_pos.  The coefficients are formed as the batched
+# evaluators form them, so the batched values must equal the oracles bit
+# for bit.  D's values and rows are checked against D's exact run below.
+# Each integer power q^k is read from the map P(q, bits), whose values are
+# those of power_run at bits; the value of q^k does not depend on the run's
+# ends.
 
 
 def P(x, bits, reach=64):
@@ -380,12 +379,6 @@ def once(value, prec):
 def fused(a, b, c, d, prec):
     """a b - c d for mpfs, the products and difference exact, rounded once."""
     return once(mpf_sub(mpf_mul(a._mpf_, b._mpf_), mpf_mul(c._mpf_, d._mpf_)), prec)
-
-
-def fused_row(c_mid, a, b, c_low, c, prec):
-    """c_mid a - b - c_low c for mpfs, exact, rounded once."""
-    return once(mpf_sub(mpf_sub(mpf_mul(c_mid._mpf_, a._mpf_), b._mpf_),
-                        mpf_mul(c_low._mpf_, c._mpf_)), prec)
 
 
 def _oracle_hermite_table(n_max, x, q, ctx):
@@ -420,47 +413,6 @@ def _oracle_hermite_coeffs(n, q, ctx):
         return cur
 
 
-def dual_lead(s, q, qp, j):
-    """1 - s q^(2j+2) at the ambient precision, s q^2 exact at j = 0."""
-    if j:
-        return 1 - s * qp[2 * j + 2]
-    return 1 - mpmath.fmul(mpmath.fmul(s, q, exact=True), q, exact=True)
-
-
-def _oracle_dual_table(n_max, mu, s, q, ctx):
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        mu = mpmath.mpf(mu)
-        s = mpmath.mpf(s)
-        qp = P(q, ctx.bits)
-        vals = [mpmath.mpf(1)]
-        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
-        for j in range(n_max):
-            c_mid = qp[-2 * j - 1] * (1 + q)
-            c_low = qp[-2 * j] * (1 - qp[2 * j])
-            c_lead = qp[-2 * j - 1] * dual_lead(s, q, qp, j)
-            prev, cur = cur, fused(c_mid - mu, cur, c_low, prev, ctx.bits) / c_lead
-            vals.append(cur)
-        return vals
-
-
-def _oracle_dual_coeffs(n, s, q, ctx):
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        s = mpmath.mpf(s)
-        qp = P(q, ctx.bits)
-        zero = mpmath.mpf(0)
-        prev, cur = [], [mpmath.mpf(1)]
-        for j in range(n):
-            c_mid = qp[-2 * j - 1] * (1 + q)
-            c_low = qp[-2 * j] * (1 - qp[2 * j])
-            c_lead = qp[-2 * j - 1] * dual_lead(s, q, qp, j)
-            # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
-            prev, cur = cur, [fused_row(c_mid, a, b, c_low, c, ctx.bits) / c_lead
-                              for a, b, c in zip(cur + [zero], [zero] + cur, prev + [zero, zero])]
-        return cur
-
-
 def raw(values):
     return [v._mpf_ for v in values]
 
@@ -490,6 +442,175 @@ def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
         assert raw(qinv_hermite_coeffs(n, q, ctx)) == want
 
 
+# -- D's recurrence against its exact run ---------------------------------------
+#
+# D's step rounds ((c_mid - mu) D_j - c_low D_{j-1}) r once, r the reciprocal
+# of the rounded c_lead at bits + 64, so no mpf expression gives its values
+# bit for bit.  The oracle runs the recurrence exactly instead, in integers,
+# from the exact values of q, s and the point (dyadic rationals), and holds
+# the computed values to a running-error bound (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., §3.3).  With q = a 2^-z and
+# s = sigma 2^-w, step j over the common denominator den = a^(2j+1) 2^(w+z)
+# has the integers
+#
+#   mid  = c_mid den  = 2^(2jz+w+z) (2^z + a)
+#   low  = c_low den  = a (2^(2jz) - a^(2j)) 2^(w+z)
+#   lead = c_lead den = 2^(w+(2j+2)z) - sigma a^(2j+2)
+#
+# and the computed step is ((c_mid + dm - p) P_j - (c_low + dl) P_{j-1})
+# (1 + g) (1 + e) / c_lead on the computed P_j and P_{j-1}, with
+# |dm| <= rm c_mid, |dl| <= rl c_low, |g| the relative error of r as
+# 1/c_lead and |e| <= 2^-prec the step's one rounding.  Each bound comes
+# from the roundings that form the factor in _dual_steps: power_run's
+# bound on each power of q (2^-prec + 1.01 r(k) 2^-(prec+32)), 2^-prec per
+# product, sum and difference, and for 1 - q^(2j) and 1 - s q^(2j+2) the
+# error of the rounded power times q^(2j) / (1 - q^(2j)) or
+# s q^(2j+2) / (1 - s q^(2j+2)).  At j = 0, s q^2 is exact, so 1 - s q^2
+# carries one rounding and no such factor.  With N the exact step's
+# numerator on the computed values, the step's own error is at most
+#
+#   beta_j = ((G - 1) |N| + G (rm c_mid |P_j| + rl c_low |P_{j-1}|)) / c_lead,
+#
+# G = (1 + g)(1 + 2^-prec), and the error of P_{j+1} is at most
+# E_{j+1} = (|c_mid - p| E_j + c_low E_{j-1}) / c_lead + beta_j.  The rows
+# run the same step with p P_j replaced by P_j's coefficients moved up one
+# degree.  The bounds are formed in 128-bit mpf, whose roundings SLACK
+# covers.
+
+SLACK = 1 + mpmath.ldexp(1, -100)
+
+
+def _exact_dual_steps(n_max, s, q, prec):
+    """Per step j < n_max of D: (mid, low, lead, den, rm, rl, G - 1) as above."""
+    a, z = _pair(q)
+    z = -z
+    sigma, w = _pair(s)
+    sigma, w = (sigma << w, 0) if w >= 0 else (sigma, -w)
+    steps = []
+    with mpmath.mp.workprec(128):
+        u = mpmath.ldexp(1, -prec)
+
+        def rho(k):   # power_run's bound on q^k
+            r = k - 1 if k > 0 else -k
+            return u + mpmath.mpf(1.01) * r * mpmath.ldexp(1, -prec - 32)
+
+        for j in range(n_max):
+            a2j = a ** (2 * j)
+            s_power = sigma * a2j * a * a
+            lead = (1 << (w + (2 * j + 2) * z)) - s_power
+            rm = _grown(rho(-2 * j - 1), u, u)
+            if j:
+                rl = _grown(rho(-2 * j), u, u,
+                            rho(2 * j) * _size(a2j) / _size((1 << 2 * j * z) - a2j))
+                err = _grown(rho(2 * j + 2), u)   # of the rounded s q^(2j+2)
+                rd = _grown(rho(-2 * j - 1), u, u, err * _size(s_power) / _size(lead))
+            else:
+                rl = 0
+                rd = _grown(rho(-1), u, u)
+            g = (mpmath.ldexp(1, -prec - 64) + rd) / (1 - rd)
+            steps.append(((2 ** z + a) << (2 * j * z + w + z),
+                          a * ((1 << 2 * j * z) - a2j) << (w + z),
+                          lead, a2j * a << (w + z), rm, rl, _grown(g, u)))
+    return steps
+
+
+def _grown(*bounds):
+    """prod (1 + b) - 1 over the relative bounds b >= 0, formed without
+    adding them to 1."""
+    total = 0
+    for b in bounds:
+        total += b + total * b
+    return total
+
+
+def _dyadic_sum(*terms):
+    """The exact sum of terms (k, (m, e)), each k m 2^e, as a pair."""
+    lo = min(e for _, (_, e) in terms)
+    return sum(k * m << (e - lo) for k, (m, e) in terms), lo
+
+
+def _size(x):
+    """|x| for an int or a pair, rounded up to 128 bits, as an mpf (mpf's own
+    conversion of an int of 10^5 bits takes milliseconds)."""
+    m, e = (x, 0) if isinstance(x, int) else x
+    m, cut = abs(m), abs(m).bit_length() - 128
+    if cut > 0:
+        m, e = (m >> cut) + 1, e + cut
+    return mpmath.ldexp(m, e)
+
+
+def _within(x, num, den, bound):
+    """|x - num / den| <= bound for a pair x, ints num and den > 0 and an mpf
+    bound, decided exactly."""
+    (m, e), (bm, be) = x, _pair(bound)
+    lo = min(e, be, 0)
+    return abs((m * den << (e - lo)) - (num << -lo)) <= bm * den << (be - lo)
+
+
+def _check_step(step, got, n, up, low_value, scale):
+    """beta_j of one step, after asserting that the computed value got is
+    within it of the exact step n / (lead 2^scale) on the computed values;
+    up is the computed value c_mid multiplies, low_value the one c_low does."""
+    mid, low, lead, _, rm, rl, g1 = step
+    k = lead << scale
+    coeffs = rm * _size(mid << scale) * _size(up) + rl * _size(low << scale) * _size(low_value)
+    beta = (g1 * _size(n) + coeffs + g1 * coeffs) / k
+    assert _size(_dyadic_sum((k, got), (-1, n))) <= beta * k * SLACK
+    return beta
+
+
+def _check_dual_values(steps, p, got, exact):
+    """Assert that each computed step of D at p is within beta_j of the
+    exact step on the computed values and, when exact, that each computed
+    D_j(p) in got (pairs) is within E_j of the exact D_j(p)."""
+    pm, pe = _pair(p)
+    pi, v = (pm << pe, 0) if pe >= 0 else (pm, -pe)   # p = pi 2^-v
+    x0, x1, k0, den_run = 0, 1, 1, 1                  # D_j(p) = x1 / den_run
+    with mpmath.mp.workprec(128):
+        e0 = e1 = mpmath.mpf(0)
+        for j, step in enumerate(steps):
+            mid, low, lead, den = step[:4]
+            a, b, k = (mid << v) - pi * den, low << v, lead << v
+            prev = got[j - 1] if j else _ZERO
+            n = _dyadic_sum((a, got[j]), (-b, prev))
+            beta = _check_step(step, got[j + 1], n, got[j], prev, v)
+            if exact:
+                e0, e1 = e1, (_size(a) * e1 + _size(b) * e0) / k + beta
+                x0, x1 = x1, a * x1 - b * k0 * x0
+                k0, den_run = k, den_run * k
+                assert _within(got[j + 1], x1, den_run, e1 * SLACK), (j, p)
+
+
+def _check_dual_rows(steps, rows, exact):
+    """_check_dual_values for the coefficient rows (pairs) of D."""
+    def at(row, i):
+        return row[i] if 0 <= i < len(row) else _ZERO
+
+    def int_at(row, i):
+        return row[i] if 0 <= i < len(row) else 0
+
+    y0, y1, k0, den_run = [], [1], 1, 1   # row j = y1 / den_run
+    with mpmath.mp.workprec(128):
+        e0, e1 = [], [mpmath.mpf(0)]
+        for j, step in enumerate(steps):
+            mid, low, lead, den = step[:4]
+            cur, prev, y, e = rows[j], rows[j - 1] if j else [], [], []
+            for i in range(j + 2):
+                n = _dyadic_sum((mid, at(cur, i)), (-den, at(cur, i - 1)), (-low, at(prev, i)))
+                beta = _check_step(step, rows[j + 1][i], n, at(cur, i), at(prev, i), 0)
+                if exact:
+                    y.append(mid * int_at(y1, i) - den * int_at(y1, i - 1)
+                             - low * k0 * int_at(y0, i))
+                    e.append((_size(mid) * (e1[i] if i <= j else 0)
+                              + _size(den) * (e1[i - 1] if i else 0)
+                              + _size(low) * (e0[i] if i < j else 0)) / lead + beta)
+            if exact:
+                y0, y1, k0, den_run = y1, y, lead, den_run * lead
+                e0, e1 = e1, e
+                for i, c in enumerate(rows[j + 1]):
+                    assert _within(c, y1[i], den_run, e1[i] * SLACK), (j, i)
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.3", "0.5", "0.7", "0.9", "0.99"])
 def test_batched_dual_recurrences_match_per_node_formulas(q_s, bits):
@@ -501,18 +622,17 @@ def test_batched_dual_recurrences_match_per_node_formulas(q_s, bits):
         with ctx.workprec():
             mus = [mu_point(x, s, q, ctx).mu for x in (0, 1, 2, 5, "2.5")]
             mus += [mpmath.mpf(v) for v in ("-4", "0", "1.375")]
+        steps = _exact_dual_steps(ORACLE_N, s, q, bits)
         tables = dual_ultra_tables(ORACLE_N, mus, s, q, ctx)
         assert len(tables) == len(mus)
         for mu, table in zip(mus, tables):
-            want = raw(_oracle_dual_table(ORACLE_N, mu, s, q, ctx))
-            assert raw(table) == want
-            assert raw(dual_ultra_table(ORACLE_N, mu, s, q, ctx)) == want
+            assert raw(dual_ultra_table(ORACLE_N, mu, s, q, ctx)) == raw(table)
+            _check_dual_values(steps, mu, [_pair(v) for v in table], exact=True)
         rows = dual_ultra_coeff_rows(ORACLE_N, s, q, ctx)
         assert len(rows) == ORACLE_N + 1
         for n, row in enumerate(rows):
-            want = raw(_oracle_dual_coeffs(n, s, q, ctx))
-            assert raw(row) == want
-            assert raw(dual_ultra_coeffs(n, s, q, ctx)) == want
+            assert raw(dual_ultra_coeffs(n, s, q, ctx)) == raw(row)
+        _check_dual_rows(steps, [[_pair(c) for c in row] for row in rows], exact=True)
 
 
 def test_batched_recurrences_edge_cases():
@@ -533,16 +653,17 @@ def test_batched_recurrences_edge_cases():
 
 # -- the shared three-term loop against the per-family loops -----------------
 #
-# The oracle is a loop per family, written in libmp on raw mpf tuples, with
-# h's low coefficients and D's steps formed as the package forms them.  h
-# runs 2x h_j - low_j h_{j-1} with the doubling done on the exponent, and
-# its majorant runs that loop at x = t with low_j negated; D runs
-# ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead with c_mid - mu rounded, and
-# its majorant runs D's loop at mu = -t.  Each step forms its products and
-# their difference exactly (libmp at prec=0) and rounds them once with
-# mpf_pos, and the rows do the same per coefficient.  Values are compared
-# as mpf, since the shared loop's exact division by -1/2 leaves h's pairs
-# with prec-bit mantissas.
+# h's oracle is its own loop, written in libmp on raw mpf tuples, with h's
+# low coefficients formed as the package forms them.  h runs
+# 2x h_j - low_j h_{j-1} with the doubling done on the exponent, and its
+# majorant runs that loop at x = t with low_j negated.  Each step forms its
+# products and their difference exactly (libmp at prec=0) and rounds them
+# once with mpf_pos, and the rows do the same per coefficient.  Values are
+# compared as mpf, since the shared loop's exact scaling by -2 leaves h's
+# pairs with prec-bit mantissas.  D's steps are held to the bound beta_j of
+# the exact step on the computed values (_check_dual_values; running D
+# exactly to degree 30 at 1024 bits takes integers of about 10^6 bits), and
+# its majorant at t is the largest |D_n(-t)| of the same loop.
 
 
 def _old_hermite_low(n_max, q, prec):
@@ -563,17 +684,6 @@ def _hermite_loop(two_x, low, prec):
     prev, cur = _ZERO_RAW, _ONE_RAW
     for c_low in low:
         prev, cur = cur, _round_once(mpf_sub(mpf_mul(two_x, cur), mpf_mul(c_low, prev)), prec)
-        vals.append(cur)
-    return vals
-
-
-def _dual_loop(mu, steps, prec):
-    vals = [_ONE_RAW]
-    prev, cur = _ZERO_RAW, _ONE_RAW
-    for c_mid, c_low, c_lead in steps:
-        up = mpf_mul(mpf_sub(c_mid, mu, prec, round_nearest), cur)
-        diff = _round_once(mpf_sub(up, mpf_mul(c_low, prev)), prec)
-        prev, cur = cur, mpf_div(diff, c_lead, prec, round_nearest)
         vals.append(cur)
     return vals
 
@@ -605,21 +715,6 @@ def _old_recurrence(family, n_max, ctx):
             # [x^i] of 2x h_j - low_j h_{j-1}
             return _round_once(mpf_sub(mpf_shift(b, 1), mpf_mul(c_low, c)), prec)
         steps = low
-    else:
-        steps = [tuple(_mpf(c)._mpf_ for c in step)
-                 for step in _dual_steps(n_max, family.s, q, prec)]
-
-        def values(p):
-            return _dual_loop(p._mpf_, steps, prec)
-
-        def sums(t):
-            return _dual_loop(mpf_neg(t._mpf_), steps, prec)
-
-        def term(step, a, b, c):
-            # [mu^i] of ((c_mid - mu) D_j - c_low D_{j-1}) / c_lead
-            c_mid, c_low, c_lead = step
-            diff = _round_once(mpf_sub(mpf_sub(mpf_mul(c_mid, a), b), mpf_mul(c_low, c)), prec)
-            return mpf_div(diff, c_lead, prec, round_nearest)
 
     def mpf_values(p):
         return [mpmath.mp.make_mpf(v) for v in values(p)]
@@ -658,12 +753,39 @@ def test_three_term_loop_matches_the_per_family_loops(q_s, bits, n_max):
         if family.s is not None:
             with ctx.workprec():
                 grid = [mu_point(x, family.s, q, ctx).mu for x in (0, 3)]
+            new = _recurrence(family, n_max, ctx)
+            steps = _exact_dual_steps(n_max, family.s, q, bits)
+            for p in points + grid:
+                _check_dual_values(steps, p, new[0](p), exact=False)
+            for t in ts:
+                with ctx.workprec():
+                    assert new[1](t) == max(abs(v) for v in mpfs(new[0](-t))), (family, t)
+            _check_dual_rows(steps, new[2](), exact=False)
+            continue
         new, old = _recurrence(family, n_max, ctx), _old_recurrence(family, n_max, ctx)
         for p in points + grid:
             assert mpfs(new[0](p)) == old[0](p), (family, p)
         for t in ts:
             assert new[1](t) == old[1](t), (family, t)
         assert [mpfs(row) for row in new[2]()] == old[2](), family
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("exponent", [10 ** 9, -10 ** 9])
+def test_three_term_loop_is_accurate_at_far_exponents(exponent, sign):
+    # p = +-3 2^(+-10^9): c_mid - p, and the step's two products, have
+    # exponents about 10^9 apart, so _exact_sub rounds them through _sub's
+    # sticky path instead of shifting by the whole gap.  The tables still
+    # agree with the same loop at four times the bits.
+    wide = PrecisionContext.create(bits=4 * CTX.bits, tol_exp=4 * CTX.bits - 56)
+    x = mpmath.ldexp(3 * sign, exponent)
+    q = mpmath.mpf(0.7)   # a double, the same value at both precisions
+    pairs = [(qinv_hermite_tables(30, [x], q, ctx)[0],
+              dual_ultra_tables(30, [x], 1, q, ctx)[0]) for ctx in (CTX, wide)]
+    for got, want in zip(pairs[0], pairs[1]):
+        with wide.workprec():
+            for g, w in zip(got, want):
+                assert abs(g - w) <= CTX.tol * abs(w), (x, g, w)
 
 
 # -- the h series' coefficient row against the per-phi sum --------------------

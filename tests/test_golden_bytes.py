@@ -86,46 +86,46 @@ def _runs(argvs, q, digests):
 
 GOLDEN = _runs(_BASIC, "0.5", (
     "5a70f96ae4dbb8ca7d829899536b5f1d4e22db1adc941db87dc332ded60cc50f",
-    "d6000d95a089a4b4f75aebd0d85447454378e8bd554183ffae87fbf3919773fa",
-    "02ff1618a0637196d748f4b96e5c2c828b052dcbe53b8ff59000653a6cea8161",
-    "1948e3ca45abf2e33b6e6955137a9628b6fee00159bc42809d6fbfc8ab64c5c4",
-    "6b2000d100d45cd392240431de49eb6249073de2931462018069993f260eacfd",
+    "10d30901a6f1067ccc1cc8f4df367e9f892b4dfcc4fdcf249d5d89d4cd1f4f77",
+    "58a713d6df8423af3f60373f2a83ecb993d26553fb2cb8ce691a8f32626afa2e",
+    "29acd3232b4a861ae6760ce98dbc6764d072ee3770418a0db544d2465f9c9f62",
+    "2267e23f0193daf0793a3e54afb0f4e6e86567efa682d416df742c06ecc28960",
     "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
-    "ebd677496ef28399a858839c0e9b7a2846f8e68e1ad8578083ae7ede33ab7814",
+    "0eb48150376b1bb19d5e0e8ee13c2c50c0f48a2a454276c9d1eb93a1a3945081",
 )) + _runs(_BASIC, "0.7", (
     "54f978c23af11523e265c8fb715092c01d4634ed34ff13c0aa3f2ce88e1f5b77",
-    "6da6d4f4364678f0138fc89dee2a409e333d3105e06102338e364b5b99504ffb",
-    "6593e9d06ac3d3131822fe304728223fbcdda2418a1292f602a3ad5782429eff",
-    "4da7b782fd4414869f299b13699c7bd654edd1a78dc125a85c075870710e65cf",
-    "a2004098250a05c298db44170084efe3d0fca048104bc8ecc88378eedf263169",
+    "a0658ee5174bdf5452c2e6a4c0167a78be80f3b1521f8e85ed4907b315e6061c",
+    "2607144f27b2ff8b1a0124920387e832c8e5e4a3feccaf4b6f18a892607af115",
+    "5fc78efe784a850e64b32389a76ff7d3f0cb3187ed09cd27184b06cbf05204d5",
+    "a5500c2080e8d9f3de20a90f1502dfc057b8a837417ecd7a4018db05ce9f5691",
     "9077fccc9ee9a7bbbaf9e836c7645fab9b9d99db190edf8548ab8ecf039d070f",
-    "b03142c084d9e24d08504a73f79cf0a11e3e36b1d034f833bd693383e30c1289",
+    "436947c26e634321e59fd93aab2ccd17a439cedf3c19688c5253a36974ab13f2",
 )) + _runs(_WIDE, "0.5", (
     "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
-    "3c7215fcc570e2b1a18ec4deb146c5bd5a899cf277d7b7409b05a39b6c7e4ce8",
-    "1dc91899362e674f63c63bced5e2fff19b0961a2cad55fe7e3693cc3edaececa",
-    "0effded6123b1e4eb88f3e9b7302c82e6e42dfa1bb8d5dfa9f231b403175e403",
+    "539b45eec796ead678d51a206fbfddd56439bae97397b015ef45d442c1d34a60",
+    "088f498f49ef8d1ae69f1bd6c76b38ece78387773fece60a2e18197ab34ac0e5",
+    "710d2c437e887a323aa68f18ff8232860e3d69de64af08082ce5b999ceb7ba12",
 )) + _runs(_WIDE, "0.7", (
     "8e56b6d1046ae520255b8b75550aac0d71ac1aacb75e79fc6585f8a45655c329",
-    "f152781036c1b3001be70084c79c9c956633756565dac05f7761bb1cb40b2864",
-    "03986eccc5a88182d72e020ddcf481d14f2bc360fbffc35163675399b08ad3c7",
-    "881f6bfb5ac73f55ddb9f50001b7f826aa16e2d250e3cadb7e6422cc13d4c333",
+    "fd5b532069a1cc3aa22be21ccb6e4280d5ec9f9df002d0c9438a56cb746a5308",
+    "6f37f892f446b465784df7257321b89aae507fa81b68d9f0070d1f1efaec11b0",
+    "cf43b5a20e79ec5ef467224dcc36c1cb810847d2cbc16a291755d5a9e38fb12a",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
     "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
-    "51759cb473d8cb471478826ea7cfaab47fd43759decd76029a969715d3fc0d4c",
+    "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "c4426209531ac1f54ce25f54e3293b4a96cdc04a5c0729ea26e22b6c6c4c3370",
-    "8d48a9cb16d09ca93853e74b4491436837f292eb633d6442f19fb545e5bff38b",
-    "89159e69877780b6e009268de894fd1a9647944aae9ed98a29ff932c6563dba3",
+    "e352a5238bbf0f1cc15a6fcde290710225220c96eafec5b3b0ca0a896a98ea74",
+    "e939d6a08fa65e43945fe4139b189252ded353513fa99eb37cf7cb34720c8963",
+    "8bb9b011429cf1487a4d54a71c481b5700a7886e99b6da9fdddec7e5a487c0c1",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
-    "b28b661575c44509183ddd9db3f68d91bb883690e42e5dad65c58e7a21851bb7",
-    "f9ca87c58561011dec503a9989fefdda708954a6434ed06fadf01e98104a969a",
+    "f9c9eed6f7ba35f69ecd390bdc28d2c1258732e31b83cb8281a088dde7614bbd",
+    "282c11ebb529a8b45f1cb339d36e74a5116e1324cbb66db8c44ce9d73249f156",
 )) + _runs(_CSV, "0.7", (
-    "349cfb638c45109c57ea2b3ec6abbe821f13009b50b33c4a42039674210ddc0c",
+    "ba380493cc14055931d453c9f6454d4c1f50867cfd57558bc63af25211632f0a",
 ))
 
 
