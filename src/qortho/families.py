@@ -66,8 +66,8 @@ import functools
 import mpmath
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _rounded,
-                     _sub, as_qparam, basic_hypergeometric, power_run)
+                     _abs_lt, _add, _certified, _div, _mpf, _mul, _pair, _round,
+                     _rounded, _sub, as_qparam, basic_hypergeometric, power_run)
 
 
 class DegenerateCoefficient(Exception):
@@ -186,33 +186,40 @@ def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple[int, int],
 
 
 def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:
-    """One summation pass at the ambient precision: (sum, largest |term|)."""
-    e = _pair(mpmath.exp(phi))
+    """One summation pass at the ambient precision p: (sum, bound).
+
+    bound is err / max(1, |sum| - err), err = (n + 1) max|term| 2^-p being
+    the summation roundoff: the error relative to a certified lower bound
+    of max(1, |h_n|).
+    """
+    e, prec = _pair(mpmath.exp(phi)), mpmath.mp.prec
     # e^(n-2k) for k = 0..n, read downwards from the run e^-n, ..., e^n
-    return _hermite_sum(n, q, power_run(e, -n, n, mpmath.mp.prec)[::-2])
+    total, tmax = _hermite_sum(n, q, power_run(e, -n, n, prec)[::-2])
+    err = mpmath.ldexp((n + 1) * tmax, -prec)
+    return total, err / max(1, abs(total) - err)
 
 
 def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """h_n(sinh(phi)|q) by the explicit series in e^phi.
 
     Terms reach q^(-n^2/4) e^(n|phi|) while the sum can be exponentially
-    smaller (exactly 0 at phi = 0 for odd n), so when the first pass shows
-    that summation roundoff may exceed tol/4 * max(1, |sum|), the sum is
-    redone with enough guard bits to push the absolute error below tol/4.
+    smaller (exactly 0 at phi = 0 for odd n).  kernel._certified, the
+    package's one escalation policy, certifies the sum to an absolute error
+    of tol/4 * max(1, |h_n|): when the summation roundoff of the first pass,
+    at ctx.bits, may miss that budget, the sum is redone at the bits its
+    bound asks for, which meets it in one rerun as the bound scales like
+    2^-bits (h_801(0) at q = 0.5 and 256 bits: one rerun, at 160,615
+    bits).  Rounding the result to ctx.bits adds at most
+    2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure when tol is
+    below ctx.rounding_floor, or when the rerun would need more than
+    1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for odd n >= 1025).
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        phi = mpmath.mpf(phi)
-        _pair(phi, "phi")   # ValueError unless phi is finite
-        total, tmax = _hermite_series_pass(n, phi, q)
-        noise = (n + 1) * tmax * mpmath.mpf(2) ** -ctx.bits
-        if noise > ctx.tol / 4 * max(mpmath.mpf(1), abs(total)):
-            need = int(mpmath.ceil(mpmath.log(4 * (n + 1) * tmax / ctx.tol, 2)))
-            with mpmath.mp.workprec(max(need, ctx.bits + 16)):
-                total, _ = _hermite_series_pass(n, phi, q)
-        return +total
+    q, phi = as_qparam(q, ctx), ctx.to_real(phi)
+    _pair(phi, "phi")   # ValueError unless phi is finite
+    return _certified(lambda: _hermite_series_pass(n, phi, q), mpmath.ldexp(ctx.tol, -2), ctx,
+                      lambda: "h_%d series at phi=%.8g, q=%.8g" % (n, float(phi), float(q)))
 
 
 def qinv_hermite_tables(n_max: int, xs, q,

@@ -250,7 +250,9 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
 
     The series values carry an error of up to tol/4 relative to max(1, |h|),
     and the recurrence multiplies them by 2x and by up to q^-n_max, so they
-    are requested at tol divided by that amplification.
+    are requested at tol divided by that amplification.  Where that falls
+    below the rounding floor of ctx.bits (q below about 0.03 at the default
+    tol and bits), the series runs at the fewest bits whose floor admits it.
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
@@ -264,6 +266,9 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
         xs = [mpmath.mpf(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
         series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
+        if series_ctx.tol < series_ctx.rounding_floor:
+            series_ctx = dataclasses.replace(
+                series_ctx, bits=6 - int(mpmath.floor(mpmath.log(series_ctx.tol, 2))))
         value_worst = mpmath.mpf(0)
         for x in xs:
             phi = mpmath.asinh(x)

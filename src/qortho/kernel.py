@@ -12,14 +12,26 @@ certifies nothing about the tail it drops.
 An infinite product (a;q)_inf splits off the finite head (a;q)_J with
 |a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like
 q^{k^2/2}.  Its certificate is relative and covers rounding as well as the
-tail: the result is within relative tol/16 of the exact product, with guard
-bits added when the alternating series cancels.  The head and the sum run
-on pairs; only the rounding bound is formed in mpf, once per pass.  Each
+tail: the result is within relative tol/16 of the exact product, with more
+bits when the alternating series cancels.  The head and the sum run on
+pairs; only the rounding bound is formed in mpf, once per pass.  Each
 product is evaluated once per (a, q, context), with a and q rounded to the
 context's bits: later calls return the memoised value, so no caller needs
 to hand a computed product to another.  The memo is bounded (the 256 most
 recently used products) and keeps no failure, so an uncertifiable product
 raises on every call.
+
+Rounding error is certified by one escalation policy, _certified, for the
+infinite products and for the h series of families.  A pass at p bits
+returns its value and a bound of its error relative to a certified lower
+bound of the magnitude its budget is relative to.  The first pass that
+meets the budget is rounded to ctx.bits and returned; a pass that misses
+it is redone at p + ceil(log2(bound / budget)) + 1 bits, or at 2p when it
+certifies no bit.  TruncationFailure is raised when tol is below
+ctx.rounding_floor, when a finite bound does not shrink from one pass to
+the next, and when the next pass would run past the cap of 1024 * ctx.bits
+bits (262,144 at the default 256 bits): h_n(0) at q = 0.5 for odd
+n >= 1025 needs more, for example.
 
 The hot loops of the package (here, in families and in measures) run on
 pairs: a finite real m 2^e held as two Python ints (m, e), with this
@@ -111,8 +123,9 @@ class PrecisionContext:
     def rounding_floor(self) -> QReal:
         """Smallest tol a certified kernel result rounded to bits can meet.
 
-        Rounding to bits costs up to 2^-bits relatively, and a certified
-        product spends at most tol/64 of its tol/16 budget on it.
+        Rounding to bits costs up to 2^-bits relatively, which is at most
+        tol/64: a certified product spends that much of its tol/16 on it, and
+        every certified evaluation (_certified) refuses a tol below the floor.
         """
         return mpmath.ldexp(1, 6 - self.bits)
 
@@ -366,9 +379,43 @@ def _head_length(a: QReal, q: QReal) -> int:
         return int(mpmath.ceil(mpmath.log(size) / -mpmath.log(q)))
 
 
-# Extra bits of the first pass of an infinite product; enough for the
-# rounding bound of typical head lengths and term counts.
-_GUARD_BITS = 16
+def _certified(evaluate, budget: QReal, ctx: PrecisionContext, what, guard: int = 0) -> QReal:
+    """The value of the first pass of evaluate whose bound meets budget,
+    rounded to ctx.bits: the one escalation policy of the package.
+
+    evaluate() runs one pass at the ambient precision p and returns
+    (value, bound).  bound bounds |value - exact| / scale, where scale is a
+    lower bound, certified by the same pass, of the magnitude the budget is
+    relative to; bound is inf when the pass certifies no bit.  The first
+    pass runs at ctx.bits + guard and is accepted when bound <= budget.
+    Otherwise the next pass runs at p + ceil(log2(bound / budget)) + 1,
+    which meets the budget when the bound scales like 2^-p, or at 2p when
+    bound is inf.  TruncationFailure, with the bound and the budget in its
+    message, is raised when a finite bound does not shrink from the pass
+    before, when the next pass would run past the cap of 1024 * ctx.bits
+    bits, and, before any pass, when tol is below ctx.rounding_floor: the
+    final rounding to ctx.bits costs up to 2^-bits relatively, which a
+    budget of tol/64 or more then covers.  what() names the evaluation in
+    those messages; it is called only on failure.
+    """
+    if ctx.tol < ctx.rounding_floor:
+        raise TruncationFailure("%s: tol=%s is below the rounding floor %s of a %d-bit value" % (
+            what(), mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8), ctx.bits))
+    prec, last = ctx.bits + guard, mp.inf
+    while True:
+        with mp.workprec(prec):
+            value, bound = evaluate()
+        if bound <= budget:
+            return _mpf(_round(_pair(value), ctx.bits))
+        with ctx.workprec():
+            step = prec if bound == mp.inf else int(mp.ceil(mp.log(bound / budget, 2))) + 1
+        if last <= bound < mp.inf or prec + step > 1024 * ctx.bits:
+            raise TruncationFailure(
+                "%s: error bound %s misses the budget %s at %d bits, and a rerun cannot meet it"
+                " (bound before: %s; next pass: %d bits; cap: 1024 * bits = %d)"
+                % (what(), mpmath.nstr(bound, 8), mpmath.nstr(budget, 8), prec,
+                   mpmath.nstr(last, 8), prec + step, 1024 * ctx.bits))
+        prec, last = prec + step, bound
 
 
 def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: int):
@@ -457,45 +504,41 @@ def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     |w| q^k / (1 - q^{k+1}) is at most 1/2, with the tail below tol/64 of
     the partial sum.  Rounding is bounded from
     the head length, the term count and the largest term; for w > 0 the
-    terms alternate and the sum can be far smaller than its largest term,
-    so when that bound misses tol/64 the evaluation is redone with enough
-    guard bits.  Rounding the result to ctx.bits adds at most 2^-bits, which
-    is below tol/64 by the rounding-floor check.
+    terms alternate and the sum can be far smaller than its largest term.
+    The first pass runs at ctx.bits + 16 and _certified, the package's one
+    escalation policy, reruns it until that bound meets tol/64: at
+    p + ceil(log2(bound / (tol/64))) + 1 bits, or at 2p while the bound
+    certifies no bit ((q;q)_inf at 256 bits: 272 then 377 bits at q = 0.99,
+    272 to 2,176 by doubling at q = 0.999, and 272 to 17,408 at q = 0.9999).
+    Rounding the result to ctx.bits adds at most 2^-bits, which is below
+    tol/64 by the rounding-floor check.
 
     Raises TruncationFailure when J exceeds max_terms, when tol is below
-    ctx.rounding_floor, or when the sum needs more than max_terms terms.
+    ctx.rounding_floor, when the sum needs more than max_terms terms, or
+    when a rerun's bound does not shrink or would need more than
+    1024 * ctx.bits bits.
     """
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        return _qpochhammer_inf_memo(mpmath.mpf(a), q, ctx)
+    return _qpochhammer_inf_memo(ctx.to_real(a), as_qparam(q, ctx), ctx)
 
 
 # Keyed on (a, q) as rounded to ctx.bits and on ctx, which fix the value.
 # lru_cache keeps no raised exception, so a failure is raised on every call.
 @functools.lru_cache(maxsize=256)
 def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
-    with ctx.workprec():
-        head_len = _head_length(a, q)
-        if head_len > ctx.max_terms:
-            raise TruncationFailure(
-                "(a;q)_inf needs %d head factors, more than max_terms=%d (a=%s, q=%s)"
-                % (head_len, ctx.max_terms, mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
-        if ctx.tol < ctx.rounding_floor:
-            raise TruncationFailure(
-                "(a;q)_inf: tol=%s is below the rounding floor %s of a %d-bit value"
-                % (mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8),
-                   ctx.bits))
-        budget = ctx.tol / 64
-        prec = ctx.bits + _GUARD_BITS
-        while True:
-            with mp.workprec(prec):
-                value, noise = _product_pass(a, q, head_len, budget, ctx.max_terms)
-            if noise <= budget:
-                return +value
-            if noise < 0.5:
-                prec += int(mpmath.ceil(mpmath.log(noise / budget, 2))) + 1
-            else:
-                prec *= 2
+    head_len = _head_length(a, q)
+    if head_len > ctx.max_terms:
+        raise TruncationFailure(
+            "(a;q)_inf needs %d head factors, more than max_terms=%d (a=%s, q=%s)"
+            % (head_len, ctx.max_terms, mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
+    budget = mpmath.ldexp(ctx.tol, -6)
+
+    def product_pass():
+        value, noise = _product_pass(a, q, head_len, budget, ctx.max_terms)
+        # noise is relative to value, so the product is at least |value| (1 - noise)
+        return value, noise / (1 - noise) if noise < 1 else mpmath.inf
+    # 16 guard bits cover the rounding bound of typical head lengths and term counts
+    return _certified(product_pass, budget, ctx,
+                      lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)), guard=16)
 
 
 def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT,

@@ -269,6 +269,54 @@ def test_verify_uncertifiable_is_exit_two(capsys):
     assert "error: TruncationFailure" in out
 
 
+# -- certification failures exit 2 with the bound and the budget -------------
+
+
+def test_eval_series_below_its_rounding_floor_is_exit_two(capsys):
+    # A 128-bit value carries up to 2^-128 relatively: tol = 2^-200 cannot be met.
+    code, out, err = run(capsys, "eval", "--family", "h", "--n", "5", "--phi", "0.4",
+                         "--q", "0.7", "--bits", "128", "--tol-exp", "200")
+    assert code == 2 and out == ""
+    assert "h_5 series at phi=0.4, q=0.7: tol=6.2230153e-61 is below the rounding floor" in err
+
+
+def test_eval_series_past_the_precision_cap_is_exit_two(capsys):
+    # h_2001(0) cancels terms up to 2^1000000; the cap at 256 bits is 262,144.
+    code, _, err = run(capsys, "eval", "--family", "h", "--n", "2001", "--phi", "0", "--q", "0.5")
+    assert code == 2
+    assert "misses the budget 1.5557538e-61 at 256 bits" in err
+    assert "next pass: 1001216 bits; cap: 1024 * bits = 262144" in err
+
+
+def test_verify_series_context_gains_bits_only_below_the_floor(capsys):
+    # At q = 0.01 the check asks the series for tol / (1 + 2 * 3 + q^-10),
+    # below the 256-bit floor, so the series runs at more bits and passes.
+    code, out, _ = run(capsys, "verify", "--q", "0.01", "--only",
+                       "inverted-parameter-recurrence")
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_eval_and_verify_exit_two_when_a_bound_does_not_shrink(capsys, monkeypatch):
+    from qortho import families, kernel
+    # every pass bounds its error by 1, whatever its precision
+    monkeypatch.setattr(families, "_hermite_series_pass",
+                        lambda n, phi, q: (mpmath.mpf(0), mpmath.mpf(1)))
+    code, _, err = run(capsys, "eval", "--family", "h", "--n", "3", "--phi", "0.5")
+    assert code == 2
+    assert ("error bound 1.0 misses the budget 1.5557538e-61 at 459 bits, and a rerun "
+            "cannot meet it (bound before: 1.0;") in err
+    monkeypatch.setattr(kernel, "_product_pass",
+                        lambda *args: (mpmath.mpf(1), mpmath.mpf("0.5")))
+    kernel._qpochhammer_inf_memo.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--only", "product-chain")
+    finally:
+        kernel._qpochhammer_inf_memo.cache_clear()
+    assert code == 2
+    assert "error: TruncationFailure: (a;q)_inf" in out
+    assert "error bound 1.0 misses the budget 9.7234614e-63 at 479 bits" in out
+
+
 @pytest.mark.parametrize("check", ["recurrence-chains", "even-connection", "odd-connection"])
 def test_verify_negative_k_max_is_exit_two(capsys, check):
     # Below 0 the check would compare nothing and pass.

@@ -5,7 +5,7 @@ from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_mul, mpf_neg, mpf_pos, mpf_shift
                           mpf_sub, round_nearest)
 
 from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
-                    PrecisionContext, as_qparam, discrete_ultra, dual_ultra,
+                    PrecisionContext, TruncationFailure, as_qparam, discrete_ultra, dual_ultra,
                     dual_ultra_coeff_rows, dual_ultra_coeffs, dual_ultra_series,
                     dual_ultra_table, dual_ultra_tables, evaluate,
                     even_hermite_factor, mu_point, qinv_hermite,
@@ -816,21 +816,29 @@ def _oracle_hermite_sum(n, q, factor):
 
 
 def _oracle_hermite_series(n, phi, q, ctx, repasses):
+    """The series' first pass at ctx.bits when its summation bound
+    (n + 1) max|term| 2^-bits meets tol/4 against a certified lower bound
+    of max(1, |h|); otherwise None, with (n, phi) recorded in repasses."""
     q = as_qparam(q, ctx)
     with ctx.workprec():
         phi = mpmath.mpf(phi)
-        e = mpmath.exp(phi)
-        ep = P(e, ctx.bits)
+        ep = P(mpmath.exp(phi), ctx.bits)
         total, tmax = _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])
         noise = (n + 1) * tmax * mpmath.mpf(2) ** -ctx.bits
-        if noise > ctx.tol / 4 * max(mpmath.mpf(1), abs(total)):
-            repasses.append((n, phi))
-            need = int(mpmath.ceil(mpmath.log(4 * (n + 1) * tmax / ctx.tol, 2)))
-            with mpmath.mp.workprec(max(need, ctx.bits + 16)):
-                e = mpmath.exp(phi)
-                ep = P(e, mpmath.mp.prec)
-                total, _ = _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])
-        return +total
+        if noise <= ctx.tol / 4 * max(mpmath.mpf(1), abs(total) - noise):
+            return total
+    repasses.append((n, phi))
+    return None
+
+
+def _hermite_series_at_4x_bits(n, phi, q, ctx):
+    """h_n(sinh(phi)|q), q and phi rounded to ctx.bits as the package rounds
+    them, summed at 4 ctx.bits: the terms of this grid (n <= 30) stay below
+    2^527, so at 1024 bits or more the sum keeps about 490 bits or more."""
+    q, phi = as_qparam(q, ctx), ctx.to_real(phi)
+    with mpmath.mp.workprec(4 * ctx.bits):
+        ep = P(mpmath.exp(phi), 4 * ctx.bits)
+        return _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])[0]
 
 
 def _oracle_even_factor_at_zero(k, q, ctx):
@@ -848,14 +856,38 @@ def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
     repasses = []
     for n in range(31):
         for phi in DEFAULT_PHI_GRID:
+            got = qinv_hermite_series(n, phi, q_s, ctx)
             want = _oracle_hermite_series(n, phi, q_s, ctx, repasses)
-            assert qinv_hermite_series(n, phi, q_s, ctx)._mpf_ == want._mpf_
+            if want is not None:
+                assert got._mpf_ == want._mpf_
+                continue
+            # a rerun: within its budget of the series at 4x the bits
+            ref = _hermite_series_at_4x_bits(n, phi, q_s, ctx)
+            with mpmath.mp.workprec(4 * bits):
+                assert abs(got - ref) <= ctx.tol / 4 * max(1, abs(ref))
     for k in range(15):
         want = _oracle_even_factor_at_zero(k, q_s, ctx)
         assert even_hermite_factor(k, 0, q_s, ctx)._mpf_ == want._mpf_
     # The guard-bit re-pass is covered: odd degrees sum to 0 at phi = 0,
     # from terms up to q^(-n^2/4), which stay small enough at q = 0.9.
     assert ((29, 0) in repasses) == (q_s != "0.9")
+
+
+@pytest.mark.parametrize("n,phi", [(5, "0.4"), (12, "1.3"), (21, "-0.7")])
+def test_hermite_series_below_its_rounding_floor_raises(n, phi):
+    # A value rounded to 128 bits carries up to 2^-128 relatively, far above
+    # tol/4 = 2^-202; these calls returned values off by 1.2e-38 to 1.8e-37.
+    shallow = PrecisionContext.create(bits=128, tol_exp=200)
+    with pytest.raises(TruncationFailure, match="below the rounding floor"):
+        qinv_hermite_series(n, phi, "0.7", shallow)
+    # At the floor itself the value is within its budget, plus the final
+    # rounding, of a 1024-bit value at the same rounded q and phi.
+    edge = PrecisionContext(bits=128, tol=shallow.rounding_floor)
+    deep = PrecisionContext.create(bits=1024, tol_exp=800)
+    got = qinv_hermite_series(n, phi, "0.7", edge)
+    ref = qinv_hermite_series(n, edge.to_real(phi), edge.to_real("0.7"), deep)
+    with mpmath.mp.workprec(1024):
+        assert abs(got - ref) <= (edge.tol / 4 + mpmath.ldexp(1, -127)) * max(1, abs(ref))
 
 
 # -- the h-series sum on pairs against the operator loop ----------------------

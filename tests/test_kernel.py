@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qortho import (DEFAULT_CONTEXT, PoleError, PrecisionContext,
                     TruncationFailure, as_qparam, basic_hypergeometric,
                     qpochhammer, qpochhammer_inf, to_decimal)
-from qortho.kernel import _mpf, _pair, power_run
+from qortho.kernel import _certified, _mpf, _pair, power_run
 
 CTX = PrecisionContext.create()
 
@@ -338,6 +338,94 @@ def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
     assert values[4] == mpmath.mpf(0)._mpf_   # a = 1
     if q_s == "0.999":
         assert values[1] > 1   # (q;q)_inf was rerun with guard bits
+
+
+# -- the one escalation policy: _certified with a substituted pass ------------
+
+
+def _substituted(bound_at, precs):
+    """A pass returning 1/3 at the ambient precision p and bound_at(p),
+    recording p in precs."""
+    def evaluate():
+        precs.append(mpmath.mp.prec)
+        return mpmath.mpf(1) / 3, bound_at(mpmath.mp.prec)
+    return evaluate
+
+
+BUDGET = CTX.tol / 4
+
+
+def test_certified_returns_an_accepted_first_pass_bit_for_bit():
+    precs = []
+    got = _certified(_substituted(lambda p: BUDGET, precs), BUDGET, CTX, lambda: "probe")
+    with CTX.workprec():
+        assert got._mpf_ == (mpmath.mpf(1) / 3)._mpf_
+    assert precs == [256]
+    # with guard bits the first pass runs at bits + guard and is rounded once
+    precs = []
+    got = _certified(_substituted(lambda p: 0, precs), BUDGET, CTX, lambda: "probe", guard=16)
+    with mpmath.workprec(272):
+        third = mpmath.mpf(1) / 3
+    assert precs == [272] and got._mpf_ == CTX.to_real(third)._mpf_
+
+
+def test_certified_reruns_once_at_the_bits_the_bound_asks_for():
+    precs = []
+    # the bound is 2^44 budget at 256 bits and halves with every bit
+    got = _certified(_substituted(lambda p: mpmath.ldexp(BUDGET, 300 - p), precs),
+                     BUDGET, CTX, lambda: "probe")
+    assert precs == [256, 256 + 44 + 1]
+    with CTX.workprec():
+        assert got == mpmath.mpf(1) / 3 and got._mpf_[3] <= 256
+
+
+def test_certified_doubles_only_when_no_bit_is_certified():
+    precs = []
+    _certified(_substituted(lambda p: mpmath.inf if p < 1000 else 0, precs), BUDGET, CTX,
+               lambda: "probe")
+    assert precs == [256, 512, 1024]
+
+
+@pytest.mark.parametrize("bound_at,passes,reason", [
+    (lambda p: 2 * BUDGET, 2, r"bound before: 3\.11"),   # does not shrink
+    (lambda p: mpmath.ldexp(BUDGET, 10 ** 6), 1,    # past the cap
+     r"next pass: 1000257 bits; cap: 1024 \* bits = 262144"),
+])
+def test_certified_raises_past_a_bound_that_stalls_or_the_cap(bound_at, passes, reason):
+    precs = []
+    with pytest.raises(TruncationFailure, match=r"probe: error bound .* misses the budget "
+                       r"1.5557538e-61 at \d+ bits, and a rerun cannot meet it .*" + reason):
+        _certified(_substituted(bound_at, precs), BUDGET, CTX, lambda: "probe")
+    assert len(precs) == passes
+
+
+def test_certified_refuses_a_tol_below_the_rounding_floor_before_any_pass():
+    precs = []
+    shallow = PrecisionContext.create(bits=128, tol_exp=200)
+    with pytest.raises(TruncationFailure,
+                       match="probe: tol=6.2230153e-61 is below the rounding floor"):
+        _certified(_substituted(lambda p: 0, precs), shallow.tol / 4, shallow, lambda: "probe")
+    assert precs == []
+
+
+@pytest.mark.parametrize("q_s,ladder", [("0.5", [272]), ("0.99", [272, 377]),
+                                        ("0.999", [272, 544, 1088, 2176])])
+def test_qpochhammer_inf_ladders(q_s, ladder, monkeypatch):
+    # (q;q)_inf at 256 bits: near q = 1 Euler's sum alternates and cancels,
+    # and until a pass certifies a bit each rerun doubles the precision
+    from qortho import kernel
+    precs, pass_ = [], kernel._product_pass
+
+    def recorded(*args):
+        precs.append(mpmath.mp.prec)
+        return pass_(*args)
+    monkeypatch.setattr(kernel, "_product_pass", recorded)
+    kernel._qpochhammer_inf_memo.cache_clear()
+    try:
+        qpochhammer_inf(q_s, q_s, CTX)
+    finally:
+        kernel._qpochhammer_inf_memo.cache_clear()
+    assert precs == ladder
 
 
 def test_hypergeometric_trivial_cases():
