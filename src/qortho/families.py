@@ -26,7 +26,10 @@ Series and recurrence evaluators are deliberately independent code paths so
 each can serve as the other's cross-check.  The h_n series reuses its
 phi-free row (-1)^k q^{k(k-n)} [n,k]_q, formed once per (n, q, precision) and
 memoised for the 32 most recently used rows, so a grid of phi values costs
-one row and one multiplication per term and phi.
+one row and one multiplication per term and phi.  It is batched over
+degrees: qinv_hermite_series_degrees makes one pass per phi for every
+degree asked for, from one exp(phi) and one power run, and
+qinv_hermite_series is its one-degree call.
 
 The recurrence evaluators are batched: the *_tables functions run the
 recurrence at every point of a list, and the *_coeff_rows functions give
@@ -53,7 +56,8 @@ expression; each recurrence step is that of the libmp expression formed
 exactly (prec=0) and rounded once.  The public functions convert to mpf at
 the end.  Every power of q with a
 loop-indexed exponent in them, and the h series' factors e^(n-2k), is read
-from one kernel.power_run per call in place of a ``**`` per power.  The
+from one kernel.power_run per call (per pass over all degrees, for the
+factors) in place of a ``**`` per power.  The
 parameter lists of the C and grid D series still form their few powers
 with ``**``.
 """
@@ -66,8 +70,8 @@ import functools
 import mpmath
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     _abs_lt, _add, _certified, _div, _mpf, _mul, _pair, _round,
-                     _rounded, _sub, as_qparam, basic_hypergeometric, power_run)
+                     _abs_lt, _add, _certified, _check_floor, _div, _mpf, _mul, _pair,
+                     _round, _rounded, _sub, as_qparam, basic_hypergeometric, power_run)
 
 
 class DegenerateCoefficient(Exception):
@@ -138,8 +142,8 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_sum(n: int, q, factors) -> tuple[QReal, QReal]:
-    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factors[k] and its largest |term|.
+def _hermite_sum(n: int, q, factors) -> tuple[tuple[int, int], tuple[int, int]]:
+    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factors[k] and its largest |term|, as pairs.
 
     factors holds pairs.  Runs at the ambient precision: term = c * factor,
     total += term, tmax = max(tmax, |term|).
@@ -151,7 +155,7 @@ def _hermite_sum(n: int, q, factors) -> tuple[QReal, QReal]:
         total = _add(total, term, prec)
         if _abs_lt(tmax, term):
             tmax = abs(term[0]), term[1]
-    return _mpf(total), _mpf(tmax)
+    return total, tmax
 
 
 @functools.lru_cache(maxsize=32)
@@ -185,41 +189,85 @@ def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple[int, int],
     return tuple(coeffs)
 
 
-def _hermite_series_pass(n: int, phi, q) -> tuple[QReal, QReal]:
-    """One summation pass at the ambient precision p: (sum, bound).
+def _hermite_series_pass(ns, phi, q) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """One summation pass at the ambient precision p: (sum, bound) as pairs
+    for each degree n of ns.
 
     bound is err / max(1, |sum| - err), err = (n + 1) max|term| 2^-p being
     the summation roundoff: the error relative to a certified lower bound
-    of max(1, |h_n|).
+    of max(1, |h_n|).  Each operation is the mpf operation of that
+    expression, so bound is its mpf value bit for bit.  The factors
+    e^(n-2k) of every degree are read from one power run of e = exp(phi)
+    over [-max(ns), max(ns)]: a run value does not depend on the run's
+    length, so each degree's factors are those of its own run.
     """
-    e, prec = _pair(mpmath.exp(phi)), mpmath.mp.prec
-    # e^(n-2k) for k = 0..n, read downwards from the run e^-n, ..., e^n
-    total, tmax = _hermite_sum(n, q, power_run(e, -n, n, prec)[::-2])
-    err = mpmath.ldexp((n + 1) * tmax, -prec)
-    return total, err / max(1, abs(total) - err)
+    prec = mpmath.mp.prec
+    top = max(ns, default=0)
+    run = power_run(_pair(mpmath.exp(phi)), -top, top, prec)   # run[j + top] = e^j
+    out = []
+    for n in ns:
+        # e^(n-2k) for k = 0..n, read downwards from e^-n, ..., e^n
+        total, tmax = _hermite_sum(n, q, run[top - n:top + n + 1][::-2])
+        err = _mul(tmax, (n + 1, 0), prec)
+        err = err[0], err[1] - prec
+        scale = _sub((abs(total[0]), total[1]), err, prec)
+        # max(1, |sum| - err)
+        scale = scale if scale[0] > 0 and _abs_lt(_ONE, scale) else _ONE
+        out.append((total, _div(err, scale, prec)))
+    return out
 
 
-def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """h_n(sinh(phi)|q) by the explicit series in e^phi.
+def qinv_hermite_series_degrees(ns, phi, q,
+                                ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
+    """[h_n(sinh(phi)|q) for n in ns] by the explicit series in e^phi.
 
-    Terms reach q^(-n^2/4) e^(n|phi|) while the sum can be exponentially
-    smaller (exactly 0 at phi = 0 for odd n).  kernel._certified, the
-    package's one escalation policy, certifies the sum to an absolute error
-    of tol/4 * max(1, |h_n|): when the summation roundoff of the first pass,
-    at ctx.bits, may miss that budget, the sum is redone at the bits its
-    bound asks for, which meets it in one rerun as the bound scales like
-    2^-bits (h_801(0) at q = 0.5 and 256 bits: one rerun, at 160,615
-    bits).  Rounding the result to ctx.bits adds at most
-    2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure when tol is
-    below ctx.rounding_floor, or when the rerun would need more than
-    1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for odd n >= 1025).
+    One pass at ctx.bits serves every degree: phi and q are converted once,
+    exp(phi) is formed once, and one power run gives every degree's factors
+    e^(n-2k), bit for bit those of the degree's own run.  Terms reach
+    q^(-n^2/4) e^(n|phi|) while the sum can be exponentially smaller
+    (exactly 0 at phi = 0 for odd n), so each value is certified to an
+    absolute error of tol/4 * max(1, |h_n|): a degree whose first-pass
+    bound, compared on pairs, meets that budget takes the pass's value, and
+    a degree whose bound misses it goes on to kernel._certified, the
+    package's one escalation policy, which redoes that degree's sum at the
+    bits its bound asks for; that meets the budget in one rerun as the
+    bound scales like 2^-bits (h_801(0) at q = 0.5 and 256 bits: one
+    rerun, at 160,615 bits).  Rounding a rerun to ctx.bits adds at most
+    2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure before any pass
+    when tol is below ctx.rounding_floor, and when a rerun would need more
+    than 1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for odd
+    n >= 1025).
     """
-    if not isinstance(n, int) or n < 0:
+    ns = list(ns)
+    if not all(isinstance(n, int) and n >= 0 for n in ns):
         raise ValueError("n must be a nonnegative integer")
     q, phi = as_qparam(q, ctx), ctx.to_real(phi)
     _pair(phi, "phi")   # ValueError unless phi is finite
-    return _certified(lambda: _hermite_series_pass(n, phi, q), mpmath.ldexp(ctx.tol, -2), ctx,
-                      lambda: "h_%d series at phi=%.8g, q=%.8g" % (n, float(phi), float(q)))
+
+    def what(degrees):
+        return lambda: "h_%s series at phi=%.8g, q=%.8g" % (
+            ",".join(map(str, degrees)), float(phi), float(q))
+    _check_floor(ctx, what(ns))
+    budget = mpmath.ldexp(ctx.tol, -2)
+    limit = _pair(budget)
+    with ctx.workprec():
+        passes = _hermite_series_pass(ns, phi, q)
+    out = []
+    for n, (total, bound) in zip(ns, passes):
+        if not _abs_lt(limit, bound):
+            out.append(_mpf(total))
+            continue
+        out.append(_certified(lambda: tuple(map(_mpf, _hermite_series_pass([n], phi, q)[0])),
+                              budget, ctx, what([n]), first=(_mpf(total), _mpf(bound))))
+    return out
+
+
+def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
+    """h_n(sinh(phi)|q) by the explicit series in e^phi: the one-degree call
+    of qinv_hermite_series_degrees, which has the certificate."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    return qinv_hermite_series_degrees([n], phi, q, ctx)[0]
 
 
 def qinv_hermite_tables(n_max: int, xs, q,
@@ -291,7 +339,7 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-        return _hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])[0]
+        return _mpf(_hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])[0])
 
 
 # ---------------------------------------------------------------------------

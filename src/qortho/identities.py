@@ -26,8 +26,8 @@ import types
 
 import mpmath
 
-from .families import (dual_ultra_tables, qinv_hermite_coeff_rows, qinv_hermite_series,
-                       qinv_hermite_tables)
+from .families import (dual_ultra_tables, qinv_hermite_coeff_rows,
+                       qinv_hermite_series_degrees, qinv_hermite_tables)
 from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _mpf, _pair,
                      as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
@@ -107,10 +107,11 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
         s, c, mus = _connection(parity, k_max, ys, q, ctx)
         worst = mpmath.mpf(0)
+        degrees = [2 * k + parity for k in range(k_max + 1)]
         for phi, dvals in zip(phis, dual_ultra_tables(k_max, mus, s, q, ctx)):
             two_sinh = mpmath.exp(phi) - mpmath.exp(-phi)
-            for k in range(k_max + 1):
-                lhs = qinv_hermite_series(2 * k + parity, phi, q, ctx)
+            hs = qinv_hermite_series_degrees(degrees, phi, q, ctx)
+            for k, lhs in enumerate(hs):
                 rhs = c[k] * dvals[k] if parity == 0 else c[k] * two_sinh * dvals[k]
                 worst = max(worst, _relative(lhs, rhs))
         return _report(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
@@ -272,8 +273,7 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
         value_worst = mpmath.mpf(0)
         for x in xs:
             phi = mpmath.asinh(x)
-            hs = [qinv_hermite_series(n, phi, q, series_ctx)
-                  for n in range(n_max + 2)]
+            hs = qinv_hermite_series_degrees(range(n_max + 2), phi, q, series_ctx)
             for n in range(1, n_max + 1):
                 lhs = hs[n + 1]
                 rhs = 2 * x * hs[n] + (1 - q ** (-n)) * hs[n - 1]

@@ -379,7 +379,17 @@ def _head_length(a: QReal, q: QReal) -> int:
         return int(mpmath.ceil(mpmath.log(size) / -mpmath.log(q)))
 
 
-def _certified(evaluate, budget: QReal, ctx: PrecisionContext, what, guard: int = 0) -> QReal:
+def _check_floor(ctx: PrecisionContext, what) -> None:
+    """TruncationFailure unless ctx.tol is at least ctx.rounding_floor: a
+    value rounded to ctx.bits carries up to 2^-bits relatively, which a
+    budget of tol/64 or more then covers.  what() names the evaluation."""
+    if ctx.tol < ctx.rounding_floor:
+        raise TruncationFailure("%s: tol=%s is below the rounding floor %s of a %d-bit value" % (
+            what(), mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8), ctx.bits))
+
+
+def _certified(evaluate, budget: QReal, ctx: PrecisionContext, what, guard: int = 0,
+               first=None) -> QReal:
     """The value of the first pass of evaluate whose bound meets budget,
     rounded to ctx.bits: the one escalation policy of the package.
 
@@ -393,18 +403,20 @@ def _certified(evaluate, budget: QReal, ctx: PrecisionContext, what, guard: int 
     bound is inf.  TruncationFailure, with the bound and the budget in its
     message, is raised when a finite bound does not shrink from the pass
     before, when the next pass would run past the cap of 1024 * ctx.bits
-    bits, and, before any pass, when tol is below ctx.rounding_floor: the
-    final rounding to ctx.bits costs up to 2^-bits relatively, which a
-    budget of tol/64 or more then covers.  what() names the evaluation in
-    those messages; it is called only on failure.
+    bits, and, before any pass, when tol is below ctx.rounding_floor
+    (_check_floor).  what() names the evaluation in those messages; it is
+    called only on failure.  first, when given, is the (value, bound) of
+    the first pass, already run at ctx.bits + guard by a caller that shares
+    that pass among several evaluations; the policy starts from it.
     """
-    if ctx.tol < ctx.rounding_floor:
-        raise TruncationFailure("%s: tol=%s is below the rounding floor %s of a %d-bit value" % (
-            what(), mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8), ctx.bits))
+    _check_floor(ctx, what)
     prec, last = ctx.bits + guard, mp.inf
     while True:
-        with mp.workprec(prec):
-            value, bound = evaluate()
+        if first is None:
+            with mp.workprec(prec):
+                value, bound = evaluate()
+        else:
+            (value, bound), first = first, None
         if bound <= budget:
             return _mpf(_round(_pair(value), ctx.bits))
         with ctx.workprec():

@@ -298,9 +298,9 @@ def test_verify_series_context_gains_bits_only_below_the_floor(capsys):
 
 def test_eval_and_verify_exit_two_when_a_bound_does_not_shrink(capsys, monkeypatch):
     from qortho import families, kernel
-    # every pass bounds its error by 1, whatever its precision
+    # every pass bounds the error of each degree by 1, whatever its precision
     monkeypatch.setattr(families, "_hermite_series_pass",
-                        lambda n, phi, q: (mpmath.mpf(0), mpmath.mpf(1)))
+                        lambda ns, phi, q: [((0, 0), (1, 0)) for _ in ns])
     code, _, err = run(capsys, "eval", "--family", "h", "--n", "3", "--phi", "0.5")
     assert code == 2
     assert ("error bound 1.0 misses the budget 1.5557538e-61 at 459 bits, and a rerun "

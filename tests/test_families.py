@@ -10,8 +10,8 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     dual_ultra_table, dual_ultra_tables, evaluate,
                     even_hermite_factor, mu_point, qinv_hermite,
                     qinv_hermite_coeff_rows, qinv_hermite_coeffs,
-                    qinv_hermite_series, qinv_hermite_table,
-                    qinv_hermite_tables, to_decimal)
+                    qinv_hermite_series, qinv_hermite_series_degrees,
+                    qinv_hermite_table, qinv_hermite_tables, to_decimal)
 from qortho.families import _hermite_coefficients, _hermite_sum, _recurrence
 from qortho.kernel import _ONE, _ZERO, _mpf, _mul, _pair, _sub, power_run
 
@@ -873,6 +873,36 @@ def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
     assert ((29, 0) in repasses) == (q_s != "0.9")
 
 
+@pytest.mark.parametrize("bits,tol_exp", [(256, 200), (1024, 800)])
+@pytest.mark.parametrize("q_s", ["0.2", "0.5", "0.9", "0.99"])
+def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monkeypatch):
+    from qortho import families
+    from qortho.identities import DEFAULT_PHI_GRID
+    ctx = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
+    passes, pass_ = [], families._hermite_series_pass
+
+    def counted(ns, phi, q):
+        passes.append(list(ns))
+        return pass_(ns, phi, q)
+    monkeypatch.setattr(families, "_hermite_series_pass", counted)
+    for phi in DEFAULT_PHI_GRID:
+        for degrees in (range(31), range(0, 31, 2), range(1, 31, 2)):
+            got = qinv_hermite_series_degrees(degrees, phi, q_s, ctx)
+            want = [qinv_hermite_series(n, phi, q_s, ctx) for n in degrees]
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+    # One pass serves every degree, and only a degree whose bound misses
+    # the budget is summed again: h_n(0) = 0 for odd n, from terms up to
+    # q^(-n^2/4), so at q = 0.2 the top odd degrees rerun (21 to 29 at
+    # 1024 bits), each in a pass of its own.
+    passes.clear()
+    qinv_hermite_series_degrees(range(1, 31, 2), 0, q_s, ctx)
+    assert passes[0] == list(range(1, 31, 2))
+    reruns = passes[1:]
+    assert all(len(ns) == 1 and ns[0] % 2 for ns in reruns)
+    if q_s == "0.2":
+        assert len(reruns) >= 5
+
+
 @pytest.mark.parametrize("n,phi", [(5, "0.4"), (12, "1.3"), (21, "-0.7")])
 def test_hermite_series_below_its_rounding_floor_raises(n, phi):
     # A value rounded to 128 bits carries up to 2^-128 relatively, far above
@@ -916,14 +946,14 @@ def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
             # the integer factors of the linear coefficient at x = 0
             got = _hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])
             want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
-            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+            assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
             for phi in ("-2", "-0.5", "0", "1.25"):
                 e = mpmath.exp(mpmath.mpf(phi))
                 run = power_run(_pair(e), -n, n, bits)
                 powers = [_mpf(v) for v in run]
                 got = _hermite_sum(n, q, run[::-2])
                 want = _operator_hermite_sum(n, q, lambda k: powers[2 * n - 2 * k])
-                assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+                assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 # -- independent routes agree over the benchmark's point domain ---------------
