@@ -189,32 +189,83 @@ def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple[int, int],
     return tuple(coeffs)
 
 
-def _hermite_series_pass(ns, phi, q) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """One summation pass at the ambient precision p: (sum, bound) as pairs
-    for each degree n of ns.
+def _hermite_gap(q) -> tuple[int, int]:
+    """A pair of at least 2.001 q / (1 - q), for _hermite_bound: the
+    constant 2.00195 covers the three roundings at 53 bits."""
+    q = _pair(q)
+    return _mul((2050, -10), _div(q, _sub(_ONE, q, 53), 53), 53)
 
-    bound is err / max(1, |sum| - err), err = (n + 1) max|term| 2^-p being
-    the summation roundoff: the error relative to a certified lower bound
-    of max(1, |h_n|).  Each operation is the mpf operation of that
-    expression, so bound is its mpf value bit for bit.  The factors
-    e^(n-2k) of every degree are read from one power run of e = exp(phi)
-    over [-max(ns), max(ns)]: a run value does not depend on the run's
-    length, so each degree's factors are those of its own run.
+
+def _hermite_bound(n: int, total, tmax, units: int, gap, prec: int):
+    """err / max(1, |total| - err) as a pair, or None when the pass at prec
+    certifies no bit, for total = _hermite_sum(n, q, factors) at prec.
+
+    err bounds |total - S| for the exact sum S at the exact q and factors,
+    so the bound is the error relative to a certified lower bound of
+    max(1, |S|).  With u = 2^-prec and each rounding a factor (1 + d),
+    |d| <= u, the first-order count of relative perturbations is:
+    - a coefficient of _hermite_coefficients, at most (4n + 2) u +
+      2.001 R u + 3n 2^-(prec+32): the 2k differences 1 - q^i, each
+      rounded (u) from a q^i within u (1 + 2^-31), which 1 - q^i amplifies
+      by r_i = q^i / (1 - q^i); the 2k divisions and products of [n,k]_q;
+      the power, within u + 3k 2^-(prec+32), and the last product.  r_i
+      falls in i, so the 2k amplifications sum to at most 2 R,
+      R = sum_{i<=n} r_i <= q H_n / (1 - q), as 1 - q^i >= i q^(i-1) (1 - q);
+    - a factor e^(n-2k), at most (2n + 1) u + 1.01 n 2^-(prec+32): exp(phi)
+      is within 2^(1-prec) (mpmath's exp keeps 14 or more guard bits and
+      rounds once), raised to a power of at most n, and power_run's bound;
+      an integer factor n - 2k is exact;
+    - the product c * factor, u.
+    The terms carry relative errors of at most a, the sum of these, and
+    their n roundings in the sum add at most 1.001 n u sum|term|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
+    with sum|term| <= (n + 1) tmax.  While a + n u <= 2^-10, a product of
+    such factors, or of their inverses, is within 1.003 a of 1, so
+
+        |total - S| <= 1.003 (n + 1) tmax (a + n u) <= K tmax u,
+        K = 33/32 (n + 1) (units + gap * bitlength(n)),
+
+    where units is 7n + 5 for the factors e^(n-2k) and 5n + 4 for the
+    integer factors, each with 1 for the 2^-30 terms (n < 2^29), gap is
+    _hermite_gap(q) >= 2.001 q / (1 - q), and bitlength(n) >= H_n.  33/32
+    also covers the roundings of K, err and the bound.  When K u > 2^-10
+    the first-order count does not hold, and None is returned.
+    """
+    k = _mul(_add((units, 0), _mul(gap, (n.bit_length(), 0), 53), 53), (33 * (n + 1), -5), 53)
+    if k[1] + k[0].bit_length() > prec - 10:
+        return None
+    m, e = _mul(tmax, k, prec)
+    err = m, e - prec
+    scale = _sub((abs(total[0]), total[1]), err, prec)
+    # max(1, |total| - err)
+    scale = scale if scale[0] > 0 and _abs_lt(_ONE, scale) else _ONE
+    return _div(err, scale, prec)
+
+
+def _hermite_series_pass(ns, phi, q) -> list[tuple[tuple[int, int], tuple[int, int] | None]]:
+    """One summation pass at the ambient precision: (sum, bound) as pairs
+    for each degree n of ns, bound being _hermite_bound's (None when the
+    pass certifies no bit).
+
+    The factors e^(n-2k) of every degree are read from one power run of
+    e = exp(phi) over [-max(ns), max(ns)]: a run value does not depend on
+    the run's length, so each degree's factors are those of its own run.
     """
     prec = mpmath.mp.prec
     top = max(ns, default=0)
     run = power_run(_pair(mpmath.exp(phi)), -top, top, prec)   # run[j + top] = e^j
+    gap = _hermite_gap(q)
     out = []
     for n in ns:
         # e^(n-2k) for k = 0..n, read downwards from e^-n, ..., e^n
         total, tmax = _hermite_sum(n, q, run[top - n:top + n + 1][::-2])
-        err = _mul(tmax, (n + 1, 0), prec)
-        err = err[0], err[1] - prec
-        scale = _sub((abs(total[0]), total[1]), err, prec)
-        # max(1, |sum| - err)
-        scale = scale if scale[0] > 0 and _abs_lt(_ONE, scale) else _ONE
-        out.append((total, _div(err, scale, prec)))
+        out.append((total, _hermite_bound(n, total, tmax, 7 * n + 5, gap, prec)))
     return out
+
+
+def _mpf_pass(total, bound) -> tuple[QReal, QReal]:
+    """A pass's (value, bound) as _certified reads them: mpf, inf for None."""
+    return _mpf(total), mpmath.inf if bound is None else _mpf(bound)
 
 
 def qinv_hermite_series_degrees(ns, phi, q,
@@ -226,13 +277,15 @@ def qinv_hermite_series_degrees(ns, phi, q,
     e^(n-2k), bit for bit those of the degree's own run.  Terms reach
     q^(-n^2/4) e^(n|phi|) while the sum can be exponentially smaller
     (exactly 0 at phi = 0 for odd n), so each value is certified to an
-    absolute error of tol/4 * max(1, |h_n|): a degree whose first-pass
-    bound, compared on pairs, meets that budget takes the pass's value, and
+    absolute error of tol/4 * max(1, |h_n|) by _hermite_bound, which covers
+    the roundings of the row, of the factors and of the sum: a degree whose
+    first-pass bound, compared on pairs, meets that budget takes the pass's
+    value, and
     a degree whose bound misses it goes on to kernel._certified, the
     package's one escalation policy, which redoes that degree's sum at the
     bits its bound asks for; that meets the budget in one rerun as the
     bound scales like 2^-bits (h_801(0) at q = 0.5 and 256 bits: one
-    rerun, at 160,615 bits).  Rounding a rerun to ctx.bits adds at most
+    rerun, at 160,627 bits).  Rounding a rerun to ctx.bits adds at most
     2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure before any pass
     when tol is below ctx.rounding_floor, and when a rerun would need more
     than 1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for odd
@@ -254,11 +307,11 @@ def qinv_hermite_series_degrees(ns, phi, q,
         passes = _hermite_series_pass(ns, phi, q)
     out = []
     for n, (total, bound) in zip(ns, passes):
-        if not _abs_lt(limit, bound):
+        if bound is not None and not _abs_lt(limit, bound):
             out.append(_mpf(total))
             continue
-        out.append(_certified(lambda: tuple(map(_mpf, _hermite_series_pass([n], phi, q)[0])),
-                              budget, ctx, what([n]), first=(_mpf(total), _mpf(bound))))
+        out.append(_certified(lambda: _mpf_pass(*_hermite_series_pass([n], phi, q)[0]),
+                              budget, ctx, what([n]), first=_mpf_pass(total, bound)))
     return out
 
 

@@ -285,7 +285,7 @@ def test_eval_series_past_the_precision_cap_is_exit_two(capsys):
     code, _, err = run(capsys, "eval", "--family", "h", "--n", "2001", "--phi", "0", "--q", "0.5")
     assert code == 2
     assert "misses the budget 1.5557538e-61 at 256 bits" in err
-    assert "next pass: 1001216 bits; cap: 1024 * bits = 262144" in err
+    assert "next pass: 1001230 bits; cap: 1024 * bits = 262144" in err
 
 
 def test_verify_series_context_gains_bits_only_below_the_floor(capsys):

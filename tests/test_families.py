@@ -816,16 +816,20 @@ def _oracle_hermite_sum(n, q, factor):
 
 
 def _oracle_hermite_series(n, phi, q, ctx, repasses):
-    """The series' first pass at ctx.bits when its summation bound
-    (n + 1) max|term| 2^-bits meets tol/4 against a certified lower bound
-    of max(1, |h|); otherwise None, with (n, phi) recorded in repasses."""
+    """The series' first pass at ctx.bits when its error bound
+    K max|term| 2^-bits, K = 33/32 (n + 1) (7n + 5 + 2.00195 q / (1 - q)
+    bitlength(n)), meets tol/4 against a certified lower bound of
+    max(1, |h|); otherwise None, with (n, phi) recorded in repasses."""
     q = as_qparam(q, ctx)
     with ctx.workprec():
         phi = mpmath.mpf(phi)
         ep = P(mpmath.exp(phi), ctx.bits)
         total, tmax = _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])
-        noise = (n + 1) * tmax * mpmath.mpf(2) ** -ctx.bits
-        if noise <= ctx.tol / 4 * max(mpmath.mpf(1), abs(total) - noise):
+        k = mpmath.mpf(33) / 32 * (n + 1) * (
+            7 * n + 5 + mpmath.mpf(2050) / 1024 * q / (1 - q) * n.bit_length())
+        noise = k * tmax * mpmath.mpf(2) ** -ctx.bits
+        if (k <= mpmath.mpf(2) ** (ctx.bits - 10)
+                and noise <= ctx.tol / 4 * max(mpmath.mpf(1), abs(total) - noise)):
             return total
     repasses.append((n, phi))
     return None
@@ -868,9 +872,9 @@ def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
     for k in range(15):
         want = _oracle_even_factor_at_zero(k, q_s, ctx)
         assert even_hermite_factor(k, 0, q_s, ctx)._mpf_ == want._mpf_
-    # The guard-bit re-pass is covered: odd degrees sum to 0 at phi = 0,
-    # from terms up to q^(-n^2/4), which stay small enough at q = 0.9.
-    assert ((29, 0) in repasses) == (q_s != "0.9")
+    # The re-pass is covered: odd degrees sum to 0 at phi = 0, from terms
+    # up to q^(-n^2/4), and at every q of this grid h_29(0) is summed again.
+    assert (29, 0) in repasses
 
 
 @pytest.mark.parametrize("bits,tol_exp", [(256, 200), (1024, 800)])
@@ -901,6 +905,44 @@ def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monk
     assert all(len(ns) == 1 and ns[0] % 2 for ns in reruns)
     if q_s == "0.2":
         assert len(reruns) >= 5
+
+
+def _hermite_sum_at(bits, n, q, factor):
+    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factor(k) at the given bits, from the
+    exact value of q, with ** powers and the q-binomial by its ratios."""
+    with mpmath.mp.workprec(bits):
+        total, binom = mpmath.mpf(0), mpmath.mpf(1)
+        for k in range(n + 1):
+            total += (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
+            binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
+        return total
+
+
+@pytest.mark.parametrize("q_s", ["0.99", "0.999"])
+def test_series_error_is_within_its_bound_on_every_pass(q_s, monkeypatch):
+    # Near q = 1 the row's differences 1 - q^i lose about log2(1/(1 - q))
+    # bits each: the summation roundoff (n + 1) max|term| 2^-bits alone was
+    # 3.2 times short of the error at q = 0.99 and 17.7 times at q = 0.999
+    # (n = 4, phi = 0).
+    from qortho import families
+    from qortho.identities import DEFAULT_PHI_GRID
+    passes, pass_ = [], families._hermite_series_pass
+
+    def recorded(ns, phi, q):
+        out = pass_(ns, phi, q)
+        passes.append((list(ns), phi, q, out))
+        return out
+    monkeypatch.setattr(families, "_hermite_series_pass", recorded)
+    for phi in DEFAULT_PHI_GRID:
+        qinv_hermite_series_degrees(range(31), phi, q_s, CTX)
+    assert len(passes) >= len(DEFAULT_PHI_GRID)
+    for ns, phi, q, out in passes:
+        with mpmath.mp.workprec(2000):
+            e = mpmath.exp(phi)
+        for n, (total, bound) in zip(ns, out):
+            ref = _hermite_sum_at(2000, n, q, lambda k: e ** (n - 2 * k))
+            with mpmath.mp.workprec(2000):
+                assert abs(_mpf(total) - ref) <= _mpf(bound) * max(1, abs(ref)), (n, phi)
 
 
 @pytest.mark.parametrize("n,phi", [(5, "0.4"), (12, "1.3"), (21, "-0.7")])

@@ -91,7 +91,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "29acd3232b4a861ae6760ce98dbc6764d072ee3770418a0db544d2465f9c9f62",
     "2267e23f0193daf0793a3e54afb0f4e6e86567efa682d416df742c06ecc28960",
     "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
-    "0eb48150376b1bb19d5e0e8ee13c2c50c0f48a2a454276c9d1eb93a1a3945081",
+    "855cb15fa5d0da4d7ca32d46a34be3c9eaa5dfaf6ea5c8ed1e24b19f7de9831e",
 )) + _runs(_BASIC, "0.7", (
     "54f978c23af11523e265c8fb715092c01d4634ed34ff13c0aa3f2ce88e1f5b77",
     "a0658ee5174bdf5452c2e6a4c0167a78be80f3b1521f8e85ed4907b315e6061c",
