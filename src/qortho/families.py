@@ -378,11 +378,24 @@ def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> l
     return qinv_hermite_coeff_rows(n, q, ctx)[n]
 
 
+def _linear_coefficient_pass(n: int, q) -> tuple[QReal, QReal]:
+    """One pass at the ambient precision of the linear coefficient of h_n,
+    sum_j (-1)^j q^{j(j-n)} [n,j]_q (n - 2j): (value, bound) as
+    _certified reads them, bound being _hermite_bound's for the exact
+    integer factors n - 2j."""
+    total, tmax = _hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])
+    return _mpf_pass(total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q),
+                                           mpmath.mp.prec))
+
+
 def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """ht_{2k}(x|q) = h_{2k+1}(x|q) / x, with the removable point at x = 0.
 
     At x = 0 the value is the linear coefficient of h_{2k+1}, computed from
-    the series as sum_j (-1)^j q^{j(j-(2k+1))} [2k+1,j]_q (2k+1-2j).
+    the series as sum_j (-1)^j q^{j(j-(2k+1))} [2k+1,j]_q (2k+1-2j) and
+    certified as the h series is: kernel._certified sums it again at more
+    bits while _hermite_bound may miss tol/4 * max(1, |ht_{2k}(0)|), and
+    raises TruncationFailure when tol is below ctx.rounding_floor.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
@@ -392,7 +405,8 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-        return _mpf(_hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])[0])
+    return _certified(lambda: _linear_coefficient_pass(n, q), mpmath.ldexp(ctx.tol, -2), ctx,
+                      lambda: "ht_%d(0) at q=%.8g" % (2 * k, float(q)))
 
 
 # ---------------------------------------------------------------------------

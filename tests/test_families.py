@@ -945,6 +945,19 @@ def test_series_error_is_within_its_bound_on_every_pass(q_s, monkeypatch):
                 assert abs(_mpf(total) - ref) <= _mpf(bound) * max(1, abs(ref)), (n, phi)
 
 
+@pytest.mark.parametrize("k", [27, 30])
+@pytest.mark.parametrize("q_s", ["0.99", "0.999"])
+def test_even_cofactor_at_zero_is_certified(q_s, k):
+    # The sum of the linear coefficient cancels: summed once at 256 bits it
+    # missed tol * max(1, |ht|) by 26 to 1,587 times at q = 0.99 and by 11
+    # to 146 times at q = 0.999.
+    q, n = as_qparam(q_s, CTX), 2 * k + 1
+    ref = _hermite_sum_at(3000, n, q, lambda j: n - 2 * j)
+    got = even_hermite_factor(k, 0, q, CTX)
+    with mpmath.mp.workprec(3000):
+        assert abs(got - ref) <= CTX.tol * max(1, abs(ref))
+
+
 @pytest.mark.parametrize("n,phi", [(5, "0.4"), (12, "1.3"), (21, "-0.7")])
 def test_hermite_series_below_its_rounding_floor_raises(n, phi):
     # A value rounded to 128 bits carries up to 2^-128 relatively, far above
