@@ -278,14 +278,14 @@ def qinv_hermite_series_degrees(ns, phi, q,
     q^(-n^2/4) e^(n|phi|) while the sum can be exponentially smaller
     (exactly 0 at phi = 0 for odd n), so each value is certified to an
     absolute error of tol/4 * max(1, |h_n|) by _hermite_bound, which covers
-    the roundings of the row, of the factors and of the sum: a degree whose
-    first-pass bound, compared on pairs, meets that budget takes the pass's
-    value, and
-    a degree whose bound misses it goes on to kernel._certified, the
-    package's one escalation policy, which redoes that degree's sum at the
-    bits its bound asks for; that meets the budget in one rerun as the
-    bound scales like 2^-bits (h_801(0) at q = 0.5 and 256 bits: one
-    rerun, at 160,627 bits).  Rounding a rerun to ctx.bits adds at most
+    the roundings of the row, of the factors and of the sum.  A degree
+    whose first-pass bound, compared on pairs, meets that budget takes the
+    pass's value; a degree whose bound misses it goes on to
+    kernel._certified, the package's one escalation policy, which redoes
+    that degree's sum at the bits its bound asks for.  That meets the
+    budget in one rerun as the bound scales like 2^-bits (h_801(0) at
+    q = 0.5 and 256 bits: one rerun, at 160,627 bits).  Rounding a rerun
+    to ctx.bits adds at most
     2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure before any pass
     when tol is below ctx.rounding_floor, and when a rerun would need more
     than 1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for odd
@@ -318,8 +318,6 @@ def qinv_hermite_series_degrees(ns, phi, q,
 def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """h_n(sinh(phi)|q) by the explicit series in e^phi: the one-degree call
     of qinv_hermite_series_degrees, which has the certificate."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
     return qinv_hermite_series_degrees([n], phi, q, ctx)[0]
 
 
