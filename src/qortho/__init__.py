@@ -14,7 +14,7 @@ from .families import (DegenerateCoefficient, FamilyKind, FamilySpec,
                        dual_ultra_tables, even_hermite_factor, evaluate,
                        mu_point, qinv_hermite, qinv_hermite_coeff_rows,
                        qinv_hermite_coeffs, qinv_hermite_series,
-                       qinv_hermite_series_degrees,
+                       qinv_hermite_series_tables,
                        qinv_hermite_table, qinv_hermite_tables)
 from .identities import (SUITE_IDS, IdentityReport, check_even_connection,
                          check_half_to_full_lattice,
@@ -81,7 +81,7 @@ __all__ = [
     "qinv_hermite_coeff_rows",
     "qinv_hermite_coeffs",
     "qinv_hermite_series",
-    "qinv_hermite_series_degrees",
+    "qinv_hermite_series_tables",
     "qinv_hermite_table",
     "qinv_hermite_tables",
     "qpochhammer",

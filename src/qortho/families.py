@@ -23,13 +23,11 @@ Three families, all real-valued for 0 < q < 1:
                + q^{-2n-1}(1+q) D_n - q^{-2n}(1 - q^{2n}) D_{n-1}.
 
 Series and recurrence evaluators are deliberately independent code paths so
-each can serve as the other's cross-check.  The h_n series reuses its
-phi-free row (-1)^k q^{k(k-n)} [n,k]_q, formed once per (n, q, precision) and
-memoised for the 32 most recently used rows, so a grid of phi values costs
-one row and one multiplication per term and phi.  It is batched over
-degrees: qinv_hermite_series_degrees makes one pass per phi for every
-degree asked for, from one exp(phi) and one power run, and
-qinv_hermite_series is its one-degree call.
+each can serve as the other's cross-check.  The h_n series is batched over
+degrees and phi: qinv_hermite_series_tables builds each degree's phi-free
+row (-1)^k q^{k(k-n)} [n,k]_q once, from one power run of q, and takes one
+exp(phi) and one power run per phi, so a grid costs one multiplication per
+term and phi past the rows; qinv_hermite_series is its one-point call.
 
 The recurrence evaluators are batched: the *_tables functions run the
 recurrence at every point of a list, and the *_coeff_rows functions give
@@ -56,8 +54,8 @@ expression; each recurrence step is that of the libmp expression formed
 exactly (prec=0) and rounded once.  The public functions convert to mpf at
 the end.  Every power of q with a
 loop-indexed exponent in them, and the h series' factors e^(n-2k), is read
-from one kernel.power_run per call (per pass over all degrees, for the
-factors) in place of a ``**`` per power.  The
+from one kernel.power_run per call (per pass for the h series' rows, and
+per pass and phi for its factors) in place of a ``**`` per power.  The
 parameter lists of the C and grid D series still form their few powers
 with ``**``.
 """
@@ -65,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 
 import mpmath
 
@@ -142,15 +139,16 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_sum(n: int, q, factors) -> tuple[tuple[int, int], tuple[int, int]]:
-    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factors[k] and its largest |term|, as pairs.
+def _hermite_sum(row, factors) -> tuple[tuple[int, int], tuple[int, int]]:
+    """sum_k row[k] factors[k] and its largest |term|, as pairs.
 
-    factors holds pairs.  Runs at the ambient precision: term = c * factor,
-    total += term, tmax = max(tmax, |term|).
+    row is a row of _hermite_rows and factors holds pairs.  Runs at the
+    ambient precision: term = c * factor, total += term,
+    tmax = max(tmax, |term|).
     """
     prec = mpmath.mp.prec
     total = tmax = _ZERO
-    for c, factor in zip(_hermite_coefficients(n, q, prec), factors):
+    for c, factor in zip(row, factors):
         term = _mul(c, factor, prec)
         total = _add(total, term, prec)
         if _abs_lt(tmax, term):
@@ -158,13 +156,13 @@ def _hermite_sum(n: int, q, factors) -> tuple[tuple[int, int], tuple[int, int]]:
     return total, tmax
 
 
-@functools.lru_cache(maxsize=32)
-def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple[int, int], ...]:
-    """The phi-free factors (-1)^k q^{k(k-n)} [n,k]_q of _hermite_sum, as pairs.
+def _hermite_rows(ns, q: QReal, prec: int) -> dict[int, list[tuple[int, int]]]:
+    """{n: the phi-free factors (-1)^k q^{k(k-n)} [n,k]_q, k = 0..n} for the
+    degrees n of ns, each row built once, as pairs at prec.
 
-    prec is the precision of the factors, and part of the memo key because
-    the rounding of every factor depends on it.  The powers come from one
-    power_run of q over [1-n, n] at prec + 32:
+    The powers come from one power_run of q over [1-top, top] at prec + 32,
+    top = max(ns); a run value does not depend on the run's length, so each
+    row is bit for bit that of a run over [1-n, n]:
     - [n,k]_q steps from [n,k-1]_q by (1 - q^(n-k+1)) / (1 - q^k), with both
       powers rounded from the run to prec, so within 2^-prec + 2^-(prec+31);
     - q^(k(k-n)) steps from q^((k-1)(k-1-n)) by its ratio q^(2k-1-n) at
@@ -173,20 +171,23 @@ def _hermite_coefficients(n: int, q: QReal, prec: int) -> tuple[tuple[int, int],
       prec + 32, so power_run's product bound over 2k - 1 factors puts it
       within 2^-prec + 3k 2^-(prec+32) of the exact power.
     """
+    top = max(ns, default=0)
     wp = prec + 32
-    pw = power_run(_pair(q), 1 - n, n, wp)        # pw[k + n - 1] = q^k
-    qk = [_round(v, prec) for v in pw[n - 1:]]    # qk[k] = q^k at prec
-    coeffs = [_ONE]
-    binom = _ONE
-    power = _ONE
-    for k in range(1, n + 1):
-        # binom *= (1 - q^(n-k+1)) / (1 - q^k); c = (-1)^k * power * binom
-        binom = _mul(binom, _div(_sub(_ONE, qk[n - k + 1], prec),
-                                 _sub(_ONE, qk[k], prec), prec), prec)
-        power = _mul(power, pw[2 * k - 2], wp)
-        m, e = _mul(_round(power, prec), binom, prec)
-        coeffs.append((-m if k & 1 else m, e))
-    return tuple(coeffs)
+    pw = power_run(_pair(q), 1 - top, top, wp)   # pw[k + top - 1] = q^k
+    qk = [_round(v, prec) for v in pw[top - 1:]]   # qk[k] = q^k at prec
+    rows = {}
+    for n in dict.fromkeys(ns):
+        row = [_ONE]
+        binom = power = _ONE
+        for k in range(1, n + 1):
+            # binom *= (1 - q^(n-k+1)) / (1 - q^k); c = (-1)^k * power * binom
+            binom = _mul(binom, _div(_sub(_ONE, qk[n - k + 1], prec),
+                                     _sub(_ONE, qk[k], prec), prec), prec)
+            power = _mul(power, pw[top - n + 2 * k - 2], wp)
+            m, e = _mul(_round(power, prec), binom, prec)
+            row.append((-m if k & 1 else m, e))
+        rows[n] = row
+    return rows
 
 
 def _hermite_gap(q) -> tuple[int, int]:
@@ -198,13 +199,13 @@ def _hermite_gap(q) -> tuple[int, int]:
 
 def _hermite_bound(n: int, total, tmax, units: int, gap, prec: int):
     """err / max(1, |total| - err) as a pair, or None when the pass at prec
-    certifies no bit, for total = _hermite_sum(n, q, factors) at prec.
+    certifies no bit, for total = _hermite_sum of row n at prec.
 
     err bounds |total - S| for the exact sum S at the exact q and factors,
     so the bound is the error relative to a certified lower bound of
     max(1, |S|).  With u = 2^-prec and each rounding a factor (1 + d),
     |d| <= u, the first-order count of relative perturbations is:
-    - a coefficient of _hermite_coefficients, at most (4n + 2) u +
+    - a coefficient of _hermite_rows, at most (4n + 2) u +
       2.001 R u + 3n 2^-(prec+32): the 2k differences 1 - q^i, each
       rounded (u) from a q^i within u (1 + 2^-31), which 1 - q^i amplifies
       by r_i = q^i / (1 - q^i); the 2k divisions and products of [n,k]_q;
@@ -242,24 +243,29 @@ def _hermite_bound(n: int, total, tmax, units: int, gap, prec: int):
     return _div(err, scale, prec)
 
 
-def _hermite_series_pass(ns, phi, q) -> list[tuple[tuple[int, int], tuple[int, int] | None]]:
-    """One summation pass at the ambient precision: (sum, bound) as pairs
-    for each degree n of ns, bound being _hermite_bound's (None when the
-    pass certifies no bit).
+def _hermite_series_pass(ns, phis, q) -> list[list[tuple[tuple[int, int], tuple[int, int] | None]]]:
+    """One summation pass at the ambient precision: for each phi of phis,
+    (sum, bound) as pairs for each degree n of ns, bound being
+    _hermite_bound's (None when the pass certifies no bit).
 
-    The factors e^(n-2k) of every degree are read from one power run of
+    The rows are built once for all of phis (_hermite_rows), and the factors
+    e^(n-2k) of every degree at phi are read from one power run of
     e = exp(phi) over [-max(ns), max(ns)]: a run value does not depend on
     the run's length, so each degree's factors are those of its own run.
     """
     prec = mpmath.mp.prec
     top = max(ns, default=0)
-    run = power_run(_pair(mpmath.exp(phi)), -top, top, prec)   # run[j + top] = e^j
+    rows = _hermite_rows(ns, q, prec)
     gap = _hermite_gap(q)
     out = []
-    for n in ns:
-        # e^(n-2k) for k = 0..n, read downwards from e^-n, ..., e^n
-        total, tmax = _hermite_sum(n, q, run[top - n:top + n + 1][::-2])
-        out.append((total, _hermite_bound(n, total, tmax, 7 * n + 5, gap, prec)))
+    for phi in phis:
+        run = power_run(_pair(mpmath.exp(phi)), -top, top, prec)   # run[j + top] = e^j
+        sums = []
+        for n in ns:
+            # e^(n-2k) for k = 0..n, read downwards from e^-n, ..., e^n
+            total, tmax = _hermite_sum(rows[n], run[top - n:top + n + 1][::-2])
+            sums.append((total, _hermite_bound(n, total, tmax, 7 * n + 5, gap, prec)))
+        out.append(sums)
     return out
 
 
@@ -268,57 +274,59 @@ def _mpf_pass(total, bound) -> tuple[QReal, QReal]:
     return _mpf(total), mpmath.inf if bound is None else _mpf(bound)
 
 
-def qinv_hermite_series_degrees(ns, phi, q,
-                                ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
-    """[h_n(sinh(phi)|q) for n in ns] by the explicit series in e^phi.
+def qinv_hermite_series_tables(ns, phis, q,
+                               ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
+    """[[h_n(sinh(phi)|q) for n in ns] for phi in phis] by the explicit
+    series in e^phi.
 
-    One pass at ctx.bits serves every degree: phi and q are converted once,
-    exp(phi) is formed once, and one power run gives every degree's factors
-    e^(n-2k), bit for bit those of the degree's own run.  Terms reach
-    q^(-n^2/4) e^(n|phi|) while the sum can be exponentially smaller
-    (exactly 0 at phi = 0 for odd n), so each value is certified to an
-    absolute error of tol/4 * max(1, |h_n|) by _hermite_bound, which covers
-    the roundings of the row, of the factors and of the sum.  A degree
-    whose first-pass bound, compared on pairs, meets that budget takes the
-    pass's value; a degree whose bound misses it goes on to
+    One pass at ctx.bits serves every degree and phi: q and every phi are
+    converted once, each degree's row is built once, and each phi takes one
+    exp(phi) and one power run for every degree's factors e^(n-2k), bit for
+    bit those of the degree's own run.  Terms reach q^(-n^2/4) e^(n|phi|)
+    while the sum can be exponentially smaller (exactly 0 at phi = 0 for
+    odd n), so each value is certified to an absolute error of
+    tol/4 * max(1, |h_n|) by _hermite_bound, which covers the roundings of
+    the row, of the factors and of the sum.  A value whose first-pass
+    bound, compared on pairs, meets that budget takes the pass's value; one
+    whose bound misses it goes on, one (n, phi) at a time, to
     kernel._certified, the package's one escalation policy, which redoes
-    that degree's sum at the bits its bound asks for.  That meets the
-    budget in one rerun as the bound scales like 2^-bits (h_801(0) at
-    q = 0.5 and 256 bits: one rerun, at 160,627 bits).  Rounding a rerun
-    to ctx.bits adds at most
-    2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure before any pass
-    when tol is below ctx.rounding_floor, and when a rerun would need more
-    than 1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for odd
-    n >= 1025).
+    that sum at the bits its bound asks for.  That meets the budget in one
+    rerun as the bound scales like 2^-bits (h_801(0) at q = 0.5 and 256
+    bits: one rerun, at 160,627 bits).  Rounding a rerun to ctx.bits adds
+    at most 2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure before
+    any pass when tol is below ctx.rounding_floor, and when a rerun would
+    need more than 1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for
+    odd n >= 1025).
     """
     ns = list(ns)
     if not all(isinstance(n, int) and n >= 0 for n in ns):
         raise ValueError("n must be a nonnegative integer")
-    q, phi = as_qparam(q, ctx), ctx.to_real(phi)
-    _pair(phi, "phi")   # ValueError unless phi is finite
+    q, phis = as_qparam(q, ctx), [ctx.to_real(phi) for phi in phis]
+    for phi in phis:
+        _pair(phi, "phi")   # ValueError unless phi is finite
 
-    def what(degrees):
-        return lambda: "h_%s series at phi=%.8g, q=%.8g" % (
-            ",".join(map(str, degrees)), float(phi), float(q))
-    _check_floor(ctx, what(ns))
+    def what(degrees, at):
+        return lambda: "h_%s series at phi=%s, q=%.8g" % (
+            ",".join(map(str, degrees)), ",".join("%.8g" % float(phi) for phi in at), float(q))
+    _check_floor(ctx, what(ns, phis))
     budget = mpmath.ldexp(ctx.tol, -2)
     limit = _pair(budget)
-    with ctx.workprec():
-        passes = _hermite_series_pass(ns, phi, q)
-    out = []
-    for n, (total, bound) in zip(ns, passes):
+
+    def value(n, phi, total, bound):
         if bound is not None and not _abs_lt(limit, bound):
-            out.append(_mpf(total))
-            continue
-        out.append(_certified(lambda: _mpf_pass(*_hermite_series_pass([n], phi, q)[0]),
-                              budget, ctx, what([n]), first=_mpf_pass(total, bound)))
-    return out
+            return _mpf(total)
+        return _certified(lambda: _mpf_pass(*_hermite_series_pass([n], [phi], q)[0][0]),
+                          budget, ctx, what([n], [phi]), first=_mpf_pass(total, bound))
+    with ctx.workprec():
+        passes = _hermite_series_pass(ns, phis, q)
+    return [[value(n, phi, *pass_) for n, pass_ in zip(ns, sums)]
+            for phi, sums in zip(phis, passes)]
 
 
 def qinv_hermite_series(n: int, phi, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """h_n(sinh(phi)|q) by the explicit series in e^phi: the one-degree call
-    of qinv_hermite_series_degrees, which has the certificate."""
-    return qinv_hermite_series_degrees([n], phi, q, ctx)[0]
+    """h_n(sinh(phi)|q) by the explicit series in e^phi: the one-point call
+    of qinv_hermite_series_tables, which has the certificate."""
+    return qinv_hermite_series_tables([n], [phi], q, ctx)[0][0]
 
 
 def qinv_hermite_tables(n_max: int, xs, q,
@@ -381,9 +389,10 @@ def _linear_coefficient_pass(n: int, q) -> tuple[QReal, QReal]:
     sum_j (-1)^j q^{j(j-n)} [n,j]_q (n - 2j): (value, bound) as
     _certified reads them, bound being _hermite_bound's for the exact
     integer factors n - 2j."""
-    total, tmax = _hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])
-    return _mpf_pass(total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q),
-                                           mpmath.mp.prec))
+    prec = mpmath.mp.prec
+    total, tmax = _hermite_sum(_hermite_rows([n], q, prec)[n],
+                               [(j, 0) for j in range(n, -n - 1, -2)])
+    return _mpf_pass(total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q), prec))
 
 
 def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:

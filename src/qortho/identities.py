@@ -27,7 +27,7 @@ import types
 import mpmath
 
 from .families import (dual_ultra_tables, qinv_hermite_coeff_rows,
-                       qinv_hermite_series_degrees, qinv_hermite_tables)
+                       qinv_hermite_series_tables, qinv_hermite_tables)
 from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _mpf, _pair,
                      as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
@@ -55,30 +55,36 @@ class IdentityReport:
         }
 
 
-def _report(identity_id: str, grid: str, max_residual: QReal,
-            ctx: PrecisionContext, details: dict[str, str] | None = None) -> IdentityReport:
-    return IdentityReport(
-        identity_id=identity_id,
-        grid=grid,
-        max_residual=max_residual,
-        passed=bool(max_residual < ctx.tol),
-        details=details or {},
-    )
+def _report(identity_id: str, grid: str, residuals: dict[str, QReal],
+            ctx: PrecisionContext, contrast: str | None = None) -> IdentityReport:
+    """The report of the named residuals: the details show each one at
+    ctx.digits, and the largest, leaving out the contrast (shown, not
+    counted), is the max_residual, which passes below tol."""
+    worst = max(value for name, value in residuals.items() if name != contrast)
+    return IdentityReport(identity_id, grid, worst, bool(worst < ctx.tol),
+                          {name: to_decimal(value, ctx.digits)
+                           for name, value in residuals.items()})
 
 
 def _relative(lhs: QReal, rhs: QReal) -> QReal:
     return abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
 
 
-def _grid(phi_grid) -> list:
-    return list(DEFAULT_PHI_GRID if phi_grid is None else phi_grid)
+def _grid(grid) -> list:
+    """The points of grid, DEFAULT_PHI_GRID for None; ValueError when it has
+    none, as a check would then compare nothing and pass."""
+    points = list(DEFAULT_PHI_GRID if grid is None else grid)
+    if not points:
+        raise ValueError("the grid has no point")
+    return points
 
 
-def _check_k_max(k_max) -> None:
-    """ValueError unless k_max >= 0: below 0 a check would compare nothing
-    and pass."""
-    if not isinstance(k_max, int) or k_max < 0:
-        raise ValueError("k_max must be a nonnegative integer (got %r)" % (k_max,))
+def _check_degree(name: str, value, least: int = 0) -> None:
+    """ValueError unless value is an integer >= least (0 or 1): below it a
+    check would compare nothing and pass."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError("%s must be a %s integer (got %r)"
+                         % (name, ("nonnegative", "positive")[least], value))
 
 
 def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
@@ -99,22 +105,24 @@ def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
 def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
                       ctx: PrecisionContext) -> IdentityReport:
     """h_{2k+p} by the explicit series against c_k (2 sinh phi)^p D_k by the recurrence."""
-    _check_k_max(k_max)
+    _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
     grid = _grid(phi_grid)
     with ctx.workprec():
         phis = [mpmath.mpf(p) for p in grid]
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
         s, c, mus = _connection(parity, k_max, ys, q, ctx)
+        h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
+                                              phis, q, ctx)
+        d_tables = dual_ultra_tables(k_max, mus, s, q, ctx)
         worst = mpmath.mpf(0)
-        degrees = [2 * k + parity for k in range(k_max + 1)]
-        for phi, dvals in zip(phis, dual_ultra_tables(k_max, mus, s, q, ctx)):
+        for phi, hs, dvals in zip(phis, h_tables, d_tables):
             two_sinh = mpmath.exp(phi) - mpmath.exp(-phi)
-            hs = qinv_hermite_series_degrees(degrees, phi, q, ctx)
             for k, lhs in enumerate(hs):
                 rhs = c[k] * dvals[k] if parity == 0 else c[k] * two_sinh * dvals[k]
                 worst = max(worst, _relative(lhs, rhs))
-        return _report(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
+        return IdentityReport(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst,
+                              bool(worst < ctx.tol), {})
 
 
 def check_even_connection(k_max: int, phi_grid, q,
@@ -158,7 +166,7 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     and its mirror for Tt_n = (-1)^n q^{-n(n+1)} (q^3;q^2)_n D_n(qy; q, q),
     whose leading term carries the extra factor q.
     """
-    _check_k_max(k_max)
+    _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
     grid = _grid(phi_grid)
     with ctx.workprec():
@@ -185,12 +193,7 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
                 t = [c_n * d for c_n, d in zip(c, dvals)]
                 res = _chain_residual(parity, mu, t, k_max, q, mid_dual, low)
                 worst[side + "-dual"] = max(worst[side + "-dual"], res)
-
-        digits = ctx.digits
-        return _report(
-            "recurrence-chains", "k <= %d, phi in %s" % (k_max, grid),
-            max(worst.values()), ctx,
-            {name: to_decimal(value, digits) for name, value in worst.items()})
+        return _report("recurrence-chains", "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
 
 
 def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
@@ -216,25 +219,14 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
         # at a = q, so the two share one memoised product.
         neg_qinv = qpochhammer_inf(-q / q2, q, ctx)
 
-        squared_form = neg_q ** 2 * euler
-        halved_form = neg_one * neg_q * euler / 2
         shifted = neg_q2 * neg_qinv * euler
-        shifted_form = q / 2 * shifted
-        shifted_alt = 2 / q * shifted
-
-        digits = ctx.digits
-        details = {
-            "squared-form": to_decimal(_relative(base, squared_form), digits),
-            "halved-form": to_decimal(_relative(base, halved_form), digits),
-            "shifted-form-constant-q/2": to_decimal(_relative(base, shifted_form), digits),
-            "shifted-form-constant-2/q": to_decimal(_relative(base, shifted_alt), digits),
-            "doubling-subidentity": to_decimal(_relative(neg_one, 2 * neg_q), digits),
-        }
-        worst = max(_relative(base, squared_form),
-                    _relative(base, halved_form),
-                    _relative(base, shifted_form),
-                    _relative(neg_one, 2 * neg_q))
-        return _report("product-chain", "q=%s" % mpmath.nstr(q, 8), worst, ctx, details)
+        return _report("product-chain", "q=%s" % mpmath.nstr(q, 8), {
+            "squared-form": _relative(base, neg_q ** 2 * euler),
+            "halved-form": _relative(base, neg_one * neg_q * euler / 2),
+            "shifted-form-constant-q/2": _relative(base, q / 2 * shifted),
+            "shifted-form-constant-2/q": _relative(base, 2 / q * shifted),
+            "doubling-subidentity": _relative(neg_one, 2 * neg_q),
+        }, ctx, contrast="shifted-form-constant-2/q")
 
 
 def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
@@ -255,46 +247,29 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     below the rounding floor of ctx.bits (q below about 0.03 at the default
     tol and bits), the series runs at the fewest bits whose floor admits it.
     """
+    _check_degree("n_max", n_max, 1)
     q = as_qparam(q, ctx)
+    grid = _grid(x_grid)
     with ctx.workprec():
-        coeff_worst = mpmath.mpf(0)
-        for n in range(1, n_max + 1):
-            r = q ** (-n)
-            coeff_worst = max(coeff_worst,
-                              _relative(1 - r, -r * (1 - q ** n)))
-
-        grid = _grid(x_grid)
+        coeff_worst = max(_relative(1 - q ** -n, -q ** -n * (1 - q ** n))
+                          for n in range(1, n_max + 1))
         xs = [mpmath.mpf(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
         series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
         if series_ctx.tol < series_ctx.rounding_floor:
             series_ctx = dataclasses.replace(
                 series_ctx, bits=6 - int(mpmath.floor(mpmath.log(series_ctx.tol, 2))))
-        value_worst = mpmath.mpf(0)
-        for x in xs:
-            phi = mpmath.asinh(x)
-            hs = qinv_hermite_series_degrees(range(n_max + 2), phi, q, series_ctx)
-            for n in range(1, n_max + 1):
-                lhs = hs[n + 1]
-                rhs = 2 * x * hs[n] + (1 - q ** (-n)) * hs[n - 1]
-                value_worst = max(value_worst, _relative(lhs, rhs))
-
-        parity_worst = mpmath.mpf(0)
-        for n, coeffs in enumerate(qinv_hermite_coeff_rows(n_max, q, ctx)):
-            for j, c in enumerate(coeffs):
-                if (n - j) % 2 == 1:
-                    parity_worst = max(parity_worst, abs(c))
-
-        digits = ctx.digits
-        details = {
-            "coefficient-transform": to_decimal(coeff_worst, digits),
-            "series-values-recurrence": to_decimal(value_worst, digits),
-            "parity-zeros": to_decimal(parity_worst, digits),
-        }
-        return _report(
-            "inverted-parameter-recurrence",
-            "n <= %d, x in %s" % (n_max, grid),
-            max(coeff_worst, value_worst, parity_worst), ctx, details)
+        h_tables = qinv_hermite_series_tables(range(n_max + 2), [mpmath.asinh(x) for x in xs],
+                                              q, series_ctx)
+        value_worst = max(_relative(hs[n + 1], 2 * x * hs[n] + (1 - q ** -n) * hs[n - 1])
+                          for x, hs in zip(xs, h_tables) for n in range(1, n_max + 1))
+        parity_worst = max(abs(c) for n, coeffs in enumerate(qinv_hermite_coeff_rows(n_max, q, ctx))
+                           for j, c in enumerate(coeffs) if (n - j) % 2)
+        return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
+            "coefficient-transform": coeff_worst,
+            "series-values-recurrence": value_worst,
+            "parity-zeros": parity_worst,
+        }, ctx)
 
 
 def check_half_to_full_lattice(N: int, q,
@@ -375,22 +350,15 @@ def check_half_to_full_lattice(N: int, q,
                     closed = 2 * mass * q ** (-(i * (i + 1) // 2)) * qpochhammer(q, q, i, ctx)
                     diag_worst = max(diag_worst, _relative(total, closed))
 
-        const_resid = _relative(2 * mass, scale_const)
-        digits = ctx.digits
-        details = {
-            "entrywise": to_decimal(entry_worst, digits),
-            "cross-parity-block": to_decimal(cross_worst, digits),
-            "diagonal-closed-forms": to_decimal(diag_worst, digits),
-            "node-alignment": to_decimal(node_resid, digits),
-            "folded-odd-weights": to_decimal(weight_resid, digits),
-            "lattice-constant": to_decimal(const_resid, digits),
-        }
-        worst = max(entry_worst, cross_worst, diag_worst, node_resid,
-                    weight_resid, const_resid)
-        return _report(
-            "half-to-full-lattice",
-            "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, mpmath.nstr(q, 8)),
-            worst, ctx, details)
+        return _report("half-to-full-lattice",
+                       "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, mpmath.nstr(q, 8)), {
+                           "entrywise": entry_worst,
+                           "cross-parity-block": cross_worst,
+                           "diagonal-closed-forms": diag_worst,
+                           "node-alignment": node_resid,
+                           "folded-odd-weights": weight_resid,
+                           "lattice-constant": _relative(2 * mass, scale_const),
+                       }, ctx)
 
 
 def _gram_entry(identity_id: str, measure, N: int,
@@ -408,9 +376,8 @@ def _gram_entry(identity_id: str, measure, N: int,
         grid += ", a=%s" % mpmath.nstr(rep.a, 8)
     if rep.s is not None:
         grid += ", s=%s" % mpmath.nstr(rep.s, 8)
-    worst = max(rep.off_diag_max, rep.diag_rel_err_max)
-    return dataclasses.replace(_report(identity_id, grid, worst, ctx, details),
-                               passed=rep.passed(ctx.tol))
+    return IdentityReport(identity_id, grid, max(rep.off_diag_max, rep.diag_rel_err_max),
+                          rep.passed(ctx.tol), details)
 
 
 def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
@@ -422,11 +389,9 @@ def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
         definitive = winner_res < ctx.tol and loser_res > mpmath.sqrt(ctx.tol)
     details = adj.to_details(ctx.digits)
     details["definitive"] = "yes" if definitive else "no"
-    report = _report(identity_id,
-                     "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)),
-                     winner_res, ctx, details)
-    report.passed = bool(report.passed and definitive)
-    return report
+    return IdentityReport(identity_id,
+                          "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)),
+                          winner_res, bool(winner_res < ctx.tol and definitive), details)
 
 
 # The suite, one entry per check in run order: each takes its id and the

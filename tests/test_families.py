@@ -10,9 +10,9 @@ from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
                     dual_ultra_table, dual_ultra_tables, evaluate,
                     even_hermite_factor, mu_point, qinv_hermite,
                     qinv_hermite_coeff_rows, qinv_hermite_coeffs,
-                    qinv_hermite_series, qinv_hermite_series_degrees,
+                    qinv_hermite_series, qinv_hermite_series_tables,
                     qinv_hermite_table, qinv_hermite_tables, to_decimal)
-from qortho.families import _hermite_coefficients, _hermite_sum, _recurrence
+from qortho.families import _hermite_rows, _hermite_sum, _recurrence
 from qortho.kernel import _ONE, _ZERO, _mpf, _mul, _pair, _sub, power_run
 
 CTX = PrecisionContext.create()
@@ -883,28 +883,61 @@ def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monk
     from qortho import families
     from qortho.identities import DEFAULT_PHI_GRID
     ctx = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
+    phis = [ctx.to_real(phi) for phi in DEFAULT_PHI_GRID]
     passes, pass_ = [], families._hermite_series_pass
 
-    def counted(ns, phi, q):
-        passes.append(list(ns))
-        return pass_(ns, phi, q)
+    def counted(ns, phis, q):
+        passes.append((list(ns), list(phis)))
+        return pass_(ns, phis, q)
     monkeypatch.setattr(families, "_hermite_series_pass", counted)
-    for phi in DEFAULT_PHI_GRID:
-        for degrees in (range(31), range(0, 31, 2), range(1, 31, 2)):
-            got = qinv_hermite_series_degrees(degrees, phi, q_s, ctx)
-            want = [qinv_hermite_series(n, phi, q_s, ctx) for n in degrees]
-            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
-    # One pass serves every degree, and only a degree whose bound misses
-    # the budget is summed again: h_n(0) = 0 for odd n, from terms up to
-    # q^(-n^2/4), so at q = 0.2 the top odd degrees rerun (21 to 29 at
-    # 1024 bits), each in a pass of its own.
+    for degrees in (range(31), range(0, 31, 2), range(1, 31, 2)):
+        passes.clear()
+        got = qinv_hermite_series_tables(degrees, DEFAULT_PHI_GRID, q_s, ctx)
+        # one first pass serves the whole grid; a rerun sums one (n, phi)
+        assert passes[0] == (list(degrees), phis)
+        assert all(len(ns) == len(at) == 1 for ns, at in passes[1:])
+        want = [[qinv_hermite_series(n, phi, q_s, ctx) for n in degrees]
+                for phi in DEFAULT_PHI_GRID]
+        assert [[v._mpf_ for v in row] for row in got] == [[v._mpf_ for v in row] for row in want]
+    # Only a degree whose bound misses the budget is summed again: h_n(0) = 0
+    # for odd n, from terms up to q^(-n^2/4), so at q = 0.2 the top odd
+    # degrees rerun (21 to 29 at 1024 bits), each in a pass of its own.
     passes.clear()
-    qinv_hermite_series_degrees(range(1, 31, 2), 0, q_s, ctx)
-    assert passes[0] == list(range(1, 31, 2))
+    qinv_hermite_series_tables(range(1, 31, 2), [0], q_s, ctx)
+    assert passes[0] == (list(range(1, 31, 2)), [0])
     reruns = passes[1:]
-    assert all(len(ns) == 1 and ns[0] % 2 for ns in reruns)
+    assert all(len(ns) == 1 and ns[0] % 2 for ns, _ in reruns)
     if q_s == "0.2":
         assert len(reruns) >= 5
+
+
+def test_series_tables_build_each_row_once(monkeypatch):
+    # Degrees 0..39 over the seven phis of the default grid, more rows than
+    # a 32-row memo keeps across phis.  A call builds each degree's row once,
+    # in its one first pass, from one run of q, and takes one run of
+    # exp(phi) per phi; a rerun builds the row of its own degree, from runs
+    # of its own.
+    from qortho import families
+    from qortho.identities import DEFAULT_PHI_GRID
+    builds, runs = [], []
+    rows_, run_ = families._hermite_rows, families.power_run
+
+    def rows(ns, q, prec):
+        builds.append((list(ns), prec))
+        return rows_(ns, q, prec)
+
+    def power_run(x, lo, hi, prec):
+        runs.append(x)
+        return run_(x, lo, hi, prec)
+    monkeypatch.setattr(families, "_hermite_rows", rows)
+    monkeypatch.setattr(families, "power_run", power_run)
+    qinv_hermite_series_tables(range(40), DEFAULT_PHI_GRID, "0.7", CTX)
+    assert builds[0] == (list(range(40)), CTX.bits)
+    reruns = builds[1:]
+    assert reruns and all(len(ns) == 1 and prec > CTX.bits for ns, prec in reruns)
+    row_runs = runs.count(_pair(as_qparam("0.7", CTX)))
+    assert row_runs == len(builds)
+    assert len(runs) - row_runs == len(DEFAULT_PHI_GRID) + len(reruns)
 
 
 def _hermite_sum_at(bits, n, q, factor):
@@ -928,21 +961,21 @@ def test_series_error_is_within_its_bound_on_every_pass(q_s, monkeypatch):
     from qortho.identities import DEFAULT_PHI_GRID
     passes, pass_ = [], families._hermite_series_pass
 
-    def recorded(ns, phi, q):
-        out = pass_(ns, phi, q)
-        passes.append((list(ns), phi, q, out))
+    def recorded(ns, phis, q):
+        out = pass_(ns, phis, q)
+        passes.append((list(ns), list(phis), q, out))
         return out
     monkeypatch.setattr(families, "_hermite_series_pass", recorded)
-    for phi in DEFAULT_PHI_GRID:
-        qinv_hermite_series_degrees(range(31), phi, q_s, CTX)
-    assert len(passes) >= len(DEFAULT_PHI_GRID)
-    for ns, phi, q, out in passes:
-        with mpmath.mp.workprec(2000):
-            e = mpmath.exp(phi)
-        for n, (total, bound) in zip(ns, out):
-            ref = _hermite_sum_at(2000, n, q, lambda k: e ** (n - 2 * k))
+    qinv_hermite_series_tables(range(31), DEFAULT_PHI_GRID, q_s, CTX)
+    assert len(passes[0][1]) == len(DEFAULT_PHI_GRID)
+    for ns, phis, q, out in passes:
+        for phi, sums in zip(phis, out):
             with mpmath.mp.workprec(2000):
-                assert abs(_mpf(total) - ref) <= _mpf(bound) * max(1, abs(ref)), (n, phi)
+                e = mpmath.exp(phi)
+            for n, (total, bound) in zip(ns, sums):
+                ref = _hermite_sum_at(2000, n, q, lambda k: e ** (n - 2 * k))
+                with mpmath.mp.workprec(2000):
+                    assert abs(_mpf(total) - ref) <= _mpf(bound) * max(1, abs(ref)), (n, phi)
 
 
 @pytest.mark.parametrize("k", [27, 30])
@@ -984,7 +1017,7 @@ def _operator_hermite_sum(n, q, factor):
     pairs, so each c is wrapped first."""
     total = mpmath.mpf(0)
     tmax = mpmath.mpf(0)
-    for k, c in enumerate(_hermite_coefficients(n, q, mpmath.mp.prec)):
+    for k, c in enumerate(_hermite_rows([n], q, mpmath.mp.prec)[n]):
         c = _mpf(c)
         term = c * factor(k)
         total += term
@@ -999,14 +1032,15 @@ def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
         q = mpmath.mpf(q_s)
         for n in range(31):
             # the integer factors of the linear coefficient at x = 0
-            got = _hermite_sum(n, q, [(j, 0) for j in range(n, -n - 1, -2)])
+            row = _hermite_rows([n], q, bits)[n]
+            got = _hermite_sum(row, [(j, 0) for j in range(n, -n - 1, -2)])
             want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
             assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
             for phi in ("-2", "-0.5", "0", "1.25"):
                 e = mpmath.exp(mpmath.mpf(phi))
                 run = power_run(_pair(e), -n, n, bits)
                 powers = [_mpf(v) for v in run]
-                got = _hermite_sum(n, q, run[::-2])
+                got = _hermite_sum(row, run[::-2])
                 want = _operator_hermite_sum(n, q, lambda k: powers[2 * n - 2 * k])
                 assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
 

@@ -5,8 +5,8 @@ import mpmath
 import pytest
 
 from qortho import (SUITE_IDS, PrecisionContext, check_even_connection,
-                    check_half_to_full_lattice, check_odd_connection,
-                    check_product_chain, check_recurrence_chains,
+                    check_half_to_full_lattice, check_inverted_parameter_recurrence,
+                    check_odd_connection, check_product_chain, check_recurrence_chains,
                     dual_qinv_extremal, gram_matrix, hermite_extremal,
                     qpochhammer, run_suite, to_decimal)
 
@@ -38,6 +38,47 @@ def test_suite_runs_green_at_default_q():
 def test_negative_k_max_is_rejected(check):
     with pytest.raises(ValueError, match="k_max must be a nonnegative integer"):
         check(-1, None, Q, CTX)
+
+
+@pytest.mark.parametrize("check", [check_recurrence_chains, check_even_connection,
+                                   check_odd_connection])
+def test_empty_grid_is_rejected(check):
+    # With no phi the check compared nothing and passed with residual 0.
+    with pytest.raises(ValueError, match="the grid has no point"):
+        check(6, [], Q, CTX)
+
+
+def test_inverted_parameter_recurrence_rejects_n_max_zero():
+    # At n_max = 0 the check compared no degree and passed.
+    with pytest.raises(ValueError, match=r"n_max must be a positive integer \(got 0\)"):
+        check_inverted_parameter_recurrence(0, None, Q, CTX)
+
+
+def test_inverted_parameter_recurrence_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="the grid has no point"):
+        check_inverted_parameter_recurrence(10, [], Q, CTX)
+
+
+def _largest(details, *names):
+    return max((details[name] for name in names), key=mpmath.mpf)
+
+
+def test_inverted_parameter_report_counts_its_three_residuals():
+    # The golden verify digest leaves this check out, so its report is
+    # pinned here: the three details in order, the largest the max_residual.
+    report = check_inverted_parameter_recurrence(10, None, Q, CTX)
+    names = ["coefficient-transform", "series-values-recurrence", "parity-zeros"]
+    assert list(report.details) == names
+    assert to_decimal(report.max_residual, CTX.digits) == _largest(report.details, *names)
+    assert report.passed
+
+
+def test_product_chain_does_not_count_its_contrast():
+    report = check_product_chain("0.5", CTX)
+    counted = [name for name in report.details if name != "shifted-form-constant-2/q"]
+    assert len(counted) == 4
+    assert to_decimal(report.max_residual, CTX.digits) == _largest(report.details, *counted)
+    assert report.passed
 
 
 def test_pass_flag_tracks_tolerance():
