@@ -2,8 +2,10 @@
 
 The digests were recorded with mpmath 1.3.0 on its pure-Python backend; the
 CI workflow pins that version.  inverted-parameter-recurrence is left out of
-the verify runs: its residual depends on the accuracy the check requests for
-its series values, which is the check's own choice, not a result.
+the verify runs of GOLDEN: its residual depends on the accuracy the check
+requests for its series values, which is the check's own choice, not a
+result.  VERIFY pins the whole suite with its exit code, that check
+included, so a change of what it requests moves those digests on purpose.
 """
 import hashlib
 
@@ -140,4 +142,34 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The whole suite at 256 bits (tol 2^-200) and 1024 bits (tol 2^-800), from
+# q = 1e-4, where inverted-parameter-recurrence runs its series at 339 bits
+# (wider than the residual loop's), to q = 0.99.  At 256 bits and q <= 0.05
+# recurrence-chains FAILs by its own rounding (ROADMAP Defect 5), so verify
+# exits 1 there; the digests pin that FAIL and its residual too.
+VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
+          for q, bits, code, digest in (
+    ("1e-4", 256, 1, "f0bc2110d2cb37f1b658d79c97ad4a037a0ea79d2cbf1650bf954c341966d926"),
+    ("0.01", 256, 1, "81328c14538ee76d9f940a3a062461c674a451c27621aaf0486b6c83bda455b1"),
+    ("0.05", 256, 1, "61a51af8a9294b8e04633b87d422d6384e04c9299a61b34b0f419d231020efc3"),
+    ("0.3", 256, 0, "e1d64219684a12a20085c491f68777b2c25c8e87a5093d4da1e65ed01638a345"),
+    ("0.99", 256, 0, "b1016c564512b1bfcd855442f5e1d4a70acedf52c43c6412652ca726833f3ffd"),
+    ("1e-4", 1024, 0, "f8d3ed9234a560da21ea34c3bbd794b2274e0f10cece7e8af21e4f1ec78af936"),
+    ("0.01", 1024, 0, "855a869cb42bf6af852192ab4106ab8741aec0866e0235343d73bfa08b5cfed6"),
+    ("0.05", 1024, 0, "a207c0d44614e8d78d62525a74644d4e2a776d26a44bc44bfddc9bdf6475f401"),
+    ("0.3", 1024, 0, "44b9b77c034f722098571d91700a0882a74b398588f43b5a4a21d14a433482d8"),
+    ("0.99", 1024, 0, "c3b617d44aa599f64aeed54b70e8d17ca5db2c6c18d735489c76ed221351fc2e"),
+)]
+
+
+@pytest.mark.parametrize("q,bits,code,digest", VERIFY)
+def test_verify_bytes_and_exit_code_are_pinned(capsys, q, bits, code, digest):
+    tol_exp = {256: "200", 1024: "800"}[bits]
+    got = main(["verify", "--output", "json", "--q", q, "--bits", str(bits),
+                "--tol-exp", tol_exp])
+    out = capsys.readouterr().out
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
