@@ -18,6 +18,16 @@ quantities involved span many orders of magnitude.  The suite covers:
   recurrences,
 * the orthogonality of every measure kind, and the adjudication of the
   extremal normalization constant.
+
+Residuals are formed on the kernel's pairs (_residual), one pair operation
+for each operation of the mpf expression they replace, in its order and at
+ctx.bits, so each is that expression's value bit for bit: values are read
+as pairs from the family recurrences, converted once where they arrive as
+mpf, and reported as mpf once per check.  Three kinds of value stay in
+mpf, each formed once: the transcendental functions (exp, sinh, asinh, and
+sqrt, as in half-to-full-lattice's sqrt|d_n d_n'| of each entry), the
+integer powers q**k, which mpf_pow_int rounds otherwise than a product of
+pairs, and the coefficient lists built from them.
 """
 from __future__ import annotations
 
@@ -25,11 +35,13 @@ import dataclasses
 import types
 
 import mpmath
+from mpmath.libmp import mpf_sub, round_nearest
 
-from .families import (dual_ultra_tables, qinv_hermite_coeff_rows,
-                       qinv_hermite_series_tables, qinv_hermite_tables)
-from .kernel import (_ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _mpf, _pair,
-                     as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
+from .families import (FamilyKind, FamilySpec, _recurrence,
+                       qinv_hermite_series_tables)
+from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt,
+                     _add, _div, _make, _mpf, _mul, _pair, _round, _sub, as_qparam,
+                     power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -55,19 +67,52 @@ class IdentityReport:
         }
 
 
-def _report(identity_id: str, grid: str, residuals: dict[str, QReal],
+def _report(identity_id: str, grid: str, residuals: dict[str, tuple[int, int]],
             ctx: PrecisionContext, contrast: str | None = None) -> IdentityReport:
-    """The report of the named residuals: the details show each one at
-    ctx.digits, and the largest, leaving out the contrast (shown, not
-    counted), is the max_residual, which passes below tol."""
+    """The report of the named residuals, given as pairs: the details show
+    each one at ctx.digits, and the largest, leaving out the contrast
+    (shown, not counted), is the max_residual, which passes below tol."""
+    residuals = {name: _mpf(value) for name, value in residuals.items()}
     worst = max(value for name, value in residuals.items() if name != contrast)
     return IdentityReport(identity_id, grid, worst, bool(worst < ctx.tol),
                           {name: to_decimal(value, ctx.digits)
                            for name, value in residuals.items()})
 
 
-def _relative(lhs: QReal, rhs: QReal) -> QReal:
-    return abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
+def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[int, int]:
+    """|lhs - rhs| / max(1, |lhs|) of two pairs, the value the mpf expression
+    abs(lhs - rhs) / max(mpf(1), abs(lhs)) takes at prec bits: the
+    difference and the quotient are rounded at prec, and so is |lhs|, which
+    mpf's abs rounds.  The residuals of every identity check go through it.
+
+    An operand of more than prec + 4 bits (a series value formed wider
+    than the check) is subtracted by mpf_sub itself, which can round it
+    otherwise than _sub does (kernel module docstring)."""
+    if max(abs(lhs[0]), abs(rhs[0])).bit_length() > prec + 4:
+        m, e = _pair(_make(mpf_sub(_mpf(lhs)._mpf_, _mpf(rhs)._mpf_, prec, round_nearest)))
+    else:
+        m, e = _sub(lhs, rhs, prec)
+    size = _round((abs(lhs[0]), lhs[1]), prec)
+    return _div((abs(m), e), size if _abs_lt(_ONE, size) else _ONE, prec)
+
+
+def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """max(a, b) of two nonnegative pairs, a on a tie, as Python's max."""
+    return b if _abs_lt(a, b) else a
+
+
+def _shift(a: tuple[int, int], k: int) -> tuple[int, int]:
+    """a 2^k: mpf's a * 2^k or a / 2^-k, exact for a of at most prec bits."""
+    return a[0], a[1] + k
+
+
+def _tables(kind: FamilyKind, n_max: int, points, q, ctx: PrecisionContext,
+            s=None) -> list[list[tuple[int, int]]]:
+    """[[P_0(p), ..., P_{n_max}(p)] for p in points] of h or D as pairs, by
+    the recurrence of families' tables; each point an mpf of at most
+    ctx.bits bits."""
+    values = _recurrence(FamilySpec(kind, q, s), n_max, ctx)[0]
+    return [values(p) for p in points]
 
 
 def _grid(grid) -> list:
@@ -90,14 +135,14 @@ def _check_degree(name: str, value, least: int = 0) -> None:
 def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
     """The connection h_{2n+p}(sinh phi) = c_n (2 sinh phi)^p D_n(mu; s, q).
 
-    Returns s, [c_0, ..., c_{n_max}] and the mu of each y = e^{2phi} + e^{-2phi}
-    in ys, where c_n = (-1)^n q^{-n(n+p)} (q^{1+2p};q^2)_n, and s = q^-1 with
-    mu = y for p = 0, s = q with mu = q y for p = 1.  Runs at the ambient
-    precision.
+    Returns s, [c_0, ..., c_{n_max}] as pairs and the mu of each
+    y = e^{2phi} + e^{-2phi} in ys, where
+    c_n = (-1)^n q^{-n(n+p)} (q^{1+2p};q^2)_n, and s = q^-1 with mu = y for
+    p = 0, s = q with mu = q y for p = 1.  Runs at the ambient precision.
     """
     s = 1 / q if parity == 0 else q
     base = q if parity == 0 else q ** 3
-    c = [(-1) ** n * q ** (-n * (n + parity)) * qpochhammer(base, q * q, n, ctx)
+    c = [_pair((-1) ** n * q ** (-n * (n + parity)) * qpochhammer(base, q * q, n, ctx))
          for n in range(n_max + 1)]
     return s, c, list(ys) if parity == 0 else [q * y for y in ys]
 
@@ -108,19 +153,22 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
     _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
     grid = _grid(phi_grid)
+    prec = ctx.bits
     with ctx.workprec():
         phis = [mpmath.mpf(p) for p in grid]
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
         s, c, mus = _connection(parity, k_max, ys, q, ctx)
         h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
                                               phis, q, ctx)
-        d_tables = dual_ultra_tables(k_max, mus, s, q, ctx)
-        worst = mpmath.mpf(0)
+        d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max, mus, q, ctx, s)
+        worst = _ZERO
         for phi, hs, dvals in zip(phis, h_tables, d_tables):
-            two_sinh = mpmath.exp(phi) - mpmath.exp(-phi)
+            two_sinh = _pair(mpmath.exp(phi) - mpmath.exp(-phi))
             for k, lhs in enumerate(hs):
-                rhs = c[k] * dvals[k] if parity == 0 else c[k] * two_sinh * dvals[k]
-                worst = max(worst, _relative(lhs, rhs))
+                rhs = (_mul(c[k], dvals[k], prec) if parity == 0
+                       else _mul(_mul(c[k], two_sinh, prec), dvals[k], prec))
+                worst = _larger(worst, _residual(_pair(lhs), rhs, prec))
+        worst = _mpf(worst)
         return IdentityReport(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst,
                               bool(worst < ctx.tol), {})
 
@@ -141,16 +189,19 @@ def check_odd_connection(k_max: int, phi_grid, q,
     return _check_connection("odd-connection", 1, k_max, phi_grid, q, ctx)
 
 
-def _chain_residual(parity: int, mu, v, k_max: int, q, mid, low) -> QReal:
+def _chain_residual(parity: int, mu, v, k_max: int, q, mid, low,
+                    prec: int) -> tuple[int, int]:
     """Worst residual of mu v_n = q^p v_{n+1} + mid[n] v_n + low[n] v_{n-1}
-    over n <= k_max, where low[n] = q^{-4n+1-p} (1-q^{2n}) (1-q^{2n-1+2p})."""
-    worst = mpmath.mpf(0)
+    over n <= k_max, where low[n] = q^{-4n+1-p} (1-q^{2n}) (1-q^{2n-1+2p});
+    every argument a pair or a list of pairs."""
+    worst = _ZERO
     for n in range(k_max + 1):
-        lhs = mu * v[n]
-        rhs = (v[n + 1] if parity == 0 else q * v[n + 1]) + mid[n] * v[n]
+        lhs = _mul(mu, v[n], prec)
+        rhs = _add(v[n + 1] if parity == 0 else _mul(q, v[n + 1], prec),
+                   _mul(mid[n], v[n], prec), prec)
         if n >= 1:
-            rhs += low[n] * v[n - 1]
-        worst = max(worst, _relative(lhs, rhs))
+            rhs = _add(rhs, _mul(low[n], v[n - 1], prec), prec)
+        worst = _larger(worst, _residual(lhs, rhs, prec))
     return worst
 
 
@@ -169,30 +220,31 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
     grid = _grid(phi_grid)
+    prec, q_p = ctx.bits, _pair(q)
     with ctx.workprec():
         phis = [mpmath.mpf(p) for p in grid]
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
-        h_tables = qinv_hermite_tables(2 * k_max + 3, [mpmath.sinh(phi) for phi in phis],
-                                       q, ctx)
-        worst = {"even-hermite": mpmath.mpf(0), "even-dual": mpmath.mpf(0),
-                 "odd-hermite": mpmath.mpf(0), "odd-dual": mpmath.mpf(0)}
-        # The phi-free coefficients, formed once: mid[n] of each side, and
-        # low[n] of each parity (low[0] is never read).
-        mid_hermite = [q ** (-2 * k) * (1 + 1 / q) for k in range(k_max + 1)]
-        mid_dual = [q ** (-2 * n - 1) * (1 + q) for n in range(k_max + 1)]
+        h_tables = _tables(FamilyKind.QINV_HERMITE, 2 * k_max + 3,
+                           [mpmath.sinh(phi) for phi in phis], q, ctx)
+        worst = dict.fromkeys(("even-hermite", "even-dual", "odd-hermite", "odd-dual"), _ZERO)
+        # The phi-free coefficients, formed once in mpf: mid[n] of each
+        # side, and low[n] of each parity (low[0] is never read).
+        mid_hermite = [_pair(q ** (-2 * k) * (1 + 1 / q)) for k in range(k_max + 1)]
+        mid_dual = [_pair(q ** (-2 * n - 1) * (1 + q)) for n in range(k_max + 1)]
         for parity, side in enumerate(("even", "odd")):
-            low = [None] + [q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
-                            * (1 - q ** (2 * n - 1 + 2 * parity))
+            low = [None] + [_pair(q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
+                                  * (1 - q ** (2 * n - 1 + 2 * parity)))
                             for n in range(1, k_max + 1)]
             s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
-            d_tables = dual_ultra_tables(k_max + 1, mus, s, q, ctx)
+            d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max + 1, mus, q, ctx, s)
             for mu, hs, dvals in zip(mus, h_tables, d_tables):
-                res = _chain_residual(parity, mu, hs[parity::2], k_max, q,
-                                      mid_hermite, low)
-                worst[side + "-hermite"] = max(worst[side + "-hermite"], res)
-                t = [c_n * d for c_n, d in zip(c, dvals)]
-                res = _chain_residual(parity, mu, t, k_max, q, mid_dual, low)
-                worst[side + "-dual"] = max(worst[side + "-dual"], res)
+                mu = _pair(mu)
+                res = _chain_residual(parity, mu, hs[parity::2], k_max, q_p,
+                                      mid_hermite, low, prec)
+                worst[side + "-hermite"] = _larger(worst[side + "-hermite"], res)
+                t = [_mul(c_n, d, prec) for c_n, d in zip(c, dvals)]
+                res = _chain_residual(parity, mu, t, k_max, q_p, mid_dual, low, prec)
+                worst[side + "-dual"] = _larger(worst[side + "-dual"], res)
         return _report("recurrence-chains", "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
 
 
@@ -208,24 +260,31 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
     contrast.
     """
     q = as_qparam(q, ctx)
+    prec = ctx.bits
     with ctx.workprec():
         q2 = q * q
-        base = qpochhammer_inf(q2, q2, ctx) / qpochhammer_inf(q, q2, ctx)
-        euler = qpochhammer_inf(q, q, ctx)
-        neg_q = qpochhammer_inf(-q, q, ctx)
-        neg_one = qpochhammer_inf(mpmath.mpf(-1), q, ctx)
-        neg_q2 = qpochhammer_inf(-q2, q, ctx)
+        base = _div(_pair(qpochhammer_inf(q2, q2, ctx)), _pair(qpochhammer_inf(q, q2, ctx)),
+                    prec)
+        euler = _pair(qpochhammer_inf(q, q, ctx))
+        neg_q = _pair(qpochhammer_inf(-q, q, ctx))
+        neg_one = _pair(qpochhammer_inf(mpmath.mpf(-1), q, ctx))
+        neg_q2 = _pair(qpochhammer_inf(-q2, q, ctx))
         # -q/q^2, not -1/q: it is the argument lattice_normalization forms
         # at a = q, so the two share one memoised product.
-        neg_qinv = qpochhammer_inf(-q / q2, q, ctx)
+        neg_qinv = _pair(qpochhammer_inf(-q / q2, q, ctx))
 
-        shifted = neg_q2 * neg_qinv * euler
+        shifted = _mul(_mul(neg_q2, neg_qinv, prec), euler, prec)
+        q_p = _pair(q)
         return _report("product-chain", "q=%s" % mpmath.nstr(q, 8), {
-            "squared-form": _relative(base, neg_q ** 2 * euler),
-            "halved-form": _relative(base, neg_one * neg_q * euler / 2),
-            "shifted-form-constant-q/2": _relative(base, q / 2 * shifted),
-            "shifted-form-constant-2/q": _relative(base, 2 / q * shifted),
-            "doubling-subidentity": _relative(neg_one, 2 * neg_q),
+            # neg_q ** 2 is mpf's correctly rounded square, neg_q * neg_q
+            "squared-form": _residual(base, _mul(_mul(neg_q, neg_q, prec), euler, prec), prec),
+            "halved-form": _residual(
+                base, _shift(_mul(_mul(neg_one, neg_q, prec), euler, prec), -1), prec),
+            "shifted-form-constant-q/2": _residual(base, _mul(_shift(q_p, -1), shifted, prec),
+                                                   prec),
+            "shifted-form-constant-2/q": _residual(
+                base, _mul(_div((2, 0), q_p, prec), shifted, prec), prec),
+            "doubling-subidentity": _residual(neg_one, _shift(neg_q, 1), prec),
         }, ctx, contrast="shifted-form-constant-2/q")
 
 
@@ -250,9 +309,16 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     _check_degree("n_max", n_max, 1)
     q = as_qparam(q, ctx)
     grid = _grid(x_grid)
+    prec = ctx.bits
     with ctx.workprec():
-        coeff_worst = max(_relative(1 - q ** -n, -q ** -n * (1 - q ** n))
-                          for n in range(1, n_max + 1))
+        # (q^-n, q^n) and 1 - q^-n for each n, formed once
+        powers = [None] + [(_pair(q ** -n), _pair(q ** n)) for n in range(1, n_max + 1)]
+        one_minus = [None] + [_sub(_ONE, inverse, prec) for inverse, _ in powers[1:]]
+        coeff_worst = _ZERO
+        for n in range(1, n_max + 1):
+            (m, e), power = powers[n]
+            rhs = _mul((-m, e), _sub(_ONE, power, prec), prec)
+            coeff_worst = _larger(coeff_worst, _residual(one_minus[n], rhs, prec))
         xs = [mpmath.mpf(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
         series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
@@ -261,10 +327,18 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
                 series_ctx, bits=6 - int(mpmath.floor(mpmath.log(series_ctx.tol, 2))))
         h_tables = qinv_hermite_series_tables(range(n_max + 2), [mpmath.asinh(x) for x in xs],
                                               q, series_ctx)
-        value_worst = max(_relative(hs[n + 1], 2 * x * hs[n] + (1 - q ** -n) * hs[n - 1])
-                          for x, hs in zip(xs, h_tables) for n in range(1, n_max + 1))
-        parity_worst = max(abs(c) for n, coeffs in enumerate(qinv_hermite_coeff_rows(n_max, q, ctx))
-                           for j, c in enumerate(coeffs) if (n - j) % 2)
+        # The series values can be wider than prec, which _residual allows for.
+        value_worst = _ZERO
+        for x, hs in zip(xs, h_tables):
+            two_x, hs = _shift(_pair(x), 1), [_pair(h) for h in hs]
+            for n in range(1, n_max + 1):
+                rhs = _add(_mul(two_x, hs[n], prec), _mul(one_minus[n], hs[n - 1], prec), prec)
+                value_worst = _larger(value_worst, _residual(hs[n + 1], rhs, prec))
+        parity_worst = _ZERO
+        rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
+        for n, coeffs in enumerate(rows()):
+            for m, e in coeffs[1 - n % 2::2]:   # the c_j with n - j odd
+                parity_worst = _larger(parity_worst, (abs(m), e))
         return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
             "coefficient-transform": coeff_worst,
             "series-values-recurrence": value_worst,
@@ -285,9 +359,10 @@ def check_half_to_full_lattice(N: int, q,
     The cross-parity block of the extremal Gram must vanish on its own.
     """
     q = as_qparam(q, ctx)
+    prec = ctx.bits
     with ctx.workprec():
         meas = hermite_extremal(q, q, ctx)
-        scale_const = q * meas.normalization(ctx)
+        scale_const = _pair(q * meas.normalization(ctx))
         ref = gram_matrix(meas, N, ctx)
 
         n_even = N // 2
@@ -301,54 +376,60 @@ def check_half_to_full_lattice(N: int, q,
         # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
         even_pts = base_even.points(0, J, ctx)
         odd_pts = base_odd.points(0, J - 1, ctx)
-        even_tabs = dual_ultra_tables(n_even, [x for x, _ in even_pts], s_even, q, ctx)
-        odd_tabs = (dual_ultra_tables(n_odd, [x for x, _ in odd_pts], s_odd, q, ctx)
+        even_tabs = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_even, [x for x, _ in even_pts],
+                            q, ctx, s_even)
+        odd_tabs = (_tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_odd, [x for x, _ in odd_pts],
+                            q, ctx, s_odd)
                     if n_odd >= 0 else [[]] * J)
 
         # The lattice sums run over j >= 0 with weights u_0, 2 u_1, ..., 2 u_J,
         # which is 2 w_j for base_even's weight w_j, one pair-sum call per
         # parity, on pairs.  The odd h vanish at xhat_0 = 0.
         lattice_w = [2 * w for _, w in even_pts]
-        even_rows = [[_pair(c * t) for c, t in zip(sign_even, tab)] for tab in even_tabs]
+        even_rows = [[_mul(c, t, prec) for c, t in zip(sign_even, tab)] for tab in even_tabs]
         odd_rows = [[_ZERO] * (n_odd + 1)]
-        node_resid = mpmath.mpf(0)
-        weight_resid = mpmath.mpf(0)
-        powers = power_run(_pair(q), -J, J, ctx.bits)   # powers[k + J] = q^k
+        node_resid = weight_resid = _ZERO
+        q_p = _pair(q)
+        # (1 - q) (1 - q^2) and 4q, the xhat-free factors of a folded weight
+        gaps = _sub(_ONE, q_p, prec), _sub(_ONE, _mul(q_p, q_p, prec), prec)
+        four_q = _shift(q_p, 2)
+        powers = power_run(q_p, -J, J, prec)   # powers[k + J] = q^k
         for j in range(J + 1):
-            xhat = (_mpf(powers[J - j]) - _mpf(powers[J + j])) / 2
-            node_e, w_e = even_pts[j]
-            node_resid = max(node_resid,
-                             _relative(node_e, 4 * xhat * xhat + 2))
+            xhat = _shift(_sub(powers[J - j], powers[J + j], prec), -1)
+            node_e, w_e = (_pair(v) for v in even_pts[j])
+            node = _add(_mul(_shift(xhat, 2), xhat, prec), (2, 0), prec)
+            node_resid = _larger(node_resid, _residual(node_e, node, prec))
             if j >= 1:
-                node_o, w_o = odd_pts[j - 1]
-                node_resid = max(node_resid, _relative(node_o, q * node_e))
-                odd_rows.append([_pair(c * 2 * xhat * t)
+                node_o, w_o = (_pair(v) for v in odd_pts[j - 1])
+                node_resid = _larger(node_resid, _residual(node_o, _mul(q_p, node_e, prec), prec))
+                odd_rows.append([_mul(_mul(_shift(c, 1), xhat, prec), t, prec)
                                  for c, t in zip(sign_odd, odd_tabs[j - 1])])
-                w_folded = w_o * (1 - q) * (1 - q * q) / (q * 4 * xhat * xhat)
-                weight_resid = max(weight_resid, _relative(w_e, w_folded))
+                w_folded = _div(_mul(_mul(w_o, gaps[0], prec), gaps[1], prec),
+                                _mul(_mul(four_q, xhat, prec), xhat, prec), prec)
+                weight_resid = _larger(weight_resid, _residual(w_e, w_folded, prec))
         sums = (_pair_sums(lattice_w, even_rows, n_even),
                 _pair_sums(lattice_w, odd_rows, n_odd))
 
-        entry_worst = mpmath.mpf(0)
-        cross_worst = mpmath.mpf(0)
-        diag_worst = mpmath.mpf(0)
-        mass = (qpochhammer_inf(q * q, q * q, ctx)
-                / qpochhammer_inf(q, q * q, ctx))
+        entry_worst = cross_worst = diag_worst = _ZERO
+        two_mass = _shift(_div(_pair(qpochhammer_inf(q * q, q * q, ctx)),
+                               _pair(qpochhammer_inf(q, q * q, ctx)), prec), 1)
+        diag = [_mul(scale_const, _pair(d), prec) for d in ref.expected_diag]
         for i in range(N + 1):
             for ip in range(i, N + 1):
                 # The lattice sum of a cross-parity pair is exactly 0.
-                total = (mpmath.mpf(0) if (i + ip) % 2 == 1
-                         else sums[i % 2][i // 2][ip // 2])
-                ref_entry = scale_const * ref.gram[i][ip]
-                d_i = scale_const * ref.expected_diag[i]
-                d_ip = scale_const * ref.expected_diag[ip]
-                scale = max(mpmath.mpf(1), mpmath.sqrt(abs(d_i * d_ip)))
-                entry_worst = max(entry_worst, abs(total - ref_entry) / scale)
+                total = _ZERO if (i + ip) % 2 == 1 else _pair(sums[i % 2][i // 2][ip // 2])
+                ref_entry = _mul(scale_const, _pair(ref.gram[i][ip]), prec)
+                root = _pair(mpmath.sqrt(abs(_mpf(_mul(diag[i], diag[ip], prec)))))
+                scale = root if _abs_lt(_ONE, root) else _ONE
+                m, e = _sub(total, ref_entry, prec)
+                entry_worst = _larger(entry_worst, _div((abs(m), e), scale, prec))
                 if (i + ip) % 2 == 1:
-                    cross_worst = max(cross_worst, abs(ref_entry) / scale)
+                    m, e = ref_entry
+                    cross_worst = _larger(cross_worst, _div((abs(m), e), scale, prec))
                 elif i == ip:
-                    closed = 2 * mass * q ** (-(i * (i + 1) // 2)) * qpochhammer(q, q, i, ctx)
-                    diag_worst = max(diag_worst, _relative(total, closed))
+                    closed = _mul(_mul(two_mass, _pair(q ** (-(i * (i + 1) // 2))), prec),
+                                  _pair(qpochhammer(q, q, i, ctx)), prec)
+                    diag_worst = _larger(diag_worst, _residual(total, closed, prec))
 
         return _report("half-to-full-lattice",
                        "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, mpmath.nstr(q, 8)), {
@@ -357,7 +438,7 @@ def check_half_to_full_lattice(N: int, q,
                            "diagonal-closed-forms": diag_worst,
                            "node-alignment": node_resid,
                            "folded-odd-weights": weight_resid,
-                           "lattice-constant": _relative(2 * mass, scale_const),
+                           "lattice-constant": _residual(two_mass, scale_const, prec),
                        }, ctx)
 
 

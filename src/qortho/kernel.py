@@ -13,8 +13,8 @@ An infinite product (a;q)_inf splits off the finite head (a;q)_J with
 |a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like
 q^{k^2/2}.  Its certificate is relative and covers rounding as well as the
 tail: the result is within relative tol/16 of the exact product, with more
-bits when the alternating series cancels.  The head and the sum run on
-pairs; only the rounding bound is formed in mpf, once per pass.  Each
+bits when the alternating series cancels.  The head, the sum and the
+rounding bound of each pass run on pairs.  Each
 product is evaluated once per (a, q, context), with a and q rounded to the
 context's bits: later calls return the memoised value, so no caller needs
 to hand a computed product to another.  The memo is bounded (the 256 most
@@ -76,7 +76,8 @@ import functools
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, numeral
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_ceil, mpf_div, mpf_le, mpf_log,
+                          mpf_neg, mpf_shift, numeral, round_nearest, to_int)
 
 QReal = mpmath.mpf
 
@@ -143,7 +144,15 @@ class PrecisionContext:
         return self.bits // 3 + 2
 
     def to_real(self, value) -> QReal:
-        """Convert a decimal string, int or mpf to an mpf at this precision."""
+        """Convert a decimal string, int or mpf to an mpf at this precision.
+
+        A finite mpf of at most bits bits is returned as it is: converting
+        it would give the same value.
+        """
+        if type(value) is mpmath.mpf:
+            _, man, exp, bc = value._mpf_
+            if bc <= self.bits and (man or not exp):   # not inf or nan
+                return value
         with self.workprec():
             return mpmath.mpf(value)
 
@@ -371,12 +380,15 @@ def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
 
 
 def _head_length(a: QReal, q: QReal) -> int:
-    """Smallest J >= 0 with |a| q^J <= 1/2, up to rounding at the boundary."""
-    with mp.workprec(53):
-        size = 2 * abs(a)
-        if size <= 1:
-            return 0
-        return int(mpmath.ceil(mpmath.log(size) / -mpmath.log(q)))
+    """Smallest J >= 0 with |a| q^J <= 1/2, up to rounding at the boundary:
+    ceil(log(2 |a|) / -log(q)) at 53 bits, by the libmp operations that
+    mpmath's abs, log and ceil make at that precision, on raw tuples."""
+    size = mpf_shift(mpf_abs(a._mpf_, 53, round_nearest), 1)
+    if mpf_le(size, fone):
+        return 0
+    ratio = mpf_div(mpf_log(size, 53, round_nearest),
+                    mpf_neg(mpf_log(q._mpf_, 53, round_nearest)), 53, round_nearest)
+    return int(to_int(mpf_ceil(ratio, 53, round_nearest)))
 
 
 def _check_floor(ctx: PrecisionContext, what) -> None:
@@ -438,13 +450,12 @@ def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: i
     noise bounds the relative rounding error of value to first order.  An
     exactly vanishing head factor gives (0, 0).  Each pair operation is the
     mpf operation of the same expression at the same precision, so the
-    value is that of the mpf loop bit for bit; the noise is formed once, in
-    mpf.
+    value and the noise are those of the mpf loop bit for bit.
     """
     prec = mp.prec
-    q_p = _pair(q)
+    q_p, a_p = _pair(q), _pair(a)
     head = _ONE
-    w = _pair(a)
+    w = a_p
     f_min = None   # the smallest |head factor|
     for _ in range(head_len):
         factor = _sub(_ONE, w, prec)
@@ -489,15 +500,21 @@ def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: i
     # j u |a q^j| / |1 - a q^j| + u, plus one multiplication.  The J roundings
     # in w perturb (w;q)_inf by at most 2 J u |w| / (1-q) relatively.  Sum:
     # t_k carries k (k + 3 + 1/(1-q)) u, using j q^j / (1 - q^j) <= q / (1-q),
-    # and n_terms additions add n_terms u * sum |t_k|.
-    one = mpmath.mpf(1)
-    u = mpmath.ldexp(one, 1 - prec)
-    inv_gap = one / (one - q)
+    # and n_terms additions add n_terms u * sum |t_k|.  That is
+    #   noise = u (J (2 + J |a| / f_min) + 2 J / (1-q)
+    #              + n^2 (n + 4 + 1/(1-q)) t_max / |total| + 1),  n = n_terms + 1,
+    # with u = 2^(1-prec), each operation rounded at prec in that order.
+    inv_gap = _div(_ONE, _sub(_ONE, q_p, prec), prec)
     n = n_terms + 1
-    head_noise = head_len * (2 + head_len * abs(a) / _mpf(f_min)) if head_len else 0
-    sum_noise = n * n * (n + 4 + inv_gap) * _mpf(t_max) / abs(_mpf(total))
-    noise = u * (head_noise + 2 * head_len * inv_gap + sum_noise + 1)
-    return _mpf(_mul(head, total, prec)), noise
+    noise = _ZERO
+    if head_len:
+        ratio = _div(_mul((head_len, 0), _round((abs(a_p[0]), a_p[1]), prec), prec), f_min, prec)
+        noise = _mul((head_len, 0), _add((2, 0), ratio, prec), prec)
+    noise = _add(noise, _mul((2 * head_len, 0), inv_gap, prec), prec)
+    sum_noise = _mul((n * n, 0), _add((n + 4, 0), inv_gap, prec), prec)
+    sum_noise = _div(_mul(sum_noise, t_max, prec), (abs(total[0]), total[1]), prec)
+    noise = _add(_add(noise, sum_noise, prec), _ONE, prec)
+    return _mpf(_mul(head, total, prec)), _mpf(_mul((1, 1 - prec), noise, prec))
 
 
 def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:

@@ -148,8 +148,8 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence, check_dual_s
-from .kernel import (_ONE, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _add, _div, _mpf, _mul, _pair, _round,
+from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
+                     TruncationFailure, _abs_lt, _add, _div, _mpf, _mul, _pair, _round,
                      _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
 
 
@@ -696,25 +696,33 @@ def _certified_window(measure: DiscreteMeasure, point, majorant,
     point(m) gives the measure's (node, weight) at m, and majorant(t) the
     family's A(t).  The checks divide
     entry (n, n') by sqrt(d_n d_n'), so this keeps the truncation error of
-    every relative residual below tol/4.
+    every relative residual below tol/4.  The tail test runs on pairs at
+    the working precision, one rounding where the mpf expression
+    w * A**2 makes one (A**2 is mpf's correctly rounded A * A), so its
+    decisions and the tail are those of that expression.
     """
+    prec = mpmath.mp.prec
     target = ctx.tol / 8 * min(mpmath.mpf(1), min(abs(d) for d in diag))
+    target_p = _pair(target)
 
-    def bound(m: int) -> QReal:
+    def bound(m: int) -> tuple[int, int]:
         node, w = point(m)
-        return w * majorant(abs(node)) ** 2
+        a = _pair(majorant(abs(node)))
+        return _mul(_pair(w), _mul(a, a, prec), prec)
 
-    def extend(edge: int, step: int) -> tuple[int, QReal]:
+    def extend(edge: int, step: int) -> tuple[int, tuple[int, int]]:
         b_edge = bound(edge)
         for _ in range(ctx.max_terms):
             b_next = bound(edge + step)
-            if b_next <= target and 2 * b_next <= b_edge:
-                return edge, 2 * b_next
+            twice = b_next[0], b_next[1] + 1
+            # b_next <= target and 2 b_next <= b_edge, all of them >= 0
+            if not (_abs_lt(target_p, b_next) or _abs_lt(b_edge, twice)):
+                return edge, twice
             edge += step
             b_edge = b_next
         raise TruncationFailure(
             "tail bound %s did not reach %s within max_terms=%d (%s)"
-            % (mpmath.nstr(b_edge, 8), mpmath.nstr(target, 8),
+            % (mpmath.nstr(_mpf(b_edge), 8), mpmath.nstr(target, 8),
                ctx.max_terms, measure.kind.value))
 
     start = math.isqrt(ctx.bits) + 1
@@ -722,8 +730,8 @@ def _certified_window(measure: DiscreteMeasure, point, majorant,
     if measure.is_full_lattice:
         m_lo, tail_lo = extend(-start, -1)
     else:
-        m_lo, tail_lo = 0, mpmath.mpf(0)
-    return m_lo, m_hi, tail_hi + tail_lo
+        m_lo, tail_lo = 0, _ZERO
+    return m_lo, m_hi, _mpf(_add(tail_hi, tail_lo, prec))
 
 
 def gram_matrix(measure: DiscreteMeasure, N: int,

@@ -3,6 +3,8 @@ import json
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qortho import (SUITE_IDS, PrecisionContext, check_even_connection,
                     check_half_to_full_lattice, check_inverted_parameter_recurrence,
@@ -249,11 +251,17 @@ def test_half_to_full_lattice_small_degrees(N):
     assert report.passed, report.details
 
 
+def _relative(lhs, rhs):
+    """The residual of the checks as an mpf expression at the ambient precision."""
+    return abs(lhs - rhs) / max(mpmath.mpf(1), abs(lhs))
+
+
 def _per_phi_chain_worst(k_max, q, ctx):
-    """check_recurrence_chains's residuals with every phi-free coefficient
-    formed afresh at each phi, as the check once did."""
+    """check_recurrence_chains's residuals in mpf, with every phi-free
+    coefficient formed afresh at each phi, as the check once did."""
     from qortho.families import dual_ultra_tables, qinv_hermite_tables
-    from qortho.identities import DEFAULT_PHI_GRID, _connection, _relative
+    from qortho.identities import DEFAULT_PHI_GRID, _connection
+    from qortho.kernel import _mpf
 
     def chain(parity, mu, v, mid):
         worst = mpmath.mpf(0)
@@ -275,6 +283,7 @@ def _per_phi_chain_worst(k_max, q, ctx):
         worst = {}
         for parity, side in enumerate(("even", "odd")):
             s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
+            c = [_mpf(c_n) for c_n in c]
             d_tables = dual_ultra_tables(k_max + 1, mus, s, q, ctx)
             worst[side + "-hermite"] = worst[side + "-dual"] = mpmath.mpf(0)
             for mu, hs, dvals in zip(mus, h_tables, d_tables):
@@ -293,3 +302,45 @@ def test_recurrence_chains_match_the_per_phi_coefficients_bit_for_bit(q):
     assert report.max_residual == max(worst.values())
     assert report.details == {name: to_decimal(value, CTX.digits)
                               for name, value in worst.items()}
+
+
+@st.composite
+def _residual_operands(draw):
+    """A precision and two pairs of up to 2 prec + 8 bits, with exponents
+    near each other or far apart, so mpf_sub takes each of its paths."""
+    prec = draw(st.sampled_from([64, 256, 1024]))
+
+    def pair():
+        if draw(st.integers(0, 15)) == 0:
+            return (0, 0)
+        bits = draw(st.integers(1, 2 * prec + 8))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        exp = draw(st.one_of(st.integers(-8, 8), st.integers(-4 * prec, 4 * prec)))
+        return (-man if draw(st.booleans()) else man), exp
+    return prec, pair(), pair()
+
+
+@settings(deadline=None)
+@given(_residual_operands())
+def test_residual_is_the_mpf_expression(args):
+    from qortho.identities import _residual
+    from qortho.kernel import _mpf
+    prec, lhs, rhs = args
+    with mpmath.workprec(prec):
+        want = _relative(_mpf(lhs), _mpf(rhs))
+    assert _mpf(_residual(lhs, rhs, prec))._mpf_ == want._mpf_, (prec, lhs, rhs)
+
+
+def test_residual_rounds_a_wide_operand_as_mpf_sub():
+    # lhs has prec + 20 bits, 1 below a midpoint at prec bits, and rhs lies
+    # more than prec + 4 binary places below it, its exponent over 100
+    # below: mpf_sub stands in a sticky bit for rhs and rounds down, where
+    # the exact difference, above the midpoint, would round up.
+    from qortho.identities import _residual
+    from qortho.kernel import _mpf
+    prec = 64
+    lhs = ((1 << (prec + 19)) | ((1 << 19) - 1), 0)
+    rhs = (-((1 << 111) + 1), -101)
+    with mpmath.workprec(prec):
+        want = _relative(_mpf(lhs), _mpf(rhs))
+    assert _mpf(_residual(lhs, rhs, prec))._mpf_ == want._mpf_

@@ -40,6 +40,49 @@ def test_context_validation():
         PrecisionContext(bits=256, max_terms=0)
 
 
+def test_to_real_returns_a_fitting_mpf_as_it_is():
+    ctx = PrecisionContext.create(bits=256)
+    with mpmath.workprec(256):
+        fitting = [mpmath.mpf("0.7"), mpmath.mpf(-3), mpmath.mpf(0), mpmath.mpf(2) ** -10 ** 6]
+    for value in fitting:
+        assert ctx.to_real(value) is value
+    with mpmath.workprec(1024):
+        wide = mpmath.mpf(1) / 3
+    inputs = [wide, -wide, "0.7", "-1e-30", 3, -(10 ** 100), 0,
+              mpmath.inf, -mpmath.inf, mpmath.nan]
+    for value in inputs:
+        got = ctx.to_real(value)
+        with mpmath.workprec(256):
+            want = mpmath.mpf(value)
+        assert type(got) is mpmath.mpf and got._mpf_ == want._mpf_, value
+
+
+def _mpf_head_length(a, q):
+    """J as the mpf expression at 53 bits."""
+    with mpmath.workprec(53):
+        size = 2 * abs(a)
+        if size <= 1:
+            return 0
+        return int(mpmath.ceil(mpmath.log(size) / -mpmath.log(q)))
+
+
+def test_head_length_is_the_mpf_expression():
+    from qortho.kernel import _head_length
+    with CTX.workprec():
+        qs = [mpmath.mpf(v) for v in ("1e-4", "0.001", "0.05", "0.25", "0.3", "0.5", "0.7",
+                                      "0.9", "0.99", "0.999", "0.9999")]
+        avals = [mpmath.mpf(v) for v in ("-3000", "-2.5", "-1", "-0.5", "-1e-9", "0", "0.25",
+                                         "0.5", "0.5000001", "0.9", "1", "2", "17", "3000")]
+        for q in qs:
+            # a = +-q^k/2 puts |a| q^J exactly on 1/2, and with q = 0.5 and
+            # a = -1 the ratio of the logarithms is an exact integer
+            edges = [sign * q ** k / 2 for k in (-3, -1, 0, 1) for sign in (1, -1)]
+            for a in avals + edges + [q, -q, 1 / q, -1 / q]:
+                assert _head_length(a, q) == _mpf_head_length(a, q), (a, q)
+    half = mpmath.mpf("0.5")
+    assert _head_length(mpmath.mpf(-1), half) == _mpf_head_length(mpmath.mpf(-1), half) == 1
+
+
 def test_workprec_scoped():
     before = mpmath.mp.prec
     with CTX.workprec():
