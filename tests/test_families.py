@@ -352,6 +352,46 @@ def test_evaluate_dispatch_errors():
         evaluate(d, 1, phi=0, ctx=CTX)
 
 
+_SPECS = {"h": FamilySpec(FamilyKind.QINV_HERMITE, "0.5"),
+          "ht": FamilySpec(FamilyKind.EVEN_HERMITE_FACTOR, "0.5"),
+          "C": FamilySpec(FamilyKind.DISCRETE_ULTRA, "0.5", "1"),
+          "D": FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, "0.5", "0.5")}
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("family, points, message", [
+    ("h", {"mu": 1}, "qinv_hermite takes x or phi, not mu"),
+    ("ht", {"phi": 0}, "even_hermite_factor takes x"),
+    ("ht", {"mu": 1}, "even_hermite_factor takes x"),
+    ("C", {"phi": 0}, "discrete_ultra takes x"),
+    ("C", {"mu": 1}, "discrete_ultra takes x"),
+    ("D", {"phi": 0}, "dual_discrete_ultra takes mu or x"),
+] + [(family, points, "exactly one of x, phi, mu must be supplied (got %s)" % got)
+     for family in ("h", "ht", "C", "D")
+     for points, got in (({}, "[]"), ({"x": 0, "phi": 0}, "['phi', 'x']"),
+                         ({"x": 0, "phi": 0, "mu": 1}, "['mu', 'phi', 'x']"))])
+def test_evaluate_messages_are_whole_strings(family, points, message):
+    assert _message(lambda: evaluate(_SPECS[family], 1, ctx=CTX, **points)) == message
+
+
+@pytest.mark.parametrize("kind, s, message", [
+    (FamilyKind.DISCRETE_ULTRA, None, "discrete_ultra requires the parameter s"),
+    (FamilyKind.DUAL_DISCRETE_ULTRA, None, "dual_discrete_ultra requires the parameter s"),
+    (FamilyKind.DISCRETE_ULTRA, "-1", "s must satisfy s > 0 (got s=-1.0)"),
+    (FamilyKind.DUAL_DISCRETE_ULTRA, "0", "s must satisfy s > 0 (got s=0.0)"),
+    (FamilyKind.DUAL_DISCRETE_ULTRA, "5", "s must satisfy 0 < s < q^-2 (got s=5.0, q^-2=4.0)"),
+])
+def test_validated_messages_are_whole_strings(kind, s, message):
+    spec = FamilySpec(kind, "0.5", s)
+    assert _message(lambda: spec.validated(CTX)) == message
+    assert _message(lambda: evaluate(spec, 1, x=0, ctx=CTX)) == message
+
+
 # -- batched recurrences against the per-node formulas ------------------------
 #
 # The h oracles below are the per-node and per-degree recurrences the
