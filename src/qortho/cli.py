@@ -176,7 +176,8 @@ def _unread(config: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
     value leaves unread: as flags, those are errors rather than ignored."""
     if config.command == "gram":
         return "measure", ("a",) if config.measure == "dual-base" else ("s", "s_mode", "parity")
-    return "family", ("s", "s_mode") if config.command == "eval" and config.family == "h" else ()
+    kind = _FAMILIES.get(config.family) if config.command == "eval" else None
+    return "family", ("s", "s_mode") if kind and not kind.takes_s else ()
 
 
 def _context(config: argparse.Namespace) -> PrecisionContext:
@@ -240,7 +241,7 @@ def cmd_eval(config: argparse.Namespace) -> int:
     with ctx.workprec():
         point = {name: _decimal(getattr(config, name), name)
                  for name in ("x", "phi", "mu") if getattr(config, name) is not None}
-        s = None if kind is FamilyKind.QINV_HERMITE else _family_s(config, q)
+        s = _family_s(config, q) if kind.takes_s else None
         value = evaluate(FamilySpec(kind, q, s), config.n, ctx=ctx, **point)
         _emit(to_decimal(value, ctx.digits) + "\n", config.out_path)
     return 0

@@ -29,46 +29,44 @@ row (-1)^k q^{k(k-n)} [n,k]_q once, from one power run of q, and takes one
 exp(phi) and one power run per phi, so a grid costs one multiplication per
 term and phi past the rows; qinv_hermite_series is its one-point call.
 
+Each FamilyKind has one record in _FAMILIES (see _Family): its s rule (no
+s for h and ht, s > 0 for C, 0 < s < q^-2 for D), evaluate's routes, and
+for h and D the recurrence's steps, which FamilySpec.validated, evaluate
+and _recurrence read in place of testing the kind.
+
 The recurrence evaluators are batched: the *_tables functions run the
 recurrence at every point of a list, and the *_coeff_rows functions give
 every coefficient row up to n_max, from steps formed once.  The
 single-point and single-degree functions (*_table, *_coeffs, qinv_hermite,
 dual_ultra) take one point or row of these, so every route gives the same
-value bit for bit.  Both families run in one loop, _three_term, on steps
-(c_mid, c_low, r), r the reciprocal of the lead c_lead: D's from
-_dual_steps, and h's (0, -low_j/2, -2) from _hermite_steps, which make h's
-step 2x h_j - low_j h_{j-1} because scaling by -2 is exact (_recurrence has
-the argument).  One rounding per step, reciprocal at bits + 64: c_mid - p,
-the two products and their difference are exact, and their product with
-r is rounded once; r is the rounded c_lead inverted once per step list at
-bits + 64, exactly -2 for h.  _recurrence is the one handle on the loop
-that the rest of the package reads: the values at any point, for the
-tables and a Gram's pair sums; the majorant A(t) that certifies a Gram's
-window, the same loop at |h_n(it)| and D_n(-t); and the coefficient rows,
-the same step on coefficient lists.  It also checks D's s.
+value bit for bit.  h and D run in one loop, _three_term (one rounding a
+step), on steps (c_mid, c_low, r), r the reciprocal of the lead: D's from
+_dual_steps, h's from _hermite_steps.  _recurrence is the one handle on
+the loop that the rest of the package reads: the values at any point, for
+the tables and a Gram's pair sums; the majorant A(t) that certifies a
+Gram's window, the same loop at |h_n(it)| and D_n(-t); and the coefficient
+rows, the same step on coefficient lists.
 
 Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
-argument).  Each value of the h series is that of the mpf operator
-expression; each recurrence step is that of the libmp expression formed
-exactly (prec=0) and rounded once.  The public functions convert to mpf at
-the end.  Every power of q with a
-loop-indexed exponent in them, and the h series' factors e^(n-2k), is read
-from one kernel.power_run per call (per pass for the h series' rows, and
-per pass and phi for its factors) in place of a ``**`` per power.  The
-parameter lists of the C and grid D series still form their few powers
-with ``**``.
+argument), and the public functions convert to mpf at the end.  Each value
+of the h series is that of the mpf operator expression.  Every power of q
+with a loop-indexed exponent in them, and the h series' factors e^(n-2k),
+is read from one kernel.power_run per call (per pass for the h series'
+rows, per pass and phi for its factors); the parameter lists of the C and
+grid D series form their few powers with ``**``.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+from typing import Callable, NamedTuple
 
 import mpmath
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     _abs_lt, _add, _certified, _check_floor, _div, _mpf, _mul, _pair,
-                     _round, _rounded, _sub, as_qparam, basic_hypergeometric, power_run)
+                     _abs_lt, _add, _certified, _check_floor, _div, _largest, _mpf, _mul,
+                     _pair, _round, _rounded, _sub, as_qparam, basic_hypergeometric, power_run)
 
 
 class DegenerateCoefficient(Exception):
@@ -81,6 +79,11 @@ class FamilyKind(enum.Enum):
     DUAL_DISCRETE_ULTRA = "dual_discrete_ultra"
     EVEN_HERMITE_FACTOR = "even_hermite_factor"
 
+    @property
+    def takes_s(self) -> bool:
+        """Whether the family has the parameter s: its record has an s rule."""
+        return bool(_FAMILIES[self].s_rules)
+
 
 @dataclasses.dataclass(frozen=True)
 class FamilySpec:
@@ -91,29 +94,30 @@ class FamilySpec:
     s: QReal | None = None
 
     def validated(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "FamilySpec":
+        """The spec with q and s formed at ctx; ValueError unless s meets the
+        family's s rule, which includes no s for a family without one."""
         q = as_qparam(self.q, ctx)
-        s = None
-        if self.kind in (FamilyKind.DISCRETE_ULTRA, FamilyKind.DUAL_DISCRETE_ULTRA):
-            if self.s is None:
-                raise ValueError("%s requires the parameter s" % self.kind.value)
-            s = ctx.to_real(self.s)
-            if not s > 0:
-                raise ValueError("s must satisfy s > 0 (got s=%s)" % mpmath.nstr(s, 8))
-            if self.kind is FamilyKind.DUAL_DISCRETE_ULTRA:
-                with ctx.workprec():   # q^-2 at ctx.bits
-                    check_dual_s(s, q)
-        elif self.s is not None:
-            s = ctx.to_real(self.s)
+        if (self.s is None) == self.kind.takes_s:
+            raise ValueError(("%s requires the parameter s" if self.kind.takes_s
+                              else "%s takes no parameter s") % self.kind.value)
+        s = None if self.s is None else ctx.to_real(self.s)
+        with ctx.workprec():   # D's q^-2 at ctx.bits
+            for rule in _FAMILIES[self.kind].s_rules:
+                rule(s, q)
         return FamilySpec(self.kind, q, s)
+
+
+def _positive_s(s: QReal, q: QReal) -> None:
+    """Raise ValueError unless s > 0."""
+    if not s > 0:
+        raise ValueError("s must satisfy s > 0 (got s=%s)" % mpmath.nstr(s, 8))
 
 
 def check_dual_s(s: QReal, q: QReal) -> None:
     """Raise ValueError unless 0 < s < q^-2, the dual family's range of s."""
     if not 0 < s < q ** -2:
-        raise ValueError(
-            "s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
-            % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8))
-        )
+        raise ValueError("s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
+                         % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,7 +346,9 @@ def qinv_hermite_tables(n_max: int, xs, q,
 def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
     """The steps (0, -q^-j (1 - q^j) / 2, -2) of _three_term for j < n_max,
     -2 the reciprocal of the lead -1/2, which make its step
-    h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}."""
+    h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}: negating and halving a pair
+    are exact, pair exponents are unbounded, and scaling by -2 commutes with
+    rounding, so for x of at most prec bits the step is that rounded once."""
     pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)   # pw[k + n_max - 1] = q^k
     top = n_max - 1
     steps = []
@@ -432,11 +438,8 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
         x = mpmath.mpf(x)
         _pair(s, "s"), _pair(x, "x")   # ValueError unless both are finite
         rs = mpmath.sqrt(s)
-        return basic_hypergeometric(
-            [q ** (-n), -s * q ** (n + 1), x],
-            [rs * q, -rs * q],
-            q, q, ctx, terminating_at=n,
-        )
+        return basic_hypergeometric([q ** (-n), -s * q ** (n + 1), x], [rs * q, -rs * q],
+                                    q, q, ctx, terminating_at=n)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +461,10 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         check_dual_s(s, q)
         x = mpmath.mpf(x)
         _pair(x, "x")   # ValueError unless x is finite
-        cutoff = n
-        if mpmath.isint(x) and 0 <= x < n:
-            cutoff = int(x)
+        cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
         rs = mpmath.sqrt(s)
-        return basic_hypergeometric(
-            [q ** (-x), s * q ** (x + 1), q ** (-n)],
-            [rs * q, -rs * q],
-            q, -q ** (n + 1), ctx, terminating_at=cutoff,
-        )
+        return basic_hypergeometric([q ** (-x), s * q ** (x + 1), q ** (-n)], [rs * q, -rs * q],
+                                    q, -q ** (n + 1), ctx, terminating_at=cutoff)
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
@@ -476,7 +474,9 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
     and its reciprocal r rounded once to prec + 64 bits, so r adds relative
     2^-(prec+64) to the rounded c_lead's error.
 
-    Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0.
+    Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0,
+    then, for n_max > 0, check_dual_s's ValueError at the ambient precision:
+    D_0 = 1 reads no s.
 
     At j = 0, s q^2 is the exact product of s, q and q, so 1 - s q^2 is
     rounded once: it cancels without limit as s -> q^-2, and a rounded
@@ -500,6 +500,8 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
         steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
                       _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
                       _div(_ONE, _mul(pw[o - 2 * j - 1], lead, prec), prec + 64)))
+    if steps:
+        check_dual_s(s, q)
     return steps
 
 
@@ -628,18 +630,8 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
       the step run on coefficient lists: multiplying by p moves a
       coefficient up one degree.
 
-    For D, s is checked once here: DegenerateCoefficient when a leading
-    coefficient up to n_max vanishes (s = q^-(2j+2), up to rounding), else
-    ValueError unless 0 < s < q^-2, at ctx.bits.  n_max = 0 reads no s.
-
-    h's step 2x h_j - low_j h_{j-1} is the D step with c_mid = 0,
-    c_low = -low_j/2 and c_lead = -1/2, whose reciprocal -2 is exact.
-    Negating and halving a pair are exact and pair exponents are unbounded,
-    and scaling by -2 commutes with rounding, so for x of at most ctx.bits
-    bits the step is 2x h_j - low_j h_{j-1} rounded once.  D's step rounds
-    ((c_mid - mu) D_j - c_low D_{j-1}) r once, r = 1/c_lead rounded at
-    bits + 64 from the c_lead rounded to bits, so r adds relative
-    2^-(bits+64) to the error of the rounded lead and nothing more.
+    The family's record gives the steps, the point's name and the
+    majorant's sign.  D's steps check s once, at ctx.bits (_dual_steps).
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -668,27 +660,16 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
         raise ValueError("n_max must be a nonnegative integer")
     q = as_qparam(family.q, ctx)
     prec = ctx.bits
-    if family.kind is FamilyKind.QINV_HERMITE:
-        # H_n(t) = |h_n(it)|: the steps at t with c_low negated
-        name, sign, steps = "x", 1, _hermite_steps(n_max, q, prec)
-    else:
-        with ctx.workprec():
-            s = mpmath.mpf(family.s)
-            steps = _dual_steps(n_max, s, q, prec)
-            if steps:   # D_0 = 1 reads no s
-                check_dual_s(s, q)
-        name, sign = "mu", -1   # A_n(t) = D_n(-t)
+    record = _FAMILIES[family.kind]
+    with ctx.workprec():
+        steps = record.steps(n_max, family.s, q, prec)
 
     def values(p: QReal) -> list[tuple[int, int]]:
-        return _three_term(_pair(p, name), steps, prec)
+        return _three_term(_pair(p, record.point), steps, prec)
 
     def majorant(t: QReal) -> QReal:
         m, e = _pair(t, "t")
-        best = _ZERO
-        for v in _three_term((sign * m, e), steps, prec, -sign):
-            if _abs_lt(best, v):
-                best = v
-        return _mpf(best)
+        return _mpf(_largest(_three_term((record.sign * m, e), steps, prec, -record.sign)))
 
     def term(step, a, b, c) -> tuple[int, int]:
         # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) r: c_mid a - b - c_low c
@@ -712,37 +693,47 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     return values, majorant, rows
 
 
+class _Family(NamedTuple):
+    """What tells one family kind from another (module docstring)."""
+    s_rules: tuple           # checks (s, q) -> None of s, () for a family without s
+    routes: dict             # evaluate's argument -> evaluator (n, value, [s,] q, ctx) ...
+    refusal: str             # ... and its message for any other argument
+    steps: Callable | None = None   # (n_max, s, q, prec) -> the steps of _three_term
+    point: str = ""          # the recurrence's point, as its ValueError names it
+    sign: int = 0            # the majorant's point is sign * t, and c_low is times -sign
+
+
+_FAMILIES = {
+    # H_n(t) = |h_n(it)|: the h steps at t with c_low negated
+    FamilyKind.QINV_HERMITE: _Family(
+        (), {"x": qinv_hermite, "phi": qinv_hermite_series},
+        "qinv_hermite takes x or phi, not mu",
+        lambda n_max, s, q, prec: _hermite_steps(n_max, q, prec), "x", 1),
+    FamilyKind.EVEN_HERMITE_FACTOR: _Family(
+        (), {"x": even_hermite_factor}, "even_hermite_factor takes x"),
+    FamilyKind.DISCRETE_ULTRA: _Family(
+        (_positive_s,), {"x": discrete_ultra}, "discrete_ultra takes x"),
+    # A_n(t) = D_n(-t)
+    FamilyKind.DUAL_DISCRETE_ULTRA: _Family(
+        (_positive_s, check_dual_s), {"mu": dual_ultra, "x": dual_ultra_series},
+        "dual_discrete_ultra takes mu or x",
+        lambda n_max, s, q, prec: _dual_steps(n_max, mpmath.mpf(s), q, prec), "mu", -1),
+}
+
+
 def evaluate(spec: FamilySpec, n: int, *, x=None, phi=None, mu=None,
              ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """Dispatch an evaluation request for a validated FamilySpec.
-
-    Exactly one of x / phi / mu must be given, matching the family:
-    QINV_HERMITE accepts x (recurrence) or phi (series); EVEN_HERMITE_FACTOR
-    accepts x; DISCRETE_ULTRA accepts x; DUAL_DISCRETE_ULTRA accepts mu
-    (recurrence) or x (grid series).
-    """
+    """The value at the one point of x / phi / mu that is given, by the
+    route of the family's record that the argument names, after
+    FamilySpec.validated: x or phi (series) for h, x for ht and C, mu or x
+    (grid series) for D."""
     spec = spec.validated(ctx)
     given = {name: v for name, v in (("x", x), ("phi", phi), ("mu", mu)) if v is not None}
     if len(given) != 1:
         raise ValueError("exactly one of x, phi, mu must be supplied (got %s)" % sorted(given))
-    if spec.kind is FamilyKind.QINV_HERMITE:
-        if phi is not None:
-            return qinv_hermite_series(n, phi, spec.q, ctx)
-        if x is not None:
-            return qinv_hermite(n, x, spec.q, ctx)
-        raise ValueError("qinv_hermite takes x or phi, not mu")
-    if spec.kind is FamilyKind.EVEN_HERMITE_FACTOR:
-        if x is None:
-            raise ValueError("even_hermite_factor takes x")
-        return even_hermite_factor(n, x, spec.q, ctx)
-    if spec.kind is FamilyKind.DISCRETE_ULTRA:
-        if x is None:
-            raise ValueError("discrete_ultra takes x")
-        return discrete_ultra(n, x, spec.s, spec.q, ctx)
-    if spec.kind is FamilyKind.DUAL_DISCRETE_ULTRA:
-        if mu is not None:
-            return dual_ultra(n, mu, spec.s, spec.q, ctx)
-        if x is not None:
-            return dual_ultra_series(n, x, spec.s, spec.q, ctx)
-        raise ValueError("dual_discrete_ultra takes mu or x")
-    raise ValueError("unknown family kind %r" % (spec.kind,))
+    [(name, value)] = given.items()
+    record = _FAMILIES[spec.kind]
+    if name not in record.routes:
+        raise ValueError(record.refusal)
+    s = () if spec.s is None else (spec.s,)
+    return record.routes[name](n, value, *s, spec.q, ctx)

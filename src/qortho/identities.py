@@ -40,8 +40,8 @@ from mpmath.libmp import mpf_sub, round_nearest
 from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt,
-                     _add, _div, _make, _mpf, _mul, _pair, _round, _sub, as_qparam,
-                     power_run, qpochhammer, qpochhammer_inf, to_decimal)
+                     _add, _div, _larger, _largest, _make, _mpf, _mul, _pair, _round, _sub,
+                     as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -94,11 +94,6 @@ def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[in
         m, e = _sub(lhs, rhs, prec)
     size = _round((abs(lhs[0]), lhs[1]), prec)
     return _div((abs(m), e), size if _abs_lt(_ONE, size) else _ONE, prec)
-
-
-def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """max(a, b) of two nonnegative pairs, a on a tie, as Python's max."""
-    return b if _abs_lt(a, b) else a
 
 
 def _shift(a: tuple[int, int], k: int) -> tuple[int, int]:
@@ -314,11 +309,9 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
         # (q^-n, q^n) and 1 - q^-n for each n, formed once
         powers = [None] + [(_pair(q ** -n), _pair(q ** n)) for n in range(1, n_max + 1)]
         one_minus = [None] + [_sub(_ONE, inverse, prec) for inverse, _ in powers[1:]]
-        coeff_worst = _ZERO
-        for n in range(1, n_max + 1):
-            (m, e), power = powers[n]
-            rhs = _mul((-m, e), _sub(_ONE, power, prec), prec)
-            coeff_worst = _larger(coeff_worst, _residual(one_minus[n], rhs, prec))
+        coeff_worst = _largest(   # 1 - q^-n against -q^-n (1 - q^n)
+            _residual(one_minus[n], _mul((-m, e), _sub(_ONE, power, prec), prec), prec)
+            for n, ((m, e), power) in enumerate(powers[1:], 1))
         xs = [mpmath.mpf(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
         series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
@@ -334,11 +327,9 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
             for n in range(1, n_max + 1):
                 rhs = _add(_mul(two_x, hs[n], prec), _mul(one_minus[n], hs[n - 1], prec), prec)
                 value_worst = _larger(value_worst, _residual(hs[n + 1], rhs, prec))
-        parity_worst = _ZERO
         rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
-        for n, coeffs in enumerate(rows()):
-            for m, e in coeffs[1 - n % 2::2]:   # the c_j with n - j odd
-                parity_worst = _larger(parity_worst, (abs(m), e))
+        parity_worst = _largest((abs(m), e) for n, coeffs in enumerate(rows())
+                                for m, e in coeffs[1 - n % 2::2])   # the c_j with n - j odd
         return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
             "coefficient-transform": coeff_worst,
             "series-values-recurrence": value_worst,

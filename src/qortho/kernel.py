@@ -4,10 +4,7 @@ All values are mpmath ``mpf`` reals ("QReal" below) computed at a working
 precision carried by a :class:`PrecisionContext`. Infinite objects are
 truncated under a-priori tail bounds: a result is returned together with the
 guarantee that the discarded tail is below the context tolerance, or a
-:class:`TruncationFailure` is raised.  The one exception is
-:func:`basic_hypergeometric` without ``terminating_at``, which stops by
-watching the terms shrink (a decaying term below tol * max(1, |sum|)) and
-certifies nothing about the tail it drops.
+:class:`TruncationFailure` is raised.
 
 An infinite product (a;q)_inf splits off the finite head (a;q)_J with
 |a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like
@@ -322,6 +319,16 @@ def _abs_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return ma < mb << (eb - ea)
 
 
+def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """max(a, b) of two nonnegative pairs, a on a tie, as Python's max."""
+    return b if _abs_lt(a, b) else a
+
+
+def _largest(pairs) -> tuple[int, int]:
+    """max(pairs) of nonnegative pairs, the first on a tie; _ZERO for none."""
+    return functools.reduce(_larger, pairs, _ZERO)
+
+
 def power_run(x: tuple[int, int], lo: int, hi: int, prec: int) -> list[tuple[int, int]]:
     """[x^lo, x^(lo+1), ..., x^hi] for a pair x, each rounded once to prec bits.
 
@@ -581,9 +588,15 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
 
     With terminating_at=N the sum has exactly N+1 terms and one numerator
     parameter must equal q^-N; a term becoming exactly zero (another slot
-    terminating earlier) also stops the loop. Without it, summation stops when
-    the term magnitude falls below tol * max(1, |partial sum|) while the terms
-    are decaying; TruncationFailure is raised when max_terms is exhausted.
+    terminating earlier) also stops the loop. Without it, the loop stops after
+    the term t_(k+1) once every 1 - |b_j| q^k is positive, so that
+    R = |z| prod(1 + |a_i| q^k) / ((1 - q^(k+1)) prod(1 - |b_j| q^k)) bounds
+    |t_(j+1) / t_j| for every j >= k (each factor falls in j), and R < 1 puts
+    the tail past t_(k+1), at most |t_(k+1)| R / (1 - R), below
+    tol * max(1, |partial sum|).  R is formed at the working precision from
+    the rounded q^k the terms are formed from.  A term that merely looks
+    small does not stop the loop: 1 / (1 - b q^k) can lift a later term by
+    any factor.  TruncationFailure is raised when max_terms is exhausted.
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
@@ -598,10 +611,8 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
             target = q ** (-n_stop)
             witness = min((abs(v - target) for v in nums), default=None)
             if witness is None or witness > abs(target) * mpmath.mpf(2) ** (-(ctx.bits // 2)):
-                raise ValueError(
-                    "terminating_at=%d requires a numerator parameter equal to q^-%d"
-                    % (n_stop, n_stop)
-                )
+                raise ValueError("terminating_at=%d requires a numerator parameter equal to q^-%d"
+                                 % (n_stop, n_stop))
 
         prec = mp.prec
         q_p, z_p, tol_p = _pair(q), _pair(z, "z"), _pair(ctx.tol)
@@ -610,7 +621,6 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
         total = _ZERO
         term = _ONE
         qk = _ONE
-        prev_term = None
         for k in range(ctx.max_terms):
             total = _add(total, term, prec)
             if terminating_at is not None and k >= terminating_at:
@@ -629,16 +639,23 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
             for a in num_p:
                 ratio = _mul(ratio, _sub(_ONE, _mul(a, qk, prec), prec), prec)
             term = _mul(term, ratio, prec)
-            qk = q_qk
             if not term[0]:
                 return _mpf(total)
             if terminating_at is None:
-                if prev_term is not None and _abs_lt(term, prev_term):
-                    # |term| < tol * max(1, |total|)
+                # R = |z| prod(1 + |a_i| q^k) / ((1 - q^(k+1)) prod(1 - |b_j| q^k))
+                lows = [_sub(_ONE, _mul((abs(m), e), qk, prec), prec) for m, e in den_p]
+                if all(m > 0 for m, _ in lows):
+                    major = _div((abs(z_p[0]), z_p[1]), _sub(_ONE, q_qk, prec), prec)
+                    for low in lows:
+                        major = _div(major, low, prec)
+                    for m, e in num_p:
+                        major = _mul(major, _add(_ONE, _mul((abs(m), e), qk, prec), prec), prec)
                     floor = _mul(tol_p, total if _abs_lt(_ONE, total) else _ONE, prec)
-                    if _abs_lt(term, floor):
+                    # R < 1, and the tail, at most |term| R / (1 - R), below floor
+                    if _abs_lt(major, _ONE) and _abs_lt(_mul(term, major, prec),
+                                                        _mul(floor, _sub(_ONE, major, prec), prec)):
                         return _mpf(_add(total, term, prec))
-                prev_term = term
+            qk = q_qk
         raise TruncationFailure(
             "series not resolved within max_terms=%d (q=%s, z=%s)"
             % (ctx.max_terms, mpmath.nstr(q, 8), mpmath.nstr(z, 8))

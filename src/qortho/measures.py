@@ -149,7 +149,7 @@ import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence, check_dual_s
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _add, _div, _mpf, _mul, _pair, _round,
+                     TruncationFailure, _abs_lt, _add, _div, _largest, _mpf, _mul, _pair, _round,
                      _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
 
 
@@ -583,28 +583,28 @@ class GramReport:
             cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
                 to_decimal(x, digits) for x in (
                     self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
-                    res[n][np_])))
+                    _mpf(res[n][np_]))))
         lines += ["%d,%d,%s" % (n, np_, cell)
                   for n, row in enumerate(cells) for np_, cell in enumerate(row)]
         return "\n".join(lines) + "\n"
 
 
-def _residuals(gram: list[list[QReal]], diag: list[QReal]) -> list[list[QReal]]:
-    """The residuals the checks compare with tol: |G_nn - d_n| / |d_n| on the
-    diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|) off it, each root formed
-    once per degree in mpf.  The rest runs on pairs at the working
+def _residuals(gram: list[list[QReal]], diag: list[QReal]) -> list[list[tuple[int, int]]]:
+    """The residuals the checks compare with tol, as pairs: |G_nn - d_n| / |d_n|
+    on the diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|) off it, each root
+    formed once per degree in mpf.  The rest runs on pairs at the working
     precision, whose operations round as mpf's do on these operands (all of
     at most that precision), so the values are those of the mpf expression."""
     prec = mpmath.mp.prec
     roots = [_pair(mpmath.sqrt(abs(d))) for d in diag]
     diag_pairs = [_pair(d) for d in diag]
 
-    def residual(n: int, np_: int) -> QReal:
+    def residual(n: int, np_: int) -> tuple[int, int]:
         if n == np_:
             (m, e), (dm, de) = _sub(_pair(gram[n][n]), diag_pairs[n], prec), diag_pairs[n]
-            return _mpf(_div((abs(m), e), (abs(dm), de), prec))
+            return _div((abs(m), e), (abs(dm), de), prec)
         m, e = _pair(gram[n][np_])
-        return _mpf(_div((abs(m), e), _mul(roots[n], roots[np_], prec), prec))
+        return _div((abs(m), e), _mul(roots[n], roots[np_], prec), prec)
 
     return _symmetric(len(diag), residual)
 
@@ -757,9 +757,8 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
         nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
         gram = _pair_sums(weights, [values(x) for x in nodes], N)
         res = _residuals(gram, diag)
-        diag_err = max(res[n][n] for n in range(N + 1))
-        off_max = max((res[n][np_] for n in range(N + 1) for np_ in range(n + 1, N + 1)),
-                      default=mpmath.mpf(0))
+        diag_err = _largest(res[n][n] for n in range(N + 1))
+        off_max = _largest(res[n][np_] for n in range(N + 1) for np_ in range(n + 1, N + 1))
 
         return GramReport(
             family_kind=family.kind.value,
@@ -771,8 +770,8 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
             bits=ctx.bits,
             gram=gram,
             expected_diag=diag,
-            off_diag_max=off_max,
-            diag_rel_err_max=diag_err,
+            off_diag_max=_mpf(off_max),
+            diag_rel_err_max=_mpf(diag_err),
             m_lo=m_lo,
             m_hi=m_hi,
             tail_bound=tail,

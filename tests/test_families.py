@@ -392,6 +392,15 @@ def test_validated_messages_are_whole_strings(kind, s, message):
     assert _message(lambda: evaluate(spec, 1, x=0, ctx=CTX)) == message
 
 
+@pytest.mark.parametrize("kind", [FamilyKind.QINV_HERMITE, FamilyKind.EVEN_HERMITE_FACTOR])
+def test_families_without_s_refuse_one(kind):
+    # as `qortho eval --family h --s 7` exits 2, in place of dropping the s
+    spec = FamilySpec(kind, "0.5", "7")
+    message = "%s takes no parameter s" % kind.value
+    assert _message(lambda: spec.validated(CTX)) == message
+    assert _message(lambda: evaluate(spec, 2, x=0, ctx=CTX)) == message
+
+
 # -- batched recurrences against the per-node formulas ------------------------
 #
 # The h oracles below are the per-node and per-degree recurrences the

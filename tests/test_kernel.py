@@ -658,7 +658,8 @@ def test_power_run_of_4096_steps_within_its_bound(bits):
 
 def _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=None):
     """basic_hypergeometric as it was written with mpf operators, kept as the
-    reference its pair loop must equal bit for bit."""
+    reference its pair loop must equal bit for bit on terminating and
+    early-zero sums; it has no stop rule for the others."""
     q = as_qparam(q, ctx)
     with ctx.workprec():
         nums = [mpmath.mpf(v) for v in num]
@@ -669,7 +670,6 @@ def _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=None):
         total = mpmath.mpf(0)
         term = one
         qk = one
-        prev_mag = None
         for k in range(ctx.max_terms):
             total += term
             if terminating_at is not None and k >= terminating_at:
@@ -688,11 +688,6 @@ def _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=None):
             qk *= q
             if term == 0:
                 return total
-            if terminating_at is None:
-                mag = abs(term)
-                if prev_mag is not None and mag < prev_mag and mag < ctx.tol * max(one, abs(total)):
-                    return total + term
-                prev_mag = mag
         raise TruncationFailure("series not resolved within max_terms=%d" % ctx.max_terms)
 
 
@@ -727,13 +722,48 @@ def _hypergeometric_cases(bits):
     return cases
 
 
+def _summed(num, den, q, z, terms=200, bits=1024):
+    """The first `terms` terms of the series at `bits` bits, by the term
+    ratio: a reference for sums that do not terminate."""
+    with mpmath.mp.workprec(bits):
+        q, z = mpmath.mpf(q), mpmath.mpf(z)
+        total, term, qk = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+        for _ in range(terms):
+            total += term
+            term *= z / (1 - q * qk)
+            for a in num:
+                term *= 1 - mpmath.mpf(a) * qk
+            for b in den:
+                term /= 1 - mpmath.mpf(b) * qk
+            qk *= q
+        return total
+
+
+def test_hypergeometric_sums_past_a_term_that_lifts_the_next():
+    # The terms fall below tol before k = 5, then 1 / (1 - b q^5) = 2^200
+    # lifts t_6 to about 2^-51: a stop on small terms returned an error of
+    # relative 3.2e-16.
+    with CTX.workprec():
+        b, q, z = 32 * (1 - mpmath.ldexp(1, -200)), mpmath.mpf(0.5), mpmath.ldexp(1, -40)
+    got = basic_hypergeometric([], [b], q, z, CTX)
+    want = _summed([], [b], q, z)
+    with mpmath.mp.workprec(1024):
+        assert abs(got - want) <= CTX.tol * max(1, abs(want))
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_hypergeometric_raw_loop_equals_operator_loop(bits):
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
     for num, den, q, z, stop in _hypergeometric_cases(bits):
         got = basic_hypergeometric(num, den, q, z, ctx, terminating_at=stop)
-        want = _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=stop)
-        assert got._mpf_ == want._mpf_
+        if stop is None:
+            # the certified tail, plus rounding: every term is positive here
+            want = _summed(num, den, q, z, terms=1200, bits=2 * bits)
+            with mpmath.mp.workprec(2 * bits):
+                assert abs(got - want) <= (ctx.tol + mpmath.ldexp(1, 32 - bits)) * max(1, abs(want))
+        else:
+            want = _operator_basic_hypergeometric(num, den, q, z, ctx, terminating_at=stop)
+            assert got._mpf_ == want._mpf_
     # A vanishing denominator raises from both loops at the same index.
     q = mpmath.mpf("0.5")
     for loop in (basic_hypergeometric, _operator_basic_hypergeometric):
