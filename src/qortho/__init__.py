@@ -8,10 +8,9 @@ orthogonality measures with certified truncation windows, and runs an
 identity suite covering the connection formulas, recurrence chains, product
 identities and measure-equivalence relations the families satisfy.
 """
-from .families import (DegenerateCoefficient, FamilyKind, FamilySpec,
-                       MuPoint, discrete_ultra, dual_ultra, dual_ultra_coeff_rows,
-                       dual_ultra_coeffs, dual_ultra_series, dual_ultra_table,
-                       dual_ultra_tables, even_hermite_factor, evaluate,
+from .families import (FamilyKind, FamilySpec, MuPoint, discrete_ultra, dual_ultra,
+                       dual_ultra_coeff_rows, dual_ultra_coeffs, dual_ultra_series,
+                       dual_ultra_table, dual_ultra_tables, even_hermite_factor, evaluate,
                        mu_point, qinv_hermite, qinv_hermite_coeff_rows,
                        qinv_hermite_coeffs, qinv_hermite_series,
                        qinv_hermite_series_tables,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_CONTEXT",
-    "DegenerateCoefficient",
     "DiscreteMeasure",
     "FamilyKind",
     "FamilySpec",

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .families import DegenerateCoefficient, FamilyKind, FamilySpec, evaluate
+from .families import FamilyKind, FamilySpec, evaluate
 from .identities import SUITE_IDS, run_suite
 from .kernel import (KernelError, PrecisionContext, TruncationFailure,
                      as_qparam, to_decimal)
@@ -377,8 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: certified truncation unattainable: %s" % exc,
               file=sys.stderr)
         return 2
-    except (KernelError, DegenerateCoefficient, SignViolation, ValueError,
-            OSError) as exc:
+    except (KernelError, SignViolation, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -32,7 +32,10 @@ term and phi past the rows; qinv_hermite_series is its one-point call.
 Each FamilyKind has one record in _FAMILIES (see _Family): its s rule (no
 s for h and ht, s > 0 for C, 0 < s < q^-2 for D), evaluate's routes, and
 for h and D the recurrence's steps, which FamilySpec.validated, evaluate
-and _recurrence read in place of testing the kind.
+and _recurrence read in place of testing the kind.  FamilySpec.validated
+is the front door for s: it is the only code that checks s, and every
+public function that takes s (and measures.dual_base) passes through it
+once, so each raises its ValueError.
 
 The recurrence evaluators are batched: the *_tables functions run the
 recurrence at every point of a list, and the *_coeff_rows functions give
@@ -65,12 +68,9 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     _abs_lt, _add, _certified, _check_floor, _div, _largest, _mpf, _mul,
-                     _pair, _round, _rounded, _sub, as_qparam, basic_hypergeometric, power_run)
-
-
-class DegenerateCoefficient(Exception):
-    """A leading recurrence coefficient vanished (s = q^{-2n-2} for some n)."""
+                     _abs_lt, _add, _certified, _check_degree, _check_floor, _div, _largest,
+                     _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam, basic_hypergeometric,
+                     power_run)
 
 
 class FamilyKind(enum.Enum):
@@ -95,29 +95,36 @@ class FamilySpec:
 
     def validated(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "FamilySpec":
         """The spec with q and s formed at ctx; ValueError unless s meets the
-        family's s rule, which includes no s for a family without one."""
+        family's s rule, which includes no s for a family without one.  The
+        package's only check of s."""
         q = as_qparam(self.q, ctx)
         if (self.s is None) == self.kind.takes_s:
             raise ValueError(("%s requires the parameter s" if self.kind.takes_s
                               else "%s takes no parameter s") % self.kind.value)
         s = None if self.s is None else ctx.to_real(self.s)
-        with ctx.workprec():   # D's q^-2 at ctx.bits
-            for rule in _FAMILIES[self.kind].s_rules:
-                rule(s, q)
+        for rule in _FAMILIES[self.kind].s_rules:
+            rule(s, q, ctx)
         return FamilySpec(self.kind, q, s)
 
 
-def _positive_s(s: QReal, q: QReal) -> None:
-    """Raise ValueError unless s > 0."""
+def _positive_s(s: QReal, q: QReal, ctx: PrecisionContext) -> None:
+    """Raise ValueError unless s is finite and s > 0."""
+    _pair(s, "s")   # ValueError unless s is finite
     if not s > 0:
         raise ValueError("s must satisfy s > 0 (got s=%s)" % mpmath.nstr(s, 8))
 
 
-def check_dual_s(s: QReal, q: QReal) -> None:
-    """Raise ValueError unless 0 < s < q^-2, the dual family's range of s."""
-    if not 0 < s < q ** -2:
-        raise ValueError("s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
-                         % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8)))
+def check_dual_s(s: QReal, q: QReal, ctx: PrecisionContext) -> None:
+    """Raise ValueError unless s < q^-2, for s > 0 (_positive_s): the dual
+    family's range of s, tested exactly as s q^2 < 1, which is what the
+    exact first lead 1 - s q^2 of _dual_steps and the majorant's sign
+    argument in _recurrence need.  q^-2 is formed, at ctx.bits, only for
+    the message."""
+    (sm, se), (qm, qe) = _pair(s), _pair(q)
+    if (sm * qm * qm).bit_length() + se + 2 * qe > 0:   # s q^2 >= 1
+        with ctx.workprec():
+            raise ValueError("s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
+                             % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,11 +137,12 @@ class MuPoint:
 
 
 def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
-    q = as_qparam(q, ctx)
+    """The grid point at label x of the dual family with this s and q."""
+    spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx)
+    q, s = spec.q, spec.s
     with ctx.workprec():
         x = mpmath.mpf(x)
-        s = mpmath.mpf(s)
-        _pair(x, "x"), _pair(s, "s")   # ValueError unless both are finite
+        _pair(x, "x")   # ValueError unless x is finite
         mu = q ** (-x) + s * q ** (x + 1)
     return MuPoint(x=x, s=s, mu=mu)
 
@@ -303,8 +311,8 @@ def qinv_hermite_series_tables(ns, phis, q,
     odd n >= 1025).
     """
     ns = list(ns)
-    if not all(isinstance(n, int) and n >= 0 for n in ns):
-        raise ValueError("n must be a nonnegative integer")
+    for n in ns:
+        _check_degree("n", n)
     q, phis = as_qparam(q, ctx), [ctx.to_real(phi) for phi in phis]
     for phi in phis:
         _pair(phi, "phi")   # ValueError unless phi is finite
@@ -338,7 +346,7 @@ def qinv_hermite_tables(n_max: int, xs, q,
     """[h_0(x|q), ..., h_{n_max}(x|q)] for each x in xs, by the three-term
     recurrence, its steps formed once for all of xs.  ValueError when an x
     is inf or nan."""
-    values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[0]
+    values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, as_qparam(q, ctx)), n_max, ctx)[0]
     with ctx.workprec():
         return [[_mpf(v) for v in values(mpmath.mpf(x))] for x in xs]
 
@@ -375,7 +383,7 @@ def qinv_hermite_coeff_rows(n_max: int, q,
 
     Row n is [c_0, ..., c_n] with h_n(x|q) = sum c_j x^j.
     """
-    rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
+    rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, as_qparam(q, ctx)), n_max, ctx)[2]
     return [[_mpf(c) for c in row] for row in rows()]
 
 
@@ -385,8 +393,7 @@ def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> l
     Exposes the parity structure (c_j = 0 for j with j != n mod 2) and the
     linear coefficient needed for the even cofactor at x = 0.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_degree("n", n)
     return qinv_hermite_coeff_rows(n, q, ctx)[n]
 
 
@@ -410,8 +417,7 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     bits while _hermite_bound may miss tol/4 * max(1, |ht_{2k}(0)|), and
     raises TruncationFailure when tol is below ctx.rounding_floor.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    _check_degree("k", k)
     q = as_qparam(q, ctx)
     n = 2 * k + 1
     with ctx.workprec():
@@ -428,15 +434,12 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 
 def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """C_n(x; s, q) as a terminating 3phi2 with argument q."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    q = as_qparam(q, ctx)
+    _check_degree("n", n)
+    spec = FamilySpec(FamilyKind.DISCRETE_ULTRA, q, s).validated(ctx)
+    q, s = spec.q, spec.s
     with ctx.workprec():
-        s = mpmath.mpf(s)
-        if not s > 0:
-            raise ValueError("s must satisfy s > 0")
         x = mpmath.mpf(x)
-        _pair(s, "s"), _pair(x, "x")   # ValueError unless both are finite
+        _pair(x, "x")   # ValueError unless x is finite
         rs = mpmath.sqrt(s)
         return basic_hypergeometric([q ** (-n), -s * q ** (n + 1), x], [rs * q, -rs * q],
                                     q, q, ctx, terminating_at=n)
@@ -453,12 +456,10 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     a nonnegative integer below n, the x slot terminates it sooner and the
     shorter cutoff drives the loop.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    q = as_qparam(q, ctx)
+    _check_degree("n", n)
+    spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx)
+    q, s = spec.q, spec.s
     with ctx.workprec():
-        s = mpmath.mpf(s)
-        check_dual_s(s, q)
         x = mpmath.mpf(x)
         _pair(x, "x")   # ValueError unless x is finite
         cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
@@ -474,16 +475,18 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
     and its reciprocal r rounded once to prec + 64 bits, so r adds relative
     2^-(prec+64) to the rounded c_lead's error.
 
-    Raises DegenerateCoefficient at the first j whose 1 - s q^(2j+2) is 0,
-    then, for n_max > 0, check_dual_s's ValueError at the ambient precision:
-    D_0 = 1 reads no s.
-
-    At j = 0, s q^2 is the exact product of s, q and q, so 1 - s q^2 is
-    rounded once: it cancels without limit as s -> q^-2, and a rounded
-    s q^2 would lose as many bits.  For j >= 1, s q^(2j+2) < q^(2j) <= q^2,
-    so the rounded product's error grows by at most q^2 / (1 - q^2).
+    s and q are of at most prec bits with s q^2 < 1 (FamilySpec.validated),
+    and every lead is then positive.  At j = 0, s q^2 is the exact product
+    of s, q and q, so 1 - s q^2 > 0 is rounded once: it cancels without
+    limit as s -> q^-2, and a rounded s q^2 would lose as many bits.  For
+    j >= 1, s q^(2j+2) < q^(2j) <= q^2 <= (1 - u)^2, u = 2^-prec; the run's
+    q^(2j+2) is within relative u + 1.01 (2j + 1) u 2^-32 <= 5u/4
+    (power_run; 2j + 1 < 2^30), so the product before its rounding is below
+    (1 - u)^2 (1 + 5u/4) < 1 - u/2 and rounds to at most 1 - u: the rounded
+    product's error grows by at most q^2 / (1 - q^2), and 1 - s q^(2j+2) is
+    at least u once rounded.
     """
-    q_p, s_p = _pair(q), _pair(s, "s")
+    q_p, s_p = _pair(q), _pair(s)
     pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
     o = 2 * n_max - 1
     one_plus_q = _add(_ONE, q_p, prec)
@@ -494,14 +497,9 @@ def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[i
         else:
             s_power = s_p[0] * q_p[0] ** 2, s_p[1] + 2 * q_p[1]
         lead = _sub(_ONE, s_power, prec)
-        if not lead[0]:
-            raise DegenerateCoefficient(
-                "leading coefficient 1 - s q^{2n+2} vanishes at n=%d" % j)
         steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
                       _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
                       _div(_ONE, _mul(pw[o - 2 * j - 1], lead, prec), prec + 64)))
-    if steps:
-        check_dual_s(s, q)
     return steps
 
 
@@ -510,7 +508,8 @@ def dual_ultra_tables(n_max: int, mus, s, q,
     """[D_0(mu), ..., D_{n_max}(mu)] for each mu in mus, by the recurrence in
     n, its steps formed once for all of mus.  ValueError when a mu is inf or
     nan."""
-    values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s), n_max, ctx)[0]
+    values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx),
+                         n_max, ctx)[0]
     with ctx.workprec():
         return [[_mpf(v) for v in values(mpmath.mpf(mu))] for mu in mus]
 
@@ -528,14 +527,14 @@ def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRe
 def dual_ultra_coeff_rows(n_max: int, s, q,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
     """[coefficients of D_0, ..., coefficients of D_{n_max}] in mu, one recurrence pass."""
-    rows = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s), n_max, ctx)[2]
+    rows = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx),
+                       n_max, ctx)[2]
     return [[_mpf(c) for c in row] for row in rows()]
 
 
 def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
     """Coefficients of D_n as a polynomial in mu, via the recurrence."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_degree("n", n)
     return dual_ultra_coeff_rows(n, s, q, ctx)[n]
 
 
@@ -614,7 +613,9 @@ def _exact_sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, 
 
 
 def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
-    """(values, majorant, rows) of h or D up to degree n_max, on pairs at ctx.bits.
+    """(values, majorant, rows) of h or D up to degree n_max, on pairs at
+    ctx.bits, for a family whose q and s are as FamilySpec.validated forms
+    them at ctx.
 
     The node-independent steps (_hermite_steps or _dual_steps), with the
     reciprocal of each lead, are formed once, and that one list serves all
@@ -631,7 +632,7 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
       coefficient up one degree.
 
     The family's record gives the steps, the point's name and the
-    majorant's sign.  D's steps check s once, at ctx.bits (_dual_steps).
+    majorant's sign.
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -656,13 +657,11 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     with s = 1/q); that rounding is not yet part of the Gram window's tail
     certificate.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
-    q = as_qparam(family.q, ctx)
+    _check_degree("n_max", n_max)
     prec = ctx.bits
     record = _FAMILIES[family.kind]
     with ctx.workprec():
-        steps = record.steps(n_max, family.s, q, prec)
+        steps = record.steps(n_max, family.s, family.q, prec)
 
     def values(p: QReal) -> list[tuple[int, int]]:
         return _three_term(_pair(p, record.point), steps, prec)
@@ -695,7 +694,7 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
 
 class _Family(NamedTuple):
     """What tells one family kind from another (module docstring)."""
-    s_rules: tuple           # checks (s, q) -> None of s, () for a family without s
+    s_rules: tuple           # checks (s, q, ctx) -> None of s, () for a family without s
     routes: dict             # evaluate's argument -> evaluator (n, value, [s,] q, ctx) ...
     refusal: str             # ... and its message for any other argument
     steps: Callable | None = None   # (n_max, s, q, prec) -> the steps of _three_term
@@ -717,17 +716,18 @@ _FAMILIES = {
     FamilyKind.DUAL_DISCRETE_ULTRA: _Family(
         (_positive_s, check_dual_s), {"mu": dual_ultra, "x": dual_ultra_series},
         "dual_discrete_ultra takes mu or x",
-        lambda n_max, s, q, prec: _dual_steps(n_max, mpmath.mpf(s), q, prec), "mu", -1),
+        lambda n_max, s, q, prec: _dual_steps(n_max, s, q, prec), "mu", -1),
 }
 
 
 def evaluate(spec: FamilySpec, n: int, *, x=None, phi=None, mu=None,
              ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """The value at the one point of x / phi / mu that is given, by the
-    route of the family's record that the argument names, after
-    FamilySpec.validated: x or phi (series) for h, x for ht and C, mu or x
-    (grid series) for D."""
-    spec = spec.validated(ctx)
+    route of the family's record that the argument names: x or phi (series)
+    for h, x for ht and C, mu or x (grid series) for D.  The C and D routes
+    take spec's s to FamilySpec.validated; for h and ht, evaluate takes the
+    spec there itself, which refuses an s."""
+    args = (spec.s, spec.q) if spec.kind.takes_s else (spec.validated(ctx).q,)
     given = {name: v for name, v in (("x", x), ("phi", phi), ("mu", mu)) if v is not None}
     if len(given) != 1:
         raise ValueError("exactly one of x, phi, mu must be supplied (got %s)" % sorted(given))
@@ -735,5 +735,4 @@ def evaluate(spec: FamilySpec, n: int, *, x=None, phi=None, mu=None,
     record = _FAMILIES[spec.kind]
     if name not in record.routes:
         raise ValueError(record.refusal)
-    s = () if spec.s is None else (spec.s,)
-    return record.routes[name](n, value, *s, spec.q, ctx)
+    return record.routes[name](n, value, *args, ctx)

@@ -39,9 +39,9 @@ from mpmath.libmp import mpf_sub, round_nearest
 
 from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
-from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt,
-                     _add, _div, _larger, _largest, _make, _mpf, _mul, _pair, _round, _sub,
-                     as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
+from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt, _add,
+                     _check_degree, _div, _larger, _largest, _make, _mpf, _mul, _pair, _round,
+                     _sub, as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -117,14 +117,6 @@ def _grid(grid) -> list:
     if not points:
         raise ValueError("the grid has no point")
     return points
-
-
-def _check_degree(name: str, value, least: int = 0) -> None:
-    """ValueError unless value is an integer >= least (0 or 1): below it a
-    check would compare nothing and pass."""
-    if not isinstance(value, int) or value < least:
-        raise ValueError("%s must be a %s integer (got %r)"
-                         % (name, ("nonnegative", "positive")[least], value))
 
 
 def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):

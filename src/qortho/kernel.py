@@ -150,8 +150,7 @@ class PrecisionContext:
             _, man, exp, bc = value._mpf_
             if bc <= self.bits and (man or not exp):   # not inf or nan
                 return value
-        with self.workprec():
-            return mpmath.mpf(value)
+        return mpmath.mpf(value, prec=self.bits)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -372,12 +371,19 @@ def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]
     return out
 
 
+def _check_degree(name: str, value, least: int = 0) -> None:
+    """ValueError unless value is an integer >= least (0 or 1): the one
+    check of a degree, count or index argument."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError("%s must be a %s integer (got %r)"
+                         % (name, ("nonnegative", "positive")[least], value))
+
+
 def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Finite q-shifted factorial (a;q)_n = prod_{k<n} (1 - a q^k), n >= 0, by
     the plain product loop on pairs at ctx.bits.  ValueError when a or q is
     inf or nan."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
+    _check_degree("n", n)
     prec, prod = ctx.bits, _ONE
     aqk, qp = _pair(ctx.to_real(a), "a"), _pair(ctx.to_real(q), "q")
     for _ in range(n):
@@ -606,8 +612,7 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
 
         if terminating_at is not None:
             n_stop = terminating_at
-            if not isinstance(n_stop, int) or n_stop < 0:
-                raise ValueError("terminating_at must be a nonnegative integer")
+            _check_degree("terminating_at", n_stop)
             target = q ** (-n_stop)
             witness = min((abs(v - target) for v in nums), default=None)
             if witness is None or witness > abs(target) * mpmath.mpf(2) ** (-(ctx.bits // 2)):

@@ -147,10 +147,10 @@ from typing import Callable, NamedTuple
 
 import mpmath
 
-from .families import FamilyKind, FamilySpec, _recurrence, check_dual_s
+from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _add, _div, _largest, _mpf, _mul, _pair, _round,
-                     _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
+                     TruncationFailure, _abs_lt, _add, _check_degree, _div, _largest, _mpf, _mul,
+                     _pair, _round, _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
 
 
 class SignViolation(Exception):
@@ -486,10 +486,8 @@ def hermite_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteM
 
 
 def dual_base(s, q, parity: str, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        s = mpmath.mpf(s)
-        check_dual_s(s, q)
+    spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx)
+    q, s = spec.q, spec.s
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     kind = MeasureKind.DUAL_BASE_EVEN if parity == "even" else MeasureKind.DUAL_BASE_ODD
@@ -513,8 +511,7 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
                       ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Closed form of the (n, n) Gram entry for the measure's own family,
     n >= 0: d_n of the run a Gram reads, to the last bit."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer (got %r)" % (n,))
+    _check_degree("n", n)
     return _diagonals(measure, n, ctx)[n]
 
 
@@ -746,8 +743,7 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
     order of the nodes.  Assembly runs on one thread: a thread pool over
     the GIL-bound Gram loops was measured slower.
     """
-    if not isinstance(N, int) or N < 0:
-        raise ValueError("N must be a nonnegative integer")
+    _check_degree("N", N)
     family = measure.family(ctx).validated(ctx)
     with ctx.workprec():
         diag = _diagonals(measure, N, ctx)

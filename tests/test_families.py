@@ -1,11 +1,14 @@
 """Polynomial families: series vs recurrence routes, structure, edge cases."""
+import contextlib
+from fractions import Fraction
+
 import mpmath
 import pytest
 from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_mul, mpf_neg, mpf_pos, mpf_shift,
                           mpf_sub, round_nearest)
 
-from qortho import (DegenerateCoefficient, FamilyKind, FamilySpec,
-                    PrecisionContext, TruncationFailure, as_qparam, discrete_ultra, dual_ultra,
+from qortho import (FamilyKind, FamilySpec, PoleError, PrecisionContext, TruncationFailure,
+                    as_qparam, discrete_ultra, dual_ultra,
                     dual_ultra_coeff_rows, dual_ultra_coeffs, dual_ultra_series,
                     dual_ultra_table, dual_ultra_tables, evaluate,
                     even_hermite_factor, mu_point, qinv_hermite,
@@ -227,11 +230,13 @@ def test_dual_coefficients_and_degree():
 
 
 def test_dual_validation_and_degeneracy():
+    # s = 16 and s = 4 = q^-2 would zero the lead 1 - s q^(2n+2) at n = 1
+    # and n = 0; both are outside 0 < s < q^-2 and refused before any step.
     with pytest.raises(ValueError, match="0 < s < q\\^-2"):
         dual_ultra_series(2, 1, 5, Q, CTX)
-    with pytest.raises(DegenerateCoefficient):
+    with pytest.raises(ValueError, match="0 < s < q\\^-2"):
         dual_ultra_table(2, mpmath.mpf(2), 16, Q, CTX)
-    with pytest.raises(DegenerateCoefficient):
+    with pytest.raises(ValueError, match="0 < s < q\\^-2"):
         dual_ultra_coeffs(1, 4, Q, CTX)
 
 
@@ -243,11 +248,12 @@ def test_dual_validation_and_degeneracy():
 ], ids=["dual_ultra", "dual_ultra_table", "dual_ultra_coeffs", "dual_ultra_coeff_rows"])
 def test_dual_recurrence_rejects_s_out_of_range(call):
     # At q = 0.5 the range is 0 < s < 4; neither s zeroes a leading
-    # coefficient, and dual_ultra_series rejects both.
-    for s in (100, -2):
-        with pytest.raises(ValueError, match="0 < s < q\\^-2"):
+    # coefficient, and dual_ultra_series rejects both, each with the rule of
+    # FamilySpec.validated that it breaks.
+    for s, rule in ((100, "0 < s < q\\^-2"), (-2, "s > 0")):
+        with pytest.raises(ValueError, match=rule):
             dual_ultra_series(3, 1, s, Q, CTX)
-        with pytest.raises(ValueError, match="0 < s < q\\^-2"):
+        with pytest.raises(ValueError, match=rule):
             call(s)
 
 
@@ -399,6 +405,121 @@ def test_families_without_s_refuse_one(kind):
     message = "%s takes no parameter s" % kind.value
     assert _message(lambda: spec.validated(CTX)) == message
     assert _message(lambda: evaluate(spec, 2, x=0, ctx=CTX)) == message
+
+
+def _s_entry_points(n):
+    """{name: (family kind, call of s)} for every public function that takes
+    s, and evaluate on each route of C and D, at degree n and q = 0.5."""
+    from qortho.measures import dual_base
+    C, D = FamilyKind.DISCRETE_ULTRA, FamilyKind.DUAL_DISCRETE_ULTRA
+    return {
+        "discrete_ultra": (C, lambda s: discrete_ultra(n, "0.5", s, "0.5", CTX)),
+        "dual_ultra_series": (D, lambda s: dual_ultra_series(n, 2, s, "0.5", CTX)),
+        "dual_ultra_tables": (D, lambda s: dual_ultra_tables(n, [1], s, "0.5", CTX)),
+        "dual_ultra_table": (D, lambda s: dual_ultra_table(n, 2, s, "0.5", CTX)),
+        "dual_ultra": (D, lambda s: dual_ultra(n, 2, s, "0.5", CTX)),
+        "dual_ultra_coeff_rows": (D, lambda s: dual_ultra_coeff_rows(n, s, "0.5", CTX)),
+        "dual_ultra_coeffs": (D, lambda s: dual_ultra_coeffs(n, s, "0.5", CTX)),
+        "mu_point": (D, lambda s: mu_point(1, s, "0.5", CTX)),
+        "dual_base": (D, lambda s: dual_base(s, "0.5", "even", CTX)),
+        "evaluate C at x": (C, lambda s: evaluate(FamilySpec(C, "0.5", s), n, x="0.5", ctx=CTX)),
+        "evaluate D at mu": (D, lambda s: evaluate(FamilySpec(D, "0.5", s), n, mu=2, ctx=CTX)),
+        "evaluate D at x": (D, lambda s: evaluate(FamilySpec(D, "0.5", s), n, x=2, ctx=CTX)),
+    }
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("s", [None, "-1", "0", "4", "16"])   # q^-2 = 4 at q = 0.5
+def test_every_s_entry_point_checks_s_as_validated_does(s, n):
+    # FamilySpec.validated is the one check of s: each entry point raises
+    # its message, whole, for an s it refuses, and no ValueError for an s it
+    # accepts (C takes s = 4 and 16, D neither; there sqrt(s) q = 1 and 2
+    # put a pole in C's 3phi2 for n >= 2, which is not a refusal of s).
+    for name, (kind, call) in _s_entry_points(n).items():
+        try:
+            FamilySpec(kind, "0.5", s).validated(CTX)
+        except ValueError as exc:
+            assert _message(lambda: call(s)) == str(exc), (name, s, n)
+        else:
+            with contextlib.suppress(PoleError):
+                call(s)
+
+
+def _degree_calls(v):
+    """{name: (degree argument's name, call at degree v)} for every check of
+    a degree, count or index."""
+    from qortho import basic_hypergeometric, expected_diagonal, gram_matrix, qpochhammer
+    from qortho.measures import dual_base
+    base = dual_base(1, Q, "even", CTX)
+    return {
+        "qpochhammer": ("n", lambda: qpochhammer("0.5", Q, v, CTX)),
+        "basic_hypergeometric": ("terminating_at", lambda: basic_hypergeometric(
+            [Q], [], Q, Q, CTX, terminating_at=v)),
+        "qinv_hermite_series_tables": ("n", lambda: qinv_hermite_series_tables(
+            [1, v], [0], Q, CTX)),
+        "qinv_hermite_coeffs": ("n", lambda: qinv_hermite_coeffs(v, Q, CTX)),
+        "even_hermite_factor": ("k", lambda: even_hermite_factor(v, 0, Q, CTX)),
+        "discrete_ultra": ("n", lambda: discrete_ultra(v, 0, 1, Q, CTX)),
+        "dual_ultra_series": ("n", lambda: dual_ultra_series(v, 0, 1, Q, CTX)),
+        "dual_ultra_coeffs": ("n", lambda: dual_ultra_coeffs(v, 1, Q, CTX)),
+        "qinv_hermite_tables": ("n_max", lambda: qinv_hermite_tables(v, [0], Q, CTX)),
+        "dual_ultra_tables": ("n_max", lambda: dual_ultra_tables(v, [0], 1, Q, CTX)),
+        "expected_diagonal": ("n", lambda: expected_diagonal(base, v, CTX)),
+        "gram_matrix": ("N", lambda: gram_matrix(base, v, CTX)),
+    }
+
+
+@pytest.mark.parametrize("v", [-1, 2.0, "3"])
+def test_degree_messages_are_whole_strings(v):
+    for name, (what, call) in _degree_calls(v).items():
+        assert _message(call) == "%s must be a nonnegative integer (got %r)" % (what, v), name
+
+
+def _fraction(value) -> Fraction:
+    m, e = _pair(value)
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _neighbours(value, bits, k=2):
+    """The 2k + 1 values of bits bits around and at value, one unit apart."""
+    _, man, exp, bc = value._mpf_
+    m, e = man << (bits - bc), exp - (bits - bc)
+    return [_mpf((m + i, e)) for i in range(-k, k + 1)]
+
+
+@pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.999"])
+def test_dual_s_rule_is_exact(q_s):
+    # s one unit either side of q^-2 at 256 bits: validated accepts s
+    # exactly when s q^2 < 1, the condition the first lead 1 - s q^2 needs.
+    with CTX.workprec():
+        q = mpmath.mpf(q_s)
+        near = _neighbours(q ** -2, CTX.bits)
+    seen = set()
+    for s in near:
+        inside = _fraction(s) * _fraction(q) ** 2 < 1
+        spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s)
+        if inside:
+            assert spec.validated(CTX).s == s
+        else:
+            assert _message(lambda: spec.validated(CTX)).startswith("s must satisfy 0 < s < q^-2")
+        seen.add(inside)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_dual_leads_stay_positive_as_q_nears_1(bits):
+    # q = 1 - 2^-k down to one unit below 1 and s the largest value of bits
+    # bits with s q^2 < 1: every lead 1 - s q^(2j+2) stays positive
+    # (_dual_steps), so the top coefficient of D_n has the sign (-1)^n.
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    for k in range(bits - 8, bits + 1):
+        q = Fraction(2 ** k - 1, 2 ** k)
+        unit = Fraction(1, 2 ** (bits - 1))   # 1 < q^-2 < 2, so s = j unit has bits bits
+        j = int(1 / (unit * q ** 2))
+        j -= j * unit * q ** 2 == 1
+        assert j * unit * q ** 2 < 1 <= (j + 1) * unit * q ** 2
+        rows = dual_ultra_coeff_rows(8, _mpf((j, 1 - bits)), _mpf((2 ** k - 1, -k)), ctx)
+        assert [mpmath.sign(row[-1]) for row in rows] == [(-1) ** n for n in range(9)], k
 
 
 # -- batched recurrences against the per-node formulas ------------------------
@@ -688,15 +809,17 @@ def test_batched_recurrences_edge_cases():
     assert qinv_hermite_tables(4, [], Q, CTX) == []
     assert dual_ultra_tables(4, [], 1, Q, CTX) == []
     assert qinv_hermite_coeff_rows(0, Q, CTX) == [[1]]
-    assert dual_ultra_coeff_rows(0, 16, Q, CTX) == [[1]]
+    # D_0 = 1 reads no s, and s is checked all the same
+    with pytest.raises(ValueError, match="0 < s < q\\^-2"):
+        dual_ultra_coeff_rows(0, 16, Q, CTX)
     with pytest.raises(ValueError, match="n_max"):
         dual_ultra_tables(-1, [1], 1, Q, CTX)
     with pytest.raises(ValueError, match="n_max"):
         qinv_hermite_coeff_rows(-1, Q, CTX)
-    # The degenerate step is found in the coefficient pass, before any node.
-    with pytest.raises(DegenerateCoefficient, match="at n=1"):
+    # s = 16 would zero the lead at n = 1; it is refused before any step.
+    with pytest.raises(ValueError, match="0 < s < q\\^-2"):
         dual_ultra_tables(2, [], 16, Q, CTX)
-    with pytest.raises(DegenerateCoefficient, match="at n=1"):
+    with pytest.raises(ValueError, match="0 < s < q\\^-2"):
         dual_ultra_coeff_rows(2, 16, Q, CTX)
 
 
