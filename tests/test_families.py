@@ -8,13 +8,14 @@ from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_mul, mpf_neg, mpf_pos, mpf_shift
                           mpf_sub, round_nearest)
 
 from qortho import (FamilyKind, FamilySpec, PoleError, PrecisionContext, TruncationFailure,
-                    as_qparam, discrete_ultra, dual_ultra,
+                    as_qparam, basic_hypergeometric, discrete_ultra, dual_ultra,
                     dual_ultra_coeff_rows, dual_ultra_coeffs, dual_ultra_series,
                     dual_ultra_table, dual_ultra_tables, evaluate,
                     even_hermite_factor, mu_point, qinv_hermite,
                     qinv_hermite_coeff_rows, qinv_hermite_coeffs,
                     qinv_hermite_series, qinv_hermite_series_tables,
                     qinv_hermite_table, qinv_hermite_tables, to_decimal)
+from qortho import families
 from qortho.families import _hermite_rows, _hermite_sum, _recurrence
 from qortho.kernel import _ONE, _ZERO, _mpf, _mul, _pair, _sub, power_run
 
@@ -958,6 +959,75 @@ def test_three_term_loop_is_accurate_at_far_exponents(exponent, sign):
         with wide.workprec():
             for g, w in zip(got, want):
                 assert abs(g - w) <= CTX.tol * abs(w), (x, g, w)
+
+
+# -- one-point evaluators against the routes they stand for --------------------
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.05", "0.5", "0.7", "0.999"])
+def test_one_point_evaluators_equal_their_table_rows(q_s, bits):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    q = as_qparam(q_s, ctx)
+    for n in (0, 1, 7, 30):
+        for x in ("-2.5", "0", "0.3", "17"):
+            assert raw([qinv_hermite(n, x, q, ctx)]) == raw(qinv_hermite_table(n, x, q, ctx)[n:])
+            for s in ("0.45", "1", 1 / q):
+                assert raw([dual_ultra(n, x, s, q, ctx)]) == raw(dual_ultra_table(n, x, s, q, ctx)[n:])
+            if x != "0":
+                with ctx.workprec():
+                    want = qinv_hermite_table(2 * n + 1, x, q, ctx)[-1] / mpmath.mpf(x)
+                assert raw([even_hermite_factor(n, x, q, ctx)]) == raw([want])
+
+
+def _spy_on_series(monkeypatch):
+    """[(numerator parameters, q, terminating_at)] of each series the C and
+    grid D evaluators sum, recorded as they call it."""
+    seen = []
+    real = families.basic_hypergeometric
+
+    def spy(num, den, q, z, ctx, terminating_at=None):
+        seen.append((list(num), q, terminating_at))
+        return real(num, den, q, z, ctx, terminating_at=terminating_at)
+    monkeypatch.setattr(families, "basic_hypergeometric", spy)
+    return seen
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.05", "0.277857", "0.5", "0.7", "0.999"])
+def test_grid_series_equal_basic_hypergeometric(q_s, bits, monkeypatch):
+    # The same parameters, formed as the evaluators document them, summed by
+    # the public kernel function: bit for bit, and the terminating slot
+    # holds q^-N, N the number of the last term, bit for bit.
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    q = as_qparam(q_s, ctx)
+    seen = _spy_on_series(monkeypatch)
+    for n in (0, 1, 5, 22):
+        for s_s in ("0.45", "1", "1.079991"):
+            with ctx.workprec():
+                s = mpmath.mpf(s_s)
+                rs = mpmath.sqrt(s)
+                dual = s * q ** 2 < 1
+            for x_s in ("-1.5", "0", "0.734134"):
+                with ctx.workprec():
+                    x = mpmath.mpf(x_s)
+                    num, den = [q ** (-n), -s * q ** (n + 1), x], [rs * q, -rs * q]
+                want = basic_hypergeometric(num, den, q, q, ctx, terminating_at=n)
+                assert raw([discrete_ultra(n, x_s, s_s, q, ctx)]) == raw([want])
+            if not dual:
+                continue
+            for x_s in ("0", "2", "3", "7", "2.5"):
+                with ctx.workprec():
+                    x = mpmath.mpf(x_s)
+                    cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
+                    num = [q ** (-x), s * q ** (x + 1), q ** (-n)]
+                    z = -q ** (n + 1)
+                want = basic_hypergeometric(num, den, q, z, ctx, terminating_at=cutoff)
+                assert raw([dual_ultra_series(n, x_s, s_s, q, ctx)]) == raw([want])
+    assert seen
+    for num, q_seen, stop in seen:
+        with ctx.workprec():
+            assert (q ** (-stop))._mpf_ in [v._mpf_ for v in num] and q_seen == q
 
 
 # -- the h series' coefficient row against the per-phi sum --------------------

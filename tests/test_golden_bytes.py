@@ -79,6 +79,15 @@ _EVAL = {
     "eval-D-x": ("eval", "--family", "D", "--s", "0.9", "--n", "4", "--x", "2"),
 }
 
+# At q = 0.5 every power of q is exact in binary, so however the recurrence
+# steps are formed from those powers, these bytes stay: every eval route at
+# 256 and 1024 bits, and the two base Grams at 1024 bits (_BASIC and _WIDE
+# hold the other Grams at q = 0.5).
+_1024 = ("--bits", "1024", "--tol-exp", "800")
+_EXACT_POWERS = {**_EVAL, **{name + "-1024": argv + _1024 for name, argv in _EVAL.items()},
+                 "gram-base-even-1024": _BASIC["gram-base-even"] + _1024,
+                 "gram-base-odd-1024": _BASIC["gram-base-odd"] + _1024}
+
 
 def _runs(argvs, q, digests):
     assert len(argvs) == len(digests)
@@ -128,6 +137,19 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "282c11ebb529a8b45f1cb339d36e74a5116e1324cbb66db8c44ce9d73249f156",
 )) + _runs(_CSV, "0.7", (
     "ba380493cc14055931d453c9f6454d4c1f50867cfd57558bc63af25211632f0a",
+)) + _runs(_EXACT_POWERS, "0.5", (
+    "5e2caea9749bba4d5031aa2a302b5112ca6ff61d0c10c0d5b8bee245a520141c",
+    "558660e0399940240f6ef9658e7820eefd144d92d08a7eea0c8af150085292cd",
+    "ed86bd4cbbed380577533718b0750bc7c56572768ca42cff63660be7fef34eb5",
+    "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
+    "b4c06d239a465b015470db1050a9617f7006609b8b408f617d243ca7764489eb",
+    "2481d5d7ca0d6e890e91d423e8624c963008c70b9498166b2e1844057ff4f74f",
+    "586081201ca465d4dcb7b63a61dd94e9a684ae637a739c875765b7e9e6599d75",
+    "ca378ad32db43cc3bd345b8438a01a68ee3dd4f9d7cd530d45bbe9ad02320239",
+    "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
+    "70061ee83518555116a6928ae1b22ddcfdd5d0710b7f76cb671aaed9d61a6726",
+    "572d44ef2baff97189ae3bd162c9d4c85d7bd5a0a1a7ca4a74e181d84739aab0",
+    "815b9453c3b657ecdaa37e5b9b2d4740ee00610ef39d4213664bcbb28a8e3f77",
 ))
 
 
