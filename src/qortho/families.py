@@ -52,12 +52,14 @@ rows, the same step on coefficient lists.
 
 Those passes, the h series' row and its sum run on the kernel's pair
 arithmetic (README, "Precision model"; the kernel docstring has the
-argument), and the public functions convert to mpf at the end.  Each value
-of the h series is that of the mpf operator expression.  Every power of q
-with a loop-indexed exponent in them, and the h series' factors e^(n-2k),
-is read from one kernel.power_run per call (per pass for the h series'
-rows, per pass and phi for its factors); the parameter lists of the C and
-grid D series form their few powers with ``**``.
+argument), and the public functions convert to mpf at the end, qinv_hermite
+and dual_ultra only the value they return.  Each value of the h series is
+that of the mpf operator expression.  Every power of q with a loop-indexed
+exponent in them, and the h series' factors e^(n-2k), is read from one
+kernel.power_run per call (per pass for the h series' rows, per pass and
+phi for its factors); the recurrences' steps read only q^-k, k >= 0, and
+round each coefficient once.  The C and grid D series form their few
+parameters with ``**`` and hand them to the kernel's loop as pairs.
 """
 from __future__ import annotations
 
@@ -68,9 +70,9 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     _abs_lt, _add, _certified, _check_degree, _check_floor, _div, _largest,
-                     _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam, basic_hypergeometric,
-                     power_run)
+                     _abs_lt, _add, _certified, _check_degree, _check_floor, _div,
+                     _hypergeometric_sum, _largest, _mpf, _mul, _pair, _round, _rounded, _sub,
+                     as_qparam, power_run)
 
 
 class FamilyKind(enum.Enum):
@@ -352,19 +354,18 @@ def qinv_hermite_tables(n_max: int, xs, q,
 
 
 def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
-    """The steps (0, -q^-j (1 - q^j) / 2, -2) of _three_term for j < n_max,
-    -2 the reciprocal of the lead -1/2, which make its step
-    h_{j+1} = 2x h_j - q^-j (1 - q^j) h_{j-1}: negating and halving a pair
-    are exact, pair exponents are unbounded, and scaling by -2 commutes with
-    rounding, so for x of at most prec bits the step is that rounded once."""
-    pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)   # pw[k + n_max - 1] = q^k
-    top = n_max - 1
-    steps = []
-    for j in range(n_max):
-        m, e = _mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec)
-        # halving a pair is exact, and (-1, 1) is -2
-        steps.append((_ZERO, (-m, e - 1), (-1, 1)))
-    return steps
+    """The steps (0, -(q^-j - 1) / 2, -2) of _three_term for j < n_max, -2
+    the reciprocal of the lead -1/2, which make its step
+    h_{j+1} = 2x h_j - (q^-j - 1) h_{j-1}: negating and halving a pair are
+    exact, pair exponents are unbounded, and scaling by -2 commutes with
+    rounding, so for x of at most prec bits the step is that rounded once.
+    q^-j - 1 = q^-j (1 - q^j) is the difference of the run's q^-j, within
+    relative 2^-prec + 1.01 j 2^-(prec+32) (power_run), and the exact 1,
+    rounded once: q^-j / (q^-j - 1) = 1 / (1 - q^j) amplifies the power's
+    error, and no positive power of q is formed."""
+    run = power_run(_pair(q), 1 - n_max, 0, prec)[::-1]   # run[j] = q^-j
+    # halving a pair is exact, and (-1, 1) is -2
+    return [(_ZERO, (-m, e - 1), (-1, 1)) for m, e in (_sub(v, _ONE, prec) for v in run)]
 
 
 def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -373,8 +374,10 @@ def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 
 def qinv_hermite(n: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """h_n(x|q) by the three-term recurrence."""
-    return qinv_hermite_table(n, x, q, ctx)[n]
+    """h_n(x|q) by the three-term recurrence, the last of qinv_hermite_table."""
+    values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, as_qparam(q, ctx)), n, ctx)[0]
+    with ctx.workprec():
+        return _mpf(values(mpmath.mpf(x))[n])
 
 
 def qinv_hermite_coeff_rows(n_max: int, q,
@@ -438,11 +441,10 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
     spec = FamilySpec(FamilyKind.DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
     with ctx.workprec():
-        x = mpmath.mpf(x)
-        _pair(x, "x")   # ValueError unless x is finite
+        x = _pair(mpmath.mpf(x), "x")   # ValueError unless x is finite
         rs = mpmath.sqrt(s)
-        return basic_hypergeometric([q ** (-n), -s * q ** (n + 1), x], [rs * q, -rs * q],
-                                    q, q, ctx, terminating_at=n)
+        return _hypergeometric_sum([_pair(q ** (-n)), _pair(-s * q ** (n + 1)), x],
+                                   [_pair(rs * q), _pair(-rs * q)], _pair(q), _pair(q), ctx, n)
 
 
 # ---------------------------------------------------------------------------
@@ -464,42 +466,43 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
         _pair(x, "x")   # ValueError unless x is finite
         cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
         rs = mpmath.sqrt(s)
-        return basic_hypergeometric([q ** (-x), s * q ** (x + 1), q ** (-n)], [rs * q, -rs * q],
-                                    q, -q ** (n + 1), ctx, terminating_at=cutoff)
+        return _hypergeometric_sum([_pair(q ** (-x)), _pair(s * q ** (x + 1)), _pair(q ** (-n))],
+                                   [_pair(rs * q), _pair(-rs * q)], _pair(q),
+                                   _pair(-q ** (n + 1)), ctx, cutoff)
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
-    """The mu-free factors of each step j < n_max of the D recurrence, as pairs:
-    (c_mid, c_low, r) = (q^(-2j-1) (1+q), q^(-2j) (1 - q^(2j)), 1 / c_lead),
-    c_lead = q^(-2j-1) (1 - s q^(2j+2)) rounded to prec as each factor is,
-    and its reciprocal r rounded once to prec + 64 bits, so r adds relative
-    2^-(prec+64) to the rounded c_lead's error.
+    """The mu-free factors of each step j < n_max of the D recurrence, as pairs
+    formed from the run of q^-k and each rounded once to prec:
+    (c_mid, c_low, r) = (q^(-2j-1) + q^(-2j), q^(-2j) - 1, 1 / c_lead),
+    c_lead = q^(-2j-1) - s q, and its reciprocal r rounded once to prec + 64
+    bits, so r adds relative 2^-(prec+64) to the rounded c_lead's error.
 
     s and q are of at most prec bits with s q^2 < 1 (FamilySpec.validated),
-    and every lead is then positive.  At j = 0, s q^2 is the exact product
-    of s, q and q, so 1 - s q^2 > 0 is rounded once: it cancels without
-    limit as s -> q^-2, and a rounded s q^2 would lose as many bits.  For
-    j >= 1, s q^(2j+2) < q^(2j) <= q^2 <= (1 - u)^2, u = 2^-prec; the run's
-    q^(2j+2) is within relative u + 1.01 (2j + 1) u 2^-32 <= 5u/4
-    (power_run; 2j + 1 < 2^30), so the product before its rounding is below
-    (1 - u)^2 (1 + 5u/4) < 1 - u/2 and rounds to at most 1 - u: the rounded
-    product's error grows by at most q^2 / (1 - q^2), and 1 - s q^(2j+2) is
-    at least u once rounded.
+    and every lead is then positive.  At j = 0 the lead is q^-1 (1 - s q^2),
+    s q^2 the exact product of s, q and q, and 1 - s q^2 > 0 is rounded once:
+    it cancels without limit as s -> q^-2, and q^-1 - s q would amplify the
+    error of q^-1 as much.  For j >= 1, s q is the exact product, and the
+    run's q^(-2j-1) is within relative u + 1.01 (2j + 1) u 2^-32 <= 5u/4 of
+    the exact power, u = 2^-prec (power_run; 2j + 1 < 2^29).  As
+    s q < q^-1 = q^(-2j-1) q^(2j) and q^(2j) <= q^2 <= (1 - u)^2, the exact
+    difference before its one rounding is at least
+    q^(-2j-1) (1 - q^(2j) - 5u/4) >= q^(-2j-1) (3u/4 - u^2) > 0, and a
+    positive pair rounds to a positive pair.  The difference amplifies the
+    power's error by q^(-2j-1) / c_lead = 1 / (1 - s q^(2j+2)) < 1 / (1 - q^(2j)),
+    as q^(-2j) - 1 does by 1 / (1 - q^(2j)).
     """
     q_p, s_p = _pair(q), _pair(s)
-    pw = power_run(q_p, 1 - 2 * n_max, 2 * n_max, prec)   # pw[k + o] = q^k
-    o = 2 * n_max - 1
-    one_plus_q = _add(_ONE, q_p, prec)
+    run = power_run(q_p, 1 - 2 * n_max, 0, prec)[::-1]   # run[k] = q^-k
+    s_q = s_p[0] * q_p[0], s_p[1] + q_p[1]   # s q, exact
     steps = []
     for j in range(n_max):
+        odd, even = run[2 * j + 1], run[2 * j]
         if j:
-            s_power = _mul(s_p, pw[o + 2 * j + 2], prec)
+            lead = _sub(odd, s_q, prec)
         else:
-            s_power = s_p[0] * q_p[0] ** 2, s_p[1] + 2 * q_p[1]
-        lead = _sub(_ONE, s_power, prec)
-        steps.append((_mul(pw[o - 2 * j - 1], one_plus_q, prec),
-                      _mul(pw[o - 2 * j], _sub(_ONE, pw[o + 2 * j], prec), prec),
-                      _div(_ONE, _mul(pw[o - 2 * j - 1], lead, prec), prec + 64)))
+            lead = _mul(odd, _sub(_ONE, (s_q[0] * q_p[0], s_q[1] + q_p[1]), prec), prec)
+        steps.append((_add(odd, even, prec), _sub(even, _ONE, prec), _div(_ONE, lead, prec + 64)))
     return steps
 
 
@@ -520,8 +523,10 @@ def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTE
 
 
 def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """D_n(mu; s, q) by the three-term recurrence (works off the grid)."""
-    return dual_ultra_table(n, mu, s, q, ctx)[n]
+    """D_n(mu; s, q) by the recurrence (off the grid too), the last of dual_ultra_table."""
+    values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx), n, ctx)[0]
+    with ctx.workprec():
+        return _mpf(values(mpmath.mpf(mu))[n])
 
 
 def dual_ultra_coeff_rows(n_max: int, s, q,
@@ -651,17 +656,16 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     loop gives A_0(t), ..., A_N(t), so a point costs n_max steps and no
     coefficient row is formed.  Measured against sums of |c_nj| t^j formed
     at four times the precision, over q in {0.05, 0.1, 0.2, 0.3, 0.5, 0.7,
-    0.9, 0.99, 0.999}, s in {q, 1, 1/q, 0.45, 0.9 q^-2}, n_max <= 30, t from
-    2^-30 to 2^300 and bits in {256, 1024}, A(t) is within relative 13 u
-    for h and 390 u for D, u = 2^-bits (largest at q = 0.2 and at q = 0.999
-    with s = 1/q); that rounding is not yet part of the Gram window's tail
-    certificate.
+    0.9, 0.99, 0.999}, s in {q, 1, 1/q, 0.45, 0.9 q^-2}, n_max <= 30, t in
+    {2^k, 3 2^k} for k = -30, -25, ..., 300 and bits in {256, 1024}, A(t)
+    is within relative 14 u for h and 355 u for D, u = 2^-bits (largest at
+    q = 0.5 and at q = 0.999 with s = 1/q); that rounding is not yet part of
+    the Gram window's tail certificate.
     """
     _check_degree("n_max", n_max)
     prec = ctx.bits
     record = _FAMILIES[family.kind]
-    with ctx.workprec():
-        steps = record.steps(n_max, family.s, family.q, prec)
+    steps = record.steps(n_max, family.s, family.q, prec)
 
     def values(p: QReal) -> list[tuple[int, int]]:
         return _three_term(_pair(p, record.point), steps, prec)

@@ -619,49 +619,54 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
                 raise ValueError("terminating_at=%d requires a numerator parameter equal to q^-%d"
                                  % (n_stop, n_stop))
 
-        prec = mp.prec
-        q_p, z_p, tol_p = _pair(q), _pair(z, "z"), _pair(ctx.tol)
-        num_p = [_pair(a, "numerator parameter") for a in nums]
-        den_p = [_pair(b, "denominator parameter") for b in dens]
-        total = _ZERO
-        term = _ONE
-        qk = _ONE
-        for k in range(ctx.max_terms):
-            total = _add(total, term, prec)
-            if terminating_at is not None and k >= terminating_at:
-                return _mpf(total)
-            # ratio = z / (1 - q qk) / prod_j (1 - b_j qk) * prod_i (1 - a_i qk);
-            # q qk is also the next qk
-            q_qk = _mul(q_p, qk, prec)
-            ratio = _div(z_p, _sub(_ONE, q_qk, prec), prec)
-            for b, b_p in zip(dens, den_p):
-                f = _sub(_ONE, _mul(b_p, qk, prec), prec)
-                if not f[0]:
-                    raise PoleError(
-                        "denominator parameter %s vanishes at index %d" % (mpmath.nstr(b, 8), k)
-                    )
-                ratio = _div(ratio, f, prec)
-            for a in num_p:
-                ratio = _mul(ratio, _sub(_ONE, _mul(a, qk, prec), prec), prec)
-            term = _mul(term, ratio, prec)
-            if not term[0]:
-                return _mpf(total)
-            if terminating_at is None:
-                # R = |z| prod(1 + |a_i| q^k) / ((1 - q^(k+1)) prod(1 - |b_j| q^k))
-                lows = [_sub(_ONE, _mul((abs(m), e), qk, prec), prec) for m, e in den_p]
-                if all(m > 0 for m, _ in lows):
-                    major = _div((abs(z_p[0]), z_p[1]), _sub(_ONE, q_qk, prec), prec)
-                    for low in lows:
-                        major = _div(major, low, prec)
-                    for m, e in num_p:
-                        major = _mul(major, _add(_ONE, _mul((abs(m), e), qk, prec), prec), prec)
-                    floor = _mul(tol_p, total if _abs_lt(_ONE, total) else _ONE, prec)
-                    # R < 1, and the tail, at most |term| R / (1 - R), below floor
-                    if _abs_lt(major, _ONE) and _abs_lt(_mul(term, major, prec),
-                                                        _mul(floor, _sub(_ONE, major, prec), prec)):
-                        return _mpf(_add(total, term, prec))
-            qk = q_qk
-        raise TruncationFailure(
-            "series not resolved within max_terms=%d (q=%s, z=%s)"
-            % (ctx.max_terms, mpmath.nstr(q, 8), mpmath.nstr(z, 8))
-        )
+        z_p = _pair(z, "z")
+        return _hypergeometric_sum([_pair(a, "numerator parameter") for a in nums],
+                                   [_pair(b, "denominator parameter") for b in dens],
+                                   _pair(q), z_p, ctx, terminating_at)
+
+
+def _hypergeometric_sum(num_p, den_p, q_p, z_p, ctx: PrecisionContext,
+                        terminating_at: int | None = None) -> QReal:
+    """basic_hypergeometric's loop on pairs at ctx.bits, without its checks:
+    for callers whose parameters are formed at ctx.bits and, given
+    terminating_at=N, hold q^-N by construction (the C and grid D series)."""
+    prec, tol_p = ctx.bits, _pair(ctx.tol)
+    total, term, qk = _ZERO, _ONE, _ONE
+    for k in range(ctx.max_terms):
+        total = _add(total, term, prec)
+        if terminating_at is not None and k >= terminating_at:
+            return _mpf(total)
+        # ratio = z / (1 - q qk) / prod_j (1 - b_j qk) * prod_i (1 - a_i qk);
+        # q qk is also the next qk
+        q_qk = _mul(q_p, qk, prec)
+        ratio = _div(z_p, _sub(_ONE, q_qk, prec), prec)
+        for b in den_p:
+            f = _sub(_ONE, _mul(b, qk, prec), prec)
+            if not f[0]:
+                raise PoleError("denominator parameter %s vanishes at index %d"
+                                % (mpmath.nstr(_mpf(b), 8), k))
+            ratio = _div(ratio, f, prec)
+        for a in num_p:
+            ratio = _mul(ratio, _sub(_ONE, _mul(a, qk, prec), prec), prec)
+        term = _mul(term, ratio, prec)
+        if not term[0]:
+            return _mpf(total)
+        if terminating_at is None:
+            # R = |z| prod(1 + |a_i| q^k) / ((1 - q^(k+1)) prod(1 - |b_j| q^k))
+            lows = [_sub(_ONE, _mul((abs(m), e), qk, prec), prec) for m, e in den_p]
+            if all(m > 0 for m, _ in lows):
+                major = _div((abs(z_p[0]), z_p[1]), _sub(_ONE, q_qk, prec), prec)
+                for low in lows:
+                    major = _div(major, low, prec)
+                for m, e in num_p:
+                    major = _mul(major, _add(_ONE, _mul((abs(m), e), qk, prec), prec), prec)
+                floor = _mul(tol_p, total if _abs_lt(_ONE, total) else _ONE, prec)
+                # R < 1, and the tail, at most |term| R / (1 - R), below floor
+                if _abs_lt(major, _ONE) and _abs_lt(_mul(term, major, prec),
+                                                    _mul(floor, _sub(_ONE, major, prec), prec)):
+                    return _mpf(_add(total, term, prec))
+        qk = q_qk
+    raise TruncationFailure(
+        "series not resolved within max_terms=%d (q=%s, z=%s)"
+        % (ctx.max_terms, mpmath.nstr(_mpf(q_p), 8), mpmath.nstr(_mpf(z_p), 8))
+    )

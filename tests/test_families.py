@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import (mpf_abs, mpf_cmp, mpf_mul, mpf_neg, mpf_pos, mpf_shift,
-                          mpf_sub, round_nearest)
 
 from qortho import (FamilyKind, FamilySpec, PoleError, PrecisionContext, TruncationFailure,
                     as_qparam, basic_hypergeometric, discrete_ultra, dual_ultra,
@@ -17,7 +15,7 @@ from qortho import (FamilyKind, FamilySpec, PoleError, PrecisionContext, Truncat
                     qinv_hermite_table, qinv_hermite_tables, to_decimal)
 from qortho import families
 from qortho.families import _hermite_rows, _hermite_sum, _recurrence
-from qortho.kernel import _ONE, _ZERO, _mpf, _mul, _pair, _sub, power_run
+from qortho.kernel import _ZERO, _mpf, _pair, power_run
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -523,65 +521,20 @@ def test_dual_leads_stay_positive_as_q_nears_1(bits):
         assert [mpmath.sign(row[-1]) for row in rows] == [(-1) ** n for n in range(9)], k
 
 
-# -- batched recurrences against the per-node formulas ------------------------
+# -- batched recurrences against their exact runs ------------------------------
 #
-# The h oracles below are the per-node and per-degree recurrences the
-# batched evaluators replaced, with each step fused: the products of the
-# step and their difference are formed exactly with libmp at prec=0 and
-# rounded once with mpf_pos.  The coefficients are formed as the batched
-# evaluators form them, so the batched values must equal the oracles bit
-# for bit.  D's values and rows are checked against D's exact run below.
-# Each integer power q^k is read from the map P(q, bits), whose values are
-# those of power_run at bits; the value of q^k does not depend on the run's
-# ends.
+# The h and D steps round once each, from coefficients formed from one run of
+# negative powers of q, so no mpf expression gives their values bit for bit.
+# Their oracles run each recurrence exactly instead, and hold the computed
+# values to a running-error bound: D's first, then h's, which reuses its
+# helpers.
 
 
 def P(x, bits, reach=64):
-    """{k: x^k} for |k| <= reach, from one power_run at bits."""
+    """{k: x^k} for |k| <= reach, from one power_run at bits; a value of
+    power_run does not depend on the run's ends."""
     run = power_run(_pair(x), -reach, reach, bits)
     return dict(zip(range(-reach, reach + 1), map(_mpf, run)))
-
-
-def once(value, prec):
-    """An exact libmp value rounded once to prec, as an mpf."""
-    return mpmath.mp.make_mpf(mpf_pos(value, prec, round_nearest))
-
-
-def fused(a, b, c, d, prec):
-    """a b - c d for mpfs, the products and difference exact, rounded once."""
-    return once(mpf_sub(mpf_mul(a._mpf_, b._mpf_), mpf_mul(c._mpf_, d._mpf_)), prec)
-
-
-def _oracle_hermite_table(n_max, x, q, ctx):
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        x = mpmath.mpf(x)
-        qp = P(q, ctx.bits)
-        vals = [mpmath.mpf(1)]
-        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
-        for j in range(n_max):
-            low = qp[-j] * (1 - qp[j])
-            prev, cur = cur, fused(2 * x, cur, low, prev, ctx.bits)
-            vals.append(cur)
-        return vals
-
-
-def _oracle_hermite_coeffs(n, q, ctx):
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        qp = P(q, ctx.bits)
-        zero = mpmath.mpf(0)
-        prev = [mpmath.mpf(1)]
-        if n == 0:
-            return prev
-        two = mpmath.mpf(2)
-        cur = [zero, two]
-        for j in range(1, n):
-            low = qp[-j] * (1 - qp[j])
-            # [x^i] of 2x h_j - low h_{j-1}
-            prev, cur = cur, [fused(two, b, low, c, ctx.bits)
-                              for b, c in zip([zero] + cur, prev + [zero, zero])]
-        return cur
 
 
 def raw(values):
@@ -589,28 +542,6 @@ def raw(values):
 
 
 ORACLE_N = 12
-
-
-@pytest.mark.parametrize("bits", [256, 1024])
-@pytest.mark.parametrize("q_s", ["0.3", "0.5", "0.7", "0.9", "0.99"])
-def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
-    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
-    with ctx.workprec():
-        q = mpmath.mpf(q_s)
-        xs = [mpmath.mpf(v) for v in ("-3.25", "-1", "-0.3", "0", "0.7", "2")]
-        xs.append((q ** -5 - q ** 5) / 2)
-    tables = qinv_hermite_tables(ORACLE_N, xs, q, ctx)
-    assert len(tables) == len(xs)
-    for x, table in zip(xs, tables):
-        want = raw(_oracle_hermite_table(ORACLE_N, x, q, ctx))
-        assert raw(table) == want
-        assert raw(qinv_hermite_table(ORACLE_N, x, q, ctx)) == want
-    rows = qinv_hermite_coeff_rows(ORACLE_N, q, ctx)
-    assert len(rows) == ORACLE_N + 1
-    for n, row in enumerate(rows):
-        want = raw(_oracle_hermite_coeffs(n, q, ctx))
-        assert raw(row) == want
-        assert raw(qinv_hermite_coeffs(n, q, ctx)) == want
 
 
 # -- D's recurrence against its exact run ---------------------------------------
@@ -631,13 +562,20 @@ def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
 # and the computed step is ((c_mid + dm - p) P_j - (c_low + dl) P_{j-1})
 # (1 + g) (1 + e) / c_lead on the computed P_j and P_{j-1}, with
 # |dm| <= rm c_mid, |dl| <= rl c_low, |g| the relative error of r as
-# 1/c_lead and |e| <= 2^-prec the step's one rounding.  Each bound comes
-# from the roundings that form the factor in _dual_steps: power_run's
-# bound on each power of q (2^-prec + 1.01 r(k) 2^-(prec+32)), 2^-prec per
-# product, sum and difference, and for 1 - q^(2j) and 1 - s q^(2j+2) the
-# error of the rounded power times q^(2j) / (1 - q^(2j)) or
-# s q^(2j+2) / (1 - s q^(2j+2)).  At j = 0, s q^2 is exact, so 1 - s q^2
-# carries one rounding and no such factor.  With N the exact step's
+# 1/c_lead and |e| <= 2^-prec the step's one rounding.  Each bound is that
+# of the factor formed as q^(-2j-1) (1 + q), q^(-2j) (1 - q^(2j)) and
+# q^(-2j-1) (1 - s q^(2j+2)): power_run's bound on each power of q,
+# rho(k) = 2^-prec + 1.01 r(k) 2^-(prec+32), 2^-prec per product, sum and
+# difference, and for 1 - q^(2j) and 1 - s q^(2j+2) the error of the
+# rounded power times q^(2j) / (1 - q^(2j)) or s q^(2j+2) / (1 - s q^(2j+2)).
+# At j = 0, s q^2 is exact, so 1 - s q^2 carries one rounding and no such
+# factor.  _dual_steps forms the factors from negative powers alone, as
+# q^(-2j-1) + q^(-2j), q^(-2j) - 1 and, for j >= 1, q^(-2j-1) - s q with
+# s q exact, each rounded once.  Their bounds, to first order
+# rho(-2j-1) + 2^-prec, rho(-2j) / (1 - q^(2j)) + 2^-prec and
+# rho(-2j-1) / (1 - s q^(2j+2)) + 2^-prec, are each about 2^-prec below
+# those above (rho(2j+2) = rho(-2j-1), and rho(-2j) - rho(2j) is only
+# 1.01 2^-(prec+32)), so the bounds above hold these steps too.  With N the exact step's
 # numerator on the computed values, the step's own error is at most
 #
 #   beta_j = ((G - 1) |N| + G (rm c_mid |P_j| + rl c_low |P_{j-1}|)) / c_lead,
@@ -806,6 +744,153 @@ def test_batched_dual_recurrences_match_per_node_formulas(q_s, bits):
         _check_dual_rows(steps, [[_pair(c) for c in row] for row in rows], exact=True)
 
 
+# -- h's recurrence against its exact run ---------------------------------------
+#
+# h's step is h_{j+1} = 2p h_j - L_j h_{j-1}, L_j = q^-j - 1, and the majorant
+# runs H_{j+1} = 2t H_j + L_j H_{j-1}: sign = 1 and -1 below.  _hermite_steps
+# forms L_j from the run's q^-j, within rho(-j) = 2^-prec + 1.01 j 2^-(prec+32)
+# of the exact power (power_run), and rounds the difference once, so the
+# computed L_j is within relative
+#
+#   rl_j = (1 + rho(-j) / (1 - q^j)) (1 + 2^-prec) - 1
+#
+# of the exact one, as q^-j / L_j = 1 / (1 - q^j); L_0 = 0 is exact.  With
+# q = a 2^-z and the point p = pi 2^-v, step j has the integers a = 2 pi a^j,
+# b = sign (2^(jz) - a^j) 2^v and k = a^j 2^v, and the exact step on the
+# computed values is N = (a P_j - b P_{j-1}) / k.  The computed value is N with
+# L_j perturbed within rl_j, times (1 + e)(1 + f): |e| <= 2^-prec the step's
+# rounding, and |f| <= 2^-(2 prec) that of _exact_sub when two terms lie more
+# than 2 prec binary places apart.  So with G = (1 + 2^-prec)(1 + 2^-(2 prec))
+# the step's own error is at most
+#
+#   beta_j = ((G - 1) |N k| + G rl_j |b P_{j-1}|) / k,
+#
+# the error of P_{j+1} at most E_{j+1} = (|a| E_j + |b| E_{j-1}) / k + beta_j,
+# and the exact run is X_{j+1} = a X_j - b k_{j-1} X_{j-1} over
+# K_{j+1} = k K_j.  The rows run the same step, with p P_j replaced by P_j's
+# coefficients moved up one degree (pi = 1, v = 0).  The bounds are formed in
+# 128-bit mpf, whose roundings SLACK covers, as for D.
+
+
+def _exact_hermite_steps(n_max, q, prec):
+    """Per step j < n_max of h: (lnum, lden, rl) with L_j = lnum / lden."""
+    a, z = _pair(q)
+    z = -z
+    steps = []
+    with mpmath.mp.workprec(128):
+        u = mpmath.ldexp(1, -prec)
+        for j in range(n_max):
+            aj = a ** j
+            lnum = (1 << j * z) - aj
+            rho = u + mpmath.mpf(1.01) * j * mpmath.ldexp(1, -prec - 32)
+            rl = _grown(rho * _size(1 << j * z) / _size(lnum), u) if j else 0
+            steps.append((lnum, aj, rl))
+    return steps
+
+
+def _hermite_step(got, a, up, b, low, k, rl, prec):
+    """beta_j of one step of h, after asserting that the computed value got
+    is within it of the exact step (a up - b low) / k on the computed values
+    up and low (pairs)."""
+    n = _dyadic_sum((a, up), (-b, low))
+    g = _grown(mpmath.ldexp(1, -prec), mpmath.ldexp(1, -2 * prec))
+    off = rl * _size(b) * _size(low)
+    bound = g * _size(n) + off + g * off
+    assert _size(_dyadic_sum((k, got), (-1, n))) <= bound * SLACK
+    return bound / _size(k)
+
+
+def _check_hermite_values(steps, p, got, prec, exact, sign=1):
+    """Assert that each computed step of h at p (of H at sign = -1) is
+    within beta_j of the exact step on the computed values and, when exact,
+    that each computed value in got (pairs) is within E_j of the exact one."""
+    pm, pe = _pair(p)
+    pi, v = (pm << pe, 0) if pe >= 0 else (pm, -pe)   # p = pi 2^-v
+    x0, x1, k0, den_run = 0, 1, 1, 1                  # P_j(p) = x1 / den_run
+    with mpmath.mp.workprec(128):
+        e0 = e1 = mpmath.mpf(0)
+        for j, (lnum, lden, rl) in enumerate(steps):
+            a, b, k = 2 * pi * lden, sign * lnum << v, lden << v
+            prev = got[j - 1] if j else _ZERO
+            beta = _hermite_step(got[j + 1], a, got[j], b, prev, k, rl, prec)
+            if exact:
+                e0, e1 = e1, (_size(a) * e1 + _size(b) * e0) / _size(k) + beta
+                x0, x1 = x1, a * x1 - b * k0 * x0
+                k0, den_run = k, den_run * k
+                assert _within(got[j + 1], x1, den_run, e1 * SLACK), (j, p)
+
+
+def _check_hermite_rows(steps, rows, prec, exact=True):
+    """_check_hermite_values for the coefficient rows (pairs) of h."""
+    def at(row, i):
+        return row[i] if 0 <= i < len(row) else _ZERO
+
+    def int_at(row, i):
+        return row[i] if 0 <= i < len(row) else 0
+
+    y0, y1, k0, den_run = [], [1], 1, 1   # row j = y1 / den_run
+    with mpmath.mp.workprec(128):
+        e0, e1 = [], [mpmath.mpf(0)]
+        for j, (lnum, lden, rl) in enumerate(steps):
+            cur, prev, y, e = rows[j], rows[j - 1] if j else [], [], []
+            for i in range(j + 2):
+                beta = _hermite_step(rows[j + 1][i], 2 * lden, at(cur, i - 1), lnum, at(prev, i),
+                                     lden, rl, prec)
+                if exact:
+                    y.append(2 * lden * int_at(y1, i - 1) - lnum * k0 * int_at(y0, i))
+                    e.append((_size(2 * lden) * (e1[i - 1] if 0 < i <= j + 1 else 0)
+                              + _size(lnum) * (e0[i] if i < j else 0)) / _size(lden) + beta)
+            if exact:
+                y0, y1, k0, den_run = y1, y, lden, den_run * lden
+                e0, e1 = e1, e
+                for i, c in enumerate(rows[j + 1]):
+                    assert _within(c, y1[i], den_run, e1[i] * SLACK), (j, i)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.3", "0.5", "0.7", "0.9", "0.99"])
+def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    with ctx.workprec():
+        q = mpmath.mpf(q_s)
+        xs = [mpmath.mpf(v) for v in ("-3.25", "-1", "-0.3", "0", "0.7", "2")]
+        xs.append((q ** -5 - q ** 5) / 2)
+    steps = _exact_hermite_steps(ORACLE_N, q, bits)
+    tables = qinv_hermite_tables(ORACLE_N, xs, q, ctx)
+    assert len(tables) == len(xs)
+    for x, table in zip(xs, tables):
+        assert raw(qinv_hermite_table(ORACLE_N, x, q, ctx)) == raw(table)
+        _check_hermite_values(steps, x, [_pair(v) for v in table], bits, exact=True)
+    rows = qinv_hermite_coeff_rows(ORACLE_N, q, ctx)
+    assert len(rows) == ORACLE_N + 1
+    for n, row in enumerate(rows):
+        assert raw(qinv_hermite_coeffs(n, q, ctx)) == raw(row)
+    _check_hermite_rows(steps, [[_pair(c) for c in row] for row in rows], bits)
+
+
+@pytest.mark.parametrize("q_s", ["1e-4", "0.3", "0.999"])
+def test_hermite_exact_run_catches_a_mutated_coefficient(q_s, monkeypatch):
+    # q^-2 in place of q^-2 - 1 in the third step: the values and the rows
+    # from h_3 on leave their bounds.
+    real = families._hermite_steps
+
+    def mutated(n_max, q, prec):
+        steps = real(n_max, q, prec)
+        m, e = power_run(_pair(q), -2, -2, prec)[0]
+        steps[2] = (_ZERO, (-m, e - 1), (-1, 1))
+        return steps
+    monkeypatch.setattr(families, "_hermite_steps", mutated)
+    q = as_qparam(q_s, CTX)
+    steps = _exact_hermite_steps(6, q, CTX.bits)
+    with pytest.raises(AssertionError):
+        _check_hermite_values(steps, mpmath.mpf("0.7"),
+                              [_pair(v) for v in qinv_hermite_table(6, "0.7", q, CTX)],
+                              CTX.bits, exact=True)
+    with pytest.raises(AssertionError):
+        _check_hermite_rows(steps, [[_pair(c) for c in row]
+                                    for row in qinv_hermite_coeff_rows(6, q, CTX)], CTX.bits)
+
+
 def test_batched_recurrences_edge_cases():
     assert qinv_hermite_tables(4, [], Q, CTX) == []
     assert dual_ultra_tables(4, [], 1, Q, CTX) == []
@@ -824,85 +909,14 @@ def test_batched_recurrences_edge_cases():
         dual_ultra_coeff_rows(2, 16, Q, CTX)
 
 
-# -- the shared three-term loop against the per-family loops -----------------
+# -- the shared three-term loop against the per-family runs ------------------
 #
-# h's oracle is its own loop, written in libmp on raw mpf tuples, with h's
-# low coefficients formed as the package forms them.  h runs
-# 2x h_j - low_j h_{j-1} with the doubling done on the exponent, and its
-# majorant runs that loop at x = t with low_j negated.  Each step forms its
-# products and their difference exactly (libmp at prec=0) and rounds them
-# once with mpf_pos, and the rows do the same per coefficient.  Values are
-# compared as mpf, since the shared loop's exact scaling by -2 leaves h's
-# pairs with prec-bit mantissas.  D's steps are held to the bound beta_j of
-# the exact step on the computed values (_check_dual_values; running D
-# exactly to degree 30 at 1024 bits takes integers of about 10^6 bits), and
-# its majorant at t is the largest |D_n(-t)| of the same loop.
-
-
-def _old_hermite_low(n_max, q, prec):
-    pw = power_run(_pair(q), 1 - n_max, n_max - 1, prec)
-    top = n_max - 1
-    return [_mul(pw[top - j], _sub(_ONE, pw[top + j], prec), prec) for j in range(n_max)]
-
-
-_ONE_RAW, _ZERO_RAW = mpmath.mpf(1)._mpf_, mpmath.mpf(0)._mpf_
-
-
-def _round_once(value, prec):
-    return mpf_pos(value, prec, round_nearest)
-
-
-def _hermite_loop(two_x, low, prec):
-    vals = [_ONE_RAW]
-    prev, cur = _ZERO_RAW, _ONE_RAW
-    for c_low in low:
-        prev, cur = cur, _round_once(mpf_sub(mpf_mul(two_x, cur), mpf_mul(c_low, prev)), prec)
-        vals.append(cur)
-    return vals
-
-
-def _old_rows(steps, term):
-    out, prev = [[_ONE_RAW]], []
-    for step in steps:
-        cur = out[-1]
-        out.append([term(step, a, b, c) for a, b, c in
-                    zip(cur + [_ZERO_RAW], [_ZERO_RAW] + cur, prev + [_ZERO_RAW, _ZERO_RAW])])
-        prev = cur
-    return out
-
-
-def _old_recurrence(family, n_max, ctx):
-    """(values, majorant, rows) as per-family loops give them, on raw mpf tuples."""
-    q, prec = family.q, ctx.bits
-    if family.kind is FamilyKind.QINV_HERMITE:
-        low = [_mpf(c)._mpf_ for c in _old_hermite_low(n_max, q, prec)]
-        negated = [mpf_neg(c) for c in low]
-
-        def values(p):
-            return _hermite_loop(mpf_shift(p._mpf_, 1), low, prec)
-
-        def sums(t):
-            return _hermite_loop(mpf_shift(t._mpf_, 1), negated, prec)
-
-        def term(c_low, a, b, c):
-            # [x^i] of 2x h_j - low_j h_{j-1}
-            return _round_once(mpf_sub(mpf_shift(b, 1), mpf_mul(c_low, c)), prec)
-        steps = low
-
-    def mpf_values(p):
-        return [mpmath.mp.make_mpf(v) for v in values(p)]
-
-    def majorant(t):
-        best = _ZERO_RAW
-        for v in sums(t):
-            if mpf_cmp(mpf_abs(best), mpf_abs(v)) < 0:
-                best = v
-        return mpmath.mp.make_mpf(best)
-
-    def rows():
-        return [[mpmath.mp.make_mpf(c) for c in row] for row in _old_rows(steps, term)]
-
-    return mpf_values, majorant, rows
+# Each family's values, majorant and rows come from the one loop _three_term.
+# Every step is held to the bound beta_j of the exact step on the computed
+# values (_check_hermite_values, _check_dual_values; running the recurrences
+# exactly to degree 30 at 1024 bits takes integers of about 10^6 bits).  h's
+# majorant at t is the largest H_n(t) of the loop run at t with L_j negated,
+# D's the largest |D_n(-t)|.
 
 
 def mpfs(pairs):
@@ -919,28 +933,31 @@ def test_three_term_loop_matches_the_per_family_loops(q_s, bits, n_max):
         ts = [mpmath.mpf(0), mpmath.ldexp(1, -40), mpmath.mpf("0.7"), mpmath.mpf("3.25"),
               (q ** -5 - q ** 5) / 2, mpmath.ldexp(3, 40)]
         points = ts + [-t for t in ts[1:]]
-        families = [FamilySpec(FamilyKind.QINV_HERMITE, q)] + [
+        specs = [FamilySpec(FamilyKind.QINV_HERMITE, q)] + [
             FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s) for s in (q, mpmath.mpf(1), 1 / q)]
-    for family in families:
-        grid = []
-        if family.s is not None:
-            with ctx.workprec():
-                grid = [mu_point(x, family.s, q, ctx).mu for x in (0, 3)]
-            new = _recurrence(family, n_max, ctx)
-            steps = _exact_dual_steps(n_max, family.s, q, bits)
-            for p in points + grid:
-                _check_dual_values(steps, p, new[0](p), exact=False)
+    for family in specs:
+        new = _recurrence(family, n_max, ctx)
+        if family.s is None:
+            steps = _exact_hermite_steps(n_max, q, bits)
+            for p in points:
+                _check_hermite_values(steps, p, new[0](p), bits, exact=False)
             for t in ts:
+                sums = families._three_term(_pair(t), families._hermite_steps(n_max, q, bits),
+                                            bits, -1)
+                _check_hermite_values(steps, t, sums, bits, exact=False, sign=-1)
                 with ctx.workprec():
-                    assert new[1](t) == max(abs(v) for v in mpfs(new[0](-t))), (family, t)
-            _check_dual_rows(steps, new[2](), exact=False)
+                    assert new[1](t) == max(abs(v) for v in mpfs(sums)), (family, t)
+            _check_hermite_rows(steps, new[2](), bits, exact=False)
             continue
-        new, old = _recurrence(family, n_max, ctx), _old_recurrence(family, n_max, ctx)
+        with ctx.workprec():
+            grid = [mu_point(x, family.s, q, ctx).mu for x in (0, 3)]
+        steps = _exact_dual_steps(n_max, family.s, q, bits)
         for p in points + grid:
-            assert mpfs(new[0](p)) == old[0](p), (family, p)
+            _check_dual_values(steps, p, new[0](p), exact=False)
         for t in ts:
-            assert new[1](t) == old[1](t), (family, t)
-        assert [mpfs(row) for row in new[2]()] == old[2](), family
+            with ctx.workprec():
+                assert new[1](t) == max(abs(v) for v in mpfs(new[0](-t))), (family, t)
+        _check_dual_rows(steps, new[2](), exact=False)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -969,11 +986,14 @@ def test_three_term_loop_is_accurate_at_far_exponents(exponent, sign):
 def test_one_point_evaluators_equal_their_table_rows(q_s, bits):
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
     q = as_qparam(q_s, ctx)
+    with ctx.workprec():
+        s_values = ("0.45", "1", 1 / q)
     for n in (0, 1, 7, 30):
         for x in ("-2.5", "0", "0.3", "17"):
-            assert raw([qinv_hermite(n, x, q, ctx)]) == raw(qinv_hermite_table(n, x, q, ctx)[n:])
-            for s in ("0.45", "1", 1 / q):
-                assert raw([dual_ultra(n, x, s, q, ctx)]) == raw(dual_ultra_table(n, x, s, q, ctx)[n:])
+            assert raw([qinv_hermite(n, x, q, ctx)]) == raw(qinv_hermite_table(n, x, q, ctx)[-1:])
+            for s in s_values:
+                want = dual_ultra_table(n, x, s, q, ctx)[-1:]
+                assert raw([dual_ultra(n, x, s, q, ctx)]) == raw(want)
             if x != "0":
                 with ctx.workprec():
                     want = qinv_hermite_table(2 * n + 1, x, q, ctx)[-1] / mpmath.mpf(x)
@@ -982,14 +1002,14 @@ def test_one_point_evaluators_equal_their_table_rows(q_s, bits):
 
 def _spy_on_series(monkeypatch):
     """[(numerator parameters, q, terminating_at)] of each series the C and
-    grid D evaluators sum, recorded as they call it."""
+    grid D evaluators sum, as pairs, recorded as they call the kernel."""
     seen = []
-    real = families.basic_hypergeometric
+    real = families._hypergeometric_sum
 
     def spy(num, den, q, z, ctx, terminating_at=None):
         seen.append((list(num), q, terminating_at))
-        return real(num, den, q, z, ctx, terminating_at=terminating_at)
-    monkeypatch.setattr(families, "basic_hypergeometric", spy)
+        return real(num, den, q, z, ctx, terminating_at)
+    monkeypatch.setattr(families, "_hypergeometric_sum", spy)
     return seen
 
 
@@ -1027,7 +1047,7 @@ def test_grid_series_equal_basic_hypergeometric(q_s, bits, monkeypatch):
     assert seen
     for num, q_seen, stop in seen:
         with ctx.workprec():
-            assert (q ** (-stop))._mpf_ in [v._mpf_ for v in num] and q_seen == q
+            assert _pair(q ** (-stop)) in num and q_seen == _pair(q)
 
 
 # -- the h series' coefficient row against the per-phi sum --------------------
