@@ -104,39 +104,39 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
     "855cb15fa5d0da4d7ca32d46a34be3c9eaa5dfaf6ea5c8ed1e24b19f7de9831e",
 )) + _runs(_BASIC, "0.7", (
-    "54f978c23af11523e265c8fb715092c01d4634ed34ff13c0aa3f2ce88e1f5b77",
-    "a0658ee5174bdf5452c2e6a4c0167a78be80f3b1521f8e85ed4907b315e6061c",
-    "2607144f27b2ff8b1a0124920387e832c8e5e4a3feccaf4b6f18a892607af115",
-    "5fc78efe784a850e64b32389a76ff7d3f0cb3187ed09cd27184b06cbf05204d5",
-    "a5500c2080e8d9f3de20a90f1502dfc057b8a837417ecd7a4018db05ce9f5691",
-    "9077fccc9ee9a7bbbaf9e836c7645fab9b9d99db190edf8548ab8ecf039d070f",
-    "436947c26e634321e59fd93aab2ccd17a439cedf3c19688c5253a36974ab13f2",
+    "104093ce6899f13656b18084e70d8078cc8e3189ca352d7047d4a7c313219e8d",
+    "f258186cd5716980fd009f9570bc58e4465bd6663f90c5f8b4f509214b8a8284",
+    "924eb626c8c0507e9f6c845b60469988f5aee194f8674f4a057b22cd05494d03",
+    "19137f6ea12c03123754817d9c3b7ce6aaa76ccf3cafc6f1a4f0a13556aae6e9",
+    "1bc428ab54f8e202efc9073f314411843789d2c9a4bf847354fc72f853488b32",
+    "dca0f2d486d6441c3cb4f4692ba48ecae9eb0a565755acc9f7a20c304715a52e",
+    "6ede2dc04d774f4f04a68a04a92fb34e5614a00fcc5b21b563046f1504b15d8b",
 )) + _runs(_WIDE, "0.5", (
     "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
     "539b45eec796ead678d51a206fbfddd56439bae97397b015ef45d442c1d34a60",
     "088f498f49ef8d1ae69f1bd6c76b38ece78387773fece60a2e18197ab34ac0e5",
     "710d2c437e887a323aa68f18ff8232860e3d69de64af08082ce5b999ceb7ba12",
 )) + _runs(_WIDE, "0.7", (
-    "8e56b6d1046ae520255b8b75550aac0d71ac1aacb75e79fc6585f8a45655c329",
-    "fd5b532069a1cc3aa22be21ccb6e4280d5ec9f9df002d0c9438a56cb746a5308",
-    "6f37f892f446b465784df7257321b89aae507fa81b68d9f0070d1f1efaec11b0",
-    "cf43b5a20e79ec5ef467224dcc36c1cb810847d2cbc16a291755d5a9e38fb12a",
+    "9d8e6d3cd614a61c90563fc884992b4baaddb88a2518ac9f36fb81a59eb00a28",
+    "8628cd5232e7516ac56dc5a61d52352fc0e3a3b2417655294e5f95184cfd535c",
+    "ea316bde00c1313852e54b40152fd3094bc10a3fa1f4c6c2b4baa430edd74fe1",
+    "a1f5dfe2481713e1f2f38b607a6b69cded25ccfcad4b8929c77cbaa71ab7cc25",
 )) + _runs(_EVAL, "0.7", (
-    "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
+    "c0a004d193dc2b81b6effc85c7ccc6b6b5ad8422826ad24500596b2274e7013d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
     "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
-    "67973b456bf28b5e598ce18554b7af5c70ee222832fe20bc731b9239e51cb981",
+    "3e57bfd1cb63e4ec00367f4a5bffc2efc9e190cea0c65d8aff7cf44682b1e2d8",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "e352a5238bbf0f1cc15a6fcde290710225220c96eafec5b3b0ca0a896a98ea74",
-    "e939d6a08fa65e43945fe4139b189252ded353513fa99eb37cf7cb34720c8963",
-    "8bb9b011429cf1487a4d54a71c481b5700a7886e99b6da9fdddec7e5a487c0c1",
+    "43a3fcd13f416db197b63e14b816a6b8e5967bed491474476db5dfe5d2d9fdc7",
+    "fd5256d972fc2b3c9dfee3d20729bcad2c593d9b8fe4c81915464c38a824dbdb",
+    "52c015ada6a0cb1f86993d48dae02d5b93f4a33862302932943639a3d7f02742",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
-    "f9c9eed6f7ba35f69ecd390bdc28d2c1258732e31b83cb8281a088dde7614bbd",
-    "282c11ebb529a8b45f1cb339d36e74a5116e1324cbb66db8c44ce9d73249f156",
+    "c365dfb816213a46f33d6f0e7168a77ebffa931e9ddf283fa1cbb93ee3ad62d0",
+    "7698a853ee82e83a6e9ce7ee4c158690e9cc070009760716cc1585c52249a7a8",
 )) + _runs(_CSV, "0.7", (
-    "ba380493cc14055931d453c9f6454d4c1f50867cfd57558bc63af25211632f0a",
+    "a06864e33e85ffde8d65fc4d896163d872e5c42bd753a393ecd4169e9c9a791a",
 )) + _runs(_EXACT_POWERS, "0.5", (
     "5e2caea9749bba4d5031aa2a302b5112ca6ff61d0c10c0d5b8bee245a520141c",
     "558660e0399940240f6ef9658e7820eefd144d92d08a7eea0c8af150085292cd",
@@ -174,16 +174,16 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 # exits 1 there; the digests pin that FAIL and its residual too.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 1, "f0bc2110d2cb37f1b658d79c97ad4a037a0ea79d2cbf1650bf954c341966d926"),
-    ("0.01", 256, 1, "81328c14538ee76d9f940a3a062461c674a451c27621aaf0486b6c83bda455b1"),
-    ("0.05", 256, 1, "61a51af8a9294b8e04633b87d422d6384e04c9299a61b34b0f419d231020efc3"),
-    ("0.3", 256, 0, "e1d64219684a12a20085c491f68777b2c25c8e87a5093d4da1e65ed01638a345"),
-    ("0.99", 256, 0, "b1016c564512b1bfcd855442f5e1d4a70acedf52c43c6412652ca726833f3ffd"),
-    ("1e-4", 1024, 0, "f8d3ed9234a560da21ea34c3bbd794b2274e0f10cece7e8af21e4f1ec78af936"),
-    ("0.01", 1024, 0, "855a869cb42bf6af852192ab4106ab8741aec0866e0235343d73bfa08b5cfed6"),
-    ("0.05", 1024, 0, "a207c0d44614e8d78d62525a74644d4e2a776d26a44bc44bfddc9bdf6475f401"),
-    ("0.3", 1024, 0, "44b9b77c034f722098571d91700a0882a74b398588f43b5a4a21d14a433482d8"),
-    ("0.99", 1024, 0, "c3b617d44aa599f64aeed54b70e8d17ca5db2c6c18d735489c76ed221351fc2e"),
+    ("1e-4", 256, 1, "7dc69b6c802fda06b089dfb5293e76e3d44942e4e9e2df63864ba46b91cda25d"),
+    ("0.01", 256, 1, "0eda6439d567221d22d8ae47b9871891877c2b7c06758b192bdf77ea75ee9479"),
+    ("0.05", 256, 1, "809115d465a3faa2535d63295e3ce769faef397afe577b8e975f303e6644c43b"),
+    ("0.3", 256, 0, "89b1d6bb1371cefdcf89be945c7445cac8d61502ad09f4e18df8238ce9c2eb38"),
+    ("0.99", 256, 0, "55c179777e810ac20e912c89c99edc0be68d498fb47790bf7f411fd94679eaca"),
+    ("1e-4", 1024, 0, "44dece7b55eeec5eb8dabafb6e9d2eaca76d176a8937e9a86542602e27ad31c7"),
+    ("0.01", 1024, 0, "c9846379a08e1c7b4001f59e611f97e1b7af8865211fc354817503c9063ab83f"),
+    ("0.05", 1024, 0, "fb191f9cc85b04349f532026bf343790633c9ec4a2f967bfdd34e2a95545c715"),
+    ("0.3", 1024, 0, "1db723778bda70aaf6896211043a254a18461fb70d6218ef5e41c9c683ee6906"),
+    ("0.99", 1024, 0, "db46a76c23a028677bbba4b051217d5b09d1b8870e513d6243e1904e4d3fe88c"),
 )]
 
 
