@@ -472,11 +472,11 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
-    """The mu-free factors of each step j < n_max of the D recurrence, as pairs
-    formed from the run of q^-k and each rounded once to prec:
-    (c_mid, c_low, r) = (q^(-2j-1) + q^(-2j), q^(-2j) - 1, 1 / c_lead),
-    c_lead = q^(-2j-1) - s q, and its reciprocal r rounded once to prec + 64
-    bits, so r adds relative 2^-(prec+64) to the rounded c_lead's error.
+    """The mu-free factors of each step j < n_max of the D recurrence, as pairs:
+    (c_mid, c_low, r) = (q^(-2j-1) + q^(-2j), q^(-2j) - 1, 1 / c_lead) and,
+    for j >= 1, c_lead = q^(-2j-1) - s q, each rounded once to prec from the
+    run of q^-k, and the reciprocal r rounded once to prec + 64 bits, so r
+    adds relative 2^-(prec+64) to the rounded c_lead's error.
 
     s and q are of at most prec bits with s q^2 < 1 (FamilySpec.validated),
     and every lead is then positive.  At j = 0 the lead is q^-1 (1 - s q^2),
