@@ -575,8 +575,9 @@ ORACLE_N = 12
 # rho(-2j-1) + 2^-prec, rho(-2j) / (1 - q^(2j)) + 2^-prec and
 # rho(-2j-1) / (1 - s q^(2j+2)) + 2^-prec, are each about 2^-prec below
 # those above (rho(2j+2) = rho(-2j-1), and rho(-2j) - rho(2j) is only
-# 1.01 2^-(prec+32)), so the bounds above hold these steps too.  With N the exact step's
-# numerator on the computed values, the step's own error is at most
+# 1.01 2^-(prec+32)), so the bounds above hold these steps too.  With N the
+# exact step's numerator on the computed values, the step's own error is at
+# most
 #
 #   beta_j = ((G - 1) |N| + G (rm c_mid |P_j| + rl c_low |P_{j-1}|)) / c_lead,
 #
