@@ -283,11 +283,6 @@ def _hermite_series_pass(ns, phis, q) -> list[list[tuple[tuple[int, int], tuple[
     return out
 
 
-def _mpf_pass(total, bound) -> tuple[QReal, QReal]:
-    """A pass's (value, bound) as _certified reads them: mpf, inf for None."""
-    return _mpf(total), mpmath.inf if bound is None else _mpf(bound)
-
-
 def qinv_hermite_series_tables(ns, phis, q,
                                ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[list[QReal]]:
     """[[h_n(sinh(phi)|q) for n in ns] for phi in phis] by the explicit
@@ -323,14 +318,13 @@ def qinv_hermite_series_tables(ns, phis, q,
         return lambda: "h_%s series at phi=%s, q=%.8g" % (
             ",".join(map(str, degrees)), ",".join("%.8g" % float(phi) for phi in at), float(q))
     _check_floor(ctx, what(ns, phis))
-    budget = mpmath.ldexp(ctx.tol, -2)
-    limit = _pair(budget)
+    budget = _pair(mpmath.ldexp(ctx.tol, -2))
 
     def value(n, phi, total, bound):
-        if bound is not None and not _abs_lt(limit, bound):
+        if bound is not None and not _abs_lt(budget, bound):
             return _mpf(total)
-        return _certified(lambda: _mpf_pass(*_hermite_series_pass([n], [phi], q)[0][0]),
-                          budget, ctx, what([n], [phi]), first=_mpf_pass(total, bound))
+        return _mpf(_certified(lambda: _hermite_series_pass([n], [phi], q)[0][0],
+                               budget, ctx, what([n], [phi]), first=(total, bound)))
     with ctx.workprec():
         passes = _hermite_series_pass(ns, phis, q)
     return [[value(n, phi, *pass_) for n, pass_ in zip(ns, sums)]
@@ -349,8 +343,7 @@ def qinv_hermite_tables(n_max: int, xs, q,
     recurrence, its steps formed once for all of xs.  ValueError when an x
     is inf or nan."""
     values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, as_qparam(q, ctx)), n_max, ctx)[0]
-    with ctx.workprec():
-        return [[_mpf(v) for v in values(mpmath.mpf(x))] for x in xs]
+    return [[_mpf(v) for v in values(_pair(ctx.to_real(x), "x"))] for x in xs]
 
 
 def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:
@@ -376,8 +369,7 @@ def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT
 def qinv_hermite(n: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """h_n(x|q) by the three-term recurrence, the last of qinv_hermite_table."""
     values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, as_qparam(q, ctx)), n, ctx)[0]
-    with ctx.workprec():
-        return _mpf(values(mpmath.mpf(x))[n])
+    return _mpf(values(_pair(ctx.to_real(x), "x"))[n])
 
 
 def qinv_hermite_coeff_rows(n_max: int, q,
@@ -400,15 +392,14 @@ def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> l
     return qinv_hermite_coeff_rows(n, q, ctx)[n]
 
 
-def _linear_coefficient_pass(n: int, q) -> tuple[QReal, QReal]:
+def _linear_coefficient_pass(n: int, q) -> tuple[tuple[int, int], tuple[int, int] | None]:
     """One pass at the ambient precision of the linear coefficient of h_n,
-    sum_j (-1)^j q^{j(j-n)} [n,j]_q (n - 2j): (value, bound) as
-    _certified reads them, bound being _hermite_bound's for the exact
-    integer factors n - 2j."""
+    sum_j (-1)^j q^{j(j-n)} [n,j]_q (n - 2j): (value, bound) as pairs,
+    bound being _hermite_bound's for the exact integer factors n - 2j."""
     prec = mpmath.mp.prec
     total, tmax = _hermite_sum(_hermite_rows([n], q, prec)[n],
                                [(j, 0) for j in range(n, -n - 1, -2)])
-    return _mpf_pass(total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q), prec))
+    return total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q), prec)
 
 
 def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -427,8 +418,9 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-    return _certified(lambda: _linear_coefficient_pass(n, q), mpmath.ldexp(ctx.tol, -2), ctx,
-                      lambda: "ht_%d(0) at q=%.8g" % (2 * k, float(q)))
+    return _mpf(_certified(lambda: _linear_coefficient_pass(n, q),
+                           _pair(mpmath.ldexp(ctx.tol, -2)), ctx,
+                           lambda: "ht_%d(0) at q=%.8g" % (2 * k, float(q))))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +505,7 @@ def dual_ultra_tables(n_max: int, mus, s, q,
     nan."""
     values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx),
                          n_max, ctx)[0]
-    with ctx.workprec():
-        return [[_mpf(v) for v in values(mpmath.mpf(mu))] for mu in mus]
+    return [[_mpf(v) for v in values(_pair(ctx.to_real(mu), "mu"))] for mu in mus]
 
 
 def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:
@@ -525,8 +516,7 @@ def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTE
 def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """D_n(mu; s, q) by the recurrence (off the grid too), the last of dual_ultra_table."""
     values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx), n, ctx)[0]
-    with ctx.workprec():
-        return _mpf(values(mpmath.mpf(mu))[n])
+    return _mpf(values(_pair(ctx.to_real(mu), "mu"))[n])
 
 
 def dual_ultra_coeff_rows(n_max: int, s, q,
@@ -626,18 +616,17 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     reciprocal of each lead, are formed once, and that one list serves all
     three closures, each of which runs _three_term's step, one rounding a
     step, with the reciprocal at bits + 64:
-    - values(p) is [P_0(p), ..., P_{n_max}(p)] as pairs at an mpf p of at
-      most ctx.bits bits, x for h and mu for D; ValueError naming it when p
-      is inf or nan;
-    - majorant(t) is A(t) = max_n A_n(t) as an mpf, for t >= 0, where
+    - values(p) is [P_0(p), ..., P_{n_max}(p)] at a pair p of at most
+      ctx.bits bits, x for h and mu for D;
+    - majorant(t) is A(t) = max_n A_n(t) at a pair t >= 0, where
       A_n(t) = sum_j |c_nj| t^j for P_n = sum_j c_nj p^j, so that
       |P_n(p)| <= A(t) whenever |p| <= t;
     - rows() is [[c_00], ..., [c_{n_max}0, ..., c_{n_max}n_max]] as pairs,
       the step run on coefficient lists: multiplying by p moves a
       coefficient up one degree.
 
-    The family's record gives the steps, the point's name and the
-    majorant's sign.
+    The family's record gives the steps and the majorant's sign; the
+    public callers convert at their edges (kernel module docstring).
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -667,12 +656,11 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     record = _FAMILIES[family.kind]
     steps = record.steps(n_max, family.s, family.q, prec)
 
-    def values(p: QReal) -> list[tuple[int, int]]:
-        return _three_term(_pair(p, record.point), steps, prec)
+    def values(p: tuple[int, int]) -> list[tuple[int, int]]:
+        return _three_term(p, steps, prec)
 
-    def majorant(t: QReal) -> QReal:
-        m, e = _pair(t, "t")
-        return _mpf(_largest(_three_term((record.sign * m, e), steps, prec, -record.sign)))
+    def majorant(t: tuple[int, int]) -> tuple[int, int]:
+        return _largest(_three_term((record.sign * t[0], t[1]), steps, prec, -record.sign))
 
     def term(step, a, b, c) -> tuple[int, int]:
         # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) r: c_mid a - b - c_low c
@@ -702,7 +690,6 @@ class _Family(NamedTuple):
     routes: dict             # evaluate's argument -> evaluator (n, value, [s,] q, ctx) ...
     refusal: str             # ... and its message for any other argument
     steps: Callable | None = None   # (n_max, s, q, prec) -> the steps of _three_term
-    point: str = ""          # the recurrence's point, as its ValueError names it
     sign: int = 0            # the majorant's point is sign * t, and c_low is times -sign
 
 
@@ -711,7 +698,7 @@ _FAMILIES = {
     FamilyKind.QINV_HERMITE: _Family(
         (), {"x": qinv_hermite, "phi": qinv_hermite_series},
         "qinv_hermite takes x or phi, not mu",
-        lambda n_max, s, q, prec: _hermite_steps(n_max, q, prec), "x", 1),
+        lambda n_max, s, q, prec: _hermite_steps(n_max, q, prec), 1),
     FamilyKind.EVEN_HERMITE_FACTOR: _Family(
         (), {"x": even_hermite_factor}, "even_hermite_factor takes x"),
     FamilyKind.DISCRETE_ULTRA: _Family(
@@ -720,7 +707,7 @@ _FAMILIES = {
     FamilyKind.DUAL_DISCRETE_ULTRA: _Family(
         (_positive_s, check_dual_s), {"mu": dual_ultra, "x": dual_ultra_series},
         "dual_discrete_ultra takes mu or x",
-        lambda n_max, s, q, prec: _dual_steps(n_max, s, q, prec), "mu", -1),
+        lambda n_max, s, q, prec: _dual_steps(n_max, s, q, prec), -1),
 }
 
 

@@ -21,9 +21,10 @@ quantities involved span many orders of magnitude.  The suite covers:
 
 Residuals are formed on the kernel's pairs (_residual), one pair operation
 for each operation of the mpf expression they replace, in its order and at
-ctx.bits, so each is that expression's value bit for bit: values are read
-as pairs from the family recurrences, converted once where they arrive as
-mpf, and reported as mpf once per check.  Three kinds of value stay in
+ctx.bits, each rounded once, so each is that expression's value bit for bit
+wherever mpmath rounds correctly: values are read as pairs from the family
+recurrences, converted once where they arrive as mpf, and reported as mpf
+once per check.  Three kinds of value stay in
 mpf, each formed once: the transcendental functions (exp, sinh, asinh, and
 sqrt, as in half-to-full-lattice's sqrt|d_n d_n'| of each entry), the
 integer powers q**k, which mpf_pow_int rounds otherwise than a product of
@@ -35,12 +36,11 @@ import dataclasses
 import types
 
 import mpmath
-from mpmath.libmp import mpf_sub, round_nearest
 
 from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt, _add,
-                     _check_degree, _div, _larger, _largest, _make, _mpf, _mul, _pair, _round,
+                     _check_degree, _div, _larger, _largest, _mpf, _mul, _pair, _round,
                      _sub, as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
@@ -80,18 +80,12 @@ def _report(identity_id: str, grid: str, residuals: dict[str, tuple[int, int]],
 
 
 def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[int, int]:
-    """|lhs - rhs| / max(1, |lhs|) of two pairs, the value the mpf expression
-    abs(lhs - rhs) / max(mpf(1), abs(lhs)) takes at prec bits: the
-    difference and the quotient are rounded at prec, and so is |lhs|, which
-    mpf's abs rounds.  The residuals of every identity check go through it.
-
-    An operand of more than prec + 4 bits (a series value formed wider
-    than the check) is subtracted by mpf_sub itself, which can round it
-    otherwise than _sub does (kernel module docstring)."""
-    if max(abs(lhs[0]), abs(rhs[0])).bit_length() > prec + 4:
-        m, e = _pair(_make(mpf_sub(_mpf(lhs)._mpf_, _mpf(rhs)._mpf_, prec, round_nearest)))
-    else:
-        m, e = _sub(lhs, rhs, prec)
+    """|lhs - rhs| / max(1, |lhs|) of two pairs, the difference, |lhs| and
+    the quotient each rounded once to prec bits, operands of any length
+    (series values formed wider than the check) included: on operands of at
+    most prec + 4 bits, the value of abs(lhs - rhs) / max(mpf(1), abs(lhs)).
+    The residuals of every identity check go through it."""
+    m, e = _sub(lhs, rhs, prec)
     size = _round((abs(lhs[0]), lhs[1]), prec)
     return _div((abs(m), e), size if _abs_lt(_ONE, size) else _ONE, prec)
 
@@ -104,7 +98,7 @@ def _shift(a: tuple[int, int], k: int) -> tuple[int, int]:
 def _tables(kind: FamilyKind, n_max: int, points, q, ctx: PrecisionContext,
             s=None) -> list[list[tuple[int, int]]]:
     """[[P_0(p), ..., P_{n_max}(p)] for p in points] of h or D as pairs, by
-    the recurrence of families' tables; each point an mpf of at most
+    the recurrence of families' tables; each point a pair of at most
     ctx.bits bits."""
     values = _recurrence(FamilySpec(kind, q, s), n_max, ctx)[0]
     return [values(p) for p in points]
@@ -147,7 +141,7 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
         s, c, mus = _connection(parity, k_max, ys, q, ctx)
         h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
                                               phis, q, ctx)
-        d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max, mus, q, ctx, s)
+        d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max, map(_pair, mus), q, ctx, s)
         worst = _ZERO
         for phi, hs, dvals in zip(phis, h_tables, d_tables):
             two_sinh = _pair(mpmath.exp(phi) - mpmath.exp(-phi))
@@ -212,7 +206,7 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
         phis = [mpmath.mpf(p) for p in grid]
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
         h_tables = _tables(FamilyKind.QINV_HERMITE, 2 * k_max + 3,
-                           [mpmath.sinh(phi) for phi in phis], q, ctx)
+                           [_pair(mpmath.sinh(phi)) for phi in phis], q, ctx)
         worst = dict.fromkeys(("even-hermite", "even-dual", "odd-hermite", "odd-dual"), _ZERO)
         # The phi-free coefficients, formed once in mpf: mid[n] of each
         # side, and low[n] of each parity (low[0] is never read).
@@ -223,9 +217,9 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
                                   * (1 - q ** (2 * n - 1 + 2 * parity)))
                             for n in range(1, k_max + 1)]
             s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
+            mus = [_pair(mu) for mu in mus]
             d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max + 1, mus, q, ctx, s)
             for mu, hs, dvals in zip(mus, h_tables, d_tables):
-                mu = _pair(mu)
                 res = _chain_residual(parity, mu, hs[parity::2], k_max, q_p,
                                       mid_hermite, low, prec)
                 worst[side + "-hermite"] = _larger(worst[side + "-hermite"], res)
@@ -357,8 +351,8 @@ def check_half_to_full_lattice(N: int, q,
 
         J = max(ref.m_hi + 1, -ref.m_lo + 1) + 3
         # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
-        even_pts = base_even.points(0, J, ctx)
-        odd_pts = base_odd.points(0, J - 1, ctx)
+        even_pts = [(_pair(x), _pair(w)) for x, w in base_even.points(0, J, ctx)]
+        odd_pts = [(_pair(x), _pair(w)) for x, w in base_odd.points(0, J - 1, ctx)]
         even_tabs = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_even, [x for x, _ in even_pts],
                             q, ctx, s_even)
         odd_tabs = (_tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_odd, [x for x, _ in odd_pts],
@@ -368,7 +362,7 @@ def check_half_to_full_lattice(N: int, q,
         # The lattice sums run over j >= 0 with weights u_0, 2 u_1, ..., 2 u_J,
         # which is 2 w_j for base_even's weight w_j, one pair-sum call per
         # parity, on pairs.  The odd h vanish at xhat_0 = 0.
-        lattice_w = [2 * w for _, w in even_pts]
+        lattice_w = [_shift(w, 1) for _, w in even_pts]
         even_rows = [[_mul(c, t, prec) for c, t in zip(sign_even, tab)] for tab in even_tabs]
         odd_rows = [[_ZERO] * (n_odd + 1)]
         node_resid = weight_resid = _ZERO
@@ -379,11 +373,11 @@ def check_half_to_full_lattice(N: int, q,
         powers = power_run(q_p, -J, J, prec)   # powers[k + J] = q^k
         for j in range(J + 1):
             xhat = _shift(_sub(powers[J - j], powers[J + j], prec), -1)
-            node_e, w_e = (_pair(v) for v in even_pts[j])
+            node_e, w_e = even_pts[j]
             node = _add(_mul(_shift(xhat, 2), xhat, prec), (2, 0), prec)
             node_resid = _larger(node_resid, _residual(node_e, node, prec))
             if j >= 1:
-                node_o, w_o = (_pair(v) for v in odd_pts[j - 1])
+                node_o, w_o = odd_pts[j - 1]
                 node_resid = _larger(node_resid, _residual(node_o, _mul(q_p, node_e, prec), prec))
                 odd_rows.append([_mul(_mul(_shift(c, 1), xhat, prec), t, prec)
                                  for c, t in zip(sign_odd, odd_tabs[j - 1])])
@@ -400,7 +394,7 @@ def check_half_to_full_lattice(N: int, q,
         for i in range(N + 1):
             for ip in range(i, N + 1):
                 # The lattice sum of a cross-parity pair is exactly 0.
-                total = _ZERO if (i + ip) % 2 == 1 else _pair(sums[i % 2][i // 2][ip // 2])
+                total = _ZERO if (i + ip) % 2 == 1 else sums[i % 2][i // 2][ip // 2]
                 ref_entry = _mul(scale_const, _pair(ref.gram[i][ip]), prec)
                 root = _pair(mpmath.sqrt(abs(_mpf(_mul(diag[i], diag[ip], prec)))))
                 scale = root if _abs_lt(_ONE, root) else _ONE

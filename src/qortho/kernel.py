@@ -1,7 +1,7 @@
 """Extended-precision q-series primitives.
 
-All values are mpmath ``mpf`` reals ("QReal" below) computed at a working
-precision carried by a :class:`PrecisionContext`. Infinite objects are
+Public values are mpmath ``mpf`` reals ("QReal" below) computed at a
+working precision carried by a :class:`PrecisionContext`. Infinite objects are
 truncated under a-priori tail bounds: a result is returned together with the
 guarantee that the discarded tail is below the context tolerance, or a
 :class:`TruncationFailure` is raised.
@@ -30,32 +30,35 @@ the next, and when the next pass would run past the cap of 1024 * ctx.bits
 bits (262,144 at the default 256 bits): h_n(0) at q = 0.5 for odd
 n >= 1025 needs more, for example.
 
-The hot loops of the package (here, in families and in measures) run on
-pairs: a finite real m 2^e held as two Python ints (m, e), with this
-module's private arithmetic _add, _sub, _mul, _div, _round and _abs_lt
-(_mul by (k, 0) is mpf_mul_int by the int k).  Each operation forms its
-result exactly (an integer sum or product, or a quotient of at least
-prec + 2 bits plus a sticky bit) and rounds it once to the precision prec
-its caller names, to nearest with ties to even.  A correctly rounded result
-is unique (Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed.,
-2.2; IEEE 754-2019, 4.3).  mpmath 1.3.0 rounds correctly at round_nearest
-in mpf_mul, mpf_mul_int, mpf_div and mpf_pos, and in mpf_add and mpf_sub
-whenever each operand has at most prec + 4 bits; past that, for operands
-more than 100 binary places apart, mpf_add replaces the smaller one by a
-perturbation that can round differently.  _add and _sub round the exact
-sum of operands of any length.  Most loops of the package add only
-operands rounded to the precision of the addition or to less, so a loop on
-pairs that makes the operations an mpf operator expression would make, in
-the same order and at the same precisions, gives that expression's values
-bit for bit, without mpmath's normalisation of every intermediate value.
-The three-term recurrence step of families makes one rounding per step,
-with a reciprocal lead at bits + 64: it forms c_mid - p, two products and
-their difference exactly, and rounds their product with the reciprocal
-once (libmp at prec=0, then mpf_pos), which no mpf operator expression
-does.  A division by +-2^k is a shift and one rounding.  A pair holds no
-inf or nan: _pair raises ValueError on them, so every evaluator rejects
-non-finite arguments.  Integer powers that a loop needs in a run, x^lo, ..., x^hi, come
-from power_run: one multiplication per power at 32 guard bits, each value
+The package computes on pairs: a finite real m 2^e held as two Python ints
+(m, e), the only number format that crosses a private interface.  A public
+function converts its inputs once (ctx.to_real, then _pair, which names the
+argument it refuses) and its result once (_mpf); the private functions hand
+each other pairs, with this module's private arithmetic _add, _sub, _mul,
+_div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k).
+Each operation forms its result exactly (an integer sum or product, or a
+quotient of at least prec + 2 bits plus a sticky bit) and rounds it once to
+the precision prec its caller names, to nearest with ties to even.  A
+correctly rounded result is unique (Muller et al., Handbook of
+Floating-Point Arithmetic, 2nd ed., 2.2; IEEE 754-2019, 4.3).  mpmath 1.3.0
+rounds correctly at round_nearest in mpf_mul, mpf_mul_int, mpf_div and
+mpf_pos, and in mpf_add and mpf_sub whenever each operand has at most
+prec + 4 bits; past that, for operands more than 100 binary places apart,
+mpf_add replaces the smaller one by a perturbation that can round
+differently.  _add and _sub round the exact sum of operands of any length.
+Most loops of the package add only operands rounded to the precision of the
+addition or to less, so a loop on pairs that makes the operations an mpf
+operator expression would make, in the same order and at the same
+precisions, gives that expression's values bit for bit, without mpmath's
+normalisation of every intermediate value.  The three-term recurrence step
+of families makes one rounding per step, with a reciprocal lead at
+bits + 64: it forms c_mid - p, two products and their difference exactly, and
+rounds their product with the reciprocal once (libmp at prec=0, then
+mpf_pos), which no mpf operator expression does.  A division by +-2^k is a
+shift and one rounding.  A pair holds no inf or nan: _pair raises
+ValueError on them, so every evaluator rejects non-finite arguments.
+Integer powers that a loop needs in a run, x^lo, ..., x^hi, come from
+power_run: one multiplication per power at 32 guard bits, each value
 rounded once, under the product bound proved in its docstring.
 
 Notation used throughout the package:
@@ -413,26 +416,27 @@ def _check_floor(ctx: PrecisionContext, what) -> None:
             what(), mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8), ctx.bits))
 
 
-def _certified(evaluate, budget: QReal, ctx: PrecisionContext, what, guard: int = 0,
-               first=None) -> QReal:
+def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, guard: int = 0,
+               first=None) -> tuple[int, int]:
     """The value of the first pass of evaluate whose bound meets budget,
     rounded to ctx.bits: the one escalation policy of the package.
 
     evaluate() runs one pass at the ambient precision p and returns
-    (value, bound).  bound bounds |value - exact| / scale, where scale is a
-    lower bound, certified by the same pass, of the magnitude the budget is
-    relative to; bound is inf when the pass certifies no bit.  The first
-    pass runs at ctx.bits + guard and is accepted when bound <= budget.
-    Otherwise the next pass runs at p + ceil(log2(bound / budget)) + 1,
-    which meets the budget when the bound scales like 2^-p, or at 2p when
-    bound is inf.  TruncationFailure, with the bound and the budget in its
-    message, is raised when a finite bound does not shrink from the pass
-    before, when the next pass would run past the cap of 1024 * ctx.bits
-    bits, and, before any pass, when tol is below ctx.rounding_floor
-    (_check_floor).  what() names the evaluation in those messages; it is
-    called only on failure.  first, when given, is the (value, bound) of
-    the first pass, already run at ctx.bits + guard by a caller that shares
-    that pass among several evaluations; the policy starts from it.
+    (value, bound), all three pairs.  bound bounds |value - exact| / scale,
+    where scale is a lower bound, certified by the same pass, of the
+    magnitude the budget is relative to; bound is None when the pass
+    certifies no bit.  The first pass runs at ctx.bits + guard and is
+    accepted when bound <= budget.  Otherwise the next pass runs at
+    p + ceil(log2(bound / budget)) + 1 (in mpf at ctx.bits), which meets
+    the budget when the bound scales like 2^-p, or at 2p when bound is
+    None.  TruncationFailure, with the bound and the budget in its message,
+    is raised when a bound does not shrink from the pass before, when the
+    next pass would run past the cap of 1024 * ctx.bits bits, and, before
+    any pass, when tol is below ctx.rounding_floor (_check_floor).  what()
+    names the evaluation in those messages; it is called only on failure.
+    first, when given, is the (value, bound) of the first pass, already run
+    at ctx.bits + guard by a caller that shares that pass among several
+    evaluations; the policy starts from it.
     """
     _check_floor(ctx, what)
     prec, last = ctx.bits + guard, mp.inf
@@ -442,38 +446,40 @@ def _certified(evaluate, budget: QReal, ctx: PrecisionContext, what, guard: int 
                 value, bound = evaluate()
         else:
             (value, bound), first = first, None
-        if bound <= budget:
-            return _mpf(_round(_pair(value), ctx.bits))
+        if bound is not None and not _abs_lt(budget, bound):
+            return _round(value, ctx.bits)
         with ctx.workprec():
-            step = prec if bound == mp.inf else int(mp.ceil(mp.log(bound / budget, 2))) + 1
-        if last <= bound < mp.inf or prec + step > 1024 * ctx.bits:
+            size = mp.inf if bound is None else _mpf(bound)
+            step = prec if bound is None else int(mp.ceil(mp.log(size / _mpf(budget), 2))) + 1
+        if last <= size < mp.inf or prec + step > 1024 * ctx.bits:
             raise TruncationFailure(
                 "%s: error bound %s misses the budget %s at %d bits, and a rerun cannot meet it"
                 " (bound before: %s; next pass: %d bits; cap: 1024 * bits = %d)"
-                % (what(), mpmath.nstr(bound, 8), mpmath.nstr(budget, 8), prec,
+                % (what(), mpmath.nstr(size, 8), mpmath.nstr(_mpf(budget), 8), prec,
                    mpmath.nstr(last, 8), prec + step, 1024 * ctx.bits))
-        prec, last = prec + step, bound
+        prec, last = prec + step, size
 
 
-def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: int):
-    """One evaluation of (a;q)_inf on pairs at the ambient precision.
+def _product_pass(a_p, q_p, head_len: int, target_p, max_terms: int):
+    """One evaluation of (a;q)_inf on the pairs a, q and target at the
+    ambient precision.
 
-    Returns (value, noise): value is the head (a;q)_J times Euler's sum for
-    w = a q^J, summed until the omitted tail is at most target * |sum|;
-    noise bounds the relative rounding error of value to first order.  An
-    exactly vanishing head factor gives (0, 0).  Each pair operation is the
-    mpf operation of the same expression at the same precision, so the
-    value and the noise are those of the mpf loop bit for bit.
+    Returns (value, noise) as pairs: value is the head (a;q)_J times Euler's
+    sum for w = a q^J, summed until the omitted tail is at most
+    target * |sum|; noise bounds the relative rounding error of value to
+    first order, None when the sum is 0.  An exactly vanishing head factor
+    gives (0, 0).  Each pair operation is the mpf operation of the same
+    expression at the same precision, so the value and the noise are those
+    of the mpf loop bit for bit.
     """
     prec = mp.prec
-    q_p, a_p = _pair(q), _pair(a)
     head = _ONE
     w = a_p
     f_min = None   # the smallest |head factor|
     for _ in range(head_len):
         factor = _sub(_ONE, w, prec)
         if not factor[0]:
-            return mpmath.mpf(0), mpmath.mpf(0)
+            return _ZERO, _ZERO
         head = _mul(head, factor, prec)
         if f_min is None or _abs_lt(factor, f_min):
             f_min = abs(factor[0]), factor[1]
@@ -483,7 +489,6 @@ def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: i
     # magnitude decreases in k, so once it is <= 1/2 every omitted term is
     # at most half the one before and the tail after t_k is below |t_k|.
     total = term = t_max = _ONE
-    target_p = _pair(target)
     step = (-w[0], w[1])
     qk1 = q_p
     settled = False
@@ -505,9 +510,9 @@ def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: i
     else:
         raise TruncationFailure(
             "Euler sum for (w;q)_inf not resolved within max_terms=%d (w=%s, q=%s)"
-            % (max_terms, mpmath.nstr(_mpf(w), 8), mpmath.nstr(q, 8)))
+            % (max_terms, mpmath.nstr(_mpf(w), 8), mpmath.nstr(_mpf(q_p), 8)))
     if not total[0]:
-        return mpmath.mpf(0), mpmath.inf
+        return _ZERO, None
 
     # Every operation has relative error <= u.  Head: factor j carries
     # j u |a q^j| / |1 - a q^j| + u, plus one multiplication.  The J roundings
@@ -527,7 +532,7 @@ def _product_pass(a: QReal, q: QReal, head_len: int, target: QReal, max_terms: i
     sum_noise = _mul((n * n, 0), _add((n + 4, 0), inv_gap, prec), prec)
     sum_noise = _div(_mul(sum_noise, t_max, prec), (abs(total[0]), total[1]), prec)
     noise = _add(_add(noise, sum_noise, prec), _ONE, prec)
-    return _mpf(_mul(head, total, prec)), _mpf(_mul((1, 1 - prec), noise, prec))
+    return _mul(head, total, prec), _mul((1, 1 - prec), noise, prec)
 
 
 def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -572,15 +577,18 @@ def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
         raise TruncationFailure(
             "(a;q)_inf needs %d head factors, more than max_terms=%d (a=%s, q=%s)"
             % (head_len, ctx.max_terms, mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
-    budget = mpmath.ldexp(ctx.tol, -6)
+    budget = _pair(mpmath.ldexp(ctx.tol, -6))
 
     def product_pass():
-        value, noise = _product_pass(a, q, head_len, budget, ctx.max_terms)
+        value, noise = _product_pass(_pair(a), _pair(q), head_len, budget, ctx.max_terms)
         # noise is relative to value, so the product is at least |value| (1 - noise)
-        return value, noise / (1 - noise) if noise < 1 else mpmath.inf
+        if noise is None or not _abs_lt(noise, _ONE):
+            return value, None
+        return value, _div(noise, _sub(_ONE, noise, mp.prec), mp.prec)
     # 16 guard bits cover the rounding bound of typical head lengths and term counts
-    return _certified(product_pass, budget, ctx,
-                      lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)), guard=16)
+    return _mpf(_certified(product_pass, budget, ctx,
+                           lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)),
+                           guard=16))
 
 
 def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT,

@@ -376,9 +376,9 @@ def _run(value, lanes, muls, adds, ratio, wp: int):
 
 def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
           z: tuple[int, int] | None):
-    """Yield (node, weight) at m = 0, 1, 2, ..., or at m = -1, -2, ... when
-    backward, each rounded once to ctx.bits, the weight divided by the pair
-    z = Z(a) (None for 1).
+    """Yield (node, weight) as pairs at m = 0, 1, 2, ..., or at m = -1, -2,
+    ... when backward, each rounded once to ctx.bits, the weight divided by
+    the pair z = Z(a) (None for 1).
 
     The kind's lanes and weight step by _run at wp = ctx.bits + 32.
     SignViolation on a negative weight.
@@ -394,7 +394,7 @@ def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
         if w[0] < 0:
             raise SignViolation("negative weight %s at m=%d for %s"
                                 % (mpmath.nstr(_mpf(w), 8), m, measure.kind.value))
-        return _mpf(_round(node, prec)), _mpf(w)
+        return _round(node, prec), w
 
     for node, numer in head:
         yield rounded(node, numer)
@@ -404,26 +404,26 @@ def _walk(measure: "DiscreteMeasure", backward: bool, ctx: PrecisionContext,
         m += step
 
 
-def _diagonals(measure: "DiscreteMeasure", N: int, ctx: PrecisionContext) -> list[QReal]:
-    """[d_0, ..., d_N] of the kind's run at wp = ctx.bits + 32, each rounded
-    once to ctx.bits; d_0 takes its products at _closed(ctx)."""
+def _diagonals(measure: "DiscreteMeasure", N: int, ctx: PrecisionContext) -> list:
+    """[d_0, ..., d_N] as pairs of the kind's run at wp = ctx.bits + 32,
+    each rounded once to ctx.bits; d_0 takes its products at _closed(ctx)."""
     wp = ctx.bits + _RUN_GUARD
     with ctx.workprec():
         run = _run(*_KINDS[measure.kind].diagonal(measure, _closed(ctx), wp), wp)
-    return [_mpf(_round(d, ctx.bits)) for d, _ in itertools.islice(run, N + 1)]
+    return [_round(d, ctx.bits) for d, _ in itertools.islice(run, N + 1)]
 
 
 def _runs(measure: "DiscreteMeasure", ctx: PrecisionContext):
-    """point(m), the measure's (node, weight) at m read from its two runs,
-    which are stepped out from m = 0 and m = -1 as far as asked and kept
-    for the life of point only."""
+    """point(m), the measure's (node, weight) at m as pairs, read from its
+    two runs, which are stepped out from m = 0 and m = -1 as far as asked
+    and kept for the life of point only."""
     z = None
     if measure.is_full_lattice:
         z = _pair(lattice_normalization(measure.a, measure.q, _closed(ctx)))
     runs = {backward: ([], _walk(measure, backward, ctx, z))
             for backward in ((False, True) if measure.is_full_lattice else (False,))}
 
-    def point(m: int) -> tuple[QReal, QReal]:
+    def point(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
         values, walk = runs[m < 0]
         k = ~m if m < 0 else m    # ~m = -1 - m
         while len(values) <= k:
@@ -467,7 +467,7 @@ class DiscreteMeasure:
         if lo < 0 and not self.is_full_lattice:
             raise ValueError("support index must satisfy m >= 0")
         point = _runs(self, ctx)
-        return [point(m) for m in range(lo, hi + 1)]
+        return [(_mpf(node), _mpf(w)) for node, w in map(point, range(lo, hi + 1))]
 
     def point(self, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[QReal, QReal]:
         """(node, weight) at support index m: points(m, m, ctx)[0]."""
@@ -512,7 +512,7 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
     """Closed form of the (n, n) Gram entry for the measure's own family,
     n >= 0: d_n of the run a Gram reads, to the last bit."""
     _check_degree("n", n)
-    return _diagonals(measure, n, ctx)[n]
+    return _mpf(_diagonals(measure, n, ctx)[n])
 
 
 @dataclasses.dataclass
@@ -576,7 +576,8 @@ class GramReport:
         lines = ["n,nprime,value,expected,residual"]
         zero = mpmath.mpf(0)
         with mpmath.mp.workprec(self.bits):
-            res = _residuals(self.gram, self.expected_diag)
+            res = _residuals([[_pair(v) for v in row] for row in self.gram],
+                             [_pair(d) for d in self.expected_diag])
             cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
                 to_decimal(x, digits) for x in (
                     self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
@@ -586,21 +587,20 @@ class GramReport:
         return "\n".join(lines) + "\n"
 
 
-def _residuals(gram: list[list[QReal]], diag: list[QReal]) -> list[list[tuple[int, int]]]:
-    """The residuals the checks compare with tol, as pairs: |G_nn - d_n| / |d_n|
-    on the diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|) off it, each root
-    formed once per degree in mpf.  The rest runs on pairs at the working
-    precision, whose operations round as mpf's do on these operands (all of
-    at most that precision), so the values are those of the mpf expression."""
+def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]]) -> list[list]:
+    """The residuals the checks compare with tol, of pairs as pairs:
+    |G_nn - d_n| / |d_n| on the diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|)
+    off it, each root formed once per degree in mpf.  The rest runs at the
+    working precision, whose pair operations round as mpf's do on these
+    operands (all of at most that precision): the mpf expression's values."""
     prec = mpmath.mp.prec
-    roots = [_pair(mpmath.sqrt(abs(d))) for d in diag]
-    diag_pairs = [_pair(d) for d in diag]
+    roots = [_pair(mpmath.sqrt(_mpf((abs(m), e)))) for m, e in diag]
 
     def residual(n: int, np_: int) -> tuple[int, int]:
         if n == np_:
-            (m, e), (dm, de) = _sub(_pair(gram[n][n]), diag_pairs[n], prec), diag_pairs[n]
+            (m, e), (dm, de) = _sub(gram[n][n], diag[n], prec), diag[n]
             return _div((abs(m), e), (abs(dm), de), prec)
-        m, e = _pair(gram[n][np_])
+        m, e = gram[n][np_]
         return _div((abs(m), e), _mul(roots[n], roots[np_], prec), prec)
 
     return _symmetric(len(diag), residual)
@@ -640,15 +640,15 @@ def _fixed_point(column: list[tuple[int, int]], bits: int) -> tuple[list[int], i
     return ints, low
 
 
-def _pair_sums(weights: list[QReal], tables: list[list[tuple[int, int]]],
-               N: int) -> list[list[QReal]]:
+def _pair_sums(weights: list[tuple[int, int]], tables: list[list[tuple[int, int]]],
+               N: int) -> list[list[tuple[int, int]]]:
     """gram[n][n'] = sum_i weights[i] * tables[i][n] * tables[i][n'], each
     entry an exact integer dot product rounded once to the working precision.
 
-    tables holds pairs, as the family's recurrence tables give them.
-    Weights must be finite and nonnegative, else ValueError; zero weights
-    are skipped.  Node i's weight is split by the exact power 2^k_i, k_i
-    half of w_i's binary exponent:
+    weights, tables and the entries are pairs.  Weights must be
+    nonnegative, else ValueError; zero weights are skipped.  Node i's
+    weight is split by the exact power 2^k_i, k_i half of w_i's binary
+    exponent:
     a_n[i] = w_i t_n 2^-k_i (the exact product of the two mantissas) and
     b_n[i] = t_n 2^k_i, so a_n b_n' = w_i t_n t_n' exactly and
     |a_n|, |b_n| <= sqrt(2 G_nn).  Each column of a (and of b) gets one
@@ -662,9 +662,9 @@ def _pair_sums(weights: list[QReal], tables: list[list[tuple[int, int]]],
     is the mirror of (n, n') for n < n'.
     """
     prec = mpmath.mp.prec
-    rows = [(_pair(w, "pair-sum weight"), row) for w, row in zip(weights, tables) if w]
+    rows = [(w, row) for w, row in zip(weights, tables) if w[0]]
     if any(wman < 0 for (wman, _), _ in rows):
-        raise ValueError("pair sums need finite nonnegative weights")
+        raise ValueError("pair sums need nonnegative weights")
     bits = prec + _PAIR_GUARD + len(rows).bit_length()
     splits = [(wman, wexp, (wexp + wman.bit_length()) >> 1) for (wman, wexp), _ in rows]
     a_cols, b_cols = [], []
@@ -681,31 +681,33 @@ def _pair_sums(weights: list[QReal], tables: list[list[tuple[int, int]]],
         for np_ in range(n, N + 1):
             b, b_exp = b_cols[np_]
             total = sum(map(operator.mul, a, b))
-            gram[n][np_] = gram[np_][n] = _mpf(_rounded(total, a_exp + b_exp, prec))
+            gram[n][np_] = gram[np_][n] = _rounded(total, a_exp + b_exp, prec)
     return gram
 
 
-def _certified_window(measure: DiscreteMeasure, point, majorant,
-                      ctx: PrecisionContext,
-                      diag: list[QReal]) -> tuple[int, int, QReal]:
+def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionContext,
+                      diag: list[tuple[int, int]]) -> tuple[int, int, tuple[int, int]]:
     """Pick [m_lo, m_hi] so each omitted tail is below tol/8 * min(1, min_n d_n).
 
-    point(m) gives the measure's (node, weight) at m, and majorant(t) the
-    family's A(t).  The checks divide
-    entry (n, n') by sqrt(d_n d_n'), so this keeps the truncation error of
-    every relative residual below tol/4.  The tail test runs on pairs at
-    the working precision, one rounding where the mpf expression
-    w * A**2 makes one (A**2 is mpf's correctly rounded A * A), so its
-    decisions and the tail are those of that expression.
+    point(m) gives the measure's (node, weight) at m, majorant(t) the
+    family's A(t), diag the d_n and the tail bound returned, all pairs.
+    The checks divide entry (n, n') by sqrt(d_n d_n'), so this keeps the
+    truncation error of every relative residual below tol/4.  The tail
+    test runs at the working precision, one rounding where the mpf
+    expression w * A**2 makes one (A**2 is mpf's correctly rounded A * A),
+    so its decisions and the tail are those of that expression.
     """
     prec = mpmath.mp.prec
-    target = ctx.tol / 8 * min(mpmath.mpf(1), min(abs(d) for d in diag))
-    target_p = _pair(target)
+    least = _ONE   # min(1, min_n |d_n|)
+    for m, e in diag:
+        least = (abs(m), e) if _abs_lt((m, e), least) else least
+    tm, te = _round(_pair(ctx.tol), prec)
+    target_p = _mul((tm, te - 3), least, prec)
 
     def bound(m: int) -> tuple[int, int]:
-        node, w = point(m)
-        a = _pair(majorant(abs(node)))
-        return _mul(_pair(w), _mul(a, a, prec), prec)
+        (xm, xe), w = point(m)
+        a = majorant((abs(xm), xe))
+        return _mul(w, _mul(a, a, prec), prec)
 
     def extend(edge: int, step: int) -> tuple[int, tuple[int, int]]:
         b_edge = bound(edge)
@@ -719,7 +721,7 @@ def _certified_window(measure: DiscreteMeasure, point, majorant,
             b_edge = b_next
         raise TruncationFailure(
             "tail bound %s did not reach %s within max_terms=%d (%s)"
-            % (mpmath.nstr(_mpf(b_edge), 8), mpmath.nstr(target, 8),
+            % (mpmath.nstr(_mpf(b_edge), 8), mpmath.nstr(_mpf(target_p), 8),
                ctx.max_terms, measure.kind.value))
 
     start = math.isqrt(ctx.bits) + 1
@@ -728,7 +730,7 @@ def _certified_window(measure: DiscreteMeasure, point, majorant,
         m_lo, tail_lo = extend(-start, -1)
     else:
         m_lo, tail_lo = 0, _ZERO
-    return m_lo, m_hi, _mpf(_add(tail_hi, tail_lo, prec))
+    return m_lo, m_hi, _add(tail_hi, tail_lo, prec)
 
 
 def gram_matrix(measure: DiscreteMeasure, N: int,
@@ -764,14 +766,14 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
             a=measure.a,
             N=N,
             bits=ctx.bits,
-            gram=gram,
-            expected_diag=diag,
+            gram=_symmetric(N + 1, lambda n, np_: _mpf(gram[n][np_])),
+            expected_diag=[_mpf(d) for d in diag],
             off_diag_max=_mpf(off_max),
             diag_rel_err_max=_mpf(diag_err),
             m_lo=m_lo,
             m_hi=m_hi,
-            tail_bound=tail,
-            nodes=list(nodes),
+            tail_bound=_mpf(tail),
+            nodes=[_mpf(x) for x in nodes],
         )
 
 

@@ -305,8 +305,8 @@ def test_eval_and_verify_exit_two_when_a_bound_does_not_shrink(capsys, monkeypat
     assert code == 2
     assert ("error bound 1.0 misses the budget 1.5557538e-61 at 459 bits, and a rerun "
             "cannot meet it (bound before: 1.0;") in err
-    monkeypatch.setattr(kernel, "_product_pass",
-                        lambda *args: (mpmath.mpf(1), mpmath.mpf("0.5")))
+    # value 1 and noise 1/2, so a bound of (1/2) / (1 - 1/2) = 1 at every pass
+    monkeypatch.setattr(kernel, "_product_pass", lambda *args: ((1, 0), (1, -1)))
     kernel._qpochhammer_inf_memo.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--only", "product-chain")

@@ -941,23 +941,24 @@ def test_three_term_loop_matches_the_per_family_loops(q_s, bits, n_max):
         if family.s is None:
             steps = _exact_hermite_steps(n_max, q, bits)
             for p in points:
-                _check_hermite_values(steps, p, new[0](p), bits, exact=False)
+                _check_hermite_values(steps, p, new[0](_pair(p)), bits, exact=False)
             for t in ts:
                 sums = families._three_term(_pair(t), families._hermite_steps(n_max, q, bits),
                                             bits, -1)
                 _check_hermite_values(steps, t, sums, bits, exact=False, sign=-1)
                 with ctx.workprec():
-                    assert new[1](t) == max(abs(v) for v in mpfs(sums)), (family, t)
+                    assert _mpf(new[1](_pair(t))) == max(abs(v) for v in mpfs(sums)), (family, t)
             _check_hermite_rows(steps, new[2](), bits, exact=False)
             continue
         with ctx.workprec():
             grid = [mu_point(x, family.s, q, ctx).mu for x in (0, 3)]
         steps = _exact_dual_steps(n_max, family.s, q, bits)
         for p in points + grid:
-            _check_dual_values(steps, p, new[0](p), exact=False)
+            _check_dual_values(steps, p, new[0](_pair(p)), exact=False)
         for t in ts:
             with ctx.workprec():
-                assert new[1](t) == max(abs(v) for v in mpfs(new[0](-t))), (family, t)
+                assert (_mpf(new[1](_pair(t)))
+                        == max(abs(v) for v in mpfs(new[0](_pair(-t))))), (family, t)
         _check_dual_rows(steps, new[2](), exact=False)
 
 

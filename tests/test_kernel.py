@@ -360,13 +360,20 @@ def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
         # head factor; a = -3000 gives the longest head
         avals = [q, mpmath.mpf("0.5"), mpmath.mpf(1), mpmath.mpf(-1), mpmath.mpf("2.5"),
                  mpmath.mpf(-3000), q ** 3, -1 / q]
+    def oracle(a_p, q_p, head_len, target_p, max_terms):
+        # the mpf loop on the pair arguments, its results as the pass's pairs
+        value, noise = _oracle_product_pass(_mpf(a_p), _mpf(q_p), head_len, _mpf(target_p),
+                                            max_terms)
+        return _pair(value), None if noise == mpmath.inf else _pair(mpmath.mpf(noise))
+
     runs = {}
-    for name, pass_ in (("pairs", kernel._product_pass), ("mpf", _oracle_product_pass)):
+    for name, pass_ in (("pairs", kernel._product_pass), ("mpf", oracle)):
         passes = []
 
         def recorded(*args, pass_=pass_, passes=passes):
             value, noise = pass_(*args)
-            passes.append((mpmath.mp.prec, value._mpf_, mpmath.mpf(noise)._mpf_))
+            passes.append((mpmath.mp.prec, _mpf(value)._mpf_,
+                           None if noise is None else _mpf(noise)._mpf_))
             return value, noise
         monkeypatch.setattr(kernel, "_product_pass", recorded)
         kernel._qpochhammer_inf_memo.cache_clear()
@@ -387,44 +394,47 @@ def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
 
 
 def _substituted(bound_at, precs):
-    """A pass returning 1/3 at the ambient precision p and bound_at(p),
-    recording p in precs."""
+    """A pass returning the pairs of 1/3 at the ambient precision p and of
+    bound_at(p), None for inf, recording p in precs."""
     def evaluate():
         precs.append(mpmath.mp.prec)
-        return mpmath.mpf(1) / 3, bound_at(mpmath.mp.prec)
+        bound = bound_at(mpmath.mp.prec)
+        return _pair(mpmath.mpf(1) / 3), None if bound == mpmath.inf else _pair(mpmath.mpf(bound))
     return evaluate
 
 
 BUDGET = CTX.tol / 4
+BUDGET_PAIR = _pair(BUDGET)
 
 
 def test_certified_returns_an_accepted_first_pass_bit_for_bit():
     precs = []
-    got = _certified(_substituted(lambda p: BUDGET, precs), BUDGET, CTX, lambda: "probe")
+    got = _certified(_substituted(lambda p: BUDGET, precs), BUDGET_PAIR, CTX, lambda: "probe")
     with CTX.workprec():
-        assert got._mpf_ == (mpmath.mpf(1) / 3)._mpf_
+        assert _mpf(got)._mpf_ == (mpmath.mpf(1) / 3)._mpf_
     assert precs == [256]
     # with guard bits the first pass runs at bits + guard and is rounded once
     precs = []
-    got = _certified(_substituted(lambda p: 0, precs), BUDGET, CTX, lambda: "probe", guard=16)
+    got = _certified(_substituted(lambda p: 0, precs), BUDGET_PAIR, CTX, lambda: "probe",
+                     guard=16)
     with mpmath.workprec(272):
         third = mpmath.mpf(1) / 3
-    assert precs == [272] and got._mpf_ == CTX.to_real(third)._mpf_
+    assert precs == [272] and _mpf(got)._mpf_ == CTX.to_real(third)._mpf_
 
 
 def test_certified_reruns_once_at_the_bits_the_bound_asks_for():
     precs = []
     # the bound is 2^44 budget at 256 bits and halves with every bit
     got = _certified(_substituted(lambda p: mpmath.ldexp(BUDGET, 300 - p), precs),
-                     BUDGET, CTX, lambda: "probe")
+                     BUDGET_PAIR, CTX, lambda: "probe")
     assert precs == [256, 256 + 44 + 1]
     with CTX.workprec():
-        assert got == mpmath.mpf(1) / 3 and got._mpf_[3] <= 256
+        assert _mpf(got) == mpmath.mpf(1) / 3 and _mpf(got)._mpf_[3] <= 256
 
 
 def test_certified_doubles_only_when_no_bit_is_certified():
     precs = []
-    _certified(_substituted(lambda p: mpmath.inf if p < 1000 else 0, precs), BUDGET, CTX,
+    _certified(_substituted(lambda p: mpmath.inf if p < 1000 else 0, precs), BUDGET_PAIR, CTX,
                lambda: "probe")
     assert precs == [256, 512, 1024]
 
@@ -438,7 +448,7 @@ def test_certified_raises_past_a_bound_that_stalls_or_the_cap(bound_at, passes, 
     precs = []
     with pytest.raises(TruncationFailure, match=r"probe: error bound .* misses the budget "
                        r"1.5557538e-61 at \d+ bits, and a rerun cannot meet it .*" + reason):
-        _certified(_substituted(bound_at, precs), BUDGET, CTX, lambda: "probe")
+        _certified(_substituted(bound_at, precs), BUDGET_PAIR, CTX, lambda: "probe")
     assert len(precs) == passes
 
 
@@ -447,7 +457,8 @@ def test_certified_refuses_a_tol_below_the_rounding_floor_before_any_pass():
     shallow = PrecisionContext.create(bits=128, tol_exp=200)
     with pytest.raises(TruncationFailure,
                        match="probe: tol=6.2230153e-61 is below the rounding floor"):
-        _certified(_substituted(lambda p: 0, precs), shallow.tol / 4, shallow, lambda: "probe")
+        _certified(_substituted(lambda p: 0, precs), _pair(shallow.tol / 4), shallow,
+                   lambda: "probe")
     assert precs == []
 
 

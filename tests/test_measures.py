@@ -16,7 +16,7 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
                     lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
-from qortho.kernel import _pair, as_qparam, qpochhammer, qpochhammer_inf
+from qortho.kernel import _mpf, _pair, as_qparam, qpochhammer, qpochhammer_inf
 from qortho.measures import _diagonals, _extremal
 
 CTX = PrecisionContext.create()
@@ -285,7 +285,7 @@ def test_pair_sums_are_within_their_bound_of_the_exact_sum(monkeypatch, kind,
         for k in range(size):
             err = _exact(gram[n][k]) - exact[n][k]
             assert err * err <= bound * bound * exact[n][n] * exact[k][k], (n, k)
-    assert all(v == 0 for v in gram[N + 1]) and exact[N + 1][N + 1] == 0
+    assert all(_exact(v) == 0 for v in gram[N + 1]) and exact[N + 1][N + 1] == 0
 
 
 def test_pair_sums_do_not_depend_on_node_order(monkeypatch):
@@ -299,14 +299,13 @@ def test_pair_sums_do_not_depend_on_node_order(monkeypatch):
 
 def test_pair_sums_refuse_what_their_bound_does_not_cover():
     from qortho.measures import _pair_sums
-    one = mpmath.mpf(1)
     with CTX.workprec():
-        assert _pair_sums([one, one], [[(1, 0)], [(-1, 0)]], 0) == [[2]]
-        for weight in (mpmath.inf, -one, mpmath.nan):
-            with pytest.raises(ValueError, match="finite"):
-                _pair_sums([weight], [[(1, 0)]], 0)
-        # The values come as pairs, and no pair holds inf or nan.
-        for value in (mpmath.nan, -mpmath.inf):
+        assert [[_exact(v) for v in row] for row in
+                _pair_sums([(1, 0), (1, 0)], [[(1, 0)], [(-1, 0)]], 0)] == [[2]]
+        with pytest.raises(ValueError, match="nonnegative"):
+            _pair_sums([(-1, 0)], [[(1, 0)]], 0)
+        # The weights and values come as pairs, and no pair holds inf or nan.
+        for value in (mpmath.inf, mpmath.nan, -mpmath.inf):
             with pytest.raises(ValueError, match="finite"):
                 _pair(value)
 
@@ -497,7 +496,7 @@ def test_gram_runs_each_recurrence_once(monkeypatch, kind):
     report = gram_matrix(measure, 10, CTX)
     assert report.passed(CTX.tol)
     assert rows == [] and handles == [10]
-    assert points == report.nodes
+    assert [_mpf(p) for p in points] == report.nodes
 
 
 @pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
@@ -572,11 +571,11 @@ def _wide_rows(family, N, ctx):
 
 
 def _assert_is_coefficient_sum(amax, family, N, ts, ctx):
-    """amax(t) is within relative 2^(12-bits) of max_n sum_j |c_nj| t^j."""
+    """amax(t), on the pair of t, is within relative 2^(12-bits) of
+    max_n sum_j |c_nj| t^j."""
     rows, wide = _wide_rows(family, N, ctx)
     for t in ts:
-        with ctx.workprec():
-            value = amax(t)
+        value = _mpf(amax(_pair(t)))
         with wide.workprec():
             want = max(mpmath.fsum(abs(c) * t ** j for j, c in enumerate(cs))
                        for cs in rows)
@@ -656,7 +655,7 @@ def test_majorant_matches_exact_rational_rows(name, q, N):
         for t in [Fraction(0), Fraction(1, 1 << 20), Fraction(3, 8), Fraction(1),
                   Fraction(5, 2), Fraction(1 << 40)]:
             want = max(sum(abs(c) * t ** j for j, c in enumerate(cs)) for cs in rows)
-            value = _exact(amax(mpmath.mpf(t.numerator) / t.denominator))
+            value = _exact(amax(_pair(mpmath.mpf(t.numerator) / t.denominator)))
             assert abs(value - want) <= want / (1 << (ctx.bits - 12)), t
 
 
@@ -693,7 +692,7 @@ def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
     def recorded(family, N, ctx_):
         values, amax, rows = _recurrence(family, N, ctx_)
         seen.append((family, amax, []))
-        return values, lambda t: seen[-1][2].append(t) or amax(t), rows
+        return values, lambda t: seen[-1][2].append(_mpf(t)) or amax(t), rows
 
     monkeypatch.setattr(qortho.measures, "_recurrence", recorded)
     measure = _EXTREMAL[kind]("0.9", q_s, ctx)
@@ -938,7 +937,7 @@ def test_diagonal_runs_are_within_their_bound_of_the_closed_forms(q_s, bits):
     qp = functools.lru_cache(maxsize=None)(lambda a, b, n: qpochhammer(a, b, n, wide))
     qinf = functools.lru_cache(maxsize=None)(lambda a, b: qpochhammer_inf(a, b, ctx))
     for measure in measures:
-        diag = _diagonals(measure, N, ctx)
+        diag = [_mpf(d) for d in _diagonals(measure, N, ctx)]
         assert diag[N]._mpf_ == expected_diagonal(measure, N, ctx)._mpf_
         products = 0 if measure.is_full_lattice else ctx.tol / 4
         with wide.workprec():
@@ -954,6 +953,7 @@ def test_diagonal_runs_are_within_their_bound_of_the_closed_forms(q_s, bits):
 def test_point_is_the_gram_windows_node_and_weight(monkeypatch, kind):
     measure = _PAIR_MEASURES[kind](CTX)
     weights, _, _ = _pair_inputs(monkeypatch, measure, 6, CTX)
+    weights = [_mpf(w) for w in weights]
     report = gram_matrix(measure, 6, CTX)
     window = range(report.m_lo, report.m_hi + 1)
     assert len(weights) == len(report.nodes) == len(window)
