@@ -352,13 +352,20 @@ def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int
     h_{j+1} = 2x h_j - (q^-j - 1) h_{j-1}: negating and halving a pair are
     exact, pair exponents are unbounded, and scaling by -2 commutes with
     rounding, so for x of at most prec bits the step is that rounded once.
-    q^-j - 1 = q^-j (1 - q^j) is the difference of the run's q^-j, within
-    relative 2^-prec + 1.01 j 2^-(prec+32) (power_run), and the exact 1,
-    rounded once: q^-j / (q^-j - 1) = 1 / (1 - q^j) amplifies the power's
-    error, and no positive power of q is formed."""
-    run = power_run(_pair(q), 1 - n_max, 0, prec)[::-1]   # run[j] = q^-j
+    q^0 - 1 = 0 is exact, and q^-1 - 1 = (1 - q) / q is the quotient of the
+    exact 1 - q by q, rounded once.  For j >= 2, q^-j - 1 = q^-j (1 - q^j)
+    is the difference of the run's q^-j, within relative
+    2^-prec + 1.01 j 2^-(prec+32) (power_run), and the exact 1, rounded
+    once: q^-j / (q^-j - 1) = 1 / (1 - q^j) amplifies the power's error,
+    and no positive power of q is formed."""
+    q_p = _pair(q)
+    run = power_run(q_p, 1 - n_max, 0, prec)[::-1]   # run[j] = q^-j
+    lows = [_sub(v, _ONE, prec) for v in run]
+    if n_max > 1:
+        m, e = q_p   # q < 1, so e < 0 and 1 - q = (2^-e - m) 2^e exactly
+        lows[1] = _div(((1 << -e) - m, e), q_p, prec)
     # halving a pair is exact, and (-1, 1) is -2
-    return [(_ZERO, (-m, e - 1), (-1, 1)) for m, e in (_sub(v, _ONE, prec) for v in run)]
+    return [(_ZERO, (-m, e - 1), (-1, 1)) for m, e in lows]
 
 
 def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[QReal]:

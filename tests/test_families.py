@@ -749,13 +749,14 @@ def test_batched_dual_recurrences_match_per_node_formulas(q_s, bits):
 #
 # h's step is h_{j+1} = 2p h_j - L_j h_{j-1}, L_j = q^-j - 1, and the majorant
 # runs H_{j+1} = 2t H_j + L_j H_{j-1}: sign = 1 and -1 below.  _hermite_steps
-# forms L_j from the run's q^-j, within rho(-j) = 2^-prec + 1.01 j 2^-(prec+32)
-# of the exact power (power_run), and rounds the difference once, so the
-# computed L_j is within relative
+# forms L_j for j >= 2 from the run's q^-j, within
+# rho(-j) = 2^-prec + 1.01 j 2^-(prec+32) of the exact power (power_run), and
+# rounds the difference once, so the computed L_j is within relative
 #
 #   rl_j = (1 + rho(-j) / (1 - q^j)) (1 + 2^-prec) - 1
 #
-# of the exact one, as q^-j / L_j = 1 / (1 - q^j); L_0 = 0 is exact.  With
+# of the exact one, as q^-j / L_j = 1 / (1 - q^j); L_0 = 0 is exact, and
+# L_1 = (1 - q) / q is rounded once, so rl_1 = 2^-prec.  With
 # q = a 2^-z and the point p = pi 2^-v, step j has the integers a = 2 pi a^j,
 # b = sign (2^(jz) - a^j) 2^v and k = a^j 2^v, and the exact step on the
 # computed values is N = (a P_j - b P_{j-1}) / k.  The computed value is N with
@@ -784,7 +785,7 @@ def _exact_hermite_steps(n_max, q, prec):
             aj = a ** j
             lnum = (1 << j * z) - aj
             rho = u + mpmath.mpf(1.01) * j * mpmath.ldexp(1, -prec - 32)
-            rl = _grown(rho * _size(1 << j * z) / _size(lnum), u) if j else 0
+            rl = _grown(rho * _size(1 << j * z) / _size(lnum), u) if j > 1 else j * u
             steps.append((lnum, aj, rl))
     return steps
 
@@ -867,6 +868,31 @@ def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
     for n, row in enumerate(rows):
         assert raw(qinv_hermite_coeffs(n, q, ctx)) == raw(row)
     _check_hermite_rows(steps, [[_pair(c) for c in row] for row in rows], bits)
+
+
+def _nearest(x: Fraction, prec: int) -> Fraction:
+    """x > 0 rounded to prec bits, to nearest with ties to even."""
+    e = x.numerator.bit_length() - x.denominator.bit_length() - prec
+    while x / Fraction(2) ** e >= 1 << prec:
+        e += 1
+    while x / Fraction(2) ** e < 1 << (prec - 1):
+        e -= 1
+    scaled = x / Fraction(2) ** e
+    man, rest = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rest > scaled.denominator or (2 * rest == scaled.denominator and man & 1):
+        man += 1
+    return man * Fraction(2) ** e
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.99", "0.999"])
+def test_hermite_first_low_coefficient_is_rounded_once(q_s, bits):
+    # L_1 = q^-1 - 1 = (1 - q) / q, from the exact 1 - q and one rounding: a
+    # difference of the rounded q^-1 would amplify its rounding by
+    # 1 / (1 - q), to 80 units at q = 0.999 and 256 bits, 614 at 1024.
+    q = as_qparam(q_s, PrecisionContext.create(bits=bits, tol_exp=bits - 56))
+    m, e = families._hermite_steps(2, q, bits)[1][1]   # the step holds -L_1 / 2
+    assert -_fraction(_mpf((m, e + 1))) == _nearest(1 / _fraction(q) - 1, bits)
 
 
 @pytest.mark.parametrize("q_s", ["1e-4", "0.3", "0.999"])
