@@ -104,20 +104,20 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
     "855cb15fa5d0da4d7ca32d46a34be3c9eaa5dfaf6ea5c8ed1e24b19f7de9831e",
 )) + _runs(_BASIC, "0.7", (
-    "104093ce6899f13656b18084e70d8078cc8e3189ca352d7047d4a7c313219e8d",
+    "38654f4a1b0c37f35b18c57cae8d290807744310410aacdb434ee000d712326c",
     "f258186cd5716980fd009f9570bc58e4465bd6663f90c5f8b4f509214b8a8284",
     "924eb626c8c0507e9f6c845b60469988f5aee194f8674f4a057b22cd05494d03",
     "19137f6ea12c03123754817d9c3b7ce6aaa76ccf3cafc6f1a4f0a13556aae6e9",
     "1bc428ab54f8e202efc9073f314411843789d2c9a4bf847354fc72f853488b32",
-    "dca0f2d486d6441c3cb4f4692ba48ecae9eb0a565755acc9f7a20c304715a52e",
-    "6ede2dc04d774f4f04a68a04a92fb34e5614a00fcc5b21b563046f1504b15d8b",
+    "21ebfc4e91f148fcf5333eafce2f2dfb8467bcb9fc6ca6e3cbaec84ec03d5848",
+    "ec089bfcc1f7438ae4c0640a3b6b1383a9690615e7c71c3b81252c43c0982fa2",
 )) + _runs(_WIDE, "0.5", (
     "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
     "539b45eec796ead678d51a206fbfddd56439bae97397b015ef45d442c1d34a60",
     "088f498f49ef8d1ae69f1bd6c76b38ece78387773fece60a2e18197ab34ac0e5",
     "710d2c437e887a323aa68f18ff8232860e3d69de64af08082ce5b999ceb7ba12",
 )) + _runs(_WIDE, "0.7", (
-    "9d8e6d3cd614a61c90563fc884992b4baaddb88a2518ac9f36fb81a59eb00a28",
+    "8e56b6d1046ae520255b8b75550aac0d71ac1aacb75e79fc6585f8a45655c329",
     "8628cd5232e7516ac56dc5a61d52352fc0e3a3b2417655294e5f95184cfd535c",
     "ea316bde00c1313852e54b40152fd3094bc10a3fa1f4c6c2b4baa430edd74fe1",
     "a1f5dfe2481713e1f2f38b607a6b69cded25ccfcad4b8929c77cbaa71ab7cc25",
@@ -130,7 +130,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_LONG, "0.9", (
     "43a3fcd13f416db197b63e14b816a6b8e5967bed491474476db5dfe5d2d9fdc7",
     "fd5256d972fc2b3c9dfee3d20729bcad2c593d9b8fe4c81915464c38a824dbdb",
-    "52c015ada6a0cb1f86993d48dae02d5b93f4a33862302932943639a3d7f02742",
+    "379790f4a44c3eaa729c2dfefd379313cbb81550db62bc2ee8bd0427adc50561",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
     "c365dfb816213a46f33d6f0e7168a77ebffa931e9ddf283fa1cbb93ee3ad62d0",
@@ -178,7 +178,7 @@ VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
     ("0.01", 256, 1, "0eda6439d567221d22d8ae47b9871891877c2b7c06758b192bdf77ea75ee9479"),
     ("0.05", 256, 1, "809115d465a3faa2535d63295e3ce769faef397afe577b8e975f303e6644c43b"),
     ("0.3", 256, 0, "89b1d6bb1371cefdcf89be945c7445cac8d61502ad09f4e18df8238ce9c2eb38"),
-    ("0.99", 256, 0, "55c179777e810ac20e912c89c99edc0be68d498fb47790bf7f411fd94679eaca"),
+    ("0.99", 256, 0, "9e115623a557466c131e8042d5a052a3ca05389650beb2ca08468d5265b1e512"),
     ("1e-4", 1024, 0, "44dece7b55eeec5eb8dabafb6e9d2eaca76d176a8937e9a86542602e27ad31c7"),
     ("0.01", 1024, 0, "c9846379a08e1c7b4001f59e611f97e1b7af8865211fc354817503c9063ab83f"),
     ("0.05", 1024, 0, "fb191f9cc85b04349f532026bf343790633c9ec4a2f967bfdd34e2a95545c715"),
