@@ -870,29 +870,20 @@ def test_batched_hermite_recurrences_match_per_node_formulas(q_s, bits):
     _check_hermite_rows(steps, [[_pair(c) for c in row] for row in rows], bits)
 
 
-def _nearest(x: Fraction, prec: int) -> Fraction:
-    """x > 0 rounded to prec bits, to nearest with ties to even."""
-    e = x.numerator.bit_length() - x.denominator.bit_length() - prec
-    while x / Fraction(2) ** e >= 1 << prec:
-        e += 1
-    while x / Fraction(2) ** e < 1 << (prec - 1):
-        e -= 1
-    scaled = x / Fraction(2) ** e
-    man, rest = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rest > scaled.denominator or (2 * rest == scaled.denominator and man & 1):
-        man += 1
-    return man * Fraction(2) ** e
-
-
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.3", "0.7", "0.99", "0.999"])
 def test_hermite_first_low_coefficient_is_rounded_once(q_s, bits):
-    # L_1 = q^-1 - 1 = (1 - q) / q, from the exact 1 - q and one rounding: a
-    # difference of the rounded q^-1 would amplify its rounding by
-    # 1 / (1 - q), to 80 units at q = 0.999 and 256 bits, 614 at 1024.
+    # L_1 = q^-1 - 1 = (1 - q) / q, from the exact 1 - q and one rounding,
+    # which mpf's division makes: a difference of the rounded q^-1 would
+    # amplify its rounding by 1 / (1 - q), to 80 units at q = 0.999 and
+    # 256 bits, 614 at 1024.
     q = as_qparam(q_s, PrecisionContext.create(bits=bits, tol_exp=bits - 56))
+    with mpmath.workprec(2 * bits):
+        gap = 1 - q   # exact
+    with mpmath.workprec(bits):
+        want = gap / q
     m, e = families._hermite_steps(2, q, bits)[1][1]   # the step holds -L_1 / 2
-    assert -_fraction(_mpf((m, e + 1))) == _nearest(1 / _fraction(q) - 1, bits)
+    assert _mpf((-m, e + 1))._mpf_ == want._mpf_
 
 
 @pytest.mark.parametrize("q_s", ["1e-4", "0.3", "0.999"])
