@@ -153,14 +153,12 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_sum(row, factors) -> tuple[tuple[int, int], tuple[int, int]]:
+def _hermite_sum(row, factors, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """sum_k row[k] factors[k] and its largest |term|, as pairs.
 
-    row is a row of _hermite_rows and factors holds pairs.  Runs at the
-    ambient precision: term = c * factor, total += term,
-    tmax = max(tmax, |term|).
+    row is a row of _hermite_rows and factors holds pairs.  Runs at prec
+    bits: term = c * factor, total += term, tmax = max(tmax, |term|).
     """
-    prec = mpmath.mp.prec
     total = tmax = _ZERO
     for c, factor in zip(row, factors):
         term = _mul(c, factor, prec)
@@ -257,8 +255,9 @@ def _hermite_bound(n: int, total, tmax, units: int, gap, prec: int):
     return _div(err, scale, prec)
 
 
-def _hermite_series_pass(ns, phis, q) -> list[list[tuple[tuple[int, int], tuple[int, int] | None]]]:
-    """One summation pass at the ambient precision: for each phi of phis,
+def _hermite_series_pass(ns, phis, q,
+                         prec: int) -> list[list[tuple[tuple[int, int], tuple[int, int] | None]]]:
+    """One summation pass at prec bits: for each phi of phis,
     (sum, bound) as pairs for each degree n of ns, bound being
     _hermite_bound's (None when the pass certifies no bit).
 
@@ -267,17 +266,16 @@ def _hermite_series_pass(ns, phis, q) -> list[list[tuple[tuple[int, int], tuple[
     e = exp(phi) over [-max(ns), max(ns)]: a run value does not depend on
     the run's length, so each degree's factors are those of its own run.
     """
-    prec = mpmath.mp.prec
     top = max(ns, default=0)
     rows = _hermite_rows(ns, q, prec)
     gap = _hermite_gap(q)
     out = []
     for phi in phis:
-        run = power_run(_pair(mpmath.exp(phi)), -top, top, prec)   # run[j + top] = e^j
+        run = power_run(_pair(mpmath.exp(phi, prec=prec)), -top, top, prec)   # run[j + top] = e^j
         sums = []
         for n in ns:
             # e^(n-2k) for k = 0..n, read downwards from e^-n, ..., e^n
-            total, tmax = _hermite_sum(rows[n], run[top - n:top + n + 1][::-2])
+            total, tmax = _hermite_sum(rows[n], run[top - n:top + n + 1][::-2], prec)
             sums.append((total, _hermite_bound(n, total, tmax, 7 * n + 5, gap, prec)))
         out.append(sums)
     return out
@@ -323,10 +321,9 @@ def qinv_hermite_series_tables(ns, phis, q,
     def value(n, phi, total, bound):
         if bound is not None and not _abs_lt(budget, bound):
             return _mpf(total)
-        return _mpf(_certified(lambda: _hermite_series_pass([n], [phi], q)[0][0],
+        return _mpf(_certified(lambda prec: _hermite_series_pass([n], [phi], q, prec)[0][0],
                                budget, ctx, what([n], [phi]), first=(total, bound)))
-    with ctx.workprec():
-        passes = _hermite_series_pass(ns, phis, q)
+    passes = _hermite_series_pass(ns, phis, q, ctx.bits)
     return [[value(n, phi, *pass_) for n, pass_ in zip(ns, sums)]
             for phi, sums in zip(phis, passes)]
 
@@ -399,13 +396,12 @@ def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> l
     return qinv_hermite_coeff_rows(n, q, ctx)[n]
 
 
-def _linear_coefficient_pass(n: int, q) -> tuple[tuple[int, int], tuple[int, int] | None]:
-    """One pass at the ambient precision of the linear coefficient of h_n,
+def _linear_coefficient_pass(n: int, q, prec: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
+    """One pass at prec bits of the linear coefficient of h_n,
     sum_j (-1)^j q^{j(j-n)} [n,j]_q (n - 2j): (value, bound) as pairs,
     bound being _hermite_bound's for the exact integer factors n - 2j."""
-    prec = mpmath.mp.prec
     total, tmax = _hermite_sum(_hermite_rows([n], q, prec)[n],
-                               [(j, 0) for j in range(n, -n - 1, -2)])
+                               [(j, 0) for j in range(n, -n - 1, -2)], prec)
     return total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q), prec)
 
 
@@ -425,7 +421,7 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
         x = mpmath.mpf(x)
         if x != 0:
             return qinv_hermite(n, x, q, ctx) / x
-    return _mpf(_certified(lambda: _linear_coefficient_pass(n, q),
+    return _mpf(_certified(lambda prec: _linear_coefficient_pass(n, q, prec),
                            _pair(mpmath.ldexp(ctx.tol, -2)), ctx,
                            lambda: "ht_%d(0) at q=%.8g" % (2 * k, float(q))))
 

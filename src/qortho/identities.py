@@ -384,8 +384,8 @@ def check_half_to_full_lattice(N: int, q,
                 w_folded = _div(_mul(_mul(w_o, gaps[0], prec), gaps[1], prec),
                                 _mul(_mul(four_q, xhat, prec), xhat, prec), prec)
                 weight_resid = _larger(weight_resid, _residual(w_e, w_folded, prec))
-        sums = (_pair_sums(lattice_w, even_rows, n_even),
-                _pair_sums(lattice_w, odd_rows, n_odd))
+        sums = (_pair_sums(lattice_w, even_rows, n_even, prec),
+                _pair_sums(lattice_w, odd_rows, n_odd, prec))
 
         entry_worst = cross_worst = diag_worst = _ZERO
         two_mass = _shift(_div(_pair(qpochhammer_inf(q * q, q * q, ctx)),

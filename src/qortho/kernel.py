@@ -421,8 +421,8 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     """The value of the first pass of evaluate whose bound meets budget,
     rounded to ctx.bits: the one escalation policy of the package.
 
-    evaluate() runs one pass at the ambient precision p and returns
-    (value, bound), all three pairs.  bound bounds |value - exact| / scale,
+    evaluate(p) runs one pass at p bits and returns (value, bound), all
+    three pairs.  bound bounds |value - exact| / scale,
     where scale is a lower bound, certified by the same pass, of the
     magnitude the budget is relative to; bound is None when the pass
     certifies no bit.  The first pass runs at ctx.bits + guard and is
@@ -442,8 +442,7 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     prec, last = ctx.bits + guard, mp.inf
     while True:
         if first is None:
-            with mp.workprec(prec):
-                value, bound = evaluate()
+            value, bound = evaluate(prec)
         else:
             (value, bound), first = first, None
         if bound is not None and not _abs_lt(budget, bound):
@@ -460,9 +459,8 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
         prec, last = prec + step, size
 
 
-def _product_pass(a_p, q_p, head_len: int, target_p, max_terms: int):
-    """One evaluation of (a;q)_inf on the pairs a, q and target at the
-    ambient precision.
+def _product_pass(a_p, q_p, head_len: int, target_p, max_terms: int, prec: int):
+    """One evaluation of (a;q)_inf on the pairs a, q and target at prec bits.
 
     Returns (value, noise) as pairs: value is the head (a;q)_J times Euler's
     sum for w = a q^J, summed until the omitted tail is at most
@@ -472,7 +470,6 @@ def _product_pass(a_p, q_p, head_len: int, target_p, max_terms: int):
     expression at the same precision, so the value and the noise are those
     of the mpf loop bit for bit.
     """
-    prec = mp.prec
     head = _ONE
     w = a_p
     f_min = None   # the smallest |head factor|
@@ -579,12 +576,12 @@ def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
             % (head_len, ctx.max_terms, mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
     budget = _pair(mpmath.ldexp(ctx.tol, -6))
 
-    def product_pass():
-        value, noise = _product_pass(_pair(a), _pair(q), head_len, budget, ctx.max_terms)
+    def product_pass(prec: int):
+        value, noise = _product_pass(_pair(a), _pair(q), head_len, budget, ctx.max_terms, prec)
         # noise is relative to value, so the product is at least |value| (1 - noise)
         if noise is None or not _abs_lt(noise, _ONE):
             return value, None
-        return value, _div(noise, _sub(_ONE, noise, mp.prec), mp.prec)
+        return value, _div(noise, _sub(_ONE, noise, prec), prec)
     # 16 guard bits cover the rounding bound of typical head lengths and term counts
     return _mpf(_certified(product_pass, budget, ctx,
                            lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)),

@@ -577,7 +577,7 @@ class GramReport:
         zero = mpmath.mpf(0)
         with mpmath.mp.workprec(self.bits):
             res = _residuals([[_pair(v) for v in row] for row in self.gram],
-                             [_pair(d) for d in self.expected_diag])
+                             [_pair(d) for d in self.expected_diag], self.bits)
             cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
                 to_decimal(x, digits) for x in (
                     self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
@@ -587,14 +587,14 @@ class GramReport:
         return "\n".join(lines) + "\n"
 
 
-def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]]) -> list[list]:
+def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
+               prec: int) -> list[list]:
     """The residuals the checks compare with tol, of pairs as pairs:
     |G_nn - d_n| / |d_n| on the diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|)
-    off it, each root formed once per degree in mpf.  The rest runs at the
-    working precision, whose pair operations round as mpf's do on these
-    operands (all of at most that precision): the mpf expression's values."""
-    prec = mpmath.mp.prec
-    roots = [_pair(mpmath.sqrt(_mpf((abs(m), e)))) for m, e in diag]
+    off it, each root formed once per degree in mpf.  Every operation rounds
+    to prec bits, and the pair operations round as mpf's do on these
+    operands (all of at most prec bits): the mpf expression's values."""
+    roots = [_pair(mpmath.sqrt(_mpf((abs(m), e)), prec=prec)) for m, e in diag]
 
     def residual(n: int, np_: int) -> tuple[int, int]:
         if n == np_:
@@ -616,7 +616,7 @@ def _symmetric(size: int, entry) -> list[list]:
     return rows
 
 
-# Bits kept below the working precision in each fixed-point column, on top
+# Bits kept below the precision of the sums in each fixed-point column, on top
 # of bitlen(M) for the M terms of a sum.
 _PAIR_GUARD = 16
 
@@ -641,9 +641,9 @@ def _fixed_point(column: list[tuple[int, int]], bits: int) -> tuple[list[int], i
 
 
 def _pair_sums(weights: list[tuple[int, int]], tables: list[list[tuple[int, int]]],
-               N: int) -> list[list[tuple[int, int]]]:
+               N: int, prec: int) -> list[list[tuple[int, int]]]:
     """gram[n][n'] = sum_i weights[i] * tables[i][n] * tables[i][n'], each
-    entry an exact integer dot product rounded once to the working precision.
+    entry an exact integer dot product rounded once to prec bits.
 
     weights, tables and the entries are pairs.  Weights must be
     nonnegative, else ValueError; zero weights are skipped.  Node i's
@@ -661,7 +661,6 @@ def _pair_sums(weights: list[tuple[int, int]], tables: list[list[tuple[int, int]
     (2^-prec + 5 (M+1) 2^-(prec+guard)) sqrt(G_nn G_n'n').  Entry (n', n)
     is the mirror of (n, n') for n < n'.
     """
-    prec = mpmath.mp.prec
     rows = [(w, row) for w, row in zip(weights, tables) if w[0]]
     if any(wman < 0 for (wman, _), _ in rows):
         raise ValueError("pair sums need nonnegative weights")
@@ -693,11 +692,11 @@ def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionC
     family's A(t), diag the d_n and the tail bound returned, all pairs.
     The checks divide entry (n, n') by sqrt(d_n d_n'), so this keeps the
     truncation error of every relative residual below tol/4.  The tail
-    test runs at the working precision, one rounding where the mpf
-    expression w * A**2 makes one (A**2 is mpf's correctly rounded A * A),
-    so its decisions and the tail are those of that expression.
+    test runs at ctx.bits, one rounding where the mpf expression w * A**2
+    makes one (A**2 is mpf's correctly rounded A * A), so its decisions and
+    the tail are those of that expression.
     """
-    prec = mpmath.mp.prec
+    prec = ctx.bits
     least = _ONE   # min(1, min_n |d_n|)
     for m, e in diag:
         least = (abs(m), e) if _abs_lt((m, e), least) else least
@@ -747,34 +746,33 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
     """
     _check_degree("N", N)
     family = measure.family(ctx).validated(ctx)
-    with ctx.workprec():
-        diag = _diagonals(measure, N, ctx)
-        values, majorant, _ = _recurrence(family, N, ctx)
-        point = _runs(measure, ctx)
-        m_lo, m_hi, tail = _certified_window(measure, point, majorant, ctx, diag)
-        nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
-        gram = _pair_sums(weights, [values(x) for x in nodes], N)
-        res = _residuals(gram, diag)
-        diag_err = _largest(res[n][n] for n in range(N + 1))
-        off_max = _largest(res[n][np_] for n in range(N + 1) for np_ in range(n + 1, N + 1))
+    diag = _diagonals(measure, N, ctx)
+    values, majorant, _ = _recurrence(family, N, ctx)
+    point = _runs(measure, ctx)
+    m_lo, m_hi, tail = _certified_window(measure, point, majorant, ctx, diag)
+    nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
+    gram = _pair_sums(weights, [values(x) for x in nodes], N, ctx.bits)
+    res = _residuals(gram, diag, ctx.bits)
+    diag_err = _largest(res[n][n] for n in range(N + 1))
+    off_max = _largest(res[n][np_] for n in range(N + 1) for np_ in range(n + 1, N + 1))
 
-        return GramReport(
-            family_kind=family.kind.value,
-            measure_kind=measure.kind.value,
-            q=family.q,
-            s=family.s,
-            a=measure.a,
-            N=N,
-            bits=ctx.bits,
-            gram=_symmetric(N + 1, lambda n, np_: _mpf(gram[n][np_])),
-            expected_diag=[_mpf(d) for d in diag],
-            off_diag_max=_mpf(off_max),
-            diag_rel_err_max=_mpf(diag_err),
-            m_lo=m_lo,
-            m_hi=m_hi,
-            tail_bound=_mpf(tail),
-            nodes=[_mpf(x) for x in nodes],
-        )
+    return GramReport(
+        family_kind=family.kind.value,
+        measure_kind=measure.kind.value,
+        q=family.q,
+        s=family.s,
+        a=measure.a,
+        N=N,
+        bits=ctx.bits,
+        gram=_symmetric(N + 1, lambda n, np_: _mpf(gram[n][np_])),
+        expected_diag=[_mpf(d) for d in diag],
+        off_diag_max=_mpf(off_max),
+        diag_rel_err_max=_mpf(diag_err),
+        m_lo=m_lo,
+        m_hi=m_hi,
+        tail_bound=_mpf(tail),
+        nodes=[_mpf(x) for x in nodes],
+    )
 
 
 @dataclasses.dataclass

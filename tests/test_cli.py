@@ -300,7 +300,7 @@ def test_eval_and_verify_exit_two_when_a_bound_does_not_shrink(capsys, monkeypat
     from qortho import families, kernel
     # every pass bounds the error of each degree by 1, whatever its precision
     monkeypatch.setattr(families, "_hermite_series_pass",
-                        lambda ns, phis, q: [[((0, 0), (1, 0)) for _ in ns] for _ in phis])
+                        lambda ns, phis, q, prec: [[((0, 0), (1, 0)) for _ in ns] for _ in phis])
     code, _, err = run(capsys, "eval", "--family", "h", "--n", "3", "--phi", "0.5")
     assert code == 2
     assert ("error bound 1.0 misses the budget 1.5557538e-61 at 459 bits, and a rerun "

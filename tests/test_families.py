@@ -1167,9 +1167,9 @@ def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monk
     phis = [ctx.to_real(phi) for phi in DEFAULT_PHI_GRID]
     passes, pass_ = [], families._hermite_series_pass
 
-    def counted(ns, phis, q):
+    def counted(ns, phis, q, prec):
         passes.append((list(ns), list(phis)))
-        return pass_(ns, phis, q)
+        return pass_(ns, phis, q, prec)
     monkeypatch.setattr(families, "_hermite_series_pass", counted)
     for degrees in (range(31), range(0, 31, 2), range(1, 31, 2)):
         passes.clear()
@@ -1242,8 +1242,8 @@ def test_series_error_is_within_its_bound_on_every_pass(q_s, monkeypatch):
     from qortho.identities import DEFAULT_PHI_GRID
     passes, pass_ = [], families._hermite_series_pass
 
-    def recorded(ns, phis, q):
-        out = pass_(ns, phis, q)
+    def recorded(ns, phis, q, prec):
+        out = pass_(ns, phis, q, prec)
         passes.append((list(ns), list(phis), q, out))
         return out
     monkeypatch.setattr(families, "_hermite_series_pass", recorded)
@@ -1314,14 +1314,14 @@ def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
         for n in range(31):
             # the integer factors of the linear coefficient at x = 0
             row = _hermite_rows([n], q, bits)[n]
-            got = _hermite_sum(row, [(j, 0) for j in range(n, -n - 1, -2)])
+            got = _hermite_sum(row, [(j, 0) for j in range(n, -n - 1, -2)], bits)
             want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
             assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
             for phi in ("-2", "-0.5", "0", "1.25"):
                 e = mpmath.exp(mpmath.mpf(phi))
                 run = power_run(_pair(e), -n, n, bits)
                 powers = [_mpf(v) for v in run]
-                got = _hermite_sum(row, run[::-2])
+                got = _hermite_sum(row, run[::-2], bits)
                 want = _operator_hermite_sum(n, q, lambda k: powers[2 * n - 2 * k])
                 assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
 

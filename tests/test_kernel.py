@@ -360,11 +360,12 @@ def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
         # head factor; a = -3000 gives the longest head
         avals = [q, mpmath.mpf("0.5"), mpmath.mpf(1), mpmath.mpf(-1), mpmath.mpf("2.5"),
                  mpmath.mpf(-3000), q ** 3, -1 / q]
-    def oracle(a_p, q_p, head_len, target_p, max_terms):
-        # the mpf loop on the pair arguments, its results as the pass's pairs
-        value, noise = _oracle_product_pass(_mpf(a_p), _mpf(q_p), head_len, _mpf(target_p),
-                                            max_terms)
-        return _pair(value), None if noise == mpmath.inf else _pair(mpmath.mpf(noise))
+    def oracle(a_p, q_p, head_len, target_p, max_terms, prec):
+        # the mpf loop on the pair arguments at prec, its results as the pass's pairs
+        with mpmath.mp.workprec(prec):
+            value, noise = _oracle_product_pass(_mpf(a_p), _mpf(q_p), head_len, _mpf(target_p),
+                                                max_terms)
+            return _pair(value), None if noise == mpmath.inf else _pair(mpmath.mpf(noise))
 
     runs = {}
     for name, pass_ in (("pairs", kernel._product_pass), ("mpf", oracle)):
@@ -372,7 +373,7 @@ def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
 
         def recorded(*args, pass_=pass_, passes=passes):
             value, noise = pass_(*args)
-            passes.append((mpmath.mp.prec, _mpf(value)._mpf_,
+            passes.append((args[-1], _mpf(value)._mpf_,
                            None if noise is None else _mpf(noise)._mpf_))
             return value, noise
         monkeypatch.setattr(kernel, "_product_pass", recorded)
@@ -394,12 +395,13 @@ def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
 
 
 def _substituted(bound_at, precs):
-    """A pass returning the pairs of 1/3 at the ambient precision p and of
-    bound_at(p), None for inf, recording p in precs."""
-    def evaluate():
-        precs.append(mpmath.mp.prec)
-        bound = bound_at(mpmath.mp.prec)
-        return _pair(mpmath.mpf(1) / 3), None if bound == mpmath.inf else _pair(mpmath.mpf(bound))
+    """A pass returning the pairs of 1/3 at p bits and of bound_at(p), None
+    for inf, recording p in precs."""
+    def evaluate(p):
+        precs.append(p)
+        bound = bound_at(p)
+        return (_pair(mpmath.fdiv(1, 3, prec=p)),
+                None if bound == mpmath.inf else _pair(mpmath.mpf(bound)))
     return evaluate
 
 
@@ -471,7 +473,7 @@ def test_qpochhammer_inf_ladders(q_s, ladder, monkeypatch):
     precs, pass_ = [], kernel._product_pass
 
     def recorded(*args):
-        precs.append(mpmath.mp.prec)
+        precs.append(args[-1])
         return pass_(*args)
     monkeypatch.setattr(kernel, "_product_pass", recorded)
     kernel._qpochhammer_inf_memo.cache_clear()

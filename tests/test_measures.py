@@ -227,9 +227,9 @@ def _pair_inputs(monkeypatch, measure, N, ctx):
     seen = []
     pair_sums = measures._pair_sums
 
-    def recording(weights, tables, n):
+    def recording(weights, tables, n, prec):
         seen.append((weights, tables, n))
-        return pair_sums(weights, tables, n)
+        return pair_sums(weights, tables, n, prec)
 
     monkeypatch.setattr(measures, "_pair_sums", recording)
     gram_matrix(measure, N, ctx)
@@ -268,7 +268,7 @@ def test_pair_sums_are_within_their_bound_of_the_exact_sum(monkeypatch, kind,
     # An identically zero column and a negated one ride along.
     tables = [list(row[:N + 1]) + [(0, 0), (-row[1][0], row[1][1])] for row in tables]
     with ctx.workprec():
-        gram = _pair_sums(weights, tables, N + 2)
+        gram = _pair_sums(weights, tables, N + 2, bits)
     w = [_exact(v) for v in weights]
     t = [[_exact(v) for v in row] for row in tables]
     if kind == "dual_q_extremal":
@@ -292,8 +292,8 @@ def test_pair_sums_do_not_depend_on_node_order(monkeypatch):
     from qortho.measures import _pair_sums
     weights, tables, N = _pair_inputs(monkeypatch, hermite_extremal("0.8", Q, CTX), 8, CTX)
     with CTX.workprec():
-        forward = _pair_sums(weights, tables, N)
-        backward = _pair_sums(weights[::-1], tables[::-1], N)
+        forward = _pair_sums(weights, tables, N, CTX.bits)
+        backward = _pair_sums(weights[::-1], tables[::-1], N, CTX.bits)
     assert forward == backward
 
 
@@ -301,9 +301,9 @@ def test_pair_sums_refuse_what_their_bound_does_not_cover():
     from qortho.measures import _pair_sums
     with CTX.workprec():
         assert [[_exact(v) for v in row] for row in
-                _pair_sums([(1, 0), (1, 0)], [[(1, 0)], [(-1, 0)]], 0)] == [[2]]
+                _pair_sums([(1, 0), (1, 0)], [[(1, 0)], [(-1, 0)]], 0, CTX.bits)] == [[2]]
         with pytest.raises(ValueError, match="nonnegative"):
-            _pair_sums([(-1, 0)], [[(1, 0)]], 0)
+            _pair_sums([(-1, 0)], [[(1, 0)]], 0, CTX.bits)
         # The weights and values come as pairs, and no pair holds inf or nan.
         for value in (mpmath.inf, mpmath.nan, -mpmath.inf):
             with pytest.raises(ValueError, match="finite"):
