@@ -351,12 +351,14 @@ def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int
     rounding, so for x of at most prec bits the step is that rounded once.
     q^0 - 1 = 0 is exact, and q^-1 - 1 = (1 - q) / q is the quotient of the
     exact 1 - q by q, rounded once.  For j >= 2, q^-j - 1 = q^-j (1 - q^j)
-    is the difference of the run's q^-j, within relative
-    2^-prec + 1.01 j 2^-(prec+32) (power_run), and the exact 1, rounded
-    once: q^-j / (q^-j - 1) = 1 / (1 - q^j) amplifies the power's error,
-    and no positive power of q is formed."""
+    is the difference of the run's q^-j at prec + 32 bits, within relative
+    t = 2^-(prec+32) + 1.01 j 2^-(prec+64) <= 1.01 2^-(prec+32) (power_run),
+    and the exact 1, rounded once to prec.  q^-j / (q^-j - 1) = 1 / (1 - q^j)
+    amplifies the power's error, so the coefficient is within relative
+    2^-prec + 1.02 2^-(prec+32) / (1 - q^j): below 1.01 2^-prec while
+    1 - q^2 >= 2^-25.  No positive power of q is formed."""
     q_p = _pair(q)
-    run = power_run(q_p, 1 - n_max, 0, prec)[::-1]   # run[j] = q^-j
+    run = power_run(q_p, 1 - n_max, 0, prec + 32)[::-1]   # run[j] = q^-j
     lows = [_sub(v, _ONE, prec) for v in run]
     if n_max > 1:
         m, e = q_p   # q < 1, so e < 0 and 1 - q = (2^-e - m) 2^e exactly

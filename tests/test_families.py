@@ -886,6 +886,22 @@ def test_hermite_first_low_coefficient_is_rounded_once(q_s, bits):
     assert _mpf((-m, e + 1))._mpf_ == want._mpf_
 
 
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.7", "0.99", "0.999"])
+def test_hermite_low_coefficients_are_within_one_unit(q_s, bits):
+    # c_low = -(q^-j - 1) / 2 for j <= 30, against the exact value at the
+    # rounded q.  The difference of q^-j rounded to bits amplified that
+    # rounding by 1 / (1 - q^j), up to 326 units at q = 0.999 and 256 bits;
+    # taken from q^-j at bits + 32, it stays within one unit 2^-bits.
+    q = as_qparam(q_s, PrecisionContext.create(bits=bits, tol_exp=bits - 56))
+    qf = _fraction(q)
+    unit = Fraction(1, 2 ** bits)
+    for j, (_, low, _) in enumerate(families._hermite_steps(31, q, bits)):
+        exact = -(qf ** -j - 1) / 2
+        got = Fraction(low[0]) * Fraction(2) ** low[1]
+        assert abs(got - exact) <= unit * abs(exact), j
+
+
 @pytest.mark.parametrize("q_s", ["1e-4", "0.3", "0.999"])
 def test_hermite_exact_run_catches_a_mutated_coefficient(q_s, monkeypatch):
     # q^-2 in place of q^-2 - 1 in the third step: the values and the rows

@@ -104,25 +104,25 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
     "855cb15fa5d0da4d7ca32d46a34be3c9eaa5dfaf6ea5c8ed1e24b19f7de9831e",
 )) + _runs(_BASIC, "0.7", (
-    "38654f4a1b0c37f35b18c57cae8d290807744310410aacdb434ee000d712326c",
+    "40245d564102192761ed1e1f3e380ba4e935eb94c3879af3e159a0436a0f2e01",
     "f258186cd5716980fd009f9570bc58e4465bd6663f90c5f8b4f509214b8a8284",
     "924eb626c8c0507e9f6c845b60469988f5aee194f8674f4a057b22cd05494d03",
     "19137f6ea12c03123754817d9c3b7ce6aaa76ccf3cafc6f1a4f0a13556aae6e9",
     "1bc428ab54f8e202efc9073f314411843789d2c9a4bf847354fc72f853488b32",
-    "21ebfc4e91f148fcf5333eafce2f2dfb8467bcb9fc6ca6e3cbaec84ec03d5848",
-    "ec089bfcc1f7438ae4c0640a3b6b1383a9690615e7c71c3b81252c43c0982fa2",
+    "ab1ca8eac12ac6e3bfa1af8eb686bbbf7de11438e71e2fa3357b50db42c87fe7",
+    "803c4e79160b19ccca68a7739f2b72037ec8b76543549650cc182584f06138f0",
 )) + _runs(_WIDE, "0.5", (
     "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
     "539b45eec796ead678d51a206fbfddd56439bae97397b015ef45d442c1d34a60",
     "088f498f49ef8d1ae69f1bd6c76b38ece78387773fece60a2e18197ab34ac0e5",
     "710d2c437e887a323aa68f18ff8232860e3d69de64af08082ce5b999ceb7ba12",
 )) + _runs(_WIDE, "0.7", (
-    "8e56b6d1046ae520255b8b75550aac0d71ac1aacb75e79fc6585f8a45655c329",
+    "6e6ffb00b30ab65e31db32dfa0b54ff4cfdd7a5e1326ececd9b7ec4752753ac0",
     "8628cd5232e7516ac56dc5a61d52352fc0e3a3b2417655294e5f95184cfd535c",
     "ea316bde00c1313852e54b40152fd3094bc10a3fa1f4c6c2b4baa430edd74fe1",
     "a1f5dfe2481713e1f2f38b607a6b69cded25ccfcad4b8929c77cbaa71ab7cc25",
 )) + _runs(_EVAL, "0.7", (
-    "c0a004d193dc2b81b6effc85c7ccc6b6b5ad8422826ad24500596b2274e7013d",
+    "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
     "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
     "3e57bfd1cb63e4ec00367f4a5bffc2efc9e190cea0c65d8aff7cf44682b1e2d8",
@@ -130,7 +130,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_LONG, "0.9", (
     "43a3fcd13f416db197b63e14b816a6b8e5967bed491474476db5dfe5d2d9fdc7",
     "fd5256d972fc2b3c9dfee3d20729bcad2c593d9b8fe4c81915464c38a824dbdb",
-    "379790f4a44c3eaa729c2dfefd379313cbb81550db62bc2ee8bd0427adc50561",
+    "d5c3d4c8cad18b3ae025a39f977e27756ccd93aee5c43c84b024f906ef1fd7f2",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
     "c365dfb816213a46f33d6f0e7168a77ebffa931e9ddf283fa1cbb93ee3ad62d0",
@@ -178,12 +178,12 @@ VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
     ("0.01", 256, 1, "0eda6439d567221d22d8ae47b9871891877c2b7c06758b192bdf77ea75ee9479"),
     ("0.05", 256, 1, "809115d465a3faa2535d63295e3ce769faef397afe577b8e975f303e6644c43b"),
     ("0.3", 256, 0, "89b1d6bb1371cefdcf89be945c7445cac8d61502ad09f4e18df8238ce9c2eb38"),
-    ("0.99", 256, 0, "9e115623a557466c131e8042d5a052a3ca05389650beb2ca08468d5265b1e512"),
+    ("0.99", 256, 0, "19d45573326b6f9493ea1fb77a39d91f79abba02429e584037aa94cf1384e099"),
     ("1e-4", 1024, 0, "44dece7b55eeec5eb8dabafb6e9d2eaca76d176a8937e9a86542602e27ad31c7"),
     ("0.01", 1024, 0, "c9846379a08e1c7b4001f59e611f97e1b7af8865211fc354817503c9063ab83f"),
     ("0.05", 1024, 0, "fb191f9cc85b04349f532026bf343790633c9ec4a2f967bfdd34e2a95545c715"),
     ("0.3", 1024, 0, "1db723778bda70aaf6896211043a254a18461fb70d6218ef5e41c9c683ee6906"),
-    ("0.99", 1024, 0, "db46a76c23a028677bbba4b051217d5b09d1b8870e513d6243e1904e4d3fe88c"),
+    ("0.99", 1024, 0, "7864a99df749e3ad3ffd9021d22a5cf0dd005e67aafd19c0c7a3b2a2b97635fd"),
 )]
 
 
