@@ -69,7 +69,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 
-from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
+from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext, QReal,
                      _abs_lt, _add, _certified, _check_degree, _check_floor, _div,
                      _hypergeometric_sum, _largest, _mpf, _mul, _pair, _round, _rounded, _sub,
                      as_qparam, power_run)
@@ -433,15 +433,25 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 
 
 def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """C_n(x; s, q) as a terminating 3phi2 with argument q."""
+    """C_n(x; s, q) as a terminating 3phi2 with argument q.
+
+    The denominators (sqrt(s) q; q)_k (-sqrt(s) q; q)_k = (s q^2; q^2)_k
+    vanish where s q^(2k+2) = 1, inside C's rule s > 0: PoleError, naming
+    s and k, when the loop meets such a factor."""
     _check_degree("n", n)
     spec = FamilySpec(FamilyKind.DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
     with ctx.workprec():
         x = _pair(mpmath.mpf(x), "x")   # ValueError unless x is finite
         rs = mpmath.sqrt(s)
-        return _hypergeometric_sum([_pair(q ** (-n)), _pair(-s * q ** (n + 1)), x],
-                                   [_pair(rs * q), _pair(-rs * q)], _pair(q), _pair(q), ctx, n)
+        try:
+            return _hypergeometric_sum([_pair(q ** (-n)), _pair(-s * q ** (n + 1)), x],
+                                       [_pair(rs * q), _pair(-rs * q)], _pair(q), _pair(q),
+                                       ctx, n)
+        except PoleError as exc:
+            raise PoleError("discrete_ultra has a pole at s=%s: s q^(2k+2) = 1 at k=%d (q=%s)"
+                            % (mpmath.nstr(s, 8), exc.index, mpmath.nstr(q, 8)),
+                            exc.index) from None
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,12 @@ class TruncationFailure(KernelError):
 
 
 class PoleError(KernelError):
-    """A denominator q-shifted factorial vanished at a summed index."""
+    """A denominator q-shifted factorial vanished at a summed index, which
+    the index attribute holds when known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclasses.dataclass(frozen=True)
@@ -649,7 +654,7 @@ def _hypergeometric_sum(num_p, den_p, q_p, z_p, ctx: PrecisionContext,
             f = _sub(_ONE, _mul(b, qk, prec), prec)
             if not f[0]:
                 raise PoleError("denominator parameter %s vanishes at index %d"
-                                % (mpmath.nstr(_mpf(b), 8), k))
+                                % (mpmath.nstr(_mpf(b), 8), k), k)
             ratio = _div(ratio, f, prec)
         for a in num_p:
             ratio = _mul(ratio, _sub(_ONE, _mul(a, qk, prec), prec), prec)

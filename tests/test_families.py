@@ -444,6 +444,17 @@ def test_every_s_entry_point_checks_s_as_validated_does(s, n):
                 call(s)
 
 
+@pytest.mark.parametrize("s,n,k", [(4, 3, 0), (16, 2, 1), (16, 8, 1)])
+def test_discrete_ultra_names_s_and_k_at_a_pole(s, n, k):
+    # C's denominators (s q^2; q^2)_k vanish where s q^(2k+2) = 1, inside
+    # C's rule s > 0; the kernel's message named neither C nor s.
+    with pytest.raises(PoleError) as info:
+        discrete_ultra(n, "0.3", s, Q, CTX)
+    assert str(info.value) == ("discrete_ultra has a pole at s=%d.0: s q^(2k+2) = 1 at k=%d"
+                               " (q=0.5)" % (s, k))
+    assert info.value.index == k
+
+
 def _degree_calls(v):
     """{name: (degree argument's name, call at degree v)} for every check of
     a degree, count or index."""
