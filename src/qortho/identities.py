@@ -19,12 +19,13 @@ quantities involved span many orders of magnitude.  The suite covers:
 * the orthogonality of every measure kind, and the adjudication of the
   extremal normalization constant.
 
-Residuals are formed on the kernel's pairs (_residual), one pair operation
-for each operation of the mpf expression they replace, in its order and at
-ctx.bits, each rounded once, so each is that expression's value bit for bit
-wherever mpmath rounds correctly: values are read as pairs from the family
-recurrences, converted once where they arrive as mpf, and reported as mpf
-once per check.  Three kinds of value stay in
+Residuals are formed on the kernel's pairs, most of them by _residual,
+whose docstring names the others (the normalization ids' stay in mpf): one
+pair operation for each operation of the mpf expression they replace, in
+its order and at ctx.bits, each rounded once, so each is that expression's
+value bit for bit wherever mpmath rounds correctly.  Values are read as
+pairs from the family recurrences, converted once where they arrive as
+mpf, and reported as mpf once per check.  Three kinds of value stay in
 mpf, each formed once: the transcendental functions (exp, sinh, asinh, and
 sqrt, as in half-to-full-lattice's sqrt|d_n d_n'| of each entry), the
 integer powers q**k, which mpf_pow_int rounds otherwise than a product of
@@ -84,7 +85,12 @@ def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[in
     the quotient each rounded once to prec bits, operands of any length
     (series values formed wider than the check) included: on operands of at
     most prec + 4 bits, the value of abs(lhs - rhs) / max(mpf(1), abs(lhs)).
-    The residuals of every identity check go through it."""
+    Most residuals of the identity checks go through it.  These do not:
+    half-to-full-lattice's entrywise and cross-parity-block residuals,
+    which divide by max(1, sqrt|d_n d_n'|) in place of max(1, |lhs|); the
+    two *-normalization ids, whose residuals adjudicate_normalization forms
+    in mpf; and the five Gram ids (*-orthogonality), whose residuals
+    measures._residuals forms."""
     m, e = _sub(lhs, rhs, prec)
     size = _round((abs(lhs[0]), lhs[1]), prec)
     return _div((abs(m), e), size if _abs_lt(_ONE, size) else _ONE, prec)

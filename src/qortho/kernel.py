@@ -19,9 +19,10 @@ recently used products) and keeps no failure, so an uncertifiable product
 raises on every call.
 
 Rounding error is certified by one escalation policy, _certified, for the
-infinite products and for the h series of families.  A pass at p bits
-returns its value and a bound of its error relative to a certified lower
-bound of the magnitude its budget is relative to.  The first pass that
+infinite products and for the h series of families.  A pass is a call
+evaluate(p): at the p bits it is given, it returns its value and a bound
+of its error relative to a certified lower bound of the magnitude its
+budget is relative to.  The first pass that
 meets the budget is rounded to ctx.bits and returned; a pass that misses
 it is redone at p + ceil(log2(bound / budget)) + 1 bits, or at 2p when it
 certifies no bit.  TruncationFailure is raised when tol is below
@@ -33,7 +34,11 @@ n >= 1025 needs more, for example.
 The package computes on pairs: a finite real m 2^e held as two Python ints
 (m, e), the only number format that crosses a private interface.  A public
 function converts its inputs once (ctx.to_real, then _pair, which names the
-argument it refuses) and its result once (_mpf); the private functions hand
+argument it refuses) and its result once (_mpf).  Precision crosses the
+same interfaces as an argument: every private function that rounds takes
+the precision it rounds to (prec, or ctx.bits from its context), and none
+reads mpmath's global precision.  That is set, by ctx.workprec(), only
+around mpf arithmetic and rendering.  The private functions hand
 each other pairs, with this module's private arithmetic _add, _sub, _mul,
 _div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k).
 Each operation forms its result exactly (an integer sum or product, or a
@@ -426,9 +431,10 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     """The value of the first pass of evaluate whose bound meets budget,
     rounded to ctx.bits: the one escalation policy of the package.
 
-    evaluate(p) runs one pass at p bits and returns (value, bound), all
-    three pairs.  bound bounds |value - exact| / scale,
-    where scale is a lower bound, certified by the same pass, of the
+    evaluate(p) runs one pass at the p bits it is given, whatever mpmath's
+    global precision, and returns (value, bound), all three pairs.  bound
+    bounds |value - exact| / scale, where scale is a lower bound, certified
+    by the same pass, of the
     magnitude the budget is relative to; bound is None when the pass
     certifies no bit.  The first pass runs at ctx.bits + guard and is
     accepted when bound <= budget.  Otherwise the next pass runs at
