@@ -22,10 +22,10 @@ Rounding error is certified by one escalation policy, _certified, for the
 infinite products and for the h series of families.  A pass is a call
 evaluate(p): at the p bits it is given, it returns its value and a bound
 of its error relative to a certified lower bound of the magnitude its
-budget is relative to.  The first pass that
-meets the budget is rounded to ctx.bits and returned; a pass that misses
-it is redone at p + ceil(log2(bound / budget)) + 1 bits, or at 2p when it
-certifies no bit.  TruncationFailure is raised when tol is below
+budget is relative to.  The first pass that meets the budget is rounded
+to ctx.bits and returned; a pass that misses it is redone at
+p + ceil(log2(bound / budget)) + 1 bits, or at 2p when it certifies no
+bit.  TruncationFailure is raised when tol is below
 ctx.rounding_floor, when a finite bound does not shrink from one pass to
 the next, and when the next pass would run past the cap of 1024 * ctx.bits
 bits (262,144 at the default 256 bits): h_n(0) at q = 0.5 for odd
@@ -434,9 +434,8 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     evaluate(p) runs one pass at the p bits it is given, whatever mpmath's
     global precision, and returns (value, bound), all three pairs.  bound
     bounds |value - exact| / scale, where scale is a lower bound, certified
-    by the same pass, of the
-    magnitude the budget is relative to; bound is None when the pass
-    certifies no bit.  The first pass runs at ctx.bits + guard and is
+    by the same pass, of the magnitude the budget is relative to; bound is
+    None when the pass certifies no bit.  The first pass runs at ctx.bits + guard and is
     accepted when bound <= budget.  Otherwise the next pass runs at
     p + ceil(log2(bound / budget)) + 1 (in mpf at ctx.bits), which meets
     the budget when the bound scales like 2^-p, or at 2p when bound is

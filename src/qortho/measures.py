@@ -575,9 +575,9 @@ class GramReport:
     def to_csv(self, digits: int) -> str:
         lines = ["n,nprime,value,expected,residual"]
         zero = mpmath.mpf(0)
+        res = _residuals([[_pair(v) for v in row] for row in self.gram],
+                         [_pair(d) for d in self.expected_diag], self.bits)
         with mpmath.mp.workprec(self.bits):
-            res = _residuals([[_pair(v) for v in row] for row in self.gram],
-                             [_pair(d) for d in self.expected_diag], self.bits)
             cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
                 to_decimal(x, digits) for x in (
                     self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
