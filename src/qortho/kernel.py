@@ -37,8 +37,8 @@ function converts its inputs once (ctx.to_real, then _pair, which names the
 argument it refuses) and its result once (_mpf).  Precision crosses the
 same interfaces as an argument: every private function that rounds takes
 the precision it rounds to (prec, or ctx.bits from its context), and none
-reads mpmath's global precision.  That is set, by ctx.workprec(), only
-around mpf arithmetic and rendering.  The private functions hand
+reads mpmath's global precision, which the package sets only around mpf
+arithmetic and rendering.  The private functions hand
 each other pairs, with this module's private arithmetic _add, _sub, _mul,
 _div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k).
 Each operation forms its result exactly (an integer sum or product, or a
