@@ -16,26 +16,18 @@ Z, 1 on m >= 0.
   dual_base_odd       m >= 0   mu(2m+1; s)                D(s)    1
 
 Here h is the q-inverse Hermite family, D(s) the dual discrete
-q-ultraspherical family, q <= a < 1, 0 < s < q^-2 and
-Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf.  The base weights are stated
-with the common factor (1 - s q) cancelled, which keeps them finite at
-s = q^-1.  The q-extremal weight vanishes at a single site exactly when a^2 q^{2m} = 1
-(e.g. a = q, m = -1), which is allowed.
+q-ultraspherical family, q <= a < 1, 0 < s < q^-2 and Z(a) the theta sum
+sum_(k in Z) q^(k(k-1)/2) a^(2k), which the Jacobi triple product equates
+with (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf (lattice_normalization).  The
+base weights are stated with the common factor (1 - s q) cancelled, which
+keeps them finite at s = q^-1.  The q-extremal weight vanishes at a single
+site exactly when a^2 q^{2m} = 1 (e.g. a = q, m = -1), which is allowed.
 
-The closed form of Z(a) is settled by adjudicate_normalization, which compares
-the two candidate third factors (-q/a^2;q)_inf and (-q/a;q)_inf against the
-lattice mass; the (-q/a^2;q)_inf form wins and is the one used throughout.
-
-Gram assembly truncates the lattice with a geometric tail bound: the
-summand for degrees up to N is bounded by B(m) = w_m * A(|node_m|)^2, where
-A(t) is the largest absolute-coefficient majorant of the polynomial family
-up to degree N (families._recurrence gives it and says why it bounds the
-family).  Once the first omitted term satisfies B(next)/B(last) <= 1/2,
-each side's tail is taken to be at most 2*B(next).  That bound assumes B is
-log-concave beyond the stop, and nothing checks it: log w_m is dominated by
-a -2m^2 log(1/q) term, but log A(|node_m|) is convex in m, so B need not be
-log-concave step by step.  The checks divide by the closed-form diagonals
-d_n, so each side is driven below tol/8 * min(1, min_n d_n).
+adjudicate_normalization compares the lattice mass with two candidate
+closed forms: (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf, which is Z(a) by the
+triple product and is formed only as that theta sum, and the same with
+(-q/a;q)_inf as its third factor, formed as three products.  The first
+wins, and Z(a) is the normalization used throughout.
 
 Assembly forms each quantity once: the family's recurrence coefficients
 serve both the majorant and the values at the window nodes, and each entry
@@ -128,10 +120,74 @@ run is within relative
     2^-bits + 1.01 R(|m|) 2^-(bits+32),   R(k) = 8 (k + 2)^2,
 
 of the exact node, and of the exact weight before normalization divided by
-the Z(a) the kernel returns; so is every d_n, at k = n, of its closed form
-(for the base kinds, with the two infinite products the kernel returns).
-R u <= 1/200 holds for |m| < 2^(bits/2 + 10), past any run a list can
-hold; at |m| = 600 the second term is below 2^-(bits+10).
+the Z(a) lattice_normalization returns; so is every d_n, at k = n, of its
+closed form (for the base kinds, with the two infinite products the kernel
+returns).  R u <= 1/200 holds for |m| < 2^(bits/2 + 10), past any run a
+list can hold; at |m| = 600 the second term is below 2^-(bits+10).
+
+Window.  The summand a Gram omits at m, for degrees up to N, is at most
+B(m) = w_m A(t_m)^2, t_m = |x_m|, where A(t) = max_n A_n(t) and
+A_n(t) = sum_j |c_nj| t^j (families._recurrence gives A and says why it
+bounds the family).  Each A_n has nonnegative coefficients and degree
+n <= N, so A(t) <= A(t_0) (t / t_0)^N for t >= t_0 > 0.  A side therefore
+runs the majorant once, at an anchor m_a with t_0 = t_(m_a), and bounds B
+past it, where the nodes grow outward (below), by
+
+    Bh(m) = w_m A(t_0)^2 (t_m / t_0)^(2N).
+
+Write m' for the node after m, outward.  Bh(m') / Bh(m) is
+r(m) = (w_m' / w_m) (t_m' / t_m)^(2N), which needs no majorant.  A side
+scans out from +-(isqrt(bits) + 1), at least 9, and anchors at the first m
+past the kind's m_0 (below) with r(m) <= 1/2 and 2 w_m' <= target: no stop
+comes sooner, since A >= A_0 = 1 gives Bh >= B >= w.  It stops at the first
+m from the anchor on with 2 Bh(m') <= target.  r is nonincreasing from m_0
+on, so every ratio from the stop on is at most 1/2, and the side's omitted
+sum is at most Bh(m') (1 + 1/2 + 1/4 + ...) = 2 Bh(m'), the tail it returns.
+The checks divide by the closed-form diagonals d_n, so
+target = tol/8 * min(1, min_n d_n), and the two tails keep the truncation
+of every relative residual below tol/4.  The tests read the rounded nodes
+and weights, as the Gram does, and form r and Bh at bits, within relative
+(4N + 4) 2^-bits of their values on those nodes and weights; A(t_0)
+carries the rounding families._recurrence measures.
+
+m_0.  Step outward from m to m', and use ln(1 + x) <= x,
+ln(1/q) >= 1 - q, 1 - q^2 <= 2 (1 - q) and 1 - q^4 <= 4 (1 - q).
+- Extremal kinds, m >= 0 or m <= -2.  With U = a^-1 q^-m and D = a q^m
+  (U D = 1), let v be the smaller of D/U = a^2 q^(2m) and
+  U/D = a^-2 q^(-2m); v <= max(a^2, q^2) < 1, and v falls by q^2 a step.
+  Every factor of r is a Gaussian ratio, which a step multiplies by q^4,
+  or a constant times a function of v: the node ratio
+  q^-1 (1 - q^2 v) / (1 - v) of hermite_extremal, the node ratio
+  q^-2 (1 + q^4 v^2) / (1 + v^2) of the dual kinds, the ratio
+  q^-2 ((1 - q^2 v) / (1 - v))^2 of the factor (up - down)^2, and the
+  ratio q^-k (1 + q^2 v) / (1 + v), k = 0, 1 or 2, of the factor
+  1 + down^2 or up + down.  As v falls, (1 - q^2 v) / (1 - v) falls, and
+  the other two rise by the step ratios 1 + v^2 (1 - q^4)^2 / (1 + q^4 v^2)^2
+  and 1 + v (1 - q^2)^2 / (1 + q^2 v)^2.  So
+
+      ln(r(m') / r(m)) <= -4 ln(1/q) + v (1 - q^2)^2 + 2N v^2 (1 - q^4)^2
+                       <= 4 (1 - q) (-1 + (1 - q) v (1 + 8N v)),
+
+  and the rule is (1 - q) v (1 + 8N v) <= 1.
+- Base kinds, j = 2m + parity >= 1 stepping to j + 2, Q = q^(j+1) and
+  y = s q^(2j+1) = s Q^2 / q < 1.  The factors of r are the Gaussian ratio
+  q^(4m+1+2 parity), which a step multiplies by q^4; (1 - q^4 y) / (1 - y),
+  which falls; the node ratio q^-2 (1 + q^4 y) / (1 + y), whose step ratio
+  is at most 1 + y (1 - q^4)^2; and P_(j+2) / P_j = F(q^(j+1)) F(q^(j+2)),
+  F(x) = (1 - s x) / (1 - x), whose step ratio is
+  1 + (s - 1) (1 - q^2) x / ((1 - q^2 x) (1 - s x)): at most 1 for s <= 1,
+  and for s > 1 largest at x = Q.  So
+
+      ln(r(m') / r(m)) <= 4 (1 - q) (-1 + (s - 1)^+ Q / ((1 - q^2 Q) (1 - s Q))
+                                       + 8N (1 - q) s Q^2 / q),
+
+  and the rule is that the last two terms sum to at most 1.
+Each rule's left side falls outward, so m_0, the first m where it holds,
+starts a run on which r is nonincreasing; the window decides it exactly on
+a 64-bit upper bound of the power of q it reads.  The nodes grow outward
+there: the node ratios above are at least q^-1 and q^-2 (1 + q^4) / 2 > 1,
+and mu(j+1) - mu(j) = (1 - q) (q^-(j+1) - s q^(j+1)) is positive, since
+s q^(2j+2) < 1.
 """
 from __future__ import annotations
 
@@ -149,8 +205,9 @@ import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _add, _check_degree, _div, _largest, _mpf, _mul,
-                     _pair, _round, _rounded, _sub, as_qparam, qpochhammer_inf, to_decimal)
+                     TruncationFailure, _abs_lt, _add, _certified, _check_degree, _div, _largest,
+                     _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam, qpochhammer_inf,
+                     to_decimal)
 
 
 class SignViolation(Exception):
@@ -166,13 +223,90 @@ class MeasureKind(enum.Enum):
 
 
 def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
-    """Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf."""
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        a = mpmath.mpf(a)
-        return (qpochhammer_inf(-a * a, q, ctx)
-                * qpochhammer_inf(-q / (a * a), q, ctx)
-                * qpochhammer_inf(q, q, ctx))
+    """Z(a) = sum_(k in Z) q^(k(k-1)/2) z^k, z = a^2, within relative tol/16
+    of the exact sum at a and q rounded to ctx.bits; ValueError at a = 0.
+
+    By the Jacobi triple product (Gasper-Rahman, Basic Hypergeometric
+    Series, 2nd ed., (1.6.1)) the sum is (-z;q)_inf (-q/z;q)_inf (q;q)_inf,
+    and it is the lattice's own mass: the hermite_extremal weight at m,
+    before normalization, is its k = 2m and k = 2m + 1 terms.  Every term is
+    positive, so nothing cancels, even near q = 1 where (q;q)_inf does.
+
+    One pass (_theta_pass) steps each side from t_0 = 1 by its ratio, z q^k
+    going up and q^(k+1)/z going down, and stops a side once its ratio is
+    at most 1/2 and its next term is below the pass's rounding unit;
+    _certified, the kernel's escalation policy, reruns it at more bits
+    until its bound meets tol/64, and rounding to ctx.bits adds at most
+    2^-bits <= tol/64.
+    TruncationFailure when a side needs more than max_terms terms, or as
+    _certified raises it.  Each Z(a) is formed once per (a, q, ctx) and
+    memoised, as the kernel memoises its products.
+    """
+    return _lattice_normalization_memo(ctx.to_real(a), as_qparam(q, ctx), ctx)
+
+
+# Keyed on (a, q) as rounded to ctx.bits and on ctx, which fix the value.
+@functools.lru_cache(maxsize=256)
+def _lattice_normalization_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
+    if not a:
+        raise ValueError("a must be nonzero")
+    (am, ae), q_p = _pair(a, "a"), _pair(q)
+    z = am * am, 2 * ae
+    budget = _pair(mpmath.ldexp(ctx.tol, -6))
+    return _mpf(_certified(lambda prec: _theta_pass(z, q_p, ctx.max_terms, prec),
+                           budget, ctx,
+                           lambda: "Z(a) at a=%.8g, q=%.8g" % (float(a), float(q)),
+                           guard=16))
+
+
+def _theta_pass(z, q, max_terms: int, prec: int):
+    """One evaluation of sum_k q^(k(k-1)/2) z^k on the exact pairs z > 0 and
+    q at prec bits: (value, bound) for _certified, bound None when the
+    rounding count below is too large to certify a bit.
+
+    t_0 = 1; going up t_(k+1) = t_k z q^k, going down t_(-k-1) = t_(-k)
+    q^(k+1)/z, each ratio lane multiplied by q per step.  Each side's
+    ratios decrease, so once a side's ratio r is at most 1/2 every later
+    one is too, and the terms past the next one t, which is not added,
+    sum to at most t (r + r^2 + ...) <= t: the side's tail is at most 2t.
+    A side stops at the first such t <= 2^-prec, which puts its tail below
+    the pass's own rounding, and below any budget _certified gives (tol/64,
+    at least 2^-bits, against prec >= bits + 16).
+
+    Rounding is counted as in the measures module docstring: z and q are
+    exact, a product or quotient adds its operands' counts and 1, and a sum
+    of the positive terms keeps the larger count and adds 1.  With R the
+    largest count of the sum and of the two tail terms and u = 2^-prec,
+    every such value is its exact counterpart times e^x, |x| <= -R ln(1 - u),
+    and R u <= 1/200 makes |e^x - 1| <= 1.0051 R u.  The computed ratio at
+    the stop is then at most 0.51 exactly, so each tail is at most
+    t / (1 - 0.51) <= 2.05 t~ of its computed t~, and the exact sum is at
+    least the computed one S~ over 1.006.  So the relative error is at most
+    1.0051 R u + 2.07 (t~_up + t~_down) / S~, which the returned bound,
+    2 R u + 4 (t~_up + t~_down) / S~, covers together with its own rounding;
+    its tail part is at most 8 u, since S~ >= t_0 = 1.
+    """
+    threshold = 1, -prec
+    total, count = _ONE, 0
+    tails = _ZERO
+    for ratio, r_count in ((z, 0), (_div(q, z, prec), 1)):
+        term, t_count = _ONE, 0
+        for _ in range(max_terms):
+            term, t_count = _mul(term, ratio, prec), t_count + r_count + 1
+            # ratio <= 1/2 and term <= 2^-prec
+            if not (_abs_lt((1, -1), ratio) or _abs_lt(threshold, term)):
+                tails = _add(tails, term, prec)
+                count = max(count, t_count)
+                break
+            total, count = _add(total, term, prec), max(count, t_count) + 1
+            ratio, r_count = _mul(ratio, q, prec), r_count + 1
+        else:
+            raise TruncationFailure(
+                "Z(a) theta sum not resolved within max_terms=%d (a^2=%s, q=%s)"
+                % (max_terms, mpmath.nstr(_mpf(z), 8), mpmath.nstr(_mpf(q), 8)))
+    if 200 * count > 1 << prec:
+        return total, None
+    return total, _add((2 * count, -prec), _div((tails[0], tails[1] + 2), total, prec), prec)
 
 
 def _closed(ctx: PrecisionContext) -> PrecisionContext:
@@ -232,6 +366,48 @@ def _up_minus_down(v, backward: bool, wp: int) -> tuple[int, int]:
     return _mul(v[0], v[2], wp)
 
 
+def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y of two pairs, exactly."""
+    (mx, ex), (my, ey) = x, y
+    if ex > ey:
+        return (mx << (ex - ey)) + my, ey
+    return mx + (my << (ey - ex)), ex
+
+
+def _one_minus(x: tuple[int, int]) -> tuple[int, int]:
+    """1 - x of a pair, exactly."""
+    return _plus(_ONE, (-x[0], x[1]))
+
+
+def _above(x: tuple[int, int]) -> tuple[int, int]:
+    """An upper bound of the positive pair x with a mantissa of 64 bits: x
+    rounded to 64 bits and raised by one unit in its last bit."""
+    m, e = _round(x, 64)
+    shift = 64 - m.bit_length()
+    return (m << shift) + 1, e - shift
+
+
+def _q_power_above(q: tuple[int, int], k: int) -> tuple[int, int]:
+    """An upper bound of q^k, k >= 0, with a mantissa of 64 bits, so a
+    window's m_0 rule costs a few short products at any m and bits."""
+    return _above(_power(_above(q), k))
+
+
+def _extremal_settled(measure, N: int, m: int) -> bool:
+    """Whether (1 - q) v (1 + 8N v) <= 1 holds, v = a^2 q^(2m) for m >= 0
+    and a^-2 q^(-2m) for m <= -2: the extremal kinds' m_0 rule (module
+    docstring, "Window"), decided exactly on an upper bound of q^(2|m|)."""
+    q, a2 = _pair(measure.q), _power(_pair(measure.a), 2)
+    big_q = _q_power_above(q, 2 * abs(m))
+    if m >= 0:   # v = a^2 Q: (1 - q) a^2 Q (1 + 8N a^2 Q) <= 1
+        v = _times(a2, big_q)
+        left, right = _times(_times(_one_minus(q), v), _plus(_ONE, _times((8 * N, 0), v))), _ONE
+    else:        # v = Q / a^2: (1 - q) Q (a^2 + 8N Q) <= a^4
+        left = _times(_times(_one_minus(q), big_q), _plus(a2, _times((8 * N, 0), big_q)))
+        right = _times(a2, a2)
+    return not _abs_lt(right, left)
+
+
 def _hermite_values(v, w, q, backward, wp):
     up_down = _up_minus_down(v, backward, wp)
     return ((up_down[0], up_down[1] - 1),
@@ -283,6 +459,29 @@ def _base_lanes(parity: int):
     return lanes
 
 
+def _base_settled(parity: int):
+    """Whether (s - 1)^+ Q / ((1 - q^2 Q) (1 - s Q)) + 8N (1 - q) s Q^2 / q
+    <= 1 holds, Q = q^(j+1), j = 2m + parity >= 1: the m_0 rule of the base
+    kind of that parity (module docstring, "Window").  It is decided exactly
+    on an upper bound Qh of Q, which bounds the left side above (1 - q^2 Qh
+    and 1 - s Qh bound the factors it divides by below), multiplied through
+    by q (1 - q^2 Qh) (1 - s Qh) when both are positive."""
+    def settled(measure, N: int, m: int) -> bool:
+        q, s = _pair(measure.q), _pair(measure.s)
+        big_q = _q_power_above(q, 2 * m + 1 + parity)
+        low_q, low_s = _one_minus(_times(_power(q, 2), big_q)), _one_minus(_times(s, big_q))
+        if low_q[0] <= 0 or low_s[0] <= 0:
+            return False
+        below = _times(low_q, low_s)
+        left = _times(_times((8 * N, 0), _times(_one_minus(q), s)),
+                      _times(_power(big_q, 2), below))
+        excess = _plus(s, (-1, 0))   # s - 1
+        if excess[0] > 0:
+            left = _plus(left, _times(q, _times(excess, big_q)))
+        return not _abs_lt(_times(q, below), left)
+    return settled
+
+
 def _base_values(v, w, q, backward, wp):
     return _add(v[0], v[1], wp), _mul(v[2], w, wp)
 
@@ -323,6 +522,7 @@ class _Kind(NamedTuple):
     ratio: tuple             # (lanes multiplied into, lanes dividing) the weight per step
     values: Callable         # (lanes, weight, q, backward, wp) -> (node, weight * normalization)
     diagonal: Callable       # (measure, ctx, wp) -> (d_0, lanes, muls, adds, ratio)
+    settled: Callable        # (measure, N, m) -> whether m is past the window's m_0
     full_lattice: bool       # support m in Z, else m >= 0
     family: FamilyKind       # the paired family ...
     family_s: Callable       # (measure) -> ... and its s, or None
@@ -334,22 +534,22 @@ _BASE_RATIO = ((7, 3, 4), (5, 6))        # weight *= ratio a1 a2 / (b1 b2)
 
 _KINDS = {
     MeasureKind.HERMITE_EXTREMAL: _Kind(
-        _extremal_lanes(0, -1), _GAUSSIAN, _hermite_values, _hermite_diagonal, True,
-        FamilyKind.QINV_HERMITE, lambda measure: None),
+        _extremal_lanes(0, -1), _GAUSSIAN, _hermite_values, _hermite_diagonal, _extremal_settled,
+        True, FamilyKind.QINV_HERMITE, lambda measure: None),
     MeasureKind.DUAL_QINV_EXTREMAL: _Kind(
         _extremal_lanes(1, 0), _GAUSSIAN, _qinv_values,
-        _dual_diagonal(lambda measure, q, ctx, wp: (_ONE, q)),
+        _dual_diagonal(lambda measure, q, ctx, wp: (_ONE, q)), _extremal_settled,
         True, _DUAL, lambda measure: 1 / measure.q),
     MeasureKind.DUAL_Q_EXTREMAL: _Kind(
         _extremal_lanes(0, -1), _GAUSSIAN, _q_values,
         _dual_diagonal(lambda measure, q, ctx, wp: (_div(_sub(_ONE, q, wp), q, wp),
                                                     _power(q, 3))),
-        True, _DUAL, lambda measure: measure.q),
+        _extremal_settled, True, _DUAL, lambda measure: measure.q),
     MeasureKind.DUAL_BASE_EVEN: _Kind(
-        _base_lanes(0), _BASE_RATIO, _base_values, _dual_diagonal(_base_start),
+        _base_lanes(0), _BASE_RATIO, _base_values, _dual_diagonal(_base_start), _base_settled(0),
         False, _DUAL, lambda measure: measure.s),
     MeasureKind.DUAL_BASE_ODD: _Kind(
-        _base_lanes(1), _BASE_RATIO, _base_values, _dual_diagonal(_base_start),
+        _base_lanes(1), _BASE_RATIO, _base_values, _dual_diagonal(_base_start), _base_settled(1),
         False, _DUAL, lambda measure: measure.s),
 }
 
@@ -686,41 +886,57 @@ def _pair_sums(weights: list[tuple[int, int]], tables: list[list[tuple[int, int]
 
 def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionContext,
                       diag: list[tuple[int, int]]) -> tuple[int, int, tuple[int, int]]:
-    """Pick [m_lo, m_hi] so each omitted tail is below tol/8 * min(1, min_n d_n).
+    """Pick [m_lo, m_hi] so each omitted side sums to at most target =
+    tol/8 * min(1, min_n d_n), by the ratio rule of the module docstring
+    ("Window"), with one majorant run per side.
 
     point(m) gives the measure's (node, weight) at m, majorant(t) the
     family's A(t), diag the d_n and the tail bound returned, all pairs.
-    The checks divide entry (n, n') by sqrt(d_n d_n'), so this keeps the
-    truncation error of every relative residual below tol/4.  The tail
-    test runs at ctx.bits, one rounding where the mpf expression w * A**2
-    makes one (A**2 is mpf's correctly rounded A * A), so its decisions and
-    the tail are those of that expression.
+    Bh and the tests are formed on pairs at ctx.bits.
     """
-    prec = ctx.bits
+    prec, N = ctx.bits, len(diag) - 1
     least = _ONE   # min(1, min_n |d_n|)
     for m, e in diag:
         least = (abs(m), e) if _abs_lt((m, e), least) else least
     tm, te = _round(_pair(ctx.tol), prec)
     target_p = _mul((tm, te - 3), least, prec)
+    settled = _KINDS[measure.kind].settled
 
-    def bound(m: int) -> tuple[int, int]:
-        (xm, xe), w = point(m)
-        a = majorant((abs(xm), xe))
-        return _mul(w, _mul(a, a, prec), prec)
+    def spread(m: int) -> tuple[int, int]:   # w_m t_m^(2N)
+        x, w = point(m)
+        return _mul(w, _power_rounded(x, 2 * N, prec), prec)
 
     def extend(edge: int, step: int) -> tuple[int, tuple[int, int]]:
-        b_edge = bound(edge)
+        # the anchor: the first edge past m_0 with r = spread(next) / spread(edge)
+        # <= 1/2 and 2 w_next <= target
+        here = spread(edge)
         for _ in range(ctx.max_terms):
-            b_next = bound(edge + step)
-            twice = b_next[0], b_next[1] + 1
-            # b_next <= target and 2 b_next <= b_edge, all of them >= 0
-            if not (_abs_lt(target_p, b_next) or _abs_lt(b_edge, twice)):
+            after = spread(edge + step)
+            w = point(edge + step)[1]
+            if not (_abs_lt(here, (after[0], after[1] + 1))
+                    or _abs_lt(target_p, (w[0], w[1] + 1))) and settled(measure, N, edge):
+                break
+            edge, here = edge + step, after
+        else:
+            raise TruncationFailure(
+                "no window anchor (ratio at most 1/2, next weight below half the target)"
+                " within max_terms=%d (%s)"
+                % (ctx.max_terms, measure.kind.value))
+        # Bh(m) = spread(m) A(t0)^2 / t0^(2N) at t0 = |x_edge|, and
+        # t0^(2N) = here / w_edge
+        (xm, xe), w = point(edge)
+        a0 = majorant((abs(xm), xe))
+        scale = _div(_mul(_mul(a0, a0, prec), w, prec), here, prec)
+        for _ in range(ctx.max_terms):
+            twice = _mul(scale, after, prec)
+            twice = twice[0], twice[1] + 1
+            if not _abs_lt(target_p, twice):   # 2 Bh(next) <= target
                 return edge, twice
             edge += step
-            b_edge = b_next
+            after = spread(edge + step)
         raise TruncationFailure(
             "tail bound %s did not reach %s within max_terms=%d (%s)"
-            % (mpmath.nstr(_mpf(b_edge), 8), mpmath.nstr(_mpf(target_p), 8),
+            % (mpmath.nstr(_mpf(twice), 8), mpmath.nstr(_mpf(target_p), 8),
                ctx.max_terms, measure.kind.value))
 
     start = math.isqrt(ctx.bits) + 1
@@ -730,6 +946,20 @@ def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionC
     else:
         m_lo, tail_lo = 0, _ZERO
     return m_lo, m_hi, _add(tail_hi, tail_lo, prec)
+
+
+def _power_rounded(x: tuple[int, int], k: int, prec: int) -> tuple[int, int]:
+    """x^k of a pair for k >= 0 by repeated squaring, each product rounded
+    to prec: within relative (k - 1) 2^-prec (1 + k 2^-prec), since the
+    roundings' exponents in the result sum to k - 1 at most."""
+    result = _ONE
+    while k:
+        if k & 1:
+            result = _mul(result, x, prec)
+        k >>= 1
+        if k:
+            x = _mul(x, x, prec)
+    return result
 
 
 def gram_matrix(measure: DiscreteMeasure, N: int,
@@ -782,6 +1012,8 @@ class NormalizationAdjudication:
     The two candidates differ in the third infinite product:
     quadratic = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf,
     linear    = (-a^2;q)_inf (-q/a;q)_inf  (q;q)_inf.
+    The quadratic one is formed as the theta sum it equals, Z(a)
+    (lattice_normalization), the linear one as three products.
     """
     measure_kind: str
     a: QReal

@@ -96,31 +96,31 @@ def _runs(argvs, q, digests):
 
 
 GOLDEN = _runs(_BASIC, "0.5", (
-    "5a70f96ae4dbb8ca7d829899536b5f1d4e22db1adc941db87dc332ded60cc50f",
-    "10d30901a6f1067ccc1cc8f4df367e9f892b4dfcc4fdcf249d5d89d4cd1f4f77",
-    "58a713d6df8423af3f60373f2a83ecb993d26553fb2cb8ce691a8f32626afa2e",
-    "29acd3232b4a861ae6760ce98dbc6764d072ee3770418a0db544d2465f9c9f62",
-    "2267e23f0193daf0793a3e54afb0f4e6e86567efa682d416df742c06ecc28960",
-    "393c901d8bf1d229fddcd7a3bb7d5222733d7244a211a45cc82283044f26c0c7",
-    "855cb15fa5d0da4d7ca32d46a34be3c9eaa5dfaf6ea5c8ed1e24b19f7de9831e",
+    "1d0397fe9030a810a075bc47b2be3db8f7497b8b702d59972d8ddc2c0b0d9672",
+    "13806f5162bc5a5369f248d3d1f33ec103c53bb131ff22362e1d702dcc9e1457",
+    "9aa53f5438193fdcc8e78e14a22900ce44a221d06fe05e8e4f80418887160c2a",
+    "ec8f44b97123a3a28cd677d2a26353fb91e0de1db12400d9f9b9133e2ba77e16",
+    "d461a39f8f2c9921ea654f3c89c7452f046b01133008505910d3f1af7f559066",
+    "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
+    "eca9dcf5120a2a19929714b7ee67593b41982b9140d6d43223ad79334872c57d",
 )) + _runs(_BASIC, "0.7", (
-    "40245d564102192761ed1e1f3e380ba4e935eb94c3879af3e159a0436a0f2e01",
-    "f258186cd5716980fd009f9570bc58e4465bd6663f90c5f8b4f509214b8a8284",
-    "924eb626c8c0507e9f6c845b60469988f5aee194f8674f4a057b22cd05494d03",
-    "19137f6ea12c03123754817d9c3b7ce6aaa76ccf3cafc6f1a4f0a13556aae6e9",
-    "1bc428ab54f8e202efc9073f314411843789d2c9a4bf847354fc72f853488b32",
-    "ab1ca8eac12ac6e3bfa1af8eb686bbbf7de11438e71e2fa3357b50db42c87fe7",
-    "803c4e79160b19ccca68a7739f2b72037ec8b76543549650cc182584f06138f0",
+    "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
+    "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
+    "c302dc66b8bc9205afbdd5bcb4a288e8c051d4e8e1366b06e67477f0fc1e69f7",
+    "48cd5db2ff16bac94ad423a5cab77cae337faae1b9c3ced4275c451f3043100d",
+    "c6f7176d81cf1462b1bf3eaa4f17cd8fe2635a5ac3e3d31bfe918384949eedb9",
+    "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
+    "032cf1c606767ef1314b15ab2f860dbcdd261f3ad3a17258ab21ab11221242b1",
 )) + _runs(_WIDE, "0.5", (
-    "797285835bd6593173bb0bd15de869b98cfea260445efb73ff03a109cb43cb07",
-    "539b45eec796ead678d51a206fbfddd56439bae97397b015ef45d442c1d34a60",
-    "088f498f49ef8d1ae69f1bd6c76b38ece78387773fece60a2e18197ab34ac0e5",
-    "710d2c437e887a323aa68f18ff8232860e3d69de64af08082ce5b999ceb7ba12",
+    "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
+    "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
+    "0b12bedae5bb0b29294ba5bbe5885ffd7b91aeac9218b3c769a4fbb5d86f64a7",
+    "53321acb61b15ef63145e94bf101757919331442717803174ed597334bd8373a",
 )) + _runs(_WIDE, "0.7", (
-    "6e6ffb00b30ab65e31db32dfa0b54ff4cfdd7a5e1326ececd9b7ec4752753ac0",
-    "8628cd5232e7516ac56dc5a61d52352fc0e3a3b2417655294e5f95184cfd535c",
-    "ea316bde00c1313852e54b40152fd3094bc10a3fa1f4c6c2b4baa430edd74fe1",
-    "a1f5dfe2481713e1f2f38b607a6b69cded25ccfcad4b8929c77cbaa71ab7cc25",
+    "5c6896b6438508fe917fe89c508b427c79463411005eeeeaef81ac3c94b71457",
+    "e64d5736222ef9ad74c69701ba53d8a5813207a78d8febe7b34c2fe937fd9c42",
+    "50bc9903403a52cf4ab177046935c41a0dd736844a649da7436c063897cd8cfe",
+    "def036d90b3b9b23212f53af2d82de3c7c76d3d4a7eab25846b5cd2be237dd11",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -128,13 +128,13 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "3e57bfd1cb63e4ec00367f4a5bffc2efc9e190cea0c65d8aff7cf44682b1e2d8",
     "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
 )) + _runs(_LONG, "0.9", (
-    "43a3fcd13f416db197b63e14b816a6b8e5967bed491474476db5dfe5d2d9fdc7",
-    "fd5256d972fc2b3c9dfee3d20729bcad2c593d9b8fe4c81915464c38a824dbdb",
-    "d5c3d4c8cad18b3ae025a39f977e27756ccd93aee5c43c84b024f906ef1fd7f2",
+    "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
+    "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
+    "ae93dca70bf4cb80d2e663220bff9601e1bc6f0b54d9a7d274bd7d0c3addc6e9",
 )) + _runs(_EXTREMAL_N24, "0.3", (
-    "b477e4ebd85699241fe9d3961f2f7de3d50d81cafce8d6db3b3c9bd6297f63e9",
-    "c365dfb816213a46f33d6f0e7168a77ebffa931e9ddf283fa1cbb93ee3ad62d0",
-    "7698a853ee82e83a6e9ce7ee4c158690e9cc070009760716cc1585c52249a7a8",
+    "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
+    "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
+    "fc6273565ebb939cf47017df47283800f66fd29ef5a7594baff662f7e218938f",
 )) + _runs(_CSV, "0.7", (
     "a06864e33e85ffde8d65fc4d896163d872e5c42bd753a393ecd4169e9c9a791a",
 )) + _runs(_EXACT_POWERS, "0.5", (
@@ -148,8 +148,8 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "ca378ad32db43cc3bd345b8438a01a68ee3dd4f9d7cd530d45bbe9ad02320239",
     "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
     "70061ee83518555116a6928ae1b22ddcfdd5d0710b7f76cb671aaed9d61a6726",
-    "572d44ef2baff97189ae3bd162c9d4c85d7bd5a0a1a7ca4a74e181d84739aab0",
-    "815b9453c3b657ecdaa37e5b9b2d4740ee00610ef39d4213664bcbb28a8e3f77",
+    "44e580eea4f6a697cee25a64d73eb3259e64d746898491e5389563692b6c2351",
+    "76bea91344c00d693e18fa4a0566a8729c12a85ac65d2ee992e9bec7ee5ced71",
 ))
 
 
@@ -174,16 +174,16 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 # exits 1 there; the digests pin that FAIL and its residual too.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 1, "7dc69b6c802fda06b089dfb5293e76e3d44942e4e9e2df63864ba46b91cda25d"),
-    ("0.01", 256, 1, "0eda6439d567221d22d8ae47b9871891877c2b7c06758b192bdf77ea75ee9479"),
-    ("0.05", 256, 1, "809115d465a3faa2535d63295e3ce769faef397afe577b8e975f303e6644c43b"),
-    ("0.3", 256, 0, "89b1d6bb1371cefdcf89be945c7445cac8d61502ad09f4e18df8238ce9c2eb38"),
-    ("0.99", 256, 0, "19d45573326b6f9493ea1fb77a39d91f79abba02429e584037aa94cf1384e099"),
-    ("1e-4", 1024, 0, "44dece7b55eeec5eb8dabafb6e9d2eaca76d176a8937e9a86542602e27ad31c7"),
-    ("0.01", 1024, 0, "c9846379a08e1c7b4001f59e611f97e1b7af8865211fc354817503c9063ab83f"),
-    ("0.05", 1024, 0, "fb191f9cc85b04349f532026bf343790633c9ec4a2f967bfdd34e2a95545c715"),
-    ("0.3", 1024, 0, "1db723778bda70aaf6896211043a254a18461fb70d6218ef5e41c9c683ee6906"),
-    ("0.99", 1024, 0, "7864a99df749e3ad3ffd9021d22a5cf0dd005e67aafd19c0c7a3b2a2b97635fd"),
+    ("1e-4", 256, 1, "09942ae9b2bf6fd31a5de2830fe74cc087e12c9b9b3bfcba92fa6c3a8899a98f"),
+    ("0.01", 256, 1, "62dfd5413b85112b1d628e620f94904c802df353ef2cbe63e297205523a98155"),
+    ("0.05", 256, 1, "0945074370b749f5779fd4d0dff1da82ab1526794843a893fa0e8b10950604e3"),
+    ("0.3", 256, 0, "76d4254264080ff6f7f42af9ff0be8b6f56a051f4d2e888431b9f5ecc37951a6"),
+    ("0.99", 256, 0, "c5e4ed975e20eec184e31b431086c99b0d8d3a258855883e74aa51836ce54e52"),
+    ("1e-4", 1024, 0, "338f3893112cde75a5006a6f0076bdf1d1e7a3fb2d5214ec6d3971e3737ab929"),
+    ("0.01", 1024, 0, "581bc78d9d00c17953bb631f48cf6728c35b68a785188e10b4885470abd2dac3"),
+    ("0.05", 1024, 0, "a057c1b6570175470d66a9d9257271aa908d352e3b6f511c5852cfd068b0f081"),
+    ("0.3", 1024, 0, "cc8a1826d9ae298f361e65414b9f6dc50664ac3d0dbd5a81ee32e1dd043cc72d"),
+    ("0.99", 1024, 0, "3e662ef51421eec93df22a4249f17cb039a0800d50e89eab30a00147b2f9bac6"),
 )]
 
 

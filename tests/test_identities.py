@@ -206,28 +206,33 @@ def test_suite_passes_at_small_q(q):
 
 
 def test_half_to_full_lattice_forms_z_once():
-    # Z(q) = (-q^2;q)_inf (-1/q;q)_inf (q;q)_inf, evaluated once for the
-    # reference Gram and the lattice constant, plus the two products of the
-    # closed-form mass (q^2;q^2)_inf / (q;q^2)_inf.
+    # Z(q), a theta sum, formed once for the reference Gram and the lattice
+    # constant, and the two products of the closed-form mass
+    # (q^2;q^2)_inf / (q;q^2)_inf.
     from qortho.kernel import _qpochhammer_inf_memo
+    from qortho.measures import _lattice_normalization_memo
     _qpochhammer_inf_memo.cache_clear()
+    _lattice_normalization_memo.cache_clear()
     report = check_half_to_full_lattice(8, "0.7", CTX)
     assert report.passed
-    assert _qpochhammer_inf_memo.cache_info().misses == 5
+    assert _qpochhammer_inf_memo.cache_info().misses == 2
+    assert _lattice_normalization_memo.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("q, products", [("0.5", 11), ("0.7", 11), ("0.9", 11)])
+@pytest.mark.parametrize("q, products", [("0.5", 10), ("0.7", 10), ("0.9", 10)])
 def test_suite_evaluates_each_product_once(q, products):
-    # Eleven distinct products: seven in the product chain, (s q^3;q^2)_inf
-    # of the base diagonals, and (-a^2;q)_inf, (-q/a^2;q)_inf, (-q/a;q)_inf
-    # for the extremal measures.  The chain forms (-1/q;q)_inf from -q/q^2,
-    # as the lattice normalization does at a = q; at q = 0.7, -1/q rounds
-    # to another 256-bit value and would be a twelfth product.
+    # Ten distinct products: seven in the product chain, (s q^3;q^2)_inf
+    # of the base diagonals, and the adjudication's (-a^2;q)_inf and
+    # (-q/a;q)_inf; and two theta sums, Z(a) of the extremal measures and
+    # Z(q) of the half-to-full lattice check.
     from qortho.kernel import _qpochhammer_inf_memo
+    from qortho.measures import _lattice_normalization_memo
     _qpochhammer_inf_memo.cache_clear()
+    _lattice_normalization_memo.cache_clear()
     reports = run_suite(q, CTX)
     assert all(r.passed for r in reports)
     assert _qpochhammer_inf_memo.cache_info().misses == products
+    assert _lattice_normalization_memo.cache_info().misses == 2
 
 
 def test_verify_json_is_the_same_with_a_warm_memo(capsys):

@@ -16,7 +16,7 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
                     lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
-from qortho.kernel import _mpf, _pair, as_qparam, qpochhammer, qpochhammer_inf
+from qortho.kernel import TruncationFailure, _mpf, _pair, as_qparam, qpochhammer, qpochhammer_inf
 from qortho.measures import _diagonals, _extremal
 
 CTX = PrecisionContext.create()
@@ -429,14 +429,119 @@ def test_adjudication_rejects_other_kinds():
         adjudicate_normalization(MeasureKind.HERMITE_EXTREMAL, "0.7", Q, CTX)
 
 
-def test_lattice_normalization_matches_factors():
+# Z(a) = sum_k q^(k(k-1)/2) a^(2k) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf
+# (Jacobi triple product), at q near 0, at q = 1/2, where 1/q is exact, and
+# near 1, at the ends of q <= a < 1 and between them.
+_Z_QS = ("1e-4", "0.3", "0.5", "0.9", "0.99", "0.999")
+
+
+def _z_cases(q_s):
+    q = as_qparam(q_s, CTX)
     with CTX.workprec():
-        a = mpmath.mpf("0.7")
-        z = lattice_normalization(a, Q, CTX)
-        assert z > 0
-        herm = hermite_extremal(a, Q, CTX)
-        assert rel(herm.normalization(CTX), z) < TIGHT
-        assert dual_base(1, Q, "even", CTX).normalization(CTX) == 1
+        return q, [q, mpmath.sqrt(q), (1 + q) / 2, mpmath.mpf("0.999")]
+
+
+def _agrees(value, want):
+    """value within relative tol/16 of want, the certificate of Z(a)."""
+    with CTX.workprec():
+        return abs(value - want) <= mpmath.ldexp(CTX.tol, -4) * want
+
+
+def _theta_sum(a, q, bits):
+    """sum_k q^(k(k-1)/2) a^(2k) in mpf at bits, each side summed past its
+    largest term until a term is below 2^-(bits+8) of the sum."""
+    with mpmath.mp.workprec(bits):
+        z, total = a * a, mpmath.mpf(1)
+        for ratio in (z, q / z):   # t_(k+1) / t_k going up, and going down
+            term = mpmath.mpf(1)
+            while True:
+                term *= ratio
+                total += term
+                ratio *= q
+                if ratio < 1 and term < mpmath.ldexp(total, -(bits + 8)):
+                    break
+        return total
+
+
+@pytest.mark.parametrize("q_s", _Z_QS)
+def test_lattice_normalization_matches_the_triple_product(q_s):
+    q, a_values = _z_cases(q_s)
+    for a in a_values:
+        z = lattice_normalization(a, q, CTX)
+        with CTX.workprec():
+            products = (qpochhammer_inf(-a * a, q, CTX) * qpochhammer_inf(-q / (a * a), q, CTX)
+                        * qpochhammer_inf(q, q, CTX))
+        assert _agrees(z, products), (q_s, a)
+    herm = hermite_extremal(a_values[2], q, CTX)
+    assert herm.normalization(CTX) == lattice_normalization(a_values[2], q, CTX)
+    assert dual_base(1, q, "even", CTX).normalization(CTX) == 1
+
+
+@pytest.mark.parametrize("q_s", _Z_QS)
+def test_lattice_normalization_matches_a_sum_at_four_times_the_bits(q_s):
+    q, a_values = _z_cases(q_s)
+    for a in a_values:
+        assert _agrees(lattice_normalization(a, q, CTX), _theta_sum(a, q, 4 * CTX.bits))
+
+
+@pytest.mark.parametrize("q_s", _Z_QS)
+def test_a_sum_without_its_k_equals_minus_one_term_fails_the_check(q_s):
+    # t_(-1) = q / a^2 lies in (q, 1/q], far above tol/16 of the sum.
+    q, a_values = _z_cases(q_s)
+    for a in a_values:
+        with CTX.workprec():
+            dropped = lattice_normalization(a, q, CTX) - q / (a * a)
+            products = (qpochhammer_inf(-a * a, q, CTX) * qpochhammer_inf(-q / (a * a), q, CTX)
+                        * qpochhammer_inf(q, q, CTX))
+        assert not _agrees(dropped, products)
+        assert not _agrees(dropped, _theta_sum(a, q, 4 * CTX.bits))
+
+
+def test_lattice_normalization_refuses_past_max_terms_and_at_a_equals_zero():
+    # At q = 1/2 each side of the sum needs about 20 terms.
+    with pytest.raises(TruncationFailure,
+                       match="Z\\(a\\) theta sum not resolved within max_terms=5"):
+        lattice_normalization("0.7", Q, PrecisionContext(max_terms=5))
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        lattice_normalization(0, Q, CTX)
+
+
+def _window_measure(kind, q_s, ctx):
+    """The kind's measure at q: a = (1 + q)/2, s = 1 for the even base kind
+    and s = 1/q for the odd one."""
+    if kind is MeasureKind.DUAL_BASE_EVEN:
+        return dual_base(1, q_s, "even", ctx)
+    q = as_qparam(q_s, ctx)
+    if kind is MeasureKind.DUAL_BASE_ODD:
+        with ctx.workprec():
+            return dual_base(1 / q, q, "odd", ctx)
+    with ctx.workprec():
+        return _extremal(kind, (1 + q) / 2, q, ctx)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["1e-4", "0.3", "0.9", "0.999"])
+@pytest.mark.parametrize("kind", list(MeasureKind))
+def test_window_tail_covers_the_sum_over_four_times_the_window(kind, q_s, bits):
+    # What the window omits of each diagonal entry, sum w_m P_n(x_m)^2 over
+    # the m outside it (and by Cauchy-Schwarz of every entry), summed out
+    # to four times the window at four times the bits, is at most the
+    # certified tail.
+    ctx, N = _ctx(bits), 6
+    wide = PrecisionContext(bits=4 * bits)
+    measure = _window_measure(kind, q_s, ctx)
+    report = gram_matrix(measure, N, ctx)
+    values = _recurrence(measure.family(ctx).validated(ctx).validated(wide), N, wide)[0]
+    runs = [(report.m_hi + 1, 4 * report.m_hi)]
+    if measure.is_full_lattice:
+        runs.append((4 * report.m_lo, report.m_lo - 1))
+    omitted = [mpmath.mpf(0)] * (N + 1)
+    with wide.workprec():
+        for lo, hi in runs:
+            for x, w in measure.points(lo, hi, wide):
+                for n, p in enumerate(values(_pair(x))):
+                    omitted[n] += w * _mpf(p) ** 2
+        assert 0 < max(omitted) <= report.tail_bound
 
 
 @pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
@@ -462,13 +567,17 @@ def test_gram_evaluates_each_lattice_point_once(monkeypatch, kind):
 
 
 def test_adjudication_reuses_its_normalization_factors():
-    # (-a^2;q)_inf, (q;q)_inf and the two candidate third factors; the
-    # degree-0 Gram divides by the candidate already formed from them.
+    # The linear candidate's three products, (-a^2;q)_inf, (-q/a;q)_inf and
+    # (q;q)_inf, and one theta sum, Z(a): the degree-0 Gram divides by the
+    # Z(a) the quadratic candidate already holds.
     from qortho.kernel import _qpochhammer_inf_memo
+    from qortho.measures import _lattice_normalization_memo
     _qpochhammer_inf_memo.cache_clear()
+    _lattice_normalization_memo.cache_clear()
     verdict = adjudicate_normalization(MeasureKind.DUAL_Q_EXTREMAL, "0.75", Q, CTX)
     assert verdict.winner == "(-q/a^2;q)_inf"
-    assert _qpochhammer_inf_memo.cache_info().misses == 4
+    assert _qpochhammer_inf_memo.cache_info().misses == 3
+    assert _lattice_normalization_memo.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("kind", ["hermite_extremal", "dual_base_even"])
@@ -682,9 +791,9 @@ def test_dual_rows_match_exact_rational_rows(q, s, N, bits):
 @pytest.mark.parametrize("kind", list(_EXTREMAL))
 def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
         monkeypatch, kind, q_s, bits):
-    # Every node the window scan visits, the edges and the one past each
-    # edge included, is fed to the majorant, which is the max over every
-    # coefficient row there.
+    # The window runs the majorant once per side, at its anchor, a node of
+    # the window, and the majorant is the max over every coefficient row
+    # there.
     import qortho.measures
     ctx = _ctx(bits)
     seen = []
@@ -700,10 +809,9 @@ def test_filtered_majorant_is_the_full_max_at_every_scanned_node(
     assert report.passed(ctx.tol)
     (family, amax, ts), = seen
     _assert_is_coefficient_sum(amax, family, 20, ts, ctx)
-    scanned = {t._mpf_ for t in ts}
-    for m in (report.m_lo - 1, report.m_lo, report.m_hi, report.m_hi + 1):
-        with ctx.workprec():
-            assert abs(measure.point(m, ctx)[0])._mpf_ in scanned
+    with ctx.workprec():
+        window = {abs(x)._mpf_ for x in report.nodes}
+    assert len(ts) == 2 and all(t._mpf_ in window for t in ts)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
