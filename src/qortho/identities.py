@@ -256,10 +256,7 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
         neg_q = _pair(qpochhammer_inf(-q, q, ctx))
         neg_one = _pair(qpochhammer_inf(mpmath.mpf(-1), q, ctx))
         neg_q2 = _pair(qpochhammer_inf(-q2, q, ctx))
-        # -q/q^2, not -1/q: the chain has always formed this argument, and
-        # its pinned output reads the product's bits (at q = 0.7 the two
-        # round to different 256-bit values).
-        neg_qinv = _pair(qpochhammer_inf(-q / q2, q, ctx))
+        neg_qinv = _pair(qpochhammer_inf(-1 / q, q, ctx))
 
         shifted = _mul(_mul(neg_q2, neg_qinv, prec), euler, prec)
         q_p = _pair(q)

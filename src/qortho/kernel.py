@@ -7,16 +7,18 @@ guarantee that the discarded tail is below the context tolerance, or a
 :class:`TruncationFailure` is raised.
 
 An infinite product (a;q)_inf splits off the finite head (a;q)_J with
-|a q^J| <= 1/2 and sums the rest by Euler's series, whose terms decay like
-q^{k^2/2}.  Its certificate is relative and covers rounding as well as the
-tail: the result is within relative tol/16 of the exact product, with more
-bits when the alternating series cancels.  The head, the sum and the
-rounding bound of each pass run on pairs.  Each
-product is evaluated once per (a, q, context), with a and q rounded to the
-context's bits: later calls return the memoised value, so no caller needs
-to hand a computed product to another.  The memo is bounded (the 256 most
-recently used products) and keeps no failure, so an uncertifiable product
-raises on every call.
+|a q^J| <= 2^-g and forms the rest as exp(-S), where
+S = sum_k w^k / (k (1 - q^k)) for w = a q^J: its terms have one sign, or
+alternate and fall by 2^-g at least, so nothing cancels, also near q = 1.
+Its certificate is relative and covers rounding as well as the tail: the
+result is within relative tol/16 of the exact product.  Its one pass
+bounds its rounding a priori, so the bits it runs at are fixed before it
+runs.  The head runs on pairs, and S and exp(-S) on integers with a fixed
+binary point.  Each product is evaluated once per (a, q, context), with a
+and q rounded to the context's bits: later calls return the memoised
+value, so no caller needs to hand a computed product to another.  The memo
+is bounded (the 256 most recently used products) and keeps no failure, so
+an uncertifiable product raises on every call.
 
 Rounding error is certified by one escalation policy, _certified, for the
 infinite products and for the h series of families.  A pass is a call
@@ -26,10 +28,10 @@ budget is relative to.  The first pass that meets the budget is rounded
 to ctx.bits and returned; a pass that misses it is redone at
 p + ceil(log2(bound / budget)) + 1 bits, or at 2p when it certifies no
 bit.  TruncationFailure is raised when tol is below
-ctx.rounding_floor, when a finite bound does not shrink from one pass to
-the next, and when the next pass would run past the cap of 1024 * ctx.bits
-bits (262,144 at the default 256 bits): h_n(0) at q = 0.5 for odd
-n >= 1025 needs more, for example.
+ctx.rounding_floor, when a rerun that added s bits shrank a finite bound by
+less than 2^(s/2), and when the next pass would run past the cap of
+1024 * ctx.bits bits (262,144 at the default 256 bits): h_n(0) at q = 0.5
+for odd n >= 1025 needs more, for example.
 
 The package computes on pairs: a finite real m 2^e held as two Python ints
 (m, e), the only number format that crosses a private interface.  A public
@@ -78,11 +80,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_ceil, mpf_div, mpf_le, mpf_log,
-                          mpf_neg, mpf_shift, numeral, round_nearest, to_int)
+                          mpf_neg, mpf_shift, numeral, round_nearest, to_float, to_int)
 
 QReal = mpmath.mpf
 
@@ -405,16 +408,19 @@ def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     return _mpf(prod)
 
 
-def _head_length(a: QReal, q: QReal) -> int:
-    """Smallest J >= 0 with |a| q^J <= 1/2, up to rounding at the boundary:
-    ceil(log(2 |a|) / -log(q)) at 53 bits, by the libmp operations that
-    mpmath's abs, log and ceil make at that precision, on raw tuples."""
-    size = mpf_shift(mpf_abs(a._mpf_, 53, round_nearest), 1)
+def _head_length(a: QReal, q: QReal, bits: int) -> tuple[int, int]:
+    """(J, g): g = max(1, floor(sqrt(bits log2(1/q) / 2))), and the smallest
+    J >= 0 with |a| q^J <= 2^-g, up to rounding at the boundary: g from
+    -log(q) at 53 bits, and J = ceil(log(2^g |a|) / -log(q)) at 53 bits, by
+    the libmp operations that mpmath's abs, log and ceil make at that
+    precision, on raw tuples."""
+    neg_log_q = mpf_neg(mpf_log(q._mpf_, 53, round_nearest))
+    g = max(1, math.isqrt(int(bits * to_float(neg_log_q) / (2 * math.log(2)))))
+    size = mpf_shift(mpf_abs(a._mpf_, 53, round_nearest), g)
     if mpf_le(size, fone):
-        return 0
-    ratio = mpf_div(mpf_log(size, 53, round_nearest),
-                    mpf_neg(mpf_log(q._mpf_, 53, round_nearest)), 53, round_nearest)
-    return int(to_int(mpf_ceil(ratio, 53, round_nearest)))
+        return 0, g
+    ratio = mpf_div(mpf_log(size, 53, round_nearest), neg_log_q, 53, round_nearest)
+    return int(to_int(mpf_ceil(ratio, 53, round_nearest))), g
 
 
 def _check_floor(ctx: PrecisionContext, what) -> None:
@@ -439,9 +445,11 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     accepted when bound <= budget.  Otherwise the next pass runs at
     p + ceil(log2(bound / budget)) + 1 (in mpf at ctx.bits), which meets
     the budget when the bound scales like 2^-p, or at 2p when bound is
-    None.  TruncationFailure, with the bound and the budget in its message,
-    is raised when a bound does not shrink from the pass before, when the
-    next pass would run past the cap of 1024 * ctx.bits bits, and, before
+    None.  TruncationFailure, with the bound, the bound before and the
+    budget in its message, is raised when a rerun that added s bits shrank
+    the bound by less than 2^(s/2) (so a bound with a part that does not
+    scale like 2^-p stops the ladder at once rather than at the cap), when
+    the next pass would run past the cap of 1024 * ctx.bits bits, and, before
     any pass, when tol is below ctx.rounding_floor (_check_floor).  what()
     names the evaluation in those messages; it is called only on failure.
     first, when given, is the (value, bound) of the first pass, already run
@@ -449,128 +457,168 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     evaluations; the policy starts from it.
     """
     _check_floor(ctx, what)
-    prec, last = ctx.bits + guard, mp.inf
+    prec, last, added = ctx.bits + guard, mp.inf, 0
     while True:
-        if first is None:
-            value, bound = evaluate(prec)
-        else:
-            (value, bound), first = first, None
+        (value, bound), first = evaluate(prec) if first is None else first, None
         if bound is not None and not _abs_lt(budget, bound):
             return _round(value, ctx.bits)
         with ctx.workprec():
             size = mp.inf if bound is None else _mpf(bound)
             step = prec if bound is None else int(mp.ceil(mp.log(size / _mpf(budget), 2))) + 1
-        if last <= size < mp.inf or prec + step > 1024 * ctx.bits:
+            # the rerun added `added` bits and shrank the bound by less than 2^(added/2)
+            stalled = size < mp.inf and mp.ldexp(size * size, added) > last * last
+        if stalled or prec + step > 1024 * ctx.bits:
             raise TruncationFailure(
                 "%s: error bound %s misses the budget %s at %d bits, and a rerun cannot meet it"
                 " (bound before: %s; next pass: %d bits; cap: 1024 * bits = %d)"
                 % (what(), mpmath.nstr(size, 8), mpmath.nstr(_mpf(budget), 8), prec,
                    mpmath.nstr(last, 8), prec + step, 1024 * ctx.bits))
-        prec, last = prec + step, size
+        prec, last, added = prec + step, size, step
 
 
-def _product_pass(a_p, q_p, head_len: int, target_p, max_terms: int, prec: int):
-    """One evaluation of (a;q)_inf on the pairs a, q and target at prec bits.
+def _product_pass(a_p, q_p, head_len: int, inv_gap: int, max_terms: int, prec: int):
+    """One evaluation of (a;q)_inf on the pairs a and q at prec bits:
+    (value, bound) for _certified, bound relative to the exact product and
+    None when it certifies no bit.
 
-    Returns (value, noise) as pairs: value is the head (a;q)_J times Euler's
-    sum for w = a q^J, summed until the omitted tail is at most
-    target * |sum|; noise bounds the relative rounding error of value to
-    first order, None when the sum is 0.  An exactly vanishing head factor
-    gives (0, 0).  Each pair operation is the mpf operation of the same
-    expression at the same precision, so the value and the noise are those
-    of the mpf loop bit for bit.
+    value is the head (a;q)_J, formed on pairs, times exp(-S), S the sum of
+    the terms t_k = w^k / (k (1 - q^k)) for w = a q^J.  S is summed in
+    integers with prec fractional bits (v = 2^-prec): w and q are floored
+    to multiples of v, w^k and q^k are stepped by products floored to v,
+    t_k is floored once, and the sum stops at the first term that floors
+    to -1, 0 or 1, which is not added.  A head factor that rounds to 0
+    gives (0, 0) when a q^j is exactly 1, and (0, None) otherwise.
+
+    With W >= |w| for the computed and the floored w, G = inv_gap >=
+    1 / (1 - q) and n the index of the term that stopped the sum, the
+    returned bound, 2 v times the units below, covers:
+      head: each pair operation rounds once, to relative v.  w_j = a q^j
+        carries j roundings, and 1 - w_j carries them amplified by
+        A_j = |w_j| / |1 - w_j| < 2^(d_j + 1), d_j the difference of the
+        two magnitudes' binary exponents, plus its own rounding and the
+        product's: sum_j (j max(1, A_j) + 2) <= amp + 2J.
+      S, in units of v: the floored w^k is within 1 / (1 - W) of w'^k,
+        w' the floored w, each step adding less than 1; the floored q^k is
+        at most q'^k and within k - 1 of it, so 1 - q^k as summed is at
+        least 1 - q^k >= 1 / G and off by at most k - 1.  So the k-th term
+        is off by at most 1 + G / (k (1 - W)) + W^k G^2 against
+        w'^k / (k (1 - q'^k)), which sums to at most
+        n - 1 + G b / (1 - W) + G^2 W / (1 - W) over the terms added,
+        b = bitlen(n) >= 1 + ln(n - 1).  The terms fall by W at least,
+        |t_(k+1) / t_k| = W (k / (k + 1)) (1 - q^k) / (1 - q^(k+1)), and the
+        term that stopped the sum is at most 2 + G / (1 - W) + G^2 W, so
+        the terms not added are at most that over 1 - W.  Flooring w moves
+        S by at most G / (1 - W), as |dS/dw| <= sum_k W^(k-1) / (1 - q^k);
+        flooring q by at most G^2 W / (1 - W), as q^k - q'^k <= k v; and
+        the J roundings of w, w (1 + e) with |e| <= J v, by at most
+        J W G / (1 - W).  In all at most n - 1 plus
+        (2 + G (b + 2 + J W) + 3 G^2 W) / (1 - W)^2.
+      exp: _exp is within relative v of exp(-S~), which is exp(-S) times
+        exp(S - S~), S - S~ being the error of S above; and the last
+        product rounds once more: 2.
+    The bound is returned only when it is at most 2^-10: then every error
+    it sums is so small that the factor 2 covers the products of the
+    factors (1 + e) against their first-order sums, and the amplifications
+    of the computed w_j against the exact ones.
     """
-    head = _ONE
-    w = a_p
-    f_min = None   # the smallest |head factor|
-    for _ in range(head_len):
+    head, w, amp = _ONE, a_p, 0
+    for j in range(head_len):
         factor = _sub(_ONE, w, prec)
-        if not factor[0]:
-            return _ZERO, _ZERO
+        if not factor[0]:   # exact when a q^j = 1, that is a_m q_m^j = 2^(-a_e - j q_e)
+            top = -a_p[1] - j * q_p[1]
+            return _ZERO, (_ZERO if top >= 0 and a_p[0] * q_p[0] ** j == 1 << top else None)
         head = _mul(head, factor, prec)
-        if f_min is None or _abs_lt(factor, f_min):
-            f_min = abs(factor[0]), factor[1]
+        d = w[1] + abs(w[0]).bit_length() - factor[1] - abs(factor[0]).bit_length()
+        amp += j << max(0, d + 1)
         w = _mul(w, q_p, prec)
 
-    # sum_k t_k with t_{k+1} = t_k * (-w q^k) / (1 - q^{k+1}).  The ratio's
-    # magnitude decreases in k, so once it is <= 1/2 every omitted term is
-    # at most half the one before and the tail after t_k is below |t_k|.
-    total = term = t_max = _ONE
-    step = (-w[0], w[1])
-    qk1 = q_p
-    settled = False
-    for n_terms in range(1, max_terms + 1):
-        den = _sub(_ONE, qk1, prec)
-        if not settled:
-            # 2 |step| <= den, as den > 0
-            settled = not _abs_lt(den, (step[0], step[1] + 1))
-        term = _div(_mul(term, step, prec), den, prec)
-        total = _add(total, term, prec)
-        if settled:
-            # |term| <= target * |total|
-            if not _abs_lt(_mul(target_p, total, prec), term):
-                break
-        elif _abs_lt(t_max, term):
-            t_max = abs(term[0]), term[1]
-        step = _mul(step, q_p, prec)
-        qk1 = _mul(qk1, q_p, prec)
+    one = 1 << prec
+    w_v, q_v = ((m << max(0, e + prec)) >> max(0, -e - prec) for m, e in (w, q_p))
+    total, wk, qk = 0, w_v, q_v
+    for n in range(1, max_terms + 1):
+        term = (wk << prec) // (n * (one - qk))   # t_n
+        if -1 <= term <= 1:
+            break
+        total += term
+        wk, qk = wk * w_v >> prec, qk * q_v >> prec
     else:
-        raise TruncationFailure(
-            "Euler sum for (w;q)_inf not resolved within max_terms=%d (w=%s, q=%s)"
-            % (max_terms, mpmath.nstr(_mpf(w), 8), mpmath.nstr(_mpf(q_p), 8)))
-    if not total[0]:
-        return _ZERO, None
+        raise TruncationFailure("log series not resolved within max_terms=%d (w=%s, q=%s)" % (
+            max_terms, mpmath.nstr(_mpf(w), 8), mpmath.nstr(_mpf(q_p), 8)))
+    big_w = abs(w_v) + 1   # W 2^prec, above the computed and the floored |w|
+    series = ((2 + inv_gap * (n.bit_length() + 2)) * one * one
+              + (inv_gap * head_len + 3 * inv_gap ** 2) * big_w * one)
+    units = amp + 2 * head_len + n + 1 - (-series // (one - big_w) ** 2)
+    value = _mul(head, _exp((-total, -prec), prec), prec)
+    return value, (None if units >> (prec - 11) else (units, 1 - prec))
 
-    # Every operation has relative error <= u.  Head: factor j carries
-    # j u |a q^j| / |1 - a q^j| + u, plus one multiplication.  The J roundings
-    # in w perturb (w;q)_inf by at most 2 J u |w| / (1-q) relatively.  Sum:
-    # t_k carries k (k + 3 + 1/(1-q)) u, using j q^j / (1 - q^j) <= q / (1-q),
-    # and n_terms additions add n_terms u * sum |t_k|.  That is
-    #   noise = u (J (2 + J |a| / f_min) + 2 J / (1-q)
-    #              + n^2 (n + 4 + 1/(1-q)) t_max / |total| + 1),  n = n_terms + 1,
-    # with u = 2^(1-prec), each operation rounded at prec in that order.
-    inv_gap = _div(_ONE, _sub(_ONE, q_p, prec), prec)
-    n = n_terms + 1
-    noise = _ZERO
-    if head_len:
-        ratio = _div(_mul((head_len, 0), _round((abs(a_p[0]), a_p[1]), prec), prec), f_min, prec)
-        noise = _mul((head_len, 0), _add((2, 0), ratio, prec), prec)
-    noise = _add(noise, _mul((2 * head_len, 0), inv_gap, prec), prec)
-    sum_noise = _mul((n * n, 0), _add((n + 4, 0), inv_gap, prec), prec)
-    sum_noise = _div(_mul(sum_noise, t_max, prec), (abs(total[0]), total[1]), prec)
-    noise = _add(_add(noise, sum_noise, prec), _ONE, prec)
-    return _mul(head, total, prec), _mul((1, 1 - prec), noise, prec)
+
+def _exp(x: tuple[int, int], prec: int) -> tuple[int, int]:
+    """e^x of a pair, within relative 2^-prec, as a pair of more bits; the
+    product's certificate needs that bound, which mpmath's mpf_exp does not
+    state.
+
+    With |x| < 2^t, y = x / 2^r for r = max(0, t + 8) has |y| < 2^-8.
+    Taylor's sum of e^y runs in integers at wp = prec + r + k fractional
+    bits, k = bitlen(prec + r) + 5: y is floored to a multiple of
+    v = 2^-wp, each term t_i = t_(i-1) y / i is floored once, and the sum
+    stops at the first term that floors to 0; r squarings on pairs at wp
+    bits give e^x.  Flooring y moves e^y by at most relative 1.01 v.  Each
+    computed term is within 1.01 v of the exact term of the floored y, as
+    |y| / i < 2^-8 damps the error it inherits, so the n terms added are
+    off by at most 1.01 n v, and the terms left out, which fall by 1/2 at
+    least from one below 1.01 v, by at most 2.02 v.  As e^y >= 0.99, the
+    sum is within relative e_0 <= (1.03 n + 3.1) v <= 4 wp v of e^y, since
+    n <= wp / 8 + 3.  Each squaring at most doubles the relative error and
+    adds v, so e^x carries at most exp(2^r (e_0 + v)) - 1, where
+    2^r (e_0 + v) <= 2^r 8 wp v < 2^(r + k - 1 - wp) = 2^-prec / 2, as
+    8 wp <= 16 (prec + r) < 2^(k-1); and exp(z) - 1 <= 1.01 z for z that
+    small.
+    """
+    m, e = x
+    r = max(0, e + abs(m).bit_length() + 8)
+    wp = prec + r + (prec + r).bit_length() + 5
+    y = (m << max(0, e - r + wp)) >> max(0, r - e - wp)
+    total, term, i = 1 << wp, 1 << wp, 1
+    while term:
+        term, i = term * y // (i << wp), i + 1
+        total += term
+    total = total, -wp
+    for _ in range(r):
+        total = _mul(total, total, wp)
+    return total
 
 
 def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Infinite product (a;q)_inf, within relative tol/16 of the exact value.
 
     The finite head (a;q)_J is multiplied out, J being the first index with
-    |a q^J| <= 1/2; a head factor that is exactly zero makes the result 0.
-    The rest is Euler's sum (Gasper-Rahman, Basic Hypergeometric Series,
-    1.3) for w = a q^J,
+    |a q^J| <= 2^-g for g = max(1, floor(sqrt(bits log2(1/q) / 2))): there
+    are about (g + log2|a|) / log2(1/q) head factors and bits / g terms
+    below, a term costs about half a factor, and that g makes the cost
+    least.  A head factor that is exactly zero makes the result 0.  The
+    rest is (w;q)_inf = exp(-S) for w = a q^J, with
 
-        (w;q)_inf = sum_k (-1)^k q^{k(k-1)/2} w^k / (q;q)_k,
+        S = -log (w;q)_inf = sum_(k>=1) w^k / (k (1 - q^k)),
 
-    whose terms decay like q^{k^2/2}: about 75 terms at q = 0.95 and 256
-    bits, where the plain product needs about 2,900 factors.  Summation
-    stops under the geometric tail bound once the term ratio
-    |w| q^k / (1 - q^{k+1}) is at most 1/2, with the tail below tol/64 of
-    the partial sum.  Rounding is bounded from
-    the head length, the term count and the largest term; for w > 0 the
-    terms alternate and the sum can be far smaller than its largest term.
-    The first pass runs at ctx.bits + 16 and _certified, the package's one
-    escalation policy, reruns it until that bound meets tol/64: at
-    p + ceil(log2(bound / (tol/64))) + 1 bits, or at 2p while the bound
-    certifies no bit ((q;q)_inf at 256 bits: 272 then 377 bits at q = 0.99,
-    272 to 2,176 by doubling at q = 0.999, and 272 to 17,408 at q = 0.9999).
-    Rounding the result to ctx.bits adds at most 2^-bits, which is below
-    tol/64 by the rounding-floor check.
+    the sum over n >= 0 of log(1 - w q^n) = -sum_k (w q^n)^k / k for
+    |w| < 1 (Gasper-Rahman, Basic Hypergeometric Series, 2nd ed.).  For
+    w > 0 every term has one sign, and for w < 0 the terms alternate and
+    fall by the factor |w| <= 2^-g at least, so nothing cancels, also near
+    q = 1: (q;q)_inf at q = 0.9999 is about e^-16449, and takes one pass of
+    about 6,900 head factors and 280 terms.  The pass (_product_pass)
+    bounds its rounding and its tail a priori, from J, the term count, |w|
+    and 1 / (1 - q).  Its precision, ctx.bits plus the bits that bound
+    needs when no head factor lies closer to 0 than 1 - q^(j+1), is fixed
+    before it runs, so _certified, the package's escalation policy, accepts
+    the first pass unless a head factor lies closer to 0 than that, and
+    then reruns it at the bits the bound asks for.  The pass's budget is
+    tol/64, and rounding the result to ctx.bits adds at most 2^-bits, which
+    is below tol/64 by the rounding-floor check.
 
     Raises TruncationFailure when J exceeds max_terms, when tol is below
     ctx.rounding_floor, when the sum needs more than max_terms terms, or
-    when a rerun's bound does not shrink or would need more than
-    1024 * ctx.bits bits.
+    when a rerun's bound stalls or would need more than 1024 * ctx.bits
+    bits.
     """
     return _qpochhammer_inf_memo(ctx.to_real(a), as_qparam(q, ctx), ctx)
 
@@ -579,23 +627,24 @@ def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
 # lru_cache keeps no raised exception, so a failure is raised on every call.
 @functools.lru_cache(maxsize=256)
 def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
-    head_len = _head_length(a, q)
+    head_len, g = _head_length(a, q, ctx.bits)
     if head_len > ctx.max_terms:
         raise TruncationFailure(
             "(a;q)_inf needs %d head factors, more than max_terms=%d (a=%s, q=%s)"
             % (head_len, ctx.max_terms, mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
-    budget = _pair(mpmath.ldexp(ctx.tol, -6))
-
-    def product_pass(prec: int):
-        value, noise = _product_pass(_pair(a), _pair(q), head_len, budget, ctx.max_terms, prec)
-        # noise is relative to value, so the product is at least |value| (1 - noise)
-        if noise is None or not _abs_lt(noise, _ONE):
-            return value, None
-        return value, _div(noise, _sub(_ONE, noise, prec), prec)
-    # 16 guard bits cover the rounding bound of typical head lengths and term counts
-    return _mpf(_certified(product_pass, budget, ctx,
-                           lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)),
-                           guard=16))
+    a_p, q_p = _pair(a), _pair(q)
+    inv_gap = -(-(1 << -q_p[1]) // ((1 << -q_p[1]) - q_p[0]))   # ceil(1 / (1 - q))
+    # The pass's units with W <= 1/2, n <= (bits + 64) / g + 1, and
+    # amp <= J^2 / 2 + 2 J G (factors no closer to 0 than 1 - q^(j+1)),
+    # against a budget of 2^-bits or more
+    n = (ctx.bits + 64) // g + 1
+    units = (head_len * (head_len + 4 * inv_gap) // 2 + 2 * head_len + n + 9
+             + inv_gap * (4 * n.bit_length() + 8 + 2 * head_len + 6 * inv_gap))
+    return _mpf(_certified(
+        lambda prec: _product_pass(a_p, q_p, head_len, inv_gap, ctx.max_terms, prec),
+        _pair(mpmath.ldexp(ctx.tol, -6)), ctx,
+        lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)),
+        guard=(2 * units).bit_length()))
 
 
 def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT,

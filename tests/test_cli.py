@@ -305,7 +305,7 @@ def test_eval_and_verify_exit_two_when_a_bound_does_not_shrink(capsys, monkeypat
     assert code == 2
     assert ("error bound 1.0 misses the budget 1.5557538e-61 at 459 bits, and a rerun "
             "cannot meet it (bound before: 1.0;") in err
-    # value 1 and noise 1/2, so a bound of (1/2) / (1 - 1/2) = 1 at every pass
+    # value 1 and a bound of 1/2 at every pass
     monkeypatch.setattr(kernel, "_product_pass", lambda *args: ((1, 0), (1, -1)))
     kernel._qpochhammer_inf_memo.cache_clear()
     try:
@@ -314,7 +314,7 @@ def test_eval_and_verify_exit_two_when_a_bound_does_not_shrink(capsys, monkeypat
         kernel._qpochhammer_inf_memo.cache_clear()
     assert code == 2
     assert "error: TruncationFailure: (a;q)_inf" in out
-    assert "error bound 1.0 misses the budget 9.7234614e-63 at 479 bits" in out
+    assert "error bound 0.5 misses the budget 9.7234614e-63 at 471 bits" in out
 
 
 @pytest.mark.parametrize("check", ["recurrence-chains", "even-connection", "odd-connection"])

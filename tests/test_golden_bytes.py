@@ -99,28 +99,28 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "1d0397fe9030a810a075bc47b2be3db8f7497b8b702d59972d8ddc2c0b0d9672",
     "13806f5162bc5a5369f248d3d1f33ec103c53bb131ff22362e1d702dcc9e1457",
     "9aa53f5438193fdcc8e78e14a22900ce44a221d06fe05e8e4f80418887160c2a",
-    "ec8f44b97123a3a28cd677d2a26353fb91e0de1db12400d9f9b9133e2ba77e16",
-    "d461a39f8f2c9921ea654f3c89c7452f046b01133008505910d3f1af7f559066",
+    "419d43539f6bc72e956762e66f48ac2cf416dbf7079720a771780649a0d5bbec",
+    "cb783b5ec8b9ad48161628f72f28b20be49b80fdb94ddf4022680fdacee87a3e",
     "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
-    "eca9dcf5120a2a19929714b7ee67593b41982b9140d6d43223ad79334872c57d",
+    "aeaf69d5b93be2778c24b4c6fd4631820db674d3d5a4d155aab3b031c3764af9",
 )) + _runs(_BASIC, "0.7", (
     "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
     "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
     "c302dc66b8bc9205afbdd5bcb4a288e8c051d4e8e1366b06e67477f0fc1e69f7",
-    "48cd5db2ff16bac94ad423a5cab77cae337faae1b9c3ced4275c451f3043100d",
-    "c6f7176d81cf1462b1bf3eaa4f17cd8fe2635a5ac3e3d31bfe918384949eedb9",
+    "a6942abee58446cc1e39f49a3d7af571d7a066f22f3308b1ca3ec6706d413292",
+    "1d9d1519e44c307f5083d11281065e76ec8f9ce88689100d72dd63db54f74221",
     "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
-    "032cf1c606767ef1314b15ab2f860dbcdd261f3ad3a17258ab21ab11221242b1",
+    "3690f1b1a1713326dc79bb92dc8cfc108909a4ce8bd0dc07eda8c318d08dd32d",
 )) + _runs(_WIDE, "0.5", (
     "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
     "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
     "0b12bedae5bb0b29294ba5bbe5885ffd7b91aeac9218b3c769a4fbb5d86f64a7",
-    "53321acb61b15ef63145e94bf101757919331442717803174ed597334bd8373a",
+    "7c08d2368d1e1a48f2aef3e5769703ee4b69c519da6fcd03bbae2f250eebfa97",
 )) + _runs(_WIDE, "0.7", (
     "5c6896b6438508fe917fe89c508b427c79463411005eeeeaef81ac3c94b71457",
     "e64d5736222ef9ad74c69701ba53d8a5813207a78d8febe7b34c2fe937fd9c42",
     "50bc9903403a52cf4ab177046935c41a0dd736844a649da7436c063897cd8cfe",
-    "def036d90b3b9b23212f53af2d82de3c7c76d3d4a7eab25846b5cd2be237dd11",
+    "c9c731ac9fd314429589ee448f147e5bc23892658ccf9c37e68fd0313016c9eb",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
@@ -130,13 +130,13 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_LONG, "0.9", (
     "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
     "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
-    "ae93dca70bf4cb80d2e663220bff9601e1bc6f0b54d9a7d274bd7d0c3addc6e9",
+    "fbf4aac919b3332798ee8fc2483848dad41b04f1e410f44ecba044c272c80b25",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
     "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
     "fc6273565ebb939cf47017df47283800f66fd29ef5a7594baff662f7e218938f",
 )) + _runs(_CSV, "0.7", (
-    "a06864e33e85ffde8d65fc4d896163d872e5c42bd753a393ecd4169e9c9a791a",
+    "35a47decf129325240e1320c965ca72d30443cf0283b3b21419ba350dbd0cfc2",
 )) + _runs(_EXACT_POWERS, "0.5", (
     "5e2caea9749bba4d5031aa2a302b5112ca6ff61d0c10c0d5b8bee245a520141c",
     "558660e0399940240f6ef9658e7820eefd144d92d08a7eea0c8af150085292cd",
@@ -148,8 +148,8 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "ca378ad32db43cc3bd345b8438a01a68ee3dd4f9d7cd530d45bbe9ad02320239",
     "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
     "70061ee83518555116a6928ae1b22ddcfdd5d0710b7f76cb671aaed9d61a6726",
-    "44e580eea4f6a697cee25a64d73eb3259e64d746898491e5389563692b6c2351",
-    "76bea91344c00d693e18fa4a0566a8729c12a85ac65d2ee992e9bec7ee5ced71",
+    "bcb56e1e20a5a6ba7ccfaf36edd9a673bbb3a029cb7bfeffbd3fef6813ab74e8",
+    "46b2485f4d8dd6b2c7667bf93426cfa9d8e3844c0a869b78573666c38b87f599",
 ))
 
 
@@ -177,13 +177,13 @@ VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
     ("1e-4", 256, 1, "09942ae9b2bf6fd31a5de2830fe74cc087e12c9b9b3bfcba92fa6c3a8899a98f"),
     ("0.01", 256, 1, "62dfd5413b85112b1d628e620f94904c802df353ef2cbe63e297205523a98155"),
     ("0.05", 256, 1, "0945074370b749f5779fd4d0dff1da82ab1526794843a893fa0e8b10950604e3"),
-    ("0.3", 256, 0, "76d4254264080ff6f7f42af9ff0be8b6f56a051f4d2e888431b9f5ecc37951a6"),
-    ("0.99", 256, 0, "c5e4ed975e20eec184e31b431086c99b0d8d3a258855883e74aa51836ce54e52"),
-    ("1e-4", 1024, 0, "338f3893112cde75a5006a6f0076bdf1d1e7a3fb2d5214ec6d3971e3737ab929"),
-    ("0.01", 1024, 0, "581bc78d9d00c17953bb631f48cf6728c35b68a785188e10b4885470abd2dac3"),
-    ("0.05", 1024, 0, "a057c1b6570175470d66a9d9257271aa908d352e3b6f511c5852cfd068b0f081"),
-    ("0.3", 1024, 0, "cc8a1826d9ae298f361e65414b9f6dc50664ac3d0dbd5a81ee32e1dd043cc72d"),
-    ("0.99", 1024, 0, "3e662ef51421eec93df22a4249f17cb039a0800d50e89eab30a00147b2f9bac6"),
+    ("0.3", 256, 0, "cefe91eb24c1630e7cc4fff187a4c126c49378433e22a35769656910989ffded"),
+    ("0.99", 256, 0, "8d8aad20d107c9a50dc8beacc9b3ed408ca170328d90a51ece80bbdad454da7e"),
+    ("1e-4", 1024, 0, "e012838d41c8a30f31bd10424f9eedda5d3c949335cca028dc618d3ac41746d0"),
+    ("0.01", 1024, 0, "7fc77dcbdeef3fc4a1b7500a1cf9259865c6ed5cc941115c60d8a35433949881"),
+    ("0.05", 1024, 0, "ee1ed3fd3aa8605009aa8f1e1f4e5c1b67cfd8f91055d1a2e2469faff902376e"),
+    ("0.3", 1024, 0, "a94ed7ee015ac7dc7a98c77af13a2a23dc3235510868d0af9174218ad8d4e009"),
+    ("0.99", 1024, 0, "5b54428720b16b7d51c8f0a02a9099b5e6841c85517e2bbb9436c1edc351506e"),
 )]
 
 

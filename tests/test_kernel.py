@@ -1,4 +1,6 @@
 """Kernel primitives: contexts, q-shifted factorials, basic hypergeometric sums."""
+import math
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -57,13 +59,15 @@ def test_to_real_returns_a_fitting_mpf_as_it_is():
         assert type(got) is mpmath.mpf and got._mpf_ == want._mpf_, value
 
 
-def _mpf_head_length(a, q):
-    """J as the mpf expression at 53 bits."""
+def _mpf_head_length(a, q, bits):
+    """(J, g) as the mpf expressions at 53 bits."""
     with mpmath.workprec(53):
-        size = 2 * abs(a)
+        log_inv_q = -mpmath.log(q)
+        g = max(1, math.isqrt(int(bits * float(log_inv_q) / (2 * math.log(2)))))
+        size = 2 ** g * abs(a)
         if size <= 1:
-            return 0
-        return int(mpmath.ceil(mpmath.log(size) / -mpmath.log(q)))
+            return 0, g
+        return int(mpmath.ceil(mpmath.log(size) / log_inv_q)), g
 
 
 def test_head_length_is_the_mpf_expression():
@@ -73,14 +77,23 @@ def test_head_length_is_the_mpf_expression():
                                       "0.9", "0.99", "0.999", "0.9999")]
         avals = [mpmath.mpf(v) for v in ("-3000", "-2.5", "-1", "-0.5", "-1e-9", "0", "0.25",
                                          "0.5", "0.5000001", "0.9", "1", "2", "17", "3000")]
+    for bits in (64, 256, 1024):
         for q in qs:
-            # a = +-q^k/2 puts |a| q^J exactly on 1/2, and with q = 0.5 and
-            # a = -1 the ratio of the logarithms is an exact integer
-            edges = [sign * q ** k / 2 for k in (-3, -1, 0, 1) for sign in (1, -1)]
-            for a in avals + edges + [q, -q, 1 / q, -1 / q]:
-                assert _head_length(a, q) == _mpf_head_length(a, q), (a, q)
-    half = mpmath.mpf("0.5")
-    assert _head_length(mpmath.mpf(-1), half) == _mpf_head_length(mpmath.mpf(-1), half) == 1
+            g = _head_length(mpmath.mpf(0), q, bits)[1]
+            with CTX.workprec():
+                # a = +-q^k 2^-g puts |a| q^J on 2^-g, up to the rounding of q^k
+                edges = [sign * mpmath.ldexp(q ** k, -g) for k in (-3, -1, 0, 1)
+                         for sign in (1, -1)]
+                special = [q, -q, 1 / q, -1 / q]
+            for a in avals + edges + special:
+                head_len, g = _head_length(a, q, bits)
+                assert (head_len, g) == _mpf_head_length(a, q, bits), (a, q, bits)
+                # J is the first index with |a| q^J <= 2^-g, up to the 53-bit logarithms
+                with mpmath.workprec(4 * bits):
+                    near = mpmath.mpf(2) ** -40
+                    assert abs(a) * q ** head_len <= mpmath.ldexp(1 + near, -g), (a, q, bits)
+                    assert (head_len == 0
+                            or abs(a) * q ** (head_len - 1) > mpmath.ldexp(1 - near, -g)), (a, q)
 
 
 def test_workprec_scoped():
@@ -195,6 +208,19 @@ def test_qpochhammer_inf_trivial_and_frozen():
         assert rel(v, mpmath.mpf(EULER_HALF)) < mpmath.mpf(10) ** -78
 
 
+def test_qpochhammer_inf_does_not_take_a_rounded_zero_factor_for_zero():
+    # At q = 0.074257 and a = 1/q, both rounded to 256 bits, 1 - a q is
+    # -1.2e-82, and a q rounds to 1 at the first pass's precision; the
+    # product is about 1.3e-81, not 0.
+    q = CTX.to_real("0.074257")
+    with CTX.workprec():
+        a = 1 / q
+    mine = qpochhammer_inf(a, q, CTX)
+    with mpmath.workprec(3 * CTX.bits):
+        want = mpmath.qp(a, q)
+        assert abs(mine - want) <= CTX.tol / 16 * abs(want)
+
+
 @settings(max_examples=30, deadline=None)
 @given(a=small_reals, q=qs)
 def test_qpochhammer_inf_functional_equation(a, q):
@@ -228,26 +254,78 @@ def test_qpochhammer_inf_matches_mpmath():
             assert abs(mine - other) / abs(other) < CTX.tol / 16, (a, q)
 
 
+def _pentagonal(q, prec):
+    """(q;q)_inf = sum_(n in Z) (-1)^n q^(n(3n-1)/2) (Euler's pentagonal number
+    theorem) at prec bits, summed until a pair of terms is below 2^-prec."""
+    with mpmath.workprec(prec):
+        q = mpmath.mpf(q)
+        # n >= 1 pairs q^(n(3n-1)/2) (1 + q^n); q^(3n+1) steps one to the next
+        total, low, step, qn, q3, sign = mpmath.mpf(1), q, q ** 4, q, q ** 3, -1
+        while True:
+            pair = low * (1 + qn)
+            total += sign * pair
+            if pair < mpmath.ldexp(1, -prec):
+                return total
+            low, step, qn, sign = low * step, step * q3, qn * q, -sign
+
+
+def _eta_transformed(q, prec):
+    """(q;q)_inf = sqrt(2 pi / t) exp(t/24 - pi^2 / (6t)) (p;p)_inf with
+    q = e^-t and p = exp(-4 pi^2 / t), Dedekind's eta under tau -> -1/tau,
+    at prec bits; (p;p)_inf by the pentagonal series at p, which is tiny
+    near q = 1."""
+    with mpmath.workprec(prec):
+        t = -mpmath.log(q)
+        p = mpmath.exp(-4 * mpmath.pi ** 2 / t)
+        return (mpmath.sqrt(2 * mpmath.pi / t) * mpmath.exp(t / 24 - mpmath.pi ** 2 / (6 * t))
+                * _pentagonal(p, prec))
+
+
 @pytest.mark.parametrize("q, bits, tol_exp", [("0.9", 1024, 800),
                                                ("0.99", 1024, 800),
-                                               ("0.99", 256, 200)])
+                                               ("0.99", 256, 200),
+                                               ("0.3", 256, 200),
+                                               ("0.9", 256, 200),
+                                               ("0.999", 256, 200),
+                                               ("0.9999", 256, 200)])
 def test_qpochhammer_inf_matches_pentagonal_series(q, bits, tol_exp):
-    # (q;q)_inf = sum_{n in Z} (-1)^n q^{n(3n-1)/2}.  At q = 0.99 the value
-    # is about 2e-70, far below the largest terms of Euler's sum; at 256 bits
-    # that cancellation forces the guard-bit re-sum.
+    # The pentagonal terms are O(1) while (q;q)_inf is about
+    # exp(-pi^2 / (6 t)), q = e^-t: 2e-70 at q = 0.99 and e^-16449 at
+    # q = 0.9999.  The series is summed at 4 bits plus the bits that cancel,
+    # which exp(-pi^2 / (6 t)) bounds from below; past 4,096 such bits only
+    # the transformed series, whose terms fall at once, is summed.
     deep = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
     mine = qpochhammer_inf(q, q, deep)
-    with mpmath.workprec(2 * deep.bits):
-        qv = deep.to_real(q)
-        total = mpmath.mpf(1)
-        n = 1
-        while True:
-            pair = qv ** (n * (3 * n - 1) // 2) + qv ** (n * (3 * n + 1) // 2)
-            total += (-1) ** n * pair
-            if pair < total * mpmath.mpf(2) ** -(2 * deep.bits):
-                break
-            n += 1
-        assert abs(mine - total) / total < deep.tol / 16
+    qv = deep.to_real(q)
+    with mpmath.workprec(64):
+        cancel = int(mpmath.pi ** 2 / (6 * -mpmath.log(qv) * mpmath.log(2))) + 64
+    wants = [_eta_transformed(qv, 4 * bits)]
+    if cancel <= 4096:
+        wants.append(_pentagonal(qv, 4 * bits + cancel))
+    with mpmath.workprec(4 * bits):
+        for want in wants:
+            assert abs(mine - want) / want < deep.tol / 16
+
+
+@pytest.mark.parametrize("q_s, bits", [("1e-4", 256), ("0.05", 256), ("0.5", 256), ("0.9", 256),
+                                        ("1e-4", 1024), ("0.05", 1024), ("0.5", 1024)])
+def test_qpochhammer_inf_matches_mpmath_qp(q_s, bits):
+    # mpmath.qp multiplies the factors out: it does not converge at q = 0.99,
+    # and at q = 0.9 and 3,072 bits it takes seconds.
+    # a = q and q^3 make w > 0, a = -3000 gives the longest head, and a = 2.5
+    # passes a head factor near 0.
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    with ctx.workprec():
+        q = mpmath.mpf(q_s)
+        avals = [q, -q, mpmath.mpf("0.25"), mpmath.mpf("2.5"), mpmath.mpf(-3000), q ** 3,
+                 -1 / q]
+    for a in avals:
+        mine = qpochhammer_inf(a, q, ctx)
+        with mpmath.workprec(3 * bits):
+            want = mpmath.qp(a, q)
+            assert abs(mine - want) <= ctx.tol / 16 * abs(want), (a, q_s)
+    # the first head factor 1 - a vanishes exactly
+    assert qpochhammer_inf(1, q, ctx) == 0
 
 
 def test_qpochhammer_inf_rounding_floor():
@@ -295,100 +373,6 @@ def test_qpochhammer_inf_memo_keeps_no_failure():
             qpochhammer_inf("0.999", "0.999", tight)
     assert _qpochhammer_inf_memo.cache_info().misses == 2
     assert _qpochhammer_inf_memo.cache_info().currsize == 0
-
-
-# -- Euler's sum on pairs against the mpf loop it replaced --------------------
-#
-# The oracle is the product pass as it was written on mpf operators.  Every
-# pair operation is the mpf operation of the same expression at the same
-# precision, so the two passes give the same values and the same noise
-# bounds, and the guard-bit reruns happen at the same precisions.
-
-
-def _oracle_product_pass(a, q, head_len, target, max_terms):
-    one = mpmath.mpf(1)
-    head = one
-    w = a
-    f_min = mpmath.inf
-    for _ in range(head_len):
-        factor = one - w
-        if factor == 0:
-            return mpmath.mpf(0), mpmath.mpf(0)
-        head *= factor
-        f_min = min(f_min, abs(factor))
-        w *= q
-    total = one
-    term = one
-    t_max = one
-    step = -w
-    qk1 = q
-    settled = False
-    for n_terms in range(1, max_terms + 1):
-        den = one - qk1
-        if not settled:
-            settled = 2 * abs(step) <= den
-        term = term * step / den
-        total += term
-        if settled:
-            if abs(term) <= target * abs(total):
-                break
-        elif abs(term) > t_max:
-            t_max = abs(term)
-        step *= q
-        qk1 *= q
-    else:
-        raise TruncationFailure("Euler sum not resolved")
-    if total == 0:
-        return total, mpmath.inf
-    u = mpmath.ldexp(one, 1 - mpmath.mp.prec)
-    inv_gap = one / (one - q)
-    n = n_terms + 1
-    head_noise = head_len * (2 + head_len * abs(a) / f_min) if head_len else 0
-    sum_noise = n * n * (n + 4 + inv_gap) * t_max / abs(total)
-    noise = u * (head_noise + 2 * head_len * inv_gap + sum_noise + 1)
-    return head * total, noise
-
-
-@pytest.mark.parametrize("bits", [256, 1024])
-@pytest.mark.parametrize("q_s", ["1e-4", "0.05", "0.5", "0.9", "0.999"])
-def test_product_pass_on_pairs_matches_the_mpf_loop(q_s, bits, monkeypatch):
-    from qortho import kernel
-    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
-    with ctx.workprec():
-        q = mpmath.mpf(q_s)
-        # a = q makes w > 0 and the sum alternate; a = 1 zeroes the first
-        # head factor; a = -3000 gives the longest head
-        avals = [q, mpmath.mpf("0.5"), mpmath.mpf(1), mpmath.mpf(-1), mpmath.mpf("2.5"),
-                 mpmath.mpf(-3000), q ** 3, -1 / q]
-    def oracle(a_p, q_p, head_len, target_p, max_terms, prec):
-        # the mpf loop on the pair arguments at prec, its results as the pass's pairs
-        with mpmath.mp.workprec(prec):
-            value, noise = _oracle_product_pass(_mpf(a_p), _mpf(q_p), head_len, _mpf(target_p),
-                                                max_terms)
-            return _pair(value), None if noise == mpmath.inf else _pair(mpmath.mpf(noise))
-
-    runs = {}
-    for name, pass_ in (("pairs", kernel._product_pass), ("mpf", oracle)):
-        passes = []
-
-        def recorded(*args, pass_=pass_, passes=passes):
-            value, noise = pass_(*args)
-            passes.append((args[-1], _mpf(value)._mpf_,
-                           None if noise is None else _mpf(noise)._mpf_))
-            return value, noise
-        monkeypatch.setattr(kernel, "_product_pass", recorded)
-        kernel._qpochhammer_inf_memo.cache_clear()
-        values = []
-        for a in avals:
-            values.append(qpochhammer_inf(a, q, ctx)._mpf_)
-            values.append(len(passes))
-        runs[name] = values, passes
-    kernel._qpochhammer_inf_memo.cache_clear()
-    assert runs["pairs"] == runs["mpf"]
-    values, passes = runs["pairs"]
-    assert values[4] == mpmath.mpf(0)._mpf_   # a = 1
-    if q_s == "0.999":
-        assert values[1] > 1   # (q;q)_inf was rerun with guard bits
 
 
 # -- the one escalation policy: _certified with a substituted pass ------------
@@ -454,6 +438,22 @@ def test_certified_raises_past_a_bound_that_stalls_or_the_cap(bound_at, passes, 
     assert len(precs) == passes
 
 
+def test_certified_raises_when_a_rerun_barely_shrinks_the_bound():
+    # 2^-150 (1 + 2^-p): a part of the bound does not shrink with p.  The
+    # rerun adds 53 bits, so it must shrink the bound by 2^26.5, and it
+    # shrinks it by a factor 1 + 2^-256; the ladder used to climb to the cap.
+    precs = []
+
+    def evaluate(p):
+        precs.append(p)
+        return _pair(mpmath.fdiv(1, 3, prec=p)), ((1 << p) + 1, -150 - p)
+    with pytest.raises(TruncationFailure, match=r"probe: error bound 7\.0064923e-46 misses the "
+                       r"budget 1\.5557538e-61 at 309 bits, and a rerun cannot meet it \(bound "
+                       r"before: 7\.0064923e-46; next pass: 362 bits"):
+        _certified(evaluate, BUDGET_PAIR, CTX, lambda: "probe")
+    assert precs == [256, 309]
+
+
 def test_certified_refuses_a_tol_below_the_rounding_floor_before_any_pass():
     precs = []
     shallow = PrecisionContext.create(bits=128, tol_exp=200)
@@ -464,11 +464,47 @@ def test_certified_refuses_a_tol_below_the_rounding_floor_before_any_pass():
     assert precs == []
 
 
-@pytest.mark.parametrize("q_s,ladder", [("0.5", [272]), ("0.99", [272, 377]),
-                                        ("0.999", [272, 544, 1088, 2176])])
+@pytest.mark.parametrize("prec", [64, 96, 300])
+@pytest.mark.parametrize("q_s", ["0.05", "0.5", "0.9"])
+def test_product_pass_error_is_within_its_bound(q_s, prec):
+    # One pass at a low precision, against mpmath.qp at 4 prec: its value
+    # must lie within the relative bound it returns.  1.0001 / q and
+    # 0.9999 / q^2 put a head factor near 0 after one and two roundings of w.
+    from qortho import kernel
+    q = CTX.to_real(q_s)
+    with CTX.workprec():
+        avals = [q, -q, mpmath.mpf("0.25"), mpmath.mpf("2.5"), -1 / q, mpmath.mpf("0.99"),
+                 mpmath.mpf("1.0001") / q, mpmath.mpf("0.9999") / q ** 2]
+    q_p = _pair(q)
+    inv_gap = -(-(1 << -q_p[1]) // ((1 << -q_p[1]) - q_p[0]))
+    for a in avals:
+        head_len, _ = kernel._head_length(a, q, CTX.bits)
+        value, bound = kernel._product_pass(_pair(a), q_p, head_len, inv_gap, 50000, prec)
+        assert bound is not None, (a, q_s, prec)
+        with mpmath.workprec(4 * prec):
+            want = mpmath.qp(a, q)
+            assert abs(_mpf(value) - want) <= _mpf(bound) * abs(want), (a, q_s, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 266, 1040])
+def test_exp_is_within_its_bound(prec):
+    from qortho.kernel import _exp
+    with mpmath.workprec(prec):
+        xs = [mpmath.mpf(v) for v in ("0", "1e-90", "1e-20", "0.3", "1", "5", "700",
+                                      "16449.3")]
+        xs += [mpmath.ldexp(1, -3 * prec)] + [-x for x in xs]
+    for x in xs:
+        got = _mpf(_exp(_pair(x), prec))
+        with mpmath.workprec(4 * prec):
+            want = mpmath.exp(x)
+            assert abs(got - want) <= mpmath.ldexp(want, -prec), (x, prec)
+
+
+@pytest.mark.parametrize("q_s,ladder", [("0.5", [266]), ("0.99", [274]),
+                                        ("0.999", [281])])
 def test_qpochhammer_inf_ladders(q_s, ladder, monkeypatch):
-    # (q;q)_inf at 256 bits: near q = 1 Euler's sum alternates and cancels,
-    # and until a pass certifies a bit each rerun doubles the precision
+    # (q;q)_inf at 256 bits: one pass, at the bits its a-priori bound asks
+    # for, which grow near q = 1 with the head length and 1 / (1 - q)
     from qortho import kernel
     precs, pass_ = [], kernel._product_pass
 
@@ -482,6 +518,30 @@ def test_qpochhammer_inf_ladders(q_s, ladder, monkeypatch):
     finally:
         kernel._qpochhammer_inf_memo.cache_clear()
     assert precs == ladder
+
+
+@pytest.mark.parametrize("ctx", [CTX, PrecisionContext.create(bits=1024, tol_exp=800)],
+                         ids=["256", "1024"])
+def test_qpochhammer_inf_takes_one_pass_per_product(ctx, monkeypatch):
+    from qortho import kernel
+    passes, pass_ = [], kernel._product_pass
+
+    def recorded(*args):
+        passes.append(args[-1])
+        return pass_(*args)
+    monkeypatch.setattr(kernel, "_product_pass", recorded)
+    kernel._qpochhammer_inf_memo.cache_clear()
+    try:
+        for q_s in ("0.2", "0.5", "0.7", "0.9", "0.96", "0.99", "0.999", "0.9999"):
+            q = ctx.to_real(q_s)
+            with ctx.workprec():
+                avals = [q, -q, mpmath.mpf("0.25"), mpmath.mpf("2.5"), q ** 3, -1 / q,
+                         mpmath.mpf(-1)]
+            for a in avals:
+                qpochhammer_inf(a, q, ctx)
+        assert len(passes) == kernel._qpochhammer_inf_memo.cache_info().misses == 56
+    finally:
+        kernel._qpochhammer_inf_memo.cache_clear()
 
 
 def test_hypergeometric_trivial_cases():

@@ -64,7 +64,7 @@ def test_measure_points_do_not_depend_on_the_callers_precision(kind):
 def test_kernel_and_series_values_do_not_depend_on_the_callers_precision():
     # At q = 0.2 the odd degrees at phi = 0 miss their budget in the first
     # pass and are summed again by kernel._certified, and (q;q)_inf at
-    # q = 0.999 climbs its product ladder from 272 to 2,176 bits.
+    # q = 0.999 multiplies out a head of 692 factors.
     _same(lambda: [[v._mpf_ for v in row]
                    for row in qinv_hermite_series_tables(range(30), DEFAULT_PHI_GRID, "0.2", CTX)])
     _same(lambda: [even_hermite_factor(k, 0, "0.99", CTX)._mpf_ for k in range(0, 31, 6)])
