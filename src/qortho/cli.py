@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import NamedTuple
@@ -118,6 +117,7 @@ def _checked(name: str, value, where: str, command: str):
             raise ValueError
         value = setting.type(value)
     except ValueError:
+        import json
         raise ValueError("%s must be %s (got %s)" % (
             where, "an integer" if setting.type is int else "a string or number",
             json.dumps(value))) from None
@@ -130,6 +130,7 @@ def _checked(name: str, value, where: str, command: str):
 
 
 def _load_config_file(path: str, command: str) -> dict:
+    import json
     with open(path) as fh:
         # parse_float=str keeps decimal values exact for re-rounding at
         # working precision instead of through a binary double.
@@ -275,6 +276,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
     reports = run_suite(q, ctx, only=only, k_max=config.k_max, N=config.N,
                         s=s, a=a)
     if config.output == "json":
+        import json
         text = json.dumps([r.to_dict(ctx.digits) for r in reports],
                           indent=2) + "\n"
     else:

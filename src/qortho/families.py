@@ -63,7 +63,6 @@ parameters with ``**`` and hand them to the kernel's loop as pairs.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Callable, NamedTuple
 
@@ -87,8 +86,7 @@ class FamilyKind(enum.Enum):
         return bool(_FAMILIES[self].s_rules)
 
 
-@dataclasses.dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A family selection: kind, base q, and the shape parameter s where used."""
 
     kind: FamilyKind
@@ -129,8 +127,7 @@ def check_dual_s(s: QReal, q: QReal, ctx: PrecisionContext) -> None:
                              % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8)))
 
 
-@dataclasses.dataclass(frozen=True)
-class MuPoint:
+class MuPoint(NamedTuple):
     """A point of the dual grid: label x, parameter s, and mu = q^-x + s q^{x+1}."""
 
     x: QReal

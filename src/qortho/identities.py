@@ -33,8 +33,8 @@ pairs, and the coefficient lists built from them.
 """
 from __future__ import annotations
 
-import dataclasses
 import types
+from typing import NamedTuple
 
 import mpmath
 
@@ -50,8 +50,7 @@ from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
 DEFAULT_PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
 
 
-@dataclasses.dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     grid: str
     max_residual: QReal
@@ -304,10 +303,10 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
             for n, ((m, e), power) in enumerate(powers[1:], 1))
         xs = [mpmath.mpf(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
-        series_ctx = dataclasses.replace(ctx, tol=ctx.tol / amplification)
+        series_ctx = ctx._replace(tol=ctx.tol / amplification)
         if series_ctx.tol < series_ctx.rounding_floor:
-            series_ctx = dataclasses.replace(
-                series_ctx, bits=6 - int(mpmath.floor(mpmath.log(series_ctx.tol, 2))))
+            series_ctx = series_ctx._replace(
+                bits=6 - int(mpmath.floor(mpmath.log(series_ctx.tol, 2))))
         h_tables = qinv_hermite_series_tables(range(n_max + 2), [mpmath.asinh(x) for x in xs],
                                               q, series_ctx)
         # The series values can be wider than prec, which _residual allows for.

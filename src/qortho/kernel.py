@@ -78,9 +78,9 @@ The kernel is real-valued: complex arguments are out of scope.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -107,26 +107,41 @@ class PoleError(KernelError):
         self.index = index
 
 
-@dataclasses.dataclass(frozen=True)
-class PrecisionContext:
+# PrecisionContext subclasses its fields because a NamedTuple class body may
+# not define __new__, where the checks run.
+class _PrecisionFields(NamedTuple):
+    bits: int = 256
+    tol: QReal = mpmath.mpf(2) ** -200
+    max_terms: int = 50000
+
+
+class PrecisionContext(_PrecisionFields):
     """Working precision, truncation tolerance and iteration budget.
 
     bits      -- mantissa size for every mpf operation (>= 64)
     tol       -- certified truncation tolerance, default 2^-200
     max_terms -- hard cap on product factors / series terms
+
+    An immutable named tuple whose fields are checked on construction,
+    _replace included; a bool is not taken for an integer.
     """
 
-    bits: int = 256
-    tol: QReal = mpmath.mpf(2) ** -200
-    max_terms: int = 50000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.bits, int) or self.bits < 64:
+    def __new__(cls, *args, **kwargs) -> "PrecisionContext":
+        self = super().__new__(cls, *args, **kwargs)
+        if type(self.bits) is bool or not isinstance(self.bits, int) or self.bits < 64:
             raise ValueError("bits must be an integer >= 64 (got %r)" % (self.bits,))
         if not self.tol > 0:
             raise ValueError("tol must be positive (got %r)" % (self.tol,))
-        if not isinstance(self.max_terms, int) or self.max_terms < 1:
+        if (type(self.max_terms) is bool or not isinstance(self.max_terms, int)
+                or self.max_terms < 1):
             raise ValueError("max_terms must be an integer >= 1 (got %r)" % (self.max_terms,))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PrecisionContext":
+        return cls(*iterable)
 
     @classmethod
     def create(cls, bits: int = 256, tol_exp: int = 200, max_terms: int = 50000) -> "PrecisionContext":

@@ -191,12 +191,9 @@ s q^(2j+2) < 1.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
-import hashlib
 import itertools
-import json
 import math
 import operator
 from typing import Callable, NamedTuple
@@ -314,7 +311,7 @@ def _closed(ctx: PrecisionContext) -> PrecisionContext:
     which need no more accuracy than a Gram's own arithmetic carries: below
     the floor the residuals show the shortfall as a failed check rather than
     an uncertifiable product."""
-    return dataclasses.replace(ctx, tol=max(ctx.tol, ctx.rounding_floor))
+    return ctx._replace(tol=max(ctx.tol, ctx.rounding_floor))
 
 
 # Bits a run steps at beyond ctx.bits; the bound in the module docstring
@@ -633,8 +630,7 @@ def _runs(measure: "DiscreteMeasure", ctx: PrecisionContext):
     return point
 
 
-@dataclasses.dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(NamedTuple):
     kind: MeasureKind
     q: QReal
     a: QReal | None = None
@@ -715,14 +711,9 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
     return _mpf(_diagonals(measure, n, ctx)[n])
 
 
-@dataclasses.dataclass
-class GramReport:
-    """A Gram matrix with its closed-form diagonal and certified window.
-
-    gram is symmetric, entry for entry, as gram_matrix builds it, so each
-    rendering formats one entry per pair n <= n' and mirrors it.
-    """
-
+# GramReport subclasses its fields, without __slots__, for the __dict__ in
+# which cached_property keeps node_hash.
+class _GramFields(NamedTuple):
     family_kind: str
     measure_kind: str
     q: QReal
@@ -739,9 +730,20 @@ class GramReport:
     tail_bound: QReal
     nodes: list[QReal]
 
+
+class GramReport(_GramFields):
+    """A Gram matrix with its closed-form diagonal and certified window.
+
+    gram is symmetric, entry for entry, as gram_matrix builds it, so each
+    rendering formats one entry per pair n <= n' and mirrors it.  The fields
+    are those of a named tuple; node_hash, which only sweep reads, is formed
+    on its first read and kept.
+    """
+
     @functools.cached_property
     def node_hash(self) -> str:
         """The first 16 hex digits of the SHA-256 of the window nodes at 30 digits."""
+        import hashlib
         with mpmath.mp.workprec(self.bits):
             text = "|".join(to_decimal(x, 30) for x in self.nodes)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -752,6 +754,7 @@ class GramReport:
         return bool(tol >= floor and self.off_diag_max < tol and self.diag_rel_err_max < tol)
 
     def to_json(self, digits: int) -> str:
+        import json
         # Rendering is pinned to the report's own precision so output bytes
         # do not depend on the caller's ambient mpmath state.
         with mpmath.mp.workprec(self.bits):
@@ -1005,8 +1008,7 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
     )
 
 
-@dataclasses.dataclass
-class NormalizationAdjudication:
+class NormalizationAdjudication(NamedTuple):
     """Which closed form of Z(a) matches the actual lattice mass.
 
     The two candidates differ in the third infinite product:

@@ -42,6 +42,19 @@ def test_context_validation():
         PrecisionContext(bits=256, max_terms=0)
 
 
+def test_context_refuses_bools():
+    # bool is an int subclass: max_terms=True would be a one-term budget.
+    for kwargs, message in ((dict(bits=True), r"bits must be an integer >= 64 \(got True\)"),
+                            (dict(max_terms=True),
+                             r"max_terms must be an integer >= 1 \(got True\)")):
+        with pytest.raises(ValueError, match=message):
+            PrecisionContext(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            PrecisionContext.create(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            CTX._replace(**kwargs)
+
+
 def test_to_real_returns_a_fitting_mpf_as_it_is():
     ctx = PrecisionContext.create(bits=256)
     with mpmath.workprec(256):
