@@ -59,7 +59,10 @@ exponent in them, and the h series' factors e^(n-2k), is read from one
 kernel.power_run per call (per pass for the h series' rows, per pass and
 phi for its factors); the recurrences' steps read only q^-k, k >= 0, and
 round each coefficient once.  The C and grid D series form their few
-parameters with ``**`` and hand them to the kernel's loop as pairs.
+parameters by libmp's mpf_pow_int, mpf_mul and mpf_sqrt on raw values at
+ctx.bits, the calls that ``**``, ``*`` and mpmath.sqrt make there, with no
+mpf object (a grid label that is not an integer takes mpf ``**``), and
+hand them to the kernel's loop as pairs.
 """
 from __future__ import annotations
 
@@ -67,11 +70,13 @@ import enum
 from typing import Callable, NamedTuple
 
 import mpmath
+from mpmath.libmp import mpf_mul, mpf_pow_int, mpf_sqrt
+from mpmath.libmp import round_nearest as R
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext, QReal,
-                     _abs_lt, _add, _certified, _check_degree, _check_floor, _div,
-                     _hypergeometric_sum, _largest, _mpf, _mul, _pair, _round, _rounded, _sub,
-                     as_qparam, power_run)
+                     _abs_lt, _add, _budget, _certified, _check_degree, _check_floor, _div,
+                     _hypergeometric_sum, _largest, _mpf, _mul, _pair, _raw_pair, _round,
+                     _rounded, _sub, as_qparam, power_run)
 
 
 class FamilyKind(enum.Enum):
@@ -109,8 +114,7 @@ class FamilySpec(NamedTuple):
 
 def _positive_s(s: QReal, q: QReal, ctx: PrecisionContext) -> None:
     """Raise ValueError unless s is finite and s > 0."""
-    _pair(s, "s")   # ValueError unless s is finite
-    if not s > 0:
+    if _pair(s, "s")[0] <= 0:   # ValueError unless s is finite
         raise ValueError("s must satisfy s > 0 (got s=%s)" % mpmath.nstr(s, 8))
 
 
@@ -313,7 +317,7 @@ def qinv_hermite_series_tables(ns, phis, q,
         return lambda: "h_%s series at phi=%s, q=%.8g" % (
             ",".join(map(str, degrees)), ",".join("%.8g" % float(phi) for phi in at), float(q))
     _check_floor(ctx, what(ns, phis))
-    budget = _pair(mpmath.ldexp(ctx.tol, -2))
+    budget = _budget(ctx, 2)
 
     def value(n, phi, total, bound):
         if bound is not None and not _abs_lt(budget, bound):
@@ -414,19 +418,39 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
     raises TruncationFailure when tol is below ctx.rounding_floor.
     """
     _check_degree("k", k)
-    q = as_qparam(q, ctx)
+    q, x = as_qparam(q, ctx), ctx.to_real(x)
     n = 2 * k + 1
-    with ctx.workprec():
-        x = mpmath.mpf(x)
-        if x != 0:
-            return qinv_hermite(n, x, q, ctx) / x
+    if x:   # x != 0; qinv_hermite refuses inf and nan
+        return _mpf(_div(_pair(qinv_hermite(n, x, q, ctx)), _pair(x), ctx.bits))
     return _mpf(_certified(lambda prec: _linear_coefficient_pass(n, q, prec),
-                           _pair(mpmath.ldexp(ctx.tol, -2)), ctx,
+                           _budget(ctx, 2), ctx,
                            lambda: "ht_%d(0) at q=%.8g" % (2 * k, float(q))))
 
 
 # ---------------------------------------------------------------------------
 # discrete q-ultraspherical family
+
+
+# The parameters of the C and grid D series, with the values the mpf
+# expressions ``q ** k``, ``s * q ** k`` and ``mpmath.sqrt(s) * q`` give
+# under workprec(prec): the same libmp calls, on raw values.
+
+
+def _q_power(q: QReal, k: int, prec: int) -> tuple[int, int]:
+    """q^k for an int k as a pair (mpf_pow_int)."""
+    return _raw_pair(mpf_pow_int(q._mpf_, k, prec, R))
+
+
+def _s_q_power(s: QReal, q: QReal, k: int, prec: int) -> tuple[int, int]:
+    """s q^k for an int k as a pair (mpf_pow_int, then mpf_mul)."""
+    return _raw_pair(mpf_mul(s._mpf_, mpf_pow_int(q._mpf_, k, prec, R), prec, R))
+
+
+def _sqrt_s_q(s: QReal, q: QReal, prec: int) -> list[tuple[int, int]]:
+    """[sqrt(s) q, -sqrt(s) q] as pairs (mpf_sqrt, then mpf_mul; negating
+    is exact), the denominator parameters of both series."""
+    m, e = _raw_pair(mpf_mul(mpf_sqrt(s._mpf_, prec, R), q._mpf_, prec, R))
+    return [(m, e), (-m, e)]
 
 
 def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -438,17 +462,16 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
     _check_degree("n", n)
     spec = FamilySpec(FamilyKind.DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
-    with ctx.workprec():
-        x = _pair(mpmath.mpf(x), "x")   # ValueError unless x is finite
-        rs = mpmath.sqrt(s)
-        try:
-            return _hypergeometric_sum([_pair(q ** (-n)), _pair(-s * q ** (n + 1)), x],
-                                       [_pair(rs * q), _pair(-rs * q)], _pair(q), _pair(q),
-                                       ctx, n)
-        except PoleError as exc:
-            raise PoleError("discrete_ultra has a pole at s=%s: s q^(2k+2) = 1 at k=%d (q=%s)"
-                            % (mpmath.nstr(s, 8), exc.index, mpmath.nstr(q, 8)),
-                            exc.index) from None
+    x = _pair(ctx.to_real(x), "x")   # ValueError unless x is finite
+    prec, q_p = ctx.bits, _pair(q)
+    sm, se = _s_q_power(s, q, n + 1, prec)
+    try:
+        return _hypergeometric_sum([_q_power(q, -n, prec), (-sm, se), x], _sqrt_s_q(s, q, prec),
+                                   q_p, q_p, ctx, n)
+    except PoleError as exc:
+        raise PoleError("discrete_ultra has a pole at s=%s: s q^(2k+2) = 1 at k=%d (q=%s)"
+                        % (mpmath.nstr(s, 8), exc.index, mpmath.nstr(q, 8)),
+                        exc.index) from None
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +488,22 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     _check_degree("n", n)
     spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
-    with ctx.workprec():
-        x = mpmath.mpf(x)
-        _pair(x, "x")   # ValueError unless x is finite
-        cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
-        rs = mpmath.sqrt(s)
-        return _hypergeometric_sum([_pair(q ** (-x)), _pair(s * q ** (x + 1)), _pair(q ** (-n))],
-                                   [_pair(rs * q), _pair(-rs * q)], _pair(q),
-                                   _pair(-q ** (n + 1)), ctx, cutoff)
+    x = ctx.to_real(x)
+    xm, xe = _pair(x, "x")   # ValueError unless x is finite
+    prec = ctx.bits
+    # x's mantissa is odd or 0, so x is an integer when xe >= 0; below
+    # 2^prec in magnitude, x + 1 is exact at prec bits, as ``x + 1`` forms it
+    if xe >= 0 and abs(xm).bit_length() + xe <= prec:
+        label = xm << xe
+        x_slots = [_q_power(q, -label, prec), _s_q_power(s, q, label + 1, prec)]
+        cutoff = label if 0 <= label < n else n
+    else:   # mpf ** (mpf_pow), for a label that is not an integer or is that large
+        with ctx.workprec():
+            x_slots = [_pair(q ** (-x)), _pair(s * q ** (x + 1))]
+        cutoff = n
+    zm, ze = _q_power(q, n + 1, prec)
+    return _hypergeometric_sum(x_slots + [_q_power(q, -n, prec)], _sqrt_s_q(s, q, prec),
+                               _pair(q), (-zm, ze), ctx, cutoff)
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:

@@ -36,13 +36,18 @@ for odd n >= 1025 needs more, for example.
 The package computes on pairs: a finite real m 2^e held as two Python ints
 (m, e), the only number format that crosses a private interface.  A public
 function converts its inputs once (ctx.to_real, then _pair, which names the
-argument it refuses) and its result once (_mpf).  Precision crosses the
-same interfaces as an argument: every private function that rounds takes
+argument it refuses) and its result once (_mpf).  ctx.to_real rounds a plain
+decimal string [-]digits[.digits] itself (_decimal), to the value mpmath
+gives it, and leaves every other spelling and type to mpmath; the checks
+of inputs and of tol decide on pairs and format with nstr only to raise.
+Precision crosses the same interfaces as an argument: every private function that rounds takes
 the precision it rounds to (prec, or ctx.bits from its context), and none
 reads mpmath's global precision, which the package sets only around mpf
 arithmetic and rendering.  The private functions hand
 each other pairs, with this module's private arithmetic _add, _sub, _mul,
-_div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k).
+_div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k);
+_round, _mul, _sub and power_run's steps write out the rounding of
+_rounded rather than call it.
 Each operation forms its result exactly (an integer sum or product, or a
 quotient of at least prec + 2 bits plus a sticky bit) and rounds it once to
 the precision prec its caller names, to nearest with ties to even.  A
@@ -84,8 +89,8 @@ from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_ceil, mpf_div, mpf_le, mpf_log,
-                          mpf_neg, mpf_shift, numeral, round_nearest, to_float, to_int)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs, mpf_ceil, mpf_div, mpf_le,
+                          mpf_log, mpf_neg, mpf_shift, numeral, round_nearest, to_float, to_int)
 
 QReal = mpmath.mpf
 
@@ -119,7 +124,8 @@ class PrecisionContext(_PrecisionFields):
     """Working precision, truncation tolerance and iteration budget.
 
     bits      -- mantissa size for every mpf operation (>= 64)
-    tol       -- certified truncation tolerance, default 2^-200
+    tol       -- certified truncation tolerance, default 2^-200: a positive
+                 finite int, float or mpf, kept as an equal mpf
     max_terms -- hard cap on product factors / series terms
 
     An immutable named tuple whose fields are checked on construction,
@@ -132,11 +138,20 @@ class PrecisionContext(_PrecisionFields):
         self = super().__new__(cls, *args, **kwargs)
         if type(self.bits) is bool or not isinstance(self.bits, int) or self.bits < 64:
             raise ValueError("bits must be an integer >= 64 (got %r)" % (self.bits,))
-        if not self.tol > 0:
-            raise ValueError("tol must be positive (got %r)" % (self.tol,))
+        tol = self.tol
+        if type(tol) is not mpmath.mpf:
+            # ints and floats convert exactly; a bool is not taken for an int
+            raw = (None if isinstance(tol, bool) else from_int(tol) if isinstance(tol, int)
+                   else from_float(tol) if isinstance(tol, float) else None)
+            tol = None if raw is None else mp.make_mpf(raw)
+        if tol is None or tol._mpf_[0] or not tol._mpf_[1]:   # not a positive finite mpf
+            raise ValueError("tol must be a positive finite int, float or mpf (got %r)"
+                             % (self.tol,))
         if (type(self.max_terms) is bool or not isinstance(self.max_terms, int)
                 or self.max_terms < 1):
             raise ValueError("max_terms must be an integer >= 1 (got %r)" % (self.max_terms,))
+        if tol is not self.tol:
+            self = tuple.__new__(cls, (self.bits, tol, self.max_terms))
         return self
 
     @classmethod
@@ -145,8 +160,10 @@ class PrecisionContext(_PrecisionFields):
 
     @classmethod
     def create(cls, bits: int = 256, tol_exp: int = 200, max_terms: int = 50000) -> "PrecisionContext":
-        """Build a context with tol = 2^-tol_exp."""
-        return cls(bits=bits, tol=mpmath.mpf(2) ** -int(tol_exp), max_terms=max_terms)
+        """Build a context with tol = 2^-tol_exp, tol_exp an int (not a bool)."""
+        if type(tol_exp) is bool or not isinstance(tol_exp, int):
+            raise ValueError("tol_exp must be an integer (got %r)" % (tol_exp,))
+        return cls(bits=bits, tol=mpmath.mpf(2) ** -tol_exp, max_terms=max_terms)
 
     @property
     def rounding_floor(self) -> QReal:
@@ -175,13 +192,40 @@ class PrecisionContext(_PrecisionFields):
         """Convert a decimal string, int or mpf to an mpf at this precision.
 
         A finite mpf of at most bits bits is returned as it is: converting
-        it would give the same value.
+        it would give the same value.  A plain ASCII decimal is rounded by
+        _decimal, to the value mpmath's conversion gives; mpmath converts
+        every other value and spelling.
         """
         if type(value) is mpmath.mpf:
             _, man, exp, bc = value._mpf_
             if bc <= self.bits and (man or not exp):   # not inf or nan
                 return value
+        elif type(value) is str:
+            pair = _decimal(value, self.bits)
+            if pair is not None:
+                return _mpf(pair)
         return mpmath.mpf(value, prec=self.bits)
+
+
+def _decimal(text: str, prec: int) -> tuple[int, int] | None:
+    """The pair of a plain decimal [-]digits[.digits], rounded to prec bits:
+    one or more ASCII digits before the point, any number after it; None
+    for any other text, and for more than 400 digits.
+
+    The exact value m / 10^k = (m 2^-k) / 5^k, for the k fraction digits,
+    is rounded once to nearest with ties to even (_div).  mpmath's from_str
+    rounds that same rational correctly (mpf_div) when it keeps at most 400
+    fraction digits, so both give one value, the correctly rounded one.
+    Exponents, '+', spaces, a leading point, 'inf', 'nan', '_' and non-ASCII
+    digits are left to mpmath, and with them every message.
+    """
+    neg = text[:1] == "-"
+    whole, _, frac = (text[1:] if neg else text).partition(".")
+    digits = whole + frac
+    if not (whole and len(digits) <= 400 and digits.isascii() and digits.isdigit()):
+        return None
+    m = -int(digits) if neg else int(digits)
+    return _div((m, -len(frac)), (5 ** len(frac), 0), prec)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -190,7 +234,9 @@ DEFAULT_CONTEXT = PrecisionContext()
 def as_qparam(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Validate and convert a base parameter: 0 < q < 1."""
     qv = ctx.to_real(q)
-    if not (0 < qv < 1):
+    sign, man, exp, _ = qv._mpf_
+    # positive and below 1 = 2^0: inf and nan have no mantissa
+    if sign or not man or exp + man.bit_length() > 0:
         raise ValueError("q must satisfy 0 < q < 1 (got q=%s)" % mpmath.nstr(qv, 8))
     return qv
 
@@ -239,6 +285,12 @@ def _pair(value: QReal, what: str = "value") -> tuple[int, int]:
     return (-man if sign else man), exp
 
 
+def _raw_pair(raw: tuple) -> tuple[int, int]:
+    """The pair of a finite raw mpf tuple (sign, man, exp, bc)."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
 def _mpf(a: tuple[int, int]) -> QReal:
     """The mpf of a pair, in mpmath's normal form (odd mantissa, bit count)."""
     m, e = a
@@ -262,14 +314,32 @@ def _rounded(m: int, e: int, prec: int) -> tuple[int, int]:
     return t >> 1, e + s
 
 
+# _round, _mul, _sub and _stepped write out _rounded's rule, which saves a
+# call in the loops that make most of their operations.
+
+
 def _round(a: tuple[int, int], prec: int) -> tuple[int, int]:
     """a rounded to prec bits (mpf_pos)."""
-    return _rounded(a[0], a[1], prec)
+    m, e = a
+    s = m.bit_length() - prec
+    if s <= 0:
+        return a
+    t = m >> (s - 1)
+    if t & 1 and (t & 2 or t << (s - 1) != m):
+        return (t >> 1) + 1, e + s
+    return t >> 1, e + s
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     """a * b rounded to prec bits (mpf_mul)."""
-    return _rounded(a[0] * b[0], a[1] + b[1], prec)
+    m = a[0] * b[0]
+    s = m.bit_length() - prec
+    if s <= 0:
+        return m, a[1] + b[1]
+    t = m >> (s - 1)
+    if t & 1 and (t & 2 or t << (s - 1) != m):
+        return (t >> 1) + 1, a[1] + b[1] + s
+    return t >> 1, a[1] + b[1] + s
 
 
 def _add(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
@@ -301,8 +371,23 @@ def _add(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
 
 
 def _sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
-    """a - b rounded to prec bits (mpf_sub)."""
-    return _add(a, (-b[0], b[1]), prec)
+    """a - b rounded to prec bits (mpf_sub): _add of a and -b, its exact
+    branch written out."""
+    ma, ea = a
+    mb, eb = b
+    if 0 <= ea - eb <= 2 * prec:
+        m, e = (ma << (ea - eb)) - mb, eb
+    elif 0 < eb - ea <= 2 * prec:
+        m, e = ma - (mb << (eb - ea)), ea
+    else:
+        return _add(a, (-mb, eb), prec)
+    s = m.bit_length() - prec
+    if s <= 0:
+        return m, e
+    t = m >> (s - 1)
+    if t & 1 and (t & 2 or t << (s - 1) != m):
+        return (t >> 1) + 1, e + s
+    return t >> 1, e + s
 
 
 def _div(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
@@ -396,9 +481,21 @@ def power_run(x: tuple[int, int], lo: int, hi: int, prec: int) -> list[tuple[int
 
 def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]]:
     """[base^1, ..., base^count] of a pair, each product rounded at wp."""
-    out = [base] if count > 0 else []
+    if count <= 0:
+        return []
+    out = [base]
+    bm, be = base
+    m, e = base
     for _ in range(count - 1):
-        out.append(_mul(out[-1], base, wp))
+        # m 2^e = the last power times base, rounded at wp
+        m, e = m * bm, e + be
+        s = m.bit_length() - wp
+        if s > 0:
+            t = m >> (s - 1)
+            if t & 1 and (t & 2 or t << (s - 1) != m):
+                t += 2   # t >> 1 rounds up
+            m, e = t >> 1, e + s
+        out.append((m, e))
     return out
 
 
@@ -442,9 +539,15 @@ def _check_floor(ctx: PrecisionContext, what) -> None:
     """TruncationFailure unless ctx.tol is at least ctx.rounding_floor: a
     value rounded to ctx.bits carries up to 2^-bits relatively, which a
     budget of tol/64 or more then covers.  what() names the evaluation."""
-    if ctx.tol < ctx.rounding_floor:
+    if _abs_lt(_pair(ctx.tol), (1, 6 - ctx.bits)):   # tol > 0 below the floor 2^(6-bits)
         raise TruncationFailure("%s: tol=%s is below the rounding floor %s of a %d-bit value" % (
             what(), mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8), ctx.bits))
+
+
+def _budget(ctx: PrecisionContext, k: int) -> tuple[int, int]:
+    """tol 2^-k as a pair: the value of mpmath.ldexp(ctx.tol, -k)."""
+    m, e = _pair(ctx.tol)
+    return m, e - k
 
 
 def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, guard: int = 0,
@@ -657,7 +760,7 @@ def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
              + inv_gap * (4 * n.bit_length() + 8 + 2 * head_len + 6 * inv_gap))
     return _mpf(_certified(
         lambda prec: _product_pass(a_p, q_p, head_len, inv_gap, ctx.max_terms, prec),
-        _pair(mpmath.ldexp(ctx.tol, -6)), ctx,
+        _budget(ctx, 6), ctx,
         lambda: "(a;q)_inf at a=%.8g, q=%.8g" % (float(a), float(q)),
         guard=(2 * units).bit_length()))
 

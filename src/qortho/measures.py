@@ -202,9 +202,9 @@ import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _add, _certified, _check_degree, _div, _largest,
-                     _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam, qpochhammer_inf,
-                     to_decimal)
+                     TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree, _div,
+                     _largest, _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam,
+                     qpochhammer_inf, to_decimal)
 
 
 class SignViolation(Exception):
@@ -249,9 +249,8 @@ def _lattice_normalization_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QR
         raise ValueError("a must be nonzero")
     (am, ae), q_p = _pair(a, "a"), _pair(q)
     z = am * am, 2 * ae
-    budget = _pair(mpmath.ldexp(ctx.tol, -6))
     return _mpf(_certified(lambda prec: _theta_pass(z, q_p, ctx.max_terms, prec),
-                           budget, ctx,
+                           _budget(ctx, 6), ctx,
                            lambda: "Z(a) at a=%.8g, q=%.8g" % (float(a), float(q)),
                            guard=16))
 

@@ -11,8 +11,9 @@ import hashlib
 
 import pytest
 
-from qortho import SUITE_IDS
+from qortho import SUITE_IDS, families
 from qortho.cli import main
+from qortho.kernel import PrecisionContext
 
 _ONLY = ",".join(i for i in SUITE_IDS if i != "inverted-parameter-recurrence")
 
@@ -195,3 +196,31 @@ def test_verify_bytes_and_exit_code_are_pinned(capsys, q, bits, code, digest):
     out = capsys.readouterr().out
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The raw value of each public evaluator, called on decimal strings: h by
+# recurrence and by series, ht off and at x = 0, C, D by recurrence and by
+# grid series at integer labels below, at and past n, a negative label and
+# a label that is not an integer.  The digest pins every mantissa and
+# exponent, so any change of how the evaluators form their inputs and
+# parameters shows here.
+def _evaluator_values():
+    out = []
+    for q in ("0.3", "0.7", "0.93"):
+        for bits, tol_exp in ((256, 200), (1024, 800)):
+            ctx = PrecisionContext.create(bits, tol_exp)
+            for n in (0, 1, 7, 30):
+                out.append(families.qinv_hermite(n, "0.3", q, ctx))
+                out.append(families.qinv_hermite_series(n, "0.4", q, ctx))
+                out.append(families.even_hermite_factor(n, "0", q, ctx))
+                out.append(families.even_hermite_factor(n, "0.6", q, ctx))
+                out.append(families.discrete_ultra(n, "0.6", "0.8", q, ctx))
+                out.append(families.dual_ultra(n, "2.5", "0.8", q, ctx))
+                for x in ("0", "3", "29", "31", "-2", "2.5"):
+                    out.append(families.dual_ultra_series(n, x, "0.8", q, ctx))
+    return [v._mpf_ for v in out]
+
+
+def test_evaluator_values_are_pinned():
+    digest = hashlib.sha256(repr(_evaluator_values()).encode()).hexdigest()
+    assert digest == "baca38e3c5aa6b0f7390b72b7cbaa19d705e19d29f74598adbc1d12bc1ca9697"

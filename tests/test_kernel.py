@@ -1,5 +1,6 @@
 """Kernel primitives: contexts, q-shifted factorials, basic hypergeometric sums."""
 import math
+import re
 
 import mpmath
 import pytest
@@ -33,26 +34,50 @@ def test_context_defaults():
     assert d.bits == 512 and d.tol == CTX.tol
 
 
+_TOL_REFUSED = "tol must be a positive finite int, float or mpf (got %s)"
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext.create(bits=32)
     with pytest.raises(ValueError):
-        PrecisionContext(bits=256, tol=mpmath.mpf(0))
-    with pytest.raises(ValueError):
         PrecisionContext(bits=256, max_terms=0)
+    for tol in (mpmath.mpf(0), -1, "1e-60", math.inf, math.nan, mpmath.inf, mpmath.nan, None):
+        with pytest.raises(ValueError, match=re.escape(_TOL_REFUSED % repr(tol))):
+            PrecisionContext(bits=256, tol=tol)
+        with pytest.raises(ValueError, match=re.escape(_TOL_REFUSED % repr(tol))):
+            CTX._replace(tol=tol)
+    for tol_exp in (2.7, "7", None):
+        with pytest.raises(ValueError, match=re.escape("tol_exp must be an integer (got %r)"
+                                                       % (tol_exp,))):
+            PrecisionContext.create(tol_exp=tol_exp)
+
+
+def test_context_keeps_tol_as_an_equal_mpf():
+    # an int or a float is converted exactly, whatever mpmath's precision
+    for tol in (1, 3, 0.5, 1e-300, 2.0 ** -1074, 10 ** 400, (1 << 80) + 1, mpmath.mpf("1e-60")):
+        ctx = PrecisionContext(tol=tol)
+        assert type(ctx.tol) is mpmath.mpf and ctx.tol == tol
+        assert ctx == PrecisionContext(tol=ctx.tol) and ctx._replace(bits=512).tol is ctx.tol
+    assert PrecisionContext.create(tol_exp=7).tol == mpmath.mpf(2) ** -7
 
 
 def test_context_refuses_bools():
-    # bool is an int subclass: max_terms=True would be a one-term budget.
+    # bool is an int subclass: max_terms=True would be a one-term budget,
+    # tol=True a tolerance of 1 and tol_exp=True one of 2^-1.
     for kwargs, message in ((dict(bits=True), r"bits must be an integer >= 64 \(got True\)"),
                             (dict(max_terms=True),
-                             r"max_terms must be an integer >= 1 \(got True\)")):
+                             r"max_terms must be an integer >= 1 \(got True\)"),
+                            (dict(tol=True), re.escape(_TOL_REFUSED % repr(True)))):
         with pytest.raises(ValueError, match=message):
             PrecisionContext(**kwargs)
-        with pytest.raises(ValueError, match=message):
-            PrecisionContext.create(**kwargs)
+        if "tol" not in kwargs:
+            with pytest.raises(ValueError, match=message):
+                PrecisionContext.create(**kwargs)
         with pytest.raises(ValueError, match=message):
             CTX._replace(**kwargs)
+    with pytest.raises(ValueError, match=r"tol_exp must be an integer \(got True\)"):
+        PrecisionContext.create(tol_exp=True)
 
 
 def test_to_real_returns_a_fitting_mpf_as_it_is():

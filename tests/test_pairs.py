@@ -7,9 +7,13 @@ prec + 4 bits, the sizes for which mpmath rounds them correctly; mul, div
 and rounding take longer operands as well.  The fused recurrence step adds
 exact products of up to 2 prec bits, so _add and _sub are also checked on
 operands of up to 2 prec + 8 bits against the exact libmp sum (prec=0)
-rounded once by mpf_pos.  Example counts come from the hypothesis profile,
-so CI can search more of them (tests/conftest.py).
+rounded once by mpf_pos.  The kernel's decimal parser must give, raw tuple
+for raw tuple, what mpmath.mpf(text, prec=bits) gives, and mpmath's
+exception for text it hands to mpmath.  Example counts come from the
+hypothesis profile, so CI can search more of them (tests/conftest.py).
 """
+import random
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
                           mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
                           round_nearest)
 
-from qortho.kernel import _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub
+from qortho.kernel import PrecisionContext, _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub
 
 PRECS = [64, 256, 288, 1024, 1056]
 R = round_nearest
@@ -196,3 +200,79 @@ def test_pair_conversion_rejects_inf_and_nan():
     assert _pair(mpmath.mpf(-0.375)) == (-3, -3)
     for a in ((12, -2), (-(1 << 300), -5), (7, 0), (0, 9)):
         assert raw(_pair(_mpf(a))) == raw(a)
+
+
+def check_parse(text, prec):
+    """ctx.to_real(text) at prec bits is mpmath's value, or raises mpmath's
+    exception with its message."""
+    ctx = PrecisionContext(bits=prec)
+    try:
+        want = mpmath.mpf(text, prec=prec)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            ctx.to_real(text)
+        assert str(got.value) == str(exc), (text, prec)
+        return
+    got = ctx.to_real(text)
+    assert type(got) is mpmath.mpf and got._mpf_ == want._mpf_, (text, prec)
+
+
+_DIGITS = "0123456789"
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["", "-"]), st.text(_DIGITS, max_size=40),
+       st.sampled_from(["", "."]), st.text(_DIGITS, max_size=60))
+def test_plain_decimals_parse_as_mpmath_parses_them(sign, whole, point, frac):
+    text = sign + whole + point + frac
+    for prec in PRECS:
+        check_parse(text, prec)
+
+
+@pytest.mark.parametrize("text", ["7e-1", "+0.7", " 0.7", ".", "-", "inf", "nan", "1_0",
+                                  "\u0661", ".0", "-.00", "-.5", "5.", "-0", "0.7l", "1/3",
+                                  "", "0x1"])
+def test_other_spellings_go_to_mpmath(text):
+    for prec in PRECS:
+        check_parse(text, prec)
+
+
+def decimal_text(n, k):
+    """The exact decimal spelling of n / 10^k, k >= 0."""
+    digits = str(abs(n)).rjust(k + 1, "0")
+    point = "." + digits[len(digits) - k:] if k else ""
+    return "-"[:n < 0] + digits[:len(digits) - k] + point
+
+
+def test_long_decimals_go_to_mpmath():
+    # past 400 fraction digits mpmath rounds through a power of ten at 10
+    # guard bits, which can miss the correctly rounded value: the parser
+    # hands such text on, so to_real still gives mpmath's value
+    rng = random.Random(5)
+    for _ in range(2000):
+        text = decimal_text(rng.randrange(10 ** 402), 402)
+        want = mpmath.mpf(text, prec=64)._mpf_
+        if want != raw(_div((int(text[2:]), -402), (5 ** 402, 0), 64)):
+            break
+    else:
+        pytest.fail("no long decimal that mpmath rounds differently")
+    assert PrecisionContext(bits=64).to_real(text)._mpf_ == want
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_decimal_ties_round_to_even(prec):
+    # (2^prec + 1) / 2^j and (2^prec + 3) / 2^j lie halfway between two
+    # prec-bit values, and are exact decimals of j fraction digits
+    ctx = PrecisionContext(bits=prec)
+    for m in (1 << prec) + 1, (1 << prec) + 3:
+        even = m + 1 if m & 2 else m - 1   # the neighbour whose last kept bit is 0
+        for j in (0, 1, 7, 30):
+            for sign in (1, -1):
+                tie = sign * m * 5 ** j   # the tie is tie / 10^j
+                check_parse(decimal_text(tie, j), prec)
+                assert ctx.to_real(decimal_text(tie, j))._mpf_ == raw((sign * even, -j))
+                # the tie moved by 10^-(j+20) away from 0 or toward it rounds that way
+                for step, near in ((1, m + 1), (-1, m - 1)):
+                    text = decimal_text(tie * 10 ** 20 + sign * step, j + 20)
+                    check_parse(text, prec)
+                    assert ctx.to_real(text)._mpf_ == raw((sign * near, -j))
