@@ -193,12 +193,13 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _decimal(token: str, what: str, q=None):
-    """token as a finite mpf; where q is given, the token 'q' stands for it."""
+def _decimal(token: str, what: str, ctx: PrecisionContext, q=None):
+    """token as a finite mpf (ctx.to_real); where q is given, the token 'q'
+    stands for it."""
     if q is not None and token.strip() == "q":
         return q
     try:
-        value = mpmath.mpf(token)
+        value = ctx.to_real(token)
     except ValueError:
         value = None
     if value is None or not mpmath.isfinite(value):
@@ -207,14 +208,14 @@ def _decimal(token: str, what: str, q=None):
     return value
 
 
-def _family_s(config: argparse.Namespace, q, default=None):
+def _family_s(config: argparse.Namespace, q, ctx: PrecisionContext, default=None):
     """s from --s or --s-mode, else default; with no default, one is required."""
     if config.s is not None and config.s_mode is not None:
         raise ValueError("give either --s or --s-mode, not both")
     if config.s_mode is not None:
         return 1 / q if config.s_mode == "qinv" else q
     if config.s is not None:
-        return _decimal(config.s, "s")
+        return _decimal(config.s, "s", ctx)
     if default is None:
         raise ValueError("--s or --s-mode is required here")
     return default
@@ -223,10 +224,10 @@ def _family_s(config: argparse.Namespace, q, default=None):
 def _measure_for(config: argparse.Namespace, q, ctx: PrecisionContext, a_value=None):
     """The DiscreteMeasure that --measure names; a_value overrides --a."""
     if config.measure == "dual-base":
-        return dual_base(_family_s(config, q, mpmath.mpf(1)), q, config.parity, ctx)
+        return dual_base(_family_s(config, q, ctx, mpmath.mpf(1)), q, config.parity, ctx)
     a = a_value
     if a is None:
-        a = _decimal(config.a, "a", q) if config.a is not None else (1 + q) / 2
+        a = _decimal(config.a, "a", ctx, q) if config.a is not None else (1 + q) / 2
     return _MEASURES[config.measure](a, q, ctx)
 
 
@@ -240,9 +241,9 @@ def cmd_eval(config: argparse.Namespace) -> int:
     if config.n is None or config.n < 0:
         raise ValueError("--n must be a nonnegative integer")
     with ctx.workprec():
-        point = {name: _decimal(getattr(config, name), name)
+        point = {name: _decimal(getattr(config, name), name, ctx)
                  for name in ("x", "phi", "mu") if getattr(config, name) is not None}
-        s = _family_s(config, q) if kind.takes_s else None
+        s = _family_s(config, q, ctx) if kind.takes_s else None
         value = evaluate(FamilySpec(kind, q, s), config.n, ctx=ctx, **point)
         _emit(to_decimal(value, ctx.digits) + "\n", config.out_path)
     return 0
@@ -271,8 +272,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
             raise ValueError("--only names no identity id (got %r)" % config.only)
     q = as_qparam(config.q, ctx)
     with ctx.workprec():
-        s = None if config.s is None else _decimal(config.s, "s")
-        a = None if config.a is None else _decimal(config.a, "a", q)
+        s = None if config.s is None else _decimal(config.s, "s", ctx)
+        a = None if config.a is None else _decimal(config.a, "a", ctx, q)
     reports = run_suite(q, ctx, only=only, k_max=config.k_max, N=config.N,
                         s=s, a=a)
     if config.output == "json":
@@ -305,13 +306,13 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     if config.steps < 1:
         raise ValueError("--steps must be >= 1")
     with ctx.workprec():
-        a_lo = _decimal(config.a_from, "a-from", q)
+        a_lo = _decimal(config.a_from, "a-from", ctx, q)
         if config.steps == 1:
             values = [a_lo]
         else:
             if config.a_to is None:
                 raise ValueError("--a-to is required when steps > 1")
-            a_hi = _decimal(config.a_to, "a-to", q)
+            a_hi = _decimal(config.a_to, "a-to", ctx, q)
             span = a_hi - a_lo
             values = [a_lo + span * i / (config.steps - 1)
                       for i in range(config.steps)]

@@ -59,10 +59,9 @@ exponent in them, and the h series' factors e^(n-2k), is read from one
 kernel.power_run per call (per pass for the h series' rows, per pass and
 phi for its factors); the recurrences' steps read only q^-k, k >= 0, and
 round each coefficient once.  The C and grid D series form their few
-parameters by libmp's mpf_pow_int, mpf_mul and mpf_sqrt on raw values at
+parameters by libmp's mpf_pow, mpf_mul and mpf_sqrt on raw values at
 ctx.bits, the calls that ``**``, ``*`` and mpmath.sqrt make there, with no
-mpf object (a grid label that is not an integer takes mpf ``**``), and
-hand them to the kernel's loop as pairs.
+mpf object, and hand them to the kernel's loop as pairs.
 """
 from __future__ import annotations
 
@@ -70,7 +69,7 @@ import enum
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import mpf_mul, mpf_pow_int, mpf_sqrt
+from mpmath.libmp import fone, from_int, mpf_add, mpf_mul, mpf_neg, mpf_pow, mpf_sqrt
 from mpmath.libmp import round_nearest as R
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext, QReal,
@@ -432,18 +431,19 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 
 
 # The parameters of the C and grid D series, with the values the mpf
-# expressions ``q ** k``, ``s * q ** k`` and ``mpmath.sqrt(s) * q`` give
+# expressions ``q ** t``, ``s * q ** t`` and ``mpmath.sqrt(s) * q`` give
 # under workprec(prec): the same libmp calls, on raw values.
 
 
-def _q_power(q: QReal, k: int, prec: int) -> tuple[int, int]:
-    """q^k for an int k as a pair (mpf_pow_int)."""
-    return _raw_pair(mpf_pow_int(q._mpf_, k, prec, R))
+def _q_power(q: QReal, t: tuple, prec: int) -> tuple[int, int]:
+    """q^t for a raw exponent t as a pair (mpf_pow, which hands an integer
+    t to mpf_pow_int)."""
+    return _raw_pair(mpf_pow(q._mpf_, t, prec, R))
 
 
-def _s_q_power(s: QReal, q: QReal, k: int, prec: int) -> tuple[int, int]:
-    """s q^k for an int k as a pair (mpf_pow_int, then mpf_mul)."""
-    return _raw_pair(mpf_mul(s._mpf_, mpf_pow_int(q._mpf_, k, prec, R), prec, R))
+def _s_q_power(s: QReal, q: QReal, t: tuple, prec: int) -> tuple[int, int]:
+    """s q^t for a raw exponent t as a pair (mpf_pow, then mpf_mul)."""
+    return _raw_pair(mpf_mul(s._mpf_, mpf_pow(q._mpf_, t, prec, R), prec, R))
 
 
 def _sqrt_s_q(s: QReal, q: QReal, prec: int) -> list[tuple[int, int]]:
@@ -464,10 +464,10 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
     q, s = spec.q, spec.s
     x = _pair(ctx.to_real(x), "x")   # ValueError unless x is finite
     prec, q_p = ctx.bits, _pair(q)
-    sm, se = _s_q_power(s, q, n + 1, prec)
+    sm, se = _s_q_power(s, q, from_int(n + 1), prec)
     try:
-        return _hypergeometric_sum([_q_power(q, -n, prec), (-sm, se), x], _sqrt_s_q(s, q, prec),
-                                   q_p, q_p, ctx, n)
+        return _hypergeometric_sum([_q_power(q, from_int(-n), prec), (-sm, se), x],
+                                   _sqrt_s_q(s, q, prec), q_p, q_p, ctx, n)
     except PoleError as exc:
         raise PoleError("discrete_ultra has a pole at s=%s: s q^(2k+2) = 1 at k=%d (q=%s)"
                         % (mpmath.nstr(s, 8), exc.index, mpmath.nstr(q, 8)),
@@ -490,20 +490,15 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     q, s = spec.q, spec.s
     x = ctx.to_real(x)
     xm, xe = _pair(x, "x")   # ValueError unless x is finite
-    prec = ctx.bits
-    # x's mantissa is odd or 0, so x is an integer when xe >= 0; below
-    # 2^prec in magnitude, x + 1 is exact at prec bits, as ``x + 1`` forms it
-    if xe >= 0 and abs(xm).bit_length() + xe <= prec:
-        label = xm << xe
-        x_slots = [_q_power(q, -label, prec), _s_q_power(s, q, label + 1, prec)]
-        cutoff = label if 0 <= label < n else n
-    else:   # mpf ** (mpf_pow), for a label that is not an integer or is that large
-        with ctx.workprec():
-            x_slots = [_pair(q ** (-x)), _pair(s * q ** (x + 1))]
-        cutoff = n
-    zm, ze = _q_power(q, n + 1, prec)
-    return _hypergeometric_sum(x_slots + [_q_power(q, -n, prec)], _sqrt_s_q(s, q, prec),
-                               _pair(q), (-zm, ze), ctx, cutoff)
+    prec, x_raw = ctx.bits, x._mpf_
+    # x's mantissa is odd or 0: x is an integer when xe >= 0, and one below
+    # n has xe below n's bit length
+    label = xm << xe if 0 <= xe < n.bit_length() else -1
+    zm, ze = _q_power(q, from_int(n + 1), prec)
+    return _hypergeometric_sum([_q_power(q, mpf_neg(x_raw), prec),
+                                _s_q_power(s, q, mpf_add(x_raw, fone, prec, R), prec),
+                                _q_power(q, from_int(-n), prec)], _sqrt_s_q(s, q, prec),
+                               _pair(q), (-zm, ze), ctx, label if 0 <= label < n else n)
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:

@@ -1082,7 +1082,10 @@ def test_grid_series_equal_basic_hypergeometric(q_s, bits, monkeypatch):
                 assert raw([discrete_ultra(n, x_s, s_s, q, ctx)]) == raw([want])
             if not dual:
                 continue
-            for x_s in ("0", "2", "3", "7", "2.5"):
+            # labels below, at and past n (4 and 16 have the largest power
+            # of two below 5 and 22), negative, not an integer, and an
+            # integer past 2^256
+            for x_s in ("0", "2", "3", "4", "7", "16", "40", "-3", "2.5", "1e90"):
                 with ctx.workprec():
                     x = mpmath.mpf(x_s)
                     cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
@@ -1090,6 +1093,7 @@ def test_grid_series_equal_basic_hypergeometric(q_s, bits, monkeypatch):
                     z = -q ** (n + 1)
                 want = basic_hypergeometric(num, den, q, z, ctx, terminating_at=cutoff)
                 assert raw([dual_ultra_series(n, x_s, s_s, q, ctx)]) == raw([want])
+                assert seen[-1][2] == cutoff
     assert seen
     for num, q_seen, stop in seen:
         with ctx.workprec():
