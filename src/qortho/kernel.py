@@ -40,10 +40,14 @@ argument it refuses) and its result once (_mpf).  ctx.to_real rounds a plain
 decimal string [-]digits[.digits] itself (_decimal), to the value mpmath
 gives it, and leaves every other spelling and type to mpmath; the checks
 of inputs and of tol decide on pairs and format with nstr only to raise.
+to_decimal renders a value by the rules of libmp's to_str applied to its
+raw mantissa and exponent, so it prints what nstr prints; nstr itself
+renders only past the hand-off (binary exponents beyond +-3500, where
+mpmath divides by a power of ten found with logarithms) and in messages.
 Precision crosses the same interfaces as an argument: every private function that rounds takes
 the precision it rounds to (prec, or ctx.bits from its context), and none
 reads mpmath's global precision, which the package sets only around mpf
-arithmetic and rendering.  The private functions hand
+arithmetic; rendering reads no precision at all.  The private functions hand
 each other pairs, with this module's private arithmetic _add, _sub, _mul,
 _div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k);
 _round, _mul, _sub and power_run's steps write out the rounding of
@@ -243,25 +247,99 @@ def as_qparam(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
 
 def to_decimal(value, digits: int) -> str:
     """Deterministic decimal rendering to `digits` significant digits; an
-    integer below 10^digits in magnitude prints as all its digits.
+    integer below 10^digits in magnitude prints as all its digits, and every
+    other value as mpmath.nstr(value, digits) prints it.
 
-    An mpf passes through unrounded whatever the ambient precision; other
-    inputs are converted with enough bits to honor the digit count.
+    An mpf is rendered as it is.  Other inputs are converted at 53 bits, or
+    at 4 * digits + 16 bits, or, for a string, at 4 bits per character plus
+    16 (more than the log2(10) bits a decimal digit needs), whichever is the
+    most: the bits depend on the input alone, never on mp.prec.
+
+    Below 2^3500 and above 2^-3500 the string is that of libmp's to_str at
+    dps = digits, formed from the raw mantissa and exponent (_to_str); past
+    those bounds, where to_digits_exp divides by a power of ten found with
+    logarithms, and for digits < 1, nstr renders the value.
     """
     if isinstance(value, mpmath.mpf):
         v = value
     else:
-        with mp.workprec(max(mp.prec, 4 * digits + 16)):
-            v = mpmath.mpf(value)
-    if not mpmath.isfinite(v):
-        return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
-    if mpmath.isint(v) and abs(v) < 10 ** digits:
-        n = int(v)
+        prec = max(53, 4 * digits + 16, 4 * len(value) + 16 if isinstance(value, str) else 0)
+        v = mpmath.mpf(value, prec=prec)
+    sign, man, exp, bc = v._mpf_
+    if not man:
+        if exp:   # inf, -inf and nan have no mantissa and exp != 0
+            return "nan" if v != v else ("-inf" if sign else "inf")
+        return "0"
+    # an integer below 10^digits, which is below 2^(4 digits): the bound keeps
+    # man << exp from forming the integer of a huge value
+    if 0 <= exp and exp + bc <= 4 * digits and man << exp < _ten(digits):
+        n = -(man << exp) if sign else man << exp
         # numeral converts chunks of fewer than 250 digits, so Python's limit
         # on the digits str() gives an int does not apply; size, an estimate
         # of the digit count, sets the chunks.
         return numeral(n, size=n.bit_length() * 3 // 10 + 1)
-    return mpmath.nstr(v, digits)
+    if digits < 1 or not -3500 <= exp + bc <= 3500:
+        return mpmath.nstr(v, digits)
+    return _to_str(sign, man, exp, bc, digits)
+
+
+_LOG2_10 = math.log(10, 2)   # the float to_digits_exp computes
+
+
+@functools.lru_cache(maxsize=2048)
+def _ten(k: int) -> int:
+    """10^k, kept for the scales the renderer reuses."""
+    return 10 ** k
+
+
+def _to_str(sign: int, man: int, exp: int, bc: int, dps: int) -> str:
+    """libmp.to_str((sign, man, exp, bc), dps) of a normalized finite
+    nonzero value with |exp + bc| <= 3500 and dps >= 1.
+
+    to_digits_exp(value, dps + 3) truncates |value| to a binary fixed point
+    of fixprec bits and scales it by 10^fixdps, both numbers set from dps
+    and exp + bc by mpmath's own float formulas; the integer's digits, cut
+    toward zero, carry the decimal exponent.  to_str rounds them half up at
+    dps digits (a carry past the first digit adds one and moves the
+    exponent), prints the point in place when the exponent lies strictly
+    between min(-(dps // 3), -5) and dps, and strips trailing zeros.
+    """
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    scaled = (man << shift if shift >= 0 else man >> -shift) * _ten(fixdps) >> fixprec
+    # below 2^2000 the integer has fewer than 640 digits, the least limit
+    # Python may set on str(); numeral splits longer ones as nstr does
+    digits = str(scaled) if scaled.bit_length() < 2000 else numeral(scaled, size=dps + 3)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] >= "5":
+        digits = digits[:dps].rstrip("9")
+        if digits:
+            digits = digits[:-1] + str(int(digits[-1]) + 1) + "0" * (dps - len(digits))
+        else:
+            digits = "1" + "0" * (dps - 1)
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+            split = 1
+        else:
+            split = exponent + 1
+            digits += "0" * (split - dps)
+        exponent = 0
+    else:
+        split = 1
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    if not exponent:
+        return text
+    return text + ("e+%d" if exponent > 0 else "e%d") % exponent
 
 
 # ---------------------------------------------------------------------------

@@ -743,8 +743,7 @@ class GramReport(_GramFields):
     def node_hash(self) -> str:
         """The first 16 hex digits of the SHA-256 of the window nodes at 30 digits."""
         import hashlib
-        with mpmath.mp.workprec(self.bits):
-            text = "|".join(to_decimal(x, 30) for x in self.nodes)
+        text = "|".join(to_decimal(x, 30) for x in self.nodes)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def passed(self, tol) -> bool:
@@ -753,37 +752,37 @@ class GramReport(_GramFields):
         return bool(tol >= floor and self.off_diag_max < tol and self.diag_rel_err_max < tol)
 
     def to_json(self, digits: int) -> str:
+        """json.dumps(report, indent=2) + "\n", written out in one join: every
+        value but the two kind names is a number or a rendering, whose
+        characters need no escape."""
         import json
-        # Rendering is pinned to the report's own precision so output bytes
-        # do not depend on the caller's ambient mpmath state.
-        with mpmath.mp.workprec(self.bits):
-            obj = {
-                "family": self.family_kind,
-                "measure": self.measure_kind,
-                "q": to_decimal(self.q, digits),
-                "s": to_decimal(self.s, digits) if self.s is not None else None,
-                "a": to_decimal(self.a, digits) if self.a is not None else None,
-                "N": self.N,
-                "bits": self.bits,
-                "gram": _symmetric(self.N + 1,
-                                   lambda n, np_: to_decimal(self.gram[n][np_], digits)),
-                "off_diag_max": to_decimal(self.off_diag_max, digits),
-                "diag_rel_err_max": to_decimal(self.diag_rel_err_max, digits),
-                "m_window": [self.m_lo, self.m_hi],
-                "tail_bound": to_decimal(self.tail_bound, digits),
-            }
-        return json.dumps(obj, indent=2) + "\n"
+
+        def text(value) -> str:
+            return "null" if value is None else '"%s"' % to_decimal(value, digits)
+
+        head = ",\n  ".join((
+            '"family": ' + json.dumps(self.family_kind),
+            '"measure": ' + json.dumps(self.measure_kind),
+            '"q": ' + text(self.q), '"s": ' + text(self.s), '"a": ' + text(self.a),
+            '"N": %d' % self.N, '"bits": %d' % self.bits))
+        rows = _symmetric(self.N + 1, lambda n, np_: to_decimal(self.gram[n][np_], digits))
+        gram = ",\n".join('    [\n      "%s"\n    ]' % '",\n      "'.join(row) for row in rows)
+        tail = ",\n  ".join((
+            '"off_diag_max": ' + text(self.off_diag_max),
+            '"diag_rel_err_max": ' + text(self.diag_rel_err_max),
+            '"m_window": [\n    %d,\n    %d\n  ]' % (self.m_lo, self.m_hi),
+            '"tail_bound": ' + text(self.tail_bound)))
+        return "{\n  %s,\n  \"gram\": [\n%s\n  ],\n  %s\n}\n" % (head, gram, tail)
 
     def to_csv(self, digits: int) -> str:
         lines = ["n,nprime,value,expected,residual"]
         zero = mpmath.mpf(0)
         res = _residuals([[_pair(v) for v in row] for row in self.gram],
                          [_pair(d) for d in self.expected_diag], self.bits)
-        with mpmath.mp.workprec(self.bits):
-            cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
-                to_decimal(x, digits) for x in (
-                    self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
-                    _mpf(res[n][np_]))))
+        cells = _symmetric(self.N + 1, lambda n, np_: ",".join(
+            to_decimal(x, digits) for x in (
+                self.gram[n][np_], self.expected_diag[n] if n == np_ else zero,
+                _mpf(res[n][np_]))))
         lines += ["%d,%d,%s" % (n, np_, cell)
                   for n, row in enumerate(cells) for np_, cell in enumerate(row)]
         return "\n".join(lines) + "\n"
@@ -796,16 +795,88 @@ def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
     off it, each root formed once per degree in mpf.  Every operation rounds
     to prec bits, and the pair operations round as mpf's do on these
     operands (all of at most prec bits): the mpf expression's values."""
-    roots = [_pair(mpmath.sqrt(_mpf((abs(m), e)), prec=prec)) for m, e in diag]
+    roots = [_root(d, prec) for d in diag]
 
     def residual(n: int, np_: int) -> tuple[int, int]:
         if n == np_:
-            (m, e), (dm, de) = _sub(gram[n][n], diag[n], prec), diag[n]
-            return _div((abs(m), e), (abs(dm), de), prec)
-        m, e = gram[n][np_]
-        return _div((abs(m), e), _mul(roots[n], roots[np_], prec), prec)
+            return _on_diagonal(gram[n][n], diag[n], prec)
+        return _off_diagonal(gram[n][np_], roots[n], roots[np_], prec)
 
     return _symmetric(len(diag), residual)
+
+
+def _root(d: tuple[int, int], prec: int) -> tuple[int, int]:
+    """sqrt|d| of a pair, correctly rounded to prec bits by mpf's sqrt."""
+    return _pair(mpmath.sqrt(_mpf((abs(d[0]), d[1])), prec=prec))
+
+
+def _on_diagonal(g: tuple[int, int], d: tuple[int, int], prec: int) -> tuple[int, int]:
+    """|g - d| / |d|, each operation rounded to prec bits."""
+    (m, e), (dm, de) = _sub(g, d, prec), d
+    return _div((abs(m), e), (abs(dm), de), prec)
+
+
+def _off_diagonal(g: tuple[int, int], root: tuple[int, int], root_p: tuple[int, int],
+                  prec: int) -> tuple[int, int]:
+    """|g| / (root root_p), each operation rounded to prec bits."""
+    m, e = g
+    return _div((abs(m), e), _mul(root, root_p, prec), prec)
+
+
+def _log2(a: tuple[int, int]) -> tuple[int, float]:
+    """(T, f) with log2|a| = T + f for a nonzero pair (m, e): T = e + bitlen(m)
+    exactly, and f in [-1, 0] from the leading 53 bits of |m|, within 2^-45
+    (the cut costs under 2^-51, libm's log2 a few units of 2^-47)."""
+    m, e = a
+    m = abs(m)
+    b = m.bit_length()
+    return e + b, math.log2(m >> (b - 53) if b > 53 else m) - min(b, 53)
+
+
+def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
+                     prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(diag_rel_err_max, off_diag_max): _largest over _residuals' diagonal,
+    and over its entries n < n' in row-major order, forming the N + 1
+    diagonal quotients but only those off-diagonal ones that can be largest.
+
+    Each nonzero G_nn' is ranked by E = log2|G_nn'| - (log2|d_n| + log2|d_n'|)/2,
+    the log2 of the exact residual R = |G_nn'| / sqrt|d_n d_n'|, from _log2's
+    (T, f): the integer parts are exact and the float parts, each within
+    2^-45 and at most 2 in size, make E within 2^-43.  Only the entries whose
+    E is within 2^-20 of the largest get _residuals' quotient.  That quotient
+    R' takes four roundings to prec >= 64 bits, two roots, their product and
+    the division, each correctly rounded, so R' = R (1 + eps) with
+    |log2(1 + eps)| <= 4 * 1.45 * 2^-64 < 2^-61.  If entry a has the largest
+    R' and entry b the largest E, then E_a >= log2 R'_a - 2^-61 - 2^-43
+    >= log2 R'_b - 2^-61 - 2^-43 >= E_b - 2^-60 - 2^-42 > E_b - 2^-20: every
+    entry whose quotient is the largest is chosen, so the first of them in
+    row-major order, which _largest returns, is the same among the chosen
+    entries as among all.  A zero entry has residual 0, below any other;
+    with every entry zero, or none (N = 0), both give _ZERO.  An entry whose
+    integer part 2T_G - T_n - T_n' is 5 or more below the largest has E more
+    than 1/4 below the largest (each float part is at most 2), so it is left
+    out before any float is formed of the integer parts.
+    """
+    size = len(diag)
+    diag_err = _largest(_on_diagonal(gram[n][n], diag[n], prec) for n in range(size))
+    logs = [_log2(d) for d in diag]
+    ranked = []   # (2 T_G - T_n - T_n', 2 f_G - f_n - f_n', n, n')
+    for n, (tn, fn) in enumerate(logs):
+        for np_ in range(n + 1, size):
+            g = gram[n][np_]
+            if g[0]:
+                tg, fg = _log2(g)
+                tp, fp = logs[np_]
+                ranked.append((2 * tg - tn - tp, 2 * fg - fn - fp, n, np_))
+    if not ranked:
+        return diag_err, _ZERO
+    top = max(k for k, _, _, _ in ranked)
+    near = [((k - top + r) / 2, n, np_) for k, r, n, np_ in ranked if k >= top - 4]
+    cut = max(est for est, _, _ in near) - 2.0 ** -20
+    chosen = [(n, np_) for est, n, np_ in near if est >= cut]
+    roots = {n: _root(diag[n], prec) for n in {n for pair in chosen for n in pair}}
+    return diag_err, _largest(_off_diagonal(gram[n][np_], roots[n], roots[np_], prec)
+                              for n, np_ in chosen)
 
 
 def _symmetric(size: int, entry) -> list[list]:
@@ -984,9 +1055,7 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
     m_lo, m_hi, tail = _certified_window(measure, point, majorant, ctx, diag)
     nodes, weights = zip(*(point(m) for m in range(m_lo, m_hi + 1)))
     gram = _pair_sums(weights, [values(x) for x in nodes], N, ctx.bits)
-    res = _residuals(gram, diag, ctx.bits)
-    diag_err = _largest(res[n][n] for n in range(N + 1))
-    off_max = _largest(res[n][np_] for n in range(N + 1) for np_ in range(n + 1, N + 1))
+    diag_err, off_max = _residual_maxima(gram, diag, ctx.bits)
 
     return GramReport(
         family_kind=family.kind.value,

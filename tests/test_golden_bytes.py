@@ -6,14 +6,16 @@ the verify runs of GOLDEN: its residual depends on the accuracy the check
 requests for its series values, which is the check's own choice, not a
 result.  VERIFY pins the whole suite with its exit code, that check
 included, so a change of what it requests moves those digests on purpose.
+The same Grams check that the two residual maxima a Gram reports are the
+largest of all its residuals.
 """
 import hashlib
 
 import pytest
 
-from qortho import SUITE_IDS, families
+from qortho import SUITE_IDS, families, measures
 from qortho.cli import main
-from qortho.kernel import PrecisionContext
+from qortho.kernel import PrecisionContext, _largest
 
 _ONLY = ",".join(i for i in SUITE_IDS if i != "inverted-parameter-recurrence")
 
@@ -69,6 +71,13 @@ _CSV = {
                               "--parity", "odd", "--s", "1", "--N", "16"),
 }
 
+# Past the renderer's hand-off to nstr: at 4096 bits the residuals lie near
+# 2^-4096 (1e-1233), beyond |exp + bc| = 3500.
+_HAND_OFF = {
+    "gram-hermite-4096": ("gram", "--measure", "hermite-extremal", "--bits", "4096",
+                          "--tol-exp", "3900", "--N", "4"),
+}
+
 # One value per eval route: h by recurrence and by series, C, D by recurrence
 # and by grid series.
 _EVAL = {
@@ -78,6 +87,12 @@ _EVAL = {
     "eval-D-mu": ("eval", "--family", "D", "--s-mode", "qinv", "--n", "4",
                   "--mu", "2.5"),
     "eval-D-x": ("eval", "--family", "D", "--s", "0.9", "--n", "4", "--x", "2"),
+}
+
+# Values near 2^(+-10^9), which only nstr renders.
+_HUGE = {
+    "eval-D-mu-huge": ("eval", "--family", "D", "--s", "1", "--n", "30", "--mu", "3e300000000"),
+    "eval-h-x-tiny": ("eval", "--family", "h", "--n", "30", "--x=-3e-300000000"),
 }
 
 # At q = 0.5 every power of q is exact in binary, so however the recurrence
@@ -151,6 +166,11 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "70061ee83518555116a6928ae1b22ddcfdd5d0710b7f76cb671aaed9d61a6726",
     "bcb56e1e20a5a6ba7ccfaf36edd9a673bbb3a029cb7bfeffbd3fef6813ab74e8",
     "46b2485f4d8dd6b2c7667bf93426cfa9d8e3844c0a869b78573666c38b87f599",
+)) + _runs(_HAND_OFF, "0.5", (
+    "7981666147c8d6107a15f91f9b655473d3b6c074cd19553bb9f7c5c630612231",
+)) + _runs(_HUGE, "0.5", (
+    "1cf6391d3cd87a46f8b3394419300ddc8d7ef969846ab68fe4b1816c35a128f2",
+    "4ad3e2bba2559e24c6d9c8e31d98d54fe215985376e29ff837aee928032bffce",
 ))
 
 
@@ -188,14 +208,44 @@ VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
 )]
 
 
+_TOL_EXP = {256: "200", 1024: "800"}
+
+
 @pytest.mark.parametrize("q,bits,code,digest", VERIFY)
 def test_verify_bytes_and_exit_code_are_pinned(capsys, q, bits, code, digest):
-    tol_exp = {256: "200", 1024: "800"}[bits]
     got = main(["verify", "--output", "json", "--q", q, "--bits", str(bits),
-                "--tol-exp", tol_exp])
+                "--tol-exp", _TOL_EXP[bits]])
     out = capsys.readouterr().out
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every Gram of the grids above, the suite runs included, takes its two
+# residual maxima from the quotients of the entries that can hold them
+# (measures._residual_maxima): they must be _largest over all the residuals.
+_GRAMS = ([pytest.param(p.values[0], id=p.id) for p in GOLDEN if p.values[0][0] != "eval"]
+          + [pytest.param(("verify", "--q", p.values[0], "--bits", str(p.values[1]),
+                           "--tol-exp", _TOL_EXP[p.values[1]]), id=p.id) for p in VERIFY])
+
+
+@pytest.mark.parametrize("argv", _GRAMS)
+def test_residual_maxima_are_the_largest_residuals(monkeypatch, capsys, argv):
+    maxima, seen = measures._residual_maxima, []
+
+    def checked(gram, diag, prec):
+        res = measures._residuals(gram, diag, prec)
+        size = len(diag)
+        want = (_largest(res[n][n] for n in range(size)),
+                _largest(res[n][np_] for n in range(size) for np_ in range(n + 1, size)))
+        got = maxima(gram, diag, prec)
+        assert got == want
+        seen.append(size)
+        return got
+
+    monkeypatch.setattr(measures, "_residual_maxima", checked)
+    main(list(argv))
+    capsys.readouterr()
+    assert seen
 
 
 # The raw value of each public evaluator, called on decimal strings: h by

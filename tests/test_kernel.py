@@ -156,6 +156,20 @@ def test_to_decimal_rendering():
     assert to_decimal(mpmath.inf, 20) == "inf"
 
 
+def test_to_decimal_forms_no_integer_of_a_huge_value():
+    # 3 * 2^(2^26) is an integer past 10^20: telling so by forming it would
+    # take 8 MiB here, and gigabytes at eval's binary exponents near 3e10
+    import tracemalloc
+    value = _mpf((3, 1 << 26))
+    tracemalloc.start()
+    try:
+        assert to_decimal(value, 20) == mpmath.nstr(value, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_to_decimal_keeps_full_precision_outside_workprec():
     with CTX.workprec():
         v = 1 + mpmath.mpf(2) ** -200

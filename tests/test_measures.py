@@ -1,6 +1,7 @@
 """Discrete measures, Gram matrices, and the normalization adjudication."""
 import functools
 import json
+import random
 from fractions import Fraction
 
 import mpmath
@@ -16,8 +17,9 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
                     lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
-from qortho.kernel import TruncationFailure, _mpf, _pair, as_qparam, qpochhammer, qpochhammer_inf
-from qortho.measures import _diagonals, _extremal
+from qortho.kernel import (TruncationFailure, _largest, _mpf, _pair, _round, as_qparam,
+                           qpochhammer, qpochhammer_inf)
+from qortho.measures import _diagonals, _extremal, _residual_maxima, _residuals
 
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
@@ -308,6 +310,59 @@ def test_pair_sums_refuse_what_their_bound_does_not_cover():
         for value in (mpmath.inf, mpmath.nan, -mpmath.inf):
             with pytest.raises(ValueError, match="finite"):
                 _pair(value)
+
+
+def largest_residuals(gram, diag, prec):
+    """_largest over all of _residuals: the diagonal, then n < n' row by row."""
+    res = _residuals(gram, diag, prec)
+    size = len(diag)
+    return (_largest(res[n][n] for n in range(size)),
+            _largest(res[n][np_] for n in range(size) for np_ in range(n + 1, size)))
+
+
+def test_residual_maxima_at_near_ties_zeros_and_small_sizes():
+    prec = 256
+    rng = random.Random(11)
+
+    def positive():
+        return rng.randrange(1 << 255, 1 << 256), rng.randrange(-300, 300)
+
+    def symmetric(diag, off):
+        gram = [[(dm + 12345, de) for dm, de in diag] for _ in diag]
+        for (n, np_), g in off.items():
+            gram[n][np_] = gram[np_][n] = g
+        return gram
+
+    # Near ties across degrees: G_01 and G_02 are c sqrt(d_0 d_n) for one c,
+    # each rounded to 256 bits, so their exact quotients differ by about a
+    # unit in the last place, far below what the 53-bit ranking resolves.
+    cases, split = [], 0
+    for _ in range(200):
+        diag = [positive() for _ in range(3)]
+        c = _mpf(positive())
+        with mpmath.mp.workprec(4 * prec):
+            g1, g2 = (_round(_pair(c * mpmath.sqrt(_mpf(diag[0]) * _mpf(d))), prec)
+                      for d in diag[1:])
+        cases.append((symmetric(diag, {(0, 1): g1, (0, 2): (-g2[0], g2[1]),
+                                       (1, 2): (g1[0], g1[1] - 30)}), diag))
+        res = _residuals(cases[-1][0], diag, prec)
+        split += res[0][1] != res[0][2]
+    assert split > 50   # the two computed quotients differ in most cases
+    # Exact quotients one unit apart in the last place, the larger first or second.
+    m = positive()[0]
+    ones = [(1, 0)] * 3
+    cases += [(symmetric(ones, {(0, 1): (m, -256), (0, 2): (m + 1, -256), (1, 2): (0, 0)}), ones),
+              (symmetric(ones, {(0, 1): (m + 1, -256), (0, 2): (m, -256), (1, 2): (0, 0)}), ones)]
+    # Every off-diagonal entry zero, N = 0 and N = 1.
+    diag = [positive() for _ in range(4)]
+    cases.append((symmetric(diag, {(n, np_): (0, 0) for n in range(4)
+                                   for np_ in range(n + 1, 4)}), diag))
+    cases.append((symmetric(diag[:1], {}), diag[:1]))
+    cases.append((symmetric(diag[:2], {(0, 1): (3, -400)}), diag[:2]))
+    for gram, diag in cases:
+        assert _residual_maxima(gram, diag, prec) == largest_residuals(gram, diag, prec)
+    assert _residual_maxima(*cases[-3], prec)[1] == (0, 0)
+    assert _residual_maxima(*cases[-2], prec)[1] == (0, 0)
 
 
 def test_node_hash_separates_a_values():

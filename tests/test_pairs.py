@@ -9,8 +9,10 @@ exact products of up to 2 prec bits, so _add and _sub are also checked on
 operands of up to 2 prec + 8 bits against the exact libmp sum (prec=0)
 rounded once by mpf_pos.  The kernel's decimal parser must give, raw tuple
 for raw tuple, what mpmath.mpf(text, prec=bits) gives, and mpmath's
-exception for text it hands to mpmath.  Example counts come from the
-hypothesis profile, so CI can search more of them (tests/conftest.py).
+exception for text it hands to mpmath.  The kernel's decimal rendering must
+print, character for character, what mpmath.nstr prints, for every value
+but the integers below 10^digits it prints whole.  Example counts come from
+the hypothesis profile, so CI can search more of them (tests/conftest.py).
 """
 import random
 
@@ -22,7 +24,8 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
                           mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
                           round_nearest)
 
-from qortho.kernel import PrecisionContext, _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub
+from qortho.kernel import (PrecisionContext, _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub,
+                           to_decimal)
 
 PRECS = [64, 256, 288, 1024, 1056]
 R = round_nearest
@@ -276,3 +279,54 @@ def test_decimal_ties_round_to_even(prec):
                     text = decimal_text(tie * 10 ** 20 + sign * step, j + 20)
                     check_parse(text, prec)
                     assert ctx.to_real(text)._mpf_ == raw((sign * near, -j))
+
+
+RENDER_DIGITS = [1, 2, 8, 30, 87, 343]
+
+
+def check_render(value, digits):
+    """to_decimal prints nstr's string, unless value is an integer below
+    10^digits, which it prints whole."""
+    sign, man, exp, _ = value._mpf_
+    if exp >= 0 and man << exp < 10 ** digits:
+        assert to_decimal(value, digits) == "-"[:sign] + str(man << exp)
+    else:
+        assert to_decimal(value, digits) == mpmath.nstr(value, digits), (value._mpf_, digits)
+
+
+@settings(deadline=None)
+@given(st.booleans(), st.integers(1, 1100), st.data(), st.integers(-3600, 3600),
+       st.sampled_from(RENDER_DIGITS))
+def test_decimals_render_as_nstr_renders_them(negative, bits, data, top, digits):
+    # mantissas of up to 1,100 bits with exp + bc across -3,600..3,600, so
+    # past the hand-off to nstr at |exp + bc| > 3500 on both sides
+    man = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    check_render(_mpf((-man if negative else man, top - bits)), digits)
+
+
+def test_rendering_carries_ties_window_edges_and_hand_off():
+    with mpmath.mp.workprec(256):
+        cases = [
+            # a carry through every digit adds one and moves the exponent,
+            # also out of the fixed-point window (999.96 at 3 digits)
+            "9.9999999", "0.99999", "-9.995e-10", "999.96", "99999999.6", "9.99999e+29",
+            # digit ties at the cut round half up: 0.125 and 2.5 are exact
+            "0.125", "-0.125", "2.5", "0.375", "1.5e-5", "12345678.5",
+        ] + ["%s1.5e%d" % (sign, k) for sign in ("", "-") for k in range(-12, 33)]
+        values = [mpmath.mpf(text) for text in cases]
+    for top in (3499, 3500, 3501):
+        for m in (1, 3, (1 << 255) + 1):
+            for e in (top, -top):
+                values += [_mpf((m, e - m.bit_length())), _mpf((-m, e - m.bit_length()))]
+    for digits in RENDER_DIGITS:
+        for v in values:
+            check_render(v, digits)
+    assert to_decimal(mpmath.mpf("0.99999"), 2) == "1.0"
+    assert to_decimal(mpmath.mpf("999.96"), 3) == "1.0e+3"
+    assert to_decimal(mpmath.mpf("0.125"), 2) == "0.13"
+    assert to_decimal(mpmath.mpf("-0.125"), 2) == "-0.13"
+    # the window at 8 digits is -5 < exponent < 8
+    assert to_decimal(mpmath.mpf("1.5e-4"), 8) == "0.00015"
+    assert to_decimal(mpmath.mpf("1.5e-5"), 8) == "1.5e-5"
+    assert to_decimal(mpmath.mpf("12345678.5"), 8) == "12345679.0"
+    assert to_decimal(mpmath.mpf("123456785"), 8) == "1.2345679e+8"

@@ -74,3 +74,12 @@ def test_kernel_and_series_values_do_not_depend_on_the_callers_precision():
 
 def test_suite_bytes_do_not_depend_on_the_callers_precision():
     _same(lambda: json.dumps([r.to_dict(CTX.digits) for r in run_suite("0.7", CTX)]))
+
+
+@pytest.mark.parametrize("prec", [53, 1000])
+def test_decimal_strings_render_alike_at_any_ambient_precision(prec):
+    # 29 digits below the tie 0.125: at 53 bits the string rounds to 0.125
+    # itself, which prints 0.13.  The conversion's bits come from the string.
+    with mpmath.mp.workprec(prec):
+        assert kernel.to_decimal("0.12499999999999999999999999999", 2) == "0.12"
+        assert kernel.to_decimal("-0.12500000000000000000000000001", 2) == "-0.13"
