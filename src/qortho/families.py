@@ -58,10 +58,13 @@ that of the mpf operator expression.  Every power of q with a loop-indexed
 exponent in them, and the h series' factors e^(n-2k), is read from one
 kernel.power_run per call (per pass for the h series' rows, per pass and
 phi for its factors); the recurrences' steps read only q^-k, k >= 0, and
-round each coefficient once.  The C and grid D series form their few
-parameters by libmp's mpf_pow, mpf_mul and mpf_sqrt on raw values at
-ctx.bits, the calls that ``**``, ``*`` and mpmath.sqrt make there, with no
-mpf object, and hand them to the kernel's loop as pairs.
+round each coefficient once.  The C and grid D series share one loop,
+_ultra_series, at ctx.bits + 32 with one division a term: their
+denominators (sqrt(s) q; q)_k (-sqrt(s) q; q)_k are the one product
+(s q^2; q^2)_k, stepped as the lane 1 - s q^(2k+2) from the exact s q^2,
+and their few parameters come from libmp's mpf_pow and mpf_mul on raw
+values, with no mpf object.  The kernel's basic_hypergeometric stays the
+independent route the tests hold them to.
 """
 from __future__ import annotations
 
@@ -69,12 +72,12 @@ import enum
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import fone, from_int, mpf_add, mpf_mul, mpf_neg, mpf_pow, mpf_sqrt
+from mpmath.libmp import from_int, mpf_mul, mpf_neg, mpf_pow
 from mpmath.libmp import round_nearest as R
 
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext, QReal,
-                     _abs_lt, _add, _budget, _certified, _check_degree, _check_floor, _div,
-                     _hypergeometric_sum, _largest, _mpf, _mul, _pair, _raw_pair, _round,
+                     TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree,
+                     _check_floor, _div, _largest, _mpf, _mul, _pair, _raw_pair, _round,
                      _rounded, _sub, as_qparam, power_run)
 
 
@@ -430,9 +433,8 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 # discrete q-ultraspherical family
 
 
-# The parameters of the C and grid D series, with the values the mpf
-# expressions ``q ** t``, ``s * q ** t`` and ``mpmath.sqrt(s) * q`` give
-# under workprec(prec): the same libmp calls, on raw values.
+# The parameters of the C and grid D series, formed by libmp's mpf_pow and
+# mpf_mul on raw values at the series' precision.
 
 
 def _q_power(q: QReal, t: tuple, prec: int) -> tuple[int, int]:
@@ -442,15 +444,90 @@ def _q_power(q: QReal, t: tuple, prec: int) -> tuple[int, int]:
 
 
 def _s_q_power(s: QReal, q: QReal, t: tuple, prec: int) -> tuple[int, int]:
-    """s q^t for a raw exponent t as a pair (mpf_pow, then mpf_mul)."""
-    return _raw_pair(mpf_mul(s._mpf_, mpf_pow(q._mpf_, t, prec, R), prec, R))
+    """s q^(t+1) for a raw exponent t as a pair: the exact s q times q^t
+    (mpf_pow), rounded once."""
+    return _raw_pair(mpf_mul(mpf_mul(s._mpf_, q._mpf_), mpf_pow(q._mpf_, t, prec, R), prec, R))
 
 
-def _sqrt_s_q(s: QReal, q: QReal, prec: int) -> list[tuple[int, int]]:
-    """[sqrt(s) q, -sqrt(s) q] as pairs (mpf_sqrt, then mpf_mul; negating
-    is exact), the denominator parameters of both series."""
-    m, e = _raw_pair(mpf_mul(mpf_sqrt(s._mpf_, prec, R), q._mpf_, prec, R))
-    return [(m, e), (-m, e)]
+def _ultra_series(nums, z, s: QReal, q: QReal, stop: int, ctx: PrecisionContext) -> QReal:
+    """sum_{k<=stop} t_k, rounded to ctx.bits, with t_0 = 1 and
+
+        t_(k+1) = t_k z prod_i (1 - a_i q^k) / ((1 - q^(k+1)) g_k),
+
+    g_k = 1 - s q^(2k+2): the 3phi2 of C and grid D, whose denominator
+    parameters sqrt(s) q and -sqrt(s) q make (s q^2; q^2)_k = prod_(j<k) g_j
+    (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials and
+    Their q-Analogues, 2010, 14.5).  nums holds the three pairs a_i and z is
+    a pair, formed at wp = ctx.bits + 32; s and q are validated inputs.
+    stop is the route's cutoff.  TruncationFailure when stop reaches
+    ctx.max_terms, and PoleError, with C's message and index k, where g_k
+    is exactly 0; D's rule s q^2 < 1 keeps every g_k positive.
+
+    One division a term, and everything at wp: a step forms each 1 - a_i q^k
+    from the exact product of a_i and q^k and rounds it once, multiplies z by
+    them (three roundings), forms q^(k+1) = q q^k and 1 - q^(k+1) (one
+    rounding each) and its product with g_k (one), and divides the exact
+    product of the term and the numerator by it, rounded once.  g_k is the
+    lane g_(k+1) = q^2 g_k + (1 - q^2), its product and sum exact and rounded
+    once, from g_0 = 1 - s q^2, where q^2, 1 - q^2 and g_0 are formed from
+    the exact q^2 and s q^2 and rounded once.  While s q^2 < 1 (D, and C on
+    its positive-measure range) the lane adds nonnegative terms, so its
+    error grows by one rounding a step however near s is to q^-2; a g_k
+    formed from a rounded sqrt(s) q would cancel there.
+
+    Bound.  Let u = 2^-wp, and give each value a count c: it is its exact
+    value at the inputs s, q and x times e^d, |d| <= c u.  A rounding adds
+    1, a product or quotient adds its operands' counts, and a sum a + b has
+    count (|a| c_a + |b| c_b) / |a + b|, at most the larger count when a
+    and b have one sign.  The inputs count 0.  mpf_pow at wp has count 2 or
+    less for an integer exponent t (mpf_pow_int works at wp + 4 bitlength(t)
+    + 4 bits, and inverts a power formed at wp + 5), and at most
+    2 + |t| (1 + |ln q|) 2^-9 for any other t (a square root or logarithm
+    at wp + 10 bits, then a power or exp); _s_q_power adds 1.  So, with p_i
+    the count of a_i, p_z that of z, and q^j of count at most j, t_k has
+    count c_k = sum_(j<k) r_j,
+
+        r_j = p_z + sum_i (k_ij (p_i + j) + 1) + l_j j + y_j + 6,
+
+    k_ij = |a_i q^j / (1 - a_i q^j)| and l_j = q^(j+1) / (1 - q^(j+1)) the
+    amplifications of the differences, and y_j the count of g_j: y_0 = 1,
+    y_(j+1) = (q^2 |g_j| (y_j + 1) + 1 - q^2) / |g_(j+1)| + 1, which is
+    y_j + 2 while s q^2 < 1.  The K = stop additions of the sum put each
+    term through at most K roundings (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 4.2), so the value is within
+
+        2^-bits |S| + 1.01 u sum_(k<=K) (c_k + K) |t_k|
+
+    of the exact sum S at the inputs, the t_k exact too.  The counts are
+    first order; 1.01 covers the higher orders while every count is at
+    most 2^-20 / u and K < 2^12.  A cutoff below n (a grid label x < n)
+    drops terms that are exactly 0.
+    """
+    if stop >= ctx.max_terms:
+        raise TruncationFailure("series not resolved within max_terms=%d (q=%s, z=%s)"
+                                % (ctx.max_terms, mpmath.nstr(q, 8), mpmath.nstr(_mpf(z), 8)))
+    wp = ctx.bits + 32
+    q_p, (sm, se) = _pair(q), _pair(s)
+    q2 = q_p[0] * q_p[0], 2 * q_p[1]   # q^2, exact
+    lane_mul, lane_add = _round(q2, wp), _sub(_ONE, q2, wp)
+    g = _sub(_ONE, (sm * q2[0], se + q2[1]), wp)   # g_0 = 1 - s q^2
+    total = term = qk = _ONE
+    for k in range(stop):
+        if not g[0]:
+            raise PoleError("discrete_ultra has a pole at s=%s: s q^(2k+2) = 1 at k=%d (q=%s)"
+                            % (mpmath.nstr(s, 8), k, mpmath.nstr(q, 8)), k)
+        # z prod_i (1 - a_i q^k), each 1 - a_i q^k from the exact a_i q^k
+        num, (qm, qe) = z, qk
+        for am, ae in nums:
+            num = _mul(num, _sub(_ONE, (am * qm, ae + qe), wp), wp)
+        qk = _mul(q_p, qk, wp)
+        den = _mul(_sub(_ONE, qk, wp), g, wp)
+        term = _div((term[0] * num[0], term[1] + num[1]), den, wp)
+        if not term[0]:
+            break
+        total = _add(total, term, wp)
+        g = _add((lane_mul[0] * g[0], lane_mul[1] + g[1]), lane_add, wp)
+    return _mpf(_round(total, ctx.bits))
 
 
 def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
@@ -463,15 +540,9 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
     spec = FamilySpec(FamilyKind.DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
     x = _pair(ctx.to_real(x), "x")   # ValueError unless x is finite
-    prec, q_p = ctx.bits, _pair(q)
-    sm, se = _s_q_power(s, q, from_int(n + 1), prec)
-    try:
-        return _hypergeometric_sum([_q_power(q, from_int(-n), prec), (-sm, se), x],
-                                   _sqrt_s_q(s, q, prec), q_p, q_p, ctx, n)
-    except PoleError as exc:
-        raise PoleError("discrete_ultra has a pole at s=%s: s q^(2k+2) = 1 at k=%d (q=%s)"
-                        % (mpmath.nstr(s, 8), exc.index, mpmath.nstr(q, 8)),
-                        exc.index) from None
+    wp = ctx.bits + 32
+    sm, se = _s_q_power(s, q, from_int(n), wp)
+    return _ultra_series([_q_power(q, from_int(-n), wp), (-sm, se), x], _pair(q), s, q, n, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +561,14 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     q, s = spec.q, spec.s
     x = ctx.to_real(x)
     xm, xe = _pair(x, "x")   # ValueError unless x is finite
-    prec, x_raw = ctx.bits, x._mpf_
+    wp, x_raw = ctx.bits + 32, x._mpf_
     # x's mantissa is odd or 0: x is an integer when xe >= 0, and one below
     # n has xe below n's bit length
     label = xm << xe if 0 <= xe < n.bit_length() else -1
-    zm, ze = _q_power(q, from_int(n + 1), prec)
-    return _hypergeometric_sum([_q_power(q, mpf_neg(x_raw), prec),
-                                _s_q_power(s, q, mpf_add(x_raw, fone, prec, R), prec),
-                                _q_power(q, from_int(-n), prec)], _sqrt_s_q(s, q, prec),
-                               _pair(q), (-zm, ze), ctx, label if 0 <= label < n else n)
+    zm, ze = _q_power(q, from_int(n + 1), wp)
+    return _ultra_series([_q_power(q, mpf_neg(x_raw), wp), _s_q_power(s, q, x_raw, wp),
+                          _q_power(q, from_int(-n), wp)], (-zm, ze), s, q,
+                         label if 0 <= label < n else n, ctx)
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:

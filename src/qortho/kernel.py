@@ -863,6 +863,9 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
     the rounded q^k the terms are formed from.  A term that merely looks
     small does not stop the loop: 1 / (1 - b q^k) can lift a later term by
     any factor.  TruncationFailure is raised when max_terms is exhausted.
+    The loop runs on pairs at ctx.bits.  The C and grid D evaluators sum
+    their 3phi2 in a loop of their own (families._ultra_series), and the
+    tests hold both to the same exact sums.
     """
     q = as_qparam(q, ctx)
     with ctx.workprec():
@@ -879,18 +882,10 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
                 raise ValueError("terminating_at=%d requires a numerator parameter equal to q^-%d"
                                  % (n_stop, n_stop))
 
-        z_p = _pair(z, "z")
-        return _hypergeometric_sum([_pair(a, "numerator parameter") for a in nums],
-                                   [_pair(b, "denominator parameter") for b in dens],
-                                   _pair(q), z_p, ctx, terminating_at)
-
-
-def _hypergeometric_sum(num_p, den_p, q_p, z_p, ctx: PrecisionContext,
-                        terminating_at: int | None = None) -> QReal:
-    """basic_hypergeometric's loop on pairs at ctx.bits, without its checks:
-    for callers whose parameters are formed at ctx.bits and, given
-    terminating_at=N, hold q^-N by construction (the C and grid D series)."""
-    prec, tol_p = ctx.bits, _pair(ctx.tol)
+    z_p = _pair(z, "z")
+    num_p = [_pair(a, "numerator parameter") for a in nums]
+    den_p = [_pair(b, "denominator parameter") for b in dens]
+    q_p, prec, tol_p = _pair(q), ctx.bits, _pair(ctx.tol)
     total, term, qk = _ZERO, _ONE, _ONE
     for k in range(ctx.max_terms):
         total = _add(total, term, prec)

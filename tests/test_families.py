@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import iv
 
 from qortho import (FamilyKind, FamilySpec, PoleError, PrecisionContext, TruncationFailure,
                     as_qparam, basic_hypergeometric, discrete_ultra, dual_ultra,
@@ -444,15 +445,32 @@ def test_every_s_entry_point_checks_s_as_validated_does(s, n):
                 call(s)
 
 
-@pytest.mark.parametrize("s,n,k", [(4, 3, 0), (16, 2, 1), (16, 8, 1)])
+@pytest.mark.parametrize("s,n,k", [(4, 3, 0), (16, 2, 1), (16, 8, 1), (64, 3, 2)])
 def test_discrete_ultra_names_s_and_k_at_a_pole(s, n, k):
     # C's denominators (s q^2; q^2)_k vanish where s q^(2k+2) = 1, inside
-    # C's rule s > 0; the kernel's message named neither C nor s.
+    # C's rule s > 0; the kernel's message named neither C nor s.  At
+    # q = 0.5 the lane 1 - s q^(2k+2) is exact, and 0 at k = 0, 1 and 2.
     with pytest.raises(PoleError) as info:
         discrete_ultra(n, "0.3", s, Q, CTX)
     assert str(info.value) == ("discrete_ultra has a pole at s=%d.0: s q^(2k+2) = 1 at k=%d"
                                " (q=0.5)" % (s, k))
     assert info.value.index == k
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_discrete_ultra_is_within_tol_next_to_a_pole(n):
+    # s q^2 = 1 - 2.5e-30: 1 - s q^(2k+2) formed from a rounded sqrt(s) q
+    # cancelled about 100 bits here (2.25e-48 from the exact sum); the lane
+    # from the exact s q^2 cancels none.  Exact at the 256-bit inputs.
+    s_s = "3.99999999999999999999999999999"
+    q, x, s = (_fraction(CTX.to_real(v)) for v in ("0.5", "0.3", s_s))
+    exact = total = Fraction(1)
+    for k in range(n):
+        num = q * (1 - q ** (k - n)) * (1 + s * q ** (n + 1 + k)) * (1 - x * q ** k)
+        total *= num / ((1 - q ** (k + 1)) * (1 - s * q ** (2 * k + 2)))
+        exact += total
+    value = _fraction(discrete_ultra(n, "0.3", s_s, "0.5", CTX))
+    assert abs(value - exact) <= _fraction(CTX.tol) * abs(exact)
 
 
 def _degree_calls(v):
@@ -1046,58 +1064,130 @@ def test_one_point_evaluators_equal_their_table_rows(q_s, bits):
                 assert raw([even_hermite_factor(n, x, q, ctx)]) == raw([want])
 
 
-def _spy_on_series(monkeypatch):
-    """[(numerator parameters, q, terminating_at)] of each series the C and
-    grid D evaluators sum, as pairs, recorded as they call the kernel."""
-    seen = []
-    real = families._hypergeometric_sum
+# -- the C and grid D series against their exact sums -------------------------
+#
+# The exact sum at the binary inputs takes integers of about 1.5 10^6 bits at
+# 1024 bits and n = 22 (0.8 s a value as Fractions), so the sums, terms and
+# amplifications are enclosed by mpmath's interval arithmetic at bits + 64
+# bits, which rounds outward: each exact value lies in its interval, and a
+# bound formed from the intervals' upper ends bounds the exact one.
 
-    def spy(num, den, q, z, ctx, terminating_at=None):
-        seen.append((list(num), q, terminating_at))
-        return real(num, den, q, z, ctx, terminating_at)
-    monkeypatch.setattr(families, "_hypergeometric_sum", spy)
-    return seen
+
+@contextlib.contextmanager
+def _iv_prec(prec):
+    """mpmath.iv at prec bits, restored on exit."""
+    old, iv.prec = iv.prec, prec
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def _exact_series(nums, z, s, q, stop, bits):
+    """(sum, terms, steps) of the 3phi2 of families._ultra_series at the
+    exact parameters nums and z (intervals) and inputs s and q, as intervals:
+    steps[j] = (amplifications |v / (1 - v)| for v = a_i q^j, and for
+    v = sqrt(s) q^(j+1) and -sqrt(s) q^(j+1); l_j; g_j)."""
+    with _iv_prec(bits + 64):
+        rs, qk, terms, steps = iv.sqrt(s) * q, iv.mpf(1), [iv.mpf(1)], []
+        for j in range(stop):
+            vs = [a * qk for a in nums] + [rs * qk, -rs * qk]
+            num = z
+            for v in vs[:3]:
+                num *= 1 - v
+            qk *= q
+            g = 1 - s * qk * qk
+            terms.append(terms[-1] * num / ((1 - qk) * g))
+            steps.append(([abs(v / (1 - v)) for v in vs], qk / (1 - qk), g))
+        return sum(terms), terms, steps
+
+
+def _rounding_bound(terms, steps, counts, z_count, q, u, loop):
+    """u sum_k (c_k + K) |t_k| with the counts c_k of _ultra_series' docstring
+    (loop "ultra"), or of basic_hypergeometric's loop at u = 2^-bits (loop
+    "basic"): per step, round(z / round(1 - q^(j+1))), a division by each
+    round(1 - round(b q^j)), a product with each round(1 - round(a q^j)), and
+    the product with the term."""
+    c, y, total, K = 0, iv.mpf(1), iv.mpf(0), len(steps)
+    for j, (kappas, l, g) in enumerate(steps):
+        total += (c + K) * abs(terms[j])
+        if terms[j + 1] == 0:   # a factor 1 - a_i q^j is exactly 0, and formed exactly here
+            return u * total
+        if loop == "ultra":
+            c += z_count + sum(k * (p + j) + 1 for k, p in zip(kappas, counts)) + l * j + y + 6
+            if j + 1 < K:
+                y = (q * q * abs(g) * (y + 1) + 1 - q * q) / abs(steps[j + 1][2]) + 1
+        else:
+            c += z_count + sum(k * (p + j + 1) + 2 for k, p in zip(kappas, counts)) + l * j + 3
+    return u * (total + (c + K) * abs(terms[K]))
+
+
+def _pow_count(t, q):
+    """The count of mpf_pow's q^t that _ultra_series' docstring states."""
+    return 2 if mpmath.isint(t) else 2 + abs(t) * (1 + abs(mpmath.log(q))) / 512
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.05", "0.277857", "0.5", "0.7", "0.999"])
-def test_grid_series_equal_basic_hypergeometric(q_s, bits, monkeypatch):
-    # The same parameters, formed as the evaluators document them, summed by
-    # the public kernel function: bit for bit, and the terminating slot
-    # holds q^-N, N the number of the last term, bit for bit.
+def test_grid_series_are_within_their_bound_of_the_exact_sums(q_s, bits, monkeypatch):
+    # C and grid D within _ultra_series' a-priori bound of the exact sums at
+    # the binary inputs, at the route's cutoff (n, or a grid label x < n);
+    # basic_hypergeometric, given each parameter rounded once (count at most
+    # 2), within the same count of its own loop at 2^-bits.
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
     q = as_qparam(q_s, ctx)
-    seen = _spy_on_series(monkeypatch)
+    stops, real = [], families._ultra_series
+
+    def spy(nums, z, s, q, stop, ctx):
+        stops.append(stop)
+        return real(nums, z, s, q, stop, ctx)
+    monkeypatch.setattr(families, "_ultra_series", spy)
+
+    def check(value, nums, z, s, stop, counts, z_count):
+        with _iv_prec(bits + 64):
+            q_i = iv.mpf(q)
+            total, terms, steps = _exact_series(nums, z, s, q_i, stop, bits)
+            bound = abs(total) * mpmath.mpf(2) ** -bits + 1.01 * _rounding_bound(
+                terms, steps, counts, z_count, q_i, iv.mpf(2) ** -(bits + 32), "ultra")
+            assert abs(iv.mpf(value) - total).b <= bound.a, (nums, stop)
+            # basic_hypergeometric, on the same sum with sqrt(s) q and -sqrt(s) q
+            with ctx.workprec():
+                num = [mpmath.mpf(a.mid) for a in nums]
+                rs = mpmath.mpf((iv.sqrt(s) * q).mid)
+                generic = basic_hypergeometric(num, [rs, -rs], q, mpmath.mpf(z.mid), ctx,
+                                               terminating_at=stop)
+            bound = 1.01 * _rounding_bound(terms, steps, [2] * 5, 2, q_i,
+                                           iv.mpf(2) ** -bits, "basic")
+            assert abs(iv.mpf(generic) - total).b <= bound.a, (nums, stop)
+
     for n in (0, 1, 5, 22):
         for s_s in ("0.45", "1", "1.079991"):
-            with ctx.workprec():
-                s = mpmath.mpf(s_s)
-                rs = mpmath.sqrt(s)
-                dual = s * q ** 2 < 1
+            s = ctx.to_real(s_s)
+            dual = _fraction(s) * _fraction(q) ** 2 < 1
+            with _iv_prec(bits + 64):
+                s_i, q_i = iv.mpf(s), iv.mpf(q)
+                params = [q_i ** -n, -s_i * q_i ** (n + 1)]
             for x_s in ("-1.5", "0", "0.734134"):
-                with ctx.workprec():
-                    x = mpmath.mpf(x_s)
-                    num, den = [q ** (-n), -s * q ** (n + 1), x], [rs * q, -rs * q]
-                want = basic_hypergeometric(num, den, q, q, ctx, terminating_at=n)
-                assert raw([discrete_ultra(n, x_s, s_s, q, ctx)]) == raw([want])
+                x = ctx.to_real(x_s)
+                value = discrete_ultra(n, x_s, s_s, q, ctx)
+                assert stops[-1] == n
+                check(value, params + [iv.mpf(x)], iv.mpf(q), s_i, n, [2, 3, 0], 0)
             if not dual:
                 continue
             # labels below, at and past n (4 and 16 have the largest power
             # of two below 5 and 22), negative, not an integer, and an
             # integer past 2^256
             for x_s in ("0", "2", "3", "4", "7", "16", "40", "-3", "2.5", "1e90"):
-                with ctx.workprec():
-                    x = mpmath.mpf(x_s)
-                    cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
-                    num = [q ** (-x), s * q ** (x + 1), q ** (-n)]
-                    z = -q ** (n + 1)
-                want = basic_hypergeometric(num, den, q, z, ctx, terminating_at=cutoff)
-                assert raw([dual_ultra_series(n, x_s, s_s, q, ctx)]) == raw([want])
-                assert seen[-1][2] == cutoff
-    assert seen
-    for num, q_seen, stop in seen:
-        with ctx.workprec():
-            assert _pair(q ** (-stop)) in num and q_seen == _pair(q)
+                x = ctx.to_real(x_s)
+                cutoff = int(x) if mpmath.isint(x) and 0 <= x < n else n
+                value = dual_ultra_series(n, x_s, s_s, q, ctx)
+                assert stops[-1] == cutoff
+                with _iv_prec(bits + 64):
+                    x_i = iv.mpf(x)
+                    nums = [q_i ** -x_i, s_i * q_i ** (x_i + 1), q_i ** -n]
+                    z = -q_i ** (n + 1)
+                count = _pow_count(x, q)
+                check(value, nums, z, s_i, cutoff, [count, count + 1, 2], 2)
 
 
 # -- the h series' coefficient row against the per-phi sum --------------------

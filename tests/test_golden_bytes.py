@@ -118,7 +118,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "419d43539f6bc72e956762e66f48ac2cf416dbf7079720a771780649a0d5bbec",
     "cb783b5ec8b9ad48161628f72f28b20be49b80fdb94ddf4022680fdacee87a3e",
     "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
-    "aeaf69d5b93be2778c24b4c6fd4631820db674d3d5a4d155aab3b031c3764af9",
+    "e513d1828106b9521c330aa3a13c217f44f88bd0e359813bc1981c5ea3e5ea58",
 )) + _runs(_BASIC, "0.7", (
     "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
     "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
@@ -126,7 +126,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "a6942abee58446cc1e39f49a3d7af571d7a066f22f3308b1ca3ec6706d413292",
     "1d9d1519e44c307f5083d11281065e76ec8f9ce88689100d72dd63db54f74221",
     "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
-    "3690f1b1a1713326dc79bb92dc8cfc108909a4ce8bd0dc07eda8c318d08dd32d",
+    "3d3bc8e91c3022e6cefbe4fdd44da7ffb1c2d78a2b1ce5d6b3e394c4b87e3a25",
 )) + _runs(_WIDE, "0.5", (
     "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
     "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
@@ -140,13 +140,13 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
     "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
-    "6c3afff2024afd2fbef58592aa64f9cbd0b9357c83d82cf624301cf25091b117",
+    "9735df6b48664d5e6f70d922e4017badf7e9e1cbe36162ac6a2d0da8adde7d51",
     "3e57bfd1cb63e4ec00367f4a5bffc2efc9e190cea0c65d8aff7cf44682b1e2d8",
-    "1d148a64d76ad17219735c0522d17bee488930512521222dedfb1f483cdf0130",
+    "5da819f4e99ae01138fc12e732c71d78db3ea86abf0282937fd773d815cf1c6a",
 )) + _runs(_LONG, "0.9", (
     "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
     "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
-    "fbf4aac919b3332798ee8fc2483848dad41b04f1e410f44ecba044c272c80b25",
+    "c5cf971b5100563151834e910d2f466813f6bc858f1343224f26afcce8404942",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
     "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
@@ -156,14 +156,14 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_EXACT_POWERS, "0.5", (
     "5e2caea9749bba4d5031aa2a302b5112ca6ff61d0c10c0d5b8bee245a520141c",
     "558660e0399940240f6ef9658e7820eefd144d92d08a7eea0c8af150085292cd",
-    "ed86bd4cbbed380577533718b0750bc7c56572768ca42cff63660be7fef34eb5",
+    "eba2ef17427645e7bbbd470d817bbbc835589e632dbe9bf63ca701d78098a5be",
     "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
     "b4c06d239a465b015470db1050a9617f7006609b8b408f617d243ca7764489eb",
     "2481d5d7ca0d6e890e91d423e8624c963008c70b9498166b2e1844057ff4f74f",
     "586081201ca465d4dcb7b63a61dd94e9a684ae637a739c875765b7e9e6599d75",
-    "ca378ad32db43cc3bd345b8438a01a68ee3dd4f9d7cd530d45bbe9ad02320239",
+    "67fc1645e1cb2ac44896657e9bf38a8ff8d2845d430bc4a52500b297c86f228f",
     "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
-    "70061ee83518555116a6928ae1b22ddcfdd5d0710b7f76cb671aaed9d61a6726",
+    "07940bbbe759a860054fb1651872db490c5303a130dc1dcf429e732c03381fab",
     "bcb56e1e20a5a6ba7ccfaf36edd9a673bbb3a029cb7bfeffbd3fef6813ab74e8",
     "46b2485f4d8dd6b2c7667bf93426cfa9d8e3844c0a869b78573666c38b87f599",
 )) + _runs(_HAND_OFF, "0.5", (
@@ -195,16 +195,16 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 # exits 1 there; the digests pin that FAIL and its residual too.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 1, "09942ae9b2bf6fd31a5de2830fe74cc087e12c9b9b3bfcba92fa6c3a8899a98f"),
-    ("0.01", 256, 1, "62dfd5413b85112b1d628e620f94904c802df353ef2cbe63e297205523a98155"),
-    ("0.05", 256, 1, "0945074370b749f5779fd4d0dff1da82ab1526794843a893fa0e8b10950604e3"),
-    ("0.3", 256, 0, "cefe91eb24c1630e7cc4fff187a4c126c49378433e22a35769656910989ffded"),
-    ("0.99", 256, 0, "8d8aad20d107c9a50dc8beacc9b3ed408ca170328d90a51ece80bbdad454da7e"),
-    ("1e-4", 1024, 0, "e012838d41c8a30f31bd10424f9eedda5d3c949335cca028dc618d3ac41746d0"),
-    ("0.01", 1024, 0, "7fc77dcbdeef3fc4a1b7500a1cf9259865c6ed5cc941115c60d8a35433949881"),
-    ("0.05", 1024, 0, "ee1ed3fd3aa8605009aa8f1e1f4e5c1b67cfd8f91055d1a2e2469faff902376e"),
-    ("0.3", 1024, 0, "a94ed7ee015ac7dc7a98c77af13a2a23dc3235510868d0af9174218ad8d4e009"),
-    ("0.99", 1024, 0, "5b54428720b16b7d51c8f0a02a9099b5e6841c85517e2bbb9436c1edc351506e"),
+    ("1e-4", 256, 1, "ba042a725e0141bcfd0fab4132418d97366545fb17fb6cde173c59c52c20f6ab"),
+    ("0.01", 256, 1, "55e4da7bbbc7dd7f931c612748ffd4e27a6824401eb3c992aa72771aaf2729b4"),
+    ("0.05", 256, 1, "f1089a4b11e03a9c3d1bd3c65cfa5695b4f0f6d11ab7d9d20173b98c5f724fba"),
+    ("0.3", 256, 0, "465c0b1210edc2c721d7c9dc12ff220eecf37a8fe6bcb259036f49f2bcbab2fa"),
+    ("0.99", 256, 0, "c34edc807620a0f39f3761d5cb9302f96d66d504eba6fa8a620179d7ac70fd9a"),
+    ("1e-4", 1024, 0, "07f2929ce14043c991cba5c8d1e66653d4ffa0d2e416af28061d54f595612455"),
+    ("0.01", 1024, 0, "3c36f234747c8d92db06b0f809559de340584d8119835d2d47d73ac77b0c8392"),
+    ("0.05", 1024, 0, "34fdab7958c8de247b9f68aff869f986d3089f1fa5a0469b0985ce7f70a68bd5"),
+    ("0.3", 1024, 0, "190dc28b3aa33fec5d35a7355e4c3dd10f3724bf7e2cd7f9b800a9cf74468065"),
+    ("0.99", 1024, 0, "59a69b9560a40ae4b494556ba6d546034349bba11354c274e1384dde69158fde"),
 )]
 
 
@@ -273,4 +273,4 @@ def _evaluator_values():
 
 def test_evaluator_values_are_pinned():
     digest = hashlib.sha256(repr(_evaluator_values()).encode()).hexdigest()
-    assert digest == "baca38e3c5aa6b0f7390b72b7cbaa19d705e19d29f74598adbc1d12bc1ca9697"
+    assert digest == "f0ae43bad21f7be6e1c15dff4cf76e483f47d02d285fed4667f41c5b3b7d2c19"
