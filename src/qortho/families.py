@@ -59,7 +59,7 @@ exponent in them, and the h series' factors e^(n-2k), is read from one
 kernel.power_run per call (per pass for the h series' rows, per pass and
 phi for its factors); the recurrences' steps read only q^-k, k >= 0, and
 round each coefficient once.  The C and grid D series share one loop,
-_ultra_series, at ctx.bits + 32 with one division a term: their
+_ultra_series, at ctx.bits + _RUN_GUARD (32) with one division a term: their
 denominators (sqrt(s) q; q)_k (-sqrt(s) q; q)_k are the one product
 (s q^2; q^2)_k, stepped as the lane 1 - s q^(2k+2) from the exact s q^2,
 and their few parameters come from libmp's mpf_pow and mpf_mul on raw
@@ -75,8 +75,8 @@ import mpmath
 from mpmath.libmp import from_int, mpf_mul, mpf_neg, mpf_pow
 from mpmath.libmp import round_nearest as R
 
-from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree,
+from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext,
+                     QReal, TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree,
                      _check_floor, _div, _largest, _mpf, _mul, _pair, _raw_pair, _round,
                      _rounded, _sub, as_qparam, power_run)
 
@@ -449,7 +449,8 @@ def _s_q_power(s: QReal, q: QReal, t: tuple, prec: int) -> tuple[int, int]:
     return _raw_pair(mpf_mul(mpf_mul(s._mpf_, q._mpf_), mpf_pow(q._mpf_, t, prec, R), prec, R))
 
 
-def _ultra_series(nums, z, s: QReal, q: QReal, stop: int, ctx: PrecisionContext) -> QReal:
+def _ultra_series(nums, z, s: QReal, q: QReal, stop: int, wp: int,
+                  ctx: PrecisionContext) -> QReal:
     """sum_{k<=stop} t_k, rounded to ctx.bits, with t_0 = 1 and
 
         t_(k+1) = t_k z prod_i (1 - a_i q^k) / ((1 - q^(k+1)) g_k),
@@ -458,7 +459,8 @@ def _ultra_series(nums, z, s: QReal, q: QReal, stop: int, ctx: PrecisionContext)
     parameters sqrt(s) q and -sqrt(s) q make (s q^2; q^2)_k = prod_(j<k) g_j
     (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials and
     Their q-Analogues, 2010, 14.5).  nums holds the three pairs a_i and z is
-    a pair, formed at wp = ctx.bits + 32; s and q are validated inputs.
+    a pair, formed at the precision wp = ctx.bits + _RUN_GUARD that the
+    caller passes and the loop runs at; s and q are validated inputs.
     stop is the route's cutoff.  TruncationFailure when stop reaches
     ctx.max_terms, and PoleError, with C's message and index k, where g_k
     is exactly 0; D's rule s q^2 < 1 keeps every g_k positive.
@@ -506,7 +508,6 @@ def _ultra_series(nums, z, s: QReal, q: QReal, stop: int, ctx: PrecisionContext)
     if stop >= ctx.max_terms:
         raise TruncationFailure("series not resolved within max_terms=%d (q=%s, z=%s)"
                                 % (ctx.max_terms, mpmath.nstr(q, 8), mpmath.nstr(_mpf(z), 8)))
-    wp = ctx.bits + 32
     q_p, (sm, se) = _pair(q), _pair(s)
     q2 = q_p[0] * q_p[0], 2 * q_p[1]   # q^2, exact
     lane_mul, lane_add = _round(q2, wp), _sub(_ONE, q2, wp)
@@ -540,9 +541,10 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
     spec = FamilySpec(FamilyKind.DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
     x = _pair(ctx.to_real(x), "x")   # ValueError unless x is finite
-    wp = ctx.bits + 32
+    wp = ctx.bits + _RUN_GUARD
     sm, se = _s_q_power(s, q, from_int(n), wp)
-    return _ultra_series([_q_power(q, from_int(-n), wp), (-sm, se), x], _pair(q), s, q, n, ctx)
+    return _ultra_series([_q_power(q, from_int(-n), wp), (-sm, se), x], _pair(q), s, q, n, wp,
+                         ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +563,14 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     q, s = spec.q, spec.s
     x = ctx.to_real(x)
     xm, xe = _pair(x, "x")   # ValueError unless x is finite
-    wp, x_raw = ctx.bits + 32, x._mpf_
+    wp, x_raw = ctx.bits + _RUN_GUARD, x._mpf_
     # x's mantissa is odd or 0: x is an integer when xe >= 0, and one below
     # n has xe below n's bit length
     label = xm << xe if 0 <= xe < n.bit_length() else -1
     zm, ze = _q_power(q, from_int(n + 1), wp)
     return _ultra_series([_q_power(q, mpf_neg(x_raw), wp), _s_q_power(s, q, x_raw, wp),
                           _q_power(q, from_int(-n), wp)], (-zm, ze), s, q,
-                         label if 0 <= label < n else n, ctx)
+                         label if 0 <= label < n else n, wp, ctx)
 
 
 def _dual_steps(n_max: int, s: QReal, q: QReal, prec: int) -> list[tuple[tuple[int, int], ...]]:

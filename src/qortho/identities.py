@@ -259,7 +259,7 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
 
         shifted = _mul(_mul(neg_q2, neg_qinv, prec), euler, prec)
         q_p = _pair(q)
-        return _report("product-chain", "q=%s" % to_decimal(q, 8), {
+        return _report("product-chain", "q=%s" % mpmath.nstr(q, 8), {
             # neg_q ** 2 is mpf's correctly rounded square, neg_q * neg_q
             "squared-form": _residual(base, _mul(_mul(neg_q, neg_q, prec), euler, prec), prec),
             "halved-form": _residual(
@@ -412,7 +412,7 @@ def check_half_to_full_lattice(N: int, q,
                     diag_worst = _larger(diag_worst, _residual(total, closed, prec))
 
         return _report("half-to-full-lattice",
-                       "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, to_decimal(q, 8)), {
+                       "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, mpmath.nstr(q, 8)), {
                            "entrywise": entry_worst,
                            "cross-parity-block": cross_worst,
                            "diagonal-closed-forms": diag_worst,
@@ -434,9 +434,9 @@ def _gram_entry(identity_id: str, measure, N: int,
     }
     grid = "N=%d, measure=%s" % (N, rep.measure_kind)
     if rep.a is not None:
-        grid += ", a=%s" % to_decimal(rep.a, 8)
+        grid += ", a=%s" % mpmath.nstr(rep.a, 8)
     if rep.s is not None:
-        grid += ", s=%s" % to_decimal(rep.s, 8)
+        grid += ", s=%s" % mpmath.nstr(rep.s, 8)
     return IdentityReport(identity_id, grid, max(rep.off_diag_max, rep.diag_rel_err_max),
                           rep.passed(ctx.tol), details)
 
@@ -451,7 +451,7 @@ def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
     details = adj.to_details(ctx.digits)
     details["definitive"] = "yes" if definitive else "no"
     return IdentityReport(identity_id,
-                          "a=%s, q=%s" % (to_decimal(adj.a, 8), to_decimal(adj.q, 8)),
+                          "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)),
                           winner_res, bool(winner_res < ctx.tol and definitive), details)
 
 

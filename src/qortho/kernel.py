@@ -522,6 +522,12 @@ def _largest(pairs) -> tuple[int, int]:
     return functools.reduce(_larger, pairs, _ZERO)
 
 
+# Bits a run or a loop on pairs steps at beyond its target precision; the
+# rounding bounds of power_run, of the measures' runs and of the C and grid-D
+# series assume them.
+_RUN_GUARD = 32
+
+
 def power_run(x: tuple[int, int], lo: int, hi: int, prec: int) -> list[tuple[int, int]]:
     """[x^lo, x^(lo+1), ..., x^hi] for a pair x, each rounded once to prec bits.
 
@@ -548,7 +554,7 @@ def power_run(x: tuple[int, int], lo: int, hi: int, prec: int) -> list[tuple[int
     """
     if lo > hi:
         return []
-    wp = prec + 32   # the guard bits the bound above assumes
+    wp = prec + _RUN_GUARD   # the guard bits the bound above assumes
     start = min(lo, 0)
     down = _stepped(_div(_ONE, x, wp), -start, wp) if start else []
     up = _stepped(x, hi, wp)

@@ -201,7 +201,7 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence
-from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
+from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree, _div,
                      _largest, _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam,
                      qpochhammer_inf, to_decimal)
@@ -311,11 +311,6 @@ def _closed(ctx: PrecisionContext) -> PrecisionContext:
     the floor the residuals show the shortfall as a failed check rather than
     an uncertifiable product."""
     return ctx._replace(tol=max(ctx.tol, ctx.rounding_floor))
-
-
-# Bits a run steps at beyond ctx.bits; the bound in the module docstring
-# assumes them.
-_RUN_GUARD = 32
 
 
 def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

@@ -1138,9 +1138,10 @@ def test_grid_series_are_within_their_bound_of_the_exact_sums(q_s, bits, monkeyp
     q = as_qparam(q_s, ctx)
     stops, real = [], families._ultra_series
 
-    def spy(nums, z, s, q, stop, ctx):
+    def spy(nums, z, s, q, stop, wp, ctx):
+        assert wp == bits + 32   # the guard the bound below assumes
         stops.append(stop)
-        return real(nums, z, s, q, stop, ctx)
+        return real(nums, z, s, q, stop, wp, ctx)
     monkeypatch.setattr(families, "_ultra_series", spy)
 
     def check(value, nums, z, s, stop, counts, z_count):

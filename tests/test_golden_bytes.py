@@ -118,7 +118,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "419d43539f6bc72e956762e66f48ac2cf416dbf7079720a771780649a0d5bbec",
     "cb783b5ec8b9ad48161628f72f28b20be49b80fdb94ddf4022680fdacee87a3e",
     "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
-    "e513d1828106b9521c330aa3a13c217f44f88bd0e359813bc1981c5ea3e5ea58",
+    "aeaf69d5b93be2778c24b4c6fd4631820db674d3d5a4d155aab3b031c3764af9",
 )) + _runs(_BASIC, "0.7", (
     "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
     "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
@@ -126,7 +126,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "a6942abee58446cc1e39f49a3d7af571d7a066f22f3308b1ca3ec6706d413292",
     "1d9d1519e44c307f5083d11281065e76ec8f9ce88689100d72dd63db54f74221",
     "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
-    "3d3bc8e91c3022e6cefbe4fdd44da7ffb1c2d78a2b1ce5d6b3e394c4b87e3a25",
+    "3690f1b1a1713326dc79bb92dc8cfc108909a4ce8bd0dc07eda8c318d08dd32d",
 )) + _runs(_WIDE, "0.5", (
     "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
     "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
@@ -146,7 +146,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_LONG, "0.9", (
     "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
     "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
-    "c5cf971b5100563151834e910d2f466813f6bc858f1343224f26afcce8404942",
+    "fbf4aac919b3332798ee8fc2483848dad41b04f1e410f44ecba044c272c80b25",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
     "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
@@ -195,16 +195,16 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 # exits 1 there; the digests pin that FAIL and its residual too.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 1, "ba042a725e0141bcfd0fab4132418d97366545fb17fb6cde173c59c52c20f6ab"),
-    ("0.01", 256, 1, "55e4da7bbbc7dd7f931c612748ffd4e27a6824401eb3c992aa72771aaf2729b4"),
-    ("0.05", 256, 1, "f1089a4b11e03a9c3d1bd3c65cfa5695b4f0f6d11ab7d9d20173b98c5f724fba"),
-    ("0.3", 256, 0, "465c0b1210edc2c721d7c9dc12ff220eecf37a8fe6bcb259036f49f2bcbab2fa"),
-    ("0.99", 256, 0, "c34edc807620a0f39f3761d5cb9302f96d66d504eba6fa8a620179d7ac70fd9a"),
-    ("1e-4", 1024, 0, "07f2929ce14043c991cba5c8d1e66653d4ffa0d2e416af28061d54f595612455"),
-    ("0.01", 1024, 0, "3c36f234747c8d92db06b0f809559de340584d8119835d2d47d73ac77b0c8392"),
-    ("0.05", 1024, 0, "34fdab7958c8de247b9f68aff869f986d3089f1fa5a0469b0985ce7f70a68bd5"),
-    ("0.3", 1024, 0, "190dc28b3aa33fec5d35a7355e4c3dd10f3724bf7e2cd7f9b800a9cf74468065"),
-    ("0.99", 1024, 0, "59a69b9560a40ae4b494556ba6d546034349bba11354c274e1384dde69158fde"),
+    ("1e-4", 256, 1, "09942ae9b2bf6fd31a5de2830fe74cc087e12c9b9b3bfcba92fa6c3a8899a98f"),
+    ("0.01", 256, 1, "62dfd5413b85112b1d628e620f94904c802df353ef2cbe63e297205523a98155"),
+    ("0.05", 256, 1, "0945074370b749f5779fd4d0dff1da82ab1526794843a893fa0e8b10950604e3"),
+    ("0.3", 256, 0, "cefe91eb24c1630e7cc4fff187a4c126c49378433e22a35769656910989ffded"),
+    ("0.99", 256, 0, "8d8aad20d107c9a50dc8beacc9b3ed408ca170328d90a51ece80bbdad454da7e"),
+    ("1e-4", 1024, 0, "e012838d41c8a30f31bd10424f9eedda5d3c949335cca028dc618d3ac41746d0"),
+    ("0.01", 1024, 0, "7fc77dcbdeef3fc4a1b7500a1cf9259865c6ed5cc941115c60d8a35433949881"),
+    ("0.05", 1024, 0, "ee1ed3fd3aa8605009aa8f1e1f4e5c1b67cfd8f91055d1a2e2469faff902376e"),
+    ("0.3", 1024, 0, "a94ed7ee015ac7dc7a98c77af13a2a23dc3235510868d0af9174218ad8d4e009"),
+    ("0.99", 1024, 0, "5b54428720b16b7d51c8f0a02a9099b5e6841c85517e2bbb9436c1edc351506e"),
 )]
 
 
