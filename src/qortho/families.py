@@ -145,9 +145,9 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
     """The grid point at label x of the dual family with this s and q."""
     spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
+    x = ctx.to_real(x)
+    _pair(x, "x")   # ValueError unless x is finite
     with ctx.workprec():
-        x = mpmath.mpf(x)
-        _pair(x, "x")   # ValueError unless x is finite
         mu = q ** (-x) + s * q ** (x + 1)
     return MuPoint(x=x, s=s, mu=mu)
 

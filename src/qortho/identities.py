@@ -141,7 +141,7 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
     grid = _grid(phi_grid)
     prec = ctx.bits
     with ctx.workprec():
-        phis = [mpmath.mpf(p) for p in grid]
+        phis = [ctx.to_real(p) for p in grid]
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
         s, c, mus = _connection(parity, k_max, ys, q, ctx)
         h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
@@ -208,7 +208,7 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     grid = _grid(phi_grid)
     prec, q_p = ctx.bits, _pair(q)
     with ctx.workprec():
-        phis = [mpmath.mpf(p) for p in grid]
+        phis = [ctx.to_real(p) for p in grid]
         ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
         h_tables = _tables(FamilyKind.QINV_HERMITE, 2 * k_max + 3,
                            [_pair(mpmath.sinh(phi)) for phi in phis], q, ctx)
@@ -301,7 +301,7 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
         coeff_worst = _largest(   # 1 - q^-n against -q^-n (1 - q^n)
             _residual(one_minus[n], _mul((-m, e), _sub(_ONE, power, prec), prec), prec)
             for n, ((m, e), power) in enumerate(powers[1:], 1))
-        xs = [mpmath.mpf(v) for v in grid]
+        xs = [ctx.to_real(v) for v in grid]
         amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
         series_ctx = ctx._replace(tol=ctx.tol / amplification)
         if series_ctx.tol < series_ctx.rounding_floor:
@@ -496,11 +496,11 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
     the error text in its details rather than aborting the suite.
     """
     q = as_qparam(q, ctx)
-    with ctx.workprec():
-        run = types.SimpleNamespace(
-            q=q, ctx=ctx, k_max=k_max, N=N,
-            s=mpmath.mpf(1) if s is None else mpmath.mpf(s),
-            a=(1 + q) / 2 if a is None else mpmath.mpf(a))
+    if a is None:
+        with ctx.workprec():
+            a = (1 + q) / 2
+    run = types.SimpleNamespace(q=q, ctx=ctx, k_max=k_max, N=N,
+                                s=ctx.to_real(1 if s is None else s), a=ctx.to_real(a))
 
     selected = list(SUITE_IDS) if only is None else list(dict.fromkeys(only))
     unknown = [name for name in selected if name not in _SUITE]

@@ -6,10 +6,24 @@ truncated under a-priori tail bounds: a result is returned together with the
 guarantee that the discarded tail is below the context tolerance, or a
 :class:`TruncationFailure` is raised.
 
+Geometric tails.  If t_0, t_1, ... are nonnegative and t_(j+1) <= r t_j
+for every j, with r <= 1 - 2^-c, then sum_j t_j <= t_0 / (1 - r) <= 2^c t_0.
+_tail_reach(num, den, prec) gives the least such c >= 1 for r = num / den,
+decided exactly on the pairs, with no division: c = 1 is the ratio 1/2 and
+the factor 2.  It gives None when num >= den, and past the cap c = prec/2:
+where num / den is a computed ratio within relative d of the exact one,
+the exact r is at most 1 - 2^-c + d, so the tail is at most
+2^c t_0 / (1 - 2^c d), and the cap keeps 2^c d <= 2^(prec/2) d small for
+any d of a few roundings at prec.  The Z(a) theta sum and the Gram window
+stop by this one rule, at any ratio below 1, where a ratio of 1/2 would
+come only after about ln 2 / (1 - q) steps near q = 1; for the same reason
+the product's head stops at a |w| between 1/2 and 0.9 there, and its guard
+takes 1 / (1 - W) <= 2^c from the rule.
+
 An infinite product (a;q)_inf splits off the finite head (a;q)_J with
-|a q^J| <= 2^-g and forms the rest as exp(-S), where
+|a q^J| <= W and forms the rest as exp(-S), where
 S = sum_k w^k / (k (1 - q^k)) for w = a q^J: its terms have one sign, or
-alternate and fall by 2^-g at least, so nothing cancels, also near q = 1.
+alternate, and fall by W < 1 at least (qpochhammer_inf says how W is set).
 Its certificate is relative and covers rounding as well as the tail: the
 result is within relative tol/16 of the exact product.  Its one pass
 bounds its rounding a priori, so the bits it runs at are fixed before it
@@ -585,8 +599,9 @@ def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]
 
 def _check_degree(name: str, value, least: int = 0) -> None:
     """ValueError unless value is an integer >= least (0 or 1): the one
-    check of a degree, count or index argument."""
-    if not isinstance(value, int) or value < least:
+    check of a degree, count or index argument; a bool is not taken for an
+    integer."""
+    if type(value) is bool or not isinstance(value, int) or value < least:
         raise ValueError("%s must be a %s integer (got %r)"
                          % (name, ("nonnegative", "positive")[least], value))
 
@@ -604,15 +619,44 @@ def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     return _mpf(prod)
 
 
-def _head_length(a: QReal, q: QReal, bits: int) -> tuple[int, int]:
-    """(J, g): g = max(1, floor(sqrt(bits log2(1/q) / 2))), and the smallest
-    J >= 0 with |a| q^J <= 2^-g, up to rounding at the boundary: g from
-    -log(q) at 53 bits, and J = ceil(log(2^g |a|) / -log(q)) at 53 bits, by
-    the libmp operations that mpmath's abs, log and ceil make at that
-    precision, on raw tuples."""
+def _tail_reach(num: tuple[int, int], den: tuple[int, int], prec: int) -> int | None:
+    """The least c >= 1 with num <= den (1 - 2^-c), for pairs num >= 0 and
+    den >= 0, decided exactly; None when num >= den or c > prec // 2 (the
+    module docstring's lemma on geometric tails)."""
+    if not _abs_lt(num, den):
+        return None
+    (nm, ne), (dm, de) = num, den
+    if ne + nm.bit_length() < de + dm.bit_length() - 1:   # num < den / 2
+        return 1
+    # the two tops differ by at most 1, so these shifts stay short
+    low = min(ne, de)
+    whole = dm << (de - low)
+    gap = whole - (nm << (ne - low))   # (den - num) 2^-low > 0
+    # c is the least with gap 2^c >= whole: c0 or c0 + 1 for equal bit lengths
+    c = whole.bit_length() - gap.bit_length()
+    c = max(1, c + (gap << c < whole))
+    return c if c <= prec // 2 else None
+
+
+def _head_stop(g) -> tuple:
+    """The raw W = 2^-g at which the product's head stops, |a q^J| <= W, for
+    an int g >= 1 or a float g in (0, 1)."""
+    return mpf_shift(fone, -g) if type(g) is int else from_float(2.0 ** -g)
+
+
+def _head_length(a: QReal, q: QReal, bits: int) -> tuple[int, int | float]:
+    """(J, g) for the product's head, the smallest J >= 0 with |a| q^J <= W,
+    W = 2^-g, up to rounding at the boundary.  With the cost model's
+    g* = sqrt(bits log2(1/q) / 2), g is floor(g*) when that is at least 1,
+    and otherwise the float g* itself, but no less than log2(1/0.9), so that
+    W <= 0.9.  g* is formed from -log(q) at 53 bits, and
+    J = ceil(log(|a| / W) / -log(q)) at 53 bits, by the libmp operations
+    that mpmath's abs, log, division and ceil make at that precision, on raw
+    tuples."""
     neg_log_q = mpf_neg(mpf_log(q._mpf_, 53, round_nearest))
-    g = max(1, math.isqrt(int(bits * to_float(neg_log_q) / (2 * math.log(2)))))
-    size = mpf_shift(mpf_abs(a._mpf_, 53, round_nearest), g)
+    cost = bits * to_float(neg_log_q) / (2 * math.log(2))   # g*^2
+    g = math.isqrt(int(cost)) or max(math.sqrt(cost), -math.log2(0.9))
+    size = mpf_div(mpf_abs(a._mpf_, 53, round_nearest), _head_stop(g), 53, round_nearest)
     if mpf_le(size, fone):
         return 0, g
     ratio = mpf_div(mpf_log(size, 53, round_nearest), neg_log_q, 53, round_nearest)
@@ -714,7 +758,9 @@ def _product_pass(a_p, q_p, head_len: int, inv_gap: int, max_terms: int, prec: i
         flooring q by at most G^2 W / (1 - W), as q^k - q'^k <= k v; and
         the J roundings of w, w (1 + e) with |e| <= J v, by at most
         J W G / (1 - W).  In all at most n - 1 plus
-        (2 + G (b + 2 + J W) + 3 G^2 W) / (1 - W)^2.
+        (2 + G (b + 2 + J W) + 3 G^2 W) / (1 - W)^2.  Each of these sums
+        is a geometric series in W, so the bound holds for any W < 1, also
+        for the head's W up to 0.9 near q = 1.
       exp: _exp is within relative v of exp(-S~), which is exp(-S) times
         exp(S - S~), S - S~ being the error of S above; and the last
         product rounds once more: 2.
@@ -794,26 +840,31 @@ def qpochhammer_inf(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """Infinite product (a;q)_inf, within relative tol/16 of the exact value.
 
     The finite head (a;q)_J is multiplied out, J being the first index with
-    |a q^J| <= 2^-g for g = max(1, floor(sqrt(bits log2(1/q) / 2))): there
-    are about (g + log2|a|) / log2(1/q) head factors and bits / g terms
-    below, a term costs about half a factor, and that g makes the cost
-    least.  A head factor that is exactly zero makes the result 0.  The
-    rest is (w;q)_inf = exp(-S) for w = a q^J, with
+    |a q^J| <= W = 2^-g for g = floor(g*), g* = sqrt(bits log2(1/q) / 2):
+    there are about (g + log2|a|) / log2(1/q) head factors and bits / g
+    terms below, a term costs about half a factor, and g* makes the cost
+    least.  Where floor(g*) is 0 (q above 2^(-2/bits), 0.9946 at 256 bits),
+    g is g* itself, but W at most 0.9: a head that waited for |w| <= 1/2
+    would need about ln 2 / (1 - q) factors, 69,314 at q = 0.99999 and
+    a = q, where this one needs 10,535.  A head factor that is exactly zero
+    makes the result 0.  The rest is (w;q)_inf = exp(-S) for w = a q^J, with
 
         S = -log (w;q)_inf = sum_(k>=1) w^k / (k (1 - q^k)),
 
     the sum over n >= 0 of log(1 - w q^n) = -sum_k (w q^n)^k / k for
     |w| < 1 (Gasper-Rahman, Basic Hypergeometric Series, 2nd ed.).  For
-    w > 0 every term has one sign, and for w < 0 the terms alternate and
-    fall by the factor |w| <= 2^-g at least, so nothing cancels, also near
-    q = 1: (q;q)_inf at q = 0.9999 is about e^-16449, and takes one pass of
-    about 6,900 head factors and 280 terms.  The pass (_product_pass)
-    bounds its rounding and its tail a priori, from J, the term count, |w|
-    and 1 / (1 - q).  Its precision, ctx.bits plus the bits that bound
-    needs when no head factor lies closer to 0 than 1 - q^(j+1), is fixed
-    before it runs, so _certified, the package's escalation policy, accepts
-    the first pass unless a head factor lies closer to 0 than that, and
-    then reruns it at the bits the bound asks for.  The pass's budget is
+    w > 0 every term has one sign, and for w < 0 the terms alternate; either
+    way they fall by the factor |w| <= W at least, and an absolute error in
+    S is the same relative error in exp(-S), so nothing is lost to
+    cancellation, also near q = 1: (q;q)_inf at q = 0.9999 is about
+    e^-16449, and takes one pass of 1,053 head factors and about 1,880
+    terms.  The pass (_product_pass) bounds its rounding and its tail a
+    priori, from J, the term count, |w| and 1 / (1 - q).  Its precision,
+    ctx.bits plus the bits that bound needs when no head factor lies closer
+    to 0 than 1 - q^(j+1), is fixed before it runs, with 1 / (1 - W) <= 2^c
+    for c from _tail_reach, so _certified, the package's escalation policy,
+    accepts the first pass unless a head factor lies closer to 0 than that,
+    and then reruns it at the bits the bound asks for.  The pass's budget is
     tol/64, and rounding the result to ctx.bits adds at most 2^-bits, which
     is below tol/64 by the rounding-floor check.
 
@@ -836,12 +887,14 @@ def _qpochhammer_inf_memo(a: QReal, q: QReal, ctx: PrecisionContext) -> QReal:
             % (head_len, ctx.max_terms, mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
     a_p, q_p = _pair(a), _pair(q)
     inv_gap = -(-(1 << -q_p[1]) // ((1 << -q_p[1]) - q_p[0]))   # ceil(1 / (1 - q))
-    # The pass's units with W <= 1/2, n <= (bits + 64) / g + 1, and
-    # amp <= J^2 / 2 + 2 J G (factors no closer to 0 than 1 - q^(j+1)),
+    # The pass's units with W = 2^-g <= 1 - 2^-c, n <= (bits + 64) / g + 1,
+    # and amp <= J^2 / 2 + 2 J G (factors no closer to 0 than 1 - q^(j+1)),
     # against a budget of 2^-bits or more
-    n = (ctx.bits + 64) // g + 1
-    units = (head_len * (head_len + 4 * inv_gap) // 2 + 2 * head_len + n + 9
-             + inv_gap * (4 * n.bit_length() + 8 + 2 * head_len + 6 * inv_gap))
+    c = _tail_reach(_raw_pair(_head_stop(g)), _ONE, ctx.bits)
+    n = int((ctx.bits + 64) / g) + 1
+    units = (head_len * (head_len + 4 * inv_gap) // 2 + 2 * head_len + n + 1
+             + ((2 + inv_gap * (n.bit_length() + 2)) << 2 * c)
+             + inv_gap * (head_len + 3 * inv_gap) * ((1 << 2 * c) - (1 << c)))
     return _mpf(_certified(
         lambda prec: _product_pass(a_p, q_p, head_len, inv_gap, ctx.max_terms, prec),
         _budget(ctx, 6), ctx,
@@ -874,19 +927,17 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
     tests hold both to the same exact sums.
     """
     q = as_qparam(q, ctx)
-    with ctx.workprec():
-        nums = [mpmath.mpf(v) for v in num]
-        dens = [mpmath.mpf(v) for v in den]
-        z = mpmath.mpf(z)
-
-        if terminating_at is not None:
-            n_stop = terminating_at
-            _check_degree("terminating_at", n_stop)
-            target = q ** (-n_stop)
+    nums = [ctx.to_real(v) for v in num]
+    dens = [ctx.to_real(v) for v in den]
+    z = ctx.to_real(z)
+    if terminating_at is not None:
+        _check_degree("terminating_at", terminating_at)
+        with ctx.workprec():
+            target = q ** (-terminating_at)
             witness = min((abs(v - target) for v in nums), default=None)
             if witness is None or witness > abs(target) * mpmath.mpf(2) ** (-(ctx.bits // 2)):
                 raise ValueError("terminating_at=%d requires a numerator parameter equal to q^-%d"
-                                 % (n_stop, n_stop))
+                                 % (terminating_at, terminating_at))
 
     z_p = _pair(z, "z")
     num_p = [_pair(a, "numerator parameter") for a in nums]

@@ -136,19 +136,23 @@ past it, where the nodes grow outward (below), by
     Bh(m) = w_m A(t_0)^2 (t_m / t_0)^(2N).
 
 Write m' for the node after m, outward.  Bh(m') / Bh(m) is
-r(m) = (w_m' / w_m) (t_m' / t_m)^(2N), which needs no majorant.  A side
+r(m) = (w_m' / w_m) (t_m' / t_m)^(2N), which needs no majorant.  r is
+nonincreasing from the kind's m_0 (below) on, so by the kernel's lemma on
+geometric tails the omitted sum past a window edge m from the anchor on
+is at most 2^c Bh(m'), c = _tail_reach(r(m)), for any r(m) < 1.  A side
 scans out from +-(isqrt(bits) + 1), at least 9, and anchors at the first m
-past the kind's m_0 (below) with r(m) <= 1/2 and 2 w_m' <= target: no stop
-comes sooner, since A >= A_0 = 1 gives Bh >= B >= w.  It stops at the first
-m from the anchor on with 2 Bh(m') <= target.  r is nonincreasing from m_0
-on, so every ratio from the stop on is at most 1/2, and the side's omitted
-sum is at most Bh(m') (1 + 1/2 + 1/4 + ...) = 2 Bh(m'), the tail it returns.
+past m_0 whose r(m) has a c with 2^c w_m' <= target: no stop comes sooner,
+since A >= A_0 = 1 gives Bh >= B >= w.  It stops at the first m from the
+anchor on with 2^c Bh(m') <= target, c from r(m) itself, and returns
+2^c Bh(m') as its tail.
 The checks divide by the closed-form diagonals d_n, so
 target = tol/8 * min(1, min_n d_n), and the two tails keep the truncation
 of every relative residual below tol/4.  The tests read the rounded nodes
 and weights, as the Gram does, and form r and Bh at bits, within relative
-(4N + 4) 2^-bits of their values on those nodes and weights; A(t_0)
-carries the rounding families._recurrence measures.
+(4N + 4) 2^-bits of their values on those nodes and weights, so r is
+within (8N + 9) 2^-bits, and each tail within relative
+2^c (8N + 9) 2^-bits <= (8N + 9) 2^-(bits/2) by the kernel's cap on c;
+A(t_0) carries the rounding families._recurrence measures.
 
 m_0.  Step outward from m to m', and use ln(1 + x) <= x,
 ln(1/q) >= 1 - q, 1 - q^2 <= 2 (1 - q) and 1 - q^4 <= 4 (1 - q).
@@ -203,8 +207,8 @@ import mpmath
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree, _div,
-                     _largest, _mpf, _mul, _pair, _round, _rounded, _sub, as_qparam,
-                     qpochhammer_inf, to_decimal)
+                     _largest, _mpf, _mul, _pair, _round, _rounded, _sub, _tail_reach,
+                     as_qparam, qpochhammer_inf, to_decimal)
 
 
 class SignViolation(Exception):
@@ -230,8 +234,9 @@ def lattice_normalization(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QRea
     positive, so nothing cancels, even near q = 1 where (q;q)_inf does.
 
     One pass (_theta_pass) steps each side from t_0 = 1 by its ratio, z q^k
-    going up and q^(k+1)/z going down, and stops a side once its ratio is
-    at most 1/2 and its next term is below the pass's rounding unit;
+    going up and q^(k+1)/z going down, and stops a side at its first term
+    below the pass's rounding unit, with a tail of 2^c times that term for
+    the ratio r <= 1 - 2^-c (the kernel's lemma on geometric tails);
     _certified, the kernel's escalation policy, reruns it at more bits
     until its bound meets tol/64, and rounding to ctx.bits adds at most
     2^-bits <= tol/64.
@@ -262,36 +267,36 @@ def _theta_pass(z, q, max_terms: int, prec: int):
 
     t_0 = 1; going up t_(k+1) = t_k z q^k, going down t_(-k-1) = t_(-k)
     q^(k+1)/z, each ratio lane multiplied by q per step.  Each side's
-    ratios decrease, so once a side's ratio r is at most 1/2 every later
-    one is too, and the terms past the next one t, which is not added,
-    sum to at most t (r + r^2 + ...) <= t: the side's tail is at most 2t.
-    A side stops at the first such t <= 2^-prec, which puts its tail below
-    the pass's own rounding, and below any budget _certified gives (tol/64,
-    at least 2^-bits, against prec >= bits + 16).
+    ratios decrease, so the terms past one t, which is not added, fall by
+    its ratio r at least, and by the kernel's lemma on geometric tails they
+    sum to at most 2^c t, c = _tail_reach(r, 1, prec).  A side stops at the
+    first t <= 2^-prec whose r has a c, r <= 1 - 2^-c for some c <= prec/2,
+    which puts its tail within 2^c of the pass's own rounding unit.
 
     Rounding is counted as in the measures module docstring: z and q are
     exact, a product or quotient adds its operands' counts and 1, and a sum
     of the positive terms keeps the larger count and adds 1.  With R the
     largest count of the sum and of the two tail terms and u = 2^-prec,
     every such value is its exact counterpart times e^x, |x| <= -R ln(1 - u),
-    and R u <= 1/200 makes |e^x - 1| <= 1.0051 R u.  The computed ratio at
-    the stop is then at most 0.51 exactly, so each tail is at most
-    t / (1 - 0.51) <= 2.05 t~ of its computed t~, and the exact sum is at
-    least the computed one S~ over 1.006.  So the relative error is at most
-    1.0051 R u + 2.07 (t~_up + t~_down) / S~, which the returned bound,
-    2 R u + 4 (t~_up + t~_down) / S~, covers together with its own rounding;
-    its tail part is at most 8 u, since S~ >= t_0 = 1.
+    and R u <= 1/200 makes |e^x - 1| <= 1.0051 R u.  A bound is returned
+    only when 200 R <= 2^(prec/2): each stopping r, of at most R roundings,
+    is then within relative d <= 2^-(prec/2) / 199 of the exact ratio, and
+    with 2^c <= 2^(prec/2) each tail is at most 2^c t / (1 - 1/199) <=
+    1.011 2^c t~ of its computed t~, while the exact sum is at least the
+    computed one S~ over 1.006.  So the relative error is at most
+    1.0051 R u + 1.02 (T_up + T_down) / S~, T = 2^c t~, which the returned
+    bound, 2 R u + 2 (T_up + T_down) / S~, covers together with its own
+    rounding.
     """
-    threshold = 1, -prec
     total, count = _ONE, 0
     tails = _ZERO
     for ratio, r_count in ((z, 0), (_div(q, z, prec), 1)):
         term, t_count = _ONE, 0
         for _ in range(max_terms):
             term, t_count = _mul(term, ratio, prec), t_count + r_count + 1
-            # ratio <= 1/2 and term <= 2^-prec
-            if not (_abs_lt((1, -1), ratio) or _abs_lt(threshold, term)):
-                tails = _add(tails, term, prec)
+            # term <= 2^-prec, and ratio <= 1 - 2^-c (c >= 1, so never falsy)
+            if not _abs_lt((1, -prec), term) and (c := _tail_reach(ratio, _ONE, prec)):
+                tails = _add(tails, (term[0], term[1] + c), prec)
                 count = max(count, t_count)
                 break
             total, count = _add(total, term, prec), max(count, t_count) + 1
@@ -300,9 +305,9 @@ def _theta_pass(z, q, max_terms: int, prec: int):
             raise TruncationFailure(
                 "Z(a) theta sum not resolved within max_terms=%d (a^2=%s, q=%s)"
                 % (max_terms, mpmath.nstr(_mpf(z), 8), mpmath.nstr(_mpf(q), 8)))
-    if 200 * count > 1 << prec:
+    if 200 * count > 1 << prec // 2:
         return total, None
-    return total, _add((2 * count, -prec), _div((tails[0], tails[1] + 2), total, prec), prec)
+    return total, _add((2 * count, -prec), _div((tails[0], tails[1] + 1), total, prec), prec)
 
 
 def _closed(ctx: PrecisionContext) -> PrecisionContext:
@@ -665,13 +670,10 @@ class DiscreteMeasure(NamedTuple):
 
 
 def hermite_extremal(a, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> DiscreteMeasure:
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        a = mpmath.mpf(a)
-        if not (q <= a < 1):
-            raise ValueError(
-                "a must satisfy q <= a < 1 (got a=%s, q=%s)"
-                % (mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
+    q, a = as_qparam(q, ctx), ctx.to_real(a)
+    if not (q <= a < 1):
+        raise ValueError("a must satisfy q <= a < 1 (got a=%s, q=%s)"
+                         % (mpmath.nstr(a, 8), mpmath.nstr(q, 8)))
     return DiscreteMeasure(MeasureKind.HERMITE_EXTREMAL, q, a=a)
 
 
@@ -975,20 +977,20 @@ def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionC
         return _mul(w, _power_rounded(x, 2 * N, prec), prec)
 
     def extend(edge: int, step: int) -> tuple[int, tuple[int, int]]:
-        # the anchor: the first edge past m_0 with r = spread(next) / spread(edge)
-        # <= 1/2 and 2 w_next <= target
+        # the anchor: the first edge past m_0 whose ratio
+        # r = spread(next) / spread(edge) has a reach c with 2^c w_next <= target
         here = spread(edge)
         for _ in range(ctx.max_terms):
             after = spread(edge + step)
             w = point(edge + step)[1]
-            if not (_abs_lt(here, (after[0], after[1] + 1))
-                    or _abs_lt(target_p, (w[0], w[1] + 1))) and settled(measure, N, edge):
+            if ((c := _tail_reach(after, here, prec)) and not _abs_lt(target_p, (w[0], w[1] + c))
+                    and settled(measure, N, edge)):
                 break
             edge, here = edge + step, after
         else:
             raise TruncationFailure(
-                "no window anchor (ratio at most 1/2, next weight below half the target)"
-                " within max_terms=%d (%s)"
+                "no window anchor (ratio below 1, next weight below the target over its"
+                " geometric factor) within max_terms=%d (%s)"
                 % (ctx.max_terms, measure.kind.value))
         # Bh(m) = spread(m) A(t0)^2 / t0^(2N) at t0 = |x_edge|, and
         # t0^(2N) = here / w_edge
@@ -996,15 +998,18 @@ def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionC
         a0 = majorant((abs(xm), xe))
         scale = _div(_mul(_mul(a0, a0, prec), w, prec), here, prec)
         for _ in range(ctx.max_terms):
-            twice = _mul(scale, after, prec)
-            twice = twice[0], twice[1] + 1
-            if not _abs_lt(target_p, twice):   # 2 Bh(next) <= target
-                return edge, twice
-            edge += step
+            # 2^c Bh(next), c from this edge's own ratio, at most the anchor's
+            tail = _mul(scale, after, prec)
+            tail = tail[0], tail[1] + c
+            if not _abs_lt(target_p, tail):
+                return edge, tail
+            edge, here = edge + step, after
             after = spread(edge + step)
+            # None only where rounding lifts r to the cap: the last c holds
+            c = _tail_reach(after, here, prec) or c
         raise TruncationFailure(
             "tail bound %s did not reach %s within max_terms=%d (%s)"
-            % (mpmath.nstr(_mpf(twice), 8), mpmath.nstr(_mpf(target_p), 8),
+            % (mpmath.nstr(_mpf(tail), 8), mpmath.nstr(_mpf(target_p), 8),
                ctx.max_terms, measure.kind.value))
 
     start = math.isqrt(ctx.bits) + 1

@@ -503,6 +503,32 @@ def test_degree_messages_are_whole_strings(v):
         assert _message(call) == "%s must be a nonnegative integer (got %r)" % (what, v), name
 
 
+def _bool_degree_calls():
+    """(degree argument's name, call at degree v) for each kind of degree
+    argument: a bool is an int subclass, so an isinstance check alone
+    would take True for 1 and False for 0."""
+    from qortho import basic_hypergeometric, gram_matrix, qpochhammer
+    from qortho.identities import check_even_connection
+    from qortho.measures import hermite_extremal
+    return {
+        "qpochhammer": ("n", lambda v: qpochhammer("0.3", "0.5", v, CTX)),
+        "gram_matrix": ("N", lambda v: gram_matrix(hermite_extremal("0.7", "0.5", CTX), v, CTX)),
+        "even_hermite_factor": ("k", lambda v: even_hermite_factor(v, "0.3", "0.5", CTX)),
+        "qinv_hermite_table": ("n_max", lambda v: qinv_hermite_table(v, "0.3", "0.5", CTX)),
+        "check_even_connection": ("k_max", lambda v: check_even_connection(v, None, "0.5", CTX)),
+        "basic_hypergeometric": ("terminating_at", lambda v: basic_hypergeometric(
+            [Q], [], Q, Q, CTX, terminating_at=v)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bool_degree_calls()))
+def test_degree_arguments_refuse_bools(name):
+    what, call = _bool_degree_calls()[name]
+    for v in (True, False):
+        assert _message(lambda: call(v)) == (
+            "%s must be a nonnegative integer (got %r)" % (what, v)), name
+
+
 def _fraction(value) -> Fraction:
     m, e = _pair(value)
     return Fraction(m) * Fraction(2) ** e

@@ -97,12 +97,19 @@ def test_to_real_returns_a_fitting_mpf_as_it_is():
         assert type(got) is mpmath.mpf and got._mpf_ == want._mpf_, value
 
 
+def _head_stop(g):
+    """W = 2^-g, where the head stops: exact for an int g, the float 2^-g
+    for a float g."""
+    return mpmath.ldexp(1, -g) if isinstance(g, int) else mpmath.mpf(2.0 ** -g)
+
+
 def _mpf_head_length(a, q, bits):
     """(J, g) as the mpf expressions at 53 bits."""
     with mpmath.workprec(53):
         log_inv_q = -mpmath.log(q)
-        g = max(1, math.isqrt(int(bits * float(log_inv_q) / (2 * math.log(2)))))
-        size = 2 ** g * abs(a)
+        cost = bits * float(log_inv_q) / (2 * math.log(2))
+        g = math.isqrt(int(cost)) or max(math.sqrt(cost), -math.log2(0.9))
+        size = abs(a) / _head_stop(g)
         if size <= 1:
             return 0, g
         return int(mpmath.ceil(mpmath.log(size) / log_inv_q)), g
@@ -112,26 +119,26 @@ def test_head_length_is_the_mpf_expression():
     from qortho.kernel import _head_length
     with CTX.workprec():
         qs = [mpmath.mpf(v) for v in ("1e-4", "0.001", "0.05", "0.25", "0.3", "0.5", "0.7",
-                                      "0.9", "0.99", "0.999", "0.9999")]
+                                      "0.9", "0.99", "0.999", "0.9999", "0.99999")]
         avals = [mpmath.mpf(v) for v in ("-3000", "-2.5", "-1", "-0.5", "-1e-9", "0", "0.25",
                                          "0.5", "0.5000001", "0.9", "1", "2", "17", "3000")]
     for bits in (64, 256, 1024):
         for q in qs:
             g = _head_length(mpmath.mpf(0), q, bits)[1]
+            stop = _head_stop(g)
             with CTX.workprec():
-                # a = +-q^k 2^-g puts |a| q^J on 2^-g, up to the rounding of q^k
-                edges = [sign * mpmath.ldexp(q ** k, -g) for k in (-3, -1, 0, 1)
-                         for sign in (1, -1)]
+                # a = +-q^k W puts |a| q^J on W, up to the rounding of q^k
+                edges = [sign * q ** k * stop for k in (-3, -1, 0, 1) for sign in (1, -1)]
                 special = [q, -q, 1 / q, -1 / q]
             for a in avals + edges + special:
                 head_len, g = _head_length(a, q, bits)
                 assert (head_len, g) == _mpf_head_length(a, q, bits), (a, q, bits)
-                # J is the first index with |a| q^J <= 2^-g, up to the 53-bit logarithms
+                # J is the first index with |a| q^J <= W, up to the 53-bit logarithms
                 with mpmath.workprec(4 * bits):
                     near = mpmath.mpf(2) ** -40
-                    assert abs(a) * q ** head_len <= mpmath.ldexp(1 + near, -g), (a, q, bits)
+                    assert abs(a) * q ** head_len <= stop * (1 + near), (a, q, bits)
                     assert (head_len == 0
-                            or abs(a) * q ** (head_len - 1) > mpmath.ldexp(1 - near, -g)), (a, q)
+                            or abs(a) * q ** (head_len - 1) > stop * (1 - near)), (a, q)
 
 
 def test_workprec_scoped():
@@ -237,6 +244,53 @@ ORDERS = {
     "decreasing": list(range(40, -1, -1)),
     "interleaved": [17, 3, 29, 0, 40, 11, 1, 38, 17, 5, 24, 2, 33, 9],
 }
+
+
+def _reach_oracle(num, den, prec):
+    """The least c >= 1 with num <= den (1 - 2^-c), by Fractions; None when
+    num >= den or c > prec // 2."""
+    from fractions import Fraction
+    n, d = (Fraction(m) * Fraction(2) ** e for m, e in (num, den))
+    if n >= d:
+        return None
+    c = 1
+    while n > d * (1 - Fraction(1, 2 ** c)):
+        c += 1
+    return c if c <= prec // 2 else None
+
+
+def test_tail_reach_at_its_boundaries():
+    from qortho.kernel import _tail_reach
+    one = (1, 0)
+    assert _tail_reach((1, -1), one, 256) == 1            # r = 1/2: today's factor 2
+    assert _tail_reach((0, 0), one, 256) == 1
+    for c in (1, 2, 3, 7, 64, 127, 128):
+        edge = ((1 << c) - 1, -c)                         # r = 1 - 2^-c
+        assert _tail_reach(edge, one, 256) == c
+        # one unit of 2^-300 above the edge needs one more doubling
+        above = ((((1 << c) - 1) << (300 - c)) + 1, -300)
+        assert _tail_reach(above, one, 256) == (c + 1 if c < 128 else None)
+        # the same ratios on other mantissas and exponents
+        assert _tail_reach((5 * edge[0], edge[1] - 7), (5, -7), 256) == c
+        assert _tail_reach((5 * above[0], above[1] + 9), (5, 9), 256) == (
+            c + 1 if c < 128 else None)
+    # r >= 1, and the cap c <= prec // 2
+    for num, den in [(one, one), ((3, 0), (1, 1)), ((1, 0), (0, 0)), ((1, 5), (1, -5))]:
+        assert _tail_reach(num, den, 256) is None
+    assert _tail_reach(((1 << 32) - 1, -32), one, 64) == 32
+    assert _tail_reach(((1 << 33) - 1, -33), one, 64) is None
+    assert _tail_reach(((1 << 33) - 1, -33), one, 67) == 33
+
+
+@given(dm=st.integers(1, 1 << 80), de=st.integers(-100, 100), c=st.integers(1, 160),
+       step=st.integers(-3, 3), far=st.tuples(st.integers(0, 1 << 80), st.integers(-100, 100)),
+       prec=st.integers(64, 300))
+def test_tail_reach_matches_fractions(dm, de, c, step, far, prec):
+    # num a few units from den (1 - 2^-c), and num anywhere
+    from qortho.kernel import _tail_reach
+    den = dm, de
+    for num in ((max(0, (dm << c) - dm + step), de - c), far):
+        assert _tail_reach(num, den, prec) == _reach_oracle(num, den, prec), num
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
@@ -538,6 +592,39 @@ def test_product_pass_error_is_within_its_bound(q_s, prec):
             assert abs(_mpf(value) - want) <= _mpf(bound) * abs(want), (a, q_s, prec)
 
 
+def _euler_near_one(q):
+    """(q;q)_inf by the Dedekind eta transformation, q = e^-t:
+    sqrt(2 pi / t) exp(t/24 - pi^2 / (6 t)) (p;p)_inf with p = e^(-4 pi^2 / t),
+    and (p;p)_inf = 1 below 2^-prec once 4 pi^2 / t > prec."""
+    t = -mpmath.log(q)
+    assert 4 * mpmath.pi ** 2 / t > mpmath.mp.prec
+    return mpmath.sqrt(2 * mpmath.pi / t) * mpmath.exp(t / 24 - mpmath.pi ** 2 / (6 * t))
+
+
+@pytest.mark.parametrize("prec", [64, 96, 300])
+def test_product_pass_error_is_within_its_bound_near_one(prec):
+    # At q = 0.99999 the head stops at |w| <= 0.9, 10,535 factors where
+    # |w| <= 1/2 would take 69,314, so the series sums about 1,800 terms
+    # whose ratio is near 0.9.  mpmath.qp does not converge there; (q;q)_inf
+    # comes from the eta transformation, and (-q;q)_inf = (q^2;q^2)_inf /
+    # (q;q)_inf and (-1;q)_inf = 2 (-q;q)_inf from it.
+    from qortho import kernel
+    q = CTX.to_real("0.99999")
+    q_p = _pair(q)
+    inv_gap = -(-(1 << -q_p[1]) // ((1 << -q_p[1]) - q_p[0]))
+    with mpmath.workprec(4 * prec):
+        euler = _euler_near_one(q)
+        neg_q = _euler_near_one(q * q) / euler
+        wants = {q: euler, -q: neg_q, mpmath.mpf(-1): 2 * neg_q}
+    for a, want in wants.items():
+        head_len, g = kernel._head_length(a, q, CTX.bits)
+        assert 2.0 ** -g == 0.9 and 10_534 <= head_len <= 10_537, (a, g, head_len)
+        value, bound = kernel._product_pass(_pair(a), q_p, head_len, inv_gap, 50000, prec)
+        assert bound is not None, (a, prec)
+        with mpmath.workprec(4 * prec):
+            assert abs(_mpf(value) - want) <= _mpf(bound) * abs(want), (a, prec)
+
+
 @pytest.mark.parametrize("prec", [64, 266, 1040])
 def test_exp_is_within_its_bound(prec):
     from qortho.kernel import _exp
@@ -553,10 +640,13 @@ def test_exp_is_within_its_bound(prec):
 
 
 @pytest.mark.parametrize("q_s,ladder", [("0.5", [266]), ("0.99", [274]),
-                                        ("0.999", [281])])
+                                        ("0.999", [283]), ("0.99999", [300])])
 def test_qpochhammer_inf_ladders(q_s, ladder, monkeypatch):
     # (q;q)_inf at 256 bits: one pass, at the bits its a-priori bound asks
-    # for, which grow near q = 1 with the head length and 1 / (1 - q)
+    # for, which grow near q = 1 with the head length and 1 / (1 - q); past
+    # q = 0.9946 the head stops at a W between 1/2 and 0.9 (0.74 at q =
+    # 0.999, 0.9 at q = 0.99999), which the guard prices at 1 / (1 - W)^2 <=
+    # 2^(2c), c = 2 and 4
     from qortho import kernel
     precs, pass_ = [], kernel._product_pass
 
