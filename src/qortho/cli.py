@@ -23,9 +23,9 @@ import mpmath
 
 from .families import FamilyKind, FamilySpec, evaluate
 from .identities import SUITE_IDS, run_suite
-from .kernel import (KernelError, PrecisionContext, TruncationFailure,
-                     as_qparam, to_decimal)
-from .measures import (SignViolation, dual_base, dual_q_extremal,
+from .kernel import (_ONE, KernelError, PrecisionContext, TruncationFailure, _add, _div, _mpf,
+                     _mul, _pair, _sub, as_qparam, to_decimal)
+from .measures import (SignViolation, _default_a, dual_base, dual_q_extremal,
                        dual_qinv_extremal, gram_matrix, hermite_extremal)
 
 _MEASURES = {"hermite-extremal": hermite_extremal, "dual-base": dual_base,
@@ -212,8 +212,8 @@ def _family_s(config: argparse.Namespace, q, ctx: PrecisionContext, default=None
     """s from --s or --s-mode, else default; with no default, one is required."""
     if config.s is not None and config.s_mode is not None:
         raise ValueError("give either --s or --s-mode, not both")
-    if config.s_mode is not None:
-        return 1 / q if config.s_mode == "qinv" else q
+    if config.s_mode is not None:   # 1/q rounded to ctx.bits, or q
+        return _mpf(_div(_ONE, _pair(q), ctx.bits)) if config.s_mode == "qinv" else q
     if config.s is not None:
         return _decimal(config.s, "s", ctx)
     if default is None:
@@ -227,7 +227,7 @@ def _measure_for(config: argparse.Namespace, q, ctx: PrecisionContext, a_value=N
         return dual_base(_family_s(config, q, ctx, mpmath.mpf(1)), q, config.parity, ctx)
     a = a_value
     if a is None:
-        a = _decimal(config.a, "a", ctx, q) if config.a is not None else (1 + q) / 2
+        a = _decimal(config.a, "a", ctx, q) if config.a is not None else _default_a(q, ctx)
     return _MEASURES[config.measure](a, q, ctx)
 
 
@@ -240,21 +240,18 @@ def cmd_eval(config: argparse.Namespace) -> int:
                          % (", ".join(_FAMILIES), config.family))
     if config.n is None or config.n < 0:
         raise ValueError("--n must be a nonnegative integer")
-    with ctx.workprec():
-        point = {name: _decimal(getattr(config, name), name, ctx)
-                 for name in ("x", "phi", "mu") if getattr(config, name) is not None}
-        s = _family_s(config, q, ctx) if kind.takes_s else None
-        value = evaluate(FamilySpec(kind, q, s), config.n, ctx=ctx, **point)
-        _emit(to_decimal(value, ctx.digits) + "\n", config.out_path)
+    point = {name: _decimal(getattr(config, name), name, ctx)
+             for name in ("x", "phi", "mu") if getattr(config, name) is not None}
+    s = _family_s(config, q, ctx) if kind.takes_s else None
+    value = evaluate(FamilySpec(kind, q, s), config.n, ctx=ctx, **point)
+    _emit(to_decimal(value, ctx.digits) + "\n", config.out_path)
     return 0
 
 
 def cmd_gram(config: argparse.Namespace) -> int:
     ctx = _context(config)
     q = as_qparam(config.q, ctx)
-    with ctx.workprec():
-        measure = _measure_for(config, q, ctx)
-    report = gram_matrix(measure, config.N, ctx)
+    report = gram_matrix(_measure_for(config, q, ctx), config.N, ctx)
     text = (report.to_json if config.output == "json" else report.to_csv)(ctx.digits)
     _emit(text, config.out_path)
     return 0 if report.passed(ctx.tol) else 1
@@ -271,9 +268,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
         if not only:
             raise ValueError("--only names no identity id (got %r)" % config.only)
     q = as_qparam(config.q, ctx)
-    with ctx.workprec():
-        s = None if config.s is None else _decimal(config.s, "s", ctx)
-        a = None if config.a is None else _decimal(config.a, "a", ctx, q)
+    s = None if config.s is None else _decimal(config.s, "s", ctx)
+    a = None if config.a is None else _decimal(config.a, "a", ctx, q)
     reports = run_suite(q, ctx, only=only, k_max=config.k_max, N=config.N,
                         s=s, a=a)
     if config.output == "json":
@@ -305,23 +301,21 @@ def cmd_sweep(config: argparse.Namespace) -> int:
         raise ValueError("--a-from is required for sweep")
     if config.steps < 1:
         raise ValueError("--steps must be >= 1")
-    with ctx.workprec():
-        a_lo = _decimal(config.a_from, "a-from", ctx, q)
-        if config.steps == 1:
-            values = [a_lo]
-        else:
-            if config.a_to is None:
-                raise ValueError("--a-to is required when steps > 1")
-            a_hi = _decimal(config.a_to, "a-to", ctx, q)
-            span = a_hi - a_lo
-            values = [a_lo + span * i / (config.steps - 1)
-                      for i in range(config.steps)]
+    a_lo = _decimal(config.a_from, "a-from", ctx, q)
+    if config.steps == 1:
+        values = [a_lo]
+    else:
+        if config.a_to is None:
+            raise ValueError("--a-to is required when steps > 1")
+        # a_lo + (a_hi - a_lo) i / (steps - 1), each operation rounded to bits
+        prec, lo = ctx.bits, _pair(a_lo)
+        span = _sub(_pair(_decimal(config.a_to, "a-to", ctx, q)), lo, prec)
+        values = [_mpf(_add(lo, _div(_mul(span, (i, 0), prec), (config.steps - 1, 0), prec), prec))
+                  for i in range(config.steps)]
     all_pass = True
     rows = ["a,off_diag_max,diag_rel_err_max,node_hash"]
     for a in values:
-        with ctx.workprec():
-            measure = _measure_for(config, q, ctx, a_value=a)
-        report = gram_matrix(measure, config.N, ctx)
+        report = gram_matrix(_measure_for(config, q, ctx, a_value=a), config.N, ctx)
         rows.append("%s,%s,%s,%s" % (
             to_decimal(a, ctx.digits),
             to_decimal(report.off_diag_max, ctx.digits),

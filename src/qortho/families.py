@@ -62,8 +62,9 @@ round each coefficient once.  The C and grid D series share one loop,
 _ultra_series, at ctx.bits + _RUN_GUARD (32) with one division a term: their
 denominators (sqrt(s) q; q)_k (-sqrt(s) q; q)_k are the one product
 (s q^2; q^2)_k, stepped as the lane 1 - s q^(2k+2) from the exact s q^2,
-and their few parameters come from libmp's mpf_pow and mpf_mul on raw
-values, with no mpf object.  The kernel's basic_hypergeometric stays the
+and their few parameters are powers of q from kernel._q_power (libmp's
+mpf_pow at the series' precision) and their products with the exact s q,
+with no mpf object.  The kernel's basic_hypergeometric stays the
 independent route the tests hold them to.
 """
 from __future__ import annotations
@@ -72,12 +73,11 @@ import enum
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import from_int, mpf_mul, mpf_neg, mpf_pow
-from mpmath.libmp import round_nearest as R
+from mpmath.libmp import mpf_neg
 
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext,
                      QReal, TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree,
-                     _check_floor, _div, _largest, _mpf, _mul, _pair, _raw_pair, _round,
+                     _check_floor, _div, _largest, _mpf, _mul, _pair, _q_power, _round,
                      _rounded, _sub, as_qparam, power_run)
 
 
@@ -128,9 +128,8 @@ def check_dual_s(s: QReal, q: QReal, ctx: PrecisionContext) -> None:
     the message."""
     (sm, se), (qm, qe) = _pair(s), _pair(q)
     if (sm * qm * qm).bit_length() + se + 2 * qe > 0:   # s q^2 >= 1
-        with ctx.workprec():
-            raise ValueError("s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
-                             % (mpmath.nstr(s, 8), mpmath.nstr(q ** -2, 8)))
+        raise ValueError("s must satisfy 0 < s < q^-2 (got s=%s, q^-2=%s)"
+                         % (mpmath.nstr(s, 8), mpmath.nstr(_mpf(_q_power(q, -2, ctx.bits)), 8)))
 
 
 class MuPoint(NamedTuple):
@@ -146,10 +145,11 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
     spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx)
     q, s = spec.q, spec.s
     x = ctx.to_real(x)
-    _pair(x, "x")   # ValueError unless x is finite
-    with ctx.workprec():
-        mu = q ** (-x) + s * q ** (x + 1)
-    return MuPoint(x=x, s=s, mu=mu)
+    prec, x_p = ctx.bits, _pair(x, "x")   # ValueError unless x is finite
+    # q^-x + s q^(x+1), each operation rounded to bits
+    up = _q_power(q, mpf_neg(x._mpf_), prec)
+    down = _q_power(q, _mpf(_add(x_p, _ONE, prec))._mpf_, prec)
+    return MuPoint(x=x, s=s, mu=_mpf(_add(up, _mul(_pair(s), down, prec), prec)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +377,7 @@ def qinv_hermite_table(n_max: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT
 
 def qinv_hermite(n: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """h_n(x|q) by the three-term recurrence, the last of qinv_hermite_table."""
+    _check_degree("n", n)
     values = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, as_qparam(q, ctx)), n, ctx)[0]
     return _mpf(values(_pair(ctx.to_real(x), "x"))[n])
 
@@ -433,20 +434,11 @@ def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -
 # discrete q-ultraspherical family
 
 
-# The parameters of the C and grid D series, formed by libmp's mpf_pow and
-# mpf_mul on raw values at the series' precision.
-
-
-def _q_power(q: QReal, t: tuple, prec: int) -> tuple[int, int]:
-    """q^t for a raw exponent t as a pair (mpf_pow, which hands an integer
-    t to mpf_pow_int)."""
-    return _raw_pair(mpf_pow(q._mpf_, t, prec, R))
-
-
-def _s_q_power(s: QReal, q: QReal, t: tuple, prec: int) -> tuple[int, int]:
-    """s q^(t+1) for a raw exponent t as a pair: the exact s q times q^t
-    (mpf_pow), rounded once."""
-    return _raw_pair(mpf_mul(mpf_mul(s._mpf_, q._mpf_), mpf_pow(q._mpf_, t, prec, R), prec, R))
+def _s_q_power(s: QReal, q: QReal, t, prec: int) -> tuple[int, int]:
+    """s q^(t+1) for an int or raw exponent t as a pair: the exact s q (s and
+    q have at most prec bits, so 2 prec bits hold it) times q^t
+    (kernel._q_power), rounded once."""
+    return _mul(_mul(_pair(s), _pair(q), 2 * prec), _q_power(q, t, prec), prec)
 
 
 def _ultra_series(nums, z, s: QReal, q: QReal, stop: int, wp: int,
@@ -542,9 +534,8 @@ def discrete_ultra(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
     q, s = spec.q, spec.s
     x = _pair(ctx.to_real(x), "x")   # ValueError unless x is finite
     wp = ctx.bits + _RUN_GUARD
-    sm, se = _s_q_power(s, q, from_int(n), wp)
-    return _ultra_series([_q_power(q, from_int(-n), wp), (-sm, se), x], _pair(q), s, q, n, wp,
-                         ctx)
+    sm, se = _s_q_power(s, q, n, wp)
+    return _ultra_series([_q_power(q, -n, wp), (-sm, se), x], _pair(q), s, q, n, wp, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +558,9 @@ def dual_ultra_series(n: int, x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) 
     # x's mantissa is odd or 0: x is an integer when xe >= 0, and one below
     # n has xe below n's bit length
     label = xm << xe if 0 <= xe < n.bit_length() else -1
-    zm, ze = _q_power(q, from_int(n + 1), wp)
+    zm, ze = _q_power(q, n + 1, wp)
     return _ultra_series([_q_power(q, mpf_neg(x_raw), wp), _s_q_power(s, q, x_raw, wp),
-                          _q_power(q, from_int(-n), wp)], (-zm, ze), s, q,
+                          _q_power(q, -n, wp)], (-zm, ze), s, q,
                          label if 0 <= label < n else n, wp, ctx)
 
 
@@ -625,6 +616,7 @@ def dual_ultra_table(n_max: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTE
 
 def dual_ultra(n: int, mu, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """D_n(mu; s, q) by the recurrence (off the grid too), the last of dual_ultra_table."""
+    _check_degree("n", n)
     values = _recurrence(FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s).validated(ctx), n, ctx)[0]
     return _mpf(values(_pair(ctx.to_real(mu), "mu"))[n])
 

@@ -20,16 +20,15 @@ quantities involved span many orders of magnitude.  The suite covers:
   extremal normalization constant.
 
 Residuals are formed on the kernel's pairs, most of them by _residual,
-whose docstring names the others (the normalization ids' stay in mpf): one
-pair operation for each operation of the mpf expression they replace, in
-its order and at ctx.bits, each rounded once, so each is that expression's
-value bit for bit wherever mpmath rounds correctly.  Values are read as
-pairs from the family recurrences, converted once where they arrive as
-mpf, and reported as mpf once per check.  Three kinds of value stay in
-mpf, each formed once: the transcendental functions (exp, sinh, asinh, and
-sqrt, as in half-to-full-lattice's sqrt|d_n d_n'| of each entry), the
-integer powers q**k, which mpf_pow_int rounds otherwise than a product of
-pairs, and the coefficient lists built from them.
+whose docstring names the others: one pair operation for each operation of
+the mpf expression they replace, in its order and at ctx.bits, each rounded
+once, so each is that expression's value bit for bit wherever mpmath
+rounds correctly.  Values are read as pairs from the family recurrences,
+converted once where they arrive as mpf, and reported as mpf once per
+check.  The transcendental functions (exp, sinh, asinh and sqrt) are
+mpmath's, called with prec=ctx.bits, and the powers q^k are
+kernel._q_power's (mpf_pow_int at ctx.bits), each converted to a pair
+once: no function of the package reads or sets mpmath's global precision.
 """
 from __future__ import annotations
 
@@ -41,9 +40,9 @@ import mpmath
 from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt, _add,
-                     _check_degree, _div, _larger, _largest, _mpf, _mul, _pair, _round,
+                     _check_degree, _div, _larger, _largest, _mpf, _mul, _pair, _q_power, _round,
                      _sub, as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
-from .measures import (MeasureKind, _pair_sums, adjudicate_normalization,
+from .measures import (MeasureKind, _default_a, _pair_sums, _root, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
 
@@ -87,8 +86,8 @@ def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[in
     Most residuals of the identity checks go through it.  These do not:
     half-to-full-lattice's entrywise and cross-parity-block residuals,
     which divide by max(1, sqrt|d_n d_n'|) in place of max(1, |lhs|); the
-    two *-normalization ids, whose residuals adjudicate_normalization forms
-    in mpf; and the five Gram ids (*-orthogonality), whose residuals
+    two *-normalization ids, whose residuals adjudicate_normalization forms;
+    and the five Gram ids (*-orthogonality), whose residuals
     measures._residuals forms."""
     m, e = _sub(lhs, rhs, prec)
     size = _round((abs(lhs[0]), lhs[1]), prec)
@@ -118,19 +117,38 @@ def _grid(grid) -> list:
     return points
 
 
+def _phi_points(phi_grid, ctx: PrecisionContext):
+    """(grid, phis, ys, two_sinhs) for the points of phi_grid (_grid): each
+    phi as an mpf at ctx.bits, and y = e^{2phi} + e^{-2phi} and
+    2 sinh phi = e^phi - e^{-phi} as pairs, each exp taken at ctx.bits of
+    the exact multiple of phi and each sum rounded once to ctx.bits;
+    ValueError naming phi unless each phi is finite."""
+    prec, grid = ctx.bits, _grid(phi_grid)
+    phis = [ctx.to_real(p) for p in grid]
+
+    def exp(phi, k: int) -> tuple[int, int]:   # e^{k phi}
+        m, e = _pair(phi, "phi")
+        return _pair(mpmath.exp(_mpf((k * m, e)), prec=prec))
+    return (grid, phis, [_add(exp(phi, 2), exp(phi, -2), prec) for phi in phis],
+            [_sub(exp(phi, 1), exp(phi, -1), prec) for phi in phis])
+
+
 def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
     """The connection h_{2n+p}(sinh phi) = c_n (2 sinh phi)^p D_n(mu; s, q).
 
-    Returns s, [c_0, ..., c_{n_max}] as pairs and the mu of each
-    y = e^{2phi} + e^{-2phi} in ys, where
+    Returns s, [c_0, ..., c_{n_max}] as pairs and, as pairs, the mu of each
+    pair y = e^{2phi} + e^{-2phi} in ys, where
     c_n = (-1)^n q^{-n(n+p)} (q^{1+2p};q^2)_n, and s = q^-1 with mu = y for
-    p = 0, s = q with mu = q y for p = 1.  Runs at the ambient precision.
+    p = 0, s = q with mu = q y for p = 1; each operation rounded to ctx.bits.
     """
-    s = 1 / q if parity == 0 else q
-    base = q if parity == 0 else q ** 3
-    c = [_pair((-1) ** n * q ** (-n * (n + parity)) * qpochhammer(base, q * q, n, ctx))
-         for n in range(n_max + 1)]
-    return s, c, list(ys) if parity == 0 else [q * y for y in ys]
+    prec, q_p = ctx.bits, _pair(q)
+    s = _mpf(_div(_ONE, q_p, prec)) if parity == 0 else q
+    base = q if parity == 0 else _mpf(_q_power(q, 3, prec))
+    q2, c = _mpf(_mul(q_p, q_p, prec)), []
+    for n in range(n_max + 1):
+        m, e = _q_power(q, -n * (n + parity), prec)
+        c.append(_mul(((-1) ** n * m, e), _pair(qpochhammer(base, q2, n, ctx)), prec))
+    return s, c, list(ys) if parity == 0 else [_mul(q_p, y, prec) for y in ys]
 
 
 def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
@@ -138,25 +156,21 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
     """h_{2k+p} by the explicit series against c_k (2 sinh phi)^p D_k by the recurrence."""
     _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
-    grid = _grid(phi_grid)
     prec = ctx.bits
-    with ctx.workprec():
-        phis = [ctx.to_real(p) for p in grid]
-        ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
-        s, c, mus = _connection(parity, k_max, ys, q, ctx)
-        h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
-                                              phis, q, ctx)
-        d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max, map(_pair, mus), q, ctx, s)
-        worst = _ZERO
-        for phi, hs, dvals in zip(phis, h_tables, d_tables):
-            two_sinh = _pair(mpmath.exp(phi) - mpmath.exp(-phi))
-            for k, lhs in enumerate(hs):
-                rhs = (_mul(c[k], dvals[k], prec) if parity == 0
-                       else _mul(_mul(c[k], two_sinh, prec), dvals[k], prec))
-                worst = _larger(worst, _residual(_pair(lhs), rhs, prec))
-        worst = _mpf(worst)
-        return IdentityReport(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst,
-                              bool(worst < ctx.tol), {})
+    grid, phis, ys, two_sinhs = _phi_points(phi_grid, ctx)
+    s, c, mus = _connection(parity, k_max, ys, q, ctx)
+    h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
+                                          phis, q, ctx)
+    d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max, mus, q, ctx, s)
+    worst = _ZERO
+    for two_sinh, hs, dvals in zip(two_sinhs, h_tables, d_tables):
+        for k, lhs in enumerate(hs):
+            rhs = (_mul(c[k], dvals[k], prec) if parity == 0
+                   else _mul(_mul(c[k], two_sinh, prec), dvals[k], prec))
+            worst = _larger(worst, _residual(_pair(lhs), rhs, prec))
+    worst = _mpf(worst)
+    return IdentityReport(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst,
+                          bool(worst < ctx.tol), {})
 
 
 def check_even_connection(k_max: int, phi_grid, q,
@@ -205,33 +219,33 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     """
     _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
-    grid = _grid(phi_grid)
     prec, q_p = ctx.bits, _pair(q)
-    with ctx.workprec():
-        phis = [ctx.to_real(p) for p in grid]
-        ys = [mpmath.exp(2 * phi) + mpmath.exp(-2 * phi) for phi in phis]
-        h_tables = _tables(FamilyKind.QINV_HERMITE, 2 * k_max + 3,
-                           [_pair(mpmath.sinh(phi)) for phi in phis], q, ctx)
-        worst = dict.fromkeys(("even-hermite", "even-dual", "odd-hermite", "odd-dual"), _ZERO)
-        # The phi-free coefficients, formed once in mpf: mid[n] of each
-        # side, and low[n] of each parity (low[0] is never read).
-        mid_hermite = [_pair(q ** (-2 * k) * (1 + 1 / q)) for k in range(k_max + 1)]
-        mid_dual = [_pair(q ** (-2 * n - 1) * (1 + q)) for n in range(k_max + 1)]
-        for parity, side in enumerate(("even", "odd")):
-            low = [None] + [_pair(q ** (-4 * n + 1 - parity) * (1 - q ** (2 * n))
-                                  * (1 - q ** (2 * n - 1 + 2 * parity)))
-                            for n in range(1, k_max + 1)]
-            s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
-            mus = [_pair(mu) for mu in mus]
-            d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max + 1, mus, q, ctx, s)
-            for mu, hs, dvals in zip(mus, h_tables, d_tables):
-                res = _chain_residual(parity, mu, hs[parity::2], k_max, q_p,
-                                      mid_hermite, low, prec)
-                worst[side + "-hermite"] = _larger(worst[side + "-hermite"], res)
-                t = [_mul(c_n, d, prec) for c_n, d in zip(c, dvals)]
-                res = _chain_residual(parity, mu, t, k_max, q_p, mid_dual, low, prec)
-                worst[side + "-dual"] = _larger(worst[side + "-dual"], res)
-        return _report("recurrence-chains", "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
+    grid, phis, ys, _ = _phi_points(phi_grid, ctx)
+    h_tables = _tables(FamilyKind.QINV_HERMITE, 2 * k_max + 3,
+                       [_pair(mpmath.sinh(phi, prec=prec)) for phi in phis], q, ctx)
+    worst = dict.fromkeys(("even-hermite", "even-dual", "odd-hermite", "odd-dual"), _ZERO)
+
+    def power(k: int) -> tuple[int, int]:
+        return _q_power(q, k, prec)
+    # The phi-free coefficients, formed once: mid[n] of each side, and
+    # low[n] of each parity (low[0] is never read).
+    one_plus = _add(_ONE, _div(_ONE, q_p, prec), prec)   # 1 + 1/q
+    mid_hermite = [_mul(power(-2 * k), one_plus, prec) for k in range(k_max + 1)]
+    mid_dual = [_mul(power(-2 * n - 1), _add(_ONE, q_p, prec), prec) for n in range(k_max + 1)]
+    for parity, side in enumerate(("even", "odd")):
+        low = [None] + [_mul(_mul(power(-4 * n + 1 - parity), _sub(_ONE, power(2 * n), prec),
+                                  prec), _sub(_ONE, power(2 * n - 1 + 2 * parity), prec), prec)
+                        for n in range(1, k_max + 1)]
+        s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
+        d_tables = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, k_max + 1, mus, q, ctx, s)
+        for mu, hs, dvals in zip(mus, h_tables, d_tables):
+            res = _chain_residual(parity, mu, hs[parity::2], k_max, q_p,
+                                  mid_hermite, low, prec)
+            worst[side + "-hermite"] = _larger(worst[side + "-hermite"], res)
+            t = [_mul(c_n, d, prec) for c_n, d in zip(c, dvals)]
+            res = _chain_residual(parity, mu, t, k_max, q_p, mid_dual, low, prec)
+            worst[side + "-dual"] = _larger(worst[side + "-dual"], res)
+    return _report("recurrence-chains", "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
 
 
 def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
@@ -246,30 +260,27 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
     contrast.
     """
     q = as_qparam(q, ctx)
-    prec = ctx.bits
-    with ctx.workprec():
-        q2 = q * q
-        base = _div(_pair(qpochhammer_inf(q2, q2, ctx)), _pair(qpochhammer_inf(q, q2, ctx)),
-                    prec)
-        euler = _pair(qpochhammer_inf(q, q, ctx))
-        neg_q = _pair(qpochhammer_inf(-q, q, ctx))
-        neg_one = _pair(qpochhammer_inf(mpmath.mpf(-1), q, ctx))
-        neg_q2 = _pair(qpochhammer_inf(-q2, q, ctx))
-        neg_qinv = _pair(qpochhammer_inf(-1 / q, q, ctx))
+    prec, q_p = ctx.bits, _pair(q)
+    (qm, qe), (q2m, q2e) = q_p, _mul(q_p, q_p, prec)
+    q2 = _mpf((q2m, q2e))
+    base = _div(_pair(qpochhammer_inf(q2, q2, ctx)), _pair(qpochhammer_inf(q, q2, ctx)), prec)
+    euler = _pair(qpochhammer_inf(q, q, ctx))
+    neg_q = _pair(qpochhammer_inf(_mpf((-qm, qe)), q, ctx))
+    neg_one = _pair(qpochhammer_inf(mpmath.mpf(-1), q, ctx))
+    neg_q2 = _pair(qpochhammer_inf(_mpf((-q2m, q2e)), q, ctx))
+    neg_qinv = _pair(qpochhammer_inf(_mpf(_div((-1, 0), q_p, prec)), q, ctx))
 
-        shifted = _mul(_mul(neg_q2, neg_qinv, prec), euler, prec)
-        q_p = _pair(q)
-        return _report("product-chain", "q=%s" % mpmath.nstr(q, 8), {
-            # neg_q ** 2 is mpf's correctly rounded square, neg_q * neg_q
-            "squared-form": _residual(base, _mul(_mul(neg_q, neg_q, prec), euler, prec), prec),
-            "halved-form": _residual(
-                base, _shift(_mul(_mul(neg_one, neg_q, prec), euler, prec), -1), prec),
-            "shifted-form-constant-q/2": _residual(base, _mul(_shift(q_p, -1), shifted, prec),
-                                                   prec),
-            "shifted-form-constant-2/q": _residual(
-                base, _mul(_div((2, 0), q_p, prec), shifted, prec), prec),
-            "doubling-subidentity": _residual(neg_one, _shift(neg_q, 1), prec),
-        }, ctx, contrast="shifted-form-constant-2/q")
+    shifted = _mul(_mul(neg_q2, neg_qinv, prec), euler, prec)
+    return _report("product-chain", "q=%s" % mpmath.nstr(q, 8), {
+        # neg_q ** 2 is mpf's correctly rounded square, neg_q * neg_q
+        "squared-form": _residual(base, _mul(_mul(neg_q, neg_q, prec), euler, prec), prec),
+        "halved-form": _residual(
+            base, _shift(_mul(_mul(neg_one, neg_q, prec), euler, prec), -1), prec),
+        "shifted-form-constant-q/2": _residual(base, _mul(_shift(q_p, -1), shifted, prec), prec),
+        "shifted-form-constant-2/q": _residual(
+            base, _mul(_div((2, 0), q_p, prec), shifted, prec), prec),
+        "doubling-subidentity": _residual(neg_one, _shift(neg_q, 1), prec),
+    }, ctx, contrast="shifted-form-constant-2/q")
 
 
 def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
@@ -294,36 +305,38 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     q = as_qparam(q, ctx)
     grid = _grid(x_grid)
     prec = ctx.bits
-    with ctx.workprec():
-        # (q^-n, q^n) and 1 - q^-n for each n, formed once
-        powers = [None] + [(_pair(q ** -n), _pair(q ** n)) for n in range(1, n_max + 1)]
-        one_minus = [None] + [_sub(_ONE, inverse, prec) for inverse, _ in powers[1:]]
-        coeff_worst = _largest(   # 1 - q^-n against -q^-n (1 - q^n)
-            _residual(one_minus[n], _mul((-m, e), _sub(_ONE, power, prec), prec), prec)
-            for n, ((m, e), power) in enumerate(powers[1:], 1))
-        xs = [ctx.to_real(v) for v in grid]
-        amplification = 1 + 2 * max(abs(x) for x in xs) + q ** (-n_max)
-        series_ctx = ctx._replace(tol=ctx.tol / amplification)
-        if series_ctx.tol < series_ctx.rounding_floor:
-            series_ctx = series_ctx._replace(
-                bits=6 - int(mpmath.floor(mpmath.log(series_ctx.tol, 2))))
-        h_tables = qinv_hermite_series_tables(range(n_max + 2), [mpmath.asinh(x) for x in xs],
-                                              q, series_ctx)
-        # The series values can be wider than prec, which _residual allows for.
-        value_worst = _ZERO
-        for x, hs in zip(xs, h_tables):
-            two_x, hs = _shift(_pair(x), 1), [_pair(h) for h in hs]
-            for n in range(1, n_max + 1):
-                rhs = _add(_mul(two_x, hs[n], prec), _mul(one_minus[n], hs[n - 1], prec), prec)
-                value_worst = _larger(value_worst, _residual(hs[n + 1], rhs, prec))
-        rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
-        parity_worst = _largest((abs(m), e) for n, coeffs in enumerate(rows())
-                                for m, e in coeffs[1 - n % 2::2])   # the c_j with n - j odd
-        return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
-            "coefficient-transform": coeff_worst,
-            "series-values-recurrence": value_worst,
-            "parity-zeros": parity_worst,
-        }, ctx)
+    # (q^-n, q^n) and 1 - q^-n for each n, formed once
+    powers = [None] + [(_q_power(q, -n, prec), _q_power(q, n, prec)) for n in range(1, n_max + 1)]
+    one_minus = [None] + [_sub(_ONE, inverse, prec) for inverse, _ in powers[1:]]
+    coeff_worst = _largest(   # 1 - q^-n against -q^-n (1 - q^n)
+        _residual(one_minus[n], _mul((-m, e), _sub(_ONE, power, prec), prec), prec)
+        for n, ((m, e), power) in enumerate(powers[1:], 1))
+    xs = [ctx.to_real(v) for v in grid]
+    # 1 + 2 max|x| + q^-n_max and tol over it, each operation rounded to prec
+    widest = _largest((abs(m), e) for m, e in (_pair(x, "x") for x in xs))
+    amplification = _add(_add(_ONE, _shift(widest, 1), prec), _q_power(q, -n_max, prec), prec)
+    series_ctx = ctx._replace(tol=_mpf(_div(_pair(ctx.tol), amplification, prec)))
+    if series_ctx.tol < series_ctx.rounding_floor:
+        # 6 - floor(log2 tol), exactly
+        m, e = _pair(series_ctx.tol)
+        series_ctx = series_ctx._replace(bits=7 - e - m.bit_length())
+    h_tables = qinv_hermite_series_tables(
+        range(n_max + 2), [mpmath.asinh(x, prec=prec) for x in xs], q, series_ctx)
+    # The series values can be wider than prec, which _residual allows for.
+    value_worst = _ZERO
+    for x, hs in zip(xs, h_tables):
+        two_x, hs = _shift(_pair(x), 1), [_pair(h) for h in hs]
+        for n in range(1, n_max + 1):
+            rhs = _add(_mul(two_x, hs[n], prec), _mul(one_minus[n], hs[n - 1], prec), prec)
+            value_worst = _larger(value_worst, _residual(hs[n + 1], rhs, prec))
+    rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
+    parity_worst = _largest((abs(m), e) for n, coeffs in enumerate(rows())
+                            for m, e in coeffs[1 - n % 2::2])   # the c_j with n - j odd
+    return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
+        "coefficient-transform": coeff_worst,
+        "series-values-recurrence": value_worst,
+        "parity-zeros": parity_worst,
+    }, ctx)
 
 
 def check_half_to_full_lattice(N: int, q,
@@ -339,87 +352,86 @@ def check_half_to_full_lattice(N: int, q,
     The cross-parity block of the extremal Gram must vanish on its own.
     """
     q = as_qparam(q, ctx)
-    prec = ctx.bits
-    with ctx.workprec():
-        meas = hermite_extremal(q, q, ctx)
-        scale_const = _pair(q * meas.normalization(ctx))
-        ref = gram_matrix(meas, N, ctx)
+    prec, q_p = ctx.bits, _pair(q)
+    meas = hermite_extremal(q, q, ctx)
+    scale_const = _mul(q_p, _pair(meas.normalization(ctx)), prec)
+    ref = gram_matrix(meas, N, ctx)
 
-        n_even = N // 2
-        n_odd = (N - 1) // 2
-        s_even, sign_even, _ = _connection(0, n_even, (), q, ctx)
-        s_odd, sign_odd, _ = _connection(1, n_odd, (), q, ctx)
-        base_even = dual_base(s_even, q, "even", ctx)
-        base_odd = dual_base(s_odd, q, "odd", ctx)
+    n_even = N // 2
+    n_odd = (N - 1) // 2
+    s_even, sign_even, _ = _connection(0, n_even, (), q, ctx)
+    s_odd, sign_odd, _ = _connection(1, n_odd, (), q, ctx)
+    base_even = dual_base(s_even, q, "even", ctx)
+    base_odd = dual_base(s_odd, q, "odd", ctx)
 
-        J = max(ref.m_hi + 1, -ref.m_lo + 1) + 3
-        # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
-        even_pts = [(_pair(x), _pair(w)) for x, w in base_even.points(0, J, ctx)]
-        odd_pts = [(_pair(x), _pair(w)) for x, w in base_odd.points(0, J - 1, ctx)]
-        even_tabs = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_even, [x for x, _ in even_pts],
-                            q, ctx, s_even)
-        odd_tabs = (_tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_odd, [x for x, _ in odd_pts],
-                            q, ctx, s_odd)
-                    if n_odd >= 0 else [[]] * J)
+    J = max(ref.m_hi + 1, -ref.m_lo + 1) + 3
+    # Lattice index j takes base_even at j and, for j >= 1, base_odd at j - 1.
+    even_pts = [(_pair(x), _pair(w)) for x, w in base_even.points(0, J, ctx)]
+    odd_pts = [(_pair(x), _pair(w)) for x, w in base_odd.points(0, J - 1, ctx)]
+    even_tabs = _tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_even, [x for x, _ in even_pts],
+                        q, ctx, s_even)
+    odd_tabs = (_tables(FamilyKind.DUAL_DISCRETE_ULTRA, n_odd, [x for x, _ in odd_pts],
+                        q, ctx, s_odd)
+                if n_odd >= 0 else [[]] * J)
 
-        # The lattice sums run over j >= 0 with weights u_0, 2 u_1, ..., 2 u_J,
-        # which is 2 w_j for base_even's weight w_j, one pair-sum call per
-        # parity, on pairs.  The odd h vanish at xhat_0 = 0.
-        lattice_w = [_shift(w, 1) for _, w in even_pts]
-        even_rows = [[_mul(c, t, prec) for c, t in zip(sign_even, tab)] for tab in even_tabs]
-        odd_rows = [[_ZERO] * (n_odd + 1)]
-        node_resid = weight_resid = _ZERO
-        q_p = _pair(q)
-        # (1 - q) (1 - q^2) and 4q, the xhat-free factors of a folded weight
-        gaps = _sub(_ONE, q_p, prec), _sub(_ONE, _mul(q_p, q_p, prec), prec)
-        four_q = _shift(q_p, 2)
-        powers = power_run(q_p, -J, J, prec)   # powers[k + J] = q^k
-        for j in range(J + 1):
-            xhat = _shift(_sub(powers[J - j], powers[J + j], prec), -1)
-            node_e, w_e = even_pts[j]
-            node = _add(_mul(_shift(xhat, 2), xhat, prec), (2, 0), prec)
-            node_resid = _larger(node_resid, _residual(node_e, node, prec))
-            if j >= 1:
-                node_o, w_o = odd_pts[j - 1]
-                node_resid = _larger(node_resid, _residual(node_o, _mul(q_p, node_e, prec), prec))
-                odd_rows.append([_mul(_mul(_shift(c, 1), xhat, prec), t, prec)
-                                 for c, t in zip(sign_odd, odd_tabs[j - 1])])
-                w_folded = _div(_mul(_mul(w_o, gaps[0], prec), gaps[1], prec),
-                                _mul(_mul(four_q, xhat, prec), xhat, prec), prec)
-                weight_resid = _larger(weight_resid, _residual(w_e, w_folded, prec))
-        sums = (_pair_sums(lattice_w, even_rows, n_even, prec),
-                _pair_sums(lattice_w, odd_rows, n_odd, prec))
+    # The lattice sums run over j >= 0 with weights u_0, 2 u_1, ..., 2 u_J,
+    # which is 2 w_j for base_even's weight w_j, one pair-sum call per
+    # parity, on pairs.  The odd h vanish at xhat_0 = 0.
+    lattice_w = [_shift(w, 1) for _, w in even_pts]
+    even_rows = [[_mul(c, t, prec) for c, t in zip(sign_even, tab)] for tab in even_tabs]
+    odd_rows = [[_ZERO] * (n_odd + 1)]
+    node_resid = weight_resid = _ZERO
+    # (1 - q) (1 - q^2) and 4q, the xhat-free factors of a folded weight
+    q2 = _mpf(_mul(q_p, q_p, prec))
+    gaps = _sub(_ONE, q_p, prec), _sub(_ONE, _pair(q2), prec)
+    four_q = _shift(q_p, 2)
+    powers = power_run(q_p, -J, J, prec)   # powers[k + J] = q^k
+    for j in range(J + 1):
+        xhat = _shift(_sub(powers[J - j], powers[J + j], prec), -1)
+        node_e, w_e = even_pts[j]
+        node = _add(_mul(_shift(xhat, 2), xhat, prec), (2, 0), prec)
+        node_resid = _larger(node_resid, _residual(node_e, node, prec))
+        if j >= 1:
+            node_o, w_o = odd_pts[j - 1]
+            node_resid = _larger(node_resid, _residual(node_o, _mul(q_p, node_e, prec), prec))
+            odd_rows.append([_mul(_mul(_shift(c, 1), xhat, prec), t, prec)
+                             for c, t in zip(sign_odd, odd_tabs[j - 1])])
+            w_folded = _div(_mul(_mul(w_o, gaps[0], prec), gaps[1], prec),
+                            _mul(_mul(four_q, xhat, prec), xhat, prec), prec)
+            weight_resid = _larger(weight_resid, _residual(w_e, w_folded, prec))
+    sums = (_pair_sums(lattice_w, even_rows, n_even, prec),
+            _pair_sums(lattice_w, odd_rows, n_odd, prec))
 
-        entry_worst = cross_worst = diag_worst = _ZERO
-        two_mass = _shift(_div(_pair(qpochhammer_inf(q * q, q * q, ctx)),
-                               _pair(qpochhammer_inf(q, q * q, ctx)), prec), 1)
-        diag = [_mul(scale_const, _pair(d), prec) for d in ref.expected_diag]
-        for i in range(N + 1):
-            for ip in range(i, N + 1):
-                # The lattice sum of a cross-parity pair is exactly 0.
-                total = _ZERO if (i + ip) % 2 == 1 else sums[i % 2][i // 2][ip // 2]
-                ref_entry = _mul(scale_const, _pair(ref.gram[i][ip]), prec)
-                root = _pair(mpmath.sqrt(abs(_mpf(_mul(diag[i], diag[ip], prec)))))
-                scale = root if _abs_lt(_ONE, root) else _ONE
-                m, e = _sub(total, ref_entry, prec)
-                entry_worst = _larger(entry_worst, _div((abs(m), e), scale, prec))
-                if (i + ip) % 2 == 1:
-                    m, e = ref_entry
-                    cross_worst = _larger(cross_worst, _div((abs(m), e), scale, prec))
-                elif i == ip:
-                    closed = _mul(_mul(two_mass, _pair(q ** (-(i * (i + 1) // 2))), prec),
-                                  _pair(qpochhammer(q, q, i, ctx)), prec)
-                    diag_worst = _larger(diag_worst, _residual(total, closed, prec))
+    entry_worst = cross_worst = diag_worst = _ZERO
+    two_mass = _shift(_div(_pair(qpochhammer_inf(q2, q2, ctx)),
+                           _pair(qpochhammer_inf(q, q2, ctx)), prec), 1)
+    diag = [_mul(scale_const, _pair(d), prec) for d in ref.expected_diag]
+    for i in range(N + 1):
+        for ip in range(i, N + 1):
+            # The lattice sum of a cross-parity pair is exactly 0.
+            total = _ZERO if (i + ip) % 2 == 1 else sums[i % 2][i // 2][ip // 2]
+            ref_entry = _mul(scale_const, _pair(ref.gram[i][ip]), prec)
+            root = _root(_mul(diag[i], diag[ip], prec), prec)
+            scale = root if _abs_lt(_ONE, root) else _ONE
+            m, e = _sub(total, ref_entry, prec)
+            entry_worst = _larger(entry_worst, _div((abs(m), e), scale, prec))
+            if (i + ip) % 2 == 1:
+                m, e = ref_entry
+                cross_worst = _larger(cross_worst, _div((abs(m), e), scale, prec))
+            elif i == ip:
+                closed = _mul(_mul(two_mass, _q_power(q, -(i * (i + 1) // 2), prec), prec),
+                              _pair(qpochhammer(q, q, i, ctx)), prec)
+                diag_worst = _larger(diag_worst, _residual(total, closed, prec))
 
-        return _report("half-to-full-lattice",
-                       "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, mpmath.nstr(q, 8)), {
-                           "entrywise": entry_worst,
-                           "cross-parity-block": cross_worst,
-                           "diagonal-closed-forms": diag_worst,
-                           "node-alignment": node_resid,
-                           "folded-odd-weights": weight_resid,
-                           "lattice-constant": _residual(two_mass, scale_const, prec),
-                       }, ctx)
+    return _report("half-to-full-lattice",
+                   "degrees 0..%d, lattice |j| <= %d, q=%s" % (N, J, mpmath.nstr(q, 8)), {
+                       "entrywise": entry_worst,
+                       "cross-parity-block": cross_worst,
+                       "diagonal-closed-forms": diag_worst,
+                       "node-alignment": node_resid,
+                       "folded-odd-weights": weight_resid,
+                       "lattice-constant": _residual(two_mass, scale_const, prec),
+                   }, ctx)
 
 
 def _gram_entry(identity_id: str, measure, N: int,
@@ -446,8 +458,7 @@ def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
     adj = adjudicate_normalization(kind, a, q, ctx)
     winner_res = min(adj.residual_quadratic, adj.residual_linear)
     loser_res = max(adj.residual_quadratic, adj.residual_linear)
-    with ctx.workprec():
-        definitive = winner_res < ctx.tol and loser_res > mpmath.sqrt(ctx.tol)
+    definitive = winner_res < ctx.tol and loser_res > mpmath.sqrt(ctx.tol, prec=ctx.bits)
     details = adj.to_details(ctx.digits)
     details["definitive"] = "yes" if definitive else "no"
     return IdentityReport(identity_id,
@@ -496,11 +507,9 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
     the error text in its details rather than aborting the suite.
     """
     q = as_qparam(q, ctx)
-    if a is None:
-        with ctx.workprec():
-            a = (1 + q) / 2
     run = types.SimpleNamespace(q=q, ctx=ctx, k_max=k_max, N=N,
-                                s=ctx.to_real(1 if s is None else s), a=ctx.to_real(a))
+                                s=ctx.to_real(1 if s is None else s),
+                                a=_default_a(q, ctx) if a is None else ctx.to_real(a))
 
     selected = list(SUITE_IDS) if only is None else list(dict.fromkeys(only))
     unknown = [name for name in selected if name not in _SUITE]

@@ -59,9 +59,12 @@ raw mantissa and exponent, so it prints what nstr prints; nstr itself
 renders only past the hand-off (binary exponents beyond +-3500, where
 mpmath divides by a power of ten found with logarithms) and in messages.
 Precision crosses the same interfaces as an argument: every private function that rounds takes
-the precision it rounds to (prec, or ctx.bits from its context), and none
-reads mpmath's global precision, which the package sets only around mpf
-arithmetic; rendering reads no precision at all.  The private functions hand
+the precision it rounds to (prec, or ctx.bits from its context); a power
+x^t is _q_power's mpf_pow at a named precision, and exp, sinh, asinh and
+sqrt are called with prec.  No function of the package reads or sets
+mpmath's global precision, and rendering reads no precision at all, so
+threads that run the package at different precisions get the bytes of a
+serial run (tests/thread_probe.py).  The private functions hand
 each other pairs, with this module's private arithmetic _add, _sub, _mul,
 _div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k);
 _round, _mul, _sub and power_run's steps write out the rounding of
@@ -108,7 +111,8 @@ from typing import NamedTuple
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs, mpf_ceil, mpf_div, mpf_le,
-                          mpf_log, mpf_neg, mpf_shift, numeral, round_nearest, to_float, to_int)
+                          mpf_log, mpf_neg, mpf_pow, mpf_shift, numeral, round_nearest, to_float,
+                          to_int)
 
 QReal = mpmath.mpf
 
@@ -134,7 +138,7 @@ class PoleError(KernelError):
 # not define __new__, where the checks run.
 class _PrecisionFields(NamedTuple):
     bits: int = 256
-    tol: QReal = mpmath.mpf(2) ** -200
+    tol: QReal = mpmath.ldexp(1, -200)
     max_terms: int = 50000
 
 
@@ -181,7 +185,7 @@ class PrecisionContext(_PrecisionFields):
         """Build a context with tol = 2^-tol_exp, tol_exp an int (not a bool)."""
         if type(tol_exp) is bool or not isinstance(tol_exp, int):
             raise ValueError("tol_exp must be an integer (got %r)" % (tol_exp,))
-        return cls(bits=bits, tol=mpmath.mpf(2) ** -tol_exp, max_terms=max_terms)
+        return cls(bits=bits, tol=mpmath.ldexp(1, -tol_exp), max_terms=max_terms)
 
     @property
     def rounding_floor(self) -> QReal:
@@ -194,7 +198,8 @@ class PrecisionContext(_PrecisionFields):
         return mpmath.ldexp(1, 6 - self.bits)
 
     def workprec(self):
-        """Context manager setting the mpmath working precision."""
+        """Context manager setting mpmath's global working precision to bits,
+        for a caller's own mpf arithmetic; the package never calls it."""
         return mp.workprec(self.bits)
 
     def doubled(self) -> "PrecisionContext":
@@ -597,6 +602,13 @@ def _stepped(base: tuple[int, int], count: int, wp: int) -> list[tuple[int, int]
     return out
 
 
+def _q_power(x: QReal, t, prec: int) -> tuple[int, int]:
+    """x^t as a pair, for an int t or a raw exponent t: libmp's mpf_pow at
+    prec bits, which hands an integer t to mpf_pow_int, so the value of
+    x ** t at mpmath precision prec."""
+    return _raw_pair(mpf_pow(x._mpf_, from_int(t) if type(t) is int else t, prec, round_nearest))
+
+
 def _check_degree(name: str, value, least: int = 0) -> None:
     """ValueError unless value is an integer >= least (0 or 1): the one
     check of a degree, count or index argument; a bool is not taken for an
@@ -689,11 +701,12 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     by the same pass, of the magnitude the budget is relative to; bound is
     None when the pass certifies no bit.  The first pass runs at ctx.bits + guard and is
     accepted when bound <= budget.  Otherwise the next pass runs at
-    p + ceil(log2(bound / budget)) + 1 (in mpf at ctx.bits), which meets
-    the budget when the bound scales like 2^-p, or at 2p when bound is
-    None.  TruncationFailure, with the bound, the bound before and the
-    budget in its message, is raised when a rerun that added s bits shrank
-    the bound by less than 2^(s/2) (so a bound with a part that does not
+    p + ceil(log2(bound / budget)) + 1, which meets the budget when the
+    bound scales like 2^-p, or at 2p when bound is None; the step and the
+    stall test below are decided exactly on the pairs.  TruncationFailure,
+    with the bound, the bound before and the budget in its message, is
+    raised when a rerun that added s bits shrank the bound by less than
+    2^(s/2) (so a bound with a part that does not
     scale like 2^-p stops the ladder at once rather than at the cap), when
     the next pass would run past the cap of 1024 * ctx.bits bits, and, before
     any pass, when tol is below ctx.rounding_floor (_check_floor).  what()
@@ -703,23 +716,29 @@ def _certified(evaluate, budget: tuple[int, int], ctx: PrecisionContext, what, g
     evaluations; the policy starts from it.
     """
     _check_floor(ctx, what)
-    prec, last, added = ctx.bits + guard, mp.inf, 0
+    prec, last, added = ctx.bits + guard, None, 0
     while True:
         (value, bound), first = evaluate(prec) if first is None else first, None
         if bound is not None and not _abs_lt(budget, bound):
             return _round(value, ctx.bits)
-        with ctx.workprec():
-            size = mp.inf if bound is None else _mpf(bound)
-            step = prec if bound is None else int(mp.ceil(mp.log(size / _mpf(budget), 2))) + 1
+        step, stalled = prec, False
+        if bound is not None:
+            # ceil(log2(bound / budget)) is k or k + 1, k the difference of the top bits
+            (bm, be), (tm, te) = bound, budget
+            k = be + bm.bit_length() - te - tm.bit_length()
+            step = k + _abs_lt((tm, te + k), bound) + 1
             # the rerun added `added` bits and shrank the bound by less than 2^(added/2)
-            stalled = size < mp.inf and mp.ldexp(size * size, added) > last * last
+            stalled = last is not None and _abs_lt((last[0] ** 2, 2 * last[1]),
+                                                   (bm * bm, 2 * be + added))
         if stalled or prec + step > 1024 * ctx.bits:
+            def shown(b):
+                return mpmath.nstr(mpmath.inf if b is None else _mpf(b), 8)
             raise TruncationFailure(
                 "%s: error bound %s misses the budget %s at %d bits, and a rerun cannot meet it"
                 " (bound before: %s; next pass: %d bits; cap: 1024 * bits = %d)"
-                % (what(), mpmath.nstr(size, 8), mpmath.nstr(_mpf(budget), 8), prec,
-                   mpmath.nstr(last, 8), prec + step, 1024 * ctx.bits))
-        prec, last, added = prec + step, size, step
+                % (what(), shown(bound), shown(budget), prec, shown(last), prec + step,
+                   1024 * ctx.bits))
+        prec, last, added = prec + step, bound, step
 
 
 def _product_pass(a_p, q_p, head_len: int, inv_gap: int, max_terms: int, prec: int):
@@ -930,19 +949,17 @@ def basic_hypergeometric(num, den, q, z, ctx: PrecisionContext = DEFAULT_CONTEXT
     nums = [ctx.to_real(v) for v in num]
     dens = [ctx.to_real(v) for v in den]
     z = ctx.to_real(z)
-    if terminating_at is not None:
-        _check_degree("terminating_at", terminating_at)
-        with ctx.workprec():
-            target = q ** (-terminating_at)
-            witness = min((abs(v - target) for v in nums), default=None)
-            if witness is None or witness > abs(target) * mpmath.mpf(2) ** (-(ctx.bits // 2)):
-                raise ValueError("terminating_at=%d requires a numerator parameter equal to q^-%d"
-                                 % (terminating_at, terminating_at))
-
     z_p = _pair(z, "z")
     num_p = [_pair(a, "numerator parameter") for a in nums]
     den_p = [_pair(b, "denominator parameter") for b in dens]
     q_p, prec, tol_p = _pair(q), ctx.bits, _pair(ctx.tol)
+    if terminating_at is not None:
+        _check_degree("terminating_at", terminating_at)
+        # some |a - q^-N| <= q^-N 2^-(bits/2), the difference rounded to bits
+        tm, te = _q_power(q, -terminating_at, prec)
+        if all(_abs_lt((tm, te - prec // 2), _sub(a, (tm, te), prec)) for a in num_p):
+            raise ValueError("terminating_at=%d requires a numerator parameter equal to q^-%d"
+                             % (terminating_at, terminating_at))
     total, term, qk = _ZERO, _ONE, _ONE
     for k in range(ctx.max_terms):
         total = _add(total, term, prec)

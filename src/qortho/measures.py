@@ -207,7 +207,7 @@ import mpmath
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree, _div,
-                     _largest, _mpf, _mul, _pair, _round, _rounded, _sub, _tail_reach,
+                     _largest, _mpf, _mul, _pair, _q_power, _round, _rounded, _sub, _tail_reach,
                      as_qparam, qpochhammer_inf, to_decimal)
 
 
@@ -503,11 +503,13 @@ def _dual_diagonal(start):
 
 
 def _base_start(measure, q, ctx, wp):
-    """d_0 = (s q^3;q^2)_inf / (q;q^2)_inf and s q^2."""
-    qv, q2 = measure.q, measure.q * measure.q
-    return (_div(_pair(qpochhammer_inf(measure.s * qv ** 3, q2, ctx)),
-                 _pair(qpochhammer_inf(qv, q2, ctx)), wp),
-            _times(_pair(measure.s), _power(q, 2)))
+    """d_0 = (s q^3;q^2)_inf / (q;q^2)_inf and s q^2; s q^3 and q^2 are
+    rounded to ctx.bits, one rounding an operation."""
+    s, q2 = _pair(measure.s), _mpf(_mul(q, q, ctx.bits))
+    s_q3 = _mpf(_mul(s, _q_power(measure.q, 3, ctx.bits), ctx.bits))
+    return (_div(_pair(qpochhammer_inf(s_q3, q2, ctx)),
+                 _pair(qpochhammer_inf(measure.q, q2, ctx)), wp),
+            _times(s, _power(q, 2)))
 
 
 class _Kind(NamedTuple):
@@ -521,7 +523,7 @@ class _Kind(NamedTuple):
     settled: Callable        # (measure, N, m) -> whether m is past the window's m_0
     full_lattice: bool       # support m in Z, else m >= 0
     family: FamilyKind       # the paired family ...
-    family_s: Callable       # (measure) -> ... and its s, or None
+    family_s: Callable       # (measure, bits) -> ... and its s, or None
 
 
 _DUAL = FamilyKind.DUAL_DISCRETE_ULTRA
@@ -531,22 +533,22 @@ _BASE_RATIO = ((7, 3, 4), (5, 6))        # weight *= ratio a1 a2 / (b1 b2)
 _KINDS = {
     MeasureKind.HERMITE_EXTREMAL: _Kind(
         _extremal_lanes(0, -1), _GAUSSIAN, _hermite_values, _hermite_diagonal, _extremal_settled,
-        True, FamilyKind.QINV_HERMITE, lambda measure: None),
+        True, FamilyKind.QINV_HERMITE, lambda measure, bits: None),
     MeasureKind.DUAL_QINV_EXTREMAL: _Kind(
         _extremal_lanes(1, 0), _GAUSSIAN, _qinv_values,
         _dual_diagonal(lambda measure, q, ctx, wp: (_ONE, q)), _extremal_settled,
-        True, _DUAL, lambda measure: 1 / measure.q),
+        True, _DUAL, lambda measure, bits: _mpf(_div(_ONE, _pair(measure.q), bits))),
     MeasureKind.DUAL_Q_EXTREMAL: _Kind(
         _extremal_lanes(0, -1), _GAUSSIAN, _q_values,
         _dual_diagonal(lambda measure, q, ctx, wp: (_div(_sub(_ONE, q, wp), q, wp),
                                                     _power(q, 3))),
-        _extremal_settled, True, _DUAL, lambda measure: measure.q),
+        _extremal_settled, True, _DUAL, lambda measure, bits: measure.q),
     MeasureKind.DUAL_BASE_EVEN: _Kind(
         _base_lanes(0), _BASE_RATIO, _base_values, _dual_diagonal(_base_start), _base_settled(0),
-        False, _DUAL, lambda measure: measure.s),
+        False, _DUAL, lambda measure, bits: measure.s),
     MeasureKind.DUAL_BASE_ODD: _Kind(
         _base_lanes(1), _BASE_RATIO, _base_values, _dual_diagonal(_base_start), _base_settled(1),
-        False, _DUAL, lambda measure: measure.s),
+        False, _DUAL, lambda measure, bits: measure.s),
 }
 
 
@@ -604,8 +606,7 @@ def _diagonals(measure: "DiscreteMeasure", N: int, ctx: PrecisionContext) -> lis
     """[d_0, ..., d_N] as pairs of the kind's run at wp = ctx.bits + 32,
     each rounded once to ctx.bits; d_0 takes its products at _closed(ctx)."""
     wp = ctx.bits + _RUN_GUARD
-    with ctx.workprec():
-        run = _run(*_KINDS[measure.kind].diagonal(measure, _closed(ctx), wp), wp)
+    run = _run(*_KINDS[measure.kind].diagonal(measure, _closed(ctx), wp), wp)
     return [_round(d, ctx.bits) for d, _ in itertools.islice(run, N + 1)]
 
 
@@ -642,8 +643,7 @@ class DiscreteMeasure(NamedTuple):
     def family(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> FamilySpec:
         """The polynomial family this measure orthogonalizes, its s formed at ctx."""
         record = _KINDS[self.kind]
-        with ctx.workprec():
-            return FamilySpec(record.family, self.q, record.family_s(self))
+        return FamilySpec(record.family, self.q, record.family_s(self, ctx.bits))
 
     def normalization(self, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
         """Z(a) for the full-lattice kinds, 1 for the base kinds."""
@@ -684,6 +684,13 @@ def dual_base(s, q, parity: str, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Dis
         raise ValueError("parity must be 'even' or 'odd'")
     kind = MeasureKind.DUAL_BASE_EVEN if parity == "even" else MeasureKind.DUAL_BASE_ODD
     return DiscreteMeasure(kind, q, s=s)
+
+
+def _default_a(q: QReal, ctx: PrecisionContext) -> QReal:
+    """(1 + q) / 2 rounded to ctx.bits, the extremal parameter a of a run
+    that names none."""
+    m, e = _add(_ONE, _pair(q), ctx.bits)
+    return _mpf((m, e - 1))
 
 
 def _extremal(kind: MeasureKind, a, q, ctx: PrecisionContext) -> DiscreteMeasure:
@@ -1116,24 +1123,28 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
     if record is None or not (record.full_lattice and record.family is _DUAL):
         raise ValueError("adjudication applies to the extremal dual measures")
     measure = _extremal(kind, a, q, ctx)
-    q = measure.q
-    with ctx.workprec():
-        a = measure.a
-        z_quad = lattice_normalization(a, q, ctx)
-        z_lin = (qpochhammer_inf(-a * a, q, ctx) * qpochhammer_inf(-q / a, q, ctx)
-                 * qpochhammer_inf(q, q, ctx))
-        # Degree-0 Gram entry; point() divides by z_quad, so undo it.
-        report = gram_matrix(measure, 0, ctx)
-        d0, mass = report.expected_diag[0], report.gram[0][0] * z_quad
-        r_quad = abs(mass / (z_quad * d0) - 1)
-        r_lin = abs(mass / (z_lin * d0) - 1)
-        if r_quad < ctx.tol and r_quad < r_lin:
-            winner = "(-q/a^2;q)_inf"
-        elif r_lin < ctx.tol and r_lin < r_quad:
-            winner = "(-q/a;q)_inf"
-        else:
-            winner = "none"
-        return NormalizationAdjudication(
-            measure_kind=kind.value, a=measure.a, q=q, mass=mass,
-            candidate_quadratic=z_quad, candidate_linear=z_lin,
-            residual_quadratic=r_quad, residual_linear=r_lin, winner=winner)
+    q, prec = measure.q, ctx.bits
+    (am, ae), (qm, qe) = _pair(measure.a), _pair(q)
+    z_quad = lattice_normalization(measure.a, q, ctx)
+    # (-a^2;q)_inf (-q/a;q)_inf (q;q)_inf, each operation rounded to bits
+    z_lin = _mul(_mul(_pair(qpochhammer_inf(_mpf(_mul((-am, ae), (am, ae), prec)), q, ctx)),
+                      _pair(qpochhammer_inf(_mpf(_div((-qm, qe), (am, ae), prec)), q, ctx)), prec),
+                 _pair(qpochhammer_inf(q, q, ctx)), prec)
+    # Degree-0 Gram entry; point() divides by z_quad, so undo it.
+    report = gram_matrix(measure, 0, ctx)
+    d0, mass = _pair(report.expected_diag[0]), _mul(_pair(report.gram[0][0]), _pair(z_quad), prec)
+
+    def residual(z):   # |mass / (z d0) - 1|
+        m, e = _sub(_div(mass, _mul(z, d0, prec), prec), _ONE, prec)
+        return _mpf((abs(m), e))
+    r_quad, r_lin = residual(_pair(z_quad)), residual(z_lin)
+    if r_quad < ctx.tol and r_quad < r_lin:
+        winner = "(-q/a^2;q)_inf"
+    elif r_lin < ctx.tol and r_lin < r_quad:
+        winner = "(-q/a;q)_inf"
+    else:
+        winner = "none"
+    return NormalizationAdjudication(
+        measure_kind=kind.value, a=measure.a, q=q, mass=_mpf(mass),
+        candidate_quadratic=z_quad, candidate_linear=_mpf(z_lin),
+        residual_quadratic=r_quad, residual_linear=r_lin, winner=winner)

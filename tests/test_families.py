@@ -485,10 +485,12 @@ def _degree_calls(v):
             [Q], [], Q, Q, CTX, terminating_at=v)),
         "qinv_hermite_series_tables": ("n", lambda: qinv_hermite_series_tables(
             [1, v], [0], Q, CTX)),
+        "qinv_hermite": ("n", lambda: qinv_hermite(v, "0.3", Q, CTX)),
         "qinv_hermite_coeffs": ("n", lambda: qinv_hermite_coeffs(v, Q, CTX)),
         "even_hermite_factor": ("k", lambda: even_hermite_factor(v, 0, Q, CTX)),
         "discrete_ultra": ("n", lambda: discrete_ultra(v, 0, 1, Q, CTX)),
         "dual_ultra_series": ("n", lambda: dual_ultra_series(v, 0, 1, Q, CTX)),
+        "dual_ultra": ("n", lambda: dual_ultra(v, "0.5", 1, Q, CTX)),
         "dual_ultra_coeffs": ("n", lambda: dual_ultra_coeffs(v, 1, Q, CTX)),
         "qinv_hermite_tables": ("n_max", lambda: qinv_hermite_tables(v, [0], Q, CTX)),
         "dual_ultra_tables": ("n_max", lambda: dual_ultra_tables(v, [0], 1, Q, CTX)),

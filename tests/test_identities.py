@@ -268,7 +268,7 @@ def _per_phi_chain_worst(k_max, q, ctx):
     coefficient formed afresh at each phi, as the check once did."""
     from qortho.families import dual_ultra_tables, qinv_hermite_tables
     from qortho.identities import DEFAULT_PHI_GRID, _connection
-    from qortho.kernel import _mpf
+    from qortho.kernel import _mpf, _pair
 
     def chain(parity, mu, v, mid):
         worst = mpmath.mpf(0)
@@ -289,8 +289,8 @@ def _per_phi_chain_worst(k_max, q, ctx):
                                        q, ctx)
         worst = {}
         for parity, side in enumerate(("even", "odd")):
-            s, c, mus = _connection(parity, k_max + 1, ys, q, ctx)
-            c = [_mpf(c_n) for c_n in c]
+            s, c, mus = _connection(parity, k_max + 1, [_pair(y) for y in ys], q, ctx)
+            c, mus = [_mpf(c_n) for c_n in c], [_mpf(mu) for mu in mus]
             d_tables = dual_ultra_tables(k_max + 1, mus, s, q, ctx)
             worst[side + "-hermite"] = worst[side + "-dual"] = mpmath.mpf(0)
             for mu, hs, dvals in zip(mus, h_tables, d_tables):

@@ -546,18 +546,19 @@ def test_certified_raises_past_a_bound_that_stalls_or_the_cap(bound_at, passes, 
 
 def test_certified_raises_when_a_rerun_barely_shrinks_the_bound():
     # 2^-150 (1 + 2^-p): a part of the bound does not shrink with p.  The
-    # rerun adds 53 bits, so it must shrink the bound by 2^26.5, and it
-    # shrinks it by a factor 1 + 2^-256; the ladder used to climb to the cap.
+    # rerun adds 54 bits, ceil(log2(bound / budget)) + 1 for a bound just
+    # above 2^52 budgets, so it must shrink the bound by 2^27, and it shrinks
+    # it by a factor 1 + 2^-256; the ladder used to climb to the cap.
     precs = []
 
     def evaluate(p):
         precs.append(p)
         return _pair(mpmath.fdiv(1, 3, prec=p)), ((1 << p) + 1, -150 - p)
     with pytest.raises(TruncationFailure, match=r"probe: error bound 7\.0064923e-46 misses the "
-                       r"budget 1\.5557538e-61 at 309 bits, and a rerun cannot meet it \(bound "
-                       r"before: 7\.0064923e-46; next pass: 362 bits"):
+                       r"budget 1\.5557538e-61 at 310 bits, and a rerun cannot meet it \(bound "
+                       r"before: 7\.0064923e-46; next pass: 364 bits"):
         _certified(evaluate, BUDGET_PAIR, CTX, lambda: "probe")
-    assert precs == [256, 309]
+    assert precs == [256, 310]
 
 
 def test_certified_refuses_a_tol_below_the_rounding_floor_before_any_pass():

@@ -62,3 +62,10 @@ def test_json_sample_names_are_the_emitted_names(capsys):
     reports = [_gram(capsys, *argv) for argv in runs]
     for key in ("family", "measure"):
         assert _SAMPLE[key].split(" | ") == list(dict.fromkeys(r[key] for r in reports))
+
+
+def test_library_example_runs(capsys):
+    # It sets no precision of its own: every function reads its context.
+    [block] = _blocks("Library", "python")
+    exec(block, {})
+    assert capsys.readouterr().out.startswith("7.0\nTrue ")
