@@ -8,8 +8,11 @@ or the --config JSON file is checked against the same entry as its flag.
 Each setting resolves as flag > environment (where the entry names a
 variable) > --config file > default; `qortho COMMAND --help` shows them.
 
-Exit codes: 0 success / all checks passed, 1 a residual check failed,
-2 invalid input or a computation could not be certified.
+A check passes by one rule, for gram, sweep and every verify id alike
+(kernel._verdict): tol is at or above the rounding floor 2^(6-bits), the
+smallest tol a bits-bit result can certify, and the residual is below tol.
+Exit codes, from those verdicts (_exit_code): 0 success / all checks passed,
+1 a check failed, 2 invalid input or a computation could not be certified.
 """
 from __future__ import annotations
 
@@ -231,6 +234,12 @@ def _measure_for(config: argparse.Namespace, q, ctx: PrecisionContext, a_value=N
     return _MEASURES[config.measure](a, q, ctx)
 
 
+def _exit_code(verdicts) -> int:
+    """0 when every verdict passed (True), else 1 when one failed (False),
+    else 2 when one could not be certified (None): the worst of them."""
+    return max(2 if verdict is None else 0 if verdict else 1 for verdict in verdicts)
+
+
 def cmd_eval(config: argparse.Namespace) -> int:
     ctx = _context(config)
     q = as_qparam(config.q, ctx)
@@ -254,7 +263,7 @@ def cmd_gram(config: argparse.Namespace) -> int:
     report = gram_matrix(_measure_for(config, q, ctx), config.N, ctx)
     text = (report.to_json if config.output == "json" else report.to_csv)(ctx.digits)
     _emit(text, config.out_path)
-    return 0 if report.passed(ctx.tol) else 1
+    return _exit_code([report.passed(ctx.tol)])
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
@@ -287,9 +296,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
         lines.append("%d/%d identities passed" % (npass, len(reports)))
         text = "\n".join(lines) + "\n"
     _emit(text, config.out_path)
-    if any("error" in r.details for r in reports):
-        return 2
-    return 0 if all(r.passed for r in reports) else 1
+    return _exit_code(None if "error" in r.details else r.passed for r in reports)
 
 
 def cmd_sweep(config: argparse.Namespace) -> int:
@@ -312,8 +319,7 @@ def cmd_sweep(config: argparse.Namespace) -> int:
         span = _sub(_pair(_decimal(config.a_to, "a-to", ctx, q)), lo, prec)
         values = [_mpf(_add(lo, _div(_mul(span, (i, 0), prec), (config.steps - 1, 0), prec), prec))
                   for i in range(config.steps)]
-    all_pass = True
-    rows = ["a,off_diag_max,diag_rel_err_max,node_hash"]
+    verdicts, rows = [], ["a,off_diag_max,diag_rel_err_max,node_hash"]
     for a in values:
         report = gram_matrix(_measure_for(config, q, ctx, a_value=a), config.N, ctx)
         rows.append("%s,%s,%s,%s" % (
@@ -321,9 +327,9 @@ def cmd_sweep(config: argparse.Namespace) -> int:
             to_decimal(report.off_diag_max, ctx.digits),
             to_decimal(report.diag_rel_err_max, ctx.digits),
             report.node_hash))
-        all_pass = all_pass and report.passed(ctx.tol)
+        verdicts.append(report.passed(ctx.tol))
     _emit("\n".join(rows) + "\n", config.out_path)
-    return 0 if all_pass else 1
+    return _exit_code(verdicts)
 
 
 _COMMANDS = {

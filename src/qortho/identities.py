@@ -1,8 +1,12 @@
 """Executable checks for every identity the library's families satisfy.
 
 Each check returns an IdentityReport with the worst relative residual over
-its sample grid; residuals are |LHS - RHS| / max(1, |LHS|) because the
-quantities involved span many orders of magnitude.  The suite covers:
+its sample grid, built by _judged, which passes it by the package's one
+verdict rule (kernel._verdict: tol at or above the rounding floor of
+ctx.bits, and the residual below tol).  Most residuals are
+|LHS - RHS| / max(1, |LHS|) (_residual, whose docstring names the ids that
+divide otherwise), because the quantities involved span many orders of
+magnitude.  The suite covers:
 
 * the closed-form connections between even / odd q-inverse Hermite
   polynomials and the dual discrete q-ultraspherical family at s = q^-1 and
@@ -40,8 +44,9 @@ import mpmath
 from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt, _add,
-                     _check_degree, _div, _larger, _largest, _mpf, _mul, _pair, _q_power, _round,
-                     _sub, as_qparam, power_run, qpochhammer, qpochhammer_inf, to_decimal)
+                     _below_floor, _check_degree, _div, _larger, _largest, _mpf, _mul, _pair,
+                     _q_power, _round, _sub, _verdict, as_qparam, power_run, qpochhammer,
+                     qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _default_a, _pair_sums, _root, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -66,16 +71,25 @@ class IdentityReport(NamedTuple):
         }
 
 
+def _judged(identity_id: str, grid: str, residual: QReal, ctx: PrecisionContext,
+            details: dict[str, str], contrasted: bool = True) -> IdentityReport:
+    """The report of a check whose worst residual is residual, which passes
+    by kernel._verdict at ctx and where contrasted holds: the one addition
+    to the rule, the *-normalization ids' losing candidate above sqrt(tol).
+    Every IdentityReport is built here."""
+    return IdentityReport(identity_id, grid, residual,
+                          _verdict(residual, ctx.tol, ctx.bits) and contrasted, details)
+
+
 def _report(identity_id: str, grid: str, residuals: dict[str, tuple[int, int]],
             ctx: PrecisionContext, contrast: str | None = None) -> IdentityReport:
     """The report of the named residuals, given as pairs: the details show
     each one at ctx.digits, and the largest, leaving out the contrast
-    (shown, not counted), is the max_residual, which passes below tol."""
+    (shown, not counted), is the max_residual that _judged passes."""
     residuals = {name: _mpf(value) for name, value in residuals.items()}
     worst = max(value for name, value in residuals.items() if name != contrast)
-    return IdentityReport(identity_id, grid, worst, bool(worst < ctx.tol),
-                          {name: to_decimal(value, ctx.digits)
-                           for name, value in residuals.items()})
+    return _judged(identity_id, grid, worst, ctx, {name: to_decimal(value, ctx.digits)
+                                                   for name, value in residuals.items()})
 
 
 def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[int, int]:
@@ -168,9 +182,7 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
             rhs = (_mul(c[k], dvals[k], prec) if parity == 0
                    else _mul(_mul(c[k], two_sinh, prec), dvals[k], prec))
             worst = _larger(worst, _residual(_pair(lhs), rhs, prec))
-    worst = _mpf(worst)
-    return IdentityReport(identity_id, "k <= %d, phi in %s" % (k_max, grid), worst,
-                          bool(worst < ctx.tol), {})
+    return _judged(identity_id, "k <= %d, phi in %s" % (k_max, grid), _mpf(worst), ctx, {})
 
 
 def check_even_connection(k_max: int, phi_grid, q,
@@ -315,10 +327,9 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     # 1 + 2 max|x| + q^-n_max and tol over it, each operation rounded to prec
     widest = _largest((abs(m), e) for m, e in (_pair(x, "x") for x in xs))
     amplification = _add(_add(_ONE, _shift(widest, 1), prec), _q_power(q, -n_max, prec), prec)
-    series_ctx = ctx._replace(tol=_mpf(_div(_pair(ctx.tol), amplification, prec)))
-    if series_ctx.tol < series_ctx.rounding_floor:
-        # 6 - floor(log2 tol), exactly
-        m, e = _pair(series_ctx.tol)
+    m, e = _div(_pair(ctx.tol), amplification, prec)
+    series_ctx = ctx._replace(tol=_mpf((m, e)))
+    if _below_floor((m, e), prec):   # then 6 - floor(log2 tol) bits, exactly
         series_ctx = series_ctx._replace(bits=7 - e - m.bit_length())
     h_tables = qinv_hermite_series_tables(
         range(n_max + 2), [mpmath.asinh(x, prec=prec) for x in xs], q, series_ctx)
@@ -449,21 +460,19 @@ def _gram_entry(identity_id: str, measure, N: int,
         grid += ", a=%s" % mpmath.nstr(rep.a, 8)
     if rep.s is not None:
         grid += ", s=%s" % mpmath.nstr(rep.s, 8)
-    return IdentityReport(identity_id, grid, max(rep.off_diag_max, rep.diag_rel_err_max),
-                          rep.passed(ctx.tol), details)
+    return _judged(identity_id, grid, max(rep.off_diag_max, rep.diag_rel_err_max), ctx, details)
 
 
 def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
                          ctx: PrecisionContext) -> IdentityReport:
     adj = adjudicate_normalization(kind, a, q, ctx)
-    winner_res = min(adj.residual_quadratic, adj.residual_linear)
-    loser_res = max(adj.residual_quadratic, adj.residual_linear)
-    definitive = winner_res < ctx.tol and loser_res > mpmath.sqrt(ctx.tol, prec=ctx.bits)
+    residuals = adj.residual_quadratic, adj.residual_linear
     details = adj.to_details(ctx.digits)
-    details["definitive"] = "yes" if definitive else "no"
-    return IdentityReport(identity_id,
-                          "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)),
-                          winner_res, bool(winner_res < ctx.tol and definitive), details)
+    report = _judged(identity_id, "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)),
+                     min(residuals), ctx, details,
+                     contrasted=max(residuals) > mpmath.sqrt(ctx.tol, prec=ctx.bits))
+    details["definitive"] = "yes" if report.passed else "no"
+    return report
 
 
 # The suite, one entry per check in run order: each takes its id and the
@@ -521,11 +530,6 @@ def run_suite(q, ctx: PrecisionContext = DEFAULT_CONTEXT, *,
         try:
             reports.append(_SUITE[name](name, run))
         except Exception as exc:
-            reports.append(IdentityReport(
-                identity_id=name,
-                grid="",
-                max_residual=mpmath.inf,
-                passed=False,
-                details={"error": "%s: %s" % (type(exc).__name__, exc)},
-            ))
+            reports.append(_judged(name, "", mpmath.inf, ctx,
+                                   {"error": "%s: %s" % (type(exc).__name__, exc)}))
     return reports

@@ -134,6 +134,18 @@ class PoleError(KernelError):
         self.index = index
 
 
+def _positive_tol(tol) -> QReal:
+    """tol as an equal mpf, an int or a float converted exactly (a bool is
+    not taken for an int); ValueError unless it is a positive finite int,
+    float or mpf."""
+    raw = (tol._mpf_ if type(tol) is mpmath.mpf else None if isinstance(tol, bool)
+           else from_int(tol) if isinstance(tol, int)
+           else from_float(tol) if isinstance(tol, float) else None)
+    if raw is None or raw[0] or not raw[1]:   # not a positive finite number
+        raise ValueError("tol must be a positive finite int, float or mpf (got %r)" % (tol,))
+    return tol if type(tol) is mpmath.mpf else mp.make_mpf(raw)
+
+
 # PrecisionContext subclasses its fields because a NamedTuple class body may
 # not define __new__, where the checks run.
 class _PrecisionFields(NamedTuple):
@@ -160,15 +172,7 @@ class PrecisionContext(_PrecisionFields):
         self = super().__new__(cls, *args, **kwargs)
         if type(self.bits) is bool or not isinstance(self.bits, int) or self.bits < 64:
             raise ValueError("bits must be an integer >= 64 (got %r)" % (self.bits,))
-        tol = self.tol
-        if type(tol) is not mpmath.mpf:
-            # ints and floats convert exactly; a bool is not taken for an int
-            raw = (None if isinstance(tol, bool) else from_int(tol) if isinstance(tol, int)
-                   else from_float(tol) if isinstance(tol, float) else None)
-            tol = None if raw is None else mp.make_mpf(raw)
-        if tol is None or tol._mpf_[0] or not tol._mpf_[1]:   # not a positive finite mpf
-            raise ValueError("tol must be a positive finite int, float or mpf (got %r)"
-                             % (self.tol,))
+        tol = _positive_tol(self.tol)
         if (type(self.max_terms) is bool or not isinstance(self.max_terms, int)
                 or self.max_terms < 1):
             raise ValueError("max_terms must be an integer >= 1 (got %r)" % (self.max_terms,))
@@ -192,8 +196,10 @@ class PrecisionContext(_PrecisionFields):
         """Smallest tol a certified kernel result rounded to bits can meet.
 
         Rounding to bits costs up to 2^-bits relatively, which is at most
-        tol/64: a certified product spends that much of its tol/16 on it, and
-        every certified evaluation (_certified) refuses a tol below the floor.
+        tol/64: a certified product spends that much of its tol/16 on it,
+        every certified evaluation (_certified) refuses a tol below the
+        floor, and no verdict passes below it (_verdict).  _below_floor is
+        the test of a tol against it.
         """
         return mpmath.ldexp(1, 6 - self.bits)
 
@@ -675,11 +681,29 @@ def _head_length(a: QReal, q: QReal, bits: int) -> tuple[int, int | float]:
     return int(to_int(mpf_ceil(ratio, 53, round_nearest))), g
 
 
+def _below_floor(tol: tuple[int, int], bits: int) -> bool:
+    """tol < 2^(6-bits) for a pair tol > 0, decided exactly: tol is below the
+    rounding floor of a bits-bit value (PrecisionContext.rounding_floor).
+    Every test of a tol against the floor is this one."""
+    return _abs_lt(tol, (1, 6 - bits))
+
+
+def _verdict(residual: QReal, tol, bits: int) -> bool:
+    """The one verdict rule: PASS when tol is at or above the rounding floor
+    of bits (_below_floor) and residual < tol, both decided exactly; tol a
+    positive finite mpf, int or float (_positive_tol).  Below the floor no
+    bits-bit result certifies agreement to tol, whatever its residual; an
+    inf or nan residual fails.  Every PASS of a Gram or an identity check is
+    this rule's, and every exit code of the CLI derives from its verdicts."""
+    tol = _positive_tol(tol)
+    return not _below_floor(_pair(tol), bits) and bool(residual < tol)
+
+
 def _check_floor(ctx: PrecisionContext, what) -> None:
     """TruncationFailure unless ctx.tol is at least ctx.rounding_floor: a
     value rounded to ctx.bits carries up to 2^-bits relatively, which a
     budget of tol/64 or more then covers.  what() names the evaluation."""
-    if _abs_lt(_pair(ctx.tol), (1, 6 - ctx.bits)):   # tol > 0 below the floor 2^(6-bits)
+    if _below_floor(_pair(ctx.tol), ctx.bits):
         raise TruncationFailure("%s: tol=%s is below the rounding floor %s of a %d-bit value" % (
             what(), mpmath.nstr(ctx.tol, 8), mpmath.nstr(ctx.rounding_floor, 8), ctx.bits))
 

@@ -206,9 +206,9 @@ import mpmath
 
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
-                     TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree, _div,
-                     _largest, _mpf, _mul, _pair, _q_power, _round, _rounded, _sub, _tail_reach,
-                     as_qparam, qpochhammer_inf, to_decimal)
+                     TruncationFailure, _abs_lt, _add, _below_floor, _budget, _certified,
+                     _check_degree, _div, _largest, _mpf, _mul, _pair, _q_power, _round,
+                     _rounded, _sub, _tail_reach, _verdict, as_qparam, qpochhammer_inf, to_decimal)
 
 
 class SignViolation(Exception):
@@ -315,7 +315,7 @@ def _closed(ctx: PrecisionContext) -> PrecisionContext:
     which need no more accuracy than a Gram's own arithmetic carries: below
     the floor the residuals show the shortfall as a failed check rather than
     an uncertifiable product."""
-    return ctx._replace(tol=max(ctx.tol, ctx.rounding_floor))
+    return ctx._replace(tol=ctx.rounding_floor) if _below_floor(_pair(ctx.tol), ctx.bits) else ctx
 
 
 def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -751,9 +751,9 @@ class GramReport(_GramFields):
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def passed(self, tol) -> bool:
-        """Both residuals below tol, and tol not below the floor of bits-bit entries."""
-        floor = PrecisionContext(bits=self.bits).rounding_floor
-        return bool(tol >= floor and self.off_diag_max < tol and self.diag_rel_err_max < tol)
+        """The verdict of kernel._verdict on the larger residual: both below
+        tol, and tol not below the floor of bits-bit entries."""
+        return _verdict(max(self.off_diag_max, self.diag_rel_err_max), tol, self.bits)
 
     def to_json(self, digits: int) -> str:
         """json.dumps(report, indent=2) + "\n", written out in one join: every
@@ -1116,8 +1116,8 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
 
     The unnormalized lattice mass is recomputed from the weights and compared
     against candidate * (expected degree-0 diagonal) for both candidate
-    closed forms; the winner is the candidate whose relative residual falls
-    below ctx.tol.
+    closed forms; the winner is the candidate whose relative residual passes
+    against ctx.tol (kernel._verdict) and is the smaller.
     """
     record = _KINDS.get(kind)
     if record is None or not (record.full_lattice and record.family is _DUAL):
@@ -1138,9 +1138,9 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
         m, e = _sub(_div(mass, _mul(z, d0, prec), prec), _ONE, prec)
         return _mpf((abs(m), e))
     r_quad, r_lin = residual(_pair(z_quad)), residual(z_lin)
-    if r_quad < ctx.tol and r_quad < r_lin:
+    if _verdict(r_quad, ctx.tol, prec) and r_quad < r_lin:
         winner = "(-q/a^2;q)_inf"
-    elif r_lin < ctx.tol and r_lin < r_quad:
+    elif _verdict(r_lin, ctx.tol, prec) and r_lin < r_quad:
         winner = "(-q/a;q)_inf"
     else:
         winner = "none"

@@ -253,13 +253,35 @@ def test_verify_residual_failure_is_exit_one(capsys):
     assert "0/1 identities passed" in out
 
 
-@pytest.mark.parametrize("identity", ["base-even-orthogonality", "base-odd-orthogonality"])
-def test_verify_gram_entry_fails_below_rounding_floor(capsys, identity):
-    # The residual is below 2^-260, under the 256-bit floor 2^-250.
-    code, out, _ = run(capsys, "verify", "--only", identity, "--tol-exp", "260")
+@pytest.mark.parametrize("identity, q, tol_exp", [
+    ("base-even-orthogonality", "0.5", 260),
+    ("base-odd-orthogonality", "0.5", 260),
+    ("inverted-parameter-recurrence", "0.3", 254),
+    ("inverted-parameter-recurrence", "0.5", 254),
+    ("recurrence-chains", "0.9", 251),
+])
+def test_verify_fails_below_rounding_floor_on_a_residual_below_tol(capsys, identity, q, tol_exp):
+    # Each residual is below tol = 2^-tol_exp, under the 256-bit floor 2^-250,
+    # where no 256-bit result certifies agreement: a Gram id and an identity
+    # id fail alike.
+    code, out, _ = run(capsys, "verify", "--only", identity, "--q", q,
+                       "--tol-exp", str(tol_exp))
     first = out.splitlines()[0]
-    assert mpmath.mpf(first.split("max_residual=")[1]) < mpmath.ldexp(1, -260)
+    assert mpmath.mpf(first.split("max_residual=")[1]) < mpmath.ldexp(1, -tol_exp)
     assert code == 1 and first.startswith("FAIL")
+    assert out.splitlines()[-1] == "0/1 identities passed"
+
+
+@pytest.mark.parametrize("identity", SUITE_IDS)
+def test_no_identity_passes_below_rounding_floor(capsys, identity):
+    # tol = 2^-252 is under the 256-bit floor 2^-250: each id fails (exit 1)
+    # or reports the TruncationFailure of a certified evaluation (exit 2).
+    code, out, _ = run(capsys, "verify", "--only", identity, "--tol-exp", "252")
+    first = out.splitlines()[0]
+    assert first.startswith("FAIL") and out.splitlines()[-1] == "0/1 identities passed"
+    error = "error: TruncationFailure" in first
+    assert code == (2 if error else 1)
+    assert not error or "is below the rounding floor" in first
 
 
 def test_verify_uncertifiable_is_exit_two(capsys):

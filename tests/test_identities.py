@@ -91,6 +91,37 @@ def test_pass_flag_tracks_tolerance():
             assert r.passed == (r.max_residual < CTX.tol)
 
 
+def test_verdict_rule_at_its_boundaries():
+    # Decided exactly at 256 bits: a residual equal to tol fails and one unit
+    # (2^-256 relatively) below it passes; tol at the floor 2^-250 can pass,
+    # and one unit below the floor cannot, whatever the residual.
+    from qortho.identities import _judged
+    from qortho.kernel import _mpf, _pair
+    zero = mpmath.mpf(0)
+    gram = gram_matrix(hermite_extremal("0.75", Q, CTX), 2, CTX)._replace(off_diag_max=zero)
+
+    def verdicts(residual, tol):   # of the identity-report constructor and of a Gram
+        report = _judged("product-chain", "", residual, PrecisionContext(bits=256, tol=tol), {})
+        return report.passed, gram._replace(diag_rel_err_max=residual).passed(tol)
+
+    def below(x):   # x (1 - 2^-256), exactly
+        m, e = _pair(x)
+        return _mpf(((m << 256) - m, e - 256))
+    floor = CTX.rounding_floor
+    assert floor == mpmath.ldexp(1, -250)
+    assert verdicts(CTX.tol, CTX.tol) == (False, False)
+    assert verdicts(below(CTX.tol), CTX.tol) == (True, True)
+    assert verdicts(zero, floor) == (True, True)
+    assert verdicts(below(floor), floor) == (True, True)
+    assert verdicts(zero, below(floor)) == (False, False)
+    assert gram.passed(2.0 ** -200) and not gram.passed(2.0 ** -251)   # a float tol, exactly
+    for tol in (0, -1.0, mpmath.inf, "1e-60"):
+        with pytest.raises(ValueError, match="tol must be a positive finite int, float or mpf"):
+            gram.passed(tol)
+    assert _judged("product-chain", "", zero, CTX, {}, contrasted=False).passed is False
+    assert _judged("product-chain", "", mpmath.inf, CTX, {}).passed is False
+
+
 def test_report_dict_shape():
     (report,) = run_suite("0.5", CTX, only=["product-chain"])
     obj = report.to_dict(CTX.digits)
