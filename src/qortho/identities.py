@@ -3,10 +3,11 @@
 Each check returns an IdentityReport with the worst relative residual over
 its sample grid, built by _judged, which passes it by the package's one
 verdict rule (kernel._verdict: tol at or above the rounding floor of
-ctx.bits, and the residual below tol).  Most residuals are
-|LHS - RHS| / max(1, |LHS|) (_residual, whose docstring names the ids that
-divide otherwise), because the quantities involved span many orders of
-magnitude.  The suite covers:
+ctx.bits, and the residual below tol).  Every residual is formed by the
+package's one residual rule, |LHS - RHS| / scale with the difference and
+the quotient each rounded once (kernel._relative_residual); most take the
+scale max(1, |LHS|) (_residual), because the quantities involved span many
+orders of magnitude.  The suite covers:
 
 * the closed-form connections between even / odd q-inverse Hermite
   polynomials and the dual discrete q-ultraspherical family at s = q^-1 and
@@ -23,13 +24,12 @@ magnitude.  The suite covers:
 * the orthogonality of every measure kind, and the adjudication of the
   extremal normalization constant.
 
-Residuals are formed on the kernel's pairs, most of them by _residual,
-whose docstring names the others: one pair operation for each operation of
-the mpf expression they replace, in its order and at ctx.bits, each rounded
-once, so each is that expression's value bit for bit wherever mpmath
-rounds correctly.  Values are read as pairs from the family recurrences,
-converted once where they arrive as mpf, and reported as mpf once per
-check.  The transcendental functions (exp, sinh, asinh and sqrt) are
+Residuals are formed on the kernel's pairs: one pair operation for each
+operation of the mpf expression they replace, in its order and at
+ctx.bits, each rounded once, so each is that expression's value bit for
+bit wherever mpmath rounds correctly.  Values are read as pairs from the
+family recurrences, converted once where they arrive as mpf, and reported
+as mpf once per check.  The transcendental functions (exp, sinh, asinh and sqrt) are
 mpmath's, called with prec=ctx.bits, and the powers q^k are
 kernel._q_power's (mpf_pow_int at ctx.bits), each converted to a pair
 once: no function of the package reads or sets mpmath's global precision.
@@ -45,8 +45,8 @@ from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt, _add,
                      _below_floor, _check_degree, _div, _larger, _largest, _mpf, _mul, _pair,
-                     _q_power, _round, _sub, _verdict, as_qparam, power_run, qpochhammer,
-                     qpochhammer_inf, to_decimal)
+                     _q_power, _relative_residual, _round, _sub, _verdict, as_qparam, power_run,
+                     qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _default_a, _pair_sums, _root, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
@@ -93,19 +93,12 @@ def _report(identity_id: str, grid: str, residuals: dict[str, tuple[int, int]],
 
 
 def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[int, int]:
-    """|lhs - rhs| / max(1, |lhs|) of two pairs, the difference, |lhs| and
-    the quotient each rounded once to prec bits, operands of any length
-    (series values formed wider than the check) included: on operands of at
-    most prec + 4 bits, the value of abs(lhs - rhs) / max(mpf(1), abs(lhs)).
-    Most residuals of the identity checks go through it.  These do not:
-    half-to-full-lattice's entrywise and cross-parity-block residuals,
-    which divide by max(1, sqrt|d_n d_n'|) in place of max(1, |lhs|); the
-    two *-normalization ids, whose residuals adjudicate_normalization forms;
-    and the five Gram ids (*-orthogonality), whose residuals
-    measures._residuals forms."""
-    m, e = _sub(lhs, rhs, prec)
+    """kernel._relative_residual at the scale max(1, |lhs|), |lhs| rounded
+    once to prec bits, operands of any length (series values formed wider
+    than the check) included: on operands of at most prec + 4 bits, the
+    value of abs(lhs - rhs) / max(mpf(1), abs(lhs))."""
     size = _round((abs(lhs[0]), lhs[1]), prec)
-    return _div((abs(m), e), size if _abs_lt(_ONE, size) else _ONE, prec)
+    return _relative_residual(lhs, rhs, size if _abs_lt(_ONE, size) else _ONE, prec)
 
 
 def _shift(a: tuple[int, int], k: int) -> tuple[int, int]:
@@ -341,8 +334,9 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
             rhs = _add(_mul(two_x, hs[n], prec), _mul(one_minus[n], hs[n - 1], prec), prec)
             value_worst = _larger(value_worst, _residual(hs[n + 1], rhs, prec))
     rows = _recurrence(FamilySpec(FamilyKind.QINV_HERMITE, q), n_max, ctx)[2]
-    parity_worst = _largest((abs(m), e) for n, coeffs in enumerate(rows())
-                            for m, e in coeffs[1 - n % 2::2])   # the c_j with n - j odd
+    parity_worst = _largest(   # |c_j| for the c_j with n - j odd
+        _relative_residual(c, _ZERO, _ONE, prec)
+        for n, coeffs in enumerate(rows()) for c in coeffs[1 - n % 2::2])
     return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
         "coefficient-transform": coeff_worst,
         "series-values-recurrence": value_worst,
@@ -424,11 +418,10 @@ def check_half_to_full_lattice(N: int, q,
             ref_entry = _mul(scale_const, _pair(ref.gram[i][ip]), prec)
             root = _root(_mul(diag[i], diag[ip], prec), prec)
             scale = root if _abs_lt(_ONE, root) else _ONE
-            m, e = _sub(total, ref_entry, prec)
-            entry_worst = _larger(entry_worst, _div((abs(m), e), scale, prec))
+            entry_worst = _larger(entry_worst, _relative_residual(total, ref_entry, scale, prec))
             if (i + ip) % 2 == 1:
-                m, e = ref_entry
-                cross_worst = _larger(cross_worst, _div((abs(m), e), scale, prec))
+                cross_worst = _larger(cross_worst,
+                                      _relative_residual(ref_entry, _ZERO, scale, prec))
             elif i == ip:
                 closed = _mul(_mul(two_mass, _q_power(q, -(i * (i + 1) // 2), prec), prec),
                               _pair(qpochhammer(q, q, i, ctx)), prec)

@@ -699,6 +699,24 @@ def _verdict(residual: QReal, tol, bits: int) -> bool:
     return not _below_floor(_pair(tol), bits) and bool(residual < tol)
 
 
+def _relative_residual(lhs: tuple[int, int], rhs: tuple[int, int], scale: tuple[int, int],
+                       prec: int) -> tuple[int, int]:
+    """The one residual rule: |lhs - rhs| / scale of pairs, scale > 0, the
+    difference and the quotient each rounded once to prec bits; on operands
+    of at most prec + 4 bits, the value of abs(lhs - rhs) / scale in mpf,
+    and on wider ones the exact difference rounded once.  Every residual a
+    check compares with tol is formed here, each caller naming only its
+    scale: max(1, |lhs|) for most identity checks (identities._residual),
+    |d_n| on a Gram's diagonal and sqrt|d_n| sqrt|d_n'| off it,
+    max(1, sqrt|d_n d_n'|) for half-to-full-lattice's entrywise and
+    cross-parity residuals, and 1 for the normalization adjudication and
+    the parity zeros of inverted-parameter-recurrence.  Against rhs = 0 on
+    an lhs of at most prec bits the difference is exact, as is the quotient
+    by scale 1."""
+    m, e = _sub(lhs, rhs, prec)
+    return _div((abs(m), e), scale, prec)
+
+
 def _check_floor(ctx: PrecisionContext, what) -> None:
     """TruncationFailure unless ctx.tol is at least ctx.rounding_floor: a
     value rounded to ctx.bits carries up to 2^-bits relatively, which a

@@ -207,8 +207,9 @@ import mpmath
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, _abs_lt, _add, _below_floor, _budget, _certified,
-                     _check_degree, _div, _largest, _mpf, _mul, _pair, _q_power, _round,
-                     _rounded, _sub, _tail_reach, _verdict, as_qparam, qpochhammer_inf, to_decimal)
+                     _check_degree, _div, _largest, _mpf, _mul, _pair, _q_power,
+                     _relative_residual, _round, _rounded, _sub, _tail_reach, _verdict, as_qparam,
+                     qpochhammer_inf, to_decimal)
 
 
 class SignViolation(Exception):
@@ -794,17 +795,19 @@ class GramReport(_GramFields):
 
 def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
                prec: int) -> list[list]:
-    """The residuals the checks compare with tol, of pairs as pairs:
-    |G_nn - d_n| / |d_n| on the diagonal and |G_nn'| / (sqrt|d_n| sqrt|d_n'|)
-    off it, each root formed once per degree in mpf.  Every operation rounds
-    to prec bits, and the pair operations round as mpf's do on these
-    operands (all of at most prec bits): the mpf expression's values."""
+    """The residuals the checks compare with tol, of pairs as pairs, by
+    kernel._relative_residual: |G_nn - d_n| / |d_n| on the diagonal and
+    |G_nn' - 0| / (sqrt|d_n| sqrt|d_n'|) off it, each root formed once per
+    degree in mpf.  Every operation rounds to prec bits, and the pair
+    operations round as mpf's do on these operands (all of at most prec
+    bits): the mpf expression's values."""
     roots = [_root(d, prec) for d in diag]
 
     def residual(n: int, np_: int) -> tuple[int, int]:
         if n == np_:
-            return _on_diagonal(gram[n][n], diag[n], prec)
-        return _off_diagonal(gram[n][np_], roots[n], roots[np_], prec)
+            m, e = diag[n]
+            return _relative_residual(gram[n][n], (m, e), (abs(m), e), prec)
+        return _relative_residual(gram[n][np_], _ZERO, _mul(roots[n], roots[np_], prec), prec)
 
     return _symmetric(len(diag), residual)
 
@@ -812,19 +815,6 @@ def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
 def _root(d: tuple[int, int], prec: int) -> tuple[int, int]:
     """sqrt|d| of a pair, correctly rounded to prec bits by mpf's sqrt."""
     return _pair(mpmath.sqrt(_mpf((abs(d[0]), d[1])), prec=prec))
-
-
-def _on_diagonal(g: tuple[int, int], d: tuple[int, int], prec: int) -> tuple[int, int]:
-    """|g - d| / |d|, each operation rounded to prec bits."""
-    (m, e), (dm, de) = _sub(g, d, prec), d
-    return _div((abs(m), e), (abs(dm), de), prec)
-
-
-def _off_diagonal(g: tuple[int, int], root: tuple[int, int], root_p: tuple[int, int],
-                  prec: int) -> tuple[int, int]:
-    """|g| / (root root_p), each operation rounded to prec bits."""
-    m, e = g
-    return _div((abs(m), e), _mul(root, root_p, prec), prec)
 
 
 def _log2(a: tuple[int, int]) -> tuple[int, float]:
@@ -849,7 +839,9 @@ def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, in
     2^-45 and at most 2 in size, make E within 2^-43.  Only the entries whose
     E is within 2^-20 of the largest get _residuals' quotient.  That quotient
     R' takes four roundings to prec >= 64 bits, two roots, their product and
-    the division, each correctly rounded, so R' = R (1 + eps) with
+    the division, each correctly rounded (the difference G_nn' - 0 that
+    kernel._relative_residual forms first is exact, G_nn' having at most
+    prec bits), so R' = R (1 + eps) with
     |log2(1 + eps)| <= 4 * 1.45 * 2^-64 < 2^-61.  If entry a has the largest
     R' and entry b the largest E, then E_a >= log2 R'_a - 2^-61 - 2^-43
     >= log2 R'_b - 2^-61 - 2^-43 >= E_b - 2^-60 - 2^-42 > E_b - 2^-20: every
@@ -862,7 +854,8 @@ def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, in
     out before any float is formed of the integer parts.
     """
     size = len(diag)
-    diag_err = _largest(_on_diagonal(gram[n][n], diag[n], prec) for n in range(size))
+    diag_err = _largest(_relative_residual(gram[n][n], (m, e), (abs(m), e), prec)
+                        for n, (m, e) in enumerate(diag))
     logs = [_log2(d) for d in diag]
     ranked = []   # (2 T_G - T_n - T_n', 2 f_G - f_n - f_n', n, n')
     for n, (tn, fn) in enumerate(logs):
@@ -879,8 +872,9 @@ def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, in
     cut = max(est for est, _, _ in near) - 2.0 ** -20
     chosen = [(n, np_) for est, n, np_ in near if est >= cut]
     roots = {n: _root(diag[n], prec) for n in {n for pair in chosen for n in pair}}
-    return diag_err, _largest(_off_diagonal(gram[n][np_], roots[n], roots[np_], prec)
-                              for n, np_ in chosen)
+    return diag_err, _largest(
+        _relative_residual(gram[n][np_], _ZERO, _mul(roots[n], roots[np_], prec), prec)
+        for n, np_ in chosen)
 
 
 def _symmetric(size: int, entry) -> list[list]:
@@ -1117,26 +1111,28 @@ def adjudicate_normalization(kind: MeasureKind, a, q,
     The unnormalized lattice mass is recomputed from the weights and compared
     against candidate * (expected degree-0 diagonal) for both candidate
     closed forms; the winner is the candidate whose relative residual passes
-    against ctx.tol (kernel._verdict) and is the smaller.
+    against ctx.tol (kernel._verdict) and is the smaller.  Z(a) and the
+    linear candidate's three products are taken at _closed(ctx), as the
+    Gram takes its Z(a): below the rounding floor the check then fails on
+    its residuals rather than on an uncertifiable Z(a).
     """
     record = _KINDS.get(kind)
     if record is None or not (record.full_lattice and record.family is _DUAL):
         raise ValueError("adjudication applies to the extremal dual measures")
-    measure = _extremal(kind, a, q, ctx)
+    measure, closed = _extremal(kind, a, q, ctx), _closed(ctx)
     q, prec = measure.q, ctx.bits
     (am, ae), (qm, qe) = _pair(measure.a), _pair(q)
-    z_quad = lattice_normalization(measure.a, q, ctx)
+    z_quad = lattice_normalization(measure.a, q, closed)
     # (-a^2;q)_inf (-q/a;q)_inf (q;q)_inf, each operation rounded to bits
-    z_lin = _mul(_mul(_pair(qpochhammer_inf(_mpf(_mul((-am, ae), (am, ae), prec)), q, ctx)),
-                      _pair(qpochhammer_inf(_mpf(_div((-qm, qe), (am, ae), prec)), q, ctx)), prec),
-                 _pair(qpochhammer_inf(q, q, ctx)), prec)
+    z_lin = _mul(_mul(_pair(qpochhammer_inf(_mpf(_mul((-am, ae), (am, ae), prec)), q, closed)),
+                      _pair(qpochhammer_inf(_mpf(_div((-qm, qe), (am, ae), prec)), q, closed)),
+                      prec), _pair(qpochhammer_inf(q, q, closed)), prec)
     # Degree-0 Gram entry; point() divides by z_quad, so undo it.
     report = gram_matrix(measure, 0, ctx)
     d0, mass = _pair(report.expected_diag[0]), _mul(_pair(report.gram[0][0]), _pair(z_quad), prec)
 
     def residual(z):   # |mass / (z d0) - 1|
-        m, e = _sub(_div(mass, _mul(z, d0, prec), prec), _ONE, prec)
-        return _mpf((abs(m), e))
+        return _mpf(_relative_residual(_div(mass, _mul(z, d0, prec), prec), _ONE, _ONE, prec))
     r_quad, r_lin = residual(_pair(z_quad)), residual(z_lin)
     if _verdict(r_quad, ctx.tol, prec) and r_quad < r_lin:
         winner = "(-q/a^2;q)_inf"

@@ -272,16 +272,27 @@ def test_verify_fails_below_rounding_floor_on_a_residual_below_tol(capsys, ident
     assert out.splitlines()[-1] == "0/1 identities passed"
 
 
+# The ids whose certified evaluations refuse a tol below the rounding floor
+# (exit 2): the h series of the two connections, and the products that
+# product-chain and half-to-full-lattice check.  Every other id takes its
+# products at the floor, as a Gram takes Z(a), and fails on its residual.
+_REFUSED_BELOW_FLOOR = {"even-connection", "odd-connection", "product-chain",
+                        "half-to-full-lattice"}
+
+
 @pytest.mark.parametrize("identity", SUITE_IDS)
 def test_no_identity_passes_below_rounding_floor(capsys, identity):
-    # tol = 2^-252 is under the 256-bit floor 2^-250: each id fails (exit 1)
-    # or reports the TruncationFailure of a certified evaluation (exit 2).
+    # tol = 2^-252 is under the 256-bit floor 2^-250: each id fails on its
+    # residual (exit 1) or reports the TruncationFailure of a certified
+    # evaluation (exit 2).
     code, out, _ = run(capsys, "verify", "--only", identity, "--tol-exp", "252")
     first = out.splitlines()[0]
     assert first.startswith("FAIL") and out.splitlines()[-1] == "0/1 identities passed"
-    error = "error: TruncationFailure" in first
-    assert code == (2 if error else 1)
-    assert not error or "is below the rounding floor" in first
+    refused = identity in _REFUSED_BELOW_FLOOR
+    assert code == (2 if refused else 1)
+    assert ("max_residual=" in first) != refused
+    assert not refused or ("error: TruncationFailure" in first
+                           and "is below the rounding floor" in first)
 
 
 def test_verify_uncertifiable_is_exit_two(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qortho import (SUITE_IDS, PrecisionContext, check_even_connection,
@@ -359,16 +359,57 @@ def _residual_operands(draw, low, high):
     return prec, pair(), pair()
 
 
+# The scales kernel._relative_residual is called with, by the form each
+# caller names, as functions of the two operands: None for the identity
+# checks' max(1, |lhs|), which identities._residual forms; a Gram's |d_n|
+# on the diagonal, and sqrt|d_n| sqrt|d_n'| off it (d_n = rhs, d_n' = lhs
+# here); and 1.  A scale of 0 leaves the example out.
+_SCALES = {
+    "max(1, |lhs|)": lambda lhs, rhs, prec: None,
+    "|d_n|": lambda lhs, rhs, prec: (abs(rhs[0]), rhs[1]),
+    "sqrt|d_n| sqrt|d_n'|": lambda lhs, rhs, prec: _gram_root_scale(lhs, rhs, prec),
+    "1": lambda lhs, rhs, prec: (1, 0),
+}
+
+
+def _gram_root_scale(lhs, rhs, prec):
+    from qortho.kernel import _mul
+    from qortho.measures import _root
+    return _mul(_root(rhs, prec), _root(lhs, prec), prec)
+
+
+def _scaled_residual(lhs, rhs, size, prec):
+    """The residual of lhs and rhs at the scale size: identities._residual's
+    for None, else kernel._relative_residual's."""
+    from qortho.identities import _residual
+    from qortho.kernel import _relative_residual
+    if size is None:
+        return _residual(lhs, rhs, prec)
+    return _relative_residual(lhs, rhs, size, prec)
+
+
+def _mpf_residual(lhs, rhs, size):
+    """The residual as an mpf expression at the ambient precision: _relative
+    for size None, else abs(lhs - rhs) divided by the exact scale."""
+    from qortho.kernel import _mpf
+    if size is None:
+        return _relative(_mpf(lhs), _mpf(rhs))
+    return abs(_mpf(lhs) - _mpf(rhs)) / _mpf(size)
+
+
+@pytest.mark.parametrize("scale", _SCALES)
 @settings(deadline=None)
 @given(_residual_operands(lambda prec: 1, lambda prec: prec + 4))
-def test_residual_is_the_mpf_expression(args):
+def test_residual_is_the_mpf_expression(scale, args):
     # On operands of at most prec + 4 bits mpmath rounds each step correctly.
-    from qortho.identities import _residual
     from qortho.kernel import _mpf
     prec, lhs, rhs = args
+    size = _SCALES[scale](lhs, rhs, prec)
+    assume(size is None or size[0])
+    residual = _scaled_residual(lhs, rhs, size, prec)
     with mpmath.workprec(prec):
-        want = _relative(_mpf(lhs), _mpf(rhs))
-    assert _mpf(_residual(lhs, rhs, prec))._mpf_ == want._mpf_, (prec, lhs, rhs)
+        want = _mpf_residual(lhs, rhs, size)
+    assert _mpf(residual)._mpf_ == want._mpf_, (prec, lhs, rhs)
 
 
 def _exact(a) -> Fraction:
@@ -394,34 +435,181 @@ def _nearest(x: Fraction, prec: int) -> Fraction:
     return (1 if x > 0 else -1) * man * Fraction(2) ** e
 
 
-def _stepwise_residual(lhs, rhs, prec: int) -> Fraction:
-    """|lhs - rhs| / max(1, |lhs|) of two pairs with each of its three steps,
-    the difference, |lhs| and the quotient, rounded once to prec bits."""
+def _stepwise_residual(lhs, rhs, prec: int, size=None) -> Fraction:
+    """|lhs - rhs| / scale of two pairs with each of its steps, the
+    difference, the quotient and, for the scale max(1, |lhs|) (size None),
+    |lhs|, rounded once to prec bits; else the scale is the pair size."""
     diff = _nearest(_exact(lhs) - _exact(rhs), prec)
-    size = _nearest(abs(_exact(lhs)), prec)
-    return _nearest(abs(diff) / max(Fraction(1), size), prec)
+    scale = max(Fraction(1), _nearest(abs(_exact(lhs)), prec)) if size is None else _exact(size)
+    return _nearest(abs(diff) / scale, prec)
 
 
+@pytest.mark.parametrize("scale", _SCALES)
 @settings(deadline=None)
 @given(_residual_operands(lambda prec: prec + 5, lambda prec: 2 * prec + 8))
-def test_residual_of_wide_operands_rounds_each_step_once(args):
+def test_residual_of_wide_operands_rounds_each_step_once(scale, args):
     # Series values formed wider than the check reach the residual helper.
-    from qortho.identities import _residual
     prec, lhs, rhs = args
-    assert _exact(_residual(lhs, rhs, prec)) == _stepwise_residual(lhs, rhs, prec), args
+    size = _SCALES[scale](lhs, rhs, prec)
+    assume(size is None or size[0])
+    residual = _scaled_residual(lhs, rhs, size, prec)
+    assert _exact(residual) == _stepwise_residual(lhs, rhs, prec, size), args
 
 
+@pytest.mark.parametrize("scale", _SCALES)
 @pytest.mark.parametrize("prec", [64, 256, 1024])
-def test_residual_of_operands_far_apart_is_the_exact_difference_rounded(prec):
+def test_residual_of_operands_far_apart_is_the_exact_difference_rounded(prec, scale):
     # lhs has prec + 20 bits, 1 below a midpoint at prec bits, and rhs lies
     # more than prec + 4 binary places below it, its exponent over 100
     # below: the exact difference lies above the midpoint and rounds up,
     # where mpf_sub stands in a sticky bit for rhs and rounds down.
-    from qortho.identities import _residual
-    from qortho.kernel import _mpf, _pair
+    from qortho.kernel import _pair
     lhs = ((1 << (prec + 19)) | ((1 << 19) - 1), 0)
     rhs = (-((1 << 111) + 1), -101)
-    want = _stepwise_residual(lhs, rhs, prec)
-    assert _exact(_residual(lhs, rhs, prec)) == want
+    size = _SCALES[scale](lhs, rhs, prec)
+    residual = _scaled_residual(lhs, rhs, size, prec)
+    want = _stepwise_residual(lhs, rhs, prec, size)
+    assert _exact(residual) == want
     with mpmath.workprec(prec):
-        assert _exact(_pair(_relative(_mpf(lhs), _mpf(rhs)))) != want
+        assert _exact(_pair(_mpf_residual(lhs, rhs, size))) != want
+
+
+def _double_every_residual(monkeypatch):
+    """Patch kernel._relative_residual, in every module of the package that
+    imported it, to return twice its value (its exponent plus 1, exactly)."""
+    import sys
+    from qortho import kernel
+    helper = kernel._relative_residual
+
+    def doubled(*args):
+        m, e = helper(*args)
+        return m, e + 1
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qortho" and getattr(module, "_relative_residual", None) is helper:
+            monkeypatch.setattr(module, "_relative_residual", doubled)
+
+
+# The details of a report that are not residuals.
+_NOT_RESIDUALS = {"winner", "definitive", "m_window", "tail_bound"}
+
+
+def _is_doubled(before: str, after: str, digits: int) -> bool:
+    """after renders twice the value before renders, both at digits digits:
+    within 4 units of their last digit, or both exactly 0."""
+    with mpmath.workprec(4 * digits):
+        old, new = mpmath.mpf(before), mpmath.mpf(after)
+        return abs(new - 2 * old) <= 4 * mpmath.mpf(10) ** (1 - digits) * new
+
+
+def test_every_residual_is_formed_by_the_one_residual_rule(monkeypatch):
+    # With kernel._relative_residual doubled, every residual the suite
+    # reports doubles or stays exactly 0, and the Gram's two maxima and CSV
+    # residuals double while its window and tail bound stay: a residual
+    # formed outside the helper would stay where it was.  The suite runs at
+    # three q, since each residual but two is nonzero at one of them.
+    qs = ("0.5", "0.7", "0.9")
+    measure = hermite_extremal("0.85", "0.7", CTX)
+    suites, gram = [run_suite(q, CTX) for q in qs], gram_matrix(measure, 4, CTX)
+    csv = gram.to_csv(CTX.digits)
+    _double_every_residual(monkeypatch)
+    doubled_suites, doubled_gram = [run_suite(q, CTX) for q in qs], gram_matrix(measure, 4, CTX)
+    zero = None   # the residuals that are 0 at every q
+    for suite, doubled_suite in zip(suites, doubled_suites):
+        zeros = set()
+        for report, doubled in zip(suite, doubled_suite, strict=True):
+            assert report.passed and doubled.passed, report.identity_id
+            assert doubled.max_residual == mpmath.ldexp(report.max_residual, 1)
+            assert list(doubled.details) == list(report.details)
+            for key, value in report.details.items():
+                if key in _NOT_RESIDUALS:
+                    assert doubled.details[key] == value, (report.identity_id, key)
+                    continue
+                assert _is_doubled(value, doubled.details[key], CTX.digits), (
+                    report.identity_id, key, value, doubled.details[key])
+                if not mpmath.mpf(value):
+                    zeros.add((report.identity_id, key))
+        zero = zeros if zero is None else zero & zeros
+    assert zero == {("product-chain", "doubling-subidentity"),
+                    ("inverted-parameter-recurrence", "parity-zeros")}
+    assert doubled_gram.off_diag_max == mpmath.ldexp(gram.off_diag_max, 1) != 0
+    assert doubled_gram.diag_rel_err_max == mpmath.ldexp(gram.diag_rel_err_max, 1) != 0
+    assert doubled_gram.tail_bound == gram.tail_bound
+    assert (doubled_gram.m_lo, doubled_gram.m_hi) == (gram.m_lo, gram.m_hi)
+    for row, doubled in zip(csv.splitlines()[1:],
+                            doubled_gram.to_csv(CTX.digits).splitlines()[1:], strict=True):
+        assert _is_doubled(row.split(",")[-1], doubled.split(",")[-1], CTX.digits), row
+
+
+_NUDGE = (2 ** 100 + 1, -100)   # 1 + 2^-100, exactly
+
+
+def _nudged(value, prec: int):
+    """value (1 + 2^-100) rounded to prec bits: a pair of a pair, an mpf of an mpf."""
+    from qortho.kernel import _mpf, _mul, _pair
+    if isinstance(value, tuple):
+        return _mul(value, _NUDGE, prec)
+    return _mpf(_mul(_pair(value), _NUDGE, prec))
+
+
+def _nudge_connection_coefficient(monkeypatch):
+    from qortho import identities
+    connection = identities._connection
+
+    def nudged(parity, n_max, ys, q, ctx):   # c_1
+        s, c, mus = connection(parity, n_max, ys, q, ctx)
+        return s, [c[0], _nudged(c[1], ctx.bits), *c[2:]], mus
+    monkeypatch.setattr(identities, "_connection", nudged)
+
+
+def _nudge_diagonal(monkeypatch):
+    from qortho import measures
+    diagonals = measures._diagonals
+
+    def nudged(measure, N, ctx):   # d_1
+        d = diagonals(measure, N, ctx)
+        return [d[0], _nudged(d[1], ctx.bits), *d[2:]] if N >= 1 else d
+    monkeypatch.setattr(measures, "_diagonals", nudged)
+
+
+def _nudge_product(monkeypatch):
+    from qortho import identities
+    product = identities.qpochhammer_inf
+
+    def nudged(a, q, ctx):   # (-1;q)_inf
+        value = product(a, q, ctx)
+        return _nudged(value, ctx.bits) if a == -1 else value
+    monkeypatch.setattr(identities, "qpochhammer_inf", nudged)
+
+
+def _nudge_lattice_mass(monkeypatch):
+    from qortho import measures
+    normalization = measures.lattice_normalization
+
+    def nudged(a, q, ctx):   # Z(a)
+        return _nudged(normalization(a, q, ctx), ctx.bits)
+    monkeypatch.setattr(measures, "lattice_normalization", nudged)
+
+
+# Each check, with the function that nudges one of its inputs.
+_NUDGES = {
+    "even-connection": _nudge_connection_coefficient,
+    "hermite-extremal-orthogonality": _nudge_diagonal,
+    "product-chain": _nudge_product,
+    "qinv-extremal-normalization": _nudge_lattice_mass,
+}
+
+
+@pytest.mark.parametrize("identity", _NUDGES)
+@pytest.mark.parametrize("q", ["0.05", "0.5", "0.9"])
+def test_an_input_off_by_two_to_the_minus_100_fails_its_check(monkeypatch, q, identity):
+    # One input of a check scaled by 1 + 2^-100 gives a residual far above
+    # tol = 2^-200, so the check fails, where it passes as it is: a residual
+    # helper that returned 0 would pass both.
+    def report():
+        (result,) = run_suite(q, CTX, only=[identity], k_max=4, N=4)
+        assert "error" not in result.details
+        return result
+    assert report().passed
+    _NUDGES[identity](monkeypatch)
+    nudged = report()
+    assert not nudged.passed and nudged.max_residual > mpmath.ldexp(1, -150), nudged.details
