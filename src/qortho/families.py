@@ -23,11 +23,13 @@ Three families, all real-valued for 0 < q < 1:
                + q^{-2n-1}(1+q) D_n - q^{-2n}(1 - q^{2n}) D_{n-1}.
 
 Series and recurrence evaluators are deliberately independent code paths so
-each can serve as the other's cross-check.  The h_n series is batched over
-degrees and phi: qinv_hermite_series_tables builds each degree's phi-free
-row (-1)^k q^{k(k-n)} [n,k]_q once, from one power run of q, and takes one
-exp(phi) and one power run per phi, so a grid costs one multiplication per
-term and phi past the rows; qinv_hermite_series is its one-point call.
+each can serve as the other's cross-check.  The h_n series is folded on its
+palindrome c_{n-k} = (-1)^n c_k and batched over degrees and phi:
+qinv_hermite_series_tables builds each degree's phi-free half row
+c_k = (-1)^k q^{k(k-n)} [n,k]_q, k <= n/2, once, from one power run of q,
+and takes one exp(phi) and one run of its powers per phi, so a grid costs
+one multiplication per pair of terms and phi past the rows;
+qinv_hermite_series is its one-point call.
 
 Each FamilyKind has one record in _FAMILIES (see _Family): its s rule (no
 s for h and ht, s > 0 for C, 0 < s < q^-2 for D), evaluate's routes, and
@@ -55,16 +57,16 @@ arithmetic (README, "Precision model"; the kernel docstring has the
 argument), and the public functions convert to mpf at the end, qinv_hermite
 and dual_ultra only the value they return.  Each value of the h series is
 that of the mpf operator expression.  Every power of q with a loop-indexed
-exponent in them, and the h series' factors e^(n-2k), is read from one
-kernel.power_run per call (per pass for the h series' rows, per pass and
-phi for its factors); the recurrences' steps read only q^-k, k >= 0, and
-round each coefficient once.  The C and grid D series share one loop,
-_ultra_series, at ctx.bits + _RUN_GUARD (32) with one division a term: their
-denominators (sqrt(s) q; q)_k (-sqrt(s) q; q)_k are the one product
-(s q^2; q^2)_k, stepped as the lane 1 - s q^(2k+2) from the exact s q^2,
-and their few parameters are powers of q from kernel._q_power (libmp's
-mpf_pow at the series' precision) and their products with the exact s q,
-with no mpf object.  The kernel's basic_hypergeometric stays the
+exponent in them is read from one kernel.power_run per call (per pass for
+the h series' rows), and the h series' factors E^j + (-1)^j E^-j from one
+run of E^2 and E^-2 per pass and phi; the recurrences' steps read only
+q^-k, k >= 0, and round each coefficient once.  The C and grid D series
+share one loop, _ultra_series, at ctx.bits + _RUN_GUARD (32) with one
+division a term: their denominators (sqrt(s) q; q)_k (-sqrt(s) q; q)_k are
+the one product (s q^2; q^2)_k, stepped as the lane 1 - s q^(2k+2) from
+the exact s q^2, and their few parameters are powers of q from
+kernel._q_power (libmp's mpf_pow at the series' precision) and their
+products with the exact s q, with no mpf object.  The kernel's basic_hypergeometric stays the
 independent route the tests hold them to.
 """
 from __future__ import annotations
@@ -156,30 +158,36 @@ def mu_point(x, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> MuPoint:
 # q-inverse Hermite family
 
 
-def _hermite_sum(row, factors, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """sum_k row[k] factors[k] and its largest |term|, as pairs.
+def _hermite_sum(row, factors, tops, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """sum_k row[k] factors[k] and max_k |row[k]| 2^tops[k], as pairs.
 
-    row is a row of _hermite_rows and factors holds pairs.  Runs at prec
-    bits: term = c * factor, total += term, tmax = max(tmax, |term|).
+    row is a half row of _hermite_rows, factors holds pairs, and each
+    tops[k] is an int with 2^tops[k] above the size its factor's error is
+    bounded against (_hermite_factors).  Runs at prec bits:
+    term = c * factor, total += term, tmax = max(tmax, |c| 2^top), the last
+    exact, so tmax bounds every |c| size at no multiplication.
     """
     total = tmax = _ZERO
-    for c, factor in zip(row, factors):
-        term = _mul(c, factor, prec)
-        total = _add(total, term, prec)
-        if _abs_lt(tmax, term):
-            tmax = abs(term[0]), term[1]
+    for c, factor, top in zip(row, factors, tops):
+        total = _add(total, _mul(c, factor, prec), prec)
+        if _abs_lt(tmax, (c[0], c[1] + top)):
+            tmax = abs(c[0]), c[1] + top
     return total, tmax
 
 
 def _hermite_rows(ns, q: QReal, prec: int) -> dict[int, list[tuple[int, int]]]:
-    """{n: the phi-free factors (-1)^k q^{k(k-n)} [n,k]_q, k = 0..n} for the
-    degrees n of ns, each row built once, as pairs at prec.
+    """{n: the phi-free factors c_k = (-1)^k q^{k(k-n)} [n,k]_q, k = 0..n//2}
+    for the degrees n of ns, each half row built once, as pairs at prec.
 
+    The whole row is a palindrome up to sign, c_{n-k} = (-1)^n c_k, since
+    [n,n-k]_q = [n,k]_q and (n-k)(n-k-n) = k(k-n); the half row k <= n/2
+    thus carries the series, which _hermite_series_pass folds on it.
     The powers come from one power_run of q over [1-top, top] at prec + 32,
     top = max(ns); a run value does not depend on the run's length, so each
-    row is bit for bit that of a run over [1-n, n]:
+    row is bit for bit that of a run over [1-n, n], and each c_k that of
+    the full row:
     - [n,k]_q steps from [n,k-1]_q by (1 - q^(n-k+1)) / (1 - q^k), with both
-      powers rounded from the run to prec, so within 2^-prec + 2^-(prec+31);
+      powers rounded from the run to prec;
     - q^(k(k-n)) steps from q^((k-1)(k-1-n)) by its ratio q^(2k-1-n) at
       prec + 32 and is rounded once to prec.  It is a product of k run
       values, each within 1.01 2^-(prec+32), with k - 1 roundings at
@@ -194,7 +202,7 @@ def _hermite_rows(ns, q: QReal, prec: int) -> dict[int, list[tuple[int, int]]]:
     for n in dict.fromkeys(ns):
         row = [_ONE]
         binom = power = _ONE
-        for k in range(1, n + 1):
+        for k in range(1, n // 2 + 1):
             # binom *= (1 - q^(n-k+1)) / (1 - q^k); c = (-1)^k * power * binom
             binom = _mul(binom, _div(_sub(_ONE, qk[n - k + 1], prec),
                                      _sub(_ONE, qk[k], prec), prec), prec)
@@ -205,49 +213,100 @@ def _hermite_rows(ns, q: QReal, prec: int) -> dict[int, list[tuple[int, int]]]:
     return rows
 
 
+def _hermite_factors(phi, top: int, parities, prec: int):
+    """(factors, tops) of the folded series at phi, for 0 <= j <= top of the
+    parities given (0, 1 or both), as lists indexed by j, None at j of
+    another parity: factors[j] = E^j + (-1)^j E^-j for E = exp(phi) and
+    j >= 1, and factors[0] = 1, the middle term of an even degree, taken
+    once; tops[j] an int with E^j + E^-j < 2^tops[j] (1 < 2^tops[0]).
+
+    E is mpmath's exp at prec, within 2^(1-prec) (it keeps 14 or more guard
+    bits and rounds once).  The powers of one parity are stepped at
+    prec + 32 bits by E^2 and E^-2 = 1 / E^2, from 1 for even j and from E
+    and 1 / E for odd j, so E^j and E^-j carry at most 1.5 j roundings at
+    prec + 32; each factor is their exact sum or difference rounded once to
+    prec (_add, _sub), and tops[j] is one more than the top bit of the
+    larger power, so 2^tops[j] is at most 4 (E^j + E^-j).  A value does not
+    depend on top or on the other parity, so a degree's factors are those
+    of its own run.  At phi = 0, E = 1 and every factor is exact: 2 for
+    even j and 0 for odd j.
+    """
+    wp = prec + _RUN_GUARD
+    e = _pair(mpmath.exp(phi, prec=prec))
+    e2 = _mul(e, e, wp)
+    e2_inv = _div(_ONE, e2, wp)
+    factors, tops = [None] * (top + 1), [None] * (top + 1)
+    for parity in parities:
+        up, down = (e, _div(_ONE, e, wp)) if parity else (e2, e2_inv)   # E^j, E^-j
+        if not parity:
+            factors[0], tops[0] = _ONE, 1
+        for j in range(2 - parity, top + 1, 2):
+            factors[j] = (_sub if parity else _add)(up, down, prec)
+            tops[j] = max(up[1] + up[0].bit_length(), down[1] + down[0].bit_length()) + 1
+            if j + 2 <= top:
+                up, down = _mul(up, e2, wp), _mul(down, e2_inv, wp)
+    return factors, tops
+
+
 def _hermite_gap(q) -> tuple[int, int]:
-    """A pair of at least 2.001 q / (1 - q), for _hermite_bound: the
-    constant 2.00195 covers the three roundings at 53 bits."""
+    """A pair of at least 1.001 q / (1 - q), for _hermite_bound: the
+    constant 1.00195 covers the three roundings at 53 bits."""
     q = _pair(q)
-    return _mul((2050, -10), _div(q, _sub(_ONE, q, 53), 53), 53)
+    return _mul((1026, -10), _div(q, _sub(_ONE, q, 53), 53), 53)
 
 
 def _hermite_bound(n: int, total, tmax, units: int, gap, prec: int):
     """err / max(1, |total| - err) as a pair, or None when the pass at prec
-    certifies no bit, for total = _hermite_sum of row n at prec.
+    certifies no bit, for total = _hermite_sum of the half row of degree n
+    at prec, and tmax the bound it returns.
 
-    err bounds |total - S| for the exact sum S at the exact q and factors,
-    so the bound is the error relative to a certified lower bound of
-    max(1, |S|).  With u = 2^-prec and each rounding a factor (1 + d),
-    |d| <= u, the first-order count of relative perturbations is:
-    - a coefficient of _hermite_rows, at most (4n + 2) u +
-      2.001 R u + 3n 2^-(prec+32): the 2k differences 1 - q^i, each
-      rounded (u) from a q^i within u (1 + 2^-31), which 1 - q^i amplifies
-      by r_i = q^i / (1 - q^i); the 2k divisions and products of [n,k]_q;
-      the power, within u + 3k 2^-(prec+32), and the last product.  r_i
-      falls in i, so the 2k amplifications sum to at most 2 R,
-      R = sum_{i<=n} r_i <= q H_n / (1 - q), as 1 - q^i >= i q^(i-1) (1 - q);
-    - a factor e^(n-2k), at most (2n + 1) u + 1.01 n 2^-(prec+32): exp(phi)
-      is within 2^(1-prec) (mpmath's exp keeps 14 or more guard bits and
-      rounds once), raised to a power of at most n, and power_run's bound;
-      an integer factor n - 2k is exact;
-    - the product c * factor, u.
-    The terms carry relative errors of at most a, the sum of these, and
-    their n roundings in the sum add at most 1.001 n u sum|term|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
-    with sum|term| <= (n + 1) tmax.  While a + n u <= 2^-10, a product of
-    such factors, or of their inverses, is within 1.003 a of 1, so
+    err bounds |total - S| for the exact sum S at the exact q and phi, so
+    the bound is the error relative to a certified lower bound of
+    max(1, |S|).  The sum has m = floor(n/2) + 1 terms c_k f_k, each
+    factor f_k with a size g_k: E^j + E^-j for E^j + (-1)^j E^-j, j = n - 2k,
+    1 for the middle term, and |f_k| for an integer factor.  With
+    u = 2^-prec and each rounding a factor (1 + d), |d| <= u, the
+    first-order count of the perturbations of a term, relative to
+    |c_k| g_k, is:
+    - c_k, k <= n/2, at most (2n + 2) u + gap bitlength(n) u +
+      1.5 n 2^-(prec+32): the 2k differences 1 - q^i, each rounded, the 2k
+      divisions and products of [n,k]_q, the power, within
+      u + 3k 2^-(prec+32), and the last product (4k + 2 <= 2n + 2
+      roundings).  A difference amplifies the error of its q^i, at most
+      u + 1.01 i 2^-(prec+32) (power_run), by r_i = q^i / (1 - q^i).  As
+      k <= n/2, the exponents i of one row, 1..k and n-k+1..n, are
+      distinct, so the amplifications sum to at most
+      sum_{i<=n} r_i (u + 1.01 i 2^-(prec+32))
+      <= q / (1 - q) (H_n + 1.01 n 2^-32) u, since 1 - q^i >= i q^(i-1) (1 - q);
+      that is at most gap bitlength(n) u for 1 <= n < 2^29, with
+      gap = _hermite_gap(q) >= 1.001 q / (1 - q);
+    - a factor E^j + (-1)^j E^-j, at most (2n + 1) u + 1.52 n 2^-(prec+32)
+      of g_k: E is within 2^(1-prec) and raised to a power j <= n, the
+      powers carry at most 1.5 j roundings at prec + 32, and the factor
+      one at prec (_hermite_factors).  The difference cancels at small
+      j phi, so its error is bounded against g_k, not against |f_k|; an
+      integer factor is exact;
+    - the product c_k f_k, u.
+    The terms carry errors of at most a |c_k| g_k, a the sum of these, and
+    the sum's m roundings add at most 1.001 m u sum|term| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 4.2).  tmax bounds
+    every computed |c_k| g_k (_hermite_sum), so both sum|term| and
+    sum |c_k| g_k are at most 1.001 m tmax.  While a + m u <= 2^-10, a
+    product of such factors, or of their inverses, is within 1.003 a of 1,
+    so
 
-        |total - S| <= 1.003 (n + 1) tmax (a + n u) <= K tmax u,
-        K = 33/32 (n + 1) (units + gap * bitlength(n)),
+        |total - S| <= 1.003 m tmax (a + m u) <= K tmax u,
+        K = 33/32 m (units + m + gap * bitlength(n)),
 
-    where units is 7n + 5 for the factors e^(n-2k) and 5n + 4 for the
-    integer factors, each with 1 for the 2^-30 terms (n < 2^29), gap is
-    _hermite_gap(q) >= 2.001 q / (1 - q), and bitlength(n) >= H_n.  33/32
-    also covers the roundings of K, err and the bound.  When K u > 2^-10
-    the first-order count does not hold, and None is returned.
+    where units is 4n + 5 for the factors E^j + (-1)^j E^-j and 2n + 4 for
+    the integer factors, each with 1 for the 2^-(prec+32) terms
+    (3.02 n 2^-32 <= 1).  33/32 also covers the roundings of K, err and
+    the bound.  When K u > 2^-10 the first-order count does not hold, and
+    None is returned.
     """
-    k = _mul(_add((units, 0), _mul(gap, (n.bit_length(), 0), 53), 53), (33 * (n + 1), -5), 53)
+    terms = n // 2 + 1
+    k = _mul(_add((units + terms, 0), _mul(gap, (n.bit_length(), 0), 53), 53),
+             (33 * terms, -5), 53)
     if k[1] + k[0].bit_length() > prec - 10:
         return None
     m, e = _mul(tmax, k, prec)
@@ -264,22 +323,29 @@ def _hermite_series_pass(ns, phis, q,
     (sum, bound) as pairs for each degree n of ns, bound being
     _hermite_bound's (None when the pass certifies no bit).
 
-    The rows are built once for all of phis (_hermite_rows), and the factors
-    e^(n-2k) of every degree at phi are read from one power run of
-    e = exp(phi) over [-max(ns), max(ns)]: a run value does not depend on
-    the run's length, so each degree's factors are those of its own run.
+    The series is folded on its palindrome c_{n-k} = (-1)^n c_k
+    (_hermite_rows): with j = n - 2k and E = e^phi,
+
+        h_n(sinh(phi)|q) = sum_{k <= n/2} c_k (E^j + (-1)^n E^-j),
+
+    the middle term of an even n taken once, so floor(n/2) + 1 terms from
+    the half row, and (-1)^n = (-1)^j.  The half rows are built once for
+    all of phis, and each phi takes one _hermite_factors run, up to max(ns)
+    and for the parities of ns only; a run value does not depend on the
+    run's length, so each degree's factors are those of its own run.
     """
     top = max(ns, default=0)
     rows = _hermite_rows(ns, q, prec)
+    parities = {n % 2 for n in ns}
     gap = _hermite_gap(q)
     out = []
     for phi in phis:
-        run = power_run(_pair(mpmath.exp(phi, prec=prec)), -top, top, prec)   # run[j + top] = e^j
+        factors, tops = _hermite_factors(phi, top, parities, prec)
         sums = []
         for n in ns:
-            # e^(n-2k) for k = 0..n, read downwards from e^-n, ..., e^n
-            total, tmax = _hermite_sum(rows[n], run[top - n:top + n + 1][::-2], prec)
-            sums.append((total, _hermite_bound(n, total, tmax, 7 * n + 5, gap, prec)))
+            # j = n, n - 2, ..., n % 2 for k = 0..n//2
+            total, tmax = _hermite_sum(rows[n], factors[n::-2], tops[n::-2], prec)
+            sums.append((total, _hermite_bound(n, total, tmax, 4 * n + 5, gap, prec)))
         out.append(sums)
     return out
 
@@ -290,19 +356,20 @@ def qinv_hermite_series_tables(ns, phis, q,
     series in e^phi.
 
     One pass at ctx.bits serves every degree and phi: q and every phi are
-    converted once, each degree's row is built once, and each phi takes one
-    exp(phi) and one power run for every degree's factors e^(n-2k), bit for
-    bit those of the degree's own run.  Terms reach q^(-n^2/4) e^(n|phi|)
-    while the sum can be exponentially smaller (exactly 0 at phi = 0 for
-    odd n), so each value is certified to an absolute error of
-    tol/4 * max(1, |h_n|) by _hermite_bound, which covers the roundings of
-    the row, of the factors and of the sum.  A value whose first-pass
-    bound, compared on pairs, meets that budget takes the pass's value; one
-    whose bound misses it goes on, one (n, phi) at a time, to
+    converted once, each degree's half row is built once, and each phi
+    takes one exp(phi) and one run of its powers for every degree's folded
+    factors E^j + (-1)^n E^-j (_hermite_series_pass), bit for bit those of
+    the degree's own run.  Terms reach q^(-n^2/4) e^(n|phi|) while the sum
+    can be exponentially smaller (exactly 0 at phi = 0 for odd n), so each
+    value is certified to an absolute error of tol/4 * max(1, |h_n|) by
+    _hermite_bound, which covers the roundings of the row, of the factors
+    and of the sum.  A value whose first-pass bound, compared on pairs,
+    meets that budget takes the pass's value; one whose bound misses it
+    goes on, one (n, phi) at a time, to
     kernel._certified, the package's one escalation policy, which redoes
     that sum at the bits its bound asks for.  That meets the budget in one
     rerun as the bound scales like 2^-bits (h_801(0) at q = 0.5 and 256
-    bits: one rerun, at 160,627 bits).  Rounding a rerun to ctx.bits adds
+    bits: one rerun, at 160,628 bits).  Rounding a rerun to ctx.bits adds
     at most 2^-bits |h_n| <= tol/64 |h_n|.  Raises TruncationFailure before
     any pass when tol is below ctx.rounding_floor, and when a rerun would
     need more than 1024 * ctx.bits bits (h_n(0) at q = 0.5 and 256 bits for
@@ -403,20 +470,24 @@ def qinv_hermite_coeffs(n: int, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> l
 
 
 def _linear_coefficient_pass(n: int, q, prec: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
-    """One pass at prec bits of the linear coefficient of h_n,
-    sum_j (-1)^j q^{j(j-n)} [n,j]_q (n - 2j): (value, bound) as pairs,
-    bound being _hermite_bound's for the exact integer factors n - 2j."""
-    total, tmax = _hermite_sum(_hermite_rows([n], q, prec)[n],
-                               [(j, 0) for j in range(n, -n - 1, -2)], prec)
-    return total, _hermite_bound(n, total, tmax, 5 * n + 4, _hermite_gap(q), prec)
+    """One pass at prec bits of the linear coefficient of h_n for odd n,
+    sum_{j<=n/2} 2 c_j (n - 2j) on the half row (_hermite_rows): the full
+    row's terms c_j (n - 2j) and c_{n-j} (2j - n) = -c_j (2j - n) folded.
+    (value, bound) as pairs, bound being _hermite_bound's for the exact
+    integer factors 2 (n - 2j)."""
+    factors = [(2 * (n - 2 * j), 0) for j in range(n // 2 + 1)]
+    total, tmax = _hermite_sum(_hermite_rows([n], q, prec)[n], factors,
+                               [f.bit_length() for f, _ in factors], prec)
+    return total, _hermite_bound(n, total, tmax, 2 * n + 4, _hermite_gap(q), prec)
 
 
 def even_hermite_factor(k: int, x, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:
     """ht_{2k}(x|q) = h_{2k+1}(x|q) / x, with the removable point at x = 0.
 
     At x = 0 the value is the linear coefficient of h_{2k+1}, computed from
-    the series as sum_j (-1)^j q^{j(j-(2k+1))} [2k+1,j]_q (2k+1-2j) and
-    certified as the h series is: kernel._certified sums it again at more
+    the series folded on its half row as
+    sum_{j<=k} 2 (-1)^j q^{j(j-(2k+1))} [2k+1,j]_q (2k+1-2j) and certified
+    as the h series is: kernel._certified sums it again at more
     bits while _hermite_bound may miss tol/4 * max(1, |ht_{2k}(0)|), and
     raises TruncationFailure when tol is below ctx.rounding_floor.
     """

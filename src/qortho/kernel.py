@@ -221,9 +221,10 @@ class PrecisionContext(_PrecisionFields):
         """Convert a decimal string, int or mpf to an mpf at this precision.
 
         A finite mpf of at most bits bits is returned as it is: converting
-        it would give the same value.  A plain ASCII decimal is rounded by
-        _decimal, to the value mpmath's conversion gives; mpmath converts
-        every other value and spelling.
+        it would give the same value.  A plain ASCII decimal of any length
+        is rounded correctly by _decimal, to the value mpmath's conversion
+        gives up to 400 fraction digits; mpmath converts every other value
+        and spelling.
         """
         if type(value) is mpmath.mpf:
             _, man, exp, bc = value._mpf_
@@ -239,22 +240,29 @@ class PrecisionContext(_PrecisionFields):
 def _decimal(text: str, prec: int) -> tuple[int, int] | None:
     """The pair of a plain decimal [-]digits[.digits], rounded to prec bits:
     one or more ASCII digits before the point, any number after it; None
-    for any other text, and for more than 400 digits.
+    for any other text.
 
     The exact value m / 10^k = (m 2^-k) / 5^k, for the k fraction digits,
-    is rounded once to nearest with ties to even (_div).  mpmath's from_str
-    rounds that same rational correctly (mpf_div) when it keeps at most 400
-    fraction digits, so both give one value, the correctly rounded one.
-    Exponents, '+', spaces, a leading point, 'inf', 'nan', '_' and non-ASCII
-    digits are left to mpmath, and with them every message.
+    is rounded once to nearest with ties to even (_div), so every plain
+    decimal, however long, gives its correctly rounded value.  mpmath's
+    from_str gives the same value up to 400 fraction digits (it divides by
+    5^k with mpf_div); past them it rounds through a power of ten at 10
+    guard bits, which can miss by one unit.  The digits are converted to m
+    in chunks of 600, below 640, the least limit Python may set on the
+    digits int() converts, so no setting is read or changed.  Exponents,
+    '+', spaces, a leading point, 'inf', 'nan', '_' and non-ASCII digits
+    are left to mpmath, and with them every message.
     """
     neg = text[:1] == "-"
     whole, _, frac = (text[1:] if neg else text).partition(".")
     digits = whole + frac
-    if not (whole and len(digits) <= 400 and digits.isascii() and digits.isdigit()):
+    if not (whole and digits.isascii() and digits.isdigit()):
         return None
-    m = -int(digits) if neg else int(digits)
-    return _div((m, -len(frac)), (5 ** len(frac), 0), prec)
+    m = 0
+    for i in range(0, len(digits), 600):
+        chunk = digits[i:i + 600]
+        m = m * _ten(len(chunk)) + int(chunk)
+    return _div((-m if neg else m, -len(frac)), (5 ** len(frac), 0), prec)
 
 
 DEFAULT_CONTEXT = PrecisionContext()

@@ -289,26 +289,37 @@ def _theta_pass(z, q, max_terms: int, prec: int):
     bound, 2 R u + 2 (T_up + T_down) / S~, covers together with its own
     rounding.
     """
-    total, count = _ONE, 0
-    tails = _ZERO
+    total, count, tails = _ONE, 0, _ZERO
     for ratio, r_count in ((z, 0), (_div(q, z, prec), 1)):
-        term, t_count = _ONE, 0
-        for _ in range(max_terms):
-            term, t_count = _mul(term, ratio, prec), t_count + r_count + 1
-            # term <= 2^-prec, and ratio <= 1 - 2^-c (c >= 1, so never falsy)
-            if not _abs_lt((1, -prec), term) and (c := _tail_reach(ratio, _ONE, prec)):
-                tails = _add(tails, (term[0], term[1] + c), prec)
-                count = max(count, t_count)
-                break
-            total, count = _add(total, term, prec), max(count, t_count) + 1
-            ratio, r_count = _mul(ratio, q, prec), r_count + 1
-        else:
+        side = _theta_side(total, count, ratio, r_count, q, max_terms, prec)
+        if side is None:
             raise TruncationFailure(
                 "Z(a) theta sum not resolved within max_terms=%d (a^2=%s, q=%s)"
                 % (max_terms, mpmath.nstr(_mpf(z), 8), mpmath.nstr(_mpf(q), 8)))
+        total, count, tail, _ = side
+        tails = _add(tails, tail, prec)
     if 200 * count > 1 << prec // 2:
         return total, None
     return total, _add((2 * count, -prec), _div((tails[0], tails[1] + 1), total, prec), prec)
+
+
+def _theta_side(total, count: int, ratio, r_count: int, q, max_terms: int, prec: int):
+    """One side of _theta_pass's sum, added to total with count, the
+    largest rounding count so far: the terms t_1, t_2, ... stepped from
+    t_0 = 1 by ratio, itself multiplied by q per step, r_count the roundings
+    of the first ratio.  (total, count, tail, k), where t_k is the first
+    term not added and tail = 2^c t_k bounds the terms t_k, t_(k+1), ...
+    by the lemma on geometric tails; None when max_terms terms do not
+    reach the stop."""
+    term, t_count = _ONE, 0
+    for k in range(1, max_terms + 1):
+        term, t_count = _mul(term, ratio, prec), t_count + r_count + 1
+        # term <= 2^-prec, and ratio <= 1 - 2^-c (c >= 1, so never falsy)
+        if not _abs_lt((1, -prec), term) and (c := _tail_reach(ratio, _ONE, prec)):
+            return total, max(count, t_count), (term[0], term[1] + c), k
+        total, count = _add(total, term, prec), max(count, t_count) + 1
+        ratio, r_count = _mul(ratio, q, prec), r_count + 1
+    return None
 
 
 def _closed(ctx: PrecisionContext) -> PrecisionContext:

@@ -587,13 +587,6 @@ def test_dual_leads_stay_positive_as_q_nears_1(bits):
 # helpers.
 
 
-def P(x, bits, reach=64):
-    """{k: x^k} for |k| <= reach, from one power_run at bits; a value of
-    power_run does not depend on the run's ends."""
-    run = power_run(_pair(x), -reach, reach, bits)
-    return dict(zip(range(-reach, reach + 1), map(_mpf, run)))
-
-
 def raw(values):
     return [v._mpf_ for v in values]
 
@@ -1219,51 +1212,23 @@ def test_grid_series_are_within_their_bound_of_the_exact_sums(q_s, bits, monkeyp
                 check(value, nums, z, s_i, cutoff, [count, count + 1, 2], 2)
 
 
-# -- the h series' coefficient row against the per-phi sum --------------------
+# -- the h series against its sum at four times the bits ----------------------
 #
-# The oracle is the series sum that formed its q-binomial row anew for every
-# phi, with the two public callers built on it as they were.  Its powers
-# of q come from P at the ambient precision plus 32 bits, rounded to the
-# ambient precision except in q^(k(k-n)), which is stepped by its ratio
-# q^(2k+1-n) at the wider precision and rounded once; e^(n-2k) comes from
-# P at the ambient precision.
+# Each value is held to the bound its own first pass returned, or, when that
+# bound missed the budget tol/4 and the value was summed again, to the budget
+# and the final rounding.  The references are the unfolded sum over the full
+# row, with ** powers and the q-binomial by its ratios, from the exact q.
 
 
-def _oracle_hermite_sum(n, q, factor):
-    prec = mpmath.mp.prec
-    qp = P(q, prec + 32)
-    power = mpmath.mpf(1)
-    total = mpmath.mpf(0)
-    tmax = mpmath.mpf(0)
-    binom = mpmath.mpf(1)
-    for k in range(n + 1):
-        term = (-1) ** k * +power * binom * factor(k)
-        total += term
-        tmax = max(tmax, abs(term))
-        binom *= (1 - +qp[n - k]) / (1 - +qp[k + 1])
-        with mpmath.mp.workprec(prec + 32):
-            power *= qp[2 * k + 1 - n]
-    return total, tmax
-
-
-def _oracle_hermite_series(n, phi, q, ctx, repasses):
-    """The series' first pass at ctx.bits when its error bound
-    K max|term| 2^-bits, K = 33/32 (n + 1) (7n + 5 + 2.00195 q / (1 - q)
-    bitlength(n)), meets tol/4 against a certified lower bound of
-    max(1, |h|); otherwise None, with (n, phi) recorded in repasses."""
-    q = as_qparam(q, ctx)
-    with ctx.workprec():
-        phi = mpmath.mpf(phi)
-        ep = P(mpmath.exp(phi), ctx.bits)
-        total, tmax = _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])
-        k = mpmath.mpf(33) / 32 * (n + 1) * (
-            7 * n + 5 + mpmath.mpf(2050) / 1024 * q / (1 - q) * n.bit_length())
-        noise = k * tmax * mpmath.mpf(2) ** -ctx.bits
-        if (k <= mpmath.mpf(2) ** (ctx.bits - 10)
-                and noise <= ctx.tol / 4 * max(mpmath.mpf(1), abs(total) - noise)):
-            return total
-    repasses.append((n, phi))
-    return None
+def _hermite_sum_at(bits, n, q, factor):
+    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factor(k) at the given bits, from the
+    exact value of q, with ** powers and the q-binomial by its ratios."""
+    with mpmath.mp.workprec(bits):
+        total, binom = mpmath.mpf(0), mpmath.mpf(1)
+        for k in range(n + 1):
+            total += (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
+            binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
+        return total
 
 
 def _hermite_series_at_4x_bits(n, phi, q, ctx):
@@ -1272,40 +1237,85 @@ def _hermite_series_at_4x_bits(n, phi, q, ctx):
     2^527, so at 1024 bits or more the sum keeps about 490 bits or more."""
     q, phi = as_qparam(q, ctx), ctx.to_real(phi)
     with mpmath.mp.workprec(4 * ctx.bits):
-        ep = P(mpmath.exp(phi), 4 * ctx.bits)
-        return _oracle_hermite_sum(n, q, lambda k: ep[n - 2 * k])[0]
+        e = mpmath.exp(phi)
+    return _hermite_sum_at(4 * ctx.bits, n, q, lambda k: e ** (n - 2 * k))
 
 
-def _oracle_even_factor_at_zero(k, q, ctx):
-    q = as_qparam(q, ctx)
-    n = 2 * k + 1
-    with ctx.workprec():
-        return _oracle_hermite_sum(n, q, lambda j: n - 2 * j)[0]
+def _recorded(monkeypatch, name):
+    """Patch families.<name> to record (args, result) of every call."""
+    calls, fn = [], getattr(families, name)
+
+    def recorded(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(families, name, recorded)
+    return calls
+
+
+def _within_first_pass_or_budget(got, ref, calls, ctx):
+    """got is the first pass's value and within that pass's bound of ref, or,
+    after a rerun, within tol/4 and the final rounding of ref; whether it
+    was summed again."""
+    (_, (total, bound)), reran = calls[0], len(calls) > 1
+    with mpmath.mp.workprec(4 * ctx.bits):
+        if reran:
+            allowed = ctx.tol / 4 + mpmath.ldexp(1, -ctx.bits)
+        else:
+            assert got == _mpf(total)
+            allowed = _mpf(bound)
+        assert abs(got - ref) <= allowed * max(1, abs(ref))
+    return reran
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.2", "0.5", "0.9"])
-def test_hermite_series_reuses_its_coefficient_row_bit_for_bit(q_s, bits):
+def test_hermite_series_is_within_its_pass_bound_of_the_4x_bits_sum(q_s, bits, monkeypatch):
     from qortho.identities import DEFAULT_PHI_GRID
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    q = as_qparam(q_s, ctx)
+    passes = _recorded(monkeypatch, "_hermite_series_pass")
     repasses = []
     for n in range(31):
         for phi in DEFAULT_PHI_GRID:
+            passes.clear()
             got = qinv_hermite_series(n, phi, q_s, ctx)
-            want = _oracle_hermite_series(n, phi, q_s, ctx, repasses)
-            if want is not None:
-                assert got._mpf_ == want._mpf_
-                continue
-            # a rerun: within its budget of the series at 4x the bits
             ref = _hermite_series_at_4x_bits(n, phi, q_s, ctx)
-            with mpmath.mp.workprec(4 * bits):
-                assert abs(got - ref) <= ctx.tol / 4 * max(1, abs(ref))
+            calls = [(args, out[0][0]) for args, out in passes]
+            if _within_first_pass_or_budget(got, ref, calls, ctx):
+                repasses.append((n, phi))
+    lines = _recorded(monkeypatch, "_linear_coefficient_pass")
     for k in range(15):
-        want = _oracle_even_factor_at_zero(k, q_s, ctx)
-        assert even_hermite_factor(k, 0, q_s, ctx)._mpf_ == want._mpf_
+        lines.clear()
+        n = 2 * k + 1
+        got = even_hermite_factor(k, 0, q_s, ctx)
+        ref = _hermite_sum_at(4 * bits, n, q, lambda j: n - 2 * j)
+        _within_first_pass_or_budget(got, ref, lines, ctx)
     # The re-pass is covered: odd degrees sum to 0 at phi = 0, from terms
     # up to q^(-n^2/4), and at every q of this grid h_29(0) is summed again.
-    assert (29, 0) in repasses
+    assert (29, "0") in repasses
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("q_s", ["0.2", "0.99", "0.999"])
+def test_folded_odd_degrees_are_within_their_bound_at_small_phi(q_s, bits, monkeypatch):
+    # For odd n the folded factor E^j - E^-j cancels at small j phi, while
+    # its error is that of E^j and E^-j: the bound takes t_max from
+    # |c_k| (E^j + E^-j), not from the folded term, which would be about
+    # 2 j phi |c_k| and short of the error by about 1 / phi.
+    ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
+    phis = [mpmath.ldexp(1, -100), ctx.to_real("1e-30"), ctx.to_real("1e-8")]
+    passes = _recorded(monkeypatch, "_hermite_series_pass")
+    qinv_hermite_series_tables([1, 15, 29], phis, q_s, ctx)
+    assert passes[0][0][0] == [1, 15, 29]
+    for (ns, at, q, _), out in passes:
+        for phi, sums in zip(at, out):
+            with mpmath.mp.workprec(2000):
+                e = mpmath.exp(phi)
+            for n, (total, bound) in zip(ns, sums):
+                ref = _hermite_sum_at(2000, n, q, lambda k: e ** (n - 2 * k))
+                with mpmath.mp.workprec(2000):
+                    assert abs(_mpf(total) - ref) <= _mpf(bound) * max(1, abs(ref)), (n, phi)
 
 
 @pytest.mark.parametrize("bits,tol_exp", [(256, 200), (1024, 800)])
@@ -1344,42 +1354,36 @@ def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monk
 
 def test_series_tables_build_each_row_once(monkeypatch):
     # Degrees 0..39 over the seven phis of the default grid, more rows than
-    # a 32-row memo keeps across phis.  A call builds each degree's row once,
-    # in its one first pass, from one run of q, and takes one run of
-    # exp(phi) per phi; a rerun builds the row of its own degree, from runs
-    # of its own.
-    from qortho import families
+    # a 32-row memo keeps across phis.  A call builds each degree's half row
+    # once, in its one first pass, from one run of q, and takes one run of
+    # E = exp(phi) per phi, for both parities; a rerun builds the half row of
+    # its own degree, from runs of its own, and one run of E for that
+    # degree's parity.
     from qortho.identities import DEFAULT_PHI_GRID
-    builds, runs = [], []
-    rows_, run_ = families._hermite_rows, families.power_run
+    builds, runs, row_runs = [], [], []
+    rows_, factors_, run_ = families._hermite_rows, families._hermite_factors, families.power_run
 
     def rows(ns, q, prec):
         builds.append((list(ns), prec))
         return rows_(ns, q, prec)
 
+    def factors(phi, top, parities, prec):
+        runs.append((top, list(parities), prec))
+        return factors_(phi, top, parities, prec)
+
     def power_run(x, lo, hi, prec):
-        runs.append(x)
+        row_runs.append(x)
         return run_(x, lo, hi, prec)
     monkeypatch.setattr(families, "_hermite_rows", rows)
+    monkeypatch.setattr(families, "_hermite_factors", factors)
     monkeypatch.setattr(families, "power_run", power_run)
     qinv_hermite_series_tables(range(40), DEFAULT_PHI_GRID, "0.7", CTX)
     assert builds[0] == (list(range(40)), CTX.bits)
     reruns = builds[1:]
     assert reruns and all(len(ns) == 1 and prec > CTX.bits for ns, prec in reruns)
-    row_runs = runs.count(_pair(as_qparam("0.7", CTX)))
-    assert row_runs == len(builds)
-    assert len(runs) - row_runs == len(DEFAULT_PHI_GRID) + len(reruns)
-
-
-def _hermite_sum_at(bits, n, q, factor):
-    """sum_k (-1)^k q^{k(k-n)} [n,k]_q factor(k) at the given bits, from the
-    exact value of q, with ** powers and the q-binomial by its ratios."""
-    with mpmath.mp.workprec(bits):
-        total, binom = mpmath.mpf(0), mpmath.mpf(1)
-        for k in range(n + 1):
-            total += (-1) ** k * q ** (k * (k - n)) * binom * factor(k)
-            binom = binom * (1 - q ** (n - k)) / (1 - q ** (k + 1))
-        return total
+    assert row_runs == [_pair(as_qparam("0.7", CTX))] * len(builds)
+    assert runs[:len(DEFAULT_PHI_GRID)] == [(39, [0, 1], CTX.bits)] * len(DEFAULT_PHI_GRID)
+    assert runs[len(DEFAULT_PHI_GRID):] == [(n, [n % 2], prec) for [n], prec in reruns]
 
 
 @pytest.mark.parametrize("q_s", ["0.99", "0.999"])
@@ -1442,17 +1446,15 @@ def test_hermite_series_below_its_rounding_floor_raises(n, phi):
 # -- the h-series sum on pairs against the operator loop ----------------------
 
 
-def _operator_hermite_sum(n, q, factor):
-    """_hermite_sum as it was written with mpf operators, kept as the
-    reference its pair loop must equal bit for bit; the row is stored as
-    pairs, so each c is wrapped first."""
+def _operator_hermite_sum(row, factors, tops):
+    """_hermite_sum written with mpf operators, the reference its pair loop
+    must equal bit for bit; the row and factors are stored as pairs, so each
+    is wrapped first."""
     total = mpmath.mpf(0)
     tmax = mpmath.mpf(0)
-    for k, c in enumerate(_hermite_rows([n], q, mpmath.mp.prec)[n]):
-        c = _mpf(c)
-        term = c * factor(k)
-        total += term
-        tmax = max(tmax, abs(term))
+    for c, factor, top in zip(map(_mpf, row), map(_mpf, factors), tops):
+        total += c * factor
+        tmax = max(tmax, abs(mpmath.ldexp(c, top)))
     return total, tmax
 
 
@@ -1464,15 +1466,16 @@ def test_hermite_raw_sum_equals_operator_loop(q_s, bits):
         for n in range(31):
             # the integer factors of the linear coefficient at x = 0
             row = _hermite_rows([n], q, bits)[n]
-            got = _hermite_sum(row, [(j, 0) for j in range(n, -n - 1, -2)], bits)
-            want = _operator_hermite_sum(n, q, lambda j: n - 2 * j)
+            assert len(row) == n // 2 + 1
+            ints = [(2 * (n - 2 * j), 0) for j in range(n // 2 + 1)]
+            tops = [f.bit_length() for f, _ in ints]
+            got = _hermite_sum(row, ints, tops, bits)
+            want = _operator_hermite_sum(row, ints, tops)
             assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
             for phi in ("-2", "-0.5", "0", "1.25"):
-                e = mpmath.exp(mpmath.mpf(phi))
-                run = power_run(_pair(e), -n, n, bits)
-                powers = [_mpf(v) for v in run]
-                got = _hermite_sum(row, run[::-2], bits)
-                want = _operator_hermite_sum(n, q, lambda k: powers[2 * n - 2 * k])
+                factors, tops = families._hermite_factors(mpmath.mpf(phi), n, [n % 2], bits)
+                got = _hermite_sum(row, factors[n::-2], tops[n::-2], bits)
+                want = _operator_hermite_sum(row, factors[n::-2], tops[n::-2])
                 assert [_mpf(v)._mpf_ for v in got] == [v._mpf_ for v in want]
 
 

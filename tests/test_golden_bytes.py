@@ -118,7 +118,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "419d43539f6bc72e956762e66f48ac2cf416dbf7079720a771780649a0d5bbec",
     "cb783b5ec8b9ad48161628f72f28b20be49b80fdb94ddf4022680fdacee87a3e",
     "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
-    "aeaf69d5b93be2778c24b4c6fd4631820db674d3d5a4d155aab3b031c3764af9",
+    "6ac0532bd2f57d0ccab8ed3ce0a27c6eee99388ae15b51853522eef6d0a237f6",
 )) + _runs(_BASIC, "0.7", (
     "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
     "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
@@ -126,7 +126,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "a6942abee58446cc1e39f49a3d7af571d7a066f22f3308b1ca3ec6706d413292",
     "1d9d1519e44c307f5083d11281065e76ec8f9ce88689100d72dd63db54f74221",
     "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
-    "3690f1b1a1713326dc79bb92dc8cfc108909a4ce8bd0dc07eda8c318d08dd32d",
+    "894ca849fe374a9a7b1244ff91f4b0e8ec1dfb35c1ba6b121a4db0585fd731a2",
 )) + _runs(_WIDE, "0.5", (
     "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
     "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
@@ -139,14 +139,14 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "c9c731ac9fd314429589ee448f147e5bc23892658ccf9c37e68fd0313016c9eb",
 )) + _runs(_EVAL, "0.7", (
     "1d799c17db0c45eaf515b1ce148dba1c7dcfd0c2b0721bd42dd1583022b4af5d",
-    "b898706368a3ccadeb7b9b4e7abf7e9c13da40f63d1e0ced658de61f154f9e6d",
+    "8d7fc7b7ef117d18bd6563c8fa31af412f0a62e960c983b541ee67112a52e4f0",
     "9735df6b48664d5e6f70d922e4017badf7e9e1cbe36162ac6a2d0da8adde7d51",
     "3e57bfd1cb63e4ec00367f4a5bffc2efc9e190cea0c65d8aff7cf44682b1e2d8",
     "5da819f4e99ae01138fc12e732c71d78db3ea86abf0282937fd773d815cf1c6a",
 )) + _runs(_LONG, "0.9", (
     "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
     "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
-    "fbf4aac919b3332798ee8fc2483848dad41b04f1e410f44ecba044c272c80b25",
+    "bc55a358df5044a97d903db3b40a02faff2a80ac572912195ccf7a3609eb0683",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
     "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
@@ -155,12 +155,12 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "35a47decf129325240e1320c965ca72d30443cf0283b3b21419ba350dbd0cfc2",
 )) + _runs(_EXACT_POWERS, "0.5", (
     "5e2caea9749bba4d5031aa2a302b5112ca6ff61d0c10c0d5b8bee245a520141c",
-    "558660e0399940240f6ef9658e7820eefd144d92d08a7eea0c8af150085292cd",
+    "0c78e8c0d040d8a46143bdf7b0708b31d584f4c7feee773d167269846e8ca4de",
     "eba2ef17427645e7bbbd470d817bbbc835589e632dbe9bf63ca701d78098a5be",
     "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
     "b4c06d239a465b015470db1050a9617f7006609b8b408f617d243ca7764489eb",
     "2481d5d7ca0d6e890e91d423e8624c963008c70b9498166b2e1844057ff4f74f",
-    "586081201ca465d4dcb7b63a61dd94e9a684ae637a739c875765b7e9e6599d75",
+    "c56dbd5763d24dbc50f2085dd6b27e59f0509095cd5934f23fd74ea49c12a7bc",
     "67fc1645e1cb2ac44896657e9bf38a8ff8d2845d430bc4a52500b297c86f228f",
     "d761d81c77b883f486b727260211eccef4dfe90a4be9f8ba3f5f3b8a9e32857c",
     "07940bbbe759a860054fb1651872db490c5303a130dc1dcf429e732c03381fab",
@@ -195,16 +195,16 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 # exits 1 there; the digests pin that FAIL and its residual too.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 1, "09942ae9b2bf6fd31a5de2830fe74cc087e12c9b9b3bfcba92fa6c3a8899a98f"),
-    ("0.01", 256, 1, "62dfd5413b85112b1d628e620f94904c802df353ef2cbe63e297205523a98155"),
-    ("0.05", 256, 1, "0945074370b749f5779fd4d0dff1da82ab1526794843a893fa0e8b10950604e3"),
-    ("0.3", 256, 0, "cefe91eb24c1630e7cc4fff187a4c126c49378433e22a35769656910989ffded"),
-    ("0.99", 256, 0, "8d8aad20d107c9a50dc8beacc9b3ed408ca170328d90a51ece80bbdad454da7e"),
-    ("1e-4", 1024, 0, "e012838d41c8a30f31bd10424f9eedda5d3c949335cca028dc618d3ac41746d0"),
-    ("0.01", 1024, 0, "7fc77dcbdeef3fc4a1b7500a1cf9259865c6ed5cc941115c60d8a35433949881"),
-    ("0.05", 1024, 0, "ee1ed3fd3aa8605009aa8f1e1f4e5c1b67cfd8f91055d1a2e2469faff902376e"),
-    ("0.3", 1024, 0, "a94ed7ee015ac7dc7a98c77af13a2a23dc3235510868d0af9174218ad8d4e009"),
-    ("0.99", 1024, 0, "5b54428720b16b7d51c8f0a02a9099b5e6841c85517e2bbb9436c1edc351506e"),
+    ("1e-4", 256, 1, "498faada359610d49c5bb4699f3d643620cf21bb0969841a37e580a265aa667c"),
+    ("0.01", 256, 1, "3d4f7a61a6ca23dad278abab8499d0a130f31848524ae13a8485bf8570adc6e5"),
+    ("0.05", 256, 1, "59132f1c21c1b2bc9403de6916c2d6653f3024ddfe660705f83a950e3a5b2872"),
+    ("0.3", 256, 0, "0cb5003a373ad48f1420b30aebef42e7fc21d0c93fff035f2653dd34b5a76037"),
+    ("0.99", 256, 0, "ff9edd55671176a60ab2e2682dbffda1027211fcbef097a0245ddcb4347c46f7"),
+    ("1e-4", 1024, 0, "3d0c14cf20919cc95b12df601d8023867c7294862b43a0c6520874defe7ca7ac"),
+    ("0.01", 1024, 0, "24b2436358ef0905fbf2412b0b5c9ed5f251b11e6d96f8895153cf63c675b700"),
+    ("0.05", 1024, 0, "56a5a3855777c203b8f0cd855c1fc4d06914ff0d30a4df259398fc782e533bba"),
+    ("0.3", 1024, 0, "9528551fb94767f5735003b4a2032372ef9d01797f6f0e3a6dce0eb0a4b8d419"),
+    ("0.99", 1024, 0, "2abdd773bff567c6044cc3120c8b47d899f7a79c1bb979ca4b8441e02993f641"),
 )]
 
 
@@ -273,4 +273,4 @@ def _evaluator_values():
 
 def test_evaluator_values_are_pinned():
     digest = hashlib.sha256(repr(_evaluator_values()).encode()).hexdigest()
-    assert digest == "f0ae43bad21f7be6e1c15dff4cf76e483f47d02d285fed4667f41c5b3b7d2c19"
+    assert digest == "adddd14b7a72a8ada9004efcbddb7fe84850e2fdebc2921f35f00fc1fa746790"

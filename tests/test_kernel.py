@@ -626,6 +626,34 @@ def test_product_pass_error_is_within_its_bound_near_one(prec):
             assert abs(_mpf(value) - want) <= _mpf(bound) * abs(want), (a, prec)
 
 
+@pytest.mark.parametrize("a_s", ["1e-20", "1e-6", "0.001"])
+@pytest.mark.parametrize("q_s", ["0.99", "0.999"])
+def test_product_series_part_covers_the_error_of_its_sum(q_s, a_s):
+    # With no head and a small w = a, S = sum_k w^k / (k (1 - q^k)) has few
+    # terms and a large 1 / (1 - q): flooring w, q and their powers moves S
+    # by about 70 to 1,250 units of v = 2^-256 here, well past the parts
+    # of the bound that do not cover them: at most n - 1 for the terms'
+    # own floors and 2 for exp and the last product, n <= 256 / log2(1/a)
+    # + 2 the term count.  So the series part of the bound must cover that
+    # error itself; one 64 times smaller missed it by 1.8 to 4.8 times.
+    from qortho import kernel
+    prec = 256
+    with mpmath.workprec(prec):
+        q, a = mpmath.mpf(q_s), mpmath.mpf(a_s)
+    q_p = _pair(q)
+    inv_gap = -(-(1 << -q_p[1]) // ((1 << -q_p[1]) - q_p[0]))
+    value, bound = kernel._product_pass(_pair(a), q_p, 0, inv_gap, 50000, prec)
+    with mpmath.workprec(2000):
+        log = mpmath.mpf(0)
+        for k in range(1, 2000 // int(-mpmath.log(a, 2)) + 2):
+            log += a ** k / (k * (1 - q ** k))
+        want = mpmath.exp(-log)
+        err = abs(_mpf(value) - want) / want
+        n_max = prec / -mpmath.log(a, 2) + 2
+        assert err <= _mpf(bound)
+        assert err > (n_max + 1) * mpmath.ldexp(1, -prec)
+
+
 @pytest.mark.parametrize("prec", [64, 266, 1040])
 def test_exp_is_within_its_bound(prec):
     from qortho.kernel import _exp

@@ -17,7 +17,7 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
                     lattice_normalization, qinv_hermite_coeff_rows,
                     qinv_hermite_table, to_decimal)
 from qortho.families import _recurrence
-from qortho.kernel import (TruncationFailure, _largest, _mpf, _pair, _round, as_qparam,
+from qortho.kernel import (TruncationFailure, _div, _largest, _mpf, _pair, _round, as_qparam,
                            qpochhammer, qpochhammer_inf)
 from qortho.measures import _diagonals, _extremal, _residual_maxima, _residuals
 
@@ -550,6 +550,37 @@ def test_a_sum_without_its_k_equals_minus_one_term_fails_the_check(q_s):
                         * qpochhammer_inf(q, q, CTX))
         assert not _agrees(dropped, products)
         assert not _agrees(dropped, _theta_sum(a, q, 4 * CTX.bits))
+
+
+@pytest.mark.parametrize("a_s", ["0.5", "0.999", "1.5"])
+@pytest.mark.parametrize("q_s", ["0.999", "0.9999"])
+def test_theta_tail_covers_the_terms_each_side_leaves_out(q_s, a_s):
+    # Near q = 1 each side stops at a term t_k below 2^-256 whose ratio is
+    # still 0.22 to 0.83 here, so the terms it leaves out sum to about
+    # 1 / (1 - ratio) times t_k.  The tail 2^c t_k must cover them, within
+    # 1.011 for the rounding of t_k (_theta_pass): t_k alone, a tail
+    # without its 2^c, falls short on every side.  The bound's rounding
+    # part, 2 count 2^-256, is far larger than either, so only the tail
+    # itself shows this.
+    from qortho.measures import _theta_side
+    prec = 256
+    with mpmath.workprec(prec):
+        q, z = mpmath.mpf(q_s), mpmath.mpf(a_s) ** 2
+    q_p, z_p = _pair(q), _pair(z)
+    total, count = (1, 0), 0
+    for ratio, r_count, x, shift in ((z_p, 0, z, 0), (_div(q_p, z_p, prec), 1, 1 / z, 1)):
+        total, count, tail, k = _theta_side(total, count, ratio, r_count, q_p, 50000, prec)
+        with mpmath.workprec(2000):
+            # t_j = x^j q^(j(j-1)/2 + shift j): x = z going up, 1/z going
+            # down (shift 1), each term the last times x q^(j + shift)
+            term = x ** k * q ** (k * (k - 1) // 2 + shift * k)
+            t_k, left_out, qj = term, mpmath.mpf(0), q ** (k + shift)
+            while term > mpmath.ldexp(left_out, -2000):
+                left_out += term
+                term *= x * qj
+                qj *= q
+            assert left_out <= mpmath.mpf("1.011") * _mpf(tail), (q_s, a_s, shift)
+            assert left_out > mpmath.mpf("1.011") * t_k, (q_s, a_s, shift)
 
 
 def test_lattice_normalization_refuses_past_max_terms_and_at_a_equals_zero():

@@ -247,19 +247,29 @@ def decimal_text(n, k):
     return "-"[:n < 0] + digits[:len(digits) - k] + point
 
 
-def test_long_decimals_go_to_mpmath():
+def test_long_decimals_parse_to_the_correctly_rounded_pair():
     # past 400 fraction digits mpmath rounds through a power of ten at 10
     # guard bits, which can miss the correctly rounded value: the parser
-    # hands such text on, so to_real still gives mpmath's value
+    # rounds the exact rational m 2^-k / 5^k once at every length
     rng = random.Random(5)
     for _ in range(2000):
         text = decimal_text(rng.randrange(10 ** 402), 402)
-        want = mpmath.mpf(text, prec=64)._mpf_
-        if want != raw(_div((int(text[2:]), -402), (5 ** 402, 0), 64)):
+        exact = raw(_div((int(text[2:]), -402), (5 ** 402, 0), 64))
+        if mpmath.mpf(text, prec=64)._mpf_ != exact:
             break
     else:
         pytest.fail("no long decimal that mpmath rounds differently")
-    assert PrecisionContext(bits=64).to_real(text)._mpf_ == want
+    assert PrecisionContext(bits=64).to_real(text)._mpf_ == exact
+    # digits past the least limit (640) Python may set on int(), whole and
+    # fraction, against values formed without a string conversion
+    for prec in PRECS:
+        ctx = PrecisionContext(bits=prec)
+        with mpmath.workprec(prec):
+            third, ten = mpmath.mpf(1) / 3, mpmath.mpf(10 ** 5000)
+        assert ctx.to_real("0." + "3" * 5000) == third
+        assert ctx.to_real("-0." + "9" * 5000) == -1
+        assert ctx.to_real("1." + "0" * 4999 + "1") == 1
+        assert ctx.to_real("1" + "0" * 5000 + ".000") == ten
 
 
 @pytest.mark.parametrize("prec", PRECS)
