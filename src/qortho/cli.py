@@ -96,8 +96,7 @@ _SETTINGS = {
     "out_path": _Setting(str, None, _on(),
                          "write output to this path instead of stdout", flag="--out"),
     "output": _Setting(str, _FIRST_CHOICE, {"gram": ("json", "csv"),
-                                            "verify": ("pretty", "json"),
-                                            "sweep": ("csv",)}, "output format"),
+                                            "verify": ("pretty", "json")}, "output format"),
 }
 
 

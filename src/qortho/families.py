@@ -79,7 +79,7 @@ from mpmath.libmp import mpf_neg
 
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PoleError, PrecisionContext,
                      QReal, TruncationFailure, _abs_lt, _add, _budget, _certified, _check_degree,
-                     _check_floor, _div, _largest, _mpf, _mul, _pair, _q_power, _round,
+                     _check_floor, _div, _largest, _mpf, _mul, _pair, _plus, _q_power, _round,
                      _rounded, _sub, as_qparam, power_run)
 
 
@@ -182,10 +182,10 @@ def _hermite_rows(ns, q: QReal, prec: int) -> dict[int, list[tuple[int, int]]]:
     The whole row is a palindrome up to sign, c_{n-k} = (-1)^n c_k, since
     [n,n-k]_q = [n,k]_q and (n-k)(n-k-n) = k(k-n); the half row k <= n/2
     thus carries the series, which _hermite_series_pass folds on it.
-    The powers come from one power_run of q over [1-top, top] at prec + 32,
-    top = max(ns); a run value does not depend on the run's length, so each
-    row is bit for bit that of a run over [1-n, n], and each c_k that of
-    the full row:
+    The powers come from one power_run of q over [1-top, top] at prec + 32
+    (32 = kernel._RUN_GUARD, which the bound below assumes), top = max(ns);
+    a run value does not depend on the run's length, so each row is bit for
+    bit that of a run over [1-n, n], and each c_k that of the full row:
     - [n,k]_q steps from [n,k-1]_q by (1 - q^(n-k+1)) / (1 - q^k), with both
       powers rounded from the run to prec;
     - q^(k(k-n)) steps from q^((k-1)(k-1-n)) by its ratio q^(2k-1-n) at
@@ -195,7 +195,7 @@ def _hermite_rows(ns, q: QReal, prec: int) -> dict[int, list[tuple[int, int]]]:
       within 2^-prec + 3k 2^-(prec+32) of the exact power.
     """
     top = max(ns, default=0)
-    wp = prec + 32
+    wp = prec + _RUN_GUARD
     pw = power_run(_pair(q), 1 - top, top, wp)   # pw[k + top - 1] = q^k
     qk = [_round(v, prec) for v in pw[top - 1:]]   # qk[k] = q^k at prec
     rows = {}
@@ -428,7 +428,7 @@ def _hermite_steps(n_max: int, q: QReal, prec: int) -> list[tuple[tuple[int, int
     2^-prec + 1.02 2^-(prec+32) / (1 - q^j): below 1.01 2^-prec while
     1 - q^2 >= 2^-25.  No positive power of q is formed."""
     q_p = _pair(q)
-    run = power_run(q_p, 1 - n_max, 0, prec + 32)[::-1]   # run[j] = q^-j
+    run = power_run(q_p, 1 - n_max, 0, prec + _RUN_GUARD)[::-1]   # run[j] = q^-j
     lows = [_sub(v, _ONE, prec) for v in run]
     if n_max > 1:
         m, e = q_p   # q < 1, so e < 0 and 1 - q = (2^-e - m) 2^e exactly
@@ -763,21 +763,12 @@ def _three_term(p: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
 
 
 def _exact_sub(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
-    """a - b for pairs, exactly when a or b is 0 or their exponents are at
-    most 2 prec apart; else _sub's a - b rounded once to 2 prec bits, whose
-    sticky path keeps the shift bounded."""
-    (ma, ea), (mb, eb) = a, b
-    if not mb:
-        return a
-    if not ma:
-        return -mb, eb
-    if ea < eb:
-        if eb - ea > 2 * prec:
-            return _sub(a, b, 2 * prec)
-        return ma - (mb << (eb - ea)), ea
-    if ea - eb > 2 * prec:
+    """a - b for pairs, exactly (kernel._plus) when a or b is 0 or their
+    exponents are at most 2 prec apart; else _sub's a - b rounded once to
+    2 prec bits, whose sticky path keeps the shift bounded."""
+    if a[0] and b[0] and abs(a[1] - b[1]) > 2 * prec:
         return _sub(a, b, 2 * prec)
-    return (ma << (ea - eb)) - mb, eb
+    return _plus(a, (-b[0], b[1]))
 
 
 def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):

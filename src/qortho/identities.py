@@ -1,13 +1,15 @@
 """Executable checks for every identity the library's families satisfy.
 
 Each check returns an IdentityReport with the worst relative residual over
-its sample grid, built by _judged, which passes it by the package's one
-verdict rule (kernel._verdict: tol at or above the rounding floor of
-ctx.bits, and the residual below tol).  Every residual is formed by the
-package's one residual rule, |LHS - RHS| / scale with the difference and
-the quotient each rounded once (kernel._relative_residual); most take the
-scale max(1, |LHS|) (_residual), because the quantities involved span many
-orders of magnitude.  The suite covers:
+its sample grid (the points of PHI_GRID for the two connections, the
+recurrence chains and the inverted-parameter recurrence), built by _judged,
+which passes it by the package's one verdict rule (kernel._verdict: tol at
+or above the rounding floor of ctx.bits, and the residual below tol).
+Every residual is formed by the package's one residual rule,
+|LHS - RHS| / scale with the difference and the quotient each rounded once
+(kernel._relative_residual); most take the scale max(1, |LHS|) (_residual),
+because the quantities involved span many orders of magnitude.  The suite
+covers:
 
 * the closed-form connections between even / odd q-inverse Hermite
   polynomials and the dual discrete q-ultraspherical family at s = q^-1 and
@@ -45,13 +47,14 @@ from .families import (FamilyKind, FamilySpec, _recurrence,
                        qinv_hermite_series_tables)
 from .kernel import (_ONE, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal, _abs_lt, _add,
                      _below_floor, _check_degree, _div, _larger, _largest, _mpf, _mul, _pair,
-                     _q_power, _relative_residual, _round, _sub, _verdict, as_qparam, power_run,
-                     qpochhammer, qpochhammer_inf, to_decimal)
+                     _q_power, _relative_residual, _round, _shift, _sub, _verdict, as_qparam,
+                     power_run, qpochhammer, qpochhammer_inf, to_decimal)
 from .measures import (MeasureKind, _default_a, _pair_sums, _root, adjudicate_normalization,
                        dual_base, dual_q_extremal, dual_qinv_extremal,
                        gram_matrix, hermite_extremal)
 
-DEFAULT_PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
+# The points phi (x for inverted-parameter-recurrence) every grid check runs on.
+PHI_GRID = ("-2", "-1", "-0.5", "0", "0.5", "1", "2")
 
 
 class IdentityReport(NamedTuple):
@@ -101,11 +104,6 @@ def _residual(lhs: tuple[int, int], rhs: tuple[int, int], prec: int) -> tuple[in
     return _relative_residual(lhs, rhs, size if _abs_lt(_ONE, size) else _ONE, prec)
 
 
-def _shift(a: tuple[int, int], k: int) -> tuple[int, int]:
-    """a 2^k: mpf's a * 2^k or a / 2^-k, exact for a of at most prec bits."""
-    return a[0], a[1] + k
-
-
 def _tables(kind: FamilyKind, n_max: int, points, q, ctx: PrecisionContext,
             s=None) -> list[list[tuple[int, int]]]:
     """[[P_0(p), ..., P_{n_max}(p)] for p in points] of h or D as pairs, by
@@ -115,28 +113,18 @@ def _tables(kind: FamilyKind, n_max: int, points, q, ctx: PrecisionContext,
     return [values(p) for p in points]
 
 
-def _grid(grid) -> list:
-    """The points of grid, DEFAULT_PHI_GRID for None; ValueError when it has
-    none, as a check would then compare nothing and pass."""
-    points = list(DEFAULT_PHI_GRID if grid is None else grid)
-    if not points:
-        raise ValueError("the grid has no point")
-    return points
-
-
-def _phi_points(phi_grid, ctx: PrecisionContext):
-    """(grid, phis, ys, two_sinhs) for the points of phi_grid (_grid): each
-    phi as an mpf at ctx.bits, and y = e^{2phi} + e^{-2phi} and
-    2 sinh phi = e^phi - e^{-phi} as pairs, each exp taken at ctx.bits of
-    the exact multiple of phi and each sum rounded once to ctx.bits;
-    ValueError naming phi unless each phi is finite."""
-    prec, grid = ctx.bits, _grid(phi_grid)
-    phis = [ctx.to_real(p) for p in grid]
+def _phi_points(ctx: PrecisionContext):
+    """(phis, ys, two_sinhs) for the points of PHI_GRID: each phi as an mpf
+    at ctx.bits, and y = e^{2phi} + e^{-2phi} and 2 sinh phi = e^phi - e^{-phi}
+    as pairs, each exp taken at ctx.bits of the exact multiple of phi and
+    each sum rounded once to ctx.bits."""
+    prec = ctx.bits
+    phis = [ctx.to_real(p) for p in PHI_GRID]
 
     def exp(phi, k: int) -> tuple[int, int]:   # e^{k phi}
-        m, e = _pair(phi, "phi")
+        m, e = _pair(phi)
         return _pair(mpmath.exp(_mpf((k * m, e)), prec=prec))
-    return (grid, phis, [_add(exp(phi, 2), exp(phi, -2), prec) for phi in phis],
+    return (phis, [_add(exp(phi, 2), exp(phi, -2), prec) for phi in phis],
             [_sub(exp(phi, 1), exp(phi, -1), prec) for phi in phis])
 
 
@@ -158,13 +146,13 @@ def _connection(parity: int, n_max: int, ys, q, ctx: PrecisionContext):
     return s, c, list(ys) if parity == 0 else [_mul(q_p, y, prec) for y in ys]
 
 
-def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
+def _check_connection(identity_id: str, parity: int, k_max: int, q,
                       ctx: PrecisionContext) -> IdentityReport:
     """h_{2k+p} by the explicit series against c_k (2 sinh phi)^p D_k by the recurrence."""
     _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
     prec = ctx.bits
-    grid, phis, ys, two_sinhs = _phi_points(phi_grid, ctx)
+    phis, ys, two_sinhs = _phi_points(ctx)
     s, c, mus = _connection(parity, k_max, ys, q, ctx)
     h_tables = qinv_hermite_series_tables([2 * k + parity for k in range(k_max + 1)],
                                           phis, q, ctx)
@@ -175,23 +163,24 @@ def _check_connection(identity_id: str, parity: int, k_max: int, phi_grid, q,
             rhs = (_mul(c[k], dvals[k], prec) if parity == 0
                    else _mul(_mul(c[k], two_sinh, prec), dvals[k], prec))
             worst = _larger(worst, _residual(_pair(lhs), rhs, prec))
-    return _judged(identity_id, "k <= %d, phi in %s" % (k_max, grid), _mpf(worst), ctx, {})
+    return _judged(identity_id, "k <= %d, phi in %s" % (k_max, list(PHI_GRID)), _mpf(worst),
+                   ctx, {})
 
 
-def check_even_connection(k_max: int, phi_grid, q,
+def check_even_connection(k_max: int, q,
                           ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
     """h_{2k}(sinh phi|q) = (-1)^k q^{-k^2} (q;q^2)_k D_k(e^{2phi}+e^{-2phi}; q^-1, q).
 
     The left side uses the explicit series, the right side the three-term
     recurrence of the dual family, so the two sides share no code path.
     """
-    return _check_connection("even-connection", 0, k_max, phi_grid, q, ctx)
+    return _check_connection("even-connection", 0, k_max, q, ctx)
 
 
-def check_odd_connection(k_max: int, phi_grid, q,
+def check_odd_connection(k_max: int, q,
                          ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
     """h_{2k+1}(sinh phi|q) = (-1)^k q^{-k(k+1)} (q^3;q^2)_k (2 sinh phi) D_k(q e^{2phi}+q e^{-2phi}; q, q)."""
-    return _check_connection("odd-connection", 1, k_max, phi_grid, q, ctx)
+    return _check_connection("odd-connection", 1, k_max, q, ctx)
 
 
 def _chain_residual(parity: int, mu, v, k_max: int, q, mid, low,
@@ -210,7 +199,7 @@ def _chain_residual(parity: int, mu, v, k_max: int, q, mid, low,
     return worst
 
 
-def check_recurrence_chains(k_max: int, phi_grid, q,
+def check_recurrence_chains(k_max: int, q,
                             ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
     """The squared-argument recurrences behind the two connections.
 
@@ -225,7 +214,7 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
     _check_degree("k_max", k_max)
     q = as_qparam(q, ctx)
     prec, q_p = ctx.bits, _pair(q)
-    grid, phis, ys, _ = _phi_points(phi_grid, ctx)
+    phis, ys, _ = _phi_points(ctx)
     h_tables = _tables(FamilyKind.QINV_HERMITE, 2 * k_max + 3,
                        [_pair(mpmath.sinh(phi, prec=prec)) for phi in phis], q, ctx)
     worst = dict.fromkeys(("even-hermite", "even-dual", "odd-hermite", "odd-dual"), _ZERO)
@@ -250,7 +239,8 @@ def check_recurrence_chains(k_max: int, phi_grid, q,
             t = [_mul(c_n, d, prec) for c_n, d in zip(c, dvals)]
             res = _chain_residual(parity, mu, t, k_max, q_p, mid_dual, low, prec)
             worst[side + "-dual"] = _larger(worst[side + "-dual"], res)
-    return _report("recurrence-chains", "k <= %d, phi in %s" % (k_max, grid), worst, ctx)
+    return _report("recurrence-chains", "k <= %d, phi in %s" % (k_max, list(PHI_GRID)), worst,
+                   ctx)
 
 
 def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
@@ -288,7 +278,7 @@ def check_product_chain(q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityR
     }, ctx, contrast="shifted-form-constant-2/q")
 
 
-def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
+def check_inverted_parameter_recurrence(q,
                                         ctx: PrecisionContext = DEFAULT_CONTEXT) -> IdentityReport:
     """The base-inversion map onto the companion Hermite-type recurrence.
 
@@ -298,7 +288,8 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     family's own recurrence because (1 - q^-n) = -q^-n (1 - q^n).  Checked
     three ways: the coefficient identity itself, the transformed recurrence
     on series-evaluated values, and the even/odd coefficient structure that
-    makes the map real-valued.
+    makes the map real-valued, for degrees n <= n_max = 10 and at the points
+    x of PHI_GRID.
 
     The series values carry an error of up to tol/4 relative to max(1, |h|),
     and the recurrence multiplies them by 2x and by up to q^-n_max, so they
@@ -306,19 +297,16 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     below the rounding floor of ctx.bits (q below about 0.03 at the default
     tol and bits), the series runs at the fewest bits whose floor admits it.
     """
-    _check_degree("n_max", n_max, 1)
-    q = as_qparam(q, ctx)
-    grid = _grid(x_grid)
-    prec = ctx.bits
+    q, prec, n_max = as_qparam(q, ctx), ctx.bits, 10
     # (q^-n, q^n) and 1 - q^-n for each n, formed once
     powers = [None] + [(_q_power(q, -n, prec), _q_power(q, n, prec)) for n in range(1, n_max + 1)]
     one_minus = [None] + [_sub(_ONE, inverse, prec) for inverse, _ in powers[1:]]
     coeff_worst = _largest(   # 1 - q^-n against -q^-n (1 - q^n)
         _residual(one_minus[n], _mul((-m, e), _sub(_ONE, power, prec), prec), prec)
         for n, ((m, e), power) in enumerate(powers[1:], 1))
-    xs = [ctx.to_real(v) for v in grid]
+    xs = [ctx.to_real(v) for v in PHI_GRID]
     # 1 + 2 max|x| + q^-n_max and tol over it, each operation rounded to prec
-    widest = _largest((abs(m), e) for m, e in (_pair(x, "x") for x in xs))
+    widest = _largest((abs(m), e) for m, e in map(_pair, xs))
     amplification = _add(_add(_ONE, _shift(widest, 1), prec), _q_power(q, -n_max, prec), prec)
     m, e = _div(_pair(ctx.tol), amplification, prec)
     series_ctx = ctx._replace(tol=_mpf((m, e)))
@@ -337,7 +325,8 @@ def check_inverted_parameter_recurrence(n_max: int, x_grid, q,
     parity_worst = _largest(   # |c_j| for the c_j with n - j odd
         _relative_residual(c, _ZERO, _ONE, prec)
         for n, coeffs in enumerate(rows()) for c in coeffs[1 - n % 2::2])
-    return _report("inverted-parameter-recurrence", "n <= %d, x in %s" % (n_max, grid), {
+    grid = "n <= %d, x in %s" % (n_max, list(PHI_GRID))
+    return _report("inverted-parameter-recurrence", grid, {
         "coefficient-transform": coeff_worst,
         "series-values-recurrence": value_worst,
         "parity-zeros": parity_worst,
@@ -471,13 +460,13 @@ def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
 # The suite, one entry per check in run order: each takes its id and the
 # run's settings (q, ctx, k_max, N, s, a) and returns the check's report.
 _SUITE = {
-    "even-connection": lambda i, r: check_even_connection(r.k_max, None, r.q, r.ctx),
-    "odd-connection": lambda i, r: check_odd_connection(r.k_max, None, r.q, r.ctx),
+    "even-connection": lambda i, r: check_even_connection(r.k_max, r.q, r.ctx),
+    "odd-connection": lambda i, r: check_odd_connection(r.k_max, r.q, r.ctx),
     "recurrence-chains":
-        lambda i, r: check_recurrence_chains(r.k_max, None, r.q, r.ctx),
+        lambda i, r: check_recurrence_chains(r.k_max, r.q, r.ctx),
     "product-chain": lambda i, r: check_product_chain(r.q, r.ctx),
     "inverted-parameter-recurrence":
-        lambda i, r: check_inverted_parameter_recurrence(10, None, r.q, r.ctx),
+        lambda i, r: check_inverted_parameter_recurrence(r.q, r.ctx),
     "base-even-orthogonality":
         lambda i, r: _gram_entry(i, dual_base(r.s, r.q, "even", r.ctx), r.N, r.ctx),
     "base-odd-orthogonality":

@@ -68,7 +68,9 @@ serial run (tests/thread_probe.py).  The private functions hand
 each other pairs, with this module's private arithmetic _add, _sub, _mul,
 _div, _round and _abs_lt (_mul by (k, 0) is mpf_mul_int by the int k);
 _round, _mul, _sub and power_run's steps write out the rounding of
-_rounded rather than call it.
+_rounded rather than call it.  Its exact operations, _plus, _one_minus,
+_times, _power and _shift, round nothing, so their mantissas grow with the
+operands'.
 Each operation forms its result exactly (an integer sum or product, or a
 quotient of at least prec + 2 bits plus a sticky bit) and rounds it once to
 the precision prec its caller names, to nearest with ties to even.  A
@@ -527,6 +529,38 @@ def _div(a: tuple[int, int], b: tuple[int, int], prec: int) -> tuple[int, int]:
     return (-m if neg else m), e
 
 
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x * y of two pairs, exactly."""
+    return x[0] * y[0], x[1] + y[1]
+
+
+def _power(x: tuple[int, int], k: int) -> tuple[int, int]:
+    """x^k of a pair for k >= 0, exactly."""
+    return x[0] ** k, x[1] * k
+
+
+def _shift(a: tuple[int, int], k: int) -> tuple[int, int]:
+    """a 2^k: mpf's a * 2^k or a / 2^-k, exact for a of at most prec bits."""
+    return a[0], a[1] + k
+
+
+def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y of two pairs, exactly; x when y is 0 and y when x is 0."""
+    (mx, ex), (my, ey) = x, y
+    if not my:
+        return x
+    if not mx:
+        return y
+    if ex > ey:
+        return (mx << (ex - ey)) + my, ey
+    return mx + (my << (ey - ex)), ex
+
+
+def _one_minus(x: tuple[int, int]) -> tuple[int, int]:
+    """1 - x of a pair, exactly."""
+    return _plus(_ONE, (-x[0], x[1]))
+
+
 def _abs_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """|a| < |b|, decided exactly."""
     ma, ea = a
@@ -623,13 +657,11 @@ def _q_power(x: QReal, t, prec: int) -> tuple[int, int]:
     return _raw_pair(mpf_pow(x._mpf_, from_int(t) if type(t) is int else t, prec, round_nearest))
 
 
-def _check_degree(name: str, value, least: int = 0) -> None:
-    """ValueError unless value is an integer >= least (0 or 1): the one
-    check of a degree, count or index argument; a bool is not taken for an
-    integer."""
-    if type(value) is bool or not isinstance(value, int) or value < least:
-        raise ValueError("%s must be a %s integer (got %r)"
-                         % (name, ("nonnegative", "positive")[least], value))
+def _check_degree(name: str, value) -> None:
+    """ValueError unless value is an integer >= 0: the one check of a
+    degree, count or index argument; a bool is not taken for an integer."""
+    if type(value) is bool or not isinstance(value, int) or value < 0:
+        raise ValueError("%s must be a nonnegative integer (got %r)" % (name, value))
 
 
 def qpochhammer(a, q, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> QReal:

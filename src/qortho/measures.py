@@ -207,9 +207,9 @@ import mpmath
 from .families import FamilyKind, FamilySpec, _recurrence
 from .kernel import (_ONE, _RUN_GUARD, _ZERO, DEFAULT_CONTEXT, PrecisionContext, QReal,
                      TruncationFailure, _abs_lt, _add, _below_floor, _budget, _certified,
-                     _check_degree, _div, _largest, _mpf, _mul, _pair, _q_power,
-                     _relative_residual, _round, _rounded, _sub, _tail_reach, _verdict, as_qparam,
-                     qpochhammer_inf, to_decimal)
+                     _check_degree, _div, _largest, _mpf, _mul, _one_minus, _pair, _plus, _power,
+                     _q_power, _relative_residual, _round, _rounded, _sub, _tail_reach, _times,
+                     _verdict, as_qparam, qpochhammer_inf, to_decimal)
 
 
 class SignViolation(Exception):
@@ -330,16 +330,6 @@ def _closed(ctx: PrecisionContext) -> PrecisionContext:
     return ctx._replace(tol=ctx.rounding_floor) if _below_floor(_pair(ctx.tol), ctx.bits) else ctx
 
 
-def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x * y of two pairs, exactly."""
-    return x[0] * y[0], x[1] + y[1]
-
-
-def _power(x: tuple[int, int], k: int) -> tuple[int, int]:
-    """x^k of a pair for k >= 0, exactly."""
-    return x[0] ** k, x[1] * k
-
-
 def _extremal_lanes(alpha: int, beta: int):
     """Lanes [up, down, gap, ratio] and weight of an extremal kind whose
     Gaussian factor is a^(4m+alpha) q^(2m^2+beta m), at m = 0 or m = -1."""
@@ -372,19 +362,6 @@ def _up_minus_down(v, backward: bool, wp: int) -> tuple[int, int]:
         man, exp = _mul(v[1], v[2], wp)
         return -man, exp
     return _mul(v[0], v[2], wp)
-
-
-def _plus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x + y of two pairs, exactly."""
-    (mx, ex), (my, ey) = x, y
-    if ex > ey:
-        return (mx << (ex - ey)) + my, ey
-    return mx + (my << (ey - ex)), ex
-
-
-def _one_minus(x: tuple[int, int]) -> tuple[int, int]:
-    """1 - x of a pair, exactly."""
-    return _plus(_ONE, (-x[0], x[1]))
 
 
 def _above(x: tuple[int, int]) -> tuple[int, int]:

@@ -90,8 +90,8 @@ def test_criterion_3_connection_formulas():
     ok = True
     with CTX.workprec():
         for q_s in Q_GRID:
-            even = check_even_connection(6, PHI_GRID, q_s, CTX)
-            odd = check_odd_connection(6, PHI_GRID, q_s, CTX)
+            even = check_even_connection(6, q_s, CTX)
+            odd = check_odd_connection(6, q_s, CTX)
             ok = ok and even.max_residual < TOL and odd.max_residual < TOL
     verdict(3, "even and odd connection formulas on the phi grid", ok)
 

@@ -18,6 +18,8 @@ from qortho import families
 from qortho.families import _hermite_rows, _hermite_sum, _recurrence
 from qortho.kernel import _ZERO, _mpf, _pair, power_run
 
+from exact import exact_fraction
+
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
 TIGHT = mpmath.mpf(2) ** -200
@@ -463,14 +465,14 @@ def test_discrete_ultra_is_within_tol_next_to_a_pole(n):
     # cancelled about 100 bits here (2.25e-48 from the exact sum); the lane
     # from the exact s q^2 cancels none.  Exact at the 256-bit inputs.
     s_s = "3.99999999999999999999999999999"
-    q, x, s = (_fraction(CTX.to_real(v)) for v in ("0.5", "0.3", s_s))
+    q, x, s = (exact_fraction(CTX.to_real(v)) for v in ("0.5", "0.3", s_s))
     exact = total = Fraction(1)
     for k in range(n):
         num = q * (1 - q ** (k - n)) * (1 + s * q ** (n + 1 + k)) * (1 - x * q ** k)
         total *= num / ((1 - q ** (k + 1)) * (1 - s * q ** (2 * k + 2)))
         exact += total
-    value = _fraction(discrete_ultra(n, "0.3", s_s, "0.5", CTX))
-    assert abs(value - exact) <= _fraction(CTX.tol) * abs(exact)
+    value = exact_fraction(discrete_ultra(n, "0.3", s_s, "0.5", CTX))
+    assert abs(value - exact) <= exact_fraction(CTX.tol) * abs(exact)
 
 
 def _degree_calls(v):
@@ -517,7 +519,7 @@ def _bool_degree_calls():
         "gram_matrix": ("N", lambda v: gram_matrix(hermite_extremal("0.7", "0.5", CTX), v, CTX)),
         "even_hermite_factor": ("k", lambda v: even_hermite_factor(v, "0.3", "0.5", CTX)),
         "qinv_hermite_table": ("n_max", lambda v: qinv_hermite_table(v, "0.3", "0.5", CTX)),
-        "check_even_connection": ("k_max", lambda v: check_even_connection(v, None, "0.5", CTX)),
+        "check_even_connection": ("k_max", lambda v: check_even_connection(v, "0.5", CTX)),
         "basic_hypergeometric": ("terminating_at", lambda v: basic_hypergeometric(
             [Q], [], Q, Q, CTX, terminating_at=v)),
     }
@@ -529,11 +531,6 @@ def test_degree_arguments_refuse_bools(name):
     for v in (True, False):
         assert _message(lambda: call(v)) == (
             "%s must be a nonnegative integer (got %r)" % (what, v)), name
-
-
-def _fraction(value) -> Fraction:
-    m, e = _pair(value)
-    return Fraction(m) * Fraction(2) ** e
 
 
 def _neighbours(value, bits, k=2):
@@ -552,7 +549,7 @@ def test_dual_s_rule_is_exact(q_s):
         near = _neighbours(q ** -2, CTX.bits)
     seen = set()
     for s in near:
-        inside = _fraction(s) * _fraction(q) ** 2 < 1
+        inside = exact_fraction(s) * exact_fraction(q) ** 2 < 1
         spec = FamilySpec(FamilyKind.DUAL_DISCRETE_ULTRA, q, s)
         if inside:
             assert spec.validated(CTX).s == s
@@ -944,7 +941,7 @@ def test_hermite_low_coefficients_are_within_one_unit(q_s, bits):
     # rounding by 1 / (1 - q^j), up to 326 units at q = 0.999 and 256 bits;
     # taken from q^-j at bits + 32, it stays within one unit 2^-bits.
     q = as_qparam(q_s, PrecisionContext.create(bits=bits, tol_exp=bits - 56))
-    qf = _fraction(q)
+    qf = exact_fraction(q)
     unit = Fraction(1, 2 ** bits)
     for j, (_, low, _) in enumerate(families._hermite_steps(31, q, bits)):
         exact = -(qf ** -j - 1) / 2
@@ -1185,7 +1182,7 @@ def test_grid_series_are_within_their_bound_of_the_exact_sums(q_s, bits, monkeyp
     for n in (0, 1, 5, 22):
         for s_s in ("0.45", "1", "1.079991"):
             s = ctx.to_real(s_s)
-            dual = _fraction(s) * _fraction(q) ** 2 < 1
+            dual = exact_fraction(s) * exact_fraction(q) ** 2 < 1
             with _iv_prec(bits + 64):
                 s_i, q_i = iv.mpf(s), iv.mpf(q)
                 params = [q_i ** -n, -s_i * q_i ** (n + 1)]
@@ -1271,13 +1268,13 @@ def _within_first_pass_or_budget(got, ref, calls, ctx):
 @pytest.mark.parametrize("bits", [256, 1024])
 @pytest.mark.parametrize("q_s", ["0.2", "0.5", "0.9"])
 def test_hermite_series_is_within_its_pass_bound_of_the_4x_bits_sum(q_s, bits, monkeypatch):
-    from qortho.identities import DEFAULT_PHI_GRID
+    from qortho.identities import PHI_GRID
     ctx = PrecisionContext.create(bits=bits, tol_exp=bits - 56)
     q = as_qparam(q_s, ctx)
     passes = _recorded(monkeypatch, "_hermite_series_pass")
     repasses = []
     for n in range(31):
-        for phi in DEFAULT_PHI_GRID:
+        for phi in PHI_GRID:
             passes.clear()
             got = qinv_hermite_series(n, phi, q_s, ctx)
             ref = _hermite_series_at_4x_bits(n, phi, q_s, ctx)
@@ -1322,9 +1319,9 @@ def test_folded_odd_degrees_are_within_their_bound_at_small_phi(q_s, bits, monke
 @pytest.mark.parametrize("q_s", ["0.2", "0.5", "0.9", "0.99"])
 def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monkeypatch):
     from qortho import families
-    from qortho.identities import DEFAULT_PHI_GRID
+    from qortho.identities import PHI_GRID
     ctx = PrecisionContext.create(bits=bits, tol_exp=tol_exp)
-    phis = [ctx.to_real(phi) for phi in DEFAULT_PHI_GRID]
+    phis = [ctx.to_real(phi) for phi in PHI_GRID]
     passes, pass_ = [], families._hermite_series_pass
 
     def counted(ns, phis, q, prec):
@@ -1333,12 +1330,12 @@ def test_series_over_degrees_equals_the_per_degree_path(q_s, bits, tol_exp, monk
     monkeypatch.setattr(families, "_hermite_series_pass", counted)
     for degrees in (range(31), range(0, 31, 2), range(1, 31, 2)):
         passes.clear()
-        got = qinv_hermite_series_tables(degrees, DEFAULT_PHI_GRID, q_s, ctx)
+        got = qinv_hermite_series_tables(degrees, PHI_GRID, q_s, ctx)
         # one first pass serves the whole grid; a rerun sums one (n, phi)
         assert passes[0] == (list(degrees), phis)
         assert all(len(ns) == len(at) == 1 for ns, at in passes[1:])
         want = [[qinv_hermite_series(n, phi, q_s, ctx) for n in degrees]
-                for phi in DEFAULT_PHI_GRID]
+                for phi in PHI_GRID]
         assert [[v._mpf_ for v in row] for row in got] == [[v._mpf_ for v in row] for row in want]
     # Only a degree whose bound misses the budget is summed again: h_n(0) = 0
     # for odd n, from terms up to q^(-n^2/4), so at q = 0.2 the top odd
@@ -1359,7 +1356,7 @@ def test_series_tables_build_each_row_once(monkeypatch):
     # E = exp(phi) per phi, for both parities; a rerun builds the half row of
     # its own degree, from runs of its own, and one run of E for that
     # degree's parity.
-    from qortho.identities import DEFAULT_PHI_GRID
+    from qortho.identities import PHI_GRID
     builds, runs, row_runs = [], [], []
     rows_, factors_, run_ = families._hermite_rows, families._hermite_factors, families.power_run
 
@@ -1377,13 +1374,13 @@ def test_series_tables_build_each_row_once(monkeypatch):
     monkeypatch.setattr(families, "_hermite_rows", rows)
     monkeypatch.setattr(families, "_hermite_factors", factors)
     monkeypatch.setattr(families, "power_run", power_run)
-    qinv_hermite_series_tables(range(40), DEFAULT_PHI_GRID, "0.7", CTX)
+    qinv_hermite_series_tables(range(40), PHI_GRID, "0.7", CTX)
     assert builds[0] == (list(range(40)), CTX.bits)
     reruns = builds[1:]
     assert reruns and all(len(ns) == 1 and prec > CTX.bits for ns, prec in reruns)
     assert row_runs == [_pair(as_qparam("0.7", CTX))] * len(builds)
-    assert runs[:len(DEFAULT_PHI_GRID)] == [(39, [0, 1], CTX.bits)] * len(DEFAULT_PHI_GRID)
-    assert runs[len(DEFAULT_PHI_GRID):] == [(n, [n % 2], prec) for [n], prec in reruns]
+    assert runs[:len(PHI_GRID)] == [(39, [0, 1], CTX.bits)] * len(PHI_GRID)
+    assert runs[len(PHI_GRID):] == [(n, [n % 2], prec) for [n], prec in reruns]
 
 
 @pytest.mark.parametrize("q_s", ["0.99", "0.999"])
@@ -1393,7 +1390,7 @@ def test_series_error_is_within_its_bound_on_every_pass(q_s, monkeypatch):
     # 3.2 times short of the error at q = 0.99 and 17.7 times at q = 0.999
     # (n = 4, phi = 0).
     from qortho import families
-    from qortho.identities import DEFAULT_PHI_GRID
+    from qortho.identities import PHI_GRID
     passes, pass_ = [], families._hermite_series_pass
 
     def recorded(ns, phis, q, prec):
@@ -1401,8 +1398,8 @@ def test_series_error_is_within_its_bound_on_every_pass(q_s, monkeypatch):
         passes.append((list(ns), list(phis), q, out))
         return out
     monkeypatch.setattr(families, "_hermite_series_pass", recorded)
-    qinv_hermite_series_tables(range(31), DEFAULT_PHI_GRID, q_s, CTX)
-    assert len(passes[0][1]) == len(DEFAULT_PHI_GRID)
+    qinv_hermite_series_tables(range(31), PHI_GRID, q_s, CTX)
+    assert len(passes[0][1]) == len(PHI_GRID)
     for ns, phis, q, out in passes:
         for phi, sums in zip(phis, out):
             with mpmath.mp.workprec(2000):

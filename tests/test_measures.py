@@ -21,6 +21,8 @@ from qortho.kernel import (TruncationFailure, _div, _largest, _mpf, _pair, _roun
                            qpochhammer, qpochhammer_inf)
 from qortho.measures import _diagonals, _extremal, _residual_maxima, _residuals
 
+from exact import exact_fraction
+
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
 TIGHT = mpmath.mpf(2) ** -200
@@ -217,12 +219,6 @@ def test_base_gram_reads_finite_products_only_for_its_diagonals(parity, monkeypa
         assert calls == [], measure.kind.value
 
 
-def _exact(x) -> Fraction:
-    """The exact value of an mpf or of a pair."""
-    man, exp = x if isinstance(x, tuple) else _pair(x)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def _pair_inputs(monkeypatch, measure, N, ctx):
     """The (weights, tables, N) a Gram of the measure hands to _pair_sums."""
     from qortho import measures
@@ -271,8 +267,8 @@ def test_pair_sums_are_within_their_bound_of_the_exact_sum(monkeypatch, kind,
     tables = [list(row[:N + 1]) + [(0, 0), (-row[1][0], row[1][1])] for row in tables]
     with ctx.workprec():
         gram = _pair_sums(weights, tables, N + 2, bits)
-    w = [_exact(v) for v in weights]
-    t = [[_exact(v) for v in row] for row in tables]
+    w = [exact_fraction(v) for v in weights]
+    t = [[exact_fraction(v) for v in row] for row in tables]
     if kind == "dual_q_extremal":
         assert w.count(0) == 1
     assert all(v >= 0 for v in w)
@@ -285,9 +281,9 @@ def test_pair_sums_are_within_their_bound_of_the_exact_sum(monkeypatch, kind,
              for n in range(size)]
     for n in range(size):
         for k in range(size):
-            err = _exact(gram[n][k]) - exact[n][k]
+            err = exact_fraction(gram[n][k]) - exact[n][k]
             assert err * err <= bound * bound * exact[n][n] * exact[k][k], (n, k)
-    assert all(_exact(v) == 0 for v in gram[N + 1]) and exact[N + 1][N + 1] == 0
+    assert all(exact_fraction(v) == 0 for v in gram[N + 1]) and exact[N + 1][N + 1] == 0
 
 
 def test_pair_sums_do_not_depend_on_node_order(monkeypatch):
@@ -302,7 +298,7 @@ def test_pair_sums_do_not_depend_on_node_order(monkeypatch):
 def test_pair_sums_refuse_what_their_bound_does_not_cover():
     from qortho.measures import _pair_sums
     with CTX.workprec():
-        assert [[_exact(v) for v in row] for row in
+        assert [[exact_fraction(v) for v in row] for row in
                 _pair_sums([(1, 0), (1, 0)], [[(1, 0)], [(-1, 0)]], 0, CTX.bits)] == [[2]]
         with pytest.raises(ValueError, match="nonnegative"):
             _pair_sums([(-1, 0)], [[(1, 0)]], 0, CTX.bits)
@@ -851,7 +847,7 @@ def test_majorant_matches_exact_rational_rows(name, q, N):
         for t in [Fraction(0), Fraction(1, 1 << 20), Fraction(3, 8), Fraction(1),
                   Fraction(5, 2), Fraction(1 << 40)]:
             want = max(sum(abs(c) * t ** j for j, c in enumerate(cs)) for cs in rows)
-            value = _exact(amax(_pair(mpmath.mpf(t.numerator) / t.denominator)))
+            value = exact_fraction(amax(_pair(mpmath.mpf(t.numerator) / t.denominator)))
             assert abs(value - want) <= want / (1 << (ctx.bits - 12)), t
 
 
@@ -870,7 +866,7 @@ def test_dual_rows_match_exact_rational_rows(q, s, N, bits):
     assert [len(cs) for cs in rows] == [len(cs) for cs in exact]
     for cs, want_cs in zip(rows, exact):
         for c, want in zip(cs, want_cs):
-            assert abs(_exact(c) - want) <= abs(want) / (1 << (bits - 6))
+            assert abs(exact_fraction(c) - want) <= abs(want) / (1 << (bits - 6))
 
 
 @pytest.mark.parametrize("bits", [256, 1024])

@@ -7,14 +7,17 @@ prec + 4 bits, the sizes for which mpmath rounds them correctly; mul, div
 and rounding take longer operands as well.  The fused recurrence step adds
 exact products of up to 2 prec bits, so _add and _sub are also checked on
 operands of up to 2 prec + 8 bits against the exact libmp sum (prec=0)
-rounded once by mpf_pos.  The kernel's decimal parser must give, raw tuple
-for raw tuple, what mpmath.mpf(text, prec=bits) gives, and mpmath's
-exception for text it hands to mpmath.  The kernel's decimal rendering must
-print, character for character, what mpmath.nstr prints, for every value
-but the integers below 10^digits it prints whole.  Example counts come from
+rounded once by mpf_pos.  The exact operations (_plus, _one_minus, _times,
+_power and _shift) must give the exact Fraction values.  The kernel's
+decimal parser must give, raw tuple for raw tuple, what
+mpmath.mpf(text, prec=bits) gives, and mpmath's exception for text it hands
+to mpmath.  The kernel's decimal rendering must print, character for
+character, what mpmath.nstr prints, for every value but the integers below
+10^digits it prints whole.  Example counts come from
 the hypothesis profile, so CI can search more of them (tests/conftest.py).
 """
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -24,8 +27,11 @@ from mpmath.libmp import (from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
                           mpf_div, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub,
                           round_nearest)
 
-from qortho.kernel import (PrecisionContext, _abs_lt, _add, _div, _mpf, _mul, _pair, _round, _sub,
-                           to_decimal)
+from qortho.families import _exact_sub
+from qortho.kernel import (PrecisionContext, _abs_lt, _add, _div, _mpf, _mul, _one_minus, _pair,
+                           _plus, _power, _round, _shift, _sub, _times, to_decimal)
+
+from exact import exact_fraction
 
 PRECS = [64, 256, 288, 1024, 1056]
 R = round_nearest
@@ -110,6 +116,25 @@ def test_sums_of_wide_operands_round_once(args):
     assert same(_add(a, b, prec), want), (a, b, prec)
     want = mpf_pos(mpf_sub(raw(a), raw(b), 0), prec, R)
     assert same(_sub(a, b, prec), want), (a, b, prec)
+
+
+@settings(deadline=None)
+@given(wide_operands(), st.integers(0, 6), st.integers(-300, 300))
+def test_exact_operations_are_exact(args, k, shift):
+    # zeros included, which _plus returns as the other operand
+    prec, a, b = args
+    x, y = exact_fraction(a), exact_fraction(b)
+    assert exact_fraction(_plus(a, b)) == x + y, (a, b)
+    assert exact_fraction(_one_minus(a)) == 1 - x, a
+    assert exact_fraction(_times(a, b)) == x * y, (a, b)
+    assert exact_fraction(_power(a, k)) == x ** k, (a, k)
+    assert exact_fraction(_shift(a, shift)) == x * Fraction(2) ** shift, (a, shift)
+    # families' _exact_sub: exact unless both are nonzero and more than
+    # 2 prec apart, where it is _sub at 2 prec
+    if a[0] and b[0] and abs(a[1] - b[1]) > 2 * prec:
+        assert _exact_sub(a, b, prec) == _sub(a, b, 2 * prec), (a, b, prec)
+    else:
+        assert exact_fraction(_exact_sub(a, b, prec)) == x - y, (a, b, prec)
 
 
 @pytest.mark.parametrize("prec", PRECS)

@@ -21,7 +21,7 @@ from qortho import (PrecisionContext, as_qparam, basic_hypergeometric,
                     gram_matrix, hermite_extremal, mu_point, qinv_hermite_series_tables,
                     qpochhammer_inf, run_suite)
 from qortho import cli, kernel
-from qortho.identities import DEFAULT_PHI_GRID
+from qortho.identities import PHI_GRID
 
 CTX = PrecisionContext.create()
 
@@ -94,7 +94,7 @@ def test_kernel_and_series_values_do_not_depend_on_the_callers_precision():
     # pass and are summed again by kernel._certified, and (q;q)_inf at
     # q = 0.999 multiplies out a head of 692 factors.
     _same(lambda: [[v._mpf_ for v in row]
-                   for row in qinv_hermite_series_tables(range(30), DEFAULT_PHI_GRID, "0.2", CTX)])
+                   for row in qinv_hermite_series_tables(range(30), PHI_GRID, "0.2", CTX)])
     _same(lambda: [even_hermite_factor(k, 0, "0.99", CTX)._mpf_ for k in range(0, 31, 6)])
     _same(lambda: [qpochhammer_inf(a, q, CTX)._mpf_
                    for a, q in (("0.5", "0.9"), ("-2.5", "0.7"), ("0.999", "0.999"))])
@@ -108,7 +108,7 @@ def test_suite_bytes_do_not_depend_on_the_callers_precision():
 def test_inverted_check_below_the_rounding_floor_does_not_depend_on_the_callers_precision():
     # At q = 0.01 the series tol falls below the floor of 256 bits, and the
     # series runs at 6 - floor(log2 tol) bits.
-    report = _same(lambda: check_inverted_parameter_recurrence(10, None, "0.01", CTX).to_dict(
+    report = _same(lambda: check_inverted_parameter_recurrence("0.01", CTX).to_dict(
         CTX.digits))
     assert report["pass"]
 

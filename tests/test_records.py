@@ -90,7 +90,7 @@ def test_derived_contexts_compare_and_hash_by_value(monkeypatch):
 
     monkeypatch.setattr(identities, "qinv_hermite_series_tables", spy)
     for q in ("0.5", "0.01"):
-        assert check_inverted_parameter_recurrence(10, None, q, CTX).passed
+        assert check_inverted_parameter_recurrence(q, CTX).passed
     assert series[1].bits > CTX.bits == series[0].bits   # q = 0.01 gains bits
     derived = [PrecisionContext.create(bits=512), CTX.doubled(),
                measures._closed(PrecisionContext.create(tol_exp=300)), *series]
