@@ -424,6 +424,15 @@ def test_sweep_accepts_q_token(capsys):
     assert out.splitlines()[1].startswith("0.5,")
 
 
+def test_sweep_has_no_output_flag(capsys):
+    # sweep prints CSV rows only; its --output, whose one choice was csv,
+    # is gone, so the flag is an unknown argument.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--a-from", "0.7", "--steps", "1", "--output", "csv"])
+    assert exc.value.code == 2
+    assert "--output" in capsys.readouterr().err
+
+
 def test_sweep_range_errors(capsys):
     code, _, err = run(capsys, "sweep", "--a-from", "0.3", "--steps", "1",
                        "--N", "1")

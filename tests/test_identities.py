@@ -12,6 +12,7 @@ from qortho import (SUITE_IDS, PrecisionContext, check_even_connection,
                     check_odd_connection, check_product_chain, check_recurrence_chains,
                     dual_qinv_extremal, gram_matrix, hermite_extremal,
                     qpochhammer, run_suite, to_decimal)
+from qortho.identities import PHI_GRID
 
 from exact import exact_fraction
 
@@ -43,6 +44,46 @@ def test_suite_runs_green_at_default_q():
 def test_negative_k_max_is_rejected(check):
     with pytest.raises(ValueError, match="k_max must be a nonnegative integer"):
         check(-1, Q, CTX)
+
+
+_GRID_TEXT = str(list(PHI_GRID))
+
+
+@pytest.mark.parametrize("check, grid", [
+    (lambda: check_even_connection(4, Q, CTX), "k <= 4, phi in " + _GRID_TEXT),
+    (lambda: check_odd_connection(4, Q, CTX), "k <= 4, phi in " + _GRID_TEXT),
+    (lambda: check_inverted_parameter_recurrence(Q, CTX), "n <= 10, x in " + _GRID_TEXT),
+], ids=["even-connection", "odd-connection", "inverted-parameter-recurrence"])
+def test_series_checks_sum_the_h_series_on_the_one_grid(check, grid, monkeypatch):
+    # Each check takes no grid and no degree bound of its own: the h series
+    # is summed at every point of PHI_GRID, and the inverted check at the
+    # degrees n <= 10 + 1 its recurrence reads.
+    from qortho import identities
+    calls, tables = [], identities.qinv_hermite_series_tables
+
+    def spy(degrees, points, q, ctx):
+        calls.append((list(degrees), len(points)))
+        return tables(degrees, points, q, ctx)
+    monkeypatch.setattr(identities, "qinv_hermite_series_tables", spy)
+    report = check()
+    assert report.passed and report.grid == grid
+    assert [points for _, points in calls] == [len(PHI_GRID)]
+    if grid.startswith("n"):
+        assert calls[0][0] == list(range(12))
+
+
+def test_recurrence_chains_run_on_the_one_grid(monkeypatch):
+    from qortho import identities
+    points, tables = [], identities._tables
+
+    def spy(kind, n_max, at, q, ctx, s=None):
+        points.append(len(at))
+        return tables(kind, n_max, at, q, ctx, s)
+    monkeypatch.setattr(identities, "_tables", spy)
+    report = check_recurrence_chains(4, Q, CTX)
+    assert report.passed and report.grid == "k <= 4, phi in " + _GRID_TEXT
+    # the h table and one dual table per parity, each at every phi
+    assert points == [len(PHI_GRID)] * 3
 
 
 def _largest(details, *names):
