@@ -711,11 +711,10 @@ def dual_ultra_coeffs(n: int, s, q, ctx: PrecisionContext = DEFAULT_CONTEXT) -> 
 
 
 def _three_term(p: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
-                prec: int, low_sign: int = 1) -> list[tuple[int, int]]:
+                prec: int) -> list[tuple[int, int]]:
     """[P_0, ..., P_n] at one point, n = len(steps), from the pair p and the
     steps (c_mid, c_low, r), r a reciprocal of c_lead:
-    P_{j+1} = ((c_mid - p) P_j - low_sign c_low P_{j-1}) r.
-    low_sign = -1 runs the steps with c_low negated (h's majorant).
+    P_{j+1} = ((c_mid - p) P_j - c_low P_{j-1}) r.
 
     One rounding a step: c_mid - p, the two products and their difference
     are exact, and their product with r is rounded once to prec.  So each
@@ -744,9 +743,9 @@ def _three_term(p: tuple[int, int], steps: list[tuple[tuple[int, int], ...]],
             dm, de = mm - (pm << -gap), em
         else:
             dm, de = _exact_sub((mm, em), p, prec)
-        # n = d P_j - low_sign c_low P_{j-1}
+        # n = d P_j - c_low P_{j-1}
         um, ue = dm * cur_m, de + cur_e
-        wm, we = (ml * prev_m if low_sign > 0 else -ml * prev_m), el + prev_e
+        wm, we = ml * prev_m, el + prev_e
         gap = ue - we
         if not wm:
             nm, ne = um, ue
@@ -789,8 +788,10 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
       the step run on coefficient lists: multiplying by p moves a
       coefficient up one degree.
 
-    The family's record gives the steps and the majorant's sign; the
-    public callers convert at their edges (kernel module docstring).
+    The family's record gives the steps and the majorant's sign, and the
+    majorant's steps, c_low negated where that sign is 1 (h), are formed
+    once beside them; the public callers convert at their edges (kernel
+    module docstring).
 
     A_n(t) is the family's own recurrence at one point.  h_n and D_n are
     orthogonal under positive measures, so their zeros are real and simple
@@ -823,8 +824,10 @@ def _recurrence(family: FamilySpec, n_max: int, ctx: PrecisionContext):
     def values(p: tuple[int, int]) -> list[tuple[int, int]]:
         return _three_term(p, steps, prec)
 
+    bound_steps = steps if record.sign < 0 else [(mid, (-m, e), r) for mid, (m, e), r in steps]
+
     def majorant(t: tuple[int, int]) -> tuple[int, int]:
-        return _largest(_three_term((record.sign * t[0], t[1]), steps, prec, -record.sign))
+        return _largest(_three_term((record.sign * t[0], t[1]), bound_steps, prec))
 
     def term(step, a, b, c) -> tuple[int, int]:
         # [p^i] of ((c_mid - p) P_j - c_low P_{j-1}) r: c_mid a - b - c_low c

