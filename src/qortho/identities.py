@@ -8,8 +8,9 @@ or above the rounding floor of ctx.bits, and the residual below tol).
 Every residual is formed by the package's one residual rule,
 |LHS - RHS| / scale with the difference and the quotient each rounded once
 (kernel._relative_residual); most take the scale max(1, |LHS|) (_residual),
-because the quantities involved span many orders of magnitude.  The suite
-covers:
+because the quantities involved span many orders of magnitude, and the
+recurrence chains the power of two 2^top at or above every term
+(_chain_residual), because their terms cancel.  The suite covers:
 
 * the closed-form connections between even / odd q-inverse Hermite
   polynomials and the dual discrete q-ultraspherical family at s = q^-1 and
@@ -23,8 +24,9 @@ covers:
   cross-parity block,
 * the real form of the parameter-inversion map between the two Hermite-type
   recurrences,
-* the orthogonality of every measure kind, and the adjudication of the
-  extremal normalization constant.
+* the orthogonality of every measure kind, and the extremal normalization
+  constant Z(a) against the lattice mass (the alternative constant with
+  (-q/a;q)_inf is evaluated alongside and reported for contrast).
 
 Residuals are formed on the kernel's pairs: one pair operation for each
 operation of the mpf expression they replace, in its order and at
@@ -75,13 +77,11 @@ class IdentityReport(NamedTuple):
 
 
 def _judged(identity_id: str, grid: str, residual: QReal, ctx: PrecisionContext,
-            details: dict[str, str], contrasted: bool = True) -> IdentityReport:
+            details: dict[str, str]) -> IdentityReport:
     """The report of a check whose worst residual is residual, which passes
-    by kernel._verdict at ctx and where contrasted holds: the one addition
-    to the rule, the *-normalization ids' losing candidate above sqrt(tol).
-    Every IdentityReport is built here."""
-    return IdentityReport(identity_id, grid, residual,
-                          _verdict(residual, ctx.tol, ctx.bits) and contrasted, details)
+    by kernel._verdict at ctx.  Every IdentityReport is built here."""
+    return IdentityReport(identity_id, grid, residual, _verdict(residual, ctx.tol, ctx.bits),
+                          details)
 
 
 def _report(identity_id: str, grid: str, residuals: dict[str, tuple[int, int]],
@@ -187,15 +187,24 @@ def _chain_residual(parity: int, mu, v, k_max: int, q, mid, low,
                     prec: int) -> tuple[int, int]:
     """Worst residual of mu v_n = q^p v_{n+1} + mid[n] v_n + low[n] v_{n-1}
     over n <= k_max, where low[n] = q^{-4n+1-p} (1-q^{2n}) (1-q^{2n-1+2p});
-    every argument a pair or a list of pairs."""
+    every argument a pair or a list of pairs.
+
+    The scale is 2^top, top the largest of 0 and the top bit e + bitlen(m)
+    of each nonzero term m 2^e, mu v_n and the right side's: so 2^top is at
+    least max(1, |term|) for every term, and |lhs - rhs| < tol 2^top is
+    what a PASS means.  The terms reach q^-4n and cancel, so the scale is
+    the largest of them, not |lhs|, lest their own rounding exceed tol; the
+    division by 2^top is a shift."""
     worst = _ZERO
     for n in range(k_max + 1):
-        lhs = _mul(mu, v[n], prec)
-        rhs = _add(v[n + 1] if parity == 0 else _mul(q, v[n + 1], prec),
-                   _mul(mid[n], v[n], prec), prec)
+        terms = [_mul(mu, v[n], prec), v[n + 1] if parity == 0 else _mul(q, v[n + 1], prec),
+                 _mul(mid[n], v[n], prec)]
+        rhs = _add(terms[1], terms[2], prec)
         if n >= 1:
-            rhs = _add(rhs, _mul(low[n], v[n - 1], prec), prec)
-        worst = _larger(worst, _residual(lhs, rhs, prec))
+            terms.append(_mul(low[n], v[n - 1], prec))
+            rhs = _add(rhs, terms[3], prec)
+        top = max([0] + [e + m.bit_length() for m, e in terms if m])
+        worst = _larger(worst, _relative_residual(terms[0], rhs, (1, top), prec))
     return worst
 
 
@@ -447,14 +456,13 @@ def _gram_entry(identity_id: str, measure, N: int,
 
 def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
                          ctx: PrecisionContext) -> IdentityReport:
+    """The residual of Z(a), the candidate every Gram divides by, with the
+    other candidate's residual shown for contrast."""
     adj = adjudicate_normalization(kind, a, q, ctx)
-    residuals = adj.residual_quadratic, adj.residual_linear
-    details = adj.to_details(ctx.digits)
-    report = _judged(identity_id, "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)),
-                     min(residuals), ctx, details,
-                     contrasted=max(residuals) > mpmath.sqrt(ctx.tol, prec=ctx.bits))
-    details["definitive"] = "yes" if report.passed else "no"
-    return report
+    return _report(identity_id, "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)), {
+        "candidate (-q/a^2;q)_inf residual": _pair(adj.residual_quadratic),
+        "candidate (-q/a;q)_inf residual": _pair(adj.residual_linear),
+    }, ctx, contrast="candidate (-q/a;q)_inf residual")
 
 
 # The suite, one entry per check in run order: each takes its id and the

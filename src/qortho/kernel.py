@@ -745,7 +745,9 @@ def _relative_residual(lhs: tuple[int, int], rhs: tuple[int, int], scale: tuple[
     and on wider ones the exact difference rounded once.  Every residual a
     check compares with tol is formed here, each caller naming only its
     scale: max(1, |lhs|) for most identity checks (identities._residual),
-    |d_n| on a Gram's diagonal and sqrt|d_n| sqrt|d_n'| off it,
+    a power of two at or above 1 and every term for the recurrence chains
+    (identities._chain_residual), |d_n| on a Gram's diagonal and
+    sqrt|d_n| sqrt|d_n'| off it,
     max(1, sqrt|d_n d_n'|) for half-to-full-lattice's entrywise and
     cross-parity residuals, and 1 for the normalization adjudication and
     the parity zeros of inverted-parameter-recurrence.  Against rhs = 0 on

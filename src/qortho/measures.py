@@ -1077,13 +1077,6 @@ class NormalizationAdjudication(NamedTuple):
     residual_linear: QReal
     winner: str
 
-    def to_details(self, digits: int) -> dict[str, str]:
-        return {
-            "candidate (-q/a^2;q)_inf residual": to_decimal(self.residual_quadratic, digits),
-            "candidate (-q/a;q)_inf residual": to_decimal(self.residual_linear, digits),
-            "winner": self.winner,
-        }
-
 
 def adjudicate_normalization(kind: MeasureKind, a, q,
                              ctx: PrecisionContext = DEFAULT_CONTEXT) -> NormalizationAdjudication:

@@ -244,6 +244,15 @@ def test_verify_subset_json(capsys):
     assert all(entry["pass"] is True for entry in data)
 
 
+def test_verify_normalization_passes_at_tiny_q(capsys):
+    # At q = 1e-40 Z(a) matches the lattice mass exactly, and the other
+    # candidate misses it by about 2q, far below sqrt(tol): shown, not counted.
+    code, out, _ = run(capsys, "verify", "--only",
+                       "qinv-extremal-normalization,q-extremal-normalization", "--q", "1e-40")
+    assert code == 0
+    assert out.splitlines()[-1] == "2/2 identities passed"
+
+
 def test_verify_residual_failure_is_exit_one(capsys):
     code, out, _ = run(capsys, "verify", "--only",
                        "hermite-extremal-orthogonality", "--N", "2",

@@ -118,7 +118,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "419d43539f6bc72e956762e66f48ac2cf416dbf7079720a771780649a0d5bbec",
     "cb783b5ec8b9ad48161628f72f28b20be49b80fdb94ddf4022680fdacee87a3e",
     "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
-    "6ac0532bd2f57d0ccab8ed3ce0a27c6eee99388ae15b51853522eef6d0a237f6",
+    "1570ab19dadf0a023a646a5a82c51a4981daf1ece4e73d3ced50debb783b37b1",
 )) + _runs(_BASIC, "0.7", (
     "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
     "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
@@ -126,7 +126,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "a6942abee58446cc1e39f49a3d7af571d7a066f22f3308b1ca3ec6706d413292",
     "1d9d1519e44c307f5083d11281065e76ec8f9ce88689100d72dd63db54f74221",
     "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
-    "894ca849fe374a9a7b1244ff91f4b0e8ec1dfb35c1ba6b121a4db0585fd731a2",
+    "2446f516e546488e242e0124f34acadbe8c3542e6901b9a6898bcada292f5405",
 )) + _runs(_WIDE, "0.5", (
     "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
     "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
@@ -146,7 +146,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_LONG, "0.9", (
     "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
     "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
-    "bc55a358df5044a97d903db3b40a02faff2a80ac572912195ccf7a3609eb0683",
+    "19d8e76c712b93478c6a6f66dde961e543253d11f5f62c4633eb960d129ee630",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
     "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
@@ -190,21 +190,21 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 
 # The whole suite at 256 bits (tol 2^-200) and 1024 bits (tol 2^-800), from
 # q = 1e-4, where inverted-parameter-recurrence runs its series at 339 bits
-# (wider than the residual loop's), to q = 0.99.  At 256 bits and q <= 0.05
-# recurrence-chains FAILs by its own rounding (ROADMAP Defect 5), so verify
-# exits 1 there; the digests pin that FAIL and its residual too.
+# (wider than the residual loop's), to q = 0.99.  At q <= 0.05 the terms of
+# recurrence-chains cancel, which its scale, a power of two above every
+# term, allows for.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 1, "498faada359610d49c5bb4699f3d643620cf21bb0969841a37e580a265aa667c"),
-    ("0.01", 256, 1, "3d4f7a61a6ca23dad278abab8499d0a130f31848524ae13a8485bf8570adc6e5"),
-    ("0.05", 256, 1, "59132f1c21c1b2bc9403de6916c2d6653f3024ddfe660705f83a950e3a5b2872"),
-    ("0.3", 256, 0, "0cb5003a373ad48f1420b30aebef42e7fc21d0c93fff035f2653dd34b5a76037"),
-    ("0.99", 256, 0, "ff9edd55671176a60ab2e2682dbffda1027211fcbef097a0245ddcb4347c46f7"),
-    ("1e-4", 1024, 0, "3d0c14cf20919cc95b12df601d8023867c7294862b43a0c6520874defe7ca7ac"),
-    ("0.01", 1024, 0, "24b2436358ef0905fbf2412b0b5c9ed5f251b11e6d96f8895153cf63c675b700"),
-    ("0.05", 1024, 0, "56a5a3855777c203b8f0cd855c1fc4d06914ff0d30a4df259398fc782e533bba"),
-    ("0.3", 1024, 0, "9528551fb94767f5735003b4a2032372ef9d01797f6f0e3a6dce0eb0a4b8d419"),
-    ("0.99", 1024, 0, "2abdd773bff567c6044cc3120c8b47d899f7a79c1bb979ca4b8441e02993f641"),
+    ("1e-4", 256, 0, "9e94f069ddf5a4fa6bb7c206fadde77f1010a5516ccf621ec0c02d95f63ac061"),
+    ("0.01", 256, 0, "1cce67752f1d8f46679877ea8e30f8a897f35b17fed0894a63eb3b735c79b77b"),
+    ("0.05", 256, 0, "a229f61b225c58ee204cf41686754207a9a985a06134aeddffee93db77478a43"),
+    ("0.3", 256, 0, "5cd1713ba1a57be5f28f068e8845bd9cd9189bcc0ee9ed06155d6ecb2cd026f5"),
+    ("0.99", 256, 0, "ba13c5870f94688185435bb536ce6b64165324042e1fb96dbb49394d167be983"),
+    ("1e-4", 1024, 0, "b1d2017ed0f60e8cb93ae28329646b4b53b6830ce32b03aec6e34a7f24cbbf62"),
+    ("0.01", 1024, 0, "bb5811a811be0177166f4c2ff93e6b3fae5980ee3bf0acd0165d4c4b1c9408fe"),
+    ("0.05", 1024, 0, "5cb379c51555ab6a654e3fc8de41dc598d1c8d1ab124206790002939c6944d4d"),
+    ("0.3", 1024, 0, "ee56bdce7a5b1268d0ca6469d5ecd5d28dbedc2e878389428378526de0259517"),
+    ("0.99", 1024, 0, "740b0a05ab1068fea2c92bd67503de2581851005dbbcc20b54303ea8d606f83d"),
 )]
 
 

@@ -15,7 +15,7 @@ from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
                     dual_ultra_coeff_rows, dual_ultra_table, dual_ultra_tables,
                     expected_diagonal, gram_matrix, hermite_extremal,
                     lattice_normalization, qinv_hermite_coeff_rows,
-                    qinv_hermite_table, to_decimal)
+                    qinv_hermite_table, run_suite, to_decimal)
 from qortho.families import _recurrence
 from qortho.kernel import (TruncationFailure, _div, _largest, _mpf, _pair, _round, as_qparam,
                            qpochhammer, qpochhammer_inf)
@@ -483,15 +483,19 @@ def test_gram_input_validation():
 
 
 def test_adjudication_is_decisive():
-    for build in (MeasureKind.DUAL_QINV_EXTREMAL, MeasureKind.DUAL_Q_EXTREMAL):
+    # The suite's id shows both candidates' residuals and judges Z(a)'s.
+    for build, identity in ((MeasureKind.DUAL_QINV_EXTREMAL, "qinv-extremal-normalization"),
+                            (MeasureKind.DUAL_Q_EXTREMAL, "q-extremal-normalization")):
         verdict = adjudicate_normalization(build, "0.75", Q, CTX)
         assert verdict.winner == "(-q/a^2;q)_inf"
         with CTX.workprec():
             assert verdict.residual_quadratic < CTX.tol
             assert verdict.residual_linear > mpmath.mpf("1e-3")
-        details = verdict.to_details(20)
-        assert set(details) == {"candidate (-q/a^2;q)_inf residual",
-                                "candidate (-q/a;q)_inf residual", "winner"}
+        (report,) = run_suite(Q, CTX, only=[identity], a="0.75")
+        assert report.details == {
+            "candidate (-q/a^2;q)_inf residual": to_decimal(verdict.residual_quadratic, CTX.digits),
+            "candidate (-q/a;q)_inf residual": to_decimal(verdict.residual_linear, CTX.digits)}
+        assert report.passed and report.max_residual == verdict.residual_quadratic
 
 
 def test_adjudication_rejects_other_kinds():
