@@ -166,21 +166,27 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if value is None:
             value = file_cfg.get(name, _default(setting, command))
         setattr(config, name, value)
-    chooser, unread = _unread(config)
+    choice, unread = _unread(config)
     for name in unread:
         if getattr(args, name, None) is not None:
-            raise ValueError("%s has no effect with %s %s" % (
-                _flag(name), _flag(chooser), getattr(config, chooser)))
+            raise ValueError("%s has no effect with %s" % (_flag(name), choice))
     return config
 
 
-def _unread(config: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
-    """The setting that picks what the command reads, and the settings its
-    value leaves unread: as flags, those are errors rather than ignored."""
+def _unread(config: argparse.Namespace) -> tuple[str, list[str]]:
+    """The flag, with its value, that picks what the command reads, and the
+    settings that choice leaves unread: as flags, those are errors rather
+    than ignored.  A bool setting is named by its flag alone."""
     if config.command == "gram":
-        return "measure", ("a",) if config.measure == "dual-base" else ("s", "s_mode", "parity")
+        return "--measure " + config.measure, (
+            ["a"] if config.measure == "dual-base" else ["s", "s_mode", "parity"])
+    if config.command == "verify":   # --list reads --out alone
+        return "--list", [name for name in _SETTINGS
+                          if config.list_ids and name not in ("list_ids", "out_path")]
+    if config.command == "sweep":
+        return "--steps %d" % config.steps, ["a_to"] if config.steps == 1 else []
     kind = _FAMILIES.get(config.family) if config.command == "eval" else None
-    return "family", ("s", "s_mode") if kind and not kind.takes_s else ()
+    return "--family %s" % config.family, ["s", "s_mode"] if kind and not kind.takes_s else []
 
 
 def _context(config: argparse.Namespace) -> PrecisionContext:
@@ -308,9 +314,8 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     if config.steps < 1:
         raise ValueError("--steps must be >= 1")
     a_lo = _decimal(config.a_from, "a-from", ctx, q)
-    if config.steps == 1:
-        values = [a_lo]
-    else:
+    values = [a_lo]
+    if config.steps > 1:
         if config.a_to is None:
             raise ValueError("--a-to is required when steps > 1")
         # a_lo + (a_hi - a_lo) i / (steps - 1), each operation rounded to bits

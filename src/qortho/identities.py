@@ -25,8 +25,7 @@ recurrence chains the power of two 2^top at or above every term
 * the real form of the parameter-inversion map between the two Hermite-type
   recurrences,
 * the orthogonality of every measure kind, and the extremal normalization
-  constant Z(a) against the lattice mass (the alternative constant with
-  (-q/a;q)_inf is evaluated alongside and reported for contrast).
+  constant Z(a) against the lattice mass.
 
 Residuals are formed on the kernel's pairs: one pair operation for each
 operation of the mpf expression they replace, in its order and at
@@ -456,13 +455,11 @@ def _gram_entry(identity_id: str, measure, N: int,
 
 def _normalization_entry(identity_id: str, kind: MeasureKind, a, q,
                          ctx: PrecisionContext) -> IdentityReport:
-    """The residual of Z(a), the candidate every Gram divides by, with the
-    other candidate's residual shown for contrast."""
+    """The residual of Z(a), the constant every Gram divides by."""
     adj = adjudicate_normalization(kind, a, q, ctx)
     return _report(identity_id, "a=%s, q=%s" % (mpmath.nstr(adj.a, 8), mpmath.nstr(adj.q, 8)), {
         "candidate (-q/a^2;q)_inf residual": _pair(adj.residual_quadratic),
-        "candidate (-q/a;q)_inf residual": _pair(adj.residual_linear),
-    }, ctx, contrast="candidate (-q/a;q)_inf residual")
+    }, ctx)
 
 
 # The suite, one entry per check in run order: each takes its id and the

@@ -23,11 +23,10 @@ base weights are stated with the common factor (1 - s q) cancelled, which
 keeps them finite at s = q^-1.  The q-extremal weight vanishes at a single
 site exactly when a^2 q^{2m} = 1 (e.g. a = q, m = -1), which is allowed.
 
-adjudicate_normalization compares the lattice mass with two candidate
-closed forms: (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf, which is Z(a) by the
-triple product and is formed only as that theta sum, and the same with
-(-q/a;q)_inf as its third factor, formed as three products.  The first
-wins, and Z(a) is the normalization used throughout.
+adjudicate_normalization compares the lattice mass with Z(a) times the
+degree-0 diagonal: Z(a) = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf by the
+triple product, formed only as that theta sum, is the normalization used
+throughout.
 
 Assembly forms each quantity once: the family's recurrence coefficients
 serve both the majorant and the values at the window nodes, and each entry
@@ -1059,62 +1058,41 @@ def gram_matrix(measure: DiscreteMeasure, N: int,
 
 
 class NormalizationAdjudication(NamedTuple):
-    """Which closed form of Z(a) matches the actual lattice mass.
-
-    The two candidates differ in the third infinite product:
-    quadratic = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf,
-    linear    = (-a^2;q)_inf (-q/a;q)_inf  (q;q)_inf.
-    The quadratic one is formed as the theta sum it equals, Z(a)
-    (lattice_normalization), the linear one as three products.
+    """The lattice mass of an extremal dual measure against its one closed
+    form, candidate_quadratic = (-a^2;q)_inf (-q/a^2;q)_inf (q;q)_inf,
+    formed as the theta sum it equals, Z(a) (lattice_normalization).  It
+    keeps its name, as adjudicate_normalization does, while perfbench names
+    them (ROADMAP Direction 15).
     """
     measure_kind: str
     a: QReal
     q: QReal
     mass: QReal
     candidate_quadratic: QReal
-    candidate_linear: QReal
     residual_quadratic: QReal
-    residual_linear: QReal
-    winner: str
 
 
 def adjudicate_normalization(kind: MeasureKind, a, q,
                              ctx: PrecisionContext = DEFAULT_CONTEXT) -> NormalizationAdjudication:
-    """Settle the Z(a) constant for an extremal dual measure empirically.
+    """The Z(a) constant of an extremal dual measure, checked empirically.
 
-    The unnormalized lattice mass is recomputed from the weights and compared
-    against candidate * (expected degree-0 diagonal) for both candidate
-    closed forms; the winner is the candidate whose relative residual passes
-    against ctx.tol (kernel._verdict) and is the smaller.  Z(a) and the
-    linear candidate's three products are taken at _closed(ctx), as the
-    Gram takes its Z(a): below the rounding floor the check then fails on
-    its residuals rather than on an uncertifiable Z(a).
+    The unnormalized lattice mass is recomputed from the weights and
+    compared against Z(a) * (expected degree-0 diagonal): the residual is
+    |mass / (Z(a) d_0) - 1|.  Z(a) is taken at _closed(ctx), as the Gram
+    takes it: below the rounding floor the check then fails on its residual
+    rather than on an uncertifiable Z(a).  perfbench's tracer wraps this
+    function by name, which it keeps until the normalization ids go
+    (ROADMAP Direction 15).
     """
-    record = _KINDS.get(kind)
-    if record is None or not (record.full_lattice and record.family is _DUAL):
+    if kind not in (MeasureKind.DUAL_QINV_EXTREMAL, MeasureKind.DUAL_Q_EXTREMAL):
         raise ValueError("adjudication applies to the extremal dual measures")
-    measure, closed = _extremal(kind, a, q, ctx), _closed(ctx)
-    q, prec = measure.q, ctx.bits
-    (am, ae), (qm, qe) = _pair(measure.a), _pair(q)
-    z_quad = lattice_normalization(measure.a, q, closed)
-    # (-a^2;q)_inf (-q/a;q)_inf (q;q)_inf, each operation rounded to bits
-    z_lin = _mul(_mul(_pair(qpochhammer_inf(_mpf(_mul((-am, ae), (am, ae), prec)), q, closed)),
-                      _pair(qpochhammer_inf(_mpf(_div((-qm, qe), (am, ae), prec)), q, closed)),
-                      prec), _pair(qpochhammer_inf(q, q, closed)), prec)
-    # Degree-0 Gram entry; point() divides by z_quad, so undo it.
+    measure, prec = _extremal(kind, a, q, ctx), ctx.bits
+    z = lattice_normalization(measure.a, measure.q, _closed(ctx))
+    # Degree-0 Gram entry; point() divides by z, so undo it.
     report = gram_matrix(measure, 0, ctx)
-    d0, mass = _pair(report.expected_diag[0]), _mul(_pair(report.gram[0][0]), _pair(z_quad), prec)
-
-    def residual(z):   # |mass / (z d0) - 1|
-        return _mpf(_relative_residual(_div(mass, _mul(z, d0, prec), prec), _ONE, _ONE, prec))
-    r_quad, r_lin = residual(_pair(z_quad)), residual(z_lin)
-    if _verdict(r_quad, ctx.tol, prec) and r_quad < r_lin:
-        winner = "(-q/a^2;q)_inf"
-    elif _verdict(r_lin, ctx.tol, prec) and r_lin < r_quad:
-        winner = "(-q/a;q)_inf"
-    else:
-        winner = "none"
+    d0, mass = _pair(report.expected_diag[0]), _mul(_pair(report.gram[0][0]), _pair(z), prec)
+    # |mass / (z d0) - 1|
+    residual = _relative_residual(_div(mass, _mul(_pair(z), d0, prec), prec), _ONE, _ONE, prec)
     return NormalizationAdjudication(
-        measure_kind=kind.value, a=measure.a, q=q, mass=_mpf(mass),
-        candidate_quadratic=z_quad, candidate_linear=_mpf(z_lin),
-        residual_quadratic=r_quad, residual_linear=r_lin, winner=winner)
+        measure_kind=kind.value, a=measure.a, q=measure.q, mass=_mpf(mass),
+        candidate_quadratic=z, residual_quadratic=_mpf(residual))

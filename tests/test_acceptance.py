@@ -121,9 +121,14 @@ def test_criterion_5_extremal_dual_orthogonality_and_normalization():
                     ok = ok and rep.off_diag_max < TOL
                     ok = ok and rep.diag_rel_err_max < TOL
                     adj = adjudicate_normalization(kind, a, q, CTX)
-                    ok = ok and adj.winner == "(-q/a^2;q)_inf"
+                    # The other closed form, (-q/a;q)_inf in place of
+                    # (-q/a^2;q)_inf, against the same mass and d_0: Z(a)
+                    # passes, and wins, where the other misses by far more.
+                    linear = (qpochhammer_inf(-a * a, q, CTX) * qpochhammer_inf(-q / a, q, CTX)
+                              * qpochhammer_inf(q, q, CTX))
+                    miss = abs(adj.mass / (linear * rep.expected_diag[0]) - 1)
                     ok = ok and adj.residual_quadratic < TOL
-                    ok = ok and adj.residual_linear > mpmath.sqrt(TOL)
+                    ok = ok and miss > mpmath.sqrt(TOL)
     verdict(5, "extremal dual orthogonality with decisive normalization", ok)
 
 

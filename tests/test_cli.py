@@ -189,12 +189,21 @@ def test_gram_never_passes_below_rounding_floor(capsys):
     ("gram", "--measure", "dual-qinv-extremal", "--s-mode", "q"),
     ("gram", "--measure", "dual-base", "--a", "0.7"),
     ("eval", "--family", "h", "--n", "3", "--x", "0.5", "--s", "2"),
+    ("sweep", "--steps", "1", "--a-from", "0.6", "--a-to", "0.9"),
 ])
 def test_flag_the_choice_does_not_read_is_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     flag = argv[-2]
     assert code == 2 and out == ""
     assert err == "error: %s has no effect with %s %s\n" % (flag, argv[1], argv[2])
+
+
+def test_verify_list_reads_no_flag_but_out(capsys, tmp_path):
+    # A bool setting that picks what is read is named by its bare flag.
+    assert run(capsys, "verify", "--list", "--q", "7") == (
+        2, "", "error: --q has no effect with --list\n")
+    assert run(capsys, "verify", "--list", "--out", str(tmp_path / "ids.txt"))[0] == 0
+    assert (tmp_path / "ids.txt").read_text().splitlines() == list(SUITE_IDS)
 
 
 def test_unread_config_keys_stay_shared(capsys, tmp_path):

@@ -118,7 +118,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "419d43539f6bc72e956762e66f48ac2cf416dbf7079720a771780649a0d5bbec",
     "cb783b5ec8b9ad48161628f72f28b20be49b80fdb94ddf4022680fdacee87a3e",
     "69606b0b3819b7ac92cd128bbf7ac16a9bdf84885d869ae6efb79b4fb2789834",
-    "1570ab19dadf0a023a646a5a82c51a4981daf1ece4e73d3ced50debb783b37b1",
+    "17d36227d5cebe90eda3aa3bb03403aa838f357068594dcfa877702f9b4a750c",
 )) + _runs(_BASIC, "0.7", (
     "96e861bc3633fb7ecab2ea5fa67b58b5991d6eaa722215dd6bfb97538591463c",
     "ddbd2ebf47e5fdffc22bc256d1584480d5986255352447947cab3d967218d414",
@@ -126,7 +126,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
     "a6942abee58446cc1e39f49a3d7af571d7a066f22f3308b1ca3ec6706d413292",
     "1d9d1519e44c307f5083d11281065e76ec8f9ce88689100d72dd63db54f74221",
     "e3f1502ec363682f43275e1625ca6587b9efcf7ed9c0358c0a10b06e1c8a6498",
-    "2446f516e546488e242e0124f34acadbe8c3542e6901b9a6898bcada292f5405",
+    "a3898fd92562e5328f053ace1f5346a3e80c2b075e3a5897962502027737d8db",
 )) + _runs(_WIDE, "0.5", (
     "0b356d4518342fbed8a21e1a7e9a18dad3ae03a8d2bc0873d4fae1316f896a42",
     "b6006b848623f0ab64e59957d6064828ead3f37e6d711f100313c89f0ec39168",
@@ -146,7 +146,7 @@ GOLDEN = _runs(_BASIC, "0.5", (
 )) + _runs(_LONG, "0.9", (
     "2a779d5663849c11936a9096ccc87dc74b7c12050e5fd1edacc95a2051e0afa2",
     "61ade5951fca8d1542194e263720487ce6b535a58c7db5d5a55b3bc2c26a8235",
-    "19d8e76c712b93478c6a6f66dde961e543253d11f5f62c4633eb960d129ee630",
+    "420d8b30044f0958846edaf42e3c11699a59c1ba29dad82f86f7f623d2a19b64",
 )) + _runs(_EXTREMAL_N24, "0.3", (
     "4e26852bf7296def260adc8532b95e5edfa3ea67ecaf1ebe56e3a5ad127a54b2",
     "fbdb6afd2b4588694fb79dc707df8c3b82d8d9198634304dd5e4b243817e7114",
@@ -195,16 +195,16 @@ def test_stdout_bytes_are_pinned(capsys, argv, digest):
 # term, allows for.
 VERIFY = [pytest.param(q, bits, code, digest, id="verify-q%s-%d" % (q, bits))
           for q, bits, code, digest in (
-    ("1e-4", 256, 0, "9e94f069ddf5a4fa6bb7c206fadde77f1010a5516ccf621ec0c02d95f63ac061"),
-    ("0.01", 256, 0, "1cce67752f1d8f46679877ea8e30f8a897f35b17fed0894a63eb3b735c79b77b"),
-    ("0.05", 256, 0, "a229f61b225c58ee204cf41686754207a9a985a06134aeddffee93db77478a43"),
-    ("0.3", 256, 0, "5cd1713ba1a57be5f28f068e8845bd9cd9189bcc0ee9ed06155d6ecb2cd026f5"),
-    ("0.99", 256, 0, "ba13c5870f94688185435bb536ce6b64165324042e1fb96dbb49394d167be983"),
-    ("1e-4", 1024, 0, "b1d2017ed0f60e8cb93ae28329646b4b53b6830ce32b03aec6e34a7f24cbbf62"),
-    ("0.01", 1024, 0, "bb5811a811be0177166f4c2ff93e6b3fae5980ee3bf0acd0165d4c4b1c9408fe"),
-    ("0.05", 1024, 0, "5cb379c51555ab6a654e3fc8de41dc598d1c8d1ab124206790002939c6944d4d"),
-    ("0.3", 1024, 0, "ee56bdce7a5b1268d0ca6469d5ecd5d28dbedc2e878389428378526de0259517"),
-    ("0.99", 1024, 0, "740b0a05ab1068fea2c92bd67503de2581851005dbbcc20b54303ea8d606f83d"),
+    ("1e-4", 256, 0, "34177dfa0d0decbc95159d10b5d2bad42ea438725730d4b27fdede21bfaabdd6"),
+    ("0.01", 256, 0, "097a7298bcb20ac934442886af9b7966100e06f08d8d637f02105a0a6957ec30"),
+    ("0.05", 256, 0, "18f5d4c8ff154ff61b77725b81a1897159e30f55764ac90f03ed172d780bb322"),
+    ("0.3", 256, 0, "0de8c3ada0e7577b5446a15699f7fea96dd5f8af74c8eaf9ab2ce696c59ae133"),
+    ("0.99", 256, 0, "3a5c3a455fa3fbc876cfb5292d82888390c8857f1a0972bfee43d7d53c5af9b8"),
+    ("1e-4", 1024, 0, "e30105a2892627bf6c738de49904be4972891147daf723250629af898dd1fb8a"),
+    ("0.01", 1024, 0, "973b5759f01fc157387dbd84dbe6bb7735836f1321df25a1e48f5bdf2d06d0c1"),
+    ("0.05", 1024, 0, "2d5d8ec700f896998839e41b58c2ce30059f7a21611e6e14729e4f2a9f6ceccd"),
+    ("0.3", 1024, 0, "54decefe22ae05fdaad06c4ebc9141ea00db86f3a0d538ff0be5c1236bda028a"),
+    ("0.99", 1024, 0, "984ce5b04cffe26a7b9036fb233f37a68912d77d757566a8c2c8d814a597372d"),
 )]
 
 

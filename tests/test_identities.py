@@ -19,9 +19,8 @@ from exact import exact_fraction
 CTX = PrecisionContext.create()
 Q = mpmath.mpf("0.5")
 
-# The non-numeric detail plus the two deliberately-large contrast residuals.
-NUMERIC_DETAIL_SKIP = {"m_window", "shifted-form-constant-2/q",
-                       "candidate (-q/a;q)_inf residual"}
+# The non-numeric detail plus the deliberately-large contrast residual.
+NUMERIC_DETAIL_SKIP = {"m_window", "shifted-form-constant-2/q"}
 
 
 def test_suite_runs_green_at_default_q():
@@ -259,11 +258,13 @@ def test_suite_passes_at_small_q(q):
     assert failed == []
 
 
-# A log-spaced grid over 0 < q < 1: below q = 0.05 the chains' terms cancel,
-# and below about 3.9e-31 the normalization ids' other candidate misses Z(a)
-# by less than sqrt(tol); neither may turn a PASS into a FAIL.
-@pytest.mark.parametrize("q", ["1e-60", "1e-31", "1e-20", "1e-8", "1e-4", "0.01", "0.05",
-                               "0.1", "0.3", "0.5", "0.9", "0.99", "0.999", "0.99999"])
+# A log-spaced grid over 0 < q < 1: below q = 0.05 the chains' terms
+# cancel, which may not turn a PASS into a FAIL.
+Q_DOMAIN = ("1e-60", "1e-31", "1e-20", "1e-8", "1e-4", "0.01", "0.05",
+            "0.1", "0.3", "0.5", "0.9", "0.99", "0.999", "0.99999")
+
+
+@pytest.mark.parametrize("q", Q_DOMAIN)
 def test_suite_passes_over_the_whole_domain(q):
     reports = run_suite(q, CTX)
     assert [(r.identity_id, r.details) for r in reports if not r.passed] == []
@@ -284,12 +285,11 @@ def test_half_to_full_lattice_forms_z_once():
     assert _lattice_normalization_memo.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("q, products", [("0.5", 10), ("0.7", 10), ("0.9", 10)])
+@pytest.mark.parametrize("q, products", [("0.5", 8), ("0.7", 8), ("0.9", 8)])
 def test_suite_evaluates_each_product_once(q, products):
-    # Ten distinct products: seven in the product chain, (s q^3;q^2)_inf
-    # of the base diagonals, and the adjudication's (-a^2;q)_inf and
-    # (-q/a;q)_inf; and two theta sums, Z(a) of the extremal measures and
-    # Z(q) of the half-to-full lattice check.
+    # Eight distinct products: seven in the product chain and
+    # (s q^3;q^2)_inf of the base diagonals; and two theta sums, Z(a) of
+    # the extremal measures and Z(q) of the half-to-full lattice check.
     from qortho.kernel import _qpochhammer_inf_memo
     from qortho.measures import _lattice_normalization_memo
     _qpochhammer_inf_memo.cache_clear()
@@ -638,11 +638,28 @@ _NUDGES = {
     "hermite-extremal-orthogonality": _nudge_diagonal,
     "product-chain": _nudge_product,
     "qinv-extremal-normalization": _nudge_lattice_mass,
+    "q-extremal-normalization": _nudge_lattice_mass,
 }
 
+# The (id, q) where the nudge does not fail its check by the margin.  The
+# chains' terms grow like q^(-4k) as q -> 0, so their sensitivity ends where
+# a coefficient's error falls below tol of the largest term (README): mu off
+# by 2^-100 survives at q = 1e-60 and fails by less than 2^-150 at 1e-31
+# and 1e-20.  The marks are strict, so a chain check that regains the
+# margin there fails the run until its entry goes.
+_INSENSITIVE = {
+    ("recurrence-chains", "1e-60"): "mu's 2^-100 falls below tol of the chain's largest term",
+    ("recurrence-chains", "1e-31"): "the chain's largest term shrinks mu's 2^-100 below 2^-150",
+    ("recurrence-chains", "1e-20"): "the chain's largest term shrinks mu's 2^-100 below 2^-150",
+}
+_NUDGE_CASES = [
+    pytest.param(q, identity, marks=pytest.mark.xfail(strict=True,
+                                                      reason=_INSENSITIVE[identity, q]))
+    if (identity, q) in _INSENSITIVE else (q, identity)
+    for q in Q_DOMAIN for identity in _NUDGES]
 
-@pytest.mark.parametrize("identity", _NUDGES)
-@pytest.mark.parametrize("q", ["0.05", "0.5", "0.9"])
+
+@pytest.mark.parametrize("q, identity", _NUDGE_CASES)
 def test_an_input_off_by_two_to_the_minus_100_fails_its_check(monkeypatch, q, identity):
     # One input of a check scaled by 1 + 2^-100 gives a residual far above
     # tol = 2^-200, so the check fails, where it passes as it is: a residual

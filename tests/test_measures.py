@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qortho import (DiscreteMeasure, FamilyKind, FamilySpec, MeasureKind,
-                    PrecisionContext, SignViolation, adjudicate_normalization,
-                    dual_base, dual_q_extremal, dual_qinv_extremal,
+                    NormalizationAdjudication, PrecisionContext, SignViolation,
+                    adjudicate_normalization, dual_base, dual_q_extremal, dual_qinv_extremal,
                     dual_ultra_coeff_rows, dual_ultra_table, dual_ultra_tables,
                     expected_diagonal, gram_matrix, hermite_extremal,
                     lattice_normalization, qinv_hermite_coeff_rows,
@@ -482,19 +482,20 @@ def test_gram_input_validation():
 # -- normalization adjudication ------------------------------------------------
 
 
-def test_adjudication_is_decisive():
-    # The suite's id shows both candidates' residuals and judges Z(a)'s.
+def test_adjudication_judges_z_alone():
+    # The suite's id shows Z(a)'s residual, the one it judges, and nothing
+    # else; the record holds no other candidate.
+    assert NormalizationAdjudication._fields == (
+        "measure_kind", "a", "q", "mass", "candidate_quadratic", "residual_quadratic")
     for build, identity in ((MeasureKind.DUAL_QINV_EXTREMAL, "qinv-extremal-normalization"),
                             (MeasureKind.DUAL_Q_EXTREMAL, "q-extremal-normalization")):
         verdict = adjudicate_normalization(build, "0.75", Q, CTX)
-        assert verdict.winner == "(-q/a^2;q)_inf"
+        assert verdict.candidate_quadratic == lattice_normalization(verdict.a, Q, CTX)
         with CTX.workprec():
             assert verdict.residual_quadratic < CTX.tol
-            assert verdict.residual_linear > mpmath.mpf("1e-3")
         (report,) = run_suite(Q, CTX, only=[identity], a="0.75")
         assert report.details == {
-            "candidate (-q/a^2;q)_inf residual": to_decimal(verdict.residual_quadratic, CTX.digits),
-            "candidate (-q/a;q)_inf residual": to_decimal(verdict.residual_linear, CTX.digits)}
+            "candidate (-q/a^2;q)_inf residual": to_decimal(verdict.residual_quadratic, CTX.digits)}
         assert report.passed and report.max_residual == verdict.residual_quadratic
 
 
@@ -672,17 +673,17 @@ def test_gram_evaluates_each_lattice_point_once(monkeypatch, kind):
     assert len(calls) <= report.m_hi - report.m_lo + 3
 
 
-def test_adjudication_reuses_its_normalization_factors():
-    # The linear candidate's three products, (-a^2;q)_inf, (-q/a;q)_inf and
-    # (q;q)_inf, and one theta sum, Z(a): the degree-0 Gram divides by the
-    # Z(a) the quadratic candidate already holds.
+def test_adjudication_forms_z_once_and_no_product():
+    # One theta sum, Z(a), which the degree-0 Gram divides by too, and no
+    # infinite product.
     from qortho.kernel import _qpochhammer_inf_memo
     from qortho.measures import _lattice_normalization_memo
     _qpochhammer_inf_memo.cache_clear()
     _lattice_normalization_memo.cache_clear()
     verdict = adjudicate_normalization(MeasureKind.DUAL_Q_EXTREMAL, "0.75", Q, CTX)
-    assert verdict.winner == "(-q/a^2;q)_inf"
-    assert _qpochhammer_inf_memo.cache_info().misses == 3
+    with CTX.workprec():
+        assert verdict.residual_quadratic < CTX.tol
+    assert _qpochhammer_inf_memo.cache_info().misses == 0
     assert _lattice_normalization_memo.cache_info().misses == 1
 
 
